@@ -1,13 +1,17 @@
 (* Daemon-mode economics: what a request costs once workers are forked
    once at startup and kept warm, versus the fork-per-batch pool that
-   pays its dispatch tax (fork, snapshot page-faults, marshal) on every
-   batch.
+   forks and reaps a fresh worker set on every batch.
 
    The headline row is deterministic: [dispatch-speedup] emits the
-   counter [speedup_floor_5x_met], which bench_diff --counters-only
-   gates — the persistent pool's per-request dispatch overhead must stay
-   at least 5x below the fork-per-batch baseline (~ms/task), or the
-   daemon has lost its reason to exist. The wall latencies around it are
+   counter [dispatch_within_10_rtt], which bench_diff --counters-only
+   gates — one persistent-pool request must cost at most ten framed
+   round trips over TCP loopback (the rtt-tcp row of the same run). A
+   request is one task frame out and one result frame back plus queue
+   and epoch bookkeeping, so it costs about one or two round trips; a
+   drain that waits even 2 ms per reply costs over a hundred. The ratio
+   to the fork-per-batch pool is telemetry only: both pools drain
+   through the same Supervisor, so a blocking drain would slow both
+   sides and leave the ratio where it was. The wall latencies are
    machine-dependent telemetry.
 
    Fork-before-domain ordering: both pools fork worker processes, so
@@ -164,20 +168,8 @@ let bench_dispatch ~requests =
         (Array.length r, Unix.gettimeofday () -. t0))
   in
   let _, forked_batch_s = forked in
-  let per_req_us = persistent_batch_s /. float_of_int requests *. 1e6 in
-  let per_task_us = forked_batch_s /. float_of_int requests *. 1e6 in
-  let speedup = per_task_us /. per_req_us in
-  record "dispatch-speedup"
-    ~counters:[ ("speedup_floor_5x_met", if speedup >= 5.0 then 1 else 0) ]
-    ~floats:
-      [
-        ("speedup_x", speedup);
-        ("persistent_us_per_req", per_req_us);
-        ("forked_us_per_task", per_task_us);
-      ];
-  Printf.printf
-    "dispatch: persistent %.0f us/req vs fork-per-batch %.0f us/task (%.1fx)\n%!"
-    per_req_us per_task_us speedup
+  ( persistent_batch_s /. float_of_int requests *. 1e6,
+    forked_batch_s /. float_of_int requests *. 1e6 )
 
 (* ------------------------------------------------------------------ *)
 (* TCP loopback RTT: the daemon's --listen path                        *)
@@ -190,6 +182,7 @@ let bench_tcp_rtt ~pings =
   let b = Transport.accept ~metrics:m ~deadline:5.0 lfd in
   let payload = Bytes.make 64 'x' in
   let roundtrips () =
+    let t0 = Unix.gettimeofday () in
     for _ = 1 to pings do
       ignore (Transport.send a ~kind:Transport.Kind.ping ~epoch:0 payload);
       (match Transport.recv b ~timeout:5.0 with
@@ -200,13 +193,13 @@ let bench_tcp_rtt ~pings =
       | Some _ -> ()
       | None -> failwith "service_bench: tcp echo lost"
     done;
-    pings
+    (pings, Unix.gettimeofday () -. t0)
   in
-  let _ =
+  let _, run_s =
     measure ~repeats:3 ~warmup:1 ~name:"rtt-tcp"
       ~params:[ ("payload_bytes", Json.Int 64) ]
       ~items:("rtt", float_of_int pings)
-      ~telemetry:(fun n ->
+      ~telemetry:(fun (n, _) ->
         ( [
             ("roundtrips_per_run", n);
             ("crc_failures", Metrics.counter m "transport.crc_failures");
@@ -218,7 +211,8 @@ let bench_tcp_rtt ~pings =
   Transport.close a;
   Transport.close b;
   Unix.close lfd;
-  Printf.printf "tcp loopback: %d round trips per run, clean wire\n%!" pings
+  Printf.printf "tcp loopback: %d round trips per run, clean wire\n%!" pings;
+  run_s /. float_of_int pings *. 1e6
 
 (* ------------------------------------------------------------------ *)
 (* Warm requests: repeated EN clearings against a persistent worker     *)
@@ -274,10 +268,24 @@ let run ~quick () =
   let requests = if quick then 32 else 256 in
   let pings = if quick then 300 else 3000 in
   let warm = if quick then 5 else 20 in
-  bench_dispatch ~requests;
-  bench_tcp_rtt ~pings;
+  let per_req_us, per_task_us = bench_dispatch ~requests in
+  let rtt_us = bench_tcp_rtt ~pings in
+  let speedup = per_task_us /. per_req_us in
+  record "dispatch-speedup"
+    ~counters:[ ("dispatch_within_10_rtt", if per_req_us <= 10.0 *. rtt_us then 1 else 0) ]
+    ~floats:
+      [
+        ("speedup_x", speedup);
+        ("persistent_us_per_req", per_req_us);
+        ("forked_us_per_task", per_task_us);
+        ("rtt_us", rtt_us);
+      ];
+  Printf.printf
+    "dispatch: persistent %.0f us/req (%.1f RTTs of %.0f us) vs fork-per-batch %.0f \
+     us/task (%.1fx)\n%!"
+    per_req_us (per_req_us /. rtt_us) rtt_us per_task_us speedup;
   bench_warm_requests ~requests:warm;
   Printf.printf
     "\nnote: the dispatch-speedup counter is the acceptance gate — a daemon\n\
-     request must cost at least 5x less dispatch overhead than a fork-per-batch\n\
-     task, or persistent workers are not paying for their complexity.\n"
+     request must cost at most ten TCP loopback round trips of dispatch\n\
+     overhead, or the pool's drain has started waiting on the wire.\n"

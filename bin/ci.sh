@@ -103,7 +103,9 @@ cmp "$CI_TMP/metrics.inline.json" "$CI_TMP/metrics.reload.json"
 # Distributed smoke: the two-process transport demo (real exec'd worker
 # over a named socket), then one engine run per wire-fault kind — each
 # must recover (respawn/fence/degrade onto live workers) and still print
-# a report, with the wall-domain counters exported separately.
+# a report, with the wall-domain counters exported separately. Each
+# fault must also have done its job: a disconnect is seen as one, and a
+# stall or a partition trips the heartbeat detector.
 echo "== distributed smoke (transport demo + wire-fault matrix) =="
 dune exec bin/dstress.exe -- transport --pings 100 > /dev/null
 for kind in disconnect stall partition; do
@@ -112,6 +114,11 @@ for kind in disconnect stall partition; do
     --executor distributed:2 --wire-faults "$kind" \
     --transport-metrics "$CI_TMP/transport.$kind.json" > /dev/null
   dune exec test/json_check.exe -- "$CI_TMP/transport.$kind.json"
+  case "$kind" in
+    disconnect) counter=pool.worker_disconnects ;;
+    *) counter=pool.suspicions ;;
+  esac
+  grep -q "\"$counter\":[1-9]" "$CI_TMP/transport.$kind.json"
 done
 
 # Service smoke: a daemon with a persistent worker pool serves three

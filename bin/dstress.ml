@@ -136,16 +136,6 @@ let executor_arg =
            transport). Overrides --jobs. Tick-domain results and exports are \
            identical for every backend.")
 
-let socket_dir_arg =
-  Arg.(
-    value
-    & opt (some dir) None
-    & info [ "socket-dir" ] ~docv:"DIR"
-        ~doc:
-          "With --executor distributed[:N]: use named Unix sockets under DIR \
-           (listen/connect with bounded jittered backoff) instead of anonymous \
-           socketpairs.")
-
 let wire_fault_rate_arg =
   Arg.(
     value & opt float 0.0
@@ -177,25 +167,14 @@ let transport_metrics_arg =
            --executor distributed[:N] — these counters are deliberately not in \
            the deterministic --metrics export.")
 
-(* --executor wins over the legacy --jobs; --socket-dir re-homes a
-   distributed backend onto named sockets. *)
-let resolve_executor ~spec ~jobs ~socket_dir =
-  let exec =
-    match spec with
-    | None -> executor_of_jobs jobs
-    | Some s -> (
-        match Executor.of_string s with
-        | Ok e -> e
-        | Error m -> invalid_arg ("dstress: --executor " ^ m))
-  in
-  match (socket_dir, Executor.distributed_ctx exec) with
-  | None, _ -> exec
-  | Some _, None -> invalid_arg "dstress: --socket-dir requires --executor distributed[:N]"
-  | Some dir, Some ctx ->
-      let o = Distributed.opts ctx in
-      Executor.distributed
-        ~opts:{ o with Distributed.socket_dir = Some dir }
-        ~workers:o.Distributed.workers ()
+(* --executor wins over the legacy --jobs. *)
+let resolve_executor ~spec ~jobs =
+  match spec with
+  | None -> executor_of_jobs jobs
+  | Some s -> (
+      match Executor.of_string s with
+      | Ok e -> e
+      | Error m -> invalid_arg ("dstress: --executor " ^ m))
 
 let wire_plan ~exec ~seed ~iterations ~wire_fault_rate ~wire_faults =
   if wire_fault_rate = 0.0 && wire_faults = [] then Fault.empty
@@ -204,7 +183,8 @@ let wire_plan ~exec ~seed ~iterations ~wire_fault_rate ~wire_faults =
     | None ->
         invalid_arg "dstress: wire faults require --executor distributed[:N]"
     | Some ctx ->
-        let workers = (Distributed.opts ctx).Distributed.workers in
+        let o = Distributed.opts ctx in
+        let workers = o.Distributed.workers in
         (* Every engine phase is at most two dispatch batches per round. *)
         let batches = (2 * (iterations + 1)) + 2 in
         (if wire_fault_rate > 0.0 then
@@ -219,7 +199,9 @@ let wire_plan ~exec ~seed ~iterations ~wire_fault_rate ~wire_faults =
             (function
               | `Disconnect -> Fault.Disconnect_worker { worker = 0; batch = 1 }
               | `Stall ->
-                  Fault.Stall_worker { worker = 1 mod workers; batch = 2; seconds = 0.15 }
+                  (* Twice the silence suspicion needs, so it always trips. *)
+                  let seconds = 2.0 *. o.Distributed.phi *. o.Distributed.heartbeat_interval in
+                  Fault.Stall_worker { worker = 1 mod workers; batch = 2; seconds }
               | `Partition ->
                   Fault.Partition_worker { worker = 0; from_batch = 3; until_batch = 4 })
             wire_faults
@@ -457,12 +439,12 @@ let run_model model ~grp ~k ~epsilon ~iterations ~seed ~core ~periphery ~shock ~
 
 let stress model seed grpname ot_mode k core periphery iterations epsilon shock
     reference_only fault_rate fault_crashes max_retries backoff jobs executor_spec
-    socket_dir wire_fault_rate wire_faults transport_metrics slice_width preprocess
+    wire_fault_rate wire_faults transport_metrics slice_width preprocess
     triple_cache obs_level trace metrics trace_wall profile =
   let grp = Group.by_name grpname in
   let preprocess = preprocess || triple_cache <> None in
   let obs_level = effective_obs_level obs_level ~trace ~metrics ~trace_wall ~profile in
-  let exec = resolve_executor ~spec:executor_spec ~jobs ~socket_dir in
+  let exec = resolve_executor ~spec:executor_spec ~jobs in
   let wire = wire_plan ~exec ~seed ~iterations ~wire_fault_rate ~wire_faults in
   let finish ~graph ~tds report =
     ignore graph;
@@ -515,7 +497,7 @@ let stress_cmd =
       $ periphery_arg
       $ iterations_arg $ epsilon_arg $ shock_arg $ reference_only_arg $ fault_rate_arg
       $ fault_crashes_arg $ max_retries_arg $ backoff_arg $ jobs_arg $ executor_arg
-      $ socket_dir_arg $ wire_fault_rate_arg $ wire_faults_arg $ transport_metrics_arg
+      $ wire_fault_rate_arg $ wire_faults_arg $ transport_metrics_arg
       $ slice_width_arg $ preprocess_arg $ triple_cache_arg $ obs_level_arg $ trace_arg
       $ metrics_arg $ trace_wall_arg $ profile_arg)
 

@@ -3,25 +3,24 @@
     A {!map} call is one {e dispatch batch}: the pool forks [workers]
     worker processes, each inheriting (copy-on-write) the coordinator's
     full state snapshot — so the task closure needs no marshalling; only
-    the task {e results} (plain data by the {!Executor} task contract)
-    cross the process boundary, as [Marshal]-encoded payloads in
-    {!Transport} frames over Unix domain sockets (anonymous socketpairs
-    by default, named sockets under [socket_dir] to exercise the
-    listen/connect/backoff path).
+    task indices and {e results} (plain data by the {!Executor} task
+    contract) cross the process boundary, as [Marshal]-encoded payloads
+    in {!Transport} frames over anonymous Unix socketpairs.
 
     {b Fault tolerance.} Tasks are dispatched dynamically: any idle
     worker takes the next pending index, so a lost worker only costs a
-    redispatch. The coordinator runs a heartbeat {!Failure_detector} per
-    worker slot; a suspected worker is treated exactly like a
-    [Crash_node] fault at the protocol layer — its task is requeued, its
-    slot respawned under a {b new epoch} — but its socket is kept
-    readable until the batch ends, so a straggler's late reply is
-    dropped by epoch fence ([transport.fenced_frames]) rather than
-    applied twice. Respawns are bounded per slot and per batch; a slot
-    that keeps failing is {e abandoned} and its work degrades onto the
-    remaining workers. When nothing live remains, the respawn budget is
-    exhausted, or the batch deadline expires, {!map} fails fast with the
-    typed {!Degraded} report — it never hangs.
+    redispatch. The worker slots are run by a {!Supervisor} — heartbeat
+    suspicion, epoch fencing, per-slot respawn and abandonment, reaping
+    — the same one that runs the daemon's pool ({!Service}). A suspected
+    worker is treated exactly like a [Crash_node] fault at the protocol
+    layer: its task is requeued and its slot respawned under a {b new
+    epoch}, while its socket stays readable until the batch ends, so a
+    straggler's late reply is dropped by the epoch fence
+    ([transport.fenced_frames]) rather than applied twice. On top of the
+    per-slot budget the batch has a total respawn budget. When nothing
+    live remains, the total budget is exhausted, or the batch deadline
+    expires, {!map} fails fast with the typed {!Degraded} report — it
+    never hangs.
 
     {b Determinism.} The pool touches only wall-domain state: results
     are merged in index order by {!Phase.run_tasks} exactly as for the
@@ -32,18 +31,16 @@
     a run collector.
 
     {b Wire faults.} A fault source installed with {!set_fault_source}
-    is consulted at every worker spawn: [Disconnect_worker] makes the
-    worker sever its socket on its first task, [Stall_worker] makes it
-    sleep before replying (tripping the failure detector and exercising
-    the epoch fence), [Partition_worker] makes the slot — including its
-    respawns — drop every frame for a batch interval, forcing
-    abandonment. *)
+    is consulted at every task dispatch: [Disconnect_worker] makes the
+    worker sever its socket on its first task of the batch,
+    [Stall_worker] makes it go silent that long before replying to that
+    task (tripping the failure detector and exercising the epoch fence
+    when the stall outlasts [phi × heartbeat_interval]),
+    [Partition_worker] mutes every task the slot — respawns included —
+    receives during the batch interval, forcing abandonment. *)
 
 type opts = {
   workers : int;  (** worker processes per batch (>= 1) *)
-  socket_dir : string option;
-      (** [None] (default): anonymous socketpairs. [Some dir]: named
-          sockets under [dir], connected with bounded jittered backoff. *)
   heartbeat_interval : float;  (** worker heartbeat period, seconds *)
   phi : float;  (** failure-detector suspicion threshold *)
   io_deadline : float;  (** per-frame read/write deadline, seconds *)
@@ -85,7 +82,7 @@ type ctx
 val create : ?opts:opts -> ?log:Dstress_obs.Log.t -> unit -> ctx
 (** Raises [Invalid_argument] if [workers < 1] or an interval/deadline
     is not positive. [log] (default {!Dstress_obs.Log.nop}) receives
-    wall-domain pool lifecycle events — spawns at [Debug], lost workers
+    wall-domain pool lifecycle events — spawns at [Info], lost workers
     at [Warn], abandonment/degradation at [Error] — and is threaded into
     the coordinator-side transports; it never affects tick-domain
     exports. *)
@@ -101,7 +98,7 @@ val begin_run : ctx -> unit
     of a new run line up with a wire-fault plan's batch indices. *)
 
 val set_fault_source : ctx -> (batch:int -> worker:int -> Dstress_faults.Fault.fault list) -> unit
-(** Consulted at every worker spawn with the slot's batch and slot id;
+(** Consulted at every task dispatch with the slot's batch and slot id;
     only wire-level faults ({!Dstress_faults.Fault.is_wire}) are acted
     on. Typically [Fault.Injector.wire_faults], so firings are recorded
     in the same injector the engine reports from. *)

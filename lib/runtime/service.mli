@@ -13,10 +13,10 @@
       {!response}) carried in {!Transport.Kind.request} /
       [response] frames;
     + a persistent {!pool}: workers forked at creation (inheriting the
-      handler via copy-on-write), kept warm across requests, supervised
-      by the same phi-accrual heartbeat detection, epoch fencing and
-      respawn/re-dispatch machinery as the per-batch pool — plus a
-      bounded submission queue with typed backpressure;
+      handler via copy-on-write) and kept warm across requests, their
+      slots run by the same {!Supervisor} as the per-batch pool — plus
+      a bounded submission queue with typed backpressure, per-request
+      attempt budgets and deadlines;
     + a single-threaded {!serve} loop multiplexing a listener (Unix
       socket or TCP), client connections and the pool, with graceful
       drain on SIGTERM/SIGINT.
@@ -144,10 +144,11 @@ val create_pool :
     a write racing a worker death stays a typed [Closed] error.
 
     [log] (default {!Dstress_obs.Log.nop}) receives the pool's
-    wall-domain lifecycle events — spawn/respawn/abandon, suspicion and
-    fencing, per-request enqueue/dispatch/finish (the per-request lines
-    at [Debug], completions at [Info], failures and slow requests at
-    [Warn]/[Error]) — every line stamped with the request's trace ID.
+    wall-domain lifecycle events — the {!Supervisor}'s slot lines
+    (spawned, lost, abandoned), per-request enqueue/dispatch/finish (the
+    per-request lines at [Debug], completions at [Info], failures and
+    slow requests at [Warn]/[Error]) — request lines stamped with the
+    request's trace ID.
     The same logger is inherited by the forked workers and threaded into
     their transports. *)
 

@@ -367,27 +367,29 @@ let handle_ack t payload =
 let recv t ~timeout =
   if t.closed then raise (Error (Closed "recv on closed connection"));
   let deadline = now () +. timeout in
-  let rec loop () =
+  (* The first read is always attempted: with [~timeout:0.0] the clock
+     has already passed the deadline, yet a ready frame must come back. *)
+  let rec loop ~first =
     let remaining = deadline -. now () in
-    if remaining < 0.0 then None
+    if remaining < 0.0 && not first then None
     else
       match read_frame t ~first_timeout:(max remaining 0.0) with
       | None -> None
       | Some f when f.kind = kind_ack ->
           handle_ack t f.payload;
-          loop ()
+          loop ~first:false
       | Some f when Int64.compare f.seq t.delivered <= 0 ->
           (* Idempotent dedup: a retransmitted frame that already made it
              through is acknowledged by silence, never re-applied. *)
           Metrics.incr t.m "transport.dup_dropped";
           Log.debug t.log "transport duplicate dropped" ~trace:f.trace
             [ ("seq", Log.Int (Int64.to_int f.seq)) ];
-          loop ()
+          loop ~first:false
       | Some f ->
           t.delivered <- f.seq;
           Some f
   in
-  loop ()
+  loop ~first:true
 
 let ack t upto =
   let payload = Bytes.create 8 in

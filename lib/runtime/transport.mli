@@ -2,8 +2,8 @@
 
     This is the wire layer of the {!Distributed} runtime: the coordinator
     and its worker processes exchange length-prefixed, checksummed frames
-    over [AF_UNIX] stream sockets (anonymous [socketpair]s by default, or
-    named sockets under a directory). The layer is built {e failure
+    over anonymous [AF_UNIX] [socketpair]s; named sockets and TCP carry
+    the daemon's clients ({!Service}). The layer is built {e failure
     first} — every operation has a deadline, connections are established
     with bounded jittered-exponential-backoff retry, every frame carries a
     CRC-32 and a sequence number, and receivers drop duplicates
@@ -16,7 +16,7 @@
       version 1 B  (2)
       kind    1 B  caller-defined message kind
       pad     2 B  zero
-      epoch   4 B  fencing epoch (see Distributed)
+      epoch   4 B  fencing epoch (see Supervisor)
       seq     8 B  per-connection monotone sequence number
       trace   8 B  request trace ID (0 = none; see Service)
       length  4 B  payload bytes
@@ -32,10 +32,10 @@
 
     {b Fault injection.} A connection accepts an injection hook consulted
     on every send: the hook can stall the write (a slow or wedged peer)
-    or sever the connection (a crashed peer / broken socket). The wire
-    fault kinds of {!Dstress_faults.Fault} are translated into hook
-    actions by the {!Distributed} pool, so every transport failure path
-    is replayable from a deterministic plan. *)
+    or sever the connection (a crashed peer / broken socket). The worker
+    pools inject the wire fault kinds of {!Dstress_faults.Fault} through
+    the {!Supervisor}'s task header instead, so their failure paths are
+    replayable from a deterministic plan. *)
 
 type error =
   | Timeout of string  (** a read/write/connect/accept deadline expired *)
@@ -161,7 +161,8 @@ val send : t -> kind:int -> epoch:int -> ?trace:int64 -> bytes -> int64
     in the frame header and delivered in {!recv}'s [frame.trace]. *)
 
 val recv : t -> timeout:float -> frame option
-(** Next fresh frame within [timeout] seconds, or [None]. Duplicate
+(** Next fresh frame within [timeout] seconds, or [None]. [timeout] 0
+    polls: a frame already readable is returned. Duplicate
     sequence numbers (<= the highest already delivered) are dropped and
     counted under [transport.dup_dropped]; ack frames are consumed
     internally. A CRC or framing violation raises [Error (Integrity _)]. *)

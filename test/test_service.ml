@@ -462,6 +462,44 @@ let test_pool_handler_failure_is_typed () =
   | _ -> Alcotest.fail "pool must keep serving after a handler failure");
   Service.shutdown_pool pool
 
+let test_pool_fence_drops_late_reply () =
+  let pool = Service.create_pool ~opts:quick_opts ~handler () in
+  (* The first dispatch stalls its worker far past suspicion (phi 8 x
+     50 ms = 0.4 s): the slot is fenced and the request re-dispatched.
+     The stalled worker then serves the request anyway and replies on
+     its fenced connection while follow-up requests keep the pool busy.
+     Applying that reply would fire the callback a second time. *)
+  Service.set_pool_fault_source pool (fun ~request_index ~worker ->
+      if request_index = 0 then [ Fault.Stall_worker { worker; batch = 0; seconds = 2.0 } ]
+      else []);
+  let req = { base_request with Service.seed = 41 } in
+  let replies = ref [] and pending = ref 0 in
+  let submit r on_done =
+    match Service.submit pool r on_done with
+    | `Queued -> incr pending
+    | `Queue_full | `No_workers -> Alcotest.fail "submit rejected"
+  in
+  submit req (fun r ->
+      replies := r :: !replies;
+      decr pending);
+  let m = Service.pool_metrics pool in
+  let until = Unix.gettimeofday () +. 60.0 in
+  while
+    (!pending > 0 || Metrics.counter m "transport.fenced_frames" = 0)
+    && Unix.gettimeofday () < until
+  do
+    if !replies <> [] && !pending = 0 then
+      submit { base_request with Service.seed = 42 } (fun _ -> decr pending);
+    Service.pool_step pool ~timeout:0.05
+  done;
+  Alcotest.(check bool) "stall tripped suspicion" true (Metrics.counter m "pool.suspicions" > 0);
+  Alcotest.(check bool) "late reply fenced" true (Metrics.counter m "transport.fenced_frames" >= 1);
+  (match !replies with
+  | [ Service.Completed s ] -> check_summary_equal "stalled request" (oracle req) s
+  | [ _ ] -> Alcotest.fail "stalled request did not complete"
+  | rs -> Alcotest.failf "callback fired %d times" (List.length rs));
+  Service.shutdown_pool pool
+
 (* ------------------------------------------------------------------ *)
 (* Lifecycle chaos: wire faults against persistent workers             *)
 (* ------------------------------------------------------------------ *)
@@ -767,6 +805,7 @@ let () =
           Alcotest.test_case "differential vs solo" `Slow test_pool_differential;
           Alcotest.test_case "queue backpressure" `Quick test_pool_queue_backpressure;
           Alcotest.test_case "handler failure typed" `Slow test_pool_handler_failure_is_typed;
+          Alcotest.test_case "fenced late reply ignored" `Slow test_pool_fence_drops_late_reply;
         ] );
       ( "chaos",
         [ Alcotest.test_case "wire-fault soak" `Slow test_pool_chaos_soak ] );

@@ -72,6 +72,23 @@ let test_recv_timeout_and_eof () =
   | _ -> Alcotest.fail "EOF must raise Closed");
   Transport.close b
 
+let test_recv_zero_timeout_reads_ready_frame () =
+  (* Every post-select drain polls with [~timeout:0.0]: once select has
+     proved the socket readable, that poll must return the frame. *)
+  let a, b = Transport.pair () in
+  let misses = ref 0 in
+  for _ = 1 to 5000 do
+    ignore (Transport.send a ~kind:Transport.Kind.task ~epoch:0 Bytes.empty);
+    ignore (Unix.select [ Transport.fd b ] [] [] 1.0);
+    if Transport.recv b ~timeout:0.0 = None then begin
+      incr misses;
+      ignore (Transport.recv b ~timeout:1.0)
+    end
+  done;
+  Alcotest.(check int) "no readable frame skipped" 0 !misses;
+  Transport.close a;
+  Transport.close b
+
 let test_integrity_rejected () =
   let a, b = Transport.pair () in
   (* Write garbage straight onto the socket: the header check must refuse
@@ -406,24 +423,26 @@ let test_pool_recovers_from_stall_and_disconnect () =
     (Metrics.counter m "pool.suspicions" > 0);
   Alcotest.(check bool) "slots respawned" true (Metrics.counter m "pool.respawns" > 0)
 
-let test_pool_named_sockets () =
-  let dir =
-    let d =
-      Filename.concat (Filename.get_temp_dir_name ())
-        (Printf.sprintf "dstress-pool-%d" (Unix.getpid ()))
-    in
-    (try Unix.mkdir d 0o700 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-    d
+let test_pool_fence_drops_late_reply () =
+  let ctx = Distributed.create ~opts:{ quick_opts with Distributed.workers = 2 } () in
+  (* Worker 1 stalls its first task well past suspicion (phi * 20ms =
+     120ms), so its slot is fenced and the task re-dispatched; the tasks
+     are slow enough that the batch (~1.2 s) is still running when the
+     stalled worker's reply arrives on its fenced connection. Applying
+     that reply would complete a task twice. *)
+  Distributed.set_fault_source ctx (fun ~batch:_ ~worker ->
+      if worker = 1 then [ Fault.Stall_worker { worker; batch = 0; seconds = 0.5 } ] else []);
+  let value i = (i, i * 13) in
+  let got =
+    Distributed.map ctx 60 (fun i ->
+        Unix.sleepf 0.04;
+        value i)
   in
-  let ctx =
-    Distributed.create
-      ~opts:{ quick_opts with Distributed.workers = 2; socket_dir = Some dir }
-      ()
-  in
-  let got = Distributed.map ctx 8 (fun i -> i + 100) in
-  Alcotest.(check bool) "named-socket pool works" true (got = Array.init 8 (fun i -> i + 100));
-  Alcotest.(check bool) "sockets cleaned up" true (Sys.readdir dir = [||]);
-  (try Unix.rmdir dir with Unix.Unix_error _ -> ())
+  Alcotest.(check bool) "every result present once and correct" true
+    (got = Array.init 60 value);
+  let m = Distributed.metrics ctx in
+  Alcotest.(check bool) "stall tripped suspicion" true (Metrics.counter m "pool.suspicions" > 0);
+  Alcotest.(check bool) "late reply fenced" true (Metrics.counter m "transport.fenced_frames" >= 1)
 
 (* ------------------------------------------------------------------ *)
 (* Engine differential: Distributed == Sequential in the tick domain   *)
@@ -592,6 +611,8 @@ let () =
         [
           Alcotest.test_case "frame round-trip" `Quick test_frame_roundtrip;
           Alcotest.test_case "recv timeout and EOF" `Quick test_recv_timeout_and_eof;
+          Alcotest.test_case "poll returns a ready frame" `Quick
+            test_recv_zero_timeout_reads_ready_frame;
           Alcotest.test_case "integrity rejected" `Quick test_integrity_rejected;
           Alcotest.test_case "dedup drops replay" `Quick test_dedup_drops_replay;
           Alcotest.test_case "connect backoff bounded" `Quick test_connect_backoff_bounded;
@@ -616,7 +637,7 @@ let () =
           Alcotest.test_case "degraded fast fail" `Quick test_pool_degraded_fast_fail;
           Alcotest.test_case "stall + disconnect recovery" `Quick
             test_pool_recovers_from_stall_and_disconnect;
-          Alcotest.test_case "named sockets" `Quick test_pool_named_sockets;
+          Alcotest.test_case "fence drops late reply" `Quick test_pool_fence_drops_late_reply;
         ] );
       ( "engine differential",
         [
