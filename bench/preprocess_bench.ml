@@ -1,7 +1,7 @@
 (* Offline/online split: the correlated-randomness preprocessing pipeline
    (Gmw.generate_material + attach) vs the single-phase inline path, on
-   the paper's EN and EGJ update circuits, both OT backends, scalar and
-   64-wide bitsliced evaluation.
+   the paper's EN and EGJ update circuits, both OT backends, one-slot
+   (w1, one Gmw.eval per instance) and 64-wide bitsliced evaluation.
 
    Each configuration emits three rows:
 

@@ -166,4 +166,18 @@ grep -q 'trace=3 msg="request finished"' "$CI_TMP/serve.err"
 kill -TERM "$SVC_PID"
 wait "$SVC_PID"
 
+# Benchmark correctness smoke: a short run of each perfbench workload
+# checks every released output against its oracle, the exact work
+# counters, and (serve-en) that the daemon drains. Its last line is the
+# result document; only correctness is gated here, never timing.
+echo "== perfbench smoke (oracle, exact counts, daemon drain) =="
+for workload in serve-en egj-256; do
+  echo "-- $workload"
+  python3 perfbench/run.py --workload "$workload" --seed 1 --seconds 5 --trace 0 \
+    > "$CI_TMP/perfbench.$workload.out"
+  result="$(tail -n 1 "$CI_TMP/perfbench.$workload.out")"
+  echo "$result" | grep -q '"correct":true'
+  echo "$result" | grep -q '"failed":0[,}]'
+done
+
 echo "CI OK"

@@ -242,8 +242,8 @@ let slice_width_arg =
     & info [ "slice-width" ] ~docv:"INT"
         ~doc:
           "Vertices per bitsliced GMW batch in a computation step (1-64). 1 \
-           selects the scalar per-vertex evaluator; results are identical \
-           for every value.")
+           evaluates one vertex per task; results are identical for every \
+           value.")
 
 let preprocess_arg =
   Arg.(

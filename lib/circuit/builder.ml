@@ -1,20 +1,49 @@
 type wire = Circuit.wire
 
+(* Structural hash-consing table, typed on gates so lookups avoid the
+   polymorphic hash and compare. Inputs are never pushed. *)
+module Gate_table = Hashtbl.Make (struct
+  type t = Circuit.gate
+
+  let equal (x : t) (y : t) =
+    match (x, y) with
+    | Circuit.Input a, Circuit.Input b | Circuit.Not a, Circuit.Not b -> Int.equal a b
+    | Circuit.Xor (a, b), Circuit.Xor (c, d) | Circuit.And (a, b), Circuit.And (c, d) ->
+        Int.equal a c && Int.equal b d
+    | Circuit.Const a, Circuit.Const b -> Bool.equal a b
+    | _ -> false
+
+  (* Pack the constructor tag and wires into one int, then spread it with
+     a multiplicative mix: the table indexes buckets by the low bits, and
+     wire pairs of a circuit are far too regular to use unmixed. *)
+  let hash (g : t) =
+    let key =
+      match g with
+      | Circuit.Input k -> k lsl 3
+      | Circuit.Const v -> if v then 1 else 2
+      | Circuit.Not a -> (a lsl 3) lor 3
+      | Circuit.Xor (a, b) -> (((a lsl 24) lxor b) lsl 3) lor 4
+      | Circuit.And (a, b) -> (((a lsl 24) lxor b) lsl 3) lor 5
+    in
+    let h = key * 0x9E3779B97F4A7C1 in
+    h lxor (h lsr 31)
+end)
+
 type t = {
   mutable gates : Circuit.gate array;
   mutable len : int;
   mutable num_inputs : int;
-  cache : (Circuit.gate, wire) Hashtbl.t; (* structural hash-consing *)
+  cache : wire Gate_table.t;
   mutable sealed : bool;
 }
 
 let create () =
   { gates = Array.make 64 (Circuit.Const false); len = 0; num_inputs = 0;
-    cache = Hashtbl.create 256; sealed = false }
+    cache = Gate_table.create 256; sealed = false }
 
 let push t gate =
   if t.sealed then invalid_arg "Builder: already finished";
-  match Hashtbl.find_opt t.cache gate with
+  match Gate_table.find_opt t.cache gate with
   | Some w -> w
   | None ->
       if t.len = Array.length t.gates then begin
@@ -25,7 +54,7 @@ let push t gate =
       t.gates.(t.len) <- gate;
       let w = t.len in
       t.len <- t.len + 1;
-      Hashtbl.replace t.cache gate w;
+      Gate_table.add t.cache gate w;
       w
 
 let gate_of t w = t.gates.(w)

@@ -1,108 +1,92 @@
-(* Straightforward FIPS 180-4 implementation on Int32. Clarity over speed:
-   hashing is never the bottleneck in this code base (modular
-   exponentiation is). *)
+(* FIPS 180-4 SHA-256 on native ints: every 32-bit word lives in the low
+   bits of an OCaml int and is masked back to 32 bits after each addition,
+   so the compression loop allocates nothing. Hashing is on the GMW hot
+   path: every mask byte comes from the SHA-CTR {!Prg}, and Crypto-mode
+   OT extension hashes every row. Whole message blocks are compressed in
+   place; only the padded tail is copied. *)
 
 let k =
   [|
-    0x428a2f98l; 0x71374491l; 0xb5c0fbcfl; 0xe9b5dba5l; 0x3956c25bl; 0x59f111f1l;
-    0x923f82a4l; 0xab1c5ed5l; 0xd807aa98l; 0x12835b01l; 0x243185bel; 0x550c7dc3l;
-    0x72be5d74l; 0x80deb1fel; 0x9bdc06a7l; 0xc19bf174l; 0xe49b69c1l; 0xefbe4786l;
-    0x0fc19dc6l; 0x240ca1ccl; 0x2de92c6fl; 0x4a7484aal; 0x5cb0a9dcl; 0x76f988dal;
-    0x983e5152l; 0xa831c66dl; 0xb00327c8l; 0xbf597fc7l; 0xc6e00bf3l; 0xd5a79147l;
-    0x06ca6351l; 0x14292967l; 0x27b70a85l; 0x2e1b2138l; 0x4d2c6dfcl; 0x53380d13l;
-    0x650a7354l; 0x766a0abbl; 0x81c2c92el; 0x92722c85l; 0xa2bfe8a1l; 0xa81a664bl;
-    0xc24b8b70l; 0xc76c51a3l; 0xd192e819l; 0xd6990624l; 0xf40e3585l; 0x106aa070l;
-    0x19a4c116l; 0x1e376c08l; 0x2748774cl; 0x34b0bcb5l; 0x391c0cb3l; 0x4ed8aa4al;
-    0x5b9cca4fl; 0x682e6ff3l; 0x748f82eel; 0x78a5636fl; 0x84c87814l; 0x8cc70208l;
-    0x90befffal; 0xa4506cebl; 0xbef9a3f7l; 0xc67178f2l;
+    0x428a2f98; 0x71374491; 0xb5c0fbcf; 0xe9b5dba5; 0x3956c25b; 0x59f111f1;
+    0x923f82a4; 0xab1c5ed5; 0xd807aa98; 0x12835b01; 0x243185be; 0x550c7dc3;
+    0x72be5d74; 0x80deb1fe; 0x9bdc06a7; 0xc19bf174; 0xe49b69c1; 0xefbe4786;
+    0x0fc19dc6; 0x240ca1cc; 0x2de92c6f; 0x4a7484aa; 0x5cb0a9dc; 0x76f988da;
+    0x983e5152; 0xa831c66d; 0xb00327c8; 0xbf597fc7; 0xc6e00bf3; 0xd5a79147;
+    0x06ca6351; 0x14292967; 0x27b70a85; 0x2e1b2138; 0x4d2c6dfc; 0x53380d13;
+    0x650a7354; 0x766a0abb; 0x81c2c92e; 0x92722c85; 0xa2bfe8a1; 0xa81a664b;
+    0xc24b8b70; 0xc76c51a3; 0xd192e819; 0xd6990624; 0xf40e3585; 0x106aa070;
+    0x19a4c116; 0x1e376c08; 0x2748774c; 0x34b0bcb5; 0x391c0cb3; 0x4ed8aa4a;
+    0x5b9cca4f; 0x682e6ff3; 0x748f82ee; 0x78a5636f; 0x84c87814; 0x8cc70208;
+    0x90befffa; 0xa4506ceb; 0xbef9a3f7; 0xc67178f2;
   |]
 
-let rotr x n = Int32.logor (Int32.shift_right_logical x n) (Int32.shift_left x (32 - n))
-let shr x n = Int32.shift_right_logical x n
+let mask32 = 0xffffffff
 
-let big_sigma0 x = Int32.logxor (rotr x 2) (Int32.logxor (rotr x 13) (rotr x 22))
-let big_sigma1 x = Int32.logxor (rotr x 6) (Int32.logxor (rotr x 11) (rotr x 25))
-let small_sigma0 x = Int32.logxor (rotr x 7) (Int32.logxor (rotr x 18) (shr x 3))
-let small_sigma1 x = Int32.logxor (rotr x 17) (Int32.logxor (rotr x 19) (shr x 10))
+(* [x] must already fit in 32 bits. *)
+let[@inline] rotr x n = ((x lsr n) lor (x lsl (32 - n))) land mask32
 
-let ch x y z = Int32.logxor (Int32.logand x y) (Int32.logand (Int32.lognot x) z)
-
-let maj x y z =
-  Int32.logxor (Int32.logand x y) (Int32.logxor (Int32.logand x z) (Int32.logand y z))
-
-let pad msg =
-  let len = Bytes.length msg in
-  let bitlen = Int64.of_int (len * 8) in
-  let padded_len = ((len + 8) / 64 * 64) + 64 in
-  let out = Bytes.make padded_len '\x00' in
-  Bytes.blit msg 0 out 0 len;
-  Bytes.set out len '\x80';
-  for i = 0 to 7 do
-    let shift = 8 * (7 - i) in
-    Bytes.set out
-      (padded_len - 8 + i)
-      (Char.chr (Int64.to_int (Int64.logand (Int64.shift_right_logical bitlen shift) 0xffL)))
+(* Fold the 64-byte block of [data] at [off] into the state [h], using [w]
+   as the message-schedule scratch. *)
+let compress h w data off =
+  for t = 0 to 15 do
+    w.(t) <- Int32.to_int (Bytes.get_int32_be data (off + (4 * t))) land mask32
   done;
-  out
+  for t = 16 to 63 do
+    let x = w.(t - 15) and y = w.(t - 2) in
+    let s0 = rotr x 7 lxor rotr x 18 lxor (x lsr 3) in
+    let s1 = rotr y 17 lxor rotr y 19 lxor (y lsr 10) in
+    w.(t) <- (w.(t - 16) + s0 + w.(t - 7) + s1) land mask32
+  done;
+  let a = ref h.(0) and b = ref h.(1) and c = ref h.(2) and d = ref h.(3) in
+  let e = ref h.(4) and f = ref h.(5) and g = ref h.(6) and hh = ref h.(7) in
+  for t = 0 to 63 do
+    let ev = !e and av = !a in
+    let s1 = rotr ev 6 lxor rotr ev 11 lxor rotr ev 25 in
+    let ch = ev land !f lxor (lnot ev land !g) in
+    let t1 = !hh + s1 + ch + k.(t) + w.(t) in
+    let s0 = rotr av 2 lxor rotr av 13 lxor rotr av 22 in
+    let maj = av land !b lxor (av land !c) lxor (!b land !c) in
+    hh := !g;
+    g := !f;
+    f := ev;
+    e := (!d + t1) land mask32;
+    d := !c;
+    c := !b;
+    b := av;
+    a := (t1 + s0 + maj) land mask32
+  done;
+  h.(0) <- (h.(0) + !a) land mask32;
+  h.(1) <- (h.(1) + !b) land mask32;
+  h.(2) <- (h.(2) + !c) land mask32;
+  h.(3) <- (h.(3) + !d) land mask32;
+  h.(4) <- (h.(4) + !e) land mask32;
+  h.(5) <- (h.(5) + !f) land mask32;
+  h.(6) <- (h.(6) + !g) land mask32;
+  h.(7) <- (h.(7) + !hh) land mask32
 
 let digest msg =
-  let data = pad msg in
-  let h = [| 0x6a09e667l; 0xbb67ae85l; 0x3c6ef372l; 0xa54ff53al;
-             0x510e527fl; 0x9b05688cl; 0x1f83d9abl; 0x5be0cd19l |] in
-  let w = Array.make 64 0l in
-  let blocks = Bytes.length data / 64 in
-  for b = 0 to blocks - 1 do
-    let off = b * 64 in
-    for t = 0 to 15 do
-      let byte i = Int32.of_int (Char.code (Bytes.get data (off + (4 * t) + i))) in
-      w.(t) <-
-        Int32.logor
-          (Int32.shift_left (byte 0) 24)
-          (Int32.logor
-             (Int32.shift_left (byte 1) 16)
-             (Int32.logor (Int32.shift_left (byte 2) 8) (byte 3)))
-    done;
-    for t = 16 to 63 do
-      w.(t) <-
-        Int32.add
-          (Int32.add (small_sigma1 w.(t - 2)) w.(t - 7))
-          (Int32.add (small_sigma0 w.(t - 15)) w.(t - 16))
-    done;
-    let a = ref h.(0) and bb = ref h.(1) and c = ref h.(2) and d = ref h.(3) in
-    let e = ref h.(4) and f = ref h.(5) and g = ref h.(6) and hh = ref h.(7) in
-    for t = 0 to 63 do
-      let t1 =
-        Int32.add !hh
-          (Int32.add (big_sigma1 !e) (Int32.add (ch !e !f !g) (Int32.add k.(t) w.(t))))
-      in
-      let t2 = Int32.add (big_sigma0 !a) (maj !a !bb !c) in
-      hh := !g;
-      g := !f;
-      f := !e;
-      e := Int32.add !d t1;
-      d := !c;
-      c := !bb;
-      bb := !a;
-      a := Int32.add t1 t2
-    done;
-    h.(0) <- Int32.add h.(0) !a;
-    h.(1) <- Int32.add h.(1) !bb;
-    h.(2) <- Int32.add h.(2) !c;
-    h.(3) <- Int32.add h.(3) !d;
-    h.(4) <- Int32.add h.(4) !e;
-    h.(5) <- Int32.add h.(5) !f;
-    h.(6) <- Int32.add h.(6) !g;
-    h.(7) <- Int32.add h.(7) !hh
+  let len = Bytes.length msg in
+  let h =
+    [| 0x6a09e667; 0xbb67ae85; 0x3c6ef372; 0xa54ff53a;
+       0x510e527f; 0x9b05688c; 0x1f83d9ab; 0x5be0cd19 |]
+  in
+  let w = Array.make 64 0 in
+  let full = len / 64 in
+  for blk = 0 to full - 1 do
+    compress h w msg (64 * blk)
   done;
+  (* The tail: the last [len mod 64] bytes, the 0x80 terminator, zeros,
+     and the 64-bit big-endian bit length — one block, or two when fewer
+     than 9 bytes are left after the message. *)
+  let rest = len - (64 * full) in
+  let tail = Bytes.make (if rest < 56 then 64 else 128) '\x00' in
+  Bytes.blit msg (64 * full) tail 0 rest;
+  Bytes.set tail rest '\x80';
+  Bytes.set_int64_be tail (Bytes.length tail - 8) (Int64.of_int (len * 8));
+  compress h w tail 0;
+  if Bytes.length tail = 128 then compress h w tail 64;
   let out = Bytes.create 32 in
-  for i = 0 to 7 do
-    for j = 0 to 3 do
-      Bytes.set out
-        ((4 * i) + j)
-        (Char.chr
-           (Int32.to_int (Int32.logand (Int32.shift_right_logical h.(i) (8 * (3 - j))) 0xffl)))
-    done
-  done;
+  Array.iteri (fun i v -> Bytes.set_int32_be out (4 * i) (Int32.of_int v)) h;
   out
 
 let digest_string s = Bytes.to_string (digest (Bytes.of_string s))

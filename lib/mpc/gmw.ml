@@ -64,43 +64,9 @@ let ot_session s ~sender ~receiver =
 
 let share_input s v = Sharing.share s.prgs.(0) ~parties:s.n v
 
-(* One communication round: evaluate the batch of AND gates [pending]
-   (wire indices) given per-party wire values [vals]. For the cross term
-   x_p * y_q of ordered pair (p, q), sender p masks with a fresh random
-   bit a and offers (a, a XOR x_p); receiver q selects with y_q and adds
-   the result to its share. *)
-(* Draw [m] mask bits from [prg] as one bulk byte draw — the same byte
-   stream, hence the same bits, as [m] successive [Prg.bool] calls. *)
+(* Draw [m] mask bits from [prg] as one bulk byte draw: bit [g] is the low
+   bit of byte [g]. *)
 let draw_mask_bytes prg m = Prg.bytes prg m
-
-let and_round s vals pending xs ys =
-  let m = Array.length pending in
-  (* Local terms x_p * y_p. *)
-  for p = 0 to s.n - 1 do
-    Array.iteri (fun idx w -> vals.(p).(w) <- xs.(p).(idx) && ys.(p).(idx)) pending
-  done;
-  for sender = 0 to s.n - 1 do
-    for receiver = 0 to s.n - 1 do
-      if sender <> receiver then begin
-        let session = ot_session s ~sender ~receiver in
-        let raw = draw_mask_bytes s.prgs.(sender) m in
-        let masks = Array.init m (fun idx -> Char.code (Bytes.get raw idx) land 1 = 1) in
-        let pairs = Array.init m (fun idx -> (masks.(idx), masks.(idx) <> xs.(sender).(idx))) in
-        let choices = Array.init m (fun idx -> ys.(receiver).(idx)) in
-        let xfer = Xfer.create () in
-        let outs = Ot_ext.extend_bits session xfer ~pairs ~choices in
-        drain_xfer s xfer ~sender ~receiver;
-        Array.iteri
-          (fun idx w ->
-            vals.(sender).(w) <- vals.(sender).(w) <> masks.(idx);
-            vals.(receiver).(w) <- vals.(receiver).(w) <> outs.(idx))
-          pending;
-        s.ots <- s.ots + m
-      end
-    done
-  done;
-  s.and_gates <- s.and_gates + m;
-  s.rounds <- s.rounds + 1
 
 (* ------------------------------------------------------------------ *)
 (* Offline phase: generate / attach / consume correlated randomness     *)
@@ -197,105 +163,26 @@ let take_pre s plan =
 let restore_post s (e : Triple.eval) =
   Array.iteri (fun p prg -> s.prgs.(p) <- Prg.copy prg) e.Triple.post_prgs
 
-(* Online counterpart of [and_round], fed from pre-drawn masks: no PRG or
-   OT invocation, yet observably identical — the IKNP receiver always
-   obtains exactly its chosen message, i.e. [mask xor (x_s land y_r)], and
-   the per-pair traffic below is [extend_bits]'s byte formula. *)
-let and_round_consume s vals pending xs ys level_masks =
-  let m = Array.length pending in
-  for p = 0 to s.n - 1 do
-    Array.iteri (fun idx w -> vals.(p).(w) <- xs.(p).(idx) && ys.(p).(idx)) pending
-  done;
-  let col = Ot_ext.kappa * ((m + 7) / 8) and row = 2 * ((m + 7) / 8) in
-  for sender = 0 to s.n - 1 do
-    for receiver = 0 to s.n - 1 do
-      if sender <> receiver then begin
-        let raw = level_masks.((sender * s.n) + receiver) in
-        Traffic.add s.traffic ~src:receiver ~dst:sender col;
-        Traffic.add s.traffic ~src:sender ~dst:receiver row;
-        Array.iteri
-          (fun idx w ->
-            let mask = Char.code (Bytes.get raw idx) land 1 = 1 in
-            let out = mask <> (xs.(sender).(idx) && ys.(receiver).(idx)) in
-            vals.(sender).(w) <- vals.(sender).(w) <> mask;
-            vals.(receiver).(w) <- vals.(receiver).(w) <> out)
-          pending;
-        s.ots <- s.ots + m
-      end
-    done
-  done;
-  s.and_gates <- s.and_gates + m;
-  s.rounds <- s.rounds + 1
-
-(* The evaluator replays a compiled plan ({!Plan}): local gates between
-   AND rounds are precomputed op lists, each AND level is one batched
-   communication round. The batches are identical (order and content) to
-   the ones the historical sweep-based evaluator formed, so PRG draws,
-   OT-session setup order, traffic and counters are unchanged. *)
-let eval s circuit ~input_shares =
-  if Array.length input_shares <> s.n then
-    invalid_arg "Gmw.eval: need one input share vector per party";
-  Array.iter
-    (fun v ->
-      if Bitvec.length v <> circuit.Circuit.num_inputs then
-        invalid_arg "Gmw.eval: input share length mismatch")
-    input_shares;
-  let plan = Plan.of_circuit circuit in
-  let pre = take_pre s plan in
-  let vals = Array.init s.n (fun _ -> Array.make (Plan.num_wires plan) false) in
-  let apply op =
-    match op with
-    | Plan.Load_input { dst; input } ->
-        for p = 0 to s.n - 1 do
-          vals.(p).(dst) <- Bitvec.unsafe_get input_shares.(p) input
-        done
-    | Plan.Load_const { dst; value } ->
-        (* Party 0 carries the public constant; other shares stay 0. *)
-        vals.(0).(dst) <- value
-    | Plan.Local_not { dst; src } ->
-        vals.(0).(dst) <- not vals.(0).(src);
-        for p = 1 to s.n - 1 do
-          vals.(p).(dst) <- vals.(p).(src)
-        done
-    | Plan.Local_xor { dst; a; b } ->
-        for p = 0 to s.n - 1 do
-          vals.(p).(dst) <- vals.(p).(a) <> vals.(p).(b)
-        done
-  in
-  Array.iter apply (Plan.prologue plan);
-  Array.iteri
-    (fun li (lv : Plan.level) ->
-      let pick ws = Array.init s.n (fun p -> Array.map (fun w -> vals.(p).(w)) ws) in
-      let xs = pick lv.Plan.and_a and ys = pick lv.Plan.and_b in
-      (match pre with
-      | Some e -> and_round_consume s vals lv.Plan.and_dst xs ys e.Triple.masks.(li)
-      | None -> and_round s vals lv.Plan.and_dst xs ys);
-      Array.iter apply lv.Plan.post)
-    (Plan.levels plan);
-  (match pre with Some e -> restore_post s e | None -> ());
-  Array.init s.n (fun p ->
-      Bitvec.init (Array.length circuit.Circuit.outputs) (fun o ->
-          vals.(p).(circuit.Circuit.outputs.(o))))
-
 (* ------------------------------------------------------------------ *)
-(* Bitsliced evaluation                                                 *)
+(* Evaluation                                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* Evaluate up to 64 sessions in lockstep over one compiled plan. Wire
-   values are int64 words: bit [sl] of every word belongs to instance
-   [sl], so local gates cost one word op for all instances, and each AND
-   level issues a single word-level OT batch per ordered pair instead of
-   [slots] scalar ones. Everything observable per instance replays the
-   scalar path exactly:
-   - mask bits come from the same per-session sender PRG bytes, drawn in
-     the same order (level, then receiver, then gate);
+(* Evaluate up to 64 sessions in lockstep over one compiled plan; a single
+   evaluation is the one-slot case. Wire values are int64 words: bit [sl]
+   of every word belongs to instance [sl], so local gates cost one word op
+   for all instances, and each AND level issues one word-level OT batch
+   per ordered pair. Everything observable per instance is independent of
+   how many instances share the batch:
+   - mask bits come from the instance's own sender PRG bytes, drawn in a
+     fixed order (level, then receiver, then gate);
    - each instance's OT pair session is set up lazily on first use,
-     consuming the same PRG bytes and charging the same base-OT traffic;
-   - extension traffic is charged per instance with the scalar formula
+     consuming its own PRG bytes and charging its own base-OT traffic;
+   - extension traffic is charged per instance with the formula
+     {!Ot_ext.extend_bits} meters for a batch of m bit OTs
      (kappa * ceil(m/8) receiver->sender, 2 * ceil(m/8) sender->receiver
-     per pair and level), not as a 1/slots share of the batched transfer —
-     the "accounting split" that keeps traffic matrices bit-identical;
-   - rounds/AND/OT counters advance per instance as in [and_round].
+     per pair and level), not as a 1/slots share of the batched transfer,
+     since ceil(64m/8) <> 64 * ceil(m/8);
+   - rounds/AND/OT counters advance per instance.
    The word-level batch itself runs on slot 0's pair session; its honest
    batch meter is discarded in favour of the per-instance split. *)
 let eval_sliced plan sessions input_shares =
@@ -417,6 +304,19 @@ let eval_sliced plan sessions input_shares =
           Bitvec.init (Array.length outputs) (fun o ->
               Int64.logand (Int64.shift_right_logical vals.(p).(outputs.(o)) sl) 1L = 1L)))
 
+let check_shares ~parties circuit shares =
+  if Array.length shares <> parties then
+    invalid_arg "Gmw.eval: need one input share vector per party";
+  Array.iter
+    (fun v ->
+      if Bitvec.length v <> circuit.Circuit.num_inputs then
+        invalid_arg "Gmw.eval: input share length mismatch")
+    shares
+
+let eval s circuit ~input_shares =
+  check_shares ~parties:s.n circuit input_shares;
+  (eval_sliced (Plan.of_circuit circuit) [| s |] [| input_shares |]).(0)
+
 let eval_many sessions circuit ~input_shares =
   let count = Array.length sessions in
   if Array.length input_shares <> count then
@@ -429,16 +329,7 @@ let eval_many sessions circuit ~input_shares =
         if s.n <> n || s.mode <> mode then
           invalid_arg "Gmw.eval_many: sessions must agree on party count and OT mode")
       sessions;
-    Array.iter
-      (fun shares ->
-        if Array.length shares <> n then
-          invalid_arg "Gmw.eval: need one input share vector per party";
-        Array.iter
-          (fun v ->
-            if Bitvec.length v <> circuit.Circuit.num_inputs then
-              invalid_arg "Gmw.eval: input share length mismatch")
-          shares)
-      input_shares;
+    Array.iter (check_shares ~parties:n circuit) input_shares;
     let plan = Plan.of_circuit circuit in
     let out = Array.make count [||] in
     let pos = ref 0 in

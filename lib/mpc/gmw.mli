@@ -47,6 +47,10 @@ val eval :
     vector of length [c.num_inputs] per party; the result has one vector of
     length [Array.length c.outputs] per party, XOR-sharing the outputs
     (outputs are *not* revealed — DStress keeps them shared, §3.6).
+    It is {!eval_many} on the one session: the word-level evaluator with a
+    single slot, so each AND level runs one {!Dstress_crypto.Ot_ext.extend_words}
+    batch per ordered pair and meters the bytes
+    {!Dstress_crypto.Ot_ext.extend_bits} would for that batch.
     Raises [Invalid_argument] on shape mismatches. *)
 
 val eval_many :
@@ -62,9 +66,9 @@ val eval_many :
     rounds/AND/OT counters, same PRG states afterwards — but packs up to
     64 instances into each [int64] wire word, so local gates cost one
     word op and each AND level runs one word-level OT batch per ordered
-    pair ({!Dstress_crypto.Ot_ext.extend_words}) instead of one scalar
-    batch per instance. Instances beyond 64 are processed in successive
-    chunks. All sessions must agree on party count and OT mode.
+    pair ({!Dstress_crypto.Ot_ext.extend_words}) for all of them instead
+    of one batch per instance. Instances beyond 64 are processed in
+    successive chunks. All sessions must agree on party count and OT mode.
     Raises [Invalid_argument] on shape mismatches. *)
 
 val generate_material :

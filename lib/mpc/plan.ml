@@ -41,18 +41,33 @@ let digest t = t.digest
    ships sessions between processes), so cached triples are matched by a
    hash of the circuit's full gate list instead. *)
 let circuit_digest (circuit : Circuit.t) =
-  let b = Buffer.create 256 in
-  Buffer.add_string b (Printf.sprintf "in%d;" circuit.Circuit.num_inputs);
+  let b = Buffer.create (12 * Array.length circuit.Circuit.gates) in
+  let int n = Buffer.add_string b (string_of_int n) in
+  let item c n =
+    Buffer.add_char b c;
+    int n;
+    Buffer.add_char b ';'
+  in
+  let pair c x y =
+    Buffer.add_char b c;
+    int x;
+    Buffer.add_char b ',';
+    int y;
+    Buffer.add_char b ';'
+  in
+  Buffer.add_string b "in";
+  int circuit.Circuit.num_inputs;
+  Buffer.add_char b ';';
   Array.iter
     (fun g ->
       match g with
-      | Circuit.Input k -> Buffer.add_string b (Printf.sprintf "i%d;" k)
+      | Circuit.Input k -> item 'i' k
       | Circuit.Const v -> Buffer.add_string b (if v then "c1;" else "c0;")
-      | Circuit.Not a -> Buffer.add_string b (Printf.sprintf "n%d;" a)
-      | Circuit.Xor (a, c) -> Buffer.add_string b (Printf.sprintf "x%d,%d;" a c)
-      | Circuit.And (a, c) -> Buffer.add_string b (Printf.sprintf "a%d,%d;" a c))
+      | Circuit.Not a -> item 'n' a
+      | Circuit.Xor (a, c) -> pair 'x' a c
+      | Circuit.And (a, c) -> pair 'a' a c)
     circuit.Circuit.gates;
-  Array.iter (fun o -> Buffer.add_string b (Printf.sprintf "o%d;" o)) circuit.Circuit.outputs;
+  Array.iter (item 'o') circuit.Circuit.outputs;
   Dstress_util.Hex.encode (Dstress_crypto.Sha256.digest (Buffer.to_bytes b))
 
 let compilations_counter = Atomic.make 0
@@ -93,23 +108,29 @@ let compile (circuit : Circuit.t) =
 
 (* Plans are memoized on the physical identity of the circuit: DStress
    evaluates the same update circuit once per vertex per round, and
-   circuits are immutable once built. The cache is a short LRU-ish list
-   (entries are pushed to the front on a miss and the tail dropped), held
-   under a mutex so parallel executor domains can share it. *)
-let cache_limit = 32
-let cache : (Circuit.t * t) list ref = ref []
-let cache_mutex = Mutex.create ()
+   circuits are immutable once built. Each entry is an ephemeron keyed on
+   its circuit, so a plan lives exactly as long as its circuit: engine runs
+   build fresh circuits per request, and a long-lived process must not pin
+   the dead ones. The table is held under a mutex so parallel executor
+   domains can share it. *)
+module Memo = Ephemeron.K1.Make (struct
+  type t = Circuit.t
 
-let rec take n = function
-  | [] -> []
-  | _ when n <= 0 -> []
-  | x :: rest -> x :: take (n - 1) rest
+  let equal = ( == )
+
+  (* Physical identity cannot be hashed (the GC moves blocks); any
+     function of the immutable contents is consistent with it. *)
+  let hash (c : t) = Hashtbl.hash (Array.length c.Circuit.gates, c.Circuit.num_inputs)
+end)
+
+let memo = Memo.create 16
+let memo_mutex = Mutex.create ()
 
 let of_circuit circuit =
-  Mutex.protect cache_mutex (fun () ->
-      match List.find_opt (fun (c, _) -> c == circuit) !cache with
-      | Some (_, plan) -> plan
+  Mutex.protect memo_mutex (fun () ->
+      match Memo.find_opt memo circuit with
+      | Some plan -> plan
       | None ->
           let plan = compile circuit in
-          cache := take cache_limit ((circuit, plan) :: !cache);
+          Memo.replace memo circuit plan;
           plan)

@@ -7,17 +7,16 @@
     once per vertex per round. A plan performs that scheduling exactly
     once per circuit: gates are partitioned into the circuit's AND-levels
     ({!Dstress_circuit.Circuit.and_levels}) with operand and destination
-    wire indices precomputed, and the evaluator — scalar or bitsliced —
-    just replays the levels.
+    wire indices precomputed, and the evaluator just replays the levels.
 
     The AND batch of level [r] contains exactly the AND gates at level
     [r+1] of [and_levels], in wire order — the same batches (same order,
     same sizes) the sweep produced, which is what keeps PRG draws, OT
     counts and metered traffic bit-identical to the historical evaluator.
 
-    Plans are memoized per circuit (physical identity, bounded cache,
-    thread-safe), so concurrent evaluations of the same circuit from a
-    domain pool compile it once. *)
+    Plans are memoized per circuit (physical identity, thread-safe), so
+    concurrent evaluations of the same circuit from a domain pool compile
+    it once. A memoized plan lives exactly as long as its circuit. *)
 
 type op =
   | Load_input of { dst : int; input : int }
@@ -42,7 +41,8 @@ type level = {
 type t
 
 val of_circuit : Dstress_circuit.Circuit.t -> t
-(** Memoized compilation (keyed on the circuit's physical identity). *)
+(** Memoized compilation, keyed weakly on the circuit's physical identity:
+    the memo never keeps a dropped circuit's plan alive. *)
 
 val compile : Dstress_circuit.Circuit.t -> t
 (** Uncached compilation; exposed for tests. *)

@@ -344,111 +344,88 @@ let run cfg p ~graph ~initial_states =
           end)
         wbs
     in
-    if cfg.slice_width = 1 then
-      (* Scalar path: one task per vertex, one scalar GMW evaluation each.
-         The vertex span covers the vertex's recovery re-sharing plus its
-         GMW traffic, matching the sliced path's per-vertex attribution. *)
-      Phase.run_tasks exec acc Computation ~count:n
-        ~task:(fun obs i ->
-          let traffic = Traffic.create n in
-          let b = blocks.(i) in
-          if Obs.detailed obs then Obs.enter obs (Printf.sprintf "vertex:%d" i);
-          let events = recover_crashes ~obs ~round ~traffic i crashed.(i) in
-          let out =
-            Gmw.eval b.Block.session update_c ~input_shares:(Block.gather_inputs b)
+    (* Every vertex runs the same update circuit, so a task takes a
+       contiguous group of vertices and evaluates them as one sliced GMW
+       batch (Gmw.eval_many; slice_width 1 gives one-vertex groups).
+       Under a domain pool the group shrinks so every worker stays busy;
+       the partition is free to vary because eval_many is observably
+       identical per instance, and the merge replays per-vertex recovery
+       accounting in vertex order, so reports are bit-identical for
+       every grouping. *)
+    let group_size =
+      match exec with
+      | Executor.Sequential -> cfg.slice_width
+      | Executor.Parallel _ | Executor.Distributed _ ->
+          let jobs = Executor.jobs exec in
+          max 1 (min cfg.slice_width ((n + jobs - 1) / jobs))
+    in
+    let groups = (n + group_size - 1) / group_size in
+    Phase.run_tasks exec acc Computation ~count:groups
+      ~task:(fun obs gi ->
+        let lo = gi * group_size in
+        let len = min group_size (n - lo) in
+        let traffic = Traffic.create n in
+        if Obs.detailed obs then begin
+          (* Detailed tracing meters each vertex into its own matrix so
+             the emitted [vertex:<i>] spans (recovery re-sharing + GMW
+             bytes, then recovery ticks) are laid out the same for any
+             slice grouping. *)
+          let vtraffic = Array.init len (fun _ -> Traffic.create n) in
+          let events =
+            Array.init len (fun o ->
+                recover_crashes ~obs ~round ~traffic:vtraffic.(o) (lo + o) crashed.(lo + o))
           in
-          Block.scatter_outputs b out;
-          merge_session_traffic traffic b.Block.session b.Block.members;
+          let sessions = Array.init len (fun o -> blocks.(lo + o).Block.session) in
+          let inputs = Array.init len (fun o -> Block.gather_inputs blocks.(lo + o)) in
+          let outs = Gmw.eval_many sessions update_c ~input_shares:inputs in
+          Array.iteri
+            (fun o out ->
+              let b = blocks.(lo + o) in
+              Block.scatter_outputs b out;
+              Obs.enter obs (Printf.sprintf "vertex:%d" (lo + o));
+              merge_session_traffic vtraffic.(o) b.Block.session b.Block.members;
+              Obs.advance obs (Traffic.total vtraffic.(o));
+              Obs.leave obs;
+              Obs.advance obs
+                (Phase.recovery_ticks (float_of_int events.(o) *. cfg.backoff));
+              Traffic.merge_into ~dst:traffic vtraffic.(o))
+            outs;
+          {
+            Phase.traffic;
+            payload =
+              Array.init len (fun o ->
+                  vertex_writeback ~events:events.(o) blocks.(lo + o));
+          }
+        end
+        else begin
+          let events =
+            Array.init len (fun o ->
+                recover_crashes ~obs ~round ~traffic (lo + o) crashed.(lo + o))
+          in
+          let sessions = Array.init len (fun o -> blocks.(lo + o).Block.session) in
+          let inputs = Array.init len (fun o -> Block.gather_inputs blocks.(lo + o)) in
+          let outs = Gmw.eval_many sessions update_c ~input_shares:inputs in
+          Array.iteri
+            (fun o out ->
+              let b = blocks.(lo + o) in
+              Block.scatter_outputs b out;
+              merge_session_traffic traffic b.Block.session b.Block.members)
+            outs;
           if Obs.enabled obs then begin
             Obs.advance obs (Traffic.total traffic);
-            if Obs.detailed obs then Obs.leave obs;
-            Obs.advance obs (Phase.recovery_ticks (float_of_int events *. cfg.backoff))
+            Array.iter
+              (fun e ->
+                Obs.advance obs (Phase.recovery_ticks (float_of_int e *. cfg.backoff)))
+              events
           end;
-          { Phase.traffic; payload = [| vertex_writeback ~events b |] })
-        ~merge:merge_group ()
-    else begin
-      (* Bitsliced path: every vertex runs the same update circuit, so a
-         task takes a contiguous group of vertices and evaluates them as
-         one sliced GMW batch (Gmw.eval_many). Under a domain pool the
-         group shrinks so every worker stays busy; the partition is free
-         to vary because eval_many is observably identical per instance,
-         and the merge replays per-vertex recovery accounting in vertex
-         order, so reports stay bit-identical to the scalar path. *)
-      let group_size =
-        match exec with
-        | Executor.Sequential -> cfg.slice_width
-        | Executor.Parallel _ | Executor.Distributed _ ->
-            let jobs = Executor.jobs exec in
-            max 1 (min cfg.slice_width ((n + jobs - 1) / jobs))
-      in
-      let groups = (n + group_size - 1) / group_size in
-      Phase.run_tasks exec acc Computation ~count:groups
-        ~task:(fun obs gi ->
-          let lo = gi * group_size in
-          let len = min group_size (n - lo) in
-          let traffic = Traffic.create n in
-          if Obs.detailed obs then begin
-            (* Detailed tracing meters each vertex into its own matrix so
-               the emitted [vertex:<i>] spans (recovery re-sharing + GMW
-               bytes, then recovery ticks) are laid out exactly as on the
-               scalar path, for any slice grouping. *)
-            let vtraffic = Array.init len (fun _ -> Traffic.create n) in
-            let events =
+          {
+            Phase.traffic;
+            payload =
               Array.init len (fun o ->
-                  recover_crashes ~obs ~round ~traffic:vtraffic.(o) (lo + o) crashed.(lo + o))
-            in
-            let sessions = Array.init len (fun o -> blocks.(lo + o).Block.session) in
-            let inputs = Array.init len (fun o -> Block.gather_inputs blocks.(lo + o)) in
-            let outs = Gmw.eval_many sessions update_c ~input_shares:inputs in
-            Array.iteri
-              (fun o out ->
-                let b = blocks.(lo + o) in
-                Block.scatter_outputs b out;
-                Obs.enter obs (Printf.sprintf "vertex:%d" (lo + o));
-                merge_session_traffic vtraffic.(o) b.Block.session b.Block.members;
-                Obs.advance obs (Traffic.total vtraffic.(o));
-                Obs.leave obs;
-                Obs.advance obs
-                  (Phase.recovery_ticks (float_of_int events.(o) *. cfg.backoff));
-                Traffic.merge_into ~dst:traffic vtraffic.(o))
-              outs;
-            {
-              Phase.traffic;
-              payload =
-                Array.init len (fun o ->
-                    vertex_writeback ~events:events.(o) blocks.(lo + o));
-            }
-          end
-          else begin
-            let events =
-              Array.init len (fun o ->
-                  recover_crashes ~obs ~round ~traffic (lo + o) crashed.(lo + o))
-            in
-            let sessions = Array.init len (fun o -> blocks.(lo + o).Block.session) in
-            let inputs = Array.init len (fun o -> Block.gather_inputs blocks.(lo + o)) in
-            let outs = Gmw.eval_many sessions update_c ~input_shares:inputs in
-            Array.iteri
-              (fun o out ->
-                let b = blocks.(lo + o) in
-                Block.scatter_outputs b out;
-                merge_session_traffic traffic b.Block.session b.Block.members)
-              outs;
-            if Obs.enabled obs then begin
-              Obs.advance obs (Traffic.total traffic);
-              Array.iter
-                (fun e ->
-                  Obs.advance obs (Phase.recovery_ticks (float_of_int e *. cfg.backoff)))
-                events
-            end;
-            {
-              Phase.traffic;
-              payload =
-                Array.init len (fun o ->
-                    vertex_writeback ~events:events.(o) blocks.(lo + o));
-            }
-          end)
-        ~merge:(fun gi wbs -> merge_group (gi * group_size) wbs) ()
-    end
+                  vertex_writeback ~events:events.(o) blocks.(lo + o));
+          }
+        end)
+      ~merge:(fun gi wbs -> merge_group (gi * group_size) wbs) ()
   in
   (* --- Communication step ---------------------------------------- *)
   let edges = Array.of_list (Graph.edges graph) in

@@ -78,8 +78,8 @@ type config = {
       (** max vertices per bitsliced GMW batch in a computation step
           (1–64). Every vertex runs the same update circuit, so up to
           [slice_width] instances are packed into [int64] wire words and
-          evaluated together ({!Dstress_mpc.Gmw.eval_many}); [1] selects
-          the scalar per-vertex path. Either setting produces bit-identical
+          evaluated together ({!Dstress_mpc.Gmw.eval_many}); [1] evaluates
+          one vertex per task. Every setting produces bit-identical
           reports — outputs, traffic matrix, fault/retry counters. *)
   obs_level : Dstress_obs.Obs.level;
       (** observability level: [Off] (default; zero-cost no-op), [Basic]

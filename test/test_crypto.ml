@@ -19,15 +19,30 @@ let test_sha256_fips_vectors () =
     "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"
 
 let test_sha256_block_boundaries () =
-  (* Lengths straddling the 55/56/63/64-byte padding boundaries must all
-     produce distinct digests and not crash. *)
-  let seen = Hashtbl.create 16 in
+  (* Known answers (Python's hashlib) for lengths on each side of the
+     55/56-byte one-block padding limit and the 64-byte block edge, over
+     the byte pattern [i mod 251]. *)
+  let pattern n = String.init n (fun i -> Char.chr (i mod 251)) in
   List.iter
-    (fun n ->
-      let d = Sha256.hex_digest (String.make n 'x') in
-      Alcotest.(check bool) "distinct" false (Hashtbl.mem seen d);
-      Hashtbl.replace seen d ())
-    [ 0; 1; 54; 55; 56; 57; 63; 64; 65; 119; 120; 128 ]
+    (fun (n, expected) ->
+      Alcotest.(check string) (Printf.sprintf "%d bytes" n) expected
+        (Sha256.hex_digest (pattern n)))
+    [
+      (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855");
+      (1, "6e340b9cffb37a989ca544e6bb780a2c78901d3fb33738768511a30617afa01d");
+      (55, "463eb28e72f82e0a96c0a4cc53690c571281131f672aa229e0d45ae59b598b59");
+      (56, "da2ae4d6b36748f2a318f23e7ab1dfdf45acdc9d049bd80e59de82a60895f562");
+      (57, "2fe741af801cc238602ac0ec6a7b0c3a8a87c7fc7d7f02a3fe03d1c12eac4d8f");
+      (63, "29af2686fd53374a36b0846694cc342177e428d1647515f078784d69cdb9e488");
+      (64, "fdeab9acf3710362bd2658cdc9a29e8f9c757fcf9811603a8c447cd1d9151108");
+      (65, "4bfd2c8b6f1eec7a2afeb48b934ee4b2694182027e6d0fc075074f2fabb31781");
+      (119, "da18797ed7c3a777f0847f429724a2d8cd5138e6ed2895c3fa1a6d39d18f7ec6");
+      (120, "f52b23db1fbb6ded89ef42a23ce0c8922c45f25c50b568a93bf1c075420bbb7c");
+      (121, "335a461692b30bba1d647cc71604e88e676c90e4c22455d0b8c83f4bd7c8ac9b");
+      (127, "92ca0fa6651ee2f97b884b7246a562fa71250fedefe5ebf270d31c546bfea976");
+      (128, "471fb943aa23c511f6f72f8d1652d9c880cfa392ad80503120547703e56a2be5");
+      (1000, "4e4c294b331f7a2099a379bec34b9f9fc03dc46ab465d998f4d683da53487e6d");
+    ]
 
 let test_sha256_million_a () =
   let msg = String.make 1_000_000 'a' in
@@ -57,6 +72,15 @@ let test_hmac_long_key () =
 let test_prg_deterministic () =
   let a = prg "det" and b = prg "det" in
   Alcotest.(check bytes) "same stream" (Prg.bytes a 100) (Prg.bytes b 100)
+
+let test_prg_known_prefix () =
+  (* SHA-256 in counter mode: block i = SHA-256(key || i as 8 LE bytes). *)
+  Alcotest.(check string) "100-byte prefix"
+    ("0ed48f4f442a717c44fe32fb20c342dfd3d17544eddf917676ea455b69d8abad"
+   ^ "89955ffdfd8d4667f2c37e48ec1d12e5faa58e990270833b7fc9663c06dea926"
+   ^ "dbdbb48a246c051746c8c849b4d4c036ffcaa7471a027db910e385a9276d404f"
+   ^ "f7b55357")
+    (Dstress_util.Hex.encode (Prg.bytes (prg "kat") 100))
 
 let test_prg_distinct_keys () =
   let a = prg "k1" and b = prg "k2" in
@@ -834,6 +858,7 @@ let () =
       ( "prg",
         [
           Alcotest.test_case "deterministic" `Quick test_prg_deterministic;
+          Alcotest.test_case "known prefix" `Quick test_prg_known_prefix;
           Alcotest.test_case "distinct keys" `Quick test_prg_distinct_keys;
           Alcotest.test_case "nat_below" `Quick test_prg_nat_below;
           Alcotest.test_case "bits length" `Quick test_prg_bits_length;

@@ -1,12 +1,13 @@
-(* Sliced-vs-scalar GMW equivalence.
+(* Sliced-vs-one-slot GMW equivalence.
 
    Gmw.eval_many packs up to 64 protocol instances into int64 wire words;
    its contract is that every per-instance observable — output shares,
    traffic matrix, rounds/AND/OT counters, PRG state — is bit-identical to
-   running Gmw.eval per instance. These tests pin that contract on random
-   circuits, the paper's EN and EGJ update circuits, the aggregation
-   circuit, both OT backends, and through the engine (slice_width 1 vs
-   grouped) under both executors. *)
+   running Gmw.eval (the same evaluator with one slot) per instance. These
+   tests pin that contract on random circuits, the paper's EN and EGJ
+   update circuits, the aggregation circuit, both OT backends, and through
+   the engine (slice_width 1 vs grouped) under both executors. The golden
+   fixture pins the one-slot observables themselves. *)
 
 open Dstress_mpc
 module Bitvec = Dstress_util.Bitvec
@@ -28,9 +29,9 @@ let grp = Group.by_name "toy"
 (* Gmw.eval_many vs per-instance Gmw.eval                              *)
 (* ------------------------------------------------------------------ *)
 
-(* Two session arrays built from the same seeds are clones: running the
-   scalar path on one and the sliced path on the other compares the two
-   evaluators on identical protocol states. *)
+(* Two session arrays built from the same seeds are clones: running one
+   slot per call on one and 64-wide slices on the other compares the two
+   groupings on identical protocol states. *)
 let make_sessions ?(mode = Ot_ext.Simulation) ~parties ~count tag =
   Array.init count (fun i ->
       Gmw.create_session ~mode grp ~parties ~seed:(Printf.sprintf "slice:%s:%d" tag i))
@@ -161,6 +162,70 @@ let test_eval_many_rejects_mismatches () =
       ignore (Gmw.eval_many mixed c ~input_shares:(make_inputs ~parties:2 ~count:2 "reject" c)))
 
 (* ------------------------------------------------------------------ *)
+(* Golden fixture: two successive evaluations on one session           *)
+(* ------------------------------------------------------------------ *)
+
+(* The observables of [Gmw.eval], pinned in test/golden/gmw_two_evals.json:
+   for each circuit, two evaluations on one session (the second shows the
+   PRG and OT-session state the first left behind), each followed by the
+   output shares, the session's cumulative traffic matrix and its rounds /
+   AND / OT counters. To regenerate after an intentional change, run (from
+   the repo root):
+
+     DSTRESS_REGEN_GOLDEN=$PWD/test/golden/gmw_two_evals.json \
+       dune exec test/test_slice.exe -- test golden
+
+   and commit the updated file. *)
+
+let gmw_golden_path =
+  if Sys.file_exists "golden/gmw_two_evals.json" then "golden/gmw_two_evals.json"
+  else "test/golden/gmw_two_evals.json"
+
+let render_bits v =
+  String.init (Bitvec.length v) (fun i -> if Bitvec.get v i then '1' else '0')
+
+let render_traffic t =
+  let n = Traffic.parties t in
+  let m = Array.make_matrix n n 0 in
+  Traffic.iter_nonzero t (fun ~src ~dst b -> m.(src).(dst) <- b);
+  let row r = "[" ^ String.concat "," (Array.to_list (Array.map string_of_int r)) ^ "]" in
+  "[" ^ String.concat "," (Array.to_list (Array.map row m)) ^ "]"
+
+let render_two_evals ~name ~mode ~parties circuit =
+  let s = Gmw.create_session ~mode grp ~parties ~seed:("golden:" ^ name) in
+  let inputs = make_inputs ~parties ~count:2 ("golden:" ^ name) circuit in
+  let eval i =
+    let out = Gmw.eval s circuit ~input_shares:inputs.(i) in
+    Printf.sprintf
+      "    {\"outputs\":[%s],\n     \"traffic\":%s,\"rounds\":%d,\"and_gates\":%d,\"ots\":%d}"
+      (String.concat "," (Array.to_list (Array.map (fun v -> "\"" ^ render_bits v ^ "\"") out)))
+      (render_traffic (Gmw.traffic s))
+      (Gmw.rounds s) (Gmw.and_gates_evaluated s) (Gmw.ots_performed s)
+  in
+  let first = eval 0 in
+  let second = eval 1 in
+  Printf.sprintf "  \"%s\": [\n%s,\n%s\n  ]" name first second
+
+let test_golden_two_evals () =
+  let en_agg =
+    Vertex_program.aggregate_circuit (En_program.make ~l:8 ~degree:2 ~iterations:1 ()) ~count:3
+  in
+  let current =
+    "{\n"
+    ^ render_two_evals ~name:"en-aggregation" ~mode:Ot_ext.Simulation ~parties:3 en_agg
+    ^ ",\n"
+    ^ render_two_evals ~name:"adder-crypto" ~mode:Ot_ext.Crypto ~parties:3 (adder_circuit 4)
+    ^ "\n}\n"
+  in
+  match Sys.getenv_opt "DSTRESS_REGEN_GOLDEN" with
+  | Some path ->
+      Out_channel.with_open_bin path (fun oc -> output_string oc current);
+      Printf.printf "regenerated %s\n" path
+  | None ->
+      let expected = In_channel.with_open_bin gmw_golden_path In_channel.input_all in
+      Alcotest.(check string) "two evaluations per session" expected current
+
+(* ------------------------------------------------------------------ *)
 (* Plan compilation                                                    *)
 (* ------------------------------------------------------------------ *)
 
@@ -200,6 +265,22 @@ let test_plan_memoized () =
   let c = adder_circuit 6 in
   Alcotest.(check bool) "same circuit, same plan" true
     (Plan.of_circuit c == Plan.of_circuit c)
+
+(* A plan must live exactly as long as its circuit: engine runs build
+   fresh circuits per request, so a memo that pinned plans would keep
+   dead ones alive in long-lived daemon workers. *)
+let[@inline never] evaluate_and_watch_plan weak =
+  let c = adder_circuit 5 in
+  let s = Gmw.create_session ~mode:Ot_ext.Simulation grp ~parties:2 ~seed:"plan-lifetime" in
+  let shares = Gmw.share_input s (Bitvec.create c.Circuit.num_inputs false) in
+  ignore (Gmw.eval s c ~input_shares:shares);
+  Weak.set weak 0 (Some (Plan.of_circuit c))
+
+let test_plan_dies_with_circuit () =
+  let weak = Weak.create 1 in
+  evaluate_and_watch_plan weak;
+  Gc.full_major ();
+  Alcotest.(check bool) "plan collected with its circuit" false (Weak.check weak 0)
 
 (* ------------------------------------------------------------------ *)
 (* Engine: slice_width must not be observable in the report            *)
@@ -302,10 +383,12 @@ let () =
           Alcotest.test_case "crypto OT backend" `Quick test_crypto_mode;
           Alcotest.test_case "rejects mismatches" `Quick test_eval_many_rejects_mismatches;
         ] );
+      ("golden", [ Alcotest.test_case "two evals per session" `Quick test_golden_two_evals ]);
       ( "plan",
         [
           Alcotest.test_case "level partition" `Quick test_plan_partition;
           Alcotest.test_case "memoized per circuit" `Quick test_plan_memoized;
+          Alcotest.test_case "dies with its circuit" `Quick test_plan_dies_with_circuit;
         ] );
       ( "engine",
         [
