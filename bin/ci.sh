@@ -170,12 +170,16 @@ wait "$SVC_PID"
 # checks every released output against its oracle, the exact work
 # counters, and (serve-en) that the daemon drains. Its last line is the
 # result document; only correctness is gated here, never timing.
+# One traced serve-en run covers the path speed claims cite: Prof spans,
+# stats deltas, solo replays and the untraced-vs-traced exact-count check.
 echo "== perfbench smoke (oracle, exact counts, daemon drain) =="
-for workload in serve-en egj-256; do
-  echo "-- $workload"
-  python3 perfbench/run.py --workload "$workload" --seed 1 --seconds 5 --trace 0 \
-    > "$CI_TMP/perfbench.$workload.out"
-  result="$(tail -n 1 "$CI_TMP/perfbench.$workload.out")"
+for run in serve-en:0 egj-256:0 serve-en:1; do
+  workload="${run%:*}"
+  trace="${run#*:}"
+  echo "-- $workload (trace $trace)"
+  python3 perfbench/run.py --workload "$workload" --seed 1 --seconds 5 --trace "$trace" \
+    > "$CI_TMP/perfbench.$workload.$trace.out"
+  result="$(tail -n 1 "$CI_TMP/perfbench.$workload.$trace.out")"
   echo "$result" | grep -q '"correct":true'
   echo "$result" | grep -q '"failed":0[,}]'
 done

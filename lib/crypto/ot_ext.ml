@@ -296,17 +296,8 @@ let extend_bits session meter ~pairs ~choices =
 (* Word-level extension for bitsliced GMW: entry [g] of [pairs]/[choices]
    carries the same logical OT for [width] independent instances, one per
    bit lane, so one call performs [width * Array.length pairs] bit OTs.
-
-   In [Simulation] mode the receiver's output is computed directly as the
-   ideal functionality [x0 xor (c land (x0 xor x1))] per lane: IKNP is
-   correct — the receiver always ends up with exactly the chosen message,
-   because the sender masks it with the hash of [q_j = t_j xor c_j * s],
-   which is the hash of [t_j] when [c_j] selects it, i.e. the receiver's
-   own unmask. Skipping the expand/transpose/hash machinery changes no
-   observable output; the metered bytes and the OT counter advance exactly
-   as the bit-level Simulation path would for the same batch. [Crypto]
-   mode keeps the faithful construction: lanes are unpacked, run through
-   {!extend_bits}, and repacked (which also meters identically). *)
+   Lanes are unpacked, run through {!extend_bits} as one batch (which also
+   meters them as one batch) and repacked. *)
 let extend_words session meter ~width ~pairs ~choices =
   let m = Array.length pairs in
   if Array.length choices <> m then invalid_arg "Ot_ext.extend_words: length mismatch";
@@ -315,38 +306,21 @@ let extend_words session meter ~width ~pairs ~choices =
   if m = 0 then [||]
   else begin
     let total = m * width in
-    match session.mode with
-    | Simulation ->
-        let lane_mask =
-          if width = 64 then -1L else Int64.sub (Int64.shift_left 1L width) 1L
-        in
-        Xfer.add_b_to_a meter (kappa * ((total + 7) / 8));
-        Xfer.add_a_to_b meter (2 * ((total + 7) / 8));
-        session.index <- session.index + total;
-        Array.init m (fun g ->
-            let x0, x1 = pairs.(g) in
-            Int64.logand lane_mask
-              (Int64.logxor x0 (Int64.logand choices.(g) (Int64.logxor x0 x1))))
-    | Crypto ->
-        let bit w l = Int64.logand (Int64.shift_right_logical w l) 1L = 1L in
-        let bpairs =
-          Array.init total (fun i ->
-              let x0, x1 = pairs.(i / width) in
-              let l = i mod width in
-              (bit x0 l, bit x1 l))
-        in
-        let bchoices =
-          Array.init total (fun i -> bit choices.(i / width) (i mod width))
-        in
-        let outs = extend_bits session meter ~pairs:bpairs ~choices:bchoices in
-        Array.init m (fun g ->
-            let w = ref 0L in
-            for l = width - 1 downto 0 do
-              w :=
-                Int64.logor (Int64.shift_left !w 1)
-                  (if outs.((g * width) + l) then 1L else 0L)
-            done;
-            !w)
+    let bit w l = Int64.logand (Int64.shift_right_logical w l) 1L = 1L in
+    let bpairs =
+      Array.init total (fun i ->
+          let x0, x1 = pairs.(i / width) in
+          let l = i mod width in
+          (bit x0 l, bit x1 l))
+    in
+    let bchoices = Array.init total (fun i -> bit choices.(i / width) (i mod width)) in
+    let outs = extend_bits session meter ~pairs:bpairs ~choices:bchoices in
+    Array.init m (fun g ->
+        let w = ref 0L in
+        for l = width - 1 downto 0 do
+          w := Int64.logor (Int64.shift_left !w 1) (if outs.((g * width) + l) then 1L else 0L)
+        done;
+        !w)
   end
 
 let ots_performed session = session.index

@@ -61,15 +61,12 @@ val extend_words :
     same logical OT for [width <= 64] independent protocol instances, one
     per bit lane (lane [l] = bit [l] of each word); the result packs the
     receiver outputs the same way, with lanes at and above [width] zero.
-    A call performs [width * Array.length pairs] OTs and meters exactly
-    the bytes {!extend_bits} would move for that many OTs in one batch.
-
-    In [Simulation] mode the outputs are produced by the ideal OT
-    functionality evaluated directly on the words — observably equivalent
-    because IKNP always hands the receiver exactly its chosen message —
-    without unpacking to [bool array]; [Crypto] mode runs the full
-    construction lane by lane. Raises [Invalid_argument] on length
-    mismatch or [width] outside [1, 64]. *)
+    A call performs [width * Array.length pairs] OTs: the lanes are
+    unpacked and run through {!extend_bits} as one batch, so it meters
+    exactly the bytes {!extend_bits} moves for that many OTs. (The GMW
+    evaluator calls it only in [Crypto] mode; in [Simulation] mode it
+    computes the ideal OT's output inline.) Raises [Invalid_argument] on
+    length mismatch or [width] outside [1, 64]. *)
 
 val ots_performed : session -> int
 (** Total OTs served so far (diagnostics). *)

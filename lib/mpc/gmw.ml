@@ -167,11 +167,21 @@ let restore_post s (e : Triple.eval) =
 (* Evaluation                                                           *)
 (* ------------------------------------------------------------------ *)
 
+(* Wire and mask words live unboxed, 8 bytes each, in [Bytes]: word [i]
+   of a buffer sits at byte offset [8 * i]. These are the bounds-checked
+   primitives behind [Bytes.get_int64_ne]/[set_int64_ne], declared here so
+   every read and write compiles to a plain load or store and no [Int64]
+   is boxed per wire, gate or level. *)
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64"
+
+let[@inline] word b i = get64 b (i lsl 3)
+let[@inline] set_word b i v = set64 b (i lsl 3) v
+
 (* Evaluate up to 64 sessions in lockstep over one compiled plan; a single
-   evaluation is the one-slot case. Wire values are int64 words: bit [sl]
+   evaluation is the one-slot case. Wire values are 64-bit words: bit [sl]
    of every word belongs to instance [sl], so local gates cost one word op
-   for all instances, and each AND level issues one word-level OT batch
-   per ordered pair. Everything observable per instance is independent of
+   for all instances. Everything observable per instance is independent of
    how many instances share the batch:
    - mask bits come from the instance's own sender PRG bytes, drawn in a
      fixed order (level, then receiver, then gate);
@@ -180,49 +190,54 @@ let restore_post s (e : Triple.eval) =
    - extension traffic is charged per instance with the formula
      {!Ot_ext.extend_bits} meters for a batch of m bit OTs
      (kappa * ceil(m/8) receiver->sender, 2 * ceil(m/8) sender->receiver
-     per pair and level), not as a 1/slots share of the batched transfer,
+     per pair and level), not as a 1/slots share of a batched transfer,
      since ceil(64m/8) <> 64 * ceil(m/8);
    - rounds/AND/OT counters advance per instance.
-   The word-level batch itself runs on slot 0's pair session; its honest
-   batch meter is discarded in favour of the per-instance split. *)
+   Each AND gate's cross term for an ordered pair is one bit OT whose
+   receiver output is the ideal chosen message mask XOR (x_s AND y_r).
+   Simulation OT hands the receiver exactly that, and so does the IKNP
+   carrier whenever every slot consumes pre-drawn material (a column
+   stream nobody draws from is unobservable), so both compute it inline.
+   Only Crypto mode with an inline slot runs the faithful word-level
+   batch ({!Ot_ext.extend_words}) on slot 0's pair session, discarding
+   its honest batch meter in favour of the per-instance split. *)
 let eval_sliced plan sessions input_shares =
   let slots = Array.length sessions in
   let s0 = sessions.(0) in
   let n = s0.n in
   (* Per-slot offline material: a consuming slot takes its mask bytes from
      the pre-drawn entry instead of its PRG (and needs no lazy OT setup —
-     attach installed the sessions); the word-level carrier batch already
-     computes every lane as the ideal chosen message, so mixed consume /
-     inline slots coexist in one batch. *)
+     attach installed the sessions); the carrier batch computes every
+     lane as the ideal chosen message, so mixed consume / inline slots
+     coexist in one batch. *)
   let pres = Array.map (fun s -> take_pre s plan) sessions in
-  (* When every slot consumes, the word-level OT batch can be skipped
-     outright: the carrier's extension computes exactly the ideal chosen
-     message mask XOR (x_s AND y_r) per lane, which is local arithmetic
-     here, and a colgen stream nobody draws from is unobservable. *)
-  let all_consume = Array.for_all Option.is_some pres in
+  let ideal_ot = s0.mode = Ot_ext.Simulation || Array.for_all Option.is_some pres in
   let slot_mask = if slots = 64 then -1L else Int64.sub (Int64.shift_left 1L slots) 1L in
-  let vals = Array.init n (fun _ -> Array.make (Plan.num_wires plan) 0L) in
+  (* Zero-filled: inputs OR their lanes in, constants set party 0 only. *)
+  let vals = Array.init n (fun _ -> Bytes.make (8 * Plan.num_wires plan) '\000') in
+  let levels = Plan.levels plan in
+  let widest = Array.fold_left (fun w lv -> max w (Array.length lv.Plan.and_dst)) 0 levels in
+  let masks = Bytes.create (8 * widest) in
   let apply op =
     match op with
     | Plan.Load_input { dst; input } ->
         for p = 0 to n - 1 do
-          let w = ref 0L in
-          for sl = slots - 1 downto 0 do
-            w :=
-              Int64.logor (Int64.shift_left !w 1)
-                (if Bitvec.unsafe_get input_shares.(sl).(p) input then 1L else 0L)
-          done;
-          vals.(p).(dst) <- !w
+          let vp = vals.(p) in
+          for sl = 0 to slots - 1 do
+            if Bitvec.unsafe_get input_shares.(sl).(p) input then
+              set_word vp dst (Int64.logor (word vp dst) (Int64.shift_left 1L sl))
+          done
         done
-    | Plan.Load_const { dst; value } -> vals.(0).(dst) <- (if value then slot_mask else 0L)
+    | Plan.Load_const { dst; value } -> set_word vals.(0) dst (if value then slot_mask else 0L)
     | Plan.Local_not { dst; src } ->
-        vals.(0).(dst) <- Int64.logxor vals.(0).(src) slot_mask;
+        set_word vals.(0) dst (Int64.logxor (word vals.(0) src) slot_mask);
         for p = 1 to n - 1 do
-          vals.(p).(dst) <- vals.(p).(src)
+          set_word vals.(p) dst (word vals.(p) src)
         done
     | Plan.Local_xor { dst; a; b } ->
         for p = 0 to n - 1 do
-          vals.(p).(dst) <- Int64.logxor vals.(p).(a) vals.(p).(b)
+          let vp = vals.(p) in
+          set_word vp dst (Int64.logxor (word vp a) (word vp b))
         done
   in
   Array.iter apply (Plan.prologue plan);
@@ -230,18 +245,19 @@ let eval_sliced plan sessions input_shares =
     (fun li (lv : Plan.level) ->
       let dst = lv.Plan.and_dst and wa = lv.Plan.and_a and wb = lv.Plan.and_b in
       let m = Array.length dst in
-      (* Local terms x_p * y_p, all slots at once. *)
+      (* Local terms x_p * y_p, all slots at once. No AND of this level
+         reads another's destination (its operands sit at lower levels),
+         so the cross terms below may update destinations in place. *)
       for p = 0 to n - 1 do
         let vp = vals.(p) in
         for g = 0 to m - 1 do
-          vp.(dst.(g)) <- Int64.logand vp.(wa.(g)) vp.(wb.(g))
+          set_word vp dst.(g) (Int64.logand (word vp wa.(g)) (word vp wb.(g)))
         done
       done;
-      let masks = Array.make m 0L in
       for sender = 0 to n - 1 do
         for receiver = 0 to n - 1 do
           if sender <> receiver then begin
-            Array.fill masks 0 m 0L;
+            Bytes.fill masks 0 (8 * m) '\000';
             for sl = 0 to slots - 1 do
               let s = sessions.(sl) in
               let raw =
@@ -251,33 +267,39 @@ let eval_sliced plan sessions input_shares =
                     ignore (ot_session s ~sender ~receiver);
                     draw_mask_bytes s.prgs.(sender) m
               in
-              let bit = Int64.shift_left 1L sl in
               for g = 0 to m - 1 do
-                if Char.code (Bytes.get raw g) land 1 = 1 then
-                  masks.(g) <- Int64.logor masks.(g) bit
+                let bit = Int64.of_int (Char.code (Bytes.get raw g) land 1) in
+                set_word masks g (Int64.logor (word masks g) (Int64.shift_left bit sl))
               done
             done;
             let vs = vals.(sender) and vr = vals.(receiver) in
-            let outs =
-              if all_consume then
+            if ideal_ot then
+              for g = 0 to m - 1 do
+                let w = dst.(g) in
+                set_word vs w (Int64.logxor (word vs w) (word masks g));
+                set_word vr w
+                  (Int64.logxor (word vr w)
+                     (Int64.logxor (word masks g)
+                        (Int64.logand (word vs wa.(g)) (word vr wb.(g)))))
+              done
+            else begin
+              let pairs =
                 Array.init m (fun g ->
-                    Int64.logxor masks.(g) (Int64.logand vs.(wa.(g)) vr.(wb.(g))))
-              else begin
-                let pairs =
-                  Array.init m (fun g -> (masks.(g), Int64.logxor masks.(g) vs.(wa.(g))))
-                in
-                let choices = Array.init m (fun g -> vr.(wb.(g))) in
-                let carrier = ot_session s0 ~sender ~receiver in
-                (* The bulk transfer is re-attributed per slot below, so
-                   the carrier's own account is a discarded scratch. *)
+                    (word masks g, Int64.logxor (word masks g) (word vs wa.(g))))
+              in
+              let choices = Array.init m (fun g -> word vr wb.(g)) in
+              let carrier = ot_session s0 ~sender ~receiver in
+              (* The bulk transfer is re-attributed per slot below, so
+                 the carrier's own account is a discarded scratch. *)
+              let outs =
                 Ot_ext.extend_words carrier (Xfer.create ()) ~width:slots ~pairs ~choices
-              end
-            in
-            for g = 0 to m - 1 do
-              let w = dst.(g) in
-              vs.(w) <- Int64.logxor vs.(w) masks.(g);
-              vr.(w) <- Int64.logxor vr.(w) outs.(g)
-            done;
+              in
+              for g = 0 to m - 1 do
+                let w = dst.(g) in
+                set_word vs w (Int64.logxor (word vs w) (word masks g));
+                set_word vr w (Int64.logxor (word vr w) outs.(g))
+              done
+            end;
             let col = Ot_ext.kappa * ((m + 7) / 8) and row = 2 * ((m + 7) / 8) in
             for sl = 0 to slots - 1 do
               let s = sessions.(sl) in
@@ -294,7 +316,7 @@ let eval_sliced plan sessions input_shares =
         s.rounds <- s.rounds + 1
       done;
       Array.iter apply lv.Plan.post)
-    (Plan.levels plan);
+    levels;
   Array.iteri
     (fun sl pre -> match pre with Some e -> restore_post sessions.(sl) e | None -> ())
     pres;
@@ -302,7 +324,7 @@ let eval_sliced plan sessions input_shares =
   Array.init slots (fun sl ->
       Array.init n (fun p ->
           Bitvec.init (Array.length outputs) (fun o ->
-              Int64.logand (Int64.shift_right_logical vals.(p).(outputs.(o)) sl) 1L = 1L)))
+              Int64.logand (Int64.shift_right_logical (word vals.(p) outputs.(o)) sl) 1L = 1L)))
 
 let check_shares ~parties circuit shares =
   if Array.length shares <> parties then

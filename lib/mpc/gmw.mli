@@ -48,9 +48,14 @@ val eval :
     length [Array.length c.outputs] per party, XOR-sharing the outputs
     (outputs are *not* revealed — DStress keeps them shared, §3.6).
     It is {!eval_many} on the one session: the word-level evaluator with a
-    single slot, so each AND level runs one {!Dstress_crypto.Ot_ext.extend_words}
-    batch per ordered pair and meters the bytes
-    {!Dstress_crypto.Ot_ext.extend_bits} would for that batch.
+    single slot. Each AND level performs one bit OT per gate and ordered
+    pair and meters the bytes {!Dstress_crypto.Ot_ext.extend_bits} would
+    for that batch. Wire words are stored unboxed (8-byte [Bytes] words),
+    so evaluation boxes no [Int64] per wire or gate. In [Simulation] mode,
+    and whenever every session consumes pre-drawn material, the OT's
+    receiver output — the ideal chosen message [mask ⊕ (x_s ∧ y_r)] — is
+    computed inline; [Crypto] mode with inline draws runs the IKNP carrier
+    ({!Dstress_crypto.Ot_ext.extend_words}) per ordered pair.
     Raises [Invalid_argument] on shape mismatches. *)
 
 val eval_many :
@@ -64,11 +69,11 @@ val eval_many :
     [Array.mapi (fun i s -> eval s c ~input_shares:input_shares.(i)) sessions]
     — same output shares, same per-session traffic matrices, same
     rounds/AND/OT counters, same PRG states afterwards — but packs up to
-    64 instances into each [int64] wire word, so local gates cost one
-    word op and each AND level runs one word-level OT batch per ordered
-    pair ({!Dstress_crypto.Ot_ext.extend_words}) for all of them instead
-    of one batch per instance. Instances beyond 64 are processed in
-    successive chunks. All sessions must agree on party count and OT mode.
+    64 instances into each 64-bit wire word (one lane per instance), so
+    local gates cost one word op and each AND level runs one word-level
+    OT pass per ordered pair for all of them instead of one per instance.
+    Instances beyond 64 are processed in successive chunks. All sessions
+    must agree on party count and OT mode.
     Raises [Invalid_argument] on shape mismatches. *)
 
 val generate_material :

@@ -25,7 +25,7 @@ type t = {
   prologue : op array; (* local gates computable before any AND round *)
   levels : level array; (* one entry per AND round, in round order *)
   num_wires : int;
-  digest : string; (* structural circuit hash, survives Marshal round-trips *)
+  digest : string option Atomic.t; (* structural circuit hash, on first read *)
 }
 
 let circuit t = t.circuit
@@ -34,7 +34,6 @@ let prologue t = t.prologue
 let levels t = t.levels
 let depth t = Array.length t.levels
 let and_count t = Array.fold_left (fun a l -> a + Array.length l.and_dst) 0 t.levels
-let digest t = t.digest
 
 (* Structural identity for preprocessed material: physical equality breaks
    whenever a plan crosses a Marshal boundary (the distributed executor
@@ -70,6 +69,18 @@ let circuit_digest (circuit : Circuit.t) =
   Array.iter (item 'o') circuit.Circuit.outputs;
   Dstress_util.Hex.encode (Dstress_crypto.Sha256.digest (Buffer.to_bytes b))
 
+(* Only preprocessing reads the digest, so it is hashed on first read, not
+   at compile time. Domains may race that read on a shared memoized plan:
+   each racer hashes the same immutable circuit to the same string, so the
+   cache is a plain atomic cell (a racing [Lazy.force] would raise). *)
+let digest t =
+  match Atomic.get t.digest with
+  | Some d -> d
+  | None ->
+      let d = circuit_digest t.circuit in
+      Atomic.set t.digest (Some d);
+      d
+
 let compilations_counter = Atomic.make 0
 let compilations () = Atomic.get compilations_counter
 
@@ -104,7 +115,7 @@ let compile (circuit : Circuit.t) =
           post = Array.of_list (List.rev local_rev.(r + 1));
         })
   in
-  { circuit; prologue; levels; num_wires = Array.length gates; digest = circuit_digest circuit }
+  { circuit; prologue; levels; num_wires = Array.length gates; digest = Atomic.make None }
 
 (* Plans are memoized on the physical identity of the circuit: DStress
    evaluates the same update circuit once per vertex per round, and

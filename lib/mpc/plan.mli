@@ -64,7 +64,14 @@ val digest : t -> string
     input count and output wires. Unlike physical identity, it survives
     Marshal round-trips, so preprocessed GMW material generated on one
     side of a process boundary still matches the plan on the other. Two
-    structurally equal circuits share a digest. *)
+    structurally equal circuits share a digest.
+
+    {!compile} does not hash: the digest is computed on the first call and
+    cached in the plan. Only preprocessing reads it (the engine's offline
+    phase, {!Gmw.generate_material}, and evaluations of a session holding
+    attached material), so plans evaluated inline never pay for it. The
+    first read may race across domains on a shared plan; every racer gets
+    the same string. *)
 
 val compilations : unit -> int
 (** Process-wide count of {!compile} runs (including those triggered by
