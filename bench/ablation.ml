@@ -89,14 +89,14 @@ let twopc ~quick () =
   let meter = Dstress_crypto.Xfer.create () in
   let garble_result, garble_secs =
     time (fun () ->
-        Dstress_crypto.Garble.execute ~mode:Ot_ext.Simulation grp meter circuit
+        Dstress_crypto.Garble.execute grp meter circuit
           ~garbler_bits:half
           ~garbler_input:(Bitvec.sub inputs ~pos:0 ~len:half)
           ~evaluator_input:(Bitvec.sub inputs ~pos:half ~len:(inputs_bits - half))
           ~seed:"2pc")
   in
   (* Two-party GMW on the same circuit. *)
-  let session = Gmw.create_session ~mode:Ot_ext.Simulation grp ~parties:2 ~seed:"2pc-gmw" in
+  let session = Gmw.create_session grp ~parties:2 ~seed:"2pc-gmw" in
   let shares = Gmw.share_input session inputs in
   let _, gmw_secs = time (fun () -> ignore (Gmw.eval session circuit ~input_shares:shares)) in
   let gmw_bytes = Traffic.total (Gmw.traffic session) in

@@ -1,8 +1,9 @@
 (* §5.5 baseline: systemic risk as one monolithic MPC. We time N x N
    matrix multiplications under GMW for growing N, observe the cubic
    blow-up, and extrapolate to the full banking system — then compare
-   against the DStress projection computed with the *same* unit costs, so
-   the headline ratio ("hours vs years") is backend-independent. *)
+   against the DStress projection. Both sides run Crypto-mode OT, so they
+   share one per-AND cost and the headline ratio ("hours vs years") is
+   backend-independent. *)
 
 open Bench_util
 module Matmul = Dstress_baseline.Matmul
@@ -46,7 +47,7 @@ let run ~quick () =
   (* DStress with the same unit costs. *)
   let units = Projection.measure_units grp ~seed:"baseline-units" in
   let dstress = Projection.project units Projection.paper_scale in
-  Printf.printf "DStress projection at the same scale: %.2f hours\n"
+  Printf.printf "DStress projection at the same scale: %.2f hours (toy group, Crypto OT)\n"
     (dstress.Projection.total_seconds /. 3600.0);
   record "extrapolation"
     ~floats:

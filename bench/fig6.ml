@@ -23,7 +23,7 @@ let run ~quick () =
         ("exp_us", units.Projection.exp_seconds *. 1e6);
       ];
   Printf.printf
-    "calibration: %.2f us/AND/pair, %.1f B/AND/pair, %.1f us/exp (toy group, simulation OT)\n\n"
+    "calibration: %.2f us/AND/pair, %.1f B/AND/pair, %.1f us/exp (toy group, Crypto OT)\n\n"
     (units.Projection.ot_seconds_per_and_per_pair *. 1e6)
     units.Projection.mpc_bytes_per_and_per_pair
     (units.Projection.exp_seconds *. 1e6);
@@ -65,8 +65,8 @@ let run ~quick () =
   Format.printf "%a@." Projection.pp headline;
   Printf.printf
     "(paper: ~4.8 h and ~750 MB on 2013 hardware with secp384r1 + SHA-based OT;\n\
-    \ this build uses the simulation OT backend and a 64-bit group, so absolute\n\
-    \ numbers shrink — the N/D scaling shape is the reproduction target)\n";
+    \ this build times the same SHA-based IKNP on a 64-bit group, so absolute\n\
+    \ numbers differ — the N/D scaling shape is the reproduction target)\n";
   (* Validation: a real end-to-end run compared against the projection at
      the same (downscaled) parameters. *)
   if not quick then begin

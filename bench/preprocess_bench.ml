@@ -8,7 +8,7 @@
      <tag>-combined   the current single-phase path (setup + OT-extension
                       draws + evaluation, all on the critical path)
      <tag>-offline    generating the material (what moves off the
-                      critical path — base-OT setup, colgen draws,
+                      critical path — base-OT setup, OT-extension setup,
                       per-pair mask bits, PRG snapshots)
      <tag>-online     attaching the material and evaluating: the latency
                       a clearing query actually pays once preprocessing

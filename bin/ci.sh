@@ -100,6 +100,25 @@ dune exec bin/dstress.exe -- stress --core 2 --periphery 3 -i 2 \
 cmp "$CI_TMP/trace.inline.json" "$CI_TMP/trace.reload.json"
 cmp "$CI_TMP/metrics.inline.json" "$CI_TMP/metrics.reload.json"
 
+# OT-mode differential: Simulation OT is the ideal functionality, so a
+# whole run must be Crypto OT minus the cost — the tick-domain trace and
+# metrics exports byte-compare across the two modes, for EN (sliced, with
+# preprocessing) and for EGJ.
+echo "== OT-mode differential (simulation vs crypto exports) =="
+for run in "en:--slice-width 64 --preprocess" "egj:"; do
+  model="${run%%:*}"
+  extra="${run#*:}"
+  for ot in simulation crypto; do
+    # $extra is a flag list, left unquoted so it splits into words.
+    dune exec bin/dstress.exe -- stress --model "$model" --core 2 --periphery 1 \
+      -i 1 -k 1 --obs-level full $extra --ot "$ot" \
+      --trace "$CI_TMP/ot.$model.$ot.trace.json" \
+      --metrics "$CI_TMP/ot.$model.$ot.metrics.json" > /dev/null
+  done
+  cmp "$CI_TMP/ot.$model.simulation.trace.json" "$CI_TMP/ot.$model.crypto.trace.json"
+  cmp "$CI_TMP/ot.$model.simulation.metrics.json" "$CI_TMP/ot.$model.crypto.metrics.json"
+done
+
 # Distributed smoke: the two-process transport demo (real exec'd worker
 # over a named socket), then one engine run per wire-fault kind — each
 # must recover (respawn/fence/degrade onto live workers) and still print

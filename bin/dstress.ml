@@ -54,7 +54,8 @@ let ot_arg =
     & info [ "ot" ] ~docv:"MODE"
         ~doc:
           "Oblivious-transfer backend for the GMW computation step: simulation \
-           (cost-model only) or crypto (real base OTs + IKNP extension).")
+           (the ideal OT functionality: same outputs, traffic and counters, no OT \
+           work) or crypto (real base OTs + IKNP extension).")
 
 let core_arg =
   Arg.(value & opt int 3 & info [ "core" ] ~docv:"INT" ~doc:"Core banks in the network.")

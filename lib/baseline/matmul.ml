@@ -30,9 +30,9 @@ type measurement = {
   total_bytes : int;
 }
 
-let measure ?(mode = Dstress_crypto.Ot_ext.Simulation) grp ~parties ~n ~bits ~seed =
+let measure grp ~parties ~n ~bits ~seed =
   let c = circuit ~n ~bits in
-  let session = Gmw.create_session ~mode grp ~parties ~seed in
+  let session = Gmw.create_session grp ~parties ~seed in
   let prng = Dstress_util.Prng.of_int (Hashtbl.hash seed) in
   let inputs = Bitvec.random prng (2 * n * n * bits) in
   let input_shares = Gmw.share_input session inputs in

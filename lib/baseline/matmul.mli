@@ -25,16 +25,10 @@ type measurement = {
 }
 
 val measure :
-  ?mode:Dstress_crypto.Ot_ext.mode ->
-  Dstress_crypto.Group.t ->
-  parties:int ->
-  n:int ->
-  bits:int ->
-  seed:string ->
-  measurement
-(** Evaluate one matrix product under GMW on random shared inputs and
-    time it. Correctness of the result against plaintext evaluation is
-    asserted. *)
+  Dstress_crypto.Group.t -> parties:int -> n:int -> bits:int -> seed:string -> measurement
+(** Evaluate one matrix product under Crypto-mode GMW on random shared
+    inputs and time it. Correctness of the result against plaintext
+    evaluation is asserted. *)
 
 val fit_cubic : measurement list -> float
 (** Least-squares coefficient [c] of [seconds = c * n^3]. *)

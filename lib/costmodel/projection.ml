@@ -13,11 +13,12 @@ type units = {
   element_bytes : int;
 }
 
-let measure_units ?(mode = Ot_ext.Simulation) grp ~seed =
-  (* OT unit: run a sizeable extension batch through one session pair. *)
+let measure_units grp ~seed =
+  (* OT unit: run a sizeable extension batch through one Crypto-mode
+     session pair, the SHA-based IKNP the paper's stack ran. *)
   let sender_prg = Prg.of_string ("units-s:" ^ seed) in
   let receiver_prg = Prg.of_string ("units-r:" ^ seed) in
-  let session = Ot_ext.setup ~mode grp (Xfer.create ()) ~sender_prg ~receiver_prg in
+  let session = Ot_ext.setup grp (Xfer.create ()) ~sender_prg ~receiver_prg in
   let meter = Xfer.create () in
   let batch = 20000 in
   let pairs = Array.make batch (false, true) in

@@ -34,10 +34,9 @@ type units = {
   element_bytes : int;  (** serialized group element *)
 }
 
-val measure_units :
-  ?mode:Dstress_crypto.Ot_ext.mode -> Dstress_crypto.Group.t -> seed:string -> units
-(** Calibrate from short runs: a batch of OT-extension ANDs and a timed
-    batch of exponentiations. *)
+val measure_units : Dstress_crypto.Group.t -> seed:string -> units
+(** Calibrate from short runs: a batch of Crypto-mode OT-extension ANDs
+    and a timed batch of exponentiations. *)
 
 type params = {
   n : int;

@@ -17,13 +17,14 @@
     {2 Modes}
 
     [Crypto] runs the construction end to end: ElGamal base OTs, SHA-based
-    column PRGs and row hashes. [Simulation] replaces the base OTs with the
-    ideal OT functionality and the symmetric primitives with a fast
-    non-cryptographic mixer, while keeping the IKNP data flow, correctness
-    behaviour and *metered traffic* identical — the mode exists so that
-    paper-scale benchmark runs (millions of AND-gate OTs, all parties
-    simulated on one machine) finish in minutes. Unit tests cover both
-    modes against each other. *)
+    column PRGs and row hashes. [Simulation] is the ideal OT functionality:
+    the receiver gets its chosen messages directly, and a session holds
+    only the OT counter. It still charges every byte [Crypto] would move,
+    setup included, and its setup advances both parties' PRG streams past
+    the key material the [Crypto] setup draws outside its base OTs. The
+    mode exists so that paper-scale runs (millions of AND-gate OTs, all
+    parties simulated on one machine) finish in minutes; unit tests check
+    that both modes return the chosen messages and meter the same bytes. *)
 
 val kappa : int
 (** Computational security parameter (128). *)
@@ -35,7 +36,10 @@ type session
 val setup :
   ?mode:mode -> Group.t -> Xfer.t -> sender_prg:Prg.t -> receiver_prg:Prg.t -> session
 (** Runs the [kappa] base OTs (with reversed roles, per IKNP) and installs
-    the column PRGs. Default mode is [Crypto]. *)
+    the column PRGs. In [Simulation] it draws nothing: it moves
+    [sender_prg] forward by [kappa] bytes and [receiver_prg] by
+    [2 * kappa * 16] bytes, and meters the base-OT bytes. Default mode is
+    [Crypto]. *)
 
 val extend :
   session -> Xfer.t -> pairs:(bytes * bytes) array -> choices:bool array -> bytes array
@@ -72,7 +76,8 @@ val ots_performed : session -> int
 (** Total OTs served so far (diagnostics). *)
 
 val copy_session : session -> session
-(** Independent deep snapshot: column PRGs and the OT counter are copied,
-    so extending the copy does not disturb the original. The GMW offline
-    phase uses this to hand pre-generated correlated randomness to a live
-    session without aliasing the generator's state. *)
+(** Independent deep snapshot: the column PRGs (Crypto only) and the OT
+    counter are copied, so extending the copy does not disturb the
+    original. The GMW offline phase uses this to hand pre-generated
+    correlated randomness to a live session without aliasing the
+    generator's state. *)

@@ -41,6 +41,24 @@ let next_byte t =
   t.pos <- t.pos + 1;
   Char.code b
 
+(* Advance past [n] bytes without drawing them. Whole blocks in between
+   are never hashed; only a final partial block is computed, to buffer
+   its unread tail. *)
+let skip t n =
+  if n < 0 then invalid_arg "Prg.skip: negative length";
+  let buffered = Bytes.length t.buffer - t.pos in
+  if n <= buffered then t.pos <- t.pos + n
+  else begin
+    (* Each block is one 32-byte SHA-256 digest. *)
+    let rest = n - buffered in
+    t.counter <- Int64.add t.counter (Int64.of_int (rest / 32));
+    if rest mod 32 = 0 then t.pos <- Bytes.length t.buffer
+    else begin
+      refill t;
+      t.pos <- rest mod 32
+    end
+  end
+
 (* Bulk draw: blit whole buffered blocks instead of going byte by byte.
    The output stream is identical to repeated [next_byte]. *)
 let bytes t n =

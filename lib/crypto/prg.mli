@@ -26,6 +26,12 @@ val next_block : t -> bytes
 val bytes : t -> int -> bytes
 (** [bytes t n] produces [n] pseudo-random bytes. *)
 
+val skip : t -> int -> unit
+(** [skip t n] advances the stream past [n] bytes without producing them:
+    every later draw equals the one that would follow [bytes t n]. It
+    costs at most one block computation whatever [n] is. Raises
+    [Invalid_argument] if [n < 0]. *)
+
 val bits : t -> int -> Dstress_util.Bitvec.t
 (** [bits t n] produces [n] pseudo-random bits. *)
 

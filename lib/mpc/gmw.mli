@@ -27,8 +27,10 @@ val create_session :
 (** [create_session grp ~parties ~seed] prepares per-party randomness.
     OT-extension sessions between party pairs are established lazily on
     first use (and their base-OT traffic is charged at that point).
-    Default mode is [Crypto]; [Simulation] swaps in the fast OT back end
-    (see {!Dstress_crypto.Ot_ext}). Raises [Invalid_argument] if
+    Default mode is [Crypto], the IKNP construction. [Simulation] uses the
+    ideal OT functionality instead: the same output shares, traffic,
+    counters and PRG streams, without the OT work (see
+    {!Dstress_crypto.Ot_ext}). Raises [Invalid_argument] if
     [parties < 2]. *)
 
 val parties : session -> int

@@ -36,7 +36,7 @@ let key ~digest ~parties ~seed ~slice_width ~mode =
    to parse or verify is treated as a miss and regenerated — a corrupt or
    stale file can cost time, never correctness. *)
 
-let magic = "DSTRESS-TRIPLE/1\n"
+let magic = "DSTRESS-TRIPLE/2\n"
 
 let file_of_key dir k =
   Filename.concat dir (Hex.encode (Sha256.digest (Bytes.of_string k)) ^ ".triple")

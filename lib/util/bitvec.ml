@@ -54,12 +54,6 @@ let lognot a = Array.map not a
 
 let random prng n = Array.init n (fun _ -> Prng.bool prng)
 
-let of_int64_words ~len words =
-  if len < 0 || (len + 63) / 64 > Array.length words then
-    invalid_arg "Bitvec.of_int64_words";
-  Array.init len (fun i ->
-      Int64.logand (Int64.shift_right_logical words.(i lsr 6) (i land 63)) 1L = 1L)
-
 let xor_all = function
   | [] -> invalid_arg "Bitvec.xor_all: empty list"
   | x :: rest -> List.fold_left xor x rest

@@ -46,12 +46,6 @@ val lognot : t -> t
 val random : Prng.t -> int -> t
 (** [random prng n] is a uniform length-[n] vector. *)
 
-val of_int64_words : len:int -> int64 array -> t
-(** [of_int64_words ~len words] reads [len] bits LSB-first from packed
-    words (bit [i mod 64] of [words.(i / 64)] becomes bit [i]) — the
-    inverse layout of {!Prng.bool_words}. Raises [Invalid_argument] when
-    [len < 0] or [words] is too short. *)
-
 val xor_all : t list -> t
 (** XOR of a non-empty list of equal-length vectors — reconstruction of an
     XOR-shared secret. Raises [Invalid_argument] on an empty list. *)

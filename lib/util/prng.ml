@@ -1,7 +1,6 @@
 type t = {
   mutable state : int64;
-  (* Buffer so single-bit draws consume one mix per 64 bits, not per bit
-     (the OT-extension column expansion draws bits by the million). *)
+  (* Buffer so single-bit draws consume one mix per 64 bits, not per bit. *)
   mutable bitbuf : int64;
   mutable bitcnt : int;
 }
@@ -60,37 +59,6 @@ let bool t =
   t.bitbuf <- Int64.shift_right_logical t.bitbuf 1;
   t.bitcnt <- t.bitcnt - 1;
   b
-
-(* [n] bool draws at once, packed LSB-first into int64 words. The bit
-   stream — and the generator state afterwards — is exactly that of [n]
-   successive [bool] calls: the leftover [bitbuf] bits are consumed first,
-   then whole [next_int64] words, and the remainder is stashed back. The
-   OT-extension column expansion draws bits by the million, so filling
-   words wholesale instead of bit-at-a-time matters. *)
-let bool_words t n =
-  if n < 0 then invalid_arg "Prng.bool_words: n < 0";
-  let words = Array.make ((n + 63) / 64) 0L in
-  let filled = ref 0 in
-  while !filled < n do
-    if t.bitcnt = 0 then begin
-      t.bitbuf <- next_int64 t;
-      t.bitcnt <- 64
-    end;
-    let take = min (n - !filled) t.bitcnt in
-    let chunk =
-      if take = 64 then t.bitbuf
-      else Int64.logand t.bitbuf (Int64.sub (Int64.shift_left 1L take) 1L)
-    in
-    let idx = !filled lsr 6 and off = !filled land 63 in
-    words.(idx) <- Int64.logor words.(idx) (Int64.shift_left chunk off);
-    if off + take > 64 then
-      words.(idx + 1) <-
-        Int64.logor words.(idx + 1) (Int64.shift_right_logical chunk (64 - off));
-    t.bitbuf <- (if take = 64 then 0L else Int64.shift_right_logical t.bitbuf take);
-    t.bitcnt <- t.bitcnt - take;
-    filled := !filled + take
-  done;
-  words
 
 let float t =
   let raw = Int64.shift_right_logical (next_int64 t) 11 in

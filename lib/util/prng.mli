@@ -47,15 +47,6 @@ val int64_range : t -> int64 -> int64
 val bool : t -> bool
 (** Uniform boolean. *)
 
-val bool_words : t -> int -> int64 array
-(** [bool_words t n] draws [n] booleans packed LSB-first into
-    [ceil(n/64)] words (bit [i mod 64] of word [i / 64] is draw [i]);
-    bits at and above [n] are zero. The draw stream and the state left
-    behind are exactly those of [n] successive {!bool} calls — including
-    consuming any bits left buffered by earlier {!bool} draws — so word
-    and bit consumers can interleave freely. Raises [Invalid_argument]
-    when [n < 0]. *)
-
 val float : t -> float
 (** Uniform float in [\[0, 1)], with 53 bits of precision. *)
 

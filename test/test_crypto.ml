@@ -97,6 +97,26 @@ let test_prg_bits_length () =
   let t = prg "bits" in
   Alcotest.(check int) "length" 13 (Dstress_util.Bitvec.length (Prg.bits t 13))
 
+(* [skip t n] must leave the stream exactly where [bytes t n] does, from
+   any position inside or at the edge of the buffered block. *)
+let test_prg_skip () =
+  List.iter
+    (fun pre ->
+      List.iter
+        (fun n ->
+          let skipped = prg "skip" and drawn = prg "skip" in
+          ignore (Prg.bytes skipped pre);
+          ignore (Prg.bytes drawn pre);
+          Prg.skip skipped n;
+          ignore (Prg.bytes drawn n);
+          Alcotest.(check bytes)
+            (Printf.sprintf "offset %d, skip %d" pre n)
+            (Prg.bytes drawn 100) (Prg.bytes skipped 100))
+        [ 0; 1; 27; 28; 32; 33; 128; 4096 ])
+    [ 0; 5; 31; 32 ];
+  Alcotest.check_raises "negative" (Invalid_argument "Prg.skip: negative length") (fun () ->
+      Prg.skip (prg "skip") (-1))
+
 let test_prg_bool_balanced () =
   let t = prg "bool" in
   let ones = ref 0 in
@@ -573,27 +593,47 @@ let test_ot_ext_multiple_batches () =
   done
 
 let test_ot_ext_simulation_mode () =
-  (* Simulation mode must produce correct OTs and meter the same traffic
-     as crypto mode. *)
-  let run mode =
+  (* Simulation is the ideal functionality: its OTs return the chosen
+     bits, and it meters what Crypto does in each direction, setup
+     included. Its setup draws nothing but moves the sender stream by
+     kappa choice bytes and the receiver stream by 2 * kappa 16-byte
+     seeds. *)
+  let run grp mode =
     let sp = prg "sim-s" and rp = prg "sim-r" in
-    let meter = Xfer.create () in
-    let session = Ot_ext.setup ~mode grp meter ~sender_prg:sp ~receiver_prg:rp in
+    let setup_meter = Xfer.create () in
+    let session = Ot_ext.setup ~mode grp setup_meter ~sender_prg:sp ~receiver_prg:rp in
+    if mode = Ot_ext.Simulation then
+      List.iter
+        (fun (name, stream, moved) ->
+          let expected = prg name in
+          ignore (Prg.bytes expected moved);
+          Alcotest.(check bytes)
+            (Printf.sprintf "%s stream moved %d bytes" name moved)
+            (Prg.bytes expected 64) (Prg.bytes stream 64))
+        [ ("sim-s", sp, Ot_ext.kappa); ("sim-r", rp, 2 * Ot_ext.kappa * 16) ];
     let t = prg "sim-data" in
     let m = 100 in
     let pairs = Array.init m (fun _ -> (Prg.bool t, Prg.bool t)) in
     let choices = Array.init m (fun _ -> Prg.bool t) in
+    let meter = Xfer.create () in
     let out = Ot_ext.extend_bits session meter ~pairs ~choices in
     Array.iteri
       (fun j got ->
         let x0, x1 = pairs.(j) in
-        Alcotest.(check bool) "sim chosen bit" (if choices.(j) then x1 else x0) got)
+        Alcotest.(check bool) "chosen bit" (if choices.(j) then x1 else x0) got)
       out;
-    Xfer.total meter
+    let directions x = (Xfer.a_to_b x, Xfer.b_to_a x) in
+    (directions setup_meter, directions meter)
   in
-  let crypto_traffic = run Ot_ext.Crypto in
-  let sim_traffic = run Ot_ext.Simulation in
-  Alcotest.(check int) "same metered traffic" crypto_traffic sim_traffic
+  List.iter
+    (fun (name, setup_bytes) ->
+      let grp = Group.by_name name in
+      let crypto_setup, crypto_ext = run grp Ot_ext.Crypto in
+      let sim_setup, sim_ext = run grp Ot_ext.Simulation in
+      Alcotest.(check (pair int int)) (name ^ " crypto setup bytes") setup_bytes crypto_setup;
+      Alcotest.(check (pair int int)) (name ^ " simulation setup bytes") crypto_setup sim_setup;
+      Alcotest.(check (pair int int)) (name ^ " extension bytes") crypto_ext sim_ext)
+    [ ("toy", (1024, 6144)); ("standard", (4096, 12288)) ]
 
 let test_ot_ext_amortized_traffic () =
   (* Extension OTs must be far cheaper than base OTs: the whole point of
@@ -862,6 +902,7 @@ let () =
           Alcotest.test_case "distinct keys" `Quick test_prg_distinct_keys;
           Alcotest.test_case "nat_below" `Quick test_prg_nat_below;
           Alcotest.test_case "bits length" `Quick test_prg_bits_length;
+          Alcotest.test_case "skip" `Quick test_prg_skip;
           Alcotest.test_case "bool balanced" `Quick test_prg_bool_balanced;
         ] );
       ( "group",

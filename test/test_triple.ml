@@ -285,22 +285,33 @@ let test_cache_disk () =
       let out_b = Gmw.eval online circuit ~input_shares:shares in
       Alcotest.(check bool) "reloaded material equivalent" true
         (Bitvec.equal out_a.(0) out_b.(0) && Bitvec.equal out_a.(1) out_b.(1));
+      let rewrite_cache_files edit =
+        Array.iter
+          (fun f ->
+            if Filename.check_suffix f ".triple" then begin
+              let path = Filename.concat dir f in
+              let ic = open_in_bin path in
+              let b = Bytes.of_string (really_input_string ic (in_channel_length ic)) in
+              close_in ic;
+              edit b;
+              let oc = open_out_bin path in
+              output_bytes oc b;
+              close_out oc
+            end)
+          (Sys.readdir dir)
+      in
+      (* A file from an older build (version 1 magic) keeps a valid CRC,
+         but its payload may be another type: it must miss, not load. *)
+      let stale = "DSTRESS-TRIPLE/1\n" in
+      rewrite_cache_files (fun b -> Bytes.blit_string stale 0 b 0 (String.length stale));
+      let c_stale = Triple.Cache.create () in
+      ignore (request ~dir c_stale plan ~parties:2 ~seed:"cache-disk" ~evals:2);
+      Alcotest.(check int) "stale magic regenerates" 1 (Triple.Cache.generations c_stale);
+      Alcotest.(check int) "stale magic does not load" 0 (Triple.Cache.disk_loads c_stale);
       (* Corrupt the payload: the load must fail the CRC and regenerate. *)
-      Array.iter
-        (fun f ->
-          if Filename.check_suffix f ".triple" then begin
-            let path = Filename.concat dir f in
-            let ic = open_in_bin path in
-            let data = really_input_string ic (in_channel_length ic) in
-            close_in ic;
-            let b = Bytes.of_string data in
-            let mid = Bytes.length b / 2 in
-            Bytes.set b mid (Char.chr (Char.code (Bytes.get b mid) lxor 0xff));
-            let oc = open_out_bin path in
-            output_bytes oc b;
-            close_out oc
-          end)
-        (Sys.readdir dir);
+      rewrite_cache_files (fun b ->
+          let mid = Bytes.length b / 2 in
+          Bytes.set b mid (Char.chr (Char.code (Bytes.get b mid) lxor 0xff)));
       let c3 = Triple.Cache.create () in
       ignore (request ~dir c3 plan ~parties:2 ~seed:"cache-disk" ~evals:2);
       Alcotest.(check int) "corrupt file regenerates" 1 (Triple.Cache.generations c3);

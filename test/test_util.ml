@@ -88,35 +88,6 @@ let test_prng_shuffle_is_permutation () =
   Array.sort Stdlib.compare sorted;
   Alcotest.(check (array int)) "permutation" (Array.init 50 (fun i -> i)) sorted
 
-(* bool_words is the bulk OT-extension fill path: [bool_words t n] must
-   draw exactly the booleans [bool t] would, in the same order (LSB
-   first within each word), and leave the generator in the same state —
-   including a partially consumed bit buffer carried across calls. *)
-let test_prng_bool_words_differential () =
-  List.iter
-    (fun sizes ->
-      let bulk = Prng.of_int 0xB17F1E and reference = Prng.of_int 0xB17F1E in
-      List.iter
-        (fun n ->
-          let words = Prng.bool_words bulk n in
-          Alcotest.(check int)
-            (Printf.sprintf "n=%d word count" n)
-            ((n + 63) / 64) (Array.length words);
-          for i = 0 to n - 1 do
-            let bit =
-              Int64.logand (Int64.shift_right_logical words.(i / 64) (i mod 64)) 1L = 1L
-            in
-            Alcotest.(check bool) (Printf.sprintf "n=%d bit %d" n i) (Prng.bool reference) bit
-          done)
-        sizes;
-      (* Same state afterwards: the next raw draws agree. *)
-      for i = 0 to 4 do
-        Alcotest.(check int64)
-          (Printf.sprintf "state resync %d" i)
-          (Prng.next_int64 reference) (Prng.next_int64 bulk)
-      done)
-    [ [ 0 ]; [ 1 ]; [ 63 ]; [ 64 ]; [ 65 ]; [ 130; 7; 1000 ]; [ 1; 1; 62; 64 ] ]
-
 (* ------------------------------------------------------------------ *)
 (* Bitvec                                                              *)
 (* ------------------------------------------------------------------ *)
@@ -165,31 +136,6 @@ let test_bitvec_set_get () =
 let test_bitvec_lognot () =
   let v = Bitvec.of_int ~bits:4 0b0101 in
   Alcotest.(check int) "lognot" 0b1010 (Bitvec.to_int (Bitvec.lognot v))
-
-let test_bitvec_of_int64_words () =
-  let t = prng () in
-  List.iter
-    (fun len ->
-      let bits = Array.init len (fun _ -> Prng.bool t) in
-      let words =
-        Array.init ((len + 63) / 64) (fun w ->
-            let acc = ref 0L in
-            for i = 0 to 63 do
-              let idx = (w * 64) + i in
-              if idx < len && bits.(idx) then
-                acc := Int64.logor !acc (Int64.shift_left 1L i)
-            done;
-            !acc)
-      in
-      let bv = Bitvec.of_int64_words ~len words in
-      Alcotest.(check int) (Printf.sprintf "len=%d length" len) len (Bitvec.length bv);
-      Array.iteri
-        (fun i b ->
-          Alcotest.(check bool) (Printf.sprintf "len=%d bit %d" len i) b (Bitvec.get bv i))
-        bits)
-    [ 0; 1; 63; 64; 65; 130 ];
-  Alcotest.check_raises "too few words" (Invalid_argument "Bitvec.of_int64_words") (fun () ->
-      ignore (Bitvec.of_int64_words ~len:65 [| 0L |]))
 
 (* ------------------------------------------------------------------ *)
 (* Hex                                                                 *)
@@ -326,8 +272,6 @@ let () =
             test_prng_sample_without_replacement;
           Alcotest.test_case "sample full range" `Quick test_prng_sample_full;
           Alcotest.test_case "shuffle permutes" `Quick test_prng_shuffle_is_permutation;
-          Alcotest.test_case "bool_words matches bool stream" `Quick
-            test_prng_bool_words_differential;
         ] );
       ( "bitvec",
         [
@@ -339,7 +283,6 @@ let () =
           Alcotest.test_case "length mismatch" `Quick test_bitvec_length_mismatch;
           Alcotest.test_case "set/get" `Quick test_bitvec_set_get;
           Alcotest.test_case "lognot" `Quick test_bitvec_lognot;
-          Alcotest.test_case "of int64 words" `Quick test_bitvec_of_int64_words;
         ] );
       ( "hex",
         [
