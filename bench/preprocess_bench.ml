@@ -77,8 +77,7 @@ let run_config ~quick ~model ~mode ~width =
   let mats, offline_s =
     time (fun () ->
         Array.init count (fun i ->
-            Gmw.generate_material ~mode grp ~parties ~seed:(seed i) ~slice_width:width
-              ~evals:batches plan))
+            Gmw.generate_material ~mode grp ~parties ~seed:(seed i) ~evals:batches plan))
   in
   let online_sessions = sessions () in
   let online_out, online_s =

@@ -191,8 +191,10 @@ wait "$SVC_PID"
 # result document; only correctness is gated here, never timing.
 # One traced serve-en run covers the path speed claims cite: Prof spans,
 # stats deltas, solo replays and the untraced-vs-traced exact-count check.
+# The traced egj-256 run is the only one that replays the Group/ElGamal/
+# Nat.Mont calls and Crypto-mode Ot_ext setup and extension.
 echo "== perfbench smoke (oracle, exact counts, daemon drain) =="
-for run in serve-en:0 egj-256:0 serve-en:1; do
+for run in serve-en:0 egj-256:0 serve-en:1 egj-256:1; do
   workload="${run%:*}"
   trace="${run#*:}"
   echo "-- $workload (trace $trace)"

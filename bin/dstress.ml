@@ -110,18 +110,6 @@ let backoff_arg =
     & info [ "backoff" ] ~docv:"SECONDS"
         ~doc:"Base simulated retry backoff; doubles on every retry.")
 
-let jobs_arg =
-  Arg.(
-    value & opt int 1
-    & info [ "jobs"; "j" ] ~docv:"INT"
-        ~doc:
-          "Worker domains for the block/edge task batches. 1 runs sequentially; \
-           results are identical for every value.")
-
-let executor_of_jobs jobs =
-  if jobs < 1 then invalid_arg "dstress: --jobs must be >= 1"
-  else Dstress_runtime.Executor.parallel ~jobs
-
 module Executor = Dstress_runtime.Executor
 module Distributed = Dstress_runtime.Distributed
 module Transport = Dstress_runtime.Transport
@@ -134,8 +122,8 @@ let executor_arg =
         ~doc:
           "Execution backend: sequential, parallel[:N] (domain pool) or \
            distributed[:N] (forked worker processes behind the fault-tolerant \
-           transport). Overrides --jobs. Tick-domain results and exports are \
-           identical for every backend.")
+           transport); sequential when absent. Tick-domain results and exports \
+           are identical for every backend.")
 
 let wire_fault_rate_arg =
   Arg.(
@@ -168,10 +156,9 @@ let transport_metrics_arg =
            --executor distributed[:N] — these counters are deliberately not in \
            the deterministic --metrics export.")
 
-(* --executor wins over the legacy --jobs. *)
-let resolve_executor ~spec ~jobs =
+let resolve_executor spec =
   match spec with
-  | None -> executor_of_jobs jobs
+  | None -> Executor.sequential
   | Some s -> (
       match Executor.of_string s with
       | Ok e -> e
@@ -291,7 +278,7 @@ let trace_arg =
         ~doc:
           "Write the run's span trace as Chrome trace_event JSON (load it in \
            about://tracing or Perfetto). The timeline is simulated — 1 tick per wire \
-           byte — so the file is bit-identical across --jobs and --slice-width.")
+           byte — so the file is bit-identical across --executor and --slice-width.")
 
 let metrics_arg =
   Arg.(
@@ -439,13 +426,13 @@ let run_model model ~grp ~k ~epsilon ~iterations ~seed ~core ~periphery ~shock ~
       (report, Egj_program.decode_output ~scale ~frac report.Engine.output)
 
 let stress model seed grpname ot_mode k core periphery iterations epsilon shock
-    reference_only fault_rate fault_crashes max_retries backoff jobs executor_spec
+    reference_only fault_rate fault_crashes max_retries backoff executor_spec
     wire_fault_rate wire_faults transport_metrics slice_width preprocess
     triple_cache obs_level trace metrics trace_wall profile =
   let grp = Group.by_name grpname in
   let preprocess = preprocess || triple_cache <> None in
   let obs_level = effective_obs_level obs_level ~trace ~metrics ~trace_wall ~profile in
-  let exec = resolve_executor ~spec:executor_spec ~jobs in
+  let exec = resolve_executor executor_spec in
   let wire = wire_plan ~exec ~seed ~iterations ~wire_fault_rate ~wire_faults in
   let finish ~graph ~tds report =
     ignore graph;
@@ -497,7 +484,7 @@ let stress_cmd =
       const stress $ model_arg $ seed_arg $ group_arg $ ot_arg $ k_arg $ core_arg
       $ periphery_arg
       $ iterations_arg $ epsilon_arg $ shock_arg $ reference_only_arg $ fault_rate_arg
-      $ fault_crashes_arg $ max_retries_arg $ backoff_arg $ jobs_arg $ executor_arg
+      $ fault_crashes_arg $ max_retries_arg $ backoff_arg $ executor_arg
       $ wire_fault_rate_arg $ wire_faults_arg $ transport_metrics_arg
       $ slice_width_arg $ preprocess_arg $ triple_cache_arg $ obs_level_arg $ trace_arg
       $ metrics_arg $ trace_wall_arg $ profile_arg)

@@ -1,19 +1,10 @@
-module Metrics = Dstress_obs.Obs.Metrics
+type t = { mutable a_to_b : int; mutable b_to_a : int }
 
-type t = Metrics.t
+let create () = { a_to_b = 0; b_to_a = 0 }
 
-let key_a_to_b = "xfer.a_to_b"
-let key_b_to_a = "xfer.b_to_a"
+let add_a_to_b t n = t.a_to_b <- t.a_to_b + n
+let add_b_to_a t n = t.b_to_a <- t.b_to_a + n
 
-let create () = Metrics.create ()
-
-let add_a_to_b t n = Metrics.incr ~by:n t key_a_to_b
-let add_b_to_a t n = Metrics.incr ~by:n t key_b_to_a
-
-let a_to_b t = Metrics.counter t key_a_to_b
-let b_to_a t = Metrics.counter t key_b_to_a
-let total t = a_to_b t + b_to_a t
-
-let metrics t = t
-
-let pp ppf t = Format.fprintf ppf "a->b: %d B, b->a: %d B" (a_to_b t) (b_to_a t)
+let a_to_b t = t.a_to_b
+let b_to_a t = t.b_to_a
+let total t = t.a_to_b + t.b_to_a

@@ -1,13 +1,11 @@
-(** Two-way traffic accounting for a pair of protocol parties, backed by
-    the {!Dstress_obs.Obs.Metrics} registry.
+(** Two-way traffic accounting for a pair of protocol parties.
 
     The pairwise crypto primitives ({!Ot}, {!Ot_ext}, {!Garble}) charge
     every wire byte they would send to one of these: [a] is the protocol
     sender/garbler, [b] the receiver/evaluator. Callers create one
     short-lived [Xfer.t] per exchange and fold it into phase-attributed
-    accounting (a {!Dstress_mpc.Traffic} matrix, a run-wide registry via
-    {!metrics} and [Obs.Metrics.merge_into]) — there is deliberately no
-    [reset]: in-place resetting is what loses attribution. *)
+    accounting (a {!Dstress_mpc.Traffic} matrix) — there is deliberately
+    no [reset]: in-place resetting is what loses attribution. *)
 
 type t
 
@@ -23,9 +21,3 @@ val b_to_a : t -> int
 
 val total : t -> int
 (** [a_to_b + b_to_a]. *)
-
-val metrics : t -> Dstress_obs.Obs.Metrics.t
-(** The backing registry — two counters, [xfer.a_to_b] and [xfer.b_to_a]
-    — for merging an exchange into a run-wide registry. *)
-
-val pp : Format.formatter -> t -> unit

@@ -40,8 +40,8 @@ val is_wire : kind -> bool
 
     Fault delays are specified in float seconds but charged to the
     deterministic trace timeline in integer ticks. The single conversion
-    rule lives here so every consumer (the engine's recovery accounting
-    and the transport's injection bookkeeping) agrees bit-for-bit. *)
+    rule lives here, and the engine's recovery accounting charges every
+    delay through it. *)
 
 val ticks_per_second : float
 (** 10{^6}: one simulated second costs as many ticks as one megabyte of

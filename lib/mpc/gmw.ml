@@ -78,7 +78,7 @@ let draw_mask_bytes prg m = Prg.bytes prg m
    setup (first evaluation only) followed by the sender's bulk mask draw.
    Per-party PRG states are snapshotted after each evaluation so the
    consumer can restore them and stay stream-exact. *)
-let generate_material ?mode grp ~parties ~seed ~slice_width ~evals plan =
+let generate_material ?mode grp ~parties ~seed ~evals plan =
   if evals < 0 then invalid_arg "Gmw.generate_material: evals < 0";
   let s = create_session ?mode grp ~parties ~seed in
   let levels = Plan.levels plan in
@@ -107,7 +107,6 @@ let generate_material ?mode grp ~parties ~seed ~slice_width ~evals plan =
     Triple.digest = Plan.digest plan;
     parties;
     seed;
-    slice_width;
     ot_mode = s.mode;
     evals = eval_mats;
     ot = s.ot;

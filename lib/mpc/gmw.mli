@@ -83,7 +83,6 @@ val generate_material :
   Dstress_crypto.Group.t ->
   parties:int ->
   seed:string ->
-  slice_width:int ->
   evals:int ->
   Plan.t ->
   Triple.material

@@ -13,7 +13,6 @@ type material = {
   digest : string;
   parties : int;
   seed : string;
-  slice_width : int;
   ot_mode : Ot_ext.mode;
   evals : eval array;
   ot : Ot_ext.session option array array;
@@ -24,8 +23,8 @@ let evals_available m = Array.length m.evals
 
 let mode_tag = function Ot_ext.Crypto -> "crypto" | Ot_ext.Simulation -> "sim"
 
-let key ~digest ~parties ~seed ~slice_width ~mode =
-  Printf.sprintf "%s:%d:%s:%d:%s" digest parties seed slice_width (mode_tag mode)
+let key ~digest ~parties ~seed ~mode =
+  Printf.sprintf "%s:%d:%s:%s" digest parties seed (mode_tag mode)
 
 (* ------------------------------------------------------------------ *)
 (* Disk persistence                                                    *)
@@ -36,7 +35,7 @@ let key ~digest ~parties ~seed ~slice_width ~mode =
    to parse or verify is treated as a miss and regenerated — a corrupt or
    stale file can cost time, never correctness. *)
 
-let magic = "DSTRESS-TRIPLE/2\n"
+let magic = "DSTRESS-TRIPLE/3\n"
 
 let file_of_key dir k =
   Filename.concat dir (Hex.encode (Sha256.digest (Bytes.of_string k)) ^ ".triple")
@@ -77,7 +76,7 @@ let save dir k mat =
     Sys.rename tmp path
   with Sys_error _ -> ()
 
-let load dir k ~digest ~parties ~seed ~slice_width ~mode ~evals =
+let load dir k ~digest ~parties ~seed ~mode ~evals =
   let path = file_of_key dir k in
   if not (Sys.file_exists path) then None
   else
@@ -102,7 +101,6 @@ let load dir k ~digest ~parties ~seed ~slice_width ~mode ~evals =
                   String.equal mat.digest digest
                   && mat.parties = parties
                   && String.equal mat.seed seed
-                  && mat.slice_width = slice_width
                   && mat.ot_mode = mode
                   && Array.length mat.evals >= evals
                 then Some mat
@@ -151,8 +149,8 @@ module Cache = struct
      blocks on it and then hits — generating the same material twice
      would be wasted work, not a correctness bug (it is deterministic
      in the key). *)
-  let find_or_generate ?dir t ~digest ~parties ~seed ~slice_width ~mode ~evals ~generate =
-    let k = key ~digest ~parties ~seed ~slice_width ~mode in
+  let find_or_generate ?dir t ~digest ~parties ~seed ~mode ~evals ~generate =
+    let k = key ~digest ~parties ~seed ~mode in
     Mutex.protect t.mutex (fun () ->
         match Hashtbl.find_opt t.table k with
         | Some mat when Array.length mat.evals >= evals ->
@@ -162,7 +160,7 @@ module Cache = struct
             let from_disk =
               match dir with
               | None -> None
-              | Some d -> load d k ~digest ~parties ~seed ~slice_width ~mode ~evals
+              | Some d -> load d k ~digest ~parties ~seed ~mode ~evals
             in
             match from_disk with
             | Some mat ->

@@ -33,11 +33,6 @@ type material = {
   digest : string;  (** {!Plan.digest} of the circuit it was drawn for. *)
   parties : int;
   seed : string;  (** Session seed the draws were replayed from. *)
-  slice_width : int;
-      (** Administrative record of the intended evaluation width (1 for
-          scalar, up to 64 for bitsliced); scalar and sliced evaluation
-          consume identical draw sequences, so it does not affect the
-          bytes, only the cache key. *)
   ot_mode : Dstress_crypto.Ot_ext.mode;
   evals : eval array;
   ot : Dstress_crypto.Ot_ext.session option array array;
@@ -59,10 +54,11 @@ val key :
   digest:string ->
   parties:int ->
   seed:string ->
-  slice_width:int ->
   mode:Dstress_crypto.Ot_ext.mode ->
   string
-(** Canonical cache-key string for a material request. *)
+(** Canonical cache-key string for a material request. Scalar and sliced
+    evaluation consume identical draw sequences, so one material serves
+    every slice width. *)
 
 module Cache : sig
   type t
@@ -78,7 +74,6 @@ module Cache : sig
     digest:string ->
     parties:int ->
     seed:string ->
-    slice_width:int ->
     mode:Dstress_crypto.Ot_ext.mode ->
     evals:int ->
     generate:(evals:int -> material) ->

@@ -61,7 +61,6 @@ let counters_of_metrics m =
     (fun name ->
       match Obs.Metrics.find m name with
       | Some (Obs.Metrics.Counter c) -> Some (name, c)
-      | Some (Obs.Metrics.Hist h) -> Some (name ^ ".count", h.count)
       | Some (Obs.Metrics.Quantiles s) -> Some (name ^ ".count", Sketch.count s)
       | _ -> None)
     (Obs.Metrics.names m)
@@ -72,12 +71,6 @@ let floats_of_metrics m =
     (fun name ->
       match Obs.Metrics.find m name with
       | Some (Obs.Metrics.Sum v) | Some (Obs.Metrics.Gauge v) -> [ (name, v) ]
-      | Some (Obs.Metrics.Hist h) ->
-          [
-            (name ^ ".mean", Obs.Metrics.hist_mean h);
-            (name ^ ".min", h.min);
-            (name ^ ".max", h.max);
-          ]
       | Some (Obs.Metrics.Quantiles s) ->
           let q p = Sketch.quantile_or ~default:0.0 s p in
           [

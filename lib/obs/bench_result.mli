@@ -84,6 +84,7 @@ val counters_of_metrics : Obs.Metrics.t -> (string * int) list
     from an instrumented run to a result row. *)
 
 val floats_of_metrics : Obs.Metrics.t -> (string * float) list
-(** Snapshot [Sum]/[Gauge] values directly and histograms as derived
-    [name.mean]/[name.min]/[name.max] (plus a [name.count] entry in
-    {!counters_of_metrics}), sorted by name. *)
+(** Snapshot [Sum]/[Gauge] values directly and quantile sketches as
+    derived [name.mean]/[name.min]/[name.max]/[name.p50]/[name.p90]/
+    [name.p99] (plus a [name.count] entry in {!counters_of_metrics}),
+    sorted by name. *)

@@ -13,13 +13,10 @@ let level_of_string = function
 (* ------------------------------------------------------------------ *)
 
 module Metrics = struct
-  type histogram = { count : int; total : float; min : float; max : float }
-
   type value =
     | Counter of int
     | Sum of float
     | Gauge of float
-    | Hist of histogram
     | Quantiles of Sketch.t
 
   type t = { tbl : (string, value) Hashtbl.t }
@@ -46,20 +43,6 @@ module Metrics = struct
     | None | Some (Gauge _) -> Hashtbl.replace t.tbl name (Gauge v)
     | Some _ -> kind_error name
 
-  let observe t name v =
-    match Hashtbl.find_opt t.tbl name with
-    | None -> Hashtbl.replace t.tbl name (Hist { count = 1; total = v; min = v; max = v })
-    | Some (Hist h) ->
-        Hashtbl.replace t.tbl name
-          (Hist
-             {
-               count = h.count + 1;
-               total = h.total +. v;
-               min = Float.min h.min v;
-               max = Float.max h.max v;
-             })
-    | Some _ -> kind_error name
-
   let observe_sketch ?alpha t name v =
     match Hashtbl.find_opt t.tbl name with
     | None ->
@@ -83,16 +66,6 @@ module Metrics = struct
     | Some (Sum s) | Some (Gauge s) -> s
     | Some _ -> kind_error name
 
-  let hist t name =
-    match Hashtbl.find_opt t.tbl name with
-    | None -> None
-    | Some (Hist h) -> Some h
-    | Some _ -> kind_error name
-
-  (* Empty histograms can reach here via a [merge_into] of fresh
-     registries, so the empty case returns 0. rather than dividing. *)
-  let hist_mean h = if h.count = 0 then 0.0 else h.total /. float_of_int h.count
-
   let sketch t name =
     match Hashtbl.find_opt t.tbl name with
     | None -> None
@@ -109,19 +82,6 @@ module Metrics = struct
         | Some (Counter c) -> incr ~by:c dst name
         | Some (Sum s) -> add dst name s
         | Some (Gauge g) -> set dst name g
-        | Some (Hist h) -> (
-            match Hashtbl.find_opt dst.tbl name with
-            | None -> Hashtbl.replace dst.tbl name (Hist h)
-            | Some (Hist d) ->
-                Hashtbl.replace dst.tbl name
-                  (Hist
-                     {
-                       count = d.count + h.count;
-                       total = d.total +. h.total;
-                       min = Float.min d.min h.min;
-                       max = Float.max d.max h.max;
-                     })
-            | Some _ -> kind_error name)
         | Some (Quantiles s) -> (
             match Hashtbl.find_opt dst.tbl name with
             | None -> Hashtbl.replace dst.tbl name (Quantiles (Sketch.copy s))
@@ -133,15 +93,6 @@ module Metrics = struct
     | Counter c -> Json.Int c
     | Sum s -> Json.Num s
     | Gauge g -> Json.Num g
-    | Hist h ->
-        Json.Obj
-          [
-            ("count", Json.Int h.count);
-            ("total", Json.Num h.total);
-            ("mean", Json.Num (hist_mean h));
-            ("min", Json.Num h.min);
-            ("max", Json.Num h.max);
-          ]
     | Quantiles s -> Sketch.to_json s
 
   let to_json t =
@@ -160,11 +111,6 @@ module Metrics = struct
           | Counter c -> ("counter", string_of_int c)
           | Sum s -> ("sum", float_csv s)
           | Gauge g -> ("gauge", float_csv g)
-          | Hist h ->
-              ( "hist",
-                Printf.sprintf "count=%d;total=%s;mean=%s;min=%s;max=%s" h.count
-                  (float_csv h.total) (float_csv (hist_mean h)) (float_csv h.min)
-                  (float_csv h.max) )
           | Quantiles s ->
               let q p = float_csv (Sketch.quantile_or ~default:0.0 s p) in
               ( "quantiles",
@@ -222,7 +168,6 @@ let metrics t = t.m
 let incr ?by t name = if enabled t then Metrics.incr ?by t.m name
 let add t name v = if enabled t then Metrics.add t.m name v
 let set t name v = if enabled t then Metrics.set t.m name v
-let observe t name v = if enabled t then Metrics.observe t.m name v
 
 let advance t n = if enabled t && n > 0 then t.cursor <- t.cursor + n
 let clock t = t.cursor

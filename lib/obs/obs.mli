@@ -12,8 +12,9 @@
       the default export, so the exported trace depends only on what the
       protocol did — never on the schedule.
     - {b Metrics} ({!Metrics}) are a typed name→value registry of counters,
-      float sums, gauges and histograms that replaces the ad-hoc meter
-      fields formerly scattered across [Engine.report] producers.
+      float sums, gauges and (wall-domain) quantile sketches that replaces
+      the ad-hoc meter fields formerly scattered across [Engine.report]
+      producers.
     - {b Exporters} write Chrome [trace_event] JSON ({!trace_json}) and flat
       metrics JSON/CSV dumps ({!metrics_json}, {!metrics_csv}).
 
@@ -44,13 +45,10 @@ val level_of_string : string -> level option
     emission under a name fixes its kind; mixing kinds under one name
     raises [Invalid_argument]. *)
 module Metrics : sig
-  type histogram = { count : int; total : float; min : float; max : float }
-
   type value =
     | Counter of int  (** additive integer count *)
     | Sum of float  (** additive float accumulator *)
     | Gauge of float  (** last-write-wins float *)
-    | Hist of histogram
     | Quantiles of Sketch.t
         (** mergeable quantile sketch — wall-domain only; its estimates
             depend on arrival values, so it must never enter a registry
@@ -62,7 +60,6 @@ module Metrics : sig
   val incr : ?by:int -> t -> string -> unit
   val add : t -> string -> float -> unit
   val set : t -> string -> float -> unit
-  val observe : t -> string -> float -> unit
 
   val observe_sketch : ?alpha:float -> t -> string -> float -> unit
   (** Record into a {!Quantiles} sketch under [name], creating it (with
@@ -76,16 +73,6 @@ module Metrics : sig
   val sum : t -> string -> float
   (** 0. when absent; reads [Sum] and [Gauge] values. *)
 
-  val hist : t -> string -> histogram option
-  (** [None] when absent; raises [Invalid_argument] on a non-histogram.
-      Lets consumers (bench harness, profiler) read distributions without
-      pattern-matching {!value} internals. *)
-
-  val hist_mean : histogram -> float
-  (** [total /. count], or [0.] when [count = 0]. Empty histograms do
-      occur — e.g. a [Hist] merged from a registry whose own source was
-      empty — so the convention is explicit rather than an error. *)
-
   val sketch : t -> string -> Sketch.t option
   (** [None] when absent; raises [Invalid_argument] on a non-sketch.
       The returned sketch is live — callers must not mutate it. *)
@@ -94,13 +81,13 @@ module Metrics : sig
   (** Sorted. *)
 
   val merge_into : dst:t -> t -> unit
-  (** Fold counters/sums additively, overwrite gauges, combine histograms
-      and quantile sketches — visiting the source in sorted-name order so
-      float accumulation is deterministic. *)
+  (** Fold counters/sums additively, overwrite gauges, combine quantile
+      sketches — visiting the source in sorted-name order so float
+      accumulation is deterministic. *)
 
   val to_json : t -> Json.t
-  (** Histograms carry the derived [mean] alongside count/total/min/max;
-      quantile sketches additionally carry [p50]/[p90]/[p99]. *)
+  (** Quantile sketches carry count/total/mean/min/max and
+      [p50]/[p90]/[p99]. *)
 
   val to_csv : t -> string
 end
@@ -139,7 +126,6 @@ val metrics : t -> Metrics.t
 val incr : ?by:int -> t -> string -> unit
 val add : t -> string -> float -> unit
 val set : t -> string -> float -> unit
-val observe : t -> string -> float -> unit
 
 val advance : t -> int -> unit
 (** Charge simulated ticks to the open span (and the cursor). Negative or
@@ -182,6 +168,5 @@ val metrics_json : t -> string
 (** Flat object keyed by metric name, sorted. *)
 
 val metrics_csv : t -> string
-(** [name,kind,value] rows, sorted by name; histograms flatten to
-    [count=..;total=..;mean=..;min=..;max=..] and quantile sketches to
-    the same plus [p50=..;p90=..;p99=..]. *)
+(** [name,kind,value] rows, sorted by name; quantile sketches flatten to
+    [count=..;total=..;mean=..;min=..;max=..;p50=..;p90=..;p99=..]. *)

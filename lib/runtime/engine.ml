@@ -254,10 +254,10 @@ let run cfg p ~graph ~initial_states =
           let bseed = Block.session_seed ~seed ~vertex:b.Block.vertex in
           let mat =
             Triple.Cache.find_or_generate ?dir:cfg.triple_cache cache ~digest ~parties:kp1
-              ~seed:bseed ~slice_width:cfg.slice_width ~mode:cfg.ot_mode ~evals
+              ~seed:bseed ~mode:cfg.ot_mode ~evals
               ~generate:(fun ~evals ->
                 Gmw.generate_material ~mode:cfg.ot_mode cfg.grp ~parties:kp1 ~seed:bseed
-                  ~slice_width:cfg.slice_width ~evals plan)
+                  ~evals plan)
           in
           Gmw.attach_material b.Block.session mat)
         blocks;
@@ -387,7 +387,7 @@ let run cfg p ~graph ~initial_states =
               Obs.advance obs (Traffic.total vtraffic.(o));
               Obs.leave obs;
               Obs.advance obs
-                (Phase.recovery_ticks (float_of_int events.(o) *. cfg.backoff));
+                (Fault.delay_ticks (float_of_int events.(o) *. cfg.backoff));
               Traffic.merge_into ~dst:traffic vtraffic.(o))
             outs;
           {
@@ -415,7 +415,7 @@ let run cfg p ~graph ~initial_states =
             Obs.advance obs (Traffic.total traffic);
             Array.iter
               (fun e ->
-                Obs.advance obs (Phase.recovery_ticks (float_of_int e *. cfg.backoff)))
+                Obs.advance obs (Fault.delay_ticks (float_of_int e *. cfg.backoff)))
               events
           end;
           {
@@ -470,7 +470,7 @@ let run cfg p ~graph ~initial_states =
         in
         if Obs.detailed obs then Obs.leave obs;
         Obs.advance obs
-          (Phase.recovery_ticks
+          (Fault.delay_ticks
              (delay +. backoff_seconds ~backoff:cfg.backoff ~retries:outcome.Protocol.retries));
         { Phase.traffic; payload = (outcome, delay) })
       ~merge:(fun e (o, delay) ->
@@ -720,9 +720,9 @@ let pp_report ppf r =
   | Some m ->
       let c = Obs.Metrics.counter m in
       Format.fprintf ppf
-        "transport: %d frame(s), %d respawn(s), %d suspicion(s), %d fenced, %d retransmit(s)@,"
+        "transport: %d frame(s), %d respawn(s), %d suspicion(s), %d fenced@,"
         (c "transport.frames_sent") (c "pool.respawns") (c "pool.suspicions")
-        (c "transport.fenced_frames") (c "transport.retransmits")
+        (c "transport.fenced_frames")
   | None -> ());
   (match r.offline_metrics with
   | Some m ->

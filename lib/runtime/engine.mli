@@ -160,8 +160,8 @@ type report = {
           {!Dstress_obs.Obs} exporters *)
   transport_metrics : Dstress_obs.Obs.Metrics.t option;
       (** wall-domain transport/pool counters when the executor was
-          [Distributed] (reconnects, retransmits, backoff sleeps,
-          respawns, fenced frames, ...); [None] for in-process backends.
+          [Distributed] (reconnects, backoff sleeps, respawns, fenced
+          frames, ...); [None] for in-process backends.
           Deliberately separate from [obs] — tick-domain exports stay
           byte-identical across executors. *)
   offline_metrics : Dstress_obs.Obs.Metrics.t option;

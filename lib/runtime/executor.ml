@@ -46,15 +46,12 @@ let of_string s =
                  s))
 
 let of_env () =
-  match Sys.getenv_opt "DSTRESS_EXECUTOR" with
-  | Some s -> ( match of_string s with Ok t -> t | Error _ -> Sequential)
-  | None -> (
-      match Sys.getenv_opt "DSTRESS_JOBS" with
-      | None -> Sequential
-      | Some s -> (
-          match int_of_string_opt (String.trim s) with
-          | Some j -> parallel ~jobs:j
-          | None -> Sequential))
+  match Sys.getenv_opt "DSTRESS_JOBS" with
+  | None -> Sequential
+  | Some s -> (
+      match int_of_string_opt (String.trim s) with
+      | Some j -> parallel ~jobs:j
+      | None -> Sequential)
 
 let jobs = function
   | Sequential -> 1

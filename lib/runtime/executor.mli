@@ -51,11 +51,10 @@ val of_string : string -> (t, string) result
     harness. *)
 
 val of_env : unit -> t
-(** [DSTRESS_EXECUTOR] (an {!of_string} spec) wins when set and valid;
-    otherwise the legacy [DSTRESS_JOBS] integer selects
-    [Parallel { jobs }] when [>= 2]. Absent or unparsable selects
-    [Sequential]. This is how CI runs the whole test suite under every
-    backend without touching any call site. *)
+(** The [DSTRESS_JOBS] integer selects [Parallel { jobs }] when [>= 2];
+    absent, unparsable or smaller selects [Sequential]. This is how CI
+    runs the whole test suite under both in-process backends without
+    touching any call site. *)
 
 val jobs : t -> int
 (** 1 for [Sequential]; worker count for the other backends. *)

@@ -1,6 +1,5 @@
 module Traffic = Dstress_mpc.Traffic
 module Obs = Dstress_obs.Obs
-module Fault = Dstress_faults.Fault
 
 type id = Setup | Initialization | Computation | Communication | Aggregation
 
@@ -12,13 +11,6 @@ let name = function
   | Aggregation -> "aggregation"
 
 let all = [ Setup; Initialization; Computation; Communication; Aggregation ]
-
-(* The seconds→ticks rounding rule lives in Fault so the engine's
-   recovery accounting and the transport's stall bookkeeping can never
-   disagree; these are retained as the runtime-facing aliases. *)
-let ticks_per_recovery_second = Fault.ticks_per_second
-
-let recovery_ticks = Fault.delay_ticks
 
 module Accounting = struct
   type t = {
@@ -54,7 +46,7 @@ module Accounting = struct
     Obs.incr t.obs ~by:b ("phase." ^ name phase ^ ".bytes")
 
   (* Recovery time is metered here but its simulated ticks are charged by
-     the caller (with {!recovery_ticks}) at the exact point in the task's
+     the caller (with [Fault.delay_ticks]) at the exact point in the task's
      timeline where the wait happens, so trace placement does not depend
      on merge granularity (per-vertex vs per-slice-group). *)
   let add_recovery t phase s =

@@ -23,14 +23,6 @@ type id = Setup | Initialization | Computation | Communication | Aggregation
 val name : id -> string
 val all : id list
 
-val ticks_per_recovery_second : float
-(** 10{^6}: one simulated-recovery second costs as many trace ticks as one
-    megabyte of wire traffic (wire bytes cost 1 tick each). *)
-
-val recovery_ticks : float -> int
-(** [recovery_ticks s] is the simulated-tick cost of [s] recovery seconds,
-    for {!Dstress_obs.Obs.advance}. *)
-
 (** Run-wide accounting: the global traffic matrix plus wall-clock
     seconds, wire bytes and simulated recovery delay attributed per phase,
     and the run's observability collector. Multiple batches may charge the
@@ -51,9 +43,9 @@ module Accounting : sig
   (** Add simulated backoff/handoff seconds (kept apart from measured
       wall-clock). Also emitted as the [phase.<name>.recovery_seconds]
       metric. The trace-timeline ticks are {e not} advanced here: the
-      caller charges them with {!recovery_ticks} at the point in the task
-      timeline where the wait happens, so span placement does not depend
-      on how tasks are grouped. *)
+      caller charges them with {!Dstress_faults.Fault.delay_ticks} at the
+      point in the task timeline where the wait happens, so span
+      placement does not depend on how tasks are grouped. *)
 
   val phase_seconds : t -> (id * float) list
   val phase_bytes : t -> (id * int) list

@@ -1,6 +1,5 @@
 module Crc32 = Dstress_util.Crc32
 module Prng = Dstress_util.Prng
-module Fault = Dstress_faults.Fault
 module Metrics = Dstress_obs.Obs.Metrics
 module Log = Dstress_obs.Log
 
@@ -26,8 +25,6 @@ type frame = {
   payload : bytes;
 }
 
-type action = Pass | Stall of float | Sever
-
 let magic = "DSTR"
 let version = 2
 let header_bytes = 36
@@ -39,20 +36,16 @@ type t = {
   write_deadline : float;
   m : Metrics.t;
   log : Log.t;
-  retain : bool;
   mutable next_seq : int64;
   mutable delivered : int64; (* highest seq handed to the application *)
-  mutable sent : (int64 * (int * int * int64 * bytes)) list; (* retained, newest first *)
-  mutable hook : (kind:int -> seq:int64 -> action) option;
   mutable closed : bool;
 }
 
 let fd t = t.fdesc
 let metrics t = t.m
-let last_delivered t = t.delivered
 
 let of_fd ?(metrics = Metrics.create ()) ?(log = Log.nop) ?(read_deadline = 10.0)
-    ?(write_deadline = 10.0) ?(retain = false) fdesc =
+    ?(write_deadline = 10.0) fdesc =
   Unix.set_nonblock fdesc;
   {
     fdesc;
@@ -60,11 +53,8 @@ let of_fd ?(metrics = Metrics.create ()) ?(log = Log.nop) ?(read_deadline = 10.0
     write_deadline;
     m = metrics;
     log;
-    retain;
     next_seq = 0L;
     delivered = -1L;
-    sent = [];
-    hook = None;
     closed = false;
   }
 
@@ -73,8 +63,6 @@ let close t =
     t.closed <- true;
     try Unix.close t.fdesc with Unix.Unix_error _ -> ()
   end
-
-let set_fault_hook t h = t.hook <- Some h
 
 let pair ?metrics ?log ?read_deadline ?write_deadline () =
   let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
@@ -106,13 +94,13 @@ let resolve_inet host =
       | _ | (exception Not_found) ->
           raise (Error (Closed (Printf.sprintf "resolve %s: unknown host" host))))
 
-let listen_tcp ?(backlog = 16) ~host ~port () =
+let listen_tcp ~host ~port () =
   let addr = resolve_inet host in
   let fdesc = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   (try
      Unix.setsockopt fdesc Unix.SO_REUSEADDR true;
      Unix.bind fdesc (Unix.ADDR_INET (addr, port));
-     Unix.listen fdesc backlog
+     Unix.listen fdesc 16
    with e ->
      close_quietly fdesc;
      raise e);
@@ -134,7 +122,7 @@ let select_w fds timeout =
   | _, w, _ -> w
   | exception Unix.Unix_error (EINTR, _, _) -> []
 
-let accept ?metrics ?log ?read_deadline ?write_deadline ?retain ~deadline lfd =
+let accept ?metrics ?log ?read_deadline ?write_deadline ~deadline lfd =
   let until = Unix.gettimeofday () +. deadline in
   let rec wait () =
     let remaining = until -. Unix.gettimeofday () in
@@ -144,14 +132,14 @@ let accept ?metrics ?log ?read_deadline ?write_deadline ?retain ~deadline lfd =
   wait ();
   let fdesc, _ = Unix.accept lfd in
   set_nodelay_if_inet fdesc;
-  of_fd ?metrics ?log ?read_deadline ?write_deadline ?retain fdesc
+  of_fd ?metrics ?log ?read_deadline ?write_deadline fdesc
 
 (* One bounded-retry connect loop for both address families; only the
    socket domain, target address and the set of transient errnos differ.
    Jittered exponential backoff: base * 2^i * (0.5 + u). *)
-let connect_retry ~metrics ?(log = Log.nop) ?read_deadline ?write_deadline ?retain
-    ~attempts ~backoff ~jitter_seed ~domain ~addr ~transient ~describe () =
-  let prng = Prng.create (Int64.of_int (Hashtbl.hash ("transport-jitter", jitter_seed))) in
+let connect_retry ~metrics ?(log = Log.nop) ?read_deadline ?write_deadline ~attempts
+    ~backoff ~domain ~addr ~transient ~describe () =
+  let prng = Prng.create (Int64.of_int (Hashtbl.hash ("transport-jitter", 0))) in
   let rec go i =
     Metrics.incr metrics "transport.connect_attempts";
     let fdesc = Unix.socket domain Unix.SOCK_STREAM 0 in
@@ -163,7 +151,7 @@ let connect_retry ~metrics ?(log = Log.nop) ?read_deadline ?write_deadline ?reta
             [ ("target", Log.Str describe); ("attempts", Log.Int (i + 1)) ]
         end;
         set_nodelay_if_inet fdesc;
-        of_fd ~metrics ~log ?read_deadline ?write_deadline ?retain fdesc
+        of_fd ~metrics ~log ?read_deadline ?write_deadline fdesc
     | exception Unix.Unix_error (e, _, _) when transient e ->
         close_quietly fdesc;
         Metrics.incr metrics "transport.connect_failures";
@@ -186,20 +174,20 @@ let connect_retry ~metrics ?(log = Log.nop) ?read_deadline ?write_deadline ?reta
   in
   go 0
 
-let connect ?(metrics = Metrics.create ()) ?log ?read_deadline ?write_deadline ?retain
-    ?(attempts = 8) ?(backoff = 0.01) ?(jitter_seed = 0) ~path () =
-  connect_retry ~metrics ?log ?read_deadline ?write_deadline ?retain ~attempts ~backoff
-    ~jitter_seed ~domain:Unix.PF_UNIX ~addr:(Unix.ADDR_UNIX path)
+let connect ?(metrics = Metrics.create ()) ?log ?read_deadline ?write_deadline
+    ?(attempts = 8) ?(backoff = 0.01) ~path () =
+  connect_retry ~metrics ?log ?read_deadline ?write_deadline ~attempts ~backoff
+    ~domain:Unix.PF_UNIX ~addr:(Unix.ADDR_UNIX path)
     ~transient:(function
       | Unix.ECONNREFUSED | Unix.ENOENT | Unix.EAGAIN | Unix.EINTR -> true
       | _ -> false)
     ~describe:path ()
 
 let connect_tcp ?(metrics = Metrics.create ()) ?log ?read_deadline ?write_deadline
-    ?retain ?(attempts = 8) ?(backoff = 0.01) ?(jitter_seed = 0) ~host ~port () =
+    ?(attempts = 8) ?(backoff = 0.01) ~host ~port () =
   let addr = resolve_inet host in
-  connect_retry ~metrics ?log ?read_deadline ?write_deadline ?retain ~attempts ~backoff
-    ~jitter_seed ~domain:Unix.PF_INET
+  connect_retry ~metrics ?log ?read_deadline ?write_deadline ~attempts ~backoff
+    ~domain:Unix.PF_INET
     ~addr:(Unix.ADDR_INET (addr, port))
     ~transient:(function
       | Unix.ECONNREFUSED | Unix.ETIMEDOUT | Unix.EHOSTUNREACH | Unix.ENETUNREACH
@@ -275,35 +263,14 @@ let encode_frame ~kind ~epoch ~seq ?(trace = 0L) payload =
   Bytes.blit payload 0 b header_bytes len;
   b
 
-let write_frame t ~kind ~epoch ~seq ?trace payload =
-  let b = encode_frame ~kind ~epoch ~seq ?trace payload in
-  write_all t b ~what:"send";
-  Metrics.incr t.m "transport.frames_sent";
-  Metrics.incr t.m ~by:(Bytes.length b) "transport.bytes_sent"
-
-let send t ~kind ~epoch ?(trace = 0L) payload =
+let send t ~kind ~epoch ?trace payload =
   if t.closed then raise (Error (Closed "send on closed connection"));
   let seq = t.next_seq in
   t.next_seq <- Int64.add seq 1L;
-  if t.retain then
-    t.sent <- (seq, (kind, epoch, trace, Bytes.copy payload)) :: t.sent;
-  (match t.hook with
-  | None -> ()
-  | Some h -> (
-      match h ~kind ~seq with
-      | Pass -> ()
-      | Stall s ->
-          Metrics.incr t.m "transport.stalls_injected";
-          (* Fault.delay_ticks is the one simulated-time rounding rule;
-             recording the stall's tick-equivalent here keeps wall-domain
-             bookkeeping comparable with the engine's recovery charges. *)
-          Metrics.incr t.m ~by:(Fault.delay_ticks s) "transport.stall_ticks";
-          Unix.sleepf s
-      | Sever ->
-          Metrics.incr t.m "transport.severs_injected";
-          close t;
-          raise (Error (Closed "injected sever"))));
-  write_frame t ~kind ~epoch ~seq ~trace payload;
+  let b = encode_frame ~kind ~epoch ~seq ?trace payload in
+  write_all t b ~what:"send";
+  Metrics.incr t.m "transport.frames_sent";
+  Metrics.incr t.m ~by:(Bytes.length b) "transport.bytes_sent";
   seq
 
 (* One raw frame off the wire, however long since the last one — the
@@ -355,15 +322,6 @@ let read_frame t ~first_timeout =
       Metrics.incr t.m ~by:(header_bytes + len) "transport.bytes_received";
       Some { kind; epoch; seq; trace; payload }
 
-let kind_ack = 0
-
-let handle_ack t payload =
-  if Bytes.length payload = 8 then begin
-    let upto = Bytes.get_int64_le payload 0 in
-    Metrics.incr t.m "transport.acks_received";
-    t.sent <- List.filter (fun (s, _) -> Int64.compare s upto > 0) t.sent
-  end
-
 let recv t ~timeout =
   if t.closed then raise (Error (Closed "recv on closed connection"));
   let deadline = now () +. timeout in
@@ -375,12 +333,9 @@ let recv t ~timeout =
     else
       match read_frame t ~first_timeout:(max remaining 0.0) with
       | None -> None
-      | Some f when f.kind = kind_ack ->
-          handle_ack t f.payload;
-          loop ~first:false
       | Some f when Int64.compare f.seq t.delivered <= 0 ->
-          (* Idempotent dedup: a retransmitted frame that already made it
-             through is acknowledged by silence, never re-applied. *)
+          (* A frame whose seq is not above the last one delivered is a
+             replay: dropped, never re-applied. *)
           Metrics.incr t.m "transport.dup_dropped";
           Log.debug t.log "transport duplicate dropped" ~trace:f.trace
             [ ("seq", Log.Int (Int64.to_int f.seq)) ];
@@ -391,37 +346,7 @@ let recv t ~timeout =
   in
   loop ~first:true
 
-let ack t upto =
-  let payload = Bytes.create 8 in
-  Bytes.set_int64_le payload 0 upto;
-  Metrics.incr t.m "transport.acks_sent";
-  (* Acks bypass the retained-frame buffer and the fault hook: they are
-     transport housekeeping, not application traffic. *)
-  let seq = t.next_seq in
-  t.next_seq <- Int64.add seq 1L;
-  write_frame t ~kind:kind_ack ~epoch:0 ~seq payload
-
-let takeover ~old t =
-  t.next_seq <- old.next_seq;
-  t.delivered <- old.delivered;
-  t.sent <- old.sent;
-  old.sent <- [];
-  Metrics.incr t.m "transport.reconnects"
-
-let retransmit_from t upto =
-  if not t.retain then invalid_arg "Transport.retransmit_from: connection does not retain";
-  let pending =
-    List.filter (fun (s, _) -> Int64.compare s upto > 0) t.sent |> List.rev
-  in
-  List.iter
-    (fun (seq, (kind, epoch, trace, payload)) ->
-      Metrics.incr t.m "transport.retransmits";
-      write_frame t ~kind ~epoch ~seq ~trace payload)
-    pending;
-  List.length pending
-
 module Kind = struct
-  let ack = kind_ack
   let hello = 1
   let heartbeat = 2
   let task = 3
@@ -434,20 +359,4 @@ module Kind = struct
   let response = 10
   let stats = 11
   let stats_reply = 12
-
-  let name = function
-    | 0 -> "ack"
-    | 1 -> "hello"
-    | 2 -> "heartbeat"
-    | 3 -> "task"
-    | 4 -> "result"
-    | 5 -> "error"
-    | 6 -> "shutdown"
-    | 7 -> "ping"
-    | 8 -> "echo"
-    | 9 -> "request"
-    | 10 -> "response"
-    | 11 -> "stats"
-    | 12 -> "stats_reply"
-    | k -> "kind:" ^ string_of_int k
 end

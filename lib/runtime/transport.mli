@@ -5,10 +5,11 @@
     over anonymous [AF_UNIX] [socketpair]s; named sockets and TCP carry
     the daemon's clients ({!Service}). The layer is built {e failure
     first} — every operation has a deadline, connections are established
-    with bounded jittered-exponential-backoff retry, every frame carries a
-    CRC-32 and a sequence number, and receivers drop duplicates
-    idempotently so a retransmission after a reconnect can never be
-    applied twice.
+    with bounded jittered-exponential-backoff retry, and every frame
+    carries a CRC-32 and a sequence number; a receiver drops any frame
+    whose sequence number is not above the last one it delivered. A lost
+    connection is not repaired here: the {!Supervisor} fences it and
+    respawns the worker on a fresh one.
 
     {b Frame format} (little-endian):
     {v
@@ -25,21 +26,19 @@
     v}
 
     {b Domains.} Everything this module measures is {e wall-domain}: RTTs,
-    backoff sleeps, retransmits, reconnects. Its metrics live in a
-    registry that is never merged into a run's deterministic tick-domain
-    collector — Obs exports stay byte-identical whether or not a
-    transport sits under the run (see DESIGN.md §10).
+    backoff sleeps, reconnects. Its metrics live in a registry that is
+    never merged into a run's deterministic tick-domain collector — Obs
+    exports stay byte-identical whether or not a transport sits under the
+    run (see DESIGN.md §10).
 
-    {b Fault injection.} A connection accepts an injection hook consulted
-    on every send: the hook can stall the write (a slow or wedged peer)
-    or sever the connection (a crashed peer / broken socket). The worker
-    pools inject the wire fault kinds of {!Dstress_faults.Fault} through
-    the {!Supervisor}'s task header instead, so their failure paths are
-    replayable from a deterministic plan. *)
+    {b Fault injection} happens above this layer: the worker pools carry
+    the wire fault kinds of {!Dstress_faults.Fault} in the
+    {!Supervisor}'s task header, so their failure paths are replayable
+    from a deterministic plan. *)
 
 type error =
   | Timeout of string  (** a read/write/connect/accept deadline expired *)
-  | Closed of string  (** peer EOF, EPIPE/ECONNRESET, or injected sever *)
+  | Closed of string  (** peer EOF, EPIPE/ECONNRESET *)
   | Integrity of string
       (** CRC mismatch, bad magic/version, or oversized frame — the byte
           stream is no longer trustworthy; callers must drop the
@@ -59,11 +58,6 @@ type frame = {
   payload : bytes;
 }
 
-type action =
-  | Pass
-  | Stall of float  (** sleep this many wall seconds before the write *)
-  | Sever  (** close the socket abruptly instead of writing *)
-
 type t
 
 val of_fd :
@@ -71,16 +65,13 @@ val of_fd :
   ?log:Dstress_obs.Log.t ->
   ?read_deadline:float ->
   ?write_deadline:float ->
-  ?retain:bool ->
   Unix.file_descr ->
   t
 (** Wrap a connected socket (set non-blocking here). [read_deadline] /
     [write_deadline] (default 10 s) bound every frame-level operation —
     a peer that stalls mid-frame surfaces as [Error (Timeout _)], never a
-    hang. With [retain] (default false) sent frames are kept until
-    {!ack}ed so {!retransmit_from} can replay them after a reconnect.
-    [log] (default {!Dstress_obs.Log.nop}) receives wall-domain events for
-    timeouts, framing/CRC violations and duplicate drops. *)
+    hang. [log] (default {!Dstress_obs.Log.nop}) receives wall-domain
+    events for timeouts, framing/CRC violations and duplicate drops. *)
 
 val pair :
   ?metrics:Dstress_obs.Obs.Metrics.t ->
@@ -94,11 +85,11 @@ val pair :
 val listen : path:string -> Unix.file_descr
 (** Bind and listen on a named Unix socket, unlinking a stale file first. *)
 
-val listen_tcp : ?backlog:int -> host:string -> port:int -> unit -> Unix.file_descr * int
-(** Bind and listen on a TCP address ([SO_REUSEADDR] set, backlog default
-    16). [host] is a dotted quad or resolvable name; [port] 0 asks the
-    kernel for an ephemeral port. Returns the listening descriptor and
-    the actually bound port. The descriptor feeds the same {!accept} as
+val listen_tcp : host:string -> port:int -> unit -> Unix.file_descr * int
+(** Bind and listen on a TCP address ([SO_REUSEADDR] set, backlog 16).
+    [host] is a dotted quad or resolvable name; [port] 0 asks the kernel
+    for an ephemeral port. Returns the listening descriptor and the
+    actually bound port. The descriptor feeds the same {!accept} as
     the Unix-socket listener — deadline semantics are identical. *)
 
 val accept :
@@ -106,7 +97,6 @@ val accept :
   ?log:Dstress_obs.Log.t ->
   ?read_deadline:float ->
   ?write_deadline:float ->
-  ?retain:bool ->
   deadline:float ->
   Unix.file_descr ->
   t
@@ -119,17 +109,14 @@ val connect :
   ?log:Dstress_obs.Log.t ->
   ?read_deadline:float ->
   ?write_deadline:float ->
-  ?retain:bool ->
   ?attempts:int ->
   ?backoff:float ->
-  ?jitter_seed:int ->
   path:string ->
   unit ->
   t
 (** Connect to a named socket with bounded retry: up to [attempts]
     (default 8) tries, sleeping [backoff * 2^i * (0.5 + u_i)] between
-    them ([u_i] uniform in [0,1) from a SplitMix stream seeded by
-    [jitter_seed], so two workers hammering the same coordinator desync).
+    them ([u_i] uniform in [0,1) from a fixed-seed SplitMix stream).
     Default [backoff] 10 ms. Exhausted attempts raise [Error (Timeout _)].
     Sleeps are recorded under [transport.backoff_sleep_s]. *)
 
@@ -138,10 +125,8 @@ val connect_tcp :
   ?log:Dstress_obs.Log.t ->
   ?read_deadline:float ->
   ?write_deadline:float ->
-  ?retain:bool ->
   ?attempts:int ->
   ?backoff:float ->
-  ?jitter_seed:int ->
   host:string ->
   port:int ->
   unit ->
@@ -152,9 +137,6 @@ val connect_tcp :
     ([ECONNREFUSED], [ETIMEDOUT], [EHOSTUNREACH], [ENETUNREACH]).
     [TCP_NODELAY] is set on the connected socket. *)
 
-val set_fault_hook : t -> (kind:int -> seq:int64 -> action) -> unit
-(** Installed hook is consulted before every frame write. *)
-
 val send : t -> kind:int -> epoch:int -> ?trace:int64 -> bytes -> int64
 (** Frame and write the payload within the write deadline; returns the
     assigned sequence number. [trace] (default [0L]) is carried verbatim
@@ -162,41 +144,21 @@ val send : t -> kind:int -> epoch:int -> ?trace:int64 -> bytes -> int64
 
 val recv : t -> timeout:float -> frame option
 (** Next fresh frame within [timeout] seconds, or [None]. [timeout] 0
-    polls: a frame already readable is returned. Duplicate
-    sequence numbers (<= the highest already delivered) are dropped and
-    counted under [transport.dup_dropped]; ack frames are consumed
-    internally. A CRC or framing violation raises [Error (Integrity _)]. *)
-
-val ack : t -> int64 -> unit
-(** Tell the peer every frame up to [seq] arrived; a retaining peer prunes
-    its replay buffer. *)
-
-val retransmit_from : t -> int64 -> int
-(** Re-send every retained frame with seq > the given ack point (in seq
-    order, original seq numbers — the receiver's dedup makes replay
-    idempotent). Returns the number of frames retransmitted and counts
-    them under [transport.retransmits]. Requires [retain]. *)
-
-val takeover : old:t -> t -> unit
-(** Carry a dead connection's sequencing state — next send seq, highest
-    delivered seq, retained unacked frames — onto a freshly connected
-    replacement, so {!retransmit_from} can replay across a reconnect and
-    the peer's dedup window stays valid. The old connection's retain
-    buffer is drained into the new one. *)
+    polls: a frame already readable is returned. A frame whose sequence
+    number is not above the highest already delivered is a replay: it is
+    dropped and counted under [transport.dup_dropped]. A CRC or framing
+    violation raises [Error (Integrity _)]. *)
 
 val close : t -> unit
 (** Idempotent. *)
 
 val fd : t -> Unix.file_descr
 val metrics : t -> Dstress_obs.Obs.Metrics.t
-val last_delivered : t -> int64
-(** Highest sequence number delivered by {!recv} (-1 initially). *)
 
-(** Well-known frame kinds shared by the {!Distributed} pool and the
-    [dstress transport] CLI tool. The transport itself interprets only
-    [ack]. *)
+(** Well-known frame kinds shared by the {!Supervisor}'s pools, the
+    {!Service} daemon and the [dstress transport] CLI tool. The transport
+    itself interprets none of them. *)
 module Kind : sig
-  val ack : int
   val hello : int
   val heartbeat : int
   val task : int
@@ -217,6 +179,4 @@ module Kind : sig
 
   val stats_reply : int
   (** admin: the JSON-encoded stats snapshot (daemon -> client) *)
-
-  val name : int -> string
 end

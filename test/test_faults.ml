@@ -96,18 +96,7 @@ let test_delay_ticks_contract () =
   Alcotest.(check int) "50 ms" 50_000 (Fault.delay_ticks 0.05);
   Alcotest.(check int) "truncates toward zero" 1 (Fault.delay_ticks 1.9e-6);
   Alcotest.(check int) "sub-microsecond charges nothing" 0 (Fault.delay_ticks 4.0e-7);
-  Alcotest.(check int) "negative never charges" 0 (Fault.delay_ticks (-0.5e-6));
-  (* The engine's recovery accounting and the transport's stall
-     bookkeeping must share this rule, not re-derive it. *)
-  Alcotest.(check (float 0.0)) "Phase aliases the constant"
-    Fault.ticks_per_second Dstress_runtime.Phase.ticks_per_recovery_second;
-  List.iter
-    (fun s ->
-      Alcotest.(check int)
-        (Printf.sprintf "Phase.recovery_ticks %g aliases Fault.delay_ticks" s)
-        (Fault.delay_ticks s)
-        (Dstress_runtime.Phase.recovery_ticks s))
-    [ 0.0; 1.0e-7; 0.013; 0.05; 1.75; 12.125 ]
+  Alcotest.(check int) "negative never charges" 0 (Fault.delay_ticks (-0.5e-6))
 
 let test_wire_kinds_classified () =
   List.iter

@@ -53,14 +53,14 @@ let test_metrics_kinds () =
   Obs.Metrics.set m "g" 7.0;
   Obs.Metrics.set m "g" 2.0;
   Alcotest.(check (float 0.0)) "gauge last write" 2.0 (Obs.Metrics.sum m "g");
-  Obs.Metrics.observe m "h" 3.0;
-  Obs.Metrics.observe m "h" 1.0;
+  Obs.Metrics.observe_sketch m "h" 3.0;
+  Obs.Metrics.observe_sketch m "h" 1.0;
   (match Obs.Metrics.find m "h" with
-  | Some (Obs.Metrics.Hist h) ->
-      Alcotest.(check int) "hist count" 2 h.count;
-      Alcotest.(check (float 0.0)) "hist min" 1.0 h.min;
-      Alcotest.(check (float 0.0)) "hist max" 3.0 h.max
-  | _ -> Alcotest.fail "expected a histogram");
+  | Some (Obs.Metrics.Quantiles q) ->
+      Alcotest.(check int) "quantiles count" 2 (Dstress_obs.Sketch.count q);
+      Alcotest.(check (float 0.0)) "quantiles min" 1.0 (Dstress_obs.Sketch.min_value q);
+      Alcotest.(check (float 0.0)) "quantiles max" 3.0 (Dstress_obs.Sketch.max_value q)
+  | _ -> Alcotest.fail "expected a quantile sketch");
   Alcotest.(check (list string)) "names sorted" [ "c"; "g"; "h"; "s" ] (Obs.Metrics.names m);
   Alcotest.(check int) "absent counter is 0" 0 (Obs.Metrics.counter m "nope");
   Alcotest.check_raises "kind mismatch"

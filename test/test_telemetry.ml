@@ -212,7 +212,7 @@ let test_metrics_quantiles () =
   | Some s -> Alcotest.(check int) "sketch accessor" 4 (Sketch.count s)
   | None -> Alcotest.fail "sketch must exist");
   Alcotest.(check bool) "absent sketch is None" true (Metrics.sketch m "nope" = None);
-  (match Metrics.observe m "lat" 1.0 with
+  (match Metrics.incr m "lat" with
   | exception Invalid_argument _ -> ()
   | () -> Alcotest.fail "kind mixing must raise");
   (* merge_into copies, so mutating the source later must not leak. *)

@@ -73,7 +73,7 @@ let check_scalar_equiv ?(mode = Ot_ext.Simulation) ~parties ~evals ~batches circ
   let online = (make_sessions ~mode ~parties ~count:1 tag).(0) in
   let plan = Plan.of_circuit circuit in
   let mat =
-    Gmw.generate_material ~mode grp ~parties ~seed:(seed_of tag 0) ~slice_width:1 ~evals plan
+    Gmw.generate_material ~mode grp ~parties ~seed:(seed_of tag 0) ~evals plan
   in
   Alcotest.(check int) (tag ^ ": evals available") evals (Triple.evals_available mat);
   Gmw.attach_material online mat;
@@ -124,8 +124,7 @@ let check_sliced_equiv ?(mode = Ot_ext.Simulation) ~parties ~count ~evals ~batch
     (fun i s ->
       if attach_to i then
         Gmw.attach_material s
-          (Gmw.generate_material ~mode grp ~parties ~seed:(seed_of tag i)
-             ~slice_width:(min count 64) ~evals plan))
+          (Gmw.generate_material ~mode grp ~parties ~seed:(seed_of tag i) ~evals plan))
     online;
   for e = 0 to batches - 1 do
     let inputs = make_inputs ~parties ~count (Printf.sprintf "%s:%d" tag e) circuit in
@@ -161,7 +160,7 @@ let test_digest_mismatch_drops_material () =
   let s = (make_sessions ~parties:2 ~count:1 "mismatch").(0) in
   let mat =
     Gmw.generate_material ~mode:Ot_ext.Simulation grp ~parties:2 ~seed:(seed_of "mismatch" 0)
-      ~slice_width:1 ~evals:2 (Plan.of_circuit circuit_a)
+      ~evals:2 (Plan.of_circuit circuit_a)
   in
   Gmw.attach_material s mat;
   let shares = (make_inputs ~parties:2 ~count:1 "mismatch" circuit_b).(0) in
@@ -180,7 +179,7 @@ let test_attach_rejects () =
   let mk () = (make_sessions ~parties:2 ~count:1 "reject").(0) in
   let mat =
     Gmw.generate_material ~mode:Ot_ext.Simulation grp ~parties:2 ~seed:(seed_of "reject" 0)
-      ~slice_width:1 ~evals:1 plan
+      ~evals:1 plan
   in
   (* Used session. *)
   let used = mk () in
@@ -225,11 +224,11 @@ let test_plan_digest_and_memo () =
 (* ------------------------------------------------------------------ *)
 
 let gen_for ~parties ~seed ~evals plan ~evals:_ =
-  Gmw.generate_material ~mode:Ot_ext.Simulation grp ~parties ~seed ~slice_width:1 ~evals plan
+  Gmw.generate_material ~mode:Ot_ext.Simulation grp ~parties ~seed ~evals plan
 
 let request ?dir cache plan ~parties ~seed ~evals =
   Triple.Cache.find_or_generate ?dir cache ~digest:(Plan.digest plan) ~parties ~seed
-    ~slice_width:1 ~mode:Ot_ext.Simulation ~evals
+    ~mode:Ot_ext.Simulation ~evals
     ~generate:(gen_for ~parties ~seed ~evals plan)
 
 let test_cache_memory () =
@@ -300,9 +299,9 @@ let test_cache_disk () =
             end)
           (Sys.readdir dir)
       in
-      (* A file from an older build (version 1 magic) keeps a valid CRC,
+      (* A file from an older build (version 2 magic) keeps a valid CRC,
          but its payload may be another type: it must miss, not load. *)
-      let stale = "DSTRESS-TRIPLE/1\n" in
+      let stale = "DSTRESS-TRIPLE/2\n" in
       rewrite_cache_files (fun b -> Bytes.blit_string stale 0 b 0 (String.length stale));
       let c_stale = Triple.Cache.create () in
       ignore (request ~dir c_stale plan ~parties:2 ~seed:"cache-disk" ~evals:2);
@@ -471,8 +470,12 @@ let test_engine_seq_par () =
   check_reports_equal "seq slice 64" base pre64;
   check_reports_equal "seq inline rerun" base inline_again;
   Alcotest.(check int) "preprocess adds no compilations" d_inline d_pre;
-  check_reports_equal "seq slice 1" base
-    (run_engine ~preprocess:true ~slice_width:1 ~executor:Executor.sequential ~seed fx);
+  let seq1 = run_engine ~preprocess:true ~slice_width:1 ~executor:Executor.sequential ~seed fx in
+  check_reports_equal "seq slice 1" base seq1;
+  (* One material serves every slice width: the width-1 run reuses what
+     the width-64 run generated. *)
+  Alcotest.(check int) "slice 1 reuses slice 64's material" 0
+    (offline_counter seq1 "preprocess.cache.generations");
   check_reports_equal "par slice 64" base
     (run_engine ~preprocess:true ~executor:(Executor.parallel ~jobs:3) ~seed fx);
   check_reports_equal "par slice 1" base
