@@ -39,7 +39,7 @@ let run_en ~iterations ~k topo prng =
   let states = En_program.encode_instance inst ~graph ~l ~degree:d ~scale:0.25 in
   let cfg =
     { (Engine.default_config grp ~k ~degree_bound:d ~seed:"fig5-en") with
-      Engine.obs_level = Obs.Basic }
+      Engine.obs_level = Obs.Full }
   in
   Engine.run cfg p ~graph ~initial_states:states
 
@@ -56,7 +56,7 @@ let run_egj ~iterations ~k topo prng =
   let states = Egj_program.encode_instance inst ~graph ~l:12 ~frac:5 ~degree:d ~scale:4.0 in
   let cfg =
     { (Engine.default_config grp ~k ~degree_bound:d ~seed:"fig5-egj") with
-      Engine.obs_level = Obs.Basic }
+      Engine.obs_level = Obs.Full }
   in
   Engine.run cfg p ~graph ~initial_states:states
 

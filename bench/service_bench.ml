@@ -90,7 +90,6 @@ let en_handler (req : Service.request) =
       with
       Engine.executor;
       ot_mode = req.Service.ot_mode;
-      slice_width = req.Service.slice_width;
       preprocess = req.Service.preprocess;
     }
   in

@@ -59,20 +59,22 @@ dune exec bin/dstress.exe -- stress --core 2 --periphery 1 -i 1 -k 1 \
 
 # Observability smoke: the same faulty run under every executor backend —
 # including the multi-process distributed one — must export byte-identical
-# trace/metrics files, and they must parse as JSON.
+# trace/metrics files, and they must parse as JSON. The export flags turn
+# on full collection. The 5 vertices form one GMW batch under sequential
+# and one-vertex batches under parallel:5.
 echo "== obs smoke (trace/metrics determinism across executors) =="
 OBS_TMP="$CI_TMP"
-for exec in sequential parallel:4 distributed:2; do
+for exec in sequential parallel:4 parallel:5 distributed:2; do
   tag="$(echo "$exec" | tr ':' '.')"
   dune exec bin/dstress.exe -- stress --core 2 --periphery 3 -i 2 \
-    --fault-crashes 2 --executor "$exec" --slice-width 64 --obs-level full \
+    --fault-crashes 2 --executor "$exec" \
     --trace "$OBS_TMP/trace.$tag.json" --metrics "$OBS_TMP/metrics.$tag.json" \
     > /dev/null
 done
-cmp "$OBS_TMP/trace.sequential.json" "$OBS_TMP/trace.parallel.4.json"
-cmp "$OBS_TMP/trace.sequential.json" "$OBS_TMP/trace.distributed.2.json"
-cmp "$OBS_TMP/metrics.sequential.json" "$OBS_TMP/metrics.parallel.4.json"
-cmp "$OBS_TMP/metrics.sequential.json" "$OBS_TMP/metrics.distributed.2.json"
+for tag in parallel.4 parallel.5 distributed.2; do
+  cmp "$OBS_TMP/trace.sequential.json" "$OBS_TMP/trace.$tag.json"
+  cmp "$OBS_TMP/metrics.sequential.json" "$OBS_TMP/metrics.$tag.json"
+done
 dune exec test/json_check.exe -- \
   "$OBS_TMP/trace.sequential.json" "$OBS_TMP/metrics.sequential.json"
 
@@ -83,18 +85,16 @@ dune exec test/json_check.exe -- \
 # the disk-reload path too (--triple-cache implies --preprocess).
 echo "== preprocess smoke (offline/online observational identity) =="
 dune exec bin/dstress.exe -- stress --core 2 --periphery 3 -i 2 \
-  --slice-width 64 --obs-level full \
   --trace "$CI_TMP/trace.inline.json" --metrics "$CI_TMP/metrics.inline.json" \
   > /dev/null
 dune exec bin/dstress.exe -- stress --core 2 --periphery 3 -i 2 \
-  --slice-width 64 --obs-level full --preprocess \
-  --triple-cache "$CI_TMP/triples" \
+  --preprocess --triple-cache "$CI_TMP/triples" \
   --trace "$CI_TMP/trace.pre.json" --metrics "$CI_TMP/metrics.pre.json" \
   > /dev/null
 cmp "$CI_TMP/trace.inline.json" "$CI_TMP/trace.pre.json"
 cmp "$CI_TMP/metrics.inline.json" "$CI_TMP/metrics.pre.json"
 dune exec bin/dstress.exe -- stress --core 2 --periphery 3 -i 2 \
-  --slice-width 64 --obs-level full --triple-cache "$CI_TMP/triples" \
+  --triple-cache "$CI_TMP/triples" \
   --trace "$CI_TMP/trace.reload.json" --metrics "$CI_TMP/metrics.reload.json" \
   > /dev/null
 cmp "$CI_TMP/trace.inline.json" "$CI_TMP/trace.reload.json"
@@ -105,13 +105,13 @@ cmp "$CI_TMP/metrics.inline.json" "$CI_TMP/metrics.reload.json"
 # metrics exports byte-compare across the two modes, for EN (sliced, with
 # preprocessing) and for EGJ.
 echo "== OT-mode differential (simulation vs crypto exports) =="
-for run in "en:--slice-width 64 --preprocess" "egj:"; do
+for run in "en:--preprocess" "egj:"; do
   model="${run%%:*}"
   extra="${run#*:}"
   for ot in simulation crypto; do
     # $extra is a flag list, left unquoted so it splits into words.
     dune exec bin/dstress.exe -- stress --model "$model" --core 2 --periphery 1 \
-      -i 1 -k 1 --obs-level full $extra --ot "$ot" \
+      -i 1 -k 1 $extra --ot "$ot" \
       --trace "$CI_TMP/ot.$model.$ot.trace.json" \
       --metrics "$CI_TMP/ot.$model.$ot.metrics.json" > /dev/null
   done
@@ -148,7 +148,6 @@ done
 # the TERM signal reaches it, not a wrapper.
 echo "== service smoke (daemon + concurrent requests + drain) =="
 dune exec bin/dstress.exe -- stress --core 2 --periphery 3 -i 2 \
-  --slice-width 64 --obs-level full \
   --trace "$CI_TMP/solo.trace.json" --metrics "$CI_TMP/solo.metrics.json" \
   > /dev/null
 SVC_SOCK="$CI_TMP/dstress-ci.sock"
@@ -158,7 +157,7 @@ SVC_PID=$!
 REQ_PIDS=""
 for i in 1 2 3; do
   _build/default/bin/dstress.exe request --socket "$SVC_SOCK" \
-    --core 2 --periphery 3 -i 2 --slice-width 64 \
+    --core 2 --periphery 3 -i 2 \
     --trace "$CI_TMP/svc.$i.trace.json" --metrics "$CI_TMP/svc.$i.metrics.json" \
     > /dev/null &
   REQ_PIDS="$REQ_PIDS $!"

@@ -224,15 +224,6 @@ let catch_degraded f =
       Format.eprintf "dstress: worker task %d failed: %s@." index message;
       exit degraded_exit
 
-let slice_width_arg =
-  Arg.(
-    value & opt int 64
-    & info [ "slice-width" ] ~docv:"INT"
-        ~doc:
-          "Vertices per bitsliced GMW batch in a computation step (1-64). 1 \
-           evaluates one vertex per task; results are identical for every \
-           value.")
-
 let preprocess_arg =
   Arg.(
     value & flag
@@ -260,16 +251,6 @@ let triple_cache_arg =
 module Obs = Dstress_obs.Obs
 module Prof = Dstress_obs.Prof
 
-let obs_level_arg =
-  Arg.(
-    value
-    & opt (enum [ ("off", Obs.Off); ("basic", Obs.Basic); ("full", Obs.Full) ]) Obs.Off
-    & info [ "obs-level" ] ~docv:"LEVEL"
-        ~doc:
-          "Observability level: off (zero-cost), basic (metrics + phase spans), full \
-           (adds per-vertex, per-transfer and per-attempt spans). Implied full when \
-           --trace or --metrics is given without an explicit level.")
-
 let trace_arg =
   Arg.(
     value
@@ -278,7 +259,7 @@ let trace_arg =
         ~doc:
           "Write the run's span trace as Chrome trace_event JSON (load it in \
            about://tracing or Perfetto). The timeline is simulated — 1 tick per wire \
-           byte — so the file is bit-identical across --executor and --slice-width.")
+           byte — so the file is bit-identical across --executor.")
 
 let metrics_arg =
   Arg.(
@@ -307,15 +288,6 @@ let profile_arg =
         ~doc:
           "Aggregate span wall-times into a hot-spot profile: a human table when \
            FILE is -, JSON otherwise (per-label self/total seconds and counts).")
-
-(* An export flag without --obs-level means the user wants the data:
-   collect everything rather than silently writing empty exports. *)
-let effective_obs_level level ~trace ~metrics ~trace_wall ~profile =
-  if
-    level = Obs.Off
-    && (trace <> None || metrics <> None || trace_wall <> None || profile <> None)
-  then Obs.Full
-  else level
 
 let write_file path contents =
   let oc = open_out path in
@@ -390,13 +362,11 @@ let egj_scale = 4.0
    tick-domain exports) as a solo `dstress stress` of that config.
    Returns the report and the decoded TDS. *)
 let run_model model ~grp ~k ~epsilon ~iterations ~seed ~core ~periphery ~shock ~ot_mode
-    ~slice_width ~preprocess ~triple_cache ~executor ~obs_level ~fault_plan ~max_retries
-    ~backoff =
+    ~preprocess ~triple_cache ~executor ~obs_level ~fault_plan ~max_retries ~backoff =
   let base_cfg ~degree =
     { (Engine.default_config grp ~k ~degree_bound:degree ~seed:(string_of_int seed)) with
       Engine.executor;
       ot_mode;
-      slice_width;
       preprocess;
       triple_cache;
       obs_level;
@@ -427,11 +397,16 @@ let run_model model ~grp ~k ~epsilon ~iterations ~seed ~core ~periphery ~shock ~
 
 let stress model seed grpname ot_mode k core periphery iterations epsilon shock
     reference_only fault_rate fault_crashes max_retries backoff executor_spec
-    wire_fault_rate wire_faults transport_metrics slice_width preprocess
-    triple_cache obs_level trace metrics trace_wall profile =
+    wire_fault_rate wire_faults transport_metrics preprocess triple_cache trace metrics
+    trace_wall profile =
   let grp = Group.by_name grpname in
   let preprocess = preprocess || triple_cache <> None in
-  let obs_level = effective_obs_level obs_level ~trace ~metrics ~trace_wall ~profile in
+  (* Only the export flags read the collector: collect exactly when one
+     is given. *)
+  let obs_level =
+    if trace <> None || metrics <> None || trace_wall <> None || profile <> None then Obs.Full
+    else Obs.Off
+  in
   let exec = resolve_executor executor_spec in
   let wire = wire_plan ~exec ~seed ~iterations ~wire_fault_rate ~wire_faults in
   let finish ~graph ~tds report =
@@ -449,7 +424,7 @@ let stress model seed grpname ot_mode k core periphery iterations epsilon shock
     let report, tds =
       catch_degraded (fun () ->
           run_model model ~grp ~k ~epsilon ~iterations ~seed ~core ~periphery ~shock
-            ~ot_mode ~slice_width ~preprocess ~triple_cache ~executor:exec ~obs_level
+            ~ot_mode ~preprocess ~triple_cache ~executor:exec ~obs_level
             ~fault_plan ~max_retries ~backoff)
     in
     finish ~graph ~tds report
@@ -486,8 +461,8 @@ let stress_cmd =
       $ iterations_arg $ epsilon_arg $ shock_arg $ reference_only_arg $ fault_rate_arg
       $ fault_crashes_arg $ max_retries_arg $ backoff_arg $ executor_arg
       $ wire_fault_rate_arg $ wire_faults_arg $ transport_metrics_arg
-      $ slice_width_arg $ preprocess_arg $ triple_cache_arg $ obs_level_arg $ trace_arg
-      $ metrics_arg $ trace_wall_arg $ profile_arg)
+      $ preprocess_arg $ triple_cache_arg $ trace_arg $ metrics_arg $ trace_wall_arg
+      $ profile_arg)
 
 (* ------------------------------------------------------------------ *)
 (* project command                                                     *)
@@ -712,9 +687,8 @@ let service_handler ~grpname ~epsilon ~shock ~triple_cache (req : Service.reques
   let report, _tds =
     run_model model ~grp ~k:req.Service.k ~epsilon ~iterations:req.Service.iterations
       ~seed:req.Service.seed ~core:req.Service.core ~periphery:req.Service.periphery
-      ~shock ~ot_mode:req.Service.ot_mode ~slice_width:req.Service.slice_width
-      ~preprocess ~triple_cache ~executor ~obs_level:Obs.Full ~fault_plan:Fault.empty
-      ~max_retries:2 ~backoff:0.05
+      ~shock ~ot_mode:req.Service.ot_mode ~preprocess ~triple_cache ~executor
+      ~obs_level:Obs.Full ~fault_plan:Fault.empty ~max_retries:2 ~backoff:0.05
   in
   {
     Service.output = report.Engine.output;
@@ -818,8 +792,8 @@ let serve_cmd =
       const serve $ socket $ listen $ workers $ queue_depth $ log_level $ slow_request
       $ group_arg $ epsilon_arg $ shock_arg $ triple_cache_arg)
 
-let request socket connect model seed core periphery iterations k slice_width ot_mode
-    preprocess executor_spec timeout trace metrics =
+let request socket connect model seed core periphery iterations k ot_mode preprocess
+    executor_spec timeout trace metrics =
   let conn =
     match connect with
     | Some spec ->
@@ -835,7 +809,8 @@ let request socket connect model seed core periphery iterations k slice_width ot
       iterations;
       k;
       seed;
-      slice_width;
+      (* Reserved: the daemon ignores it. *)
+      slice_width = 64;
       ot_mode;
       preprocess;
       executor = Option.value executor_spec ~default:"";
@@ -889,7 +864,7 @@ let request_cmd =
     (Cmd.info "request" ~doc)
     Term.(
       const request $ socket $ connect $ model_arg $ seed_arg $ core_arg $ periphery_arg
-      $ iterations_arg $ k_arg $ slice_width_arg $ ot_arg $ preprocess_arg $ executor_arg
+      $ iterations_arg $ k_arg $ ot_arg $ preprocess_arg $ executor_arg
       $ timeout $ trace_arg $ metrics_arg)
 
 (* ------------------------------------------------------------------ *)

@@ -16,11 +16,6 @@ let to_int t =
   let m = Nat.to_int t.mag in
   if t.neg then -m else m
 
-let of_nat n = make false n
-
-let to_nat t =
-  if t.neg then invalid_arg "Zint.to_nat: negative" else t.mag
-
 let neg t = make (not t.neg) t.mag
 let abs t = make false t.mag
 let sign t = if Nat.is_zero t.mag then 0 else if t.neg then -1 else 1
@@ -52,8 +47,6 @@ let divmod a b =
     (* a < 0 with a nonzero natural remainder: round the quotient away so
        the remainder becomes |b| - r0 >= 0. *)
     (make (not b.neg) (Nat.add q0 Nat.one), make false (Nat.sub b.mag r0))
-
-let erem a b = snd (divmod a b)
 
 let to_string t = (if t.neg then "-" else "") ^ Nat.to_decimal t.mag
 

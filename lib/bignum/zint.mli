@@ -13,10 +13,6 @@ val of_int : int -> t
 val to_int : t -> int
 (** Raises [Failure] if out of native range. *)
 
-val of_nat : Nat.t -> t
-val to_nat : t -> Nat.t
-(** Raises [Invalid_argument] on negative values. *)
-
 val neg : t -> t
 val abs : t -> t
 val sign : t -> int
@@ -32,9 +28,6 @@ val divmod : t -> t -> t * t
 
 val compare : t -> t -> int
 val equal : t -> t -> bool
-
-val erem : t -> t -> t
-(** Euclidean remainder, in [\[0, |b|)]. *)
 
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

@@ -115,10 +115,6 @@ let band t a b =
 
 let bor t a b = bnot t (band t (bnot t a) (bnot t b))
 
-let bnand t a b = bnot t (band t a b)
-
-let bxnor t a b = bnot t (bxor t a b)
-
 (* if sel then a else b  =  b XOR (sel AND (a XOR b)) *)
 let mux t sel a b = bxor t b (band t sel (bxor t a b))
 

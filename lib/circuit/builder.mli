@@ -27,9 +27,6 @@ val band : t -> wire -> wire -> wire
 val bor : t -> wire -> wire -> wire
 (** Derived: [a OR b = NOT (NOT a AND NOT b)] — one AND gate. *)
 
-val bnand : t -> wire -> wire -> wire
-val bxnor : t -> wire -> wire -> wire
-
 val mux : t -> wire -> wire -> wire -> wire
 (** [mux t sel a b] is [if sel then a else b] — one AND gate. *)
 

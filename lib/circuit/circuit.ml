@@ -54,8 +54,6 @@ let num_gates t = Array.length t.gates
 let count p t = Array.fold_left (fun acc g -> if p g then acc + 1 else acc) 0 t.gates
 
 let and_count = count (function And _ -> true | Input _ | Const _ | Not _ | Xor _ -> false)
-let xor_count = count (function Xor _ -> true | Input _ | Const _ | Not _ | And _ -> false)
-let not_count = count (function Not _ -> true | Input _ | Const _ | Xor _ | And _ -> false)
 
 let and_levels t =
   let levels = Array.make (Array.length t.gates) 0 in

@@ -37,8 +37,6 @@ val eval : t -> bool array -> bool array
 
 val num_gates : t -> int
 val and_count : t -> int
-val xor_count : t -> int
-val not_count : t -> int
 
 val and_depth : t -> int
 (** Number of AND layers on the critical path = GMW round count. *)

@@ -179,7 +179,6 @@ let is_element t x =
   && Nat.is_one (pow t x t.q)
 
 let elt_equal = Nat.equal
-let pp_elt = Nat.pp
 
 (* ------------------------------------------------------------------ *)
 (* Batch entry points                                                  *)

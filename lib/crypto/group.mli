@@ -102,4 +102,3 @@ val is_element : t -> elt -> bool
 (** Membership test for the order-q subgroup. *)
 
 val elt_equal : elt -> elt -> bool
-val pp_elt : Format.formatter -> elt -> unit

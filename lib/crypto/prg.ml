@@ -14,8 +14,6 @@ let create seed = { key = Bytes.copy seed; counter = 0L; buffer = Bytes.create 0
 
 let of_string s = create (Bytes.of_string s)
 
-let of_prng prng = create (Dstress_util.Prng.bytes prng 32)
-
 (* The key is never written after [create], and [refill] replaces the
    buffer wholesale rather than mutating it, so both can be shared; the
    scalar cursor fields make the copy independent. *)

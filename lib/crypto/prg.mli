@@ -11,17 +11,11 @@ val create : bytes -> t
 
 val of_string : string -> t
 
-val of_prng : Dstress_util.Prng.t -> t
-(** Derive a PRG from the simulation PRNG (for test convenience). *)
-
 val copy : t -> t
 (** Independent snapshot: the copy continues the stream from the same
     position without affecting the original. The GMW preprocessing
     pipeline uses this to checkpoint per-party streams after each
     pre-generated evaluation and to restore them on consumption. *)
-
-val next_block : t -> bytes
-(** Next 32 pseudo-random bytes. Advances the counter. *)
 
 val bytes : t -> int -> bytes
 (** [bytes t n] produces [n] pseudo-random bytes. *)

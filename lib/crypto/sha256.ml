@@ -89,8 +89,6 @@ let digest msg =
   Array.iteri (fun i v -> Bytes.set_int32_be out (4 * i) (Int32.of_int v)) h;
   out
 
-let digest_string s = Bytes.to_string (digest (Bytes.of_string s))
-
 let hex_digest s = Dstress_util.Hex.encode (digest (Bytes.of_string s))
 
 let block_size = 64

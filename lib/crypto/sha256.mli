@@ -8,9 +8,6 @@
 val digest : bytes -> bytes
 (** 32-byte digest. *)
 
-val digest_string : string -> string
-(** Convenience wrapper; returns the digest as a raw 32-byte string. *)
-
 val hex_digest : string -> string
 (** Digest of a string, hex-encoded (64 characters). *)
 

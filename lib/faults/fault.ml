@@ -129,29 +129,6 @@ let random_wire_plan ~seed ~workers ~batches rates =
   done;
   List.rev !faults
 
-let pp_fault ppf = function
-  | Crash_node { node; from_round; until_round } ->
-      Format.fprintf ppf "crash node %d rounds [%d, %d)" node from_round until_round
-  | Drop_transfer { src; dst; round } ->
-      Format.fprintf ppf "drop transfer %d->%d @ round %d" src dst round
-  | Delay_transfer { src; dst; round; seconds } ->
-      Format.fprintf ppf "delay transfer %d->%d @ round %d by %.3f s" src dst round seconds
-  | Corrupt_transfer { src; dst; round } ->
-      Format.fprintf ppf "corrupt transfer %d->%d @ round %d" src dst round
-  | Miss_decrypt { src; dst; round } ->
-      Format.fprintf ppf "force decrypt miss on %d->%d @ round %d" src dst round
-  | Disconnect_worker { worker; batch } ->
-      Format.fprintf ppf "disconnect worker %d @ batch %d" worker batch
-  | Stall_worker { worker; batch; seconds } ->
-      Format.fprintf ppf "stall worker %d @ batch %d for %.3f s" worker batch seconds
-  | Partition_worker { worker; from_batch; until_batch } ->
-      Format.fprintf ppf "partition worker %d batches [%d, %d)" worker from_batch until_batch
-
-let pp_plan ppf plan =
-  Format.fprintf ppf "@[<v>%d fault(s)" (List.length plan);
-  List.iter (fun f -> Format.fprintf ppf "@,%a" pp_fault f) plan;
-  Format.fprintf ppf "@]"
-
 module Injector = struct
   type t = {
     faults : (int * fault) array;  (* stable ids for fired-tracking *)

@@ -126,9 +126,6 @@ val random_wire_plan :
     partitions cover 1–2 batches. Raises [Invalid_argument] if a rate is
     outside [\[0, 1\]], or [workers < 1], or [batches < 1]. *)
 
-val pp_fault : Format.formatter -> fault -> unit
-val pp_plan : Format.formatter -> plan -> unit
-
 (** Runtime side: the engine queries the injector each round; the injector
     remembers which faults fired so the report can itemize them. *)
 module Injector : sig

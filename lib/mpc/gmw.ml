@@ -177,7 +177,9 @@ external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64"
 let[@inline] word b i = get64 b (i lsl 3)
 let[@inline] set_word b i v = set64 b (i lsl 3) v
 
-(* Evaluate up to 64 sessions in lockstep over one compiled plan; a single
+let lanes = 64
+
+(* Evaluate up to [lanes] sessions in lockstep over one compiled plan; a single
    evaluation is the one-slot case. Wire values are 64-bit words: bit [sl]
    of every word belongs to instance [sl], so local gates cost one word op
    for all instances. Everything observable per instance is independent of
@@ -211,7 +213,7 @@ let eval_sliced plan sessions input_shares =
      coexist in one batch. *)
   let pres = Array.map (fun s -> take_pre s plan) sessions in
   let ideal_ot = s0.mode = Ot_ext.Simulation || Array.for_all Option.is_some pres in
-  let slot_mask = if slots = 64 then -1L else Int64.sub (Int64.shift_left 1L slots) 1L in
+  let slot_mask = if slots = lanes then -1L else Int64.sub (Int64.shift_left 1L slots) 1L in
   (* Zero-filled: inputs OR their lanes in, constants set party 0 only. *)
   let vals = Array.init n (fun _ -> Bytes.make (8 * Plan.num_wires plan) '\000') in
   let levels = Plan.levels plan in
@@ -355,7 +357,7 @@ let eval_many sessions circuit ~input_shares =
     let out = Array.make count [||] in
     let pos = ref 0 in
     while !pos < count do
-      let slots = min 64 (count - !pos) in
+      let slots = min lanes (count - !pos) in
       let chunk =
         eval_sliced plan (Array.sub sessions !pos slots) (Array.sub input_shares !pos slots)
       in

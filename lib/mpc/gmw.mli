@@ -60,6 +60,10 @@ val eval :
     ({!Dstress_crypto.Ot_ext.extend_words}) per ordered pair.
     Raises [Invalid_argument] on shape mismatches. *)
 
+val lanes : int
+(** Instances per 64-bit wire word: {!eval_many} evaluates its sessions
+    in chunks of at most [lanes] (= 64). *)
+
 val eval_many :
   session array ->
   Dstress_circuit.Circuit.t ->
@@ -71,11 +75,11 @@ val eval_many :
     [Array.mapi (fun i s -> eval s c ~input_shares:input_shares.(i)) sessions]
     — same output shares, same per-session traffic matrices, same
     rounds/AND/OT counters, same PRG states afterwards — but packs up to
-    64 instances into each 64-bit wire word (one lane per instance), so
-    local gates cost one word op and each AND level runs one word-level
+    {!lanes} instances into each 64-bit wire word (one lane per instance),
+    so local gates cost one word op and each AND level runs one word-level
     OT pass per ordered pair for all of them instead of one per instance.
-    Instances beyond 64 are processed in successive chunks. All sessions
-    must agree on party count and OT mode.
+    Instances beyond {!lanes} are processed in successive chunks. All
+    sessions must agree on party count and OT mode.
     Raises [Invalid_argument] on shape mismatches. *)
 
 val generate_material :

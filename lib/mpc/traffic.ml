@@ -82,7 +82,7 @@ let observe ?(prefix = "traffic") t obs =
   Obs.incr obs ~by:(external_total t) (prefix ^ ".external_bytes");
   Obs.set obs (prefix ^ ".max_node_bytes") (float_of_int (max_per_node t));
   Obs.set obs (prefix ^ ".mean_node_bytes") (mean_per_node t);
-  if Obs.detailed obs then
+  if Obs.enabled obs then
     for p = 0 to t.n - 1 do
       Obs.set obs (Printf.sprintf "%s.node.%03d.sent" prefix p) (float_of_int (sent_by t p));
       Obs.set obs

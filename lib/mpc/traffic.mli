@@ -59,9 +59,10 @@ val iter_nonzero : t -> (src:int -> dst:int -> int -> unit) -> unit
 
 val observe : ?prefix:string -> t -> Dstress_obs.Obs.t -> unit
 (** Publish the matrix into a metrics registry under [prefix] (default
-    ["traffic"]): total and external byte counters plus max/mean per-node
-    gauges, and — at {!Dstress_obs.Obs.Full} — per-node sent/received
-    gauges ([<prefix>.node.%03d.sent/.received]). This is the phase-attributed
-    replacement for reading the matrix fields by hand. *)
+    ["traffic"]): total and external byte counters, max/mean per-node
+    gauges and per-node sent/received gauges
+    ([<prefix>.node.%03d.sent/.received]); nothing when the collector is
+    off. This is the phase-attributed replacement for reading the matrix
+    fields by hand. *)
 
 val pp : Format.formatter -> t -> unit

@@ -114,9 +114,14 @@ let load dir k ~digest ~parties ~seed ~mode ~evals =
 (* ------------------------------------------------------------------ *)
 
 module Cache = struct
+  (* Materials kept in memory; every key holds its run's seed, so an
+     unbounded table would grow with every distinct run a process serves. *)
+  let capacity = 64
+
   type t = {
     mutex : Mutex.t;
     table : (string, material) Hashtbl.t;
+    order : string Queue.t; (* keys of [table], oldest first *)
     mutable generations : int;
     mutable disk_loads : int;
     mutable hits : int;
@@ -126,6 +131,7 @@ module Cache = struct
     {
       mutex = Mutex.create ();
       table = Hashtbl.create 16;
+      order = Queue.create ();
       generations = 0;
       disk_loads = 0;
       hits = 0;
@@ -140,9 +146,19 @@ module Cache = struct
   let clear t =
     Mutex.protect t.mutex (fun () ->
         Hashtbl.reset t.table;
+        Queue.clear t.order;
         t.generations <- 0;
         t.disk_loads <- 0;
         t.hits <- 0)
+
+  (* Caller holds the mutex. A new key evicts the oldest once the table
+     is full; a regenerated key keeps its place. *)
+  let remember t k mat =
+    if not (Hashtbl.mem t.table k) then begin
+      Queue.push k t.order;
+      if Queue.length t.order > capacity then Hashtbl.remove t.table (Queue.pop t.order)
+    end;
+    Hashtbl.replace t.table k mat
 
   (* The mutex is held across generation on purpose: when a domain pool
      hammers one key, exactly one generation runs and everyone else
@@ -165,12 +181,12 @@ module Cache = struct
             match from_disk with
             | Some mat ->
                 t.disk_loads <- t.disk_loads + 1;
-                Hashtbl.replace t.table k mat;
+                remember t k mat;
                 mat
             | None ->
                 let mat = generate ~evals in
                 t.generations <- t.generations + 1;
-                Hashtbl.replace t.table k mat;
+                remember t k mat;
                 (match dir with None -> () | Some d -> save d k mat);
                 mat))
 end

@@ -58,7 +58,7 @@ val key :
   string
 (** Canonical cache-key string for a material request. Scalar and sliced
     evaluation consume identical draw sequences, so one material serves
-    every slice width. *)
+    every vertex grouping. *)
 
 module Cache : sig
   type t
@@ -84,7 +84,9 @@ module Cache : sig
       concurrent requests for one key trigger exactly one generation.
       Freshly generated material is persisted to [dir] (created if
       missing); disk files failing the magic/CRC/field checks are
-      silently regenerated. *)
+      silently regenerated. Memory keeps the 64 most recently added
+      keys: a new key beyond that evicts the oldest, whose next request
+      loads or generates again. *)
 
   val generations : t -> int
   (** How many times [generate] ran (cache-miss count). *)

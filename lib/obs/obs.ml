@@ -1,12 +1,4 @@
-type level = Off | Basic | Full
-
-let level_name = function Off -> "off" | Basic -> "basic" | Full -> "full"
-
-let level_of_string = function
-  | "off" -> Some Off
-  | "basic" -> Some Basic
-  | "full" -> Some Full
-  | _ -> None
+type level = Off | Full
 
 (* ------------------------------------------------------------------ *)
 (* Metrics registry                                                    *)
@@ -162,7 +154,6 @@ let create ~level () = match level with Off -> off | l -> make l
 
 let level t = t.lvl
 let enabled t = t.lvl <> Off
-let detailed t = t.lvl = Full
 let metrics t = t.m
 
 let incr ?by t name = if enabled t then Metrics.incr ?by t.m name
@@ -231,12 +222,8 @@ let spans t = List.rev t.closed
 (* Exporters                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let trace_json ?(wall = false) t =
+let trace_json t =
   let event s =
-    let args =
-      ("depth", Json.Int s.depth)
-      :: (if wall then [ ("wall_s", Json.Num s.wall) ] else [])
-    in
     Json.Obj
       [
         ("name", Json.Str s.name);
@@ -246,7 +233,7 @@ let trace_json ?(wall = false) t =
         ("dur", Json.Int s.dur);
         ("pid", Json.Int 0);
         ("tid", Json.Int 0);
-        ("args", Json.Obj args);
+        ("args", Json.Obj [ ("depth", Json.Int s.depth) ]);
       ]
   in
   Json.to_string

@@ -23,8 +23,9 @@
     child's spans are shifted onto the parent's cursor and its metrics are
     folded in sorted-name order. Because every charged tick is derived from
     deterministic protocol quantities, the exported trace and metrics are
-    bit-identical across {!Dstress_runtime.Executor} backends and GMW slice
-    widths on the same seed (locked down by [test/test_obs.ml]).
+    bit-identical across {!Dstress_runtime.Executor} backends (and so
+    across how the engine groups vertices into GMW batches) on the same
+    seed (locked down by [test/test_obs.ml]).
 
     {b Cost.} At level {!Off} (the default) every operation is a single
     branch on an immutable shared collector and {!fork} returns its
@@ -33,12 +34,9 @@
 
 type level =
   | Off  (** no-op: nothing is recorded *)
-  | Basic  (** metrics plus run/round/phase spans *)
-  | Full  (** [Basic] plus per-task spans (vertices, edges, transfer
-              attempts) and per-node traffic gauges *)
-
-val level_name : level -> string
-val level_of_string : string -> level option
+  | Full
+      (** metrics, run/round/phase spans, per-task spans (vertices,
+          edges, transfer attempts) and per-node traffic gauges *)
 
 (** Typed metrics registry. Names are free-form dotted strings
     ([transfer.retries], [phase.computation.bytes], ...). The first
@@ -118,9 +116,6 @@ val level : t -> level
 val enabled : t -> bool
 (** [level t <> Off]. *)
 
-val detailed : t -> bool
-(** [level t = Full]. *)
-
 val metrics : t -> Metrics.t
 
 val incr : ?by:int -> t -> string -> unit
@@ -158,11 +153,11 @@ val spans : t -> span list
 (** Closed spans. Siblings appear in timeline order; a parent appears
     after its children (it closes last). *)
 
-val trace_json : ?wall:bool -> t -> string
+val trace_json : t -> string
 (** Chrome [trace_event] export (load in [chrome://tracing] or Perfetto):
     one complete ("ph":"X") event per span, [ts]/[dur] in simulated ticks.
-    Deterministic byte-for-byte on equal span lists; [~wall:true] adds the
-    non-deterministic measured seconds under [args.wall_s]. *)
+    Deterministic byte-for-byte on equal span lists. The wall-clock
+    timeline is {!Prof.trace_wall_json}. *)
 
 val metrics_json : t -> string
 (** Flat object keyed by metric name, sorted. *)

@@ -30,7 +30,6 @@ type config = {
   max_retries : int;
   backoff : float;
   executor : Executor.t;
-  slice_width : int;
   obs_level : Obs.level;
   preprocess : bool;
   triple_cache : string option;
@@ -55,7 +54,6 @@ let default_config ?(seed = "dstress") grp ~k ~degree_bound =
     max_retries = 2;
     backoff = 0.05;
     executor = Executor.of_env ();
-    slice_width = 64;
     obs_level = Obs.Off;
     preprocess = false;
     triple_cache = None;
@@ -73,8 +71,6 @@ let validate_config cfg =
   | Two_level _ | Single_block -> ());
   if cfg.max_retries < 0 then invalid_arg "Engine.run: max_retries must be >= 0";
   if cfg.backoff < 0.0 then invalid_arg "Engine.run: backoff must be >= 0";
-  if cfg.slice_width < 1 || cfg.slice_width > 64 then
-    invalid_arg "Engine.run: slice_width must be in [1, 64]";
   match cfg.executor with
   | Executor.Parallel { jobs } when jobs < 1 ->
       invalid_arg "Engine.run: executor jobs must be >= 1"
@@ -331,7 +327,7 @@ let run cfg p ~graph ~initial_states =
        blocks (a no-op for the in-process executors, the state handoff for
        Distributed), then replay crash-recovery accounting in vertex order
        on the root collector, so the counters and recovery ticks are
-       identical for every executor and slice grouping. *)
+       identical for every executor and vertex grouping. *)
     let merge_group lo wbs =
       Array.iteri
         (fun o wb ->
@@ -346,18 +342,15 @@ let run cfg p ~graph ~initial_states =
     in
     (* Every vertex runs the same update circuit, so a task takes a
        contiguous group of vertices and evaluates them as one sliced GMW
-       batch (Gmw.eval_many; slice_width 1 gives one-vertex groups).
-       Under a domain pool the group shrinks so every worker stays busy;
-       the partition is free to vary because eval_many is observably
-       identical per instance, and the merge replays per-vertex recovery
-       accounting in vertex order, so reports are bit-identical for
-       every grouping. *)
+       batch (Gmw.eval_many): at most one wire word of lanes, shrunk so
+       every executor job stays busy. The cap also bounds a traced task's
+       per-vertex traffic matrices. The partition is free to vary because
+       eval_many is observably identical per instance, and the merge
+       replays per-vertex recovery accounting in vertex order, so reports
+       are bit-identical for every grouping. *)
     let group_size =
-      match exec with
-      | Executor.Sequential -> cfg.slice_width
-      | Executor.Parallel _ | Executor.Distributed _ ->
-          let jobs = Executor.jobs exec in
-          max 1 (min cfg.slice_width ((n + jobs - 1) / jobs))
+      let jobs = Executor.jobs exec in
+      max 1 (min Gmw.lanes ((n + jobs - 1) / jobs))
     in
     let groups = (n + group_size - 1) / group_size in
     Phase.run_tasks exec acc Computation ~count:groups
@@ -365,66 +358,38 @@ let run cfg p ~graph ~initial_states =
         let lo = gi * group_size in
         let len = min group_size (n - lo) in
         let traffic = Traffic.create n in
-        if Obs.detailed obs then begin
-          (* Detailed tracing meters each vertex into its own matrix so
-             the emitted [vertex:<i>] spans (recovery re-sharing + GMW
-             bytes, then recovery ticks) are laid out the same for any
-             slice grouping. *)
-          let vtraffic = Array.init len (fun _ -> Traffic.create n) in
-          let events =
-            Array.init len (fun o ->
-                recover_crashes ~obs ~round ~traffic:vtraffic.(o) (lo + o) crashed.(lo + o))
-          in
-          let sessions = Array.init len (fun o -> blocks.(lo + o).Block.session) in
-          let inputs = Array.init len (fun o -> Block.gather_inputs blocks.(lo + o)) in
-          let outs = Gmw.eval_many sessions update_c ~input_shares:inputs in
-          Array.iteri
-            (fun o out ->
-              let b = blocks.(lo + o) in
-              Block.scatter_outputs b out;
-              Obs.enter obs (Printf.sprintf "vertex:%d" (lo + o));
-              merge_session_traffic vtraffic.(o) b.Block.session b.Block.members;
-              Obs.advance obs (Traffic.total vtraffic.(o));
-              Obs.leave obs;
-              Obs.advance obs
-                (Fault.delay_ticks (float_of_int events.(o) *. cfg.backoff));
-              Traffic.merge_into ~dst:traffic vtraffic.(o))
-            outs;
-          {
-            Phase.traffic;
-            payload =
-              Array.init len (fun o ->
-                  vertex_writeback ~events:events.(o) blocks.(lo + o));
-          }
-        end
-        else begin
-          let events =
-            Array.init len (fun o ->
-                recover_crashes ~obs ~round ~traffic (lo + o) crashed.(lo + o))
-          in
-          let sessions = Array.init len (fun o -> blocks.(lo + o).Block.session) in
-          let inputs = Array.init len (fun o -> Block.gather_inputs blocks.(lo + o)) in
-          let outs = Gmw.eval_many sessions update_c ~input_shares:inputs in
-          Array.iteri
-            (fun o out ->
-              let b = blocks.(lo + o) in
-              Block.scatter_outputs b out;
-              merge_session_traffic traffic b.Block.session b.Block.members)
-            outs;
-          if Obs.enabled obs then begin
-            Obs.advance obs (Traffic.total traffic);
-            Array.iter
-              (fun e ->
-                Obs.advance obs (Fault.delay_ticks (float_of_int e *. cfg.backoff)))
-              events
-          end;
-          {
-            Phase.traffic;
-            payload =
-              Array.init len (fun o ->
-                  vertex_writeback ~events:events.(o) blocks.(lo + o));
-          }
-        end)
+        (* A live collector meters each vertex into its own matrix, so the
+           emitted [vertex:<i>] spans (recovery re-sharing + GMW bytes,
+           then recovery ticks) are laid out the same for any grouping.
+           Off, the vertices share the task's matrix. *)
+        let traced = Obs.enabled obs in
+        let vtraffic =
+          Array.init len (fun _ -> if traced then Traffic.create n else traffic)
+        in
+        let events =
+          Array.init len (fun o ->
+              recover_crashes ~obs ~round ~traffic:vtraffic.(o) (lo + o) crashed.(lo + o))
+        in
+        let sessions = Array.init len (fun o -> blocks.(lo + o).Block.session) in
+        let inputs = Array.init len (fun o -> Block.gather_inputs blocks.(lo + o)) in
+        let outs = Gmw.eval_many sessions update_c ~input_shares:inputs in
+        Array.iteri
+          (fun o out ->
+            let b = blocks.(lo + o) in
+            Block.scatter_outputs b out;
+            merge_session_traffic vtraffic.(o) b.Block.session b.Block.members;
+            if traced then begin
+              Obs.span obs (Printf.sprintf "vertex:%d" (lo + o)) (fun () ->
+                  Obs.advance obs (Traffic.total vtraffic.(o)));
+              Obs.advance obs (Fault.delay_ticks (float_of_int events.(o) *. cfg.backoff));
+              Traffic.merge_into ~dst:traffic vtraffic.(o)
+            end)
+          outs;
+        {
+          Phase.traffic;
+          payload =
+            Array.init len (fun o -> vertex_writeback ~events:events.(o) blocks.(lo + o));
+        })
       ~merge:(fun gi wbs -> merge_group (gi * group_size) wbs) ()
   in
   (* --- Communication step ---------------------------------------- *)
@@ -462,13 +427,13 @@ let run cfg p ~graph ~initial_states =
         let shares = Array.copy blocks.(i).Block.outbox.(Graph.out_slot graph ~src:i ~dst:j) in
         let prg = Block.derive_prg ~seed (Printf.sprintf "xfer:%d:%d:%d" round i j) in
         let noise = Block.derive_prng ~seed (Printf.sprintf "noise:%d:%d:%d" round i j) in
-        if Obs.detailed obs then Obs.enter obs (Printf.sprintf "xfer:%d->%d" i j);
+        if Obs.enabled obs then Obs.enter obs (Printf.sprintf "xfer:%d->%d" i j);
         let outcome =
           Protocol.transfer ~recovery:(recovery ()) ?inject ~obs params ~prg ~noise ~traffic
             ~variant:Protocol.Final ~setup ~sender:i ~receiver:j
             ~neighbor_slot:(Graph.neighbor_slot graph ~owner:j ~other:i) ~shares
         in
-        if Obs.detailed obs then Obs.leave obs;
+        if Obs.enabled obs then Obs.leave obs;
         Obs.advance obs
           (Fault.delay_ticks
              (delay +. backoff_seconds ~backoff:cfg.backoff ~retries:outcome.Protocol.retries));

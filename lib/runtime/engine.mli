@@ -44,19 +44,19 @@
     retries, recovered/unrecovered failures, and the extra edge-privacy
     budget consumed by retried transfers.
 
-    {b Observability.} When [config.obs_level] is above
-    {!Dstress_obs.Obs.Off}, the run collects a hierarchical span trace
+    {b Observability.} When [config.obs_level] is
+    {!Dstress_obs.Obs.Full}, the run collects a hierarchical span trace
     ([run > round:<r> > phase:<name> > vertex/xfer/init/agg tasks]) on a
     simulated timeline (1 tick per wire byte, 10{^6} per simulated recovery
     second) and a typed metrics registry (GMW rounds/ANDs/OTs, transfer
     retry and escalation counts, crash recoveries, edge-privacy spend,
     per-phase bytes, traffic shape). Collection is deterministic: spans
     are gathered per task and merged in task-index order, and computation
-    spans are per {e vertex} rather than per slice group, so the exported
-    trace and metrics are bit-identical across executors and slice widths
-    for a given seed. At [Off] the shared no-op collector is used and the
-    hot paths do no work. The collector is returned in [report.obs];
-    export it with {!Dstress_obs.Obs.trace_json} /
+    spans are per {e vertex} rather than per GMW batch, so the exported
+    trace and metrics are bit-identical across executors (and so across
+    vertex groupings) for a given seed. At [Off] the shared no-op
+    collector is used and the hot paths do no work. The collector is
+    returned in [report.obs]; export it with {!Dstress_obs.Obs.trace_json} /
     {!Dstress_obs.Obs.metrics_json} / {!Dstress_obs.Obs.metrics_csv}. *)
 
 type aggregation = Single_block | Two_level of int  (** fan-out of the leaf level *)
@@ -73,19 +73,19 @@ type config = {
   fault_plan : Dstress_faults.Fault.plan;  (** faults to inject (empty = none) *)
   max_retries : int;  (** transfer retries before table escalation *)
   backoff : float;  (** base simulated backoff in seconds (doubles per retry) *)
-  executor : Executor.t;  (** Sequential, or Parallel on a domain pool *)
-  slice_width : int;
-      (** max vertices per bitsliced GMW batch in a computation step
-          (1–64). Every vertex runs the same update circuit, so up to
-          [slice_width] instances are packed into [int64] wire words and
-          evaluated together ({!Dstress_mpc.Gmw.eval_many}); [1] evaluates
-          one vertex per task. Every setting produces bit-identical
-          reports — outputs, traffic matrix, fault/retry counters. *)
+  executor : Executor.t;
+      (** Sequential, a domain pool or a worker pool. A computation step
+          evaluates the vertices in contiguous groups, one bitsliced GMW
+          batch ({!Dstress_mpc.Gmw.eval_many}) per task: every vertex runs
+          the same update circuit, so a group packs up to
+          {!Dstress_mpc.Gmw.lanes} instances into [int64] wire words,
+          shrunk so every job of the executor gets a group. Every grouping
+          produces bit-identical reports — outputs, traffic matrix,
+          fault/retry counters. *)
   obs_level : Dstress_obs.Obs.level;
-      (** observability level: [Off] (default; zero-cost no-op), [Basic]
-          (metrics + run/round/phase spans), [Full] (adds per-task,
-          per-vertex, per-transfer-attempt spans and per-node traffic
-          gauges) *)
+      (** observability level: [Off] (default; zero-cost no-op) or [Full]
+          (metrics, run/round/phase spans, per-task, per-vertex and
+          per-transfer-attempt spans, and per-node traffic gauges) *)
   preprocess : bool;
       (** run the offline phase: before the timed online rounds, generate
           (or fetch from the triple cache) each block session's correlated
@@ -94,9 +94,9 @@ type config = {
           and attach it, so the online critical path consumes pre-drawn
           material. The run's outputs, traffic, counters and tick-domain
           observability exports are bit-identical with or without
-          preprocessing, on every executor and slice width; only
-          wall-clock shifts from the online phases to the offline one
-          (reported in [report.offline_metrics]). Default [false]. *)
+          preprocessing, on every executor; only wall-clock shifts from
+          the online phases to the offline one (reported in
+          [report.offline_metrics]). Default [false]. *)
   triple_cache : string option;
       (** directory for persisting preprocessed material across processes
           and runs (daemon restarts, distributed worker reloads); created
@@ -107,7 +107,7 @@ type config = {
 val default_config : ?seed:string -> Dstress_crypto.Group.t -> k:int -> degree_bound:int -> config
 (** Simulation OT mode, [transfer_alpha = 0.5], table radius 120,
     single-block aggregation, no faults, 2 retries, 50 ms base backoff,
-    slice width 64, observability off. The executor comes from
+    observability off. The executor comes from
     {!Executor.of_env} — sequential unless the [DSTRESS_JOBS] environment
     variable requests a domain pool. *)
 
@@ -119,8 +119,8 @@ val validate_config : config -> unit
 (** Raises [Invalid_argument] with a descriptive message if any field is
     out of range ([k < 1], [transfer_alpha] outside (0,1), nonpositive
     [table_radius], a [Two_level] fan-out < 1, negative [max_retries] or
-    [backoff], a [Parallel] executor with [jobs < 1], [slice_width]
-    outside [1, 64]). Called by {!run} before any work starts. *)
+    [backoff], a [Parallel] executor with [jobs < 1]). Called by {!run}
+    before any work starts. *)
 
 type phase = Phase.id = Setup | Initialization | Computation | Communication | Aggregation
 

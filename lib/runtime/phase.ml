@@ -48,7 +48,7 @@ module Accounting = struct
   (* Recovery time is metered here but its simulated ticks are charged by
      the caller (with [Fault.delay_ticks]) at the exact point in the task's
      timeline where the wait happens, so trace placement does not depend
-     on merge granularity (per-vertex vs per-slice-group). *)
+     on merge granularity (per vertex or per vertex group). *)
   let add_recovery t phase s =
     let r = Hashtbl.find t.recovery phase in
     r := !r +. s;
@@ -92,13 +92,13 @@ let run_tasks exec acc phase ?task_label ~count ~task ~merge () =
         let child = Obs.fork obs in
         let r =
           match task_label with
-          | Some label ->
-              if Obs.detailed child then Obs.enter child (label i);
+          | Some label when Obs.enabled child ->
+              Obs.enter child (label i);
               let r = task child i in
-              if Obs.enabled child then Obs.advance child (Traffic.total r.traffic);
-              if Obs.detailed child then Obs.leave child;
+              Obs.advance child (Traffic.total r.traffic);
+              Obs.leave child;
               r
-          | None -> task child i
+          | Some _ | None -> task child i
         in
         (r, child))
   in

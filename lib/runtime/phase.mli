@@ -83,12 +83,12 @@ val run_tasks :
     not touch the global matrix or any state another task reads; they may
     freely use the child collector they are handed.
 
-    When [task_label] is given, each task is wrapped (at level [Full]) in
-    a span named [task_label i] and the framework advances the child's
-    timeline by the task's total traffic bytes. When it is omitted the
-    task body owns its own span/timeline emission — used by the
-    computation phase, whose spans are per {e vertex} so that traces stay
-    identical across GMW slice widths.
+    When [task_label] is given and the collector is live, each task is
+    wrapped in a span named [task_label i] and the framework advances the
+    child's timeline by the task's total traffic bytes. When it is
+    omitted the task body owns its own span/timeline emission — used by
+    the computation phase, whose spans are per {e vertex} so that traces
+    stay identical however the vertices are grouped into GMW batches.
 
     Wall-clock of the whole batch (including the merge) and the merged
     bytes are charged to [phase]. *)

@@ -36,8 +36,8 @@
     worker serves it, whatever else the daemon is doing, and under every
     in-worker executor (the executor invariance is already proven for
     the engine). Warm state carried across requests ({!Dstress_mpc}'s
-    [Triple.Cache], keyed by plan digest/parties/seed/slice width/OT
-    mode) only moves wall-clock, never ticks. *)
+    [Triple.Cache], keyed by plan digest/parties/seed/OT mode) only moves
+    wall-clock, never ticks. *)
 
 type workload = En | Egj
 
@@ -50,7 +50,9 @@ type request = {
   iterations : int;  (** protocol rounds *)
   k : int;  (** collusion bound *)
   seed : int;  (** network + run seed *)
-  slice_width : int;  (** bitsliced GMW batch width, 1-64 *)
+  slice_width : int;
+      (** reserved: validated to lie in 1–64, then accepted and ignored —
+          the engine picks its own GMW batch sizes *)
   ot_mode : Dstress_crypto.Ot_ext.mode;
   preprocess : bool;  (** run the offline phase before the online rounds *)
   executor : string;
@@ -87,8 +89,9 @@ val encode_response : response -> bytes
 val decode_response : bytes -> (response, string) result
 
 val validate_request : request -> (unit, string) result
-(** Field-level checks: positive sizes, [slice_width] in [1, 64], a
-    parseable [executor] spec, sane payload lengths. *)
+(** Field-level checks: positive sizes, the reserved [slice_width] in
+    [1, 64] (it is outside input, so it is still bounded), a parseable
+    [executor] spec, sane payload lengths. *)
 
 val request_executor : request -> (Executor.t, string) result
 (** Resolve the request's executor spec inside a worker process, under

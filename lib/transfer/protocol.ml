@@ -290,9 +290,9 @@ let transfer ?(recovery = no_recovery) ?inject ?(obs = Obs.off) params ~prg ~noi
   let all_missing =
     List.concat (List.init kp1 (fun member -> List.init l (fun bit -> { member; bit })))
   in
-  (* Observability wrapper around one attempt: a span (at Full) whose
-     simulated duration is exactly the bytes the attempt put on the wire.
-     [obs] is this edge task's private collector, so emission here is
+  (* Observability wrapper around one attempt: a span whose simulated
+     duration is exactly the bytes the attempt put on the wire. [obs] is
+     this edge task's private collector, so emission here is
      deterministic under any executor. *)
   let metered_attempt ~table ~inject idx =
     (* Traffic.total is O(parties^2): only pay for the before/after delta
@@ -300,11 +300,11 @@ let transfer ?(recovery = no_recovery) ?inject ?(obs = Obs.off) params ~prg ~noi
     if not (Obs.enabled obs) then attempt ~table ~inject
     else begin
       let before = Traffic.total traffic in
-      if Obs.detailed obs then Obs.enter obs (Printf.sprintf "attempt:%d" idx);
+      Obs.enter obs (Printf.sprintf "attempt:%d" idx);
       Obs.incr obs "transfer.attempts";
       let result = attempt ~table ~inject in
       Obs.advance obs (Traffic.total traffic - before);
-      if Obs.detailed obs then Obs.leave obs;
+      Obs.leave obs;
       result
     end
   in

@@ -119,8 +119,8 @@ val transfer :
     [obs] (default: the no-op collector) receives phase-attributed
     observability: [transfer.attempts] per protocol attempt plus the
     outcome's [transfer.failures]/[.recovered]/[.unrecovered]/[.retries]
-    counters, and — at level [Full] — one [attempt:<n>] span per attempt
-    whose simulated duration is the bytes that attempt put on [traffic].
+    counters, and one [attempt:<n>] span per attempt whose simulated
+    duration is the bytes that attempt put on [traffic].
     Pass the calling task's private collector so emission stays
     deterministic under parallel schedules. Raises
     [Invalid_argument] on shape mismatches or a negative retry bound. *)

@@ -5,8 +5,9 @@
    - collector semantics: typed metrics registry, span stack, fork/merge
      rebasing, zero-cost Off mode, JSON printer/parser;
    - determinism: the exported trace and metrics of an engine run are
-     byte-identical across Sequential/Parallel executors and GMW slice
-     widths — with and without injected crash faults;
+     byte-identical across Sequential/Parallel executors, and so across
+     the engine's vertex groupings — with and without injected crash
+     faults, and on a ring wider than one GMW word;
    - fault sensitivity: injecting crashes changes *only* the metrics that
      describe recovery (faults.*, reshare.*, computation bytes/recovery
      time, traffic shape) and does change them;
@@ -68,7 +69,7 @@ let test_metrics_kinds () =
       Obs.Metrics.add m "c" 1.0)
 
 let test_span_stack () =
-  let t = Obs.create ~level:Obs.Basic () in
+  let t = Obs.create ~level:Obs.Full () in
   Obs.enter t "outer";
   Obs.advance t 10;
   Obs.enter t "inner";
@@ -179,7 +180,7 @@ let token_program ~l ~iterations =
 let ring_graph n = Graph.create ~n ~edges:(List.init n (fun i -> (i, (i + 1) mod n)))
 
 let ring_run ?(level = Obs.Full) ?(fault_plan = Fault.empty) ?(n = 9) ?(iterations = 3)
-    ~slice_width ~executor () =
+    ~executor () =
   let l = 8 in
   let g = ring_graph n in
   let p = token_program ~l ~iterations in
@@ -189,7 +190,7 @@ let ring_run ?(level = Obs.Full) ?(fault_plan = Fault.empty) ?(n = 9) ?(iteratio
   in
   let cfg =
     { (Engine.default_config grp ~k:2 ~degree_bound:2 ~seed:"obs-eq") with
-      Engine.executor; slice_width; fault_plan; obs_level = level }
+      Engine.executor; fault_plan; obs_level = level }
   in
   Engine.run cfg p ~graph:g ~initial_states:states
 
@@ -205,22 +206,30 @@ let check_exports_equal label (a : Engine.report) (b : Engine.report) =
   Alcotest.(check string) (label ^ ": metrics csv") (Obs.metrics_csv a.Engine.obs)
     (Obs.metrics_csv b.Engine.obs)
 
-let differential ~fault_plan label =
-  let base = ring_run ~fault_plan ~slice_width:1 ~executor:Executor.sequential () in
-  check_exports_equal (label ^ ": seq w=7") base
-    (ring_run ~fault_plan ~slice_width:7 ~executor:Executor.sequential ());
-  check_exports_equal (label ^ ": seq w=64") base
-    (ring_run ~fault_plan ~slice_width:64 ~executor:Executor.sequential ());
-  check_exports_equal (label ^ ": par4 w=64") base
-    (ring_run ~fault_plan ~slice_width:64 ~executor:(Executor.parallel ~jobs:4) ());
-  check_exports_equal (label ^ ": par3 w=1") base
-    (ring_run ~fault_plan ~slice_width:1 ~executor:(Executor.parallel ~jobs:3) ());
-  base
+(* Each run groups the vertices differently: on the default 9-vertex ring
+   Sequential runs one group of 9, and parallel:2, :4 and :9 run groups of
+   5 + 4, 3 + 3 + 3 and one vertex each. *)
+let differential ?(n = 9) ?(jobs = [ 2; 4; 9 ]) ~fault_plan label =
+  let base = ring_run ~fault_plan ~n ~executor:Executor.sequential () in
+  List.iter
+    (fun j ->
+      check_exports_equal
+        (Printf.sprintf "%s: seq vs par%d" label j)
+        base
+        (ring_run ~fault_plan ~n ~executor:(Executor.parallel ~jobs:j) ()))
+    jobs
 
 let crash_plan = Fault.random_crashes ~seed:5 ~nodes:9 ~rounds:4 ~count:2
 
-let test_differential_clean () = ignore (differential ~fault_plan:Fault.empty "clean")
-let test_differential_faulty () = ignore (differential ~fault_plan:crash_plan "faulty")
+let test_differential_clean () = differential ~fault_plan:Fault.empty "clean"
+let test_differential_faulty () = differential ~fault_plan:crash_plan "faulty"
+
+(* 70 vertices exceed one 64-lane word: Sequential runs groups of 64 + 6,
+   parallel:2 runs 35 + 35 and parallel:3 runs 24 + 24 + 22. *)
+let test_differential_wide () =
+  let n = 70 in
+  let fault_plan = Fault.random_crashes ~seed:5 ~nodes:n ~rounds:4 ~count:2 in
+  differential ~n ~jobs:[ 2; 3 ] ~fault_plan "wide"
 
 (* Crash faults may move exactly the recovery-describing metrics — and
    must actually move them. Everything else (MPC work, transfer counters,
@@ -238,8 +247,8 @@ let fault_sensitive key =
   || key = "phase.computation.recovery_seconds"
 
 let test_fault_diff_is_scoped () =
-  let clean = ring_run ~fault_plan:Fault.empty ~slice_width:64 ~executor:Executor.sequential () in
-  let faulty = ring_run ~fault_plan:crash_plan ~slice_width:64 ~executor:Executor.sequential () in
+  let clean = ring_run ~fault_plan:Fault.empty ~executor:Executor.sequential () in
+  let faulty = ring_run ~fault_plan:crash_plan ~executor:Executor.sequential () in
   let mc = metric_map clean and mf = metric_map faulty in
   let keys m = List.map fst m in
   List.iter
@@ -257,22 +266,9 @@ let test_fault_diff_is_scoped () =
     (Obs.Metrics.counter (Obs.metrics clean.Engine.obs) "faults.crash_recoveries");
   Alcotest.(check int) "same MPC work" clean.Engine.mpc_and_gates faulty.Engine.mpc_and_gates
 
-let test_level_basic_subset () =
-  (* Basic must agree with Full on every metric it emits: Full only adds
-     names (per-node gauges), never changes shared values. *)
-  let basic = ring_run ~level:Obs.Basic ~slice_width:64 ~executor:Executor.sequential () in
-  let full = ring_run ~level:Obs.Full ~slice_width:64 ~executor:Executor.sequential () in
-  let mb = metric_map basic and mf = metric_map full in
-  List.iter
-    (fun (k, v) ->
-      match List.assoc_opt k mf with
-      | Some v' when v = v' -> ()
-      | Some _ -> Alcotest.failf "metric %S differs between basic and full" k
-      | None -> Alcotest.failf "metric %S missing at full" k)
-    mb;
-  Alcotest.(check bool) "full emits more names" true (List.length mf > List.length mb);
+let test_level_off_collects_nothing () =
   (* Off really collects nothing and reuses the shared collector. *)
-  let off = ring_run ~level:Obs.Off ~slice_width:64 ~executor:Executor.sequential () in
+  let off = ring_run ~level:Obs.Off ~executor:Executor.sequential () in
   Alcotest.(check bool) "off run uses shared collector" true (off.Engine.obs == Obs.off);
   Alcotest.(check int) "off run has no spans" 0 (List.length (Obs.spans off.Engine.obs))
 
@@ -281,7 +277,7 @@ let test_level_basic_subset () =
 (* ------------------------------------------------------------------ *)
 
 let test_span_tree_well_formed () =
-  let r = ring_run ~fault_plan:crash_plan ~slice_width:7 ~executor:Executor.sequential () in
+  let r = ring_run ~fault_plan:crash_plan ~executor:Executor.sequential () in
   let spans = Obs.spans r.Engine.obs in
   let roots = List.filter (fun s -> s.Obs.depth = 0) spans in
   (match roots with
@@ -449,7 +445,7 @@ let test_reconcile_property () =
       if crashes = 0 then Fault.empty
       else Fault.random_crashes ~seed:(n + iterations) ~nodes:n ~rounds:(iterations + 1) ~count:crashes
     in
-    let r = ring_run ~fault_plan ~n ~iterations ~slice_width:64 ~executor:Executor.sequential () in
+    let r = ring_run ~fault_plan ~n ~iterations ~executor:Executor.sequential () in
     reconcile r;
     true
   in
@@ -496,7 +492,8 @@ let () =
           Alcotest.test_case "clean run exports" `Quick test_differential_clean;
           Alcotest.test_case "faulty run exports" `Quick test_differential_faulty;
           Alcotest.test_case "fault diff is scoped" `Quick test_fault_diff_is_scoped;
-          Alcotest.test_case "basic is a subset of full" `Quick test_level_basic_subset;
+          Alcotest.test_case "off collects nothing" `Quick test_level_off_collects_nothing;
+          Alcotest.test_case "groupings wider than one word" `Quick test_differential_wide;
         ] );
       ( "trace",
         [ Alcotest.test_case "span tree well-formed" `Quick test_span_tree_well_formed ] );

@@ -281,7 +281,8 @@ let egj_fixture () =
 
 (* The handler the persistent workers inherit: one ordinary engine run
    per request on the small fixtures, every request-visible knob (seed,
-   iterations, k, slice width, OT mode, preprocess, executor) honored. *)
+   iterations, k, OT mode, preprocess, executor) honored. Like the
+   daemon, it ignores the reserved slice width. *)
 let handler (req : Service.request) =
   let graph, d, p, states =
     match req.Service.workload with
@@ -297,7 +298,6 @@ let handler (req : Service.request) =
       with
       Engine.executor;
       ot_mode = req.Service.ot_mode;
-      slice_width = req.Service.slice_width;
       preprocess = req.Service.preprocess;
       obs_level = Obs.Full;
     }

@@ -6,8 +6,8 @@
    running Gmw.eval (the same evaluator with one slot) per instance. These
    tests pin that contract on random circuits, the paper's EN and EGJ
    update circuits, the aggregation circuit, both OT backends, and through
-   the engine (slice_width 1 vs grouped) under both executors. The golden
-   fixture pins the one-slot observables themselves. *)
+   the engine (one-vertex groups vs wider ones) under both executors. The
+   golden fixture pins the one-slot observables themselves. *)
 
 open Dstress_mpc
 module Bitvec = Dstress_util.Bitvec
@@ -370,7 +370,7 @@ let test_plan_dies_with_circuit () =
   Alcotest.(check bool) "plan collected with its circuit" false (Weak.check weak 0)
 
 (* ------------------------------------------------------------------ *)
-(* Engine: slice_width must not be observable in the report            *)
+(* Engine: the vertex grouping must not be observable in the report    *)
 (* ------------------------------------------------------------------ *)
 
 let token_program ~l ~iterations =
@@ -419,7 +419,7 @@ let check_same_report label (a : Engine.report) (b : Engine.report) =
   Alcotest.(check int) (label ^ ": mpc ANDs") a.Engine.mpc_and_gates b.Engine.mpc_and_gates;
   Alcotest.(check int) (label ^ ": mpc OTs") a.Engine.mpc_ots b.Engine.mpc_ots
 
-let test_engine_slice_widths_agree () =
+let test_engine_groupings_agree () =
   let n = 9 and l = 8 in
   let g = ring_graph n in
   let p = token_program ~l ~iterations:3 in
@@ -430,32 +430,21 @@ let test_engine_slice_widths_agree () =
   (* Crash faults exercise the per-vertex recovery accounting inside
      grouped tasks. *)
   let plan = Fault.random_crashes ~seed:5 ~nodes:n ~rounds:4 ~count:2 in
-  let run ~slice_width ~executor =
+  let run executor =
     let cfg =
       { (Engine.default_config grp ~k:2 ~degree_bound:2 ~seed:"slice-eq") with
-        Engine.executor; slice_width; fault_plan = plan }
+        Engine.executor; fault_plan = plan }
     in
     Engine.run cfg p ~graph:g ~initial_states:states
   in
-  let base = run ~slice_width:1 ~executor:Executor.sequential in
-  check_same_report "scalar vs 64 (seq)" base (run ~slice_width:64 ~executor:Executor.sequential);
-  check_same_report "scalar vs 7 (seq, uneven groups)" base
-    (run ~slice_width:7 ~executor:Executor.sequential);
-  check_same_report "scalar vs 64 (par)" base
-    (run ~slice_width:64 ~executor:(Executor.parallel ~jobs:4));
-  check_same_report "scalar (par) vs scalar (seq)" base
-    (run ~slice_width:1 ~executor:(Executor.parallel ~jobs:4))
-
-let test_engine_rejects_bad_slice_width () =
-  let bad w =
-    let cfg = { (Engine.default_config grp ~k:1 ~degree_bound:2) with Engine.slice_width = w } in
-    Alcotest.check_raises
-      (Printf.sprintf "slice_width %d" w)
-      (Invalid_argument "Engine.run: slice_width must be in [1, 64]")
-      (fun () -> Engine.validate_config cfg)
-  in
-  bad 0;
-  bad 65
+  (* parallel:9 gives one-vertex groups; the others pack several vertices
+     into each GMW batch. *)
+  let base = run (Executor.parallel ~jobs:n) in
+  check_same_report "one-vertex groups vs 9 (seq)" base (run Executor.sequential);
+  check_same_report "one-vertex groups vs 5 + 4 (par2, uneven)" base
+    (run (Executor.parallel ~jobs:2));
+  check_same_report "one-vertex groups vs 3 + 3 + 3 (par4)" base
+    (run (Executor.parallel ~jobs:4))
 
 let () =
   Alcotest.run "slice"
@@ -484,10 +473,5 @@ let () =
           Alcotest.test_case "digest raced from 4 domains" `Quick test_plan_digest_concurrent;
           Alcotest.test_case "dies with its circuit" `Quick test_plan_dies_with_circuit;
         ] );
-      ( "engine",
-        [
-          Alcotest.test_case "slice widths agree" `Quick test_engine_slice_widths_agree;
-          Alcotest.test_case "rejects bad slice width" `Quick
-            test_engine_rejects_bad_slice_width;
-        ] );
+      ("engine", [ Alcotest.test_case "groupings agree" `Quick test_engine_groupings_agree ]);
     ]

@@ -249,6 +249,24 @@ let test_cache_memory () =
   Triple.Cache.clear cache;
   Alcotest.(check int) "cleared" 0 (Triple.Cache.generations cache)
 
+(* Memory keeps 64 materials: a 65th key evicts the oldest, and only
+   the oldest. *)
+let test_cache_bounded () =
+  let cache = Triple.Cache.create () in
+  let plan = Plan.of_circuit (adder_circuit 4) in
+  let req i =
+    ignore (request cache plan ~parties:2 ~seed:(Printf.sprintf "bound-%d" i) ~evals:1)
+  in
+  for i = 1 to 65 do
+    req i
+  done;
+  Alcotest.(check int) "65 distinct keys generate" 65 (Triple.Cache.generations cache);
+  req 1;
+  Alcotest.(check int) "oldest key was evicted" 66 (Triple.Cache.generations cache);
+  req 65;
+  Alcotest.(check int) "newest key still hits" 66 (Triple.Cache.generations cache);
+  Alcotest.(check int) "one hit" 1 (Triple.Cache.hits cache)
+
 let with_cache_dir f =
   let dir = Filename.concat (Filename.get_temp_dir_name ()) "dstress-test-triples" in
   Array.iter
@@ -359,11 +377,10 @@ let en_fixture ?(iterations = 2) () =
   let states = En_program.encode_instance small_economy ~graph ~l:12 ~degree:d ~scale:0.25 in
   (graph, d, p, states)
 
-let run_engine ?(preprocess = false) ?triple_cache ?(slice_width = 64) ~executor ~seed
-    (graph, d, p, states) =
+let run_engine ?(preprocess = false) ?triple_cache ~executor ~seed (graph, d, p, states) =
   let cfg =
     { (Engine.default_config grp ~k:2 ~degree_bound:d ~seed) with
-      Engine.executor; slice_width; obs_level = Obs.Full; preprocess; triple_cache }
+      Engine.executor; obs_level = Obs.Full; preprocess; triple_cache }
   in
   Engine.run cfg p ~graph ~initial_states:states
 
@@ -455,31 +472,31 @@ let test_engine_disk_reload () =
         (offline_counter reload "preprocess.cache.disk_loads"))
 
 let test_engine_seq_par () =
-  let fx = en_fixture () in
+  let ((graph, _, _, _) as fx) = en_fixture () in
   let seed = "triple-engine-seqpar" in
   let base = run_engine ~executor:Executor.sequential ~seed fx in
   (* Preprocessing must not change how many plans get compiled: the
      offline phase's Plan.of_circuit is served by the same memo the
      online phase uses. *)
   let c0 = Plan.compilations () in
-  let pre64 = run_engine ~preprocess:true ~executor:Executor.sequential ~seed fx in
+  let pre = run_engine ~preprocess:true ~executor:Executor.sequential ~seed fx in
   let d_pre = Plan.compilations () - c0 in
   let c1 = Plan.compilations () in
   let inline_again = run_engine ~executor:Executor.sequential ~seed fx in
   let d_inline = Plan.compilations () - c1 in
-  check_reports_equal "seq slice 64" base pre64;
+  check_reports_equal "seq preprocessed" base pre;
   check_reports_equal "seq inline rerun" base inline_again;
   Alcotest.(check int) "preprocess adds no compilations" d_inline d_pre;
-  let seq1 = run_engine ~preprocess:true ~slice_width:1 ~executor:Executor.sequential ~seed fx in
-  check_reports_equal "seq slice 1" base seq1;
-  (* One material serves every slice width: the width-1 run reuses what
-     the width-64 run generated. *)
-  Alcotest.(check int) "slice 1 reuses slice 64's material" 0
-    (offline_counter seq1 "preprocess.cache.generations");
-  check_reports_equal "par slice 64" base
-    (run_engine ~preprocess:true ~executor:(Executor.parallel ~jobs:3) ~seed fx);
-  check_reports_equal "par slice 1" base
-    (run_engine ~preprocess:true ~slice_width:1 ~executor:(Executor.parallel ~jobs:3) ~seed fx)
+  let singles =
+    run_engine ~preprocess:true ~executor:(Executor.parallel ~jobs:(Graph.n graph)) ~seed fx
+  in
+  check_reports_equal "par one-vertex groups" base singles;
+  (* One material serves every grouping: the one-vertex-group run reuses
+     what the sequential run generated. *)
+  Alcotest.(check int) "one-vertex groups reuse the sequential run's material" 0
+    (offline_counter singles "preprocess.cache.generations");
+  check_reports_equal "par3 preprocessed" base
+    (run_engine ~preprocess:true ~executor:(Executor.parallel ~jobs:3) ~seed fx)
 
 let () =
   Alcotest.run "triple"
@@ -506,6 +523,7 @@ let () =
       ( "cache",
         [
           Alcotest.test_case "memory" `Quick test_cache_memory;
+          Alcotest.test_case "memory is bounded" `Quick test_cache_bounded;
           Alcotest.test_case "disk" `Quick test_cache_disk;
           Alcotest.test_case "domain hammering" `Quick test_cache_hammer;
         ] );
