@@ -56,24 +56,16 @@ let run ~quick () =
     r
   in
   let seq = measure "sequential" Executor.sequential in
-  (* The forked backend must run before the domain pool: OCaml 5 forbids
-     Unix.fork once any domain has been spawned in the process. *)
-  let dist = measure "distributed" (Executor.distributed ~workers:2 ()) in
   let jobs = if cores > 1 then min cores 4 else 4 in
   let par = measure "parallel" (Executor.parallel ~jobs) in
-  List.iter
-    (fun (label, r) ->
-      if seq.Engine.output <> r.Engine.output then
-        failwith ("executor_bench: " ^ label ^ " backend disagrees on the output");
-      if seq.Engine.phase_bytes <> r.Engine.phase_bytes then
-        failwith ("executor_bench: " ^ label ^ " backend disagrees on phase traffic"))
-    [ ("parallel", par); ("distributed", dist) ];
+  if seq.Engine.output <> par.Engine.output then
+    failwith "executor_bench: parallel backend disagrees on the output";
+  if seq.Engine.phase_bytes <> par.Engine.phase_bytes then
+    failwith "executor_bench: parallel backend disagrees on phase traffic";
   let phase ph r = List.assoc ph r.Engine.phase_seconds in
   Printf.printf
     "\nidentical outputs and per-phase traffic; compute-phase speedup %.2fx on %d worker(s)\n"
     (phase Engine.Computation seq /. phase Engine.Computation par)
     jobs;
-  Printf.printf "distributed backend (2 forked workers) compute-phase ratio %.2fx vs sequential\n"
-    (phase Engine.Computation dist /. phase Engine.Computation seq);
   if cores = 1 then
     Printf.printf "(single-core machine: domain-pool overhead, no speedup expected)\n"

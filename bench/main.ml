@@ -35,11 +35,12 @@ let experiments : (string * string * (quick:bool -> unit -> unit)) list =
     ("ablation-buckets", "§3.7: degree bucketing ablation", Ablation.degree_bucketing);
     ("2pc-comparison", "§6: garbled circuits vs GMW", Ablation.twopc);
     ("fault-sweep", "§3.8: recovery cost vs injected fault rate", Fault_bench.run);
-    (* transport forks worker processes and must run before any suite that
-       spawns domains (OCaml 5 forbids fork after Domain.spawn), so it sits
-       ahead of the executor suite's domain pool. *)
-    ("transport", "distributed runtime: frame RTT, backoff, pool dispatch", Transport_bench.run);
-    ("service", "daemon mode: persistent pool vs fork-per-batch dispatch", Service_bench.run);
+    (* transport, service and telemetry fork worker processes and must run
+       before any suite that spawns domains (OCaml 5 forbids fork after
+       Domain.spawn), so they sit ahead of the executor suite's domain
+       pool. *)
+    ("transport", "daemon wire layer: frame RTT, connect and backoff", Transport_bench.run);
+    ("service", "daemon mode: persistent-pool dispatch, TCP RTT, warm requests", Service_bench.run);
     ("telemetry", "observability: sketch/log cost and the dispatch telemetry tax", Telemetry_bench.run);
     ("executor", "runtime: sequential vs domain-pool executor", Executor_bench.run);
     ("gmw-slice", "bitsliced GMW: one-slot vs 64-wide sliced evaluation", Slice_bench.run);

@@ -1,6 +1,5 @@
 (* Daemon-mode economics: what a request costs once workers are forked
-   once at startup and kept warm, versus the fork-per-batch pool that
-   forks and reaps a fresh worker set on every batch.
+   once at startup and kept warm.
 
    The headline row is deterministic: [dispatch-speedup] emits the
    counter [dispatch_within_10_rtt], which bench_diff --counters-only
@@ -8,20 +7,16 @@
    round trips over TCP loopback (the rtt-tcp row of the same run). A
    request is one task frame out and one result frame back plus queue
    and epoch bookkeeping, so it costs about one or two round trips; a
-   drain that waits even 2 ms per reply costs over a hundred. The ratio
-   to the fork-per-batch pool is telemetry only: both pools drain
-   through the same Supervisor, so a blocking drain would slow both
-   sides and leave the ratio where it was. The wall latencies are
-   machine-dependent telemetry.
+   drain that waits even 2 ms per reply costs over a hundred. The wall
+   latencies are machine-dependent telemetry.
 
-   Fork-before-domain ordering: both pools fork worker processes, so
+   Fork-before-domain ordering: the pool forks worker processes, so
    this suite runs before any suite that spawns domains (see the
    ordering note in main.ml). The coordinator side here never spawns
    domains at all. *)
 
 open Bench_util
 module Transport = Dstress_runtime.Transport
-module Distributed = Dstress_runtime.Distributed
 module Service = Dstress_runtime.Service
 module Engine = Dstress_runtime.Engine
 module Graph = Dstress_runtime.Graph
@@ -121,7 +116,7 @@ let drain_requests pool reqs =
   !done_
 
 (* ------------------------------------------------------------------ *)
-(* Dispatch tax: persistent pool vs fork-per-batch                     *)
+(* Dispatch tax: the persistent pool                                   *)
 (* ------------------------------------------------------------------ *)
 
 let bench_dispatch ~requests =
@@ -143,32 +138,14 @@ let bench_dispatch ~requests =
           [] ))
       (fun () ->
         (* Time the whole batch, not one request at a time: concurrent
-           submissions are the daemon's operating point, and per-batch is
-           exactly what the forked baseline below can measure. *)
+           submissions are the daemon's operating point. *)
         let t0 = Unix.gettimeofday () in
         let n = drain_requests pool reqs in
         (n, Unix.gettimeofday () -. t0))
   in
-  let _, persistent_batch_s = persistent in
+  let _, batch_s = persistent in
   Service.shutdown_pool pool;
-  let ctx =
-    Distributed.create
-      ~opts:{ Distributed.default_opts with Distributed.workers = 2 }
-      ()
-  in
-  let forked =
-    measure ~repeats:3 ~warmup:1 ~name:"forked-pool-dispatch"
-      ~params:[ ("workers", Json.Int 2) ]
-      ~items:("task", float_of_int requests)
-      ~telemetry:(fun (n, _) -> ([ ("tasks_per_batch", n) ], []))
-      (fun () ->
-        let t0 = Unix.gettimeofday () in
-        let r = Distributed.map ctx requests (fun i -> i) in
-        (Array.length r, Unix.gettimeofday () -. t0))
-  in
-  let _, forked_batch_s = forked in
-  ( persistent_batch_s /. float_of_int requests *. 1e6,
-    forked_batch_s /. float_of_int requests *. 1e6 )
+  batch_s /. float_of_int requests *. 1e6
 
 (* ------------------------------------------------------------------ *)
 (* TCP loopback RTT: the daemon's --listen path                        *)
@@ -267,22 +244,13 @@ let run ~quick () =
   let requests = if quick then 32 else 256 in
   let pings = if quick then 300 else 3000 in
   let warm = if quick then 5 else 20 in
-  let per_req_us, per_task_us = bench_dispatch ~requests in
+  let per_req_us = bench_dispatch ~requests in
   let rtt_us = bench_tcp_rtt ~pings in
-  let speedup = per_task_us /. per_req_us in
   record "dispatch-speedup"
     ~counters:[ ("dispatch_within_10_rtt", if per_req_us <= 10.0 *. rtt_us then 1 else 0) ]
-    ~floats:
-      [
-        ("speedup_x", speedup);
-        ("persistent_us_per_req", per_req_us);
-        ("forked_us_per_task", per_task_us);
-        ("rtt_us", rtt_us);
-      ];
-  Printf.printf
-    "dispatch: persistent %.0f us/req (%.1f RTTs of %.0f us) vs fork-per-batch %.0f \
-     us/task (%.1fx)\n%!"
-    per_req_us (per_req_us /. rtt_us) rtt_us per_task_us speedup;
+    ~floats:[ ("persistent_us_per_req", per_req_us); ("rtt_us", rtt_us) ];
+  Printf.printf "dispatch: persistent %.0f us/req (%.1f RTTs of %.0f us)\n%!" per_req_us
+    (per_req_us /. rtt_us) rtt_us;
   bench_warm_requests ~requests:warm;
   Printf.printf
     "\nnote: the dispatch-speedup counter is the acceptance gate — a daemon\n\

@@ -1,7 +1,8 @@
-(* Wire-layer cost of the distributed runtime: frame round-trip latency
+(* Wire-layer cost of the daemon's transport: frame round-trip latency
    (in-process loopback and against a real forked echo process), the
-   connect/accept path, bounded-backoff cost against a dead socket, and
-   the per-task overhead of the fork-per-batch worker pool.
+   connect/accept path, and bounded-backoff cost against a dead socket.
+   What a whole pool dispatch costs is the service suite's
+   persistent-dispatch row.
 
    The cost model (lib/costmodel) projects end-to-end runs assuming the
    network adds no latency beyond the bytes themselves; the RTT rows
@@ -13,7 +14,6 @@
 
 open Bench_util
 module Transport = Dstress_runtime.Transport
-module Distributed = Dstress_runtime.Distributed
 module Metrics = Dstress_obs.Obs.Metrics
 
 let payload_bytes = 64
@@ -55,8 +55,8 @@ let bench_loopback ~pings =
   Printf.printf "loopback: %d round trips per run, %d frames, clean wire\n%!" pings frames
 
 (* The same ping/echo against a forked worker: a real process boundary
-   and scheduler handoff per direction — the number that actually bounds
-   a distributed dispatch batch. *)
+   and scheduler handoff per direction — the floor under every pool
+   dispatch. *)
 let bench_process_echo ~pings =
   let m = Metrics.create () in
   let a, b = Transport.pair ~metrics:m () in
@@ -104,9 +104,9 @@ let bench_process_echo ~pings =
       Transport.close a;
       Printf.printf "process echo: %d round trips per run across a fork boundary\n%!" pings
 
-(* Named-socket connect/accept, and the bounded-backoff path against a
-   socket that does not exist — the reconnect cost a respawned worker
-   pays before it can take over a slot. *)
+(* Named-socket connect/accept, as a daemon client pays it, and the
+   bounded-backoff path against a socket that does not exist — what a
+   client spends giving up on a daemon that is not there. *)
 let bench_connect ~conns =
   let dir = Filename.get_temp_dir_name () in
   let path = Filename.concat dir (Printf.sprintf "dstress-bench-%d.sock" (Unix.getpid ())) in
@@ -153,33 +153,13 @@ let bench_connect ~conns =
     "connect: %d accept cycles per run; giving up on a dead peer costs %d attempts\n%!"
     conns per_give_up
 
-(* Fork-per-batch pool overhead on trivial tasks: everything here is
-   dispatch tax (fork, snapshot page-faults, marshal, frames), nothing
-   is work. *)
-let bench_pool ~tasks =
-  let ctx = Distributed.create ~opts:{ Distributed.default_opts with Distributed.workers = 2 } () in
-  let dispatch () =
-    let r = Distributed.map ctx tasks (fun i -> i) in
-    Array.length r
-  in
-  let _ =
-    measure ~repeats:3 ~warmup:1 ~name:"pool-dispatch"
-      ~params:[ ("workers", Dstress_obs.Json.Int 2) ]
-      ~items:("task", float_of_int tasks)
-      ~telemetry:(fun n -> ([ ("tasks_per_batch", n) ], []))
-      dispatch
-  in
-  Printf.printf "pool: %d no-op tasks per batch on 2 forked workers\n%!" tasks
-
 let run ~quick () =
-  header "Transport: RTT, connect/backoff and pool dispatch cost";
+  header "Transport: RTT and connect/backoff cost";
   let pings = if quick then 300 else 3000 in
   let conns = if quick then 20 else 100 in
-  let tasks = if quick then 32 else 256 in
   bench_loopback ~pings;
   bench_process_echo ~pings;
   bench_connect ~conns;
-  bench_pool ~tasks;
   Printf.printf
     "\nnote: lib/costmodel projections assume a zero-latency wire; the rtt rows\n\
      above are the measured per-frame correction on a local Unix socket.\n"

@@ -111,7 +111,6 @@ let backoff_arg =
         ~doc:"Base simulated retry backoff; doubles on every retry.")
 
 module Executor = Dstress_runtime.Executor
-module Distributed = Dstress_runtime.Distributed
 module Transport = Dstress_runtime.Transport
 
 let executor_arg =
@@ -120,41 +119,9 @@ let executor_arg =
     & opt (some string) None
     & info [ "executor" ] ~docv:"SPEC"
         ~doc:
-          "Execution backend: sequential, parallel[:N] (domain pool) or \
-           distributed[:N] (forked worker processes behind the fault-tolerant \
-           transport); sequential when absent. Tick-domain results and exports \
-           are identical for every backend.")
-
-let wire_fault_rate_arg =
-  Arg.(
-    value & opt float 0.0
-    & info [ "wire-fault-rate" ] ~docv:"FLOAT"
-        ~doc:
-          "Per-(worker, dispatch batch) probability of injecting a transport \
-           fault (disconnect, stall or partition) into a distributed run. \
-           Requires --executor distributed[:N]; 0 disables injection.")
-
-let wire_faults_arg =
-  Arg.(
-    value
-    & opt (list (enum [ ("disconnect", `Disconnect); ("stall", `Stall); ("partition", `Partition) ])) []
-    & info [ "wire-faults" ] ~docv:"KINDS"
-        ~doc:
-          "Comma-separated wire-fault kinds to inject deterministically (one \
-           fault each on early dispatch batches): disconnect, stall, partition. \
-           Requires --executor distributed[:N].")
-
-let transport_metrics_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "transport-metrics" ] ~docv:"FILE"
-        ~doc:
-          "Write the run's wall-domain transport/pool counters (frames, \
-           reconnects, backoff sleeps, respawns, suspicions, fenced frames) to \
-           FILE: CSV when FILE ends in .csv, JSON otherwise. Only produced by \
-           --executor distributed[:N] — these counters are deliberately not in \
-           the deterministic --metrics export.")
+          "Execution backend: sequential or parallel[:N] (a pool of N domains); \
+           sequential when absent. Tick-domain results and exports are \
+           identical for every backend.")
 
 let resolve_executor spec =
   match spec with
@@ -163,66 +130,6 @@ let resolve_executor spec =
       match Executor.of_string s with
       | Ok e -> e
       | Error m -> invalid_arg ("dstress: --executor " ^ m))
-
-let wire_plan ~exec ~seed ~iterations ~wire_fault_rate ~wire_faults =
-  if wire_fault_rate = 0.0 && wire_faults = [] then Fault.empty
-  else
-    match Executor.distributed_ctx exec with
-    | None ->
-        invalid_arg "dstress: wire faults require --executor distributed[:N]"
-    | Some ctx ->
-        let o = Distributed.opts ctx in
-        let workers = o.Distributed.workers in
-        (* Every engine phase is at most two dispatch batches per round. *)
-        let batches = (2 * (iterations + 1)) + 2 in
-        (if wire_fault_rate > 0.0 then
-           Fault.random_wire_plan ~seed ~workers ~batches
-             {
-               Fault.disconnect = wire_fault_rate;
-               stall = wire_fault_rate;
-               partition = wire_fault_rate;
-             }
-         else Fault.empty)
-        @ List.map
-            (function
-              | `Disconnect -> Fault.Disconnect_worker { worker = 0; batch = 1 }
-              | `Stall ->
-                  (* Twice the silence suspicion needs, so it always trips. *)
-                  let seconds = 2.0 *. o.Distributed.phi *. o.Distributed.heartbeat_interval in
-                  Fault.Stall_worker { worker = 1 mod workers; batch = 2; seconds }
-              | `Partition ->
-                  Fault.Partition_worker { worker = 0; from_batch = 3; until_batch = 4 })
-            wire_faults
-
-let export_transport_metrics path (report : Engine.report) =
-  Option.iter
-    (fun path ->
-      match report.Engine.transport_metrics with
-      | Some m ->
-          let contents =
-            if Filename.check_suffix path ".csv" then Dstress_obs.Obs.Metrics.to_csv m
-            else Dstress_obs.Json.to_string (Dstress_obs.Obs.Metrics.to_json m)
-          in
-          let oc = open_out path in
-          output_string oc contents;
-          close_out oc
-      | None ->
-          prerr_endline
-            "dstress: --transport-metrics ignored (no distributed transport in this run)")
-    path
-
-(* A degraded distributed run is an expected, typed outcome: report it
-   and exit distinctly rather than crash with a backtrace. *)
-let degraded_exit = 3
-
-let catch_degraded f =
-  try f () with
-  | Distributed.Degraded d ->
-      Format.eprintf "dstress: distributed run degraded: %a@." Distributed.pp_degradation d;
-      exit degraded_exit
-  | Distributed.Task_failed { index; message } ->
-      Format.eprintf "dstress: worker task %d failed: %s@." index message;
-      exit degraded_exit
 
 let preprocess_arg =
   Arg.(
@@ -396,9 +303,8 @@ let run_model model ~grp ~k ~epsilon ~iterations ~seed ~core ~periphery ~shock ~
       (report, Egj_program.decode_output ~scale ~frac report.Engine.output)
 
 let stress model seed grpname ot_mode k core periphery iterations epsilon shock
-    reference_only fault_rate fault_crashes max_retries backoff executor_spec
-    wire_fault_rate wire_faults transport_metrics preprocess triple_cache trace metrics
-    trace_wall profile =
+    reference_only fault_rate fault_crashes max_retries backoff executor_spec preprocess
+    triple_cache trace metrics trace_wall profile =
   let grp = Group.by_name grpname in
   let preprocess = preprocess || triple_cache <> None in
   (* Only the export flags read the collector: collect exactly when one
@@ -407,27 +313,18 @@ let stress model seed grpname ot_mode k core periphery iterations epsilon shock
     if trace <> None || metrics <> None || trace_wall <> None || profile <> None then Obs.Full
     else Obs.Off
   in
-  let exec = resolve_executor executor_spec in
-  let wire = wire_plan ~exec ~seed ~iterations ~wire_fault_rate ~wire_faults in
-  let finish ~graph ~tds report =
-    ignore graph;
-    Printf.printf "DStress noised TDS:   $%.2f\n" tds;
-    Format.printf "%a@." Engine.pp_report report;
-    export_obs ~trace ~metrics ~trace_wall ~profile report;
-    export_transport_metrics transport_metrics report
-  in
+  let executor = resolve_executor executor_spec in
   let mpc graph_of_model =
-    let graph = graph_of_model () in
     let fault_plan =
-      protocol_plan ~graph ~iterations ~seed ~fault_rate ~fault_crashes @ wire
+      protocol_plan ~graph:(graph_of_model ()) ~iterations ~seed ~fault_rate ~fault_crashes
     in
     let report, tds =
-      catch_degraded (fun () ->
-          run_model model ~grp ~k ~epsilon ~iterations ~seed ~core ~periphery ~shock
-            ~ot_mode ~preprocess ~triple_cache ~executor:exec ~obs_level
-            ~fault_plan ~max_retries ~backoff)
+      run_model model ~grp ~k ~epsilon ~iterations ~seed ~core ~periphery ~shock ~ot_mode
+        ~preprocess ~triple_cache ~executor ~obs_level ~fault_plan ~max_retries ~backoff
     in
-    finish ~graph ~tds report
+    Printf.printf "DStress noised TDS:   $%.2f\n" tds;
+    Format.printf "%a@." Engine.pp_report report;
+    export_obs ~trace ~metrics ~trace_wall ~profile report
   in
   match model with
   | `En ->
@@ -460,7 +357,6 @@ let stress_cmd =
       $ periphery_arg
       $ iterations_arg $ epsilon_arg $ shock_arg $ reference_only_arg $ fault_rate_arg
       $ fault_crashes_arg $ max_retries_arg $ backoff_arg $ executor_arg
-      $ wire_fault_rate_arg $ wire_faults_arg $ transport_metrics_arg
       $ preprocess_arg $ triple_cache_arg $ trace_arg $ metrics_arg $ trace_wall_arg
       $ profile_arg)
 
@@ -659,6 +555,9 @@ let transport_cmd =
 module Service = Dstress_runtime.Service
 module Log = Dstress_obs.Log
 
+(* Degraded and rejected requests are expected, typed outcomes: report
+   them and exit distinctly rather than crash with a backtrace. *)
+let degraded_exit = 3
 let rejected_exit = 4
 
 let default_socket = Filename.concat (Filename.get_temp_dir_name ()) "dstress.sock"

@@ -30,10 +30,9 @@ type t = {
          are harmless. Guarded by [cache_lock]. *)
 }
 
-(* One module-level lock guards every group's caches. It cannot live inside
-   [t]: a Mutex is a custom block, and groups travel inside task writebacks
-   that the distributed executor marshals between processes. Contention is
-   negligible (lock-holding sections are a hash probe or replace). *)
+(* One module-level lock guards every group's caches. Contention is
+   negligible (lock-holding sections are a hash probe or replace), so a
+   lock per group would buy nothing. *)
 let cache_lock = Mutex.create ()
 
 let key_tables_cap = 8

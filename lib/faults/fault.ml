@@ -14,14 +14,10 @@ let kind_name = function
 
 let all_kinds = [ Crash; Drop; Delay; Corrupt; Decrypt_miss; Disconnect; Stall; Partition ]
 
-let is_wire = function
-  | Disconnect | Stall | Partition -> true
-  | Crash | Drop | Delay | Corrupt | Decrypt_miss -> false
-
 (* The one simulated-time rounding rule: float seconds are charged to the
-   tick timeline by truncation toward zero. The engine's recovery
-   accounting and the transport's stall bookkeeping both call this, so
-   the two layers can never disagree about a delay's tick cost. *)
+   tick timeline by truncation toward zero. Every recovery delay the
+   engine charges goes through this, so no two call sites can disagree
+   about a delay's tick cost. *)
 let ticks_per_second = 1_000_000.0
 
 let delay_ticks s = int_of_float (s *. ticks_per_second)

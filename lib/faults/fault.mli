@@ -12,7 +12,15 @@
     built from the plan; the injector records which faults actually fired
     (a fault naming an edge the graph does not have, or a round the run
     never reaches, stays dormant) and reports per-kind counters for the
-    engine's execution report. *)
+    engine's execution report.
+
+    Two families share the plan type. {e Protocol} faults (crash, drop,
+    delay, corrupt, decrypt miss) are consumed by the engine. {e Wire}
+    faults (disconnect, stall, partition) attack the daemon's persistent
+    worker pool ([Service] in the runtime library): its fault source maps
+    each dispatch index (a plan's "batch") and worker slot to the faults
+    that apply there ({!Injector.wire_faults}). The engine never fires
+    them. *)
 
 type kind =
   | Crash  (** a block member fails (fail-stop) for a round interval *)
@@ -20,21 +28,12 @@ type kind =
   | Delay  (** one edge transfer is delivered late *)
   | Corrupt  (** one edge transfer arrives but fails its integrity check *)
   | Decrypt_miss  (** one decryption is forced outside the lookup table *)
-  | Disconnect  (** a worker's transport socket dies mid-batch *)
-  | Stall  (** a worker stalls (stops writing) long enough to be suspected *)
-  | Partition  (** a worker slot is unreachable for a batch interval *)
+  | Disconnect  (** a pool worker's socket dies mid-request *)
+  | Stall  (** a pool worker stalls (stops writing) long enough to be suspected *)
+  | Partition  (** a pool worker slot is unreachable for a dispatch interval *)
 
 val kind_name : kind -> string
 val all_kinds : kind list
-
-val is_wire : kind -> bool
-(** [Disconnect], [Stall] and [Partition] are {e wire-level} faults: they
-    attack the distributed runtime's transport, not the protocol. The
-    protocol-level accounting (tick-domain metrics, recovery counters,
-    the report fields compared across executor backends) never includes
-    them — a run that recovers from wire faults must be byte-identical,
-    in the tick domain, to the same run without a transport at all. Wire
-    firings are tallied in the wall-domain transport metrics instead. *)
 
 (** {2 Simulated-time rounding contract}
 
@@ -68,18 +67,19 @@ type fault =
           [(src, dst)] at [round] to miss the lookup table *)
   | Disconnect_worker of { worker : int; batch : int }
       (** worker slot [worker]'s connection dies abruptly while serving
-          its first task of dispatch batch [batch]; the coordinator must
-          respawn the slot and redispatch the lost task *)
+          dispatch [batch]; the pool must respawn the slot and redispatch
+          the lost request *)
   | Stall_worker of { worker : int; batch : int; seconds : float }
-      (** worker slot [worker] stalls for [seconds] before replying to its
-          first task of batch [batch] — long stalls trip the heartbeat
-          failure detector and exercise epoch fencing when the stalled
-          worker's late reply finally arrives *)
+      (** worker slot [worker] stalls for [seconds] before replying to
+          dispatch [batch] — long stalls trip the heartbeat failure
+          detector and exercise epoch fencing when the stalled worker's
+          late reply finally arrives *)
   | Partition_worker of { worker : int; from_batch : int; until_batch : int }
       (** worker slot [worker] is unreachable (drops every frame, sends
-          nothing) for batches [\[from_batch, until_batch)]; respawned
-          replacements of the slot are equally unreachable, so the
-          coordinator must degrade onto the remaining workers *)
+          nothing) for dispatches [\[from_batch, until_batch)]; a
+          respawned replacement that receives one of them is equally
+          unreachable, so the pool must degrade onto the remaining
+          workers *)
 
 val kind_of : fault -> kind
 

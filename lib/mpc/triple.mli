@@ -13,8 +13,8 @@
     inline.
 
     Material is cached in memory (process-wide, thread-safe) and
-    optionally on disk, so daemon restarts and distributed workers reuse
-    it across runs. *)
+    optionally on disk, so later runs in fresh processes and daemon
+    restarts reuse it. *)
 
 type eval = {
   masks : bytes array array;

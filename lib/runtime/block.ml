@@ -8,7 +8,7 @@ module Gmw = Dstress_mpc.Gmw
 type t = {
   vertex : int;
   members : int array;
-  mutable session : Gmw.session;
+  session : Gmw.session;
   state_bits : int;
   message_bits : int;
   degree : int;

@@ -2,10 +2,11 @@
     vertex's state and of its D message slots, plus the block's GMW
     session.
 
-    A block is the runtime's unit of independent work: computation tasks
-    touch exactly one block, communication tasks touch one source block's
-    outbox (read) and one destination block's inbox slot (write, slots are
-    disjoint per edge). The module also provides the {e keyed randomness}
+    A block is the runtime's unit of independent work: a computation task
+    updates only the blocks of its own vertex group, in place; a
+    communication task reads one source block's outbox, and its merge
+    writes one destination inbox slot (slots are disjoint per edge). The
+    module also provides the {e keyed randomness}
     derivations that give every block and every edge transfer its own
     independent stream — [H(seed ":" purpose)] — so no task ever draws
     from a shared generator and scheduling order cannot change outputs. *)
@@ -13,10 +14,7 @@
 type t = {
   vertex : int;
   members : int array;  (** k+1 global node ids, first is the vertex *)
-  mutable session : Dstress_mpc.Gmw.session;
-      (** reused across all rounds; mutable so the Distributed backend
-          can write a worker's evolved session (PRG counters, round/OT
-          tallies) back after a computation batch *)
+  session : Dstress_mpc.Gmw.session;  (** reused across all rounds *)
   state_bits : int;
   message_bits : int;
   degree : int;

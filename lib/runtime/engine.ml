@@ -74,7 +74,7 @@ let validate_config cfg =
   match cfg.executor with
   | Executor.Parallel { jobs } when jobs < 1 ->
       invalid_arg "Engine.run: executor jobs must be >= 1"
-  | Executor.Parallel _ | Executor.Sequential | Executor.Distributed _ -> ()
+  | Executor.Parallel _ | Executor.Sequential -> ()
 
 type phase = Phase.id = Setup | Initialization | Computation | Communication | Aggregation
 
@@ -100,36 +100,8 @@ type report = {
   mpc_ots : int;
   update_stats : Circuit.stats;
   obs : Obs.t;
-  transport_metrics : Obs.Metrics.t option;
   offline_metrics : Obs.Metrics.t option;
 }
-
-(* Everything a computation task mutates on its (possibly fork-local)
-   block, shipped back in the payload so the coordinator's authoritative
-   copy catches up. Under the in-process executors the writeback applies
-   the very same objects — an idempotent no-op. *)
-type vertex_writeback = {
-  wb_events : int;  (* crash recoveries replayed by the merge *)
-  wb_state : Bitvec.t array;
-  wb_inbox : Bitvec.t array array;
-  wb_outbox : Bitvec.t array array;
-  wb_session : Gmw.session;
-}
-
-let vertex_writeback ~events b =
-  {
-    wb_events = events;
-    wb_state = b.Block.state;
-    wb_inbox = b.Block.inbox;
-    wb_outbox = b.Block.outbox;
-    wb_session = b.Block.session;
-  }
-
-let apply_writeback b wb =
-  b.Block.state <- wb.wb_state;
-  Array.blit wb.wb_inbox 0 b.Block.inbox 0 (Array.length b.Block.inbox);
-  Array.blit wb.wb_outbox 0 b.Block.outbox 0 (Array.length b.Block.outbox);
-  b.Block.session <- wb.wb_session
 
 (* Total simulated wait for [retries] exponential-backoff retransmissions
    starting at [backoff] seconds: backoff * (2^retries - 1). *)
@@ -169,15 +141,6 @@ let run cfg p ~graph ~initial_states =
   Obs.enter obs "run";
   let ebytes = Group.element_bytes cfg.grp in
   let injector = Fault.Injector.create cfg.fault_plan in
-  (* The Distributed pool consults the same injector for wire faults, so
-     one plan drives both protocol- and transport-level failures and the
-     fired-fault report covers both. *)
-  (match Executor.distributed_ctx exec with
-  | Some ctx ->
-      Distributed.begin_run ctx;
-      Distributed.set_fault_source ctx (fun ~batch ~worker ->
-          Fault.Injector.wire_faults injector ~batch ~worker)
-  | None -> ());
   (* --- Setup --------------------------------------------------- *)
   let setup =
     Phase.run_sequential acc Setup (fun () ->
@@ -227,12 +190,10 @@ let run cfg p ~graph ~initial_states =
      correlated randomness for the whole run — iterations + 1 update-
      circuit evaluations per block — and attach it, so the timed online
      rounds consume pre-drawn material instead of running the PRG/OT
-     machinery inline. Runs sequentially on the coordinator before any
-     task batch: under the Distributed backend the material reaches the
-     workers through fork copy-on-write, and no domain has been spawned
-     yet. Metrics go to a separate wall-domain registry (never the tick-
-     domain [obs]): a run must export byte-identical traces and metrics
-     with and without preprocessing. *)
+     machinery inline. Runs sequentially, before any task batch. Metrics
+     go to a separate wall-domain registry (never the tick-domain [obs]):
+     a run must export byte-identical traces and metrics with and without
+     preprocessing. *)
   let offline_metrics =
     if not cfg.preprocess then None
     else begin
@@ -323,22 +284,17 @@ let run cfg p ~graph ~initial_states =
           Array.to_list blocks.(i).Block.members
           |> List.filter (fun m -> Fault.Injector.crash_starting injector ~round ~node:m))
     in
-    (* Merge: write each vertex's mutations back onto the coordinator's
-       blocks (a no-op for the in-process executors, the state handoff for
-       Distributed), then replay crash-recovery accounting in vertex order
-       on the root collector, so the counters and recovery ticks are
-       identical for every executor and vertex grouping. *)
-    let merge_group lo wbs =
-      Array.iteri
-        (fun o wb ->
-          apply_writeback blocks.(lo + o) wb;
-          let e = wb.wb_events in
-          if e > 0 then begin
-            crash_recoveries := !crash_recoveries + e;
-            Obs.incr obs ~by:e "faults.crash_recoveries";
-            Phase.Accounting.add_recovery acc Computation (float_of_int e *. cfg.backoff)
-          end)
-        wbs
+    (* Tasks update their own (disjoint) blocks in place and return each
+       vertex's crash-recovery event count. The merge replays that
+       accounting in vertex order on the root collector, so the counters
+       and recovery ticks are identical for every executor and vertex
+       grouping. *)
+    let replay_recoveries e =
+      if e > 0 then begin
+        crash_recoveries := !crash_recoveries + e;
+        Obs.incr obs ~by:e "faults.crash_recoveries";
+        Phase.Accounting.add_recovery acc Computation (float_of_int e *. cfg.backoff)
+      end
     in
     (* Every vertex runs the same update circuit, so a task takes a
        contiguous group of vertices and evaluates them as one sliced GMW
@@ -385,12 +341,8 @@ let run cfg p ~graph ~initial_states =
               Traffic.merge_into ~dst:traffic vtraffic.(o)
             end)
           outs;
-        {
-          Phase.traffic;
-          payload =
-            Array.init len (fun o -> vertex_writeback ~events:events.(o) blocks.(lo + o));
-        })
-      ~merge:(fun gi wbs -> merge_group (gi * group_size) wbs) ()
+        { Phase.traffic; payload = events })
+      ~merge:(fun _ events -> Array.iter replay_recoveries events) ()
   in
   (* --- Communication step ---------------------------------------- *)
   let edges = Array.of_list (Graph.edges graph) in
@@ -439,8 +391,8 @@ let run cfg p ~graph ~initial_states =
              (delay +. backoff_seconds ~backoff:cfg.backoff ~retries:outcome.Protocol.retries));
         { Phase.traffic; payload = (outcome, delay) })
       ~merge:(fun e (o, delay) ->
-        (* The inbox write happens here, not in the task: an edge task may
-           run in a forked worker whose blocks are a private snapshot. *)
+        (* Edge tasks only read blocks; the inbox slot each edge owns is
+           written here, in edge order. *)
         let i, j = edges.(e) in
         blocks.(j).Block.inbox.(Graph.in_slot graph ~src:i ~dst:j) <- o.Protocol.shares;
         failures := !failures + o.Protocol.failures;
@@ -563,14 +515,8 @@ let run cfg p ~graph ~initial_states =
      injected-fault tallies, edge-privacy budget spend and the final
      traffic shape. Order is fixed, so exports are reproducible. *)
   List.iter (fun s -> Gmw.observe s obs) mpc_sessions;
-  (* Wire-level firings are excluded from the tick-domain registry: a run
-     that recovered from transport faults must export byte-identically to
-     the same run without a transport (Fault.is_wire's contract). They
-     remain visible in [faults_injected] and the transport metrics. *)
   List.iter
-    (fun (k, c) ->
-      if c > 0 && not (Fault.is_wire k) then
-        Obs.incr obs ~by:c ("faults.injected." ^ Fault.kind_name k))
+    (fun (k, c) -> if c > 0 then Obs.incr obs ~by:c ("faults.injected." ^ Fault.kind_name k))
     (Fault.Injector.injected injector);
   if !retry_epsilon > 0.0 then Obs.add obs "privacy.retry_epsilon" !retry_epsilon;
   Obs.set obs "privacy.epsilon_query" p.Vertex_program.epsilon;
@@ -578,13 +524,6 @@ let run cfg p ~graph ~initial_states =
   Obs.incr obs ~by:n "run.nodes";
   Traffic.observe global obs;
   Obs.leave obs;
-  let transport_metrics =
-    match Executor.distributed_ctx exec with
-    | Some ctx ->
-        Distributed.clear_fault_source ctx;
-        Some (Distributed.metrics ctx)
-    | None -> None
-  in
   {
     output = Bitvec.to_int_signed output_bits;
     iterations = p.Vertex_program.iterations;
@@ -604,7 +543,6 @@ let run cfg p ~graph ~initial_states =
     mpc_ots = List.fold_left (fun a s -> a + Gmw.ots_performed s) 0 mpc_sessions;
     update_stats = Circuit.stats update_c;
     obs;
-    transport_metrics;
     offline_metrics;
   }
 
@@ -681,14 +619,6 @@ let pp_report ppf r =
           (mb b) rs
       else Format.fprintf ppf "%-14s %8.3f s %10.3f MB@," (phase_name ph) s (mb b))
     r.phase_bytes;
-  (match r.transport_metrics with
-  | Some m ->
-      let c = Obs.Metrics.counter m in
-      Format.fprintf ppf
-        "transport: %d frame(s), %d respawn(s), %d suspicion(s), %d fenced@,"
-        (c "transport.frames_sent") (c "pool.respawns") (c "pool.suspicions")
-        (c "transport.fenced_frames")
-  | None -> ());
   (match r.offline_metrics with
   | Some m ->
       let c = Obs.Metrics.counter m in

@@ -74,7 +74,7 @@ type config = {
   max_retries : int;  (** transfer retries before table escalation *)
   backoff : float;  (** base simulated backoff in seconds (doubles per retry) *)
   executor : Executor.t;
-      (** Sequential, a domain pool or a worker pool. A computation step
+      (** Sequential or a domain pool. A computation step
           evaluates the vertices in contiguous groups, one bitsliced GMW
           batch ({!Dstress_mpc.Gmw.eval_many}) per task: every vertex runs
           the same update circuit, so a group packs up to
@@ -99,9 +99,9 @@ type config = {
           [report.offline_metrics]). Default [false]. *)
   triple_cache : string option;
       (** directory for persisting preprocessed material across processes
-          and runs (daemon restarts, distributed worker reloads); created
-          on demand. Only consulted when [preprocess] is set. Default
-          [None] (in-memory caching only). *)
+          and runs (a fresh [dstress stress] process, a daemon restart);
+          created on demand. Only consulted when [preprocess] is set.
+          Default [None] (in-memory caching only). *)
 }
 
 val default_config : ?seed:string -> Dstress_crypto.Group.t -> k:int -> degree_bound:int -> config
@@ -158,18 +158,13 @@ type report = {
       (** the run's observability collector (the shared no-op collector
           when [obs_level = Off]); all spans are closed — ready for the
           {!Dstress_obs.Obs} exporters *)
-  transport_metrics : Dstress_obs.Obs.Metrics.t option;
-      (** wall-domain transport/pool counters when the executor was
-          [Distributed] (reconnects, backoff sleeps, respawns, fenced
-          frames, ...); [None] for in-process backends.
-          Deliberately separate from [obs] — tick-domain exports stay
-          byte-identical across executors. *)
   offline_metrics : Dstress_obs.Obs.Metrics.t option;
       (** wall-domain offline-phase counters when [config.preprocess] was
           set: [preprocess.sessions] / [preprocess.evals] (work attached),
           [preprocess.cache.generations] / [.disk_loads] / [.hits] (where
-          it came from) and the [preprocess.wall_s] gauge. Kept out of
-          [obs] for the same byte-identity reason as transport metrics. *)
+          it came from) and the [preprocess.wall_s] gauge. Deliberately
+          separate from [obs]: a run's tick-domain exports are
+          byte-identical with and without preprocessing. *)
 }
 
 val run :

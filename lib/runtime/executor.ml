@@ -1,49 +1,20 @@
-type t =
-  | Sequential
-  | Parallel of { jobs : int }
-  | Distributed of { ctx : Distributed.ctx }
+type t = Sequential | Parallel of { jobs : int }
 
 let sequential = Sequential
 
 let parallel ~jobs = if jobs <= 1 then Sequential else Parallel { jobs }
 
-let distributed ?opts ?(workers = Distributed.default_opts.Distributed.workers) () =
-  let opts =
-    match opts with
-    | Some o -> { o with Distributed.workers }
-    | None -> { Distributed.default_opts with Distributed.workers }
-  in
-  Distributed { ctx = Distributed.create ~opts () }
-
-let distributed_ctx = function Distributed { ctx } -> Some ctx | _ -> None
-
 let of_string s =
   let s = String.trim (String.lowercase_ascii s) in
-  let split_count name =
-    let prefix = name ^ ":" in
-    let plen = String.length prefix in
-    if String.length s > plen && String.sub s 0 plen = prefix then
-      match int_of_string_opt (String.sub s plen (String.length s - plen)) with
-      | Some n when n >= 1 -> Ok (Some n)
-      | _ -> Error (Printf.sprintf "invalid worker count in %S" s)
-    else Ok None
-  in
+  let prefix = "parallel:" in
+  let plen = String.length prefix in
   if s = "sequential" || s = "seq" then Ok Sequential
   else if s = "parallel" then Ok (parallel ~jobs:(Domain.recommended_domain_count ()))
-  else if s = "distributed" then Ok (distributed ())
-  else
-    match split_count "parallel" with
-    | Ok (Some n) -> Ok (parallel ~jobs:n)
-    | Error e -> Error e
-    | Ok None -> (
-        match split_count "distributed" with
-        | Ok (Some n) -> Ok (distributed ~workers:n ())
-        | Error e -> Error e
-        | Ok None ->
-            Error
-              (Printf.sprintf
-                 "unknown executor %S (expected sequential, parallel[:N] or distributed[:N])"
-                 s))
+  else if String.length s > plen && String.sub s 0 plen = prefix then
+    match int_of_string_opt (String.sub s plen (String.length s - plen)) with
+    | Some n when n >= 1 -> Ok (parallel ~jobs:n)
+    | _ -> Error (Printf.sprintf "invalid worker count in %S" s)
+  else Error (Printf.sprintf "unknown executor %S (expected sequential or parallel[:N])" s)
 
 let of_env () =
   match Sys.getenv_opt "DSTRESS_JOBS" with
@@ -53,16 +24,11 @@ let of_env () =
       | Some j -> parallel ~jobs:j
       | None -> Sequential)
 
-let jobs = function
-  | Sequential -> 1
-  | Parallel { jobs } -> jobs
-  | Distributed { ctx } -> (Distributed.opts ctx).Distributed.workers
+let jobs = function Sequential -> 1 | Parallel { jobs } -> jobs
 
 let name = function
   | Sequential -> "sequential"
   | Parallel { jobs } -> Printf.sprintf "parallel:%d" jobs
-  | Distributed { ctx } ->
-      Printf.sprintf "distributed:%d" (Distributed.opts ctx).Distributed.workers
 
 let map_sequential count f =
   let results = Array.make count None in
@@ -104,14 +70,9 @@ let map_parallel jobs count f =
 
 let map t count f =
   if count < 0 then invalid_arg "Executor.map: negative count";
-  match t with
-  | Distributed { ctx } -> Distributed.map ctx count f
-  | _ ->
-      let results =
-        match t with
-        | Sequential -> map_sequential count f
-        | Parallel { jobs } when jobs <= 1 || count <= 1 -> map_sequential count f
-        | Parallel { jobs } -> map_parallel jobs count f
-        | Distributed _ -> assert false
-      in
-      Array.map (function Some v -> v | None -> assert false) results
+  let results =
+    match t with
+    | Parallel { jobs } when jobs > 1 && count > 1 -> map_parallel jobs count f
+    | Sequential | Parallel _ -> map_sequential count f
+  in
+  Array.map (function Some v -> v | None -> assert false) results

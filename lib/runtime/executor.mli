@@ -25,43 +25,32 @@
 type t =
   | Sequential  (** run every task on the calling domain, in index order *)
   | Parallel of { jobs : int }  (** work-stealing pool of [jobs] domains *)
-  | Distributed of { ctx : Distributed.ctx }
-      (** forked worker processes behind a fault-tolerant {!Transport};
-          see {!Distributed} *)
 
 val sequential : t
 
 val parallel : jobs:int -> t
 (** [jobs <= 1] collapses to {!Sequential}. *)
 
-val distributed : ?opts:Distributed.opts -> ?workers:int -> unit -> t
-(** A multi-process backend with its own {!Distributed.ctx}. [workers]
-    (default from {!Distributed.default_opts}) overrides the worker
-    count in [opts]. Even [workers = 1] keeps the Distributed backend —
-    a single worker still exercises the full transport path. *)
-
-val distributed_ctx : t -> Distributed.ctx option
-
 val of_string : string -> (t, string) result
-(** Parse an executor spec: ["sequential"] (or ["seq"]),
+(** Parse an executor spec: ["sequential"] (or ["seq"]) or
     ["parallel[:N]"] (bare ["parallel"] uses
-    [Domain.recommended_domain_count]), ["distributed[:N]"]. Case- and
-    whitespace-insensitive; [Error] explains rejects. This is the one
-    parser behind [--executor] in [bin/dstress.ml] and the bench
-    harness. *)
+    [Domain.recommended_domain_count]). Case- and whitespace-insensitive;
+    [Error] explains rejects. This is the one parser behind [--executor]
+    in [bin/dstress.ml], the bench harness and a DSTRESS-REQ/1 request's
+    executor field. *)
 
 val of_env : unit -> t
 (** The [DSTRESS_JOBS] integer selects [Parallel { jobs }] when [>= 2];
     absent, unparsable or smaller selects [Sequential]. This is how CI
-    runs the whole test suite under both in-process backends without
-    touching any call site. *)
+    runs the whole test suite under both backends without touching any
+    call site. *)
 
 val jobs : t -> int
-(** 1 for [Sequential]; worker count for the other backends. *)
+(** 1 for [Sequential]; the domain count for [Parallel]. *)
 
 val name : t -> string
-(** ["sequential"], ["parallel:N"] or ["distributed:N"], for reports and
-    benchmarks. Round-trips through {!of_string}. *)
+(** ["sequential"] or ["parallel:N"], for reports and benchmarks.
+    Round-trips through {!of_string}. *)
 
 val map : t -> int -> (int -> 'a) -> 'a array
 (** [map exec count f] evaluates [f i] for [0 <= i < count] and returns
@@ -70,7 +59,4 @@ val map : t -> int -> (int -> 'a) -> 'a array
     pool via an atomic work counter; completion order is arbitrary but
     the result array is always index-ordered. If any task raises, the
     batch finishes draining and the first (lowest-index) exception is
-    re-raised. [Distributed] dispatches indices dynamically to forked
-    worker processes ({!Distributed.map}); results must then be
-    marshal-safe plain data, and worker-side exceptions surface as
-    {!Distributed.Task_failed} for the lowest failing index. *)
+    re-raised. *)

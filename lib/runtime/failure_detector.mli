@@ -1,4 +1,5 @@
-(** Heartbeat-based failure detection for the {!Distributed} pool.
+(** Heartbeat-based failure detection for the daemon's worker pool
+    ({!Supervisor}, one detector per slot).
 
     Each worker process writes a heartbeat frame every
     [expected_interval] seconds; the coordinator feeds arrival times to a
@@ -7,11 +8,11 @@
     since the last heartbeat divided by a smoothed estimate of the
     arrival interval. A healthy peer hovers near 1; a stalled or dead
     peer's level grows without bound, and once it crosses [phi] the peer
-    is {e suspected}. Suspicion is advisory — the {!Distributed}
-    coordinator treats a suspected worker like a [Crash_node] fault
-    (redispatch its task, respawn its slot) but keeps reading the old
-    socket until the batch ends, so a falsely-suspected straggler's late
-    reply is fenced by epoch rather than double-applied.
+    is {e suspected}. Suspicion is advisory — the supervisor treats a
+    suspected worker like a [Crash_node] fault (requeue its request,
+    respawn its slot) but keeps reading the old socket until it closes,
+    so a falsely-suspected straggler's late reply is fenced by epoch
+    rather than double-applied.
 
     The detector never reads the clock itself: every call takes [now],
     so tests drive it with a simulated clock and the suspicion timeline

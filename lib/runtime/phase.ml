@@ -81,10 +81,6 @@ let run_tasks exec acc phase ?task_label ~count ~task ~merge () =
   (* Per-task child collectors keep span/metric emission race-free under
      a domain pool; the index-ordered merge below rebases them onto the
      parent timeline, so the collected trace is schedule-independent.
-     The child is created {e inside} the mapped function and returned
-     with the result: under the Distributed backend the task runs in a
-     forked worker, so the collector must travel with the task's payload
-     across the process boundary (Obs.t is plain marshal-safe data).
      When observability is off, fork returns the collector unchanged and
      the merge below is skipped. *)
   let results =

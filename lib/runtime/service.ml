@@ -181,6 +181,9 @@ let decode_response b =
           else Ok (if status = st_rejected then Rejected msg else Degraded msg)
     else Error (Printf.sprintf "unknown response status %d" status)
 
+let request_executor r =
+  if r.executor = "" then Ok Executor.sequential else Executor.of_string r.executor
+
 let validate_request r =
   let err fmt = Printf.ksprintf (fun m -> Error m) fmt in
   if r.core < 1 then err "core must be >= 1 (got %d)" r.core
@@ -194,29 +197,10 @@ let validate_request r =
     err "slice_width must be in [1, 64] (got %d)" r.slice_width
   else if String.length r.executor > max_executor_len then
     err "executor spec longer than %d bytes" max_executor_len
-  else if r.executor = "" then Ok ()
   else
-    match Executor.of_string r.executor with
+    match request_executor r with
     | Ok _ -> Ok ()
     | Error m -> err "executor spec: %s" m
-
-(* Once a worker process has spawned domains for a parallel request it
-   may never fork again (OCaml 5), so a later distributed spec quietly
-   becomes sequential — legal because results and tick-domain exports
-   are executor-invariant. Monotone, per process. *)
-let domains_tainted = ref false
-
-let request_executor r =
-  let parsed =
-    if r.executor = "" then Ok Executor.sequential else Executor.of_string r.executor
-  in
-  match parsed with
-  | Error _ as e -> e
-  | Ok (Executor.Parallel _ as e) ->
-      domains_tainted := true;
-      Ok e
-  | Ok (Executor.Distributed _) when !domains_tainted -> Ok Executor.sequential
-  | Ok e -> Ok e
 
 (* ------------------------------------------------------------------ *)
 (* Persistent pool (coordinator side)                                  *)

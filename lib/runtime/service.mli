@@ -1,20 +1,17 @@
 (** Daemon mode: a persistent worker pool serving concurrent clearing
     requests over the framed transport ([DSTRESS-REQ/1]).
 
-    The {!Distributed} backend pays its dispatch tax per batch: every
-    [map] forks a fresh worker set so the children snapshot the current
-    coordinator heap. A long-running daemon inverts the economics — the
-    work arrives as self-contained {e requests} (plain wire data, no
-    closures), so workers can be forked {b once at startup} and reused
-    across requests forever. This module provides the three layers of
-    that daemon:
+    The work arrives as self-contained {e requests} (plain wire data, no
+    closures), so workers are forked {b once at startup} and reused
+    across requests; a request pays one task frame out and one result
+    frame back. This module provides the three layers of that daemon:
 
     + a typed request/response codec ([DSTRESS-REQ/1], {!request} /
       {!response}) carried in {!Transport.Kind.request} /
       [response] frames;
     + a persistent {!pool}: workers forked at creation (inheriting the
       handler via copy-on-write) and kept warm across requests, their
-      slots run by the same {!Supervisor} as the per-batch pool — plus
+      slots run by a {!Supervisor} (heartbeats, fencing, respawn) — plus
       a bounded submission queue with typed backpressure, per-request
       attempt budgets and deadlines;
     + a single-threaded {!serve} loop multiplexing a listener (Unix
@@ -26,8 +23,8 @@
     permanently, even after the domain is joined. The daemon therefore
     forks its whole worker pool before touching any domain pool, and the
     coordinator process never spawns domains at all (so respawning a
-    crashed worker mid-service stays legal). Inside a worker the
-    constraint resurfaces per request: see {!request_executor}.
+    crashed worker mid-service stays legal). A worker never forks, so a
+    [parallel[:N]] request may spawn domains inside it.
 
     {b Determinism.} A request is executed by exactly one worker as one
     ordinary engine run with its own per-request [Obs] registry, so the
@@ -57,7 +54,7 @@ type request = {
   preprocess : bool;  (** run the offline phase before the online rounds *)
   executor : string;
       (** in-worker executor spec ({!Executor.of_string}); [""] means
-          sequential. See {!request_executor} for the downgrade rule. *)
+          sequential *)
 }
 
 (** The deterministic outcome of one served request. [trace] / [metrics]
@@ -94,12 +91,8 @@ val validate_request : request -> (unit, string) result
     [executor] spec, sane payload lengths. *)
 
 val request_executor : request -> (Executor.t, string) result
-(** Resolve the request's executor spec inside a worker process, under
-    the OCaml 5 fork-after-domain prohibition: once this worker has run
-    any [parallel[:N]] request it can never fork again, so a later
-    [distributed[:N]] spec silently downgrades to sequential (results
-    and tick-domain exports are executor-invariant, so the response is
-    unchanged). The taint is per process and monotone. *)
+(** The request's in-worker executor: {!Executor.of_string} of its spec,
+    with [""] meaning sequential. *)
 
 (** {1 Persistent pool} *)
 

@@ -1,6 +1,7 @@
-(** Worker-slot lifecycle shared by both process pools: the
-    fork-per-batch executor ({!Distributed}) and the daemon's persistent
-    pool ({!Service}).
+(** Worker-slot lifecycle of the daemon's persistent pool ({!Service}).
+    It is a module of its own so that the pool's queue policy (attempt
+    budgets, deadlines, backpressure) never touches fork, heartbeats or
+    epochs.
 
     A supervisor owns a fixed array of worker {e slots}, each holding one
     forked worker process reached over an anonymous socketpair through
@@ -24,7 +25,7 @@
 
     A worker runs one task at a time through the client's [serve]
     function. Wire faults reach the worker in the task header
-    ({!dispatch}'s [faults]), one way for every client: a stall holds
+    ({!dispatch}'s [faults]): a stall holds
     the worker silent (heartbeats included) before it serves the task, a
     partition mutes it without serving the task, long enough to be
     fenced, and then ends it, and a disconnect makes it sever its

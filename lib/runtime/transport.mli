@@ -1,9 +1,9 @@
 (** Fault-tolerant framed transport over Unix domain sockets.
 
-    This is the wire layer of the {!Distributed} runtime: the coordinator
-    and its worker processes exchange length-prefixed, checksummed frames
-    over anonymous [AF_UNIX] [socketpair]s; named sockets and TCP carry
-    the daemon's clients ({!Service}). The layer is built {e failure
+    This is the wire layer of the daemon ({!Service}): the coordinator
+    and its persistent worker processes exchange length-prefixed,
+    checksummed frames over anonymous [AF_UNIX] [socketpair]s
+    ({!Supervisor}); named sockets and TCP carry the daemon's clients. The layer is built {e failure
     first} — every operation has a deadline, connections are established
     with bounded jittered-exponential-backoff retry, and every frame
     carries a CRC-32 and a sequence number; a receiver drops any frame
@@ -27,11 +27,11 @@
 
     {b Domains.} Everything this module measures is {e wall-domain}: RTTs,
     backoff sleeps, reconnects. Its metrics live in a registry that is
-    never merged into a run's deterministic tick-domain collector — Obs
-    exports stay byte-identical whether or not a transport sits under the
-    run (see DESIGN.md §10).
+    never merged into a run's deterministic tick-domain collector — a
+    request served through the daemon exports the same Obs bytes as a
+    solo run (see DESIGN.md §10).
 
-    {b Fault injection} happens above this layer: the worker pools carry
+    {b Fault injection} happens above this layer: the worker pool carries
     the wire fault kinds of {!Dstress_faults.Fault} in the
     {!Supervisor}'s task header, so their failure paths are replayable
     from a deterministic plan. *)

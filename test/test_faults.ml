@@ -98,18 +98,6 @@ let test_delay_ticks_contract () =
   Alcotest.(check int) "sub-microsecond charges nothing" 0 (Fault.delay_ticks 4.0e-7);
   Alcotest.(check int) "negative never charges" 0 (Fault.delay_ticks (-0.5e-6))
 
-let test_wire_kinds_classified () =
-  List.iter
-    (fun k ->
-      let wire = List.mem k [ Fault.Disconnect; Fault.Stall; Fault.Partition ] in
-      Alcotest.(check bool) (Fault.kind_name k ^ " classification") wire (Fault.is_wire k))
-    Fault.all_kinds;
-  Alcotest.(check bool) "constructor kinds" true
-    (Fault.kind_of (Fault.Disconnect_worker { worker = 0; batch = 0 }) = Fault.Disconnect
-    && Fault.kind_of (Fault.Stall_worker { worker = 0; batch = 0; seconds = 0.1 }) = Fault.Stall
-    && Fault.kind_of (Fault.Partition_worker { worker = 0; from_batch = 0; until_batch = 1 })
-       = Fault.Partition)
-
 let test_random_wire_plan_deterministic_and_valid () =
   let rates = { Fault.disconnect = 0.4; stall = 0.4; partition = 0.3 } in
   let draw () = Fault.random_wire_plan ~seed:5 ~workers:4 ~batches:6 rates in
@@ -575,7 +563,6 @@ let () =
           Alcotest.test_case "random crashes distinct" `Quick test_random_crashes_distinct;
           Alcotest.test_case "injector counters" `Quick test_injector_counts_only_fired;
           Alcotest.test_case "delay ticks contract" `Quick test_delay_ticks_contract;
-          Alcotest.test_case "wire kinds classified" `Quick test_wire_kinds_classified;
           Alcotest.test_case "random wire plan" `Quick
             test_random_wire_plan_deterministic_and_valid;
           Alcotest.test_case "injector wire faults" `Quick test_injector_wire_faults;

@@ -12,6 +12,10 @@
      must return summaries — output, counters and tick-domain Obs export
      bytes — identical to a solo sequential run of the same seeded
      config, whichever in-worker executor the request names;
+   - one wire fault at a time: a disconnected worker is respawned and
+     its request completes, a stalled worker's late reply is fenced,
+     and partitioning every slot degrades every request, abandons every
+     slot and leaves the pool refusing submissions ([`No_workers]);
    - lifecycle chaos: a seeded soak killing/stalling/partitioning
      persistent workers mid-request; every submission must terminate
      with a typed outcome (never a hang), and completed ones must still
@@ -174,6 +178,8 @@ let test_validate_request () =
     (ok { golden_request with Service.core = 4096; periphery = 4096 });
   Alcotest.(check bool) "bogus executor" false
     (ok { golden_request with Service.executor = "bogus:seven" });
+  Alcotest.(check bool) "no multi-process executor" false
+    (ok { golden_request with Service.executor = "distributed:2" });
   Alcotest.(check bool) "empty executor means sequential" true
     (ok { golden_request with Service.executor = "" })
 
@@ -192,7 +198,7 @@ let gen_request =
     let* iterations = int_range 1 32 in
     let* k = int_range 1 8 in
     let* slice_width = int_range 1 64 in
-    let* executor = oneofl [ ""; "sequential"; "parallel:3"; "distributed:2" ] in
+    let* executor = oneofl [ ""; "sequential"; "parallel:3" ] in
     return
       {
         Service.workload;
@@ -376,7 +382,7 @@ let test_pool_differential () =
     [
       { base_request with Service.seed = 21 };
       { base_request with Service.seed = 21; executor = "parallel:2" };
-      { base_request with Service.seed = 22; executor = "distributed:2" };
+      { base_request with Service.seed = 22; executor = "sequential" };
       { base_request with Service.seed = 23; slice_width = 1 };
       { base_request with Service.workload = Service.Egj; seed = 24 };
       { base_request with Service.seed = 25; preprocess = true };
@@ -498,6 +504,75 @@ let test_pool_fence_drops_late_reply () =
   | [ Service.Completed s ] -> check_summary_equal "stalled request" (oracle req) s
   | [ _ ] -> Alcotest.fail "stalled request did not complete"
   | rs -> Alcotest.failf "callback fired %d times" (List.length rs));
+  Service.shutdown_pool pool
+
+let test_pool_disconnect_recovered () =
+  let pool = Service.create_pool ~opts:quick_opts ~handler () in
+  (* The first dispatch makes its worker sever its socket before serving:
+     the pool must see the disconnect, respawn the slot and complete the
+     request on a later attempt. *)
+  Service.set_pool_fault_source pool (fun ~request_index ~worker ->
+      if request_index = 0 then [ Fault.Disconnect_worker { worker; batch = 0 } ] else []);
+  let req = { base_request with Service.seed = 61 } in
+  let reply = ref None and pending = ref 1 in
+  (match
+     Service.submit pool req (fun r ->
+         reply := Some r;
+         decr pending)
+   with
+  | `Queued -> ()
+  | `Queue_full | `No_workers -> Alcotest.fail "submit rejected");
+  run_pool_until pool ~pending ~deadline:120.0;
+  (match !reply with
+  | Some (Service.Completed s) -> check_summary_equal "disconnected request" (oracle req) s
+  | _ -> Alcotest.fail "the disconnected request must complete");
+  let m = Service.pool_metrics pool in
+  Alcotest.(check bool) "disconnect seen" true
+    (Metrics.counter m "pool.worker_disconnects" >= 1);
+  Alcotest.(check bool) "slot respawned" true (Metrics.counter m "pool.respawns" >= 1);
+  Service.shutdown_pool pool
+
+let test_pool_every_slot_partitioned () =
+  let pool =
+    Service.create_pool ~opts:{ quick_opts with Service.max_respawns_per_slot = 1 } ~handler ()
+  in
+  (* Every dispatch to every slot, respawns included, is muted: the
+     detector fences each one until every slot is abandoned, and then the
+     pool must fail what is left fast, with typed outcomes. *)
+  Service.set_pool_fault_source pool (fun ~request_index:_ ~worker ->
+      [ Fault.Partition_worker { worker; from_batch = 0; until_batch = max_int } ]);
+  let n = 3 in
+  let results = Array.make n None and pending = ref n in
+  for i = 0 to n - 1 do
+    match
+      Service.submit pool { base_request with Service.seed = 70 + i } (fun r ->
+          results.(i) <- Some r;
+          decr pending)
+    with
+    | `Queued -> ()
+    | `Queue_full | `No_workers -> Alcotest.failf "submit %d rejected" i
+  done;
+  let t0 = Unix.gettimeofday () in
+  run_pool_until pool ~pending ~deadline:60.0;
+  Alcotest.(check bool) "resolved well inside the deadline" true
+    (Unix.gettimeofday () -. t0 < 30.0);
+  Array.iteri
+    (fun i r ->
+      match r with
+      | Some (Service.Degraded _) -> ()
+      | _ -> Alcotest.failf "request %d must end Degraded" i)
+    results;
+  let m = Service.pool_metrics pool in
+  Alcotest.(check bool) "suspicions recorded" true (Metrics.counter m "pool.suspicions" >= 1);
+  List.iter
+    (fun w ->
+      Alcotest.(check string)
+        (Printf.sprintf "slot %d" w.Service.w_slot)
+        "abandoned" w.Service.w_state)
+    (Service.pool_stats pool).Service.workers;
+  Alcotest.(check bool) "a later submit has no workers" true
+    (Service.submit pool base_request (fun _ -> Alcotest.fail "callback must not fire")
+    = `No_workers);
   Service.shutdown_pool pool
 
 (* ------------------------------------------------------------------ *)
@@ -806,6 +881,8 @@ let () =
           Alcotest.test_case "queue backpressure" `Quick test_pool_queue_backpressure;
           Alcotest.test_case "handler failure typed" `Slow test_pool_handler_failure_is_typed;
           Alcotest.test_case "fenced late reply ignored" `Slow test_pool_fence_drops_late_reply;
+          Alcotest.test_case "disconnect recovered" `Slow test_pool_disconnect_recovered;
+          Alcotest.test_case "every slot partitioned" `Slow test_pool_every_slot_partitioned;
         ] );
       ( "chaos",
         [ Alcotest.test_case "wire-fault soak" `Slow test_pool_chaos_soak ] );

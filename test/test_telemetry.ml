@@ -24,14 +24,14 @@
      sketches, worker states, queue gauges), per-request trace IDs on
      every log line, and the slow-request warning;
    - wire: fetch_stats against a forked responder process;
-   - differential: tick-domain engine exports are byte-identical across
-     sequential / distributed / parallel executors whether pool logging
-     is off or on at Debug.
+   - differential: tick-domain engine exports are byte-identical for a
+     sequential run, the same run served by a persistent pool logging at
+     Debug, and a parallel run.
 
    Fork-before-domain ordering: the pool/wire suites fork, and the
-   differential suite runs its distributed (forking) cases before its
-   parallel (domain-spawning) case, which is the last fork-relevant
-   test in the binary. *)
+   differential suite runs its pool (forking) case before its parallel
+   (domain-spawning) case, which is the last fork-relevant test in the
+   binary. *)
 
 module Prng = Dstress_util.Prng
 module Group = Dstress_crypto.Group
@@ -533,23 +533,47 @@ let check_exports_equal label (a : Engine.report) (b : Engine.report) =
   Alcotest.(check string) (label ^ ": metrics csv") (Obs.metrics_csv a.Engine.obs)
     (Obs.metrics_csv b.Engine.obs)
 
-let dist_opts = { Distributed.default_opts with Distributed.workers = 2 }
+let summary_of (r : Engine.report) =
+  {
+    Service.output = r.Engine.output;
+    mpc_rounds = r.Engine.mpc_rounds;
+    mpc_and_gates = r.Engine.mpc_and_gates;
+    mpc_ots = r.Engine.mpc_ots;
+    trace = Obs.trace_json r.Engine.obs;
+    metrics = Obs.metrics_json r.Engine.obs;
+  }
 
 let test_differential_logging () =
   let fx = en_fixture () in
   let seq = run_with ~executor:Executor.sequential fx in
-  (* Forking backends first (fork-before-domain), parallel last. *)
-  let dist_off =
-    run_with ~executor:(Executor.Distributed { ctx = Distributed.create ~opts:dist_opts () }) fx
-  in
-  check_exports_equal "distributed, logging off" seq dist_off;
+  (* The pool forks, so it runs before the parallel case spawns domains.
+     Its worker serves the fixture's Full-level exports while the pool
+     logs at Debug. *)
   let log, events = collecting_log () in
-  let dist_on =
-    run_with
-      ~executor:(Executor.Distributed { ctx = Distributed.create ~opts:dist_opts ~log () })
-      fx
+  let pool =
+    Service.create_pool ~opts:pool_opts ~log
+      ~handler:(fun _ -> summary_of (run_with ~executor:Executor.sequential fx))
+      ()
   in
-  check_exports_equal "distributed, logging on at debug" seq dist_on;
+  let reply = ref None in
+  (match Service.submit pool tiny_request (fun r -> reply := Some r) with
+  | `Queued -> ()
+  | `Queue_full | `No_workers -> Alcotest.fail "submit rejected");
+  let until = Unix.gettimeofday () +. 60.0 in
+  while !reply = None && Unix.gettimeofday () < until do
+    Service.pool_step pool ~timeout:0.05
+  done;
+  Service.shutdown_pool pool;
+  (match !reply with
+  | Some (Service.Completed got) ->
+      let want = summary_of seq in
+      let label = "pool, logging on at debug" in
+      Alcotest.(check int) (label ^ ": output") want.Service.output got.Service.output;
+      Alcotest.(check string) (label ^ ": trace bytes") want.Service.trace got.Service.trace;
+      Alcotest.(check string)
+        (label ^ ": metrics bytes")
+        want.Service.metrics got.Service.metrics
+  | _ -> Alcotest.fail "the pool request did not complete");
   Alcotest.(check bool) "the logger actually saw pool events" true (events () <> []);
   let par = run_with ~executor:(Executor.parallel ~jobs:3) fx in
   check_exports_equal "parallel" seq par

@@ -7,9 +7,10 @@
    streams afterwards — from one that generated inline, across scalar and
    bitsliced evaluation, both OT backends, exhaustion fallback and mixed
    consume/inline slices. The Triple.Cache tests pin the one-generation-
-   per-key guarantee (including under domain hammering — kept last in the
-   file so the distributed-engine test added by the runtime suite can
-   fork first) and the disk round-trip with corruption recovery. *)
+   per-key guarantee (including under domain hammering) and the disk
+   round-trip with corruption recovery. The engine tests check that a
+   preprocessed run, whether its material was generated, cached or
+   reloaded from disk, reports byte-identically to an inline run. *)
 
 open Dstress_mpc
 module Bitvec = Dstress_util.Bitvec
@@ -355,10 +356,6 @@ let test_cache_hammer () =
 
 (* ------------------------------------------------------------------ *)
 (* Engine: preprocess on/off differentials                             *)
-(*                                                                     *)
-(* The Distributed test must run FIRST in this binary: its worker pool *)
-(* forks, and OCaml 5 forbids forking after a domain has been spawned  *)
-(* (the parallel-executor test and the cache hammering both spawn).    *)
 (* ------------------------------------------------------------------ *)
 
 let small_economy =
@@ -403,45 +400,32 @@ let check_reports_equal label (a : Engine.report) (b : Engine.report) =
   Alcotest.(check string) (label ^ ": metrics csv") (Obs.metrics_csv a.Engine.obs)
     (Obs.metrics_csv b.Engine.obs)
 
-let quick_opts =
-  {
-    Distributed.default_opts with
-    Distributed.workers = 2;
-    heartbeat_interval = 0.02;
-    phi = 4.0;
-    batch_deadline = 30.0;
-  }
-
 let offline_counter (r : Engine.report) name =
   match r.Engine.offline_metrics with
   | Some m -> Metrics.counter m name
   | None -> Alcotest.fail "preprocess run must expose offline metrics"
 
-let test_engine_distributed () =
+let test_engine_preprocess () =
   let fx = en_fixture () in
-  let seed = "triple-engine-dist" in
+  let seed = "triple-engine-pre" in
   let base = run_engine ~executor:Executor.sequential ~seed fx in
   Alcotest.(check bool) "inline run has no offline metrics" true
     (base.Engine.offline_metrics = None);
   Triple.Cache.clear Triple.Cache.shared;
   let g0 = Triple.Cache.generations Triple.Cache.shared in
-  let dist =
-    run_engine ~preprocess:true ~executor:(Executor.distributed ~opts:quick_opts ()) ~seed fx
-  in
-  check_reports_equal "EN dist+preprocess = seq inline" base dist;
+  let pre = run_engine ~preprocess:true ~executor:Executor.sequential ~seed fx in
+  check_reports_equal "EN preprocess = inline" base pre;
   (* One generation per block key (one key per vertex block). *)
   Alcotest.(check int) "one generation per block key" Reference.(small_economy.en_n)
     (Triple.Cache.generations Triple.Cache.shared - g0);
   Alcotest.(check int) "sessions preprocessed" Reference.(small_economy.en_n)
-    (offline_counter dist "preprocess.sessions");
+    (offline_counter pre "preprocess.sessions");
   Alcotest.(check int) "generations counted" Reference.(small_economy.en_n)
-    (offline_counter dist "preprocess.cache.generations");
+    (offline_counter pre "preprocess.cache.generations");
   Alcotest.(check bool) "evals attached" true
-    (offline_counter dist "preprocess.evals" >= Reference.(small_economy.en_n));
+    (offline_counter pre "preprocess.evals" >= Reference.(small_economy.en_n));
   (* A second identical run is served entirely from the shared cache. *)
-  let again =
-    run_engine ~preprocess:true ~executor:(Executor.distributed ~opts:quick_opts ()) ~seed fx
-  in
+  let again = run_engine ~preprocess:true ~executor:Executor.sequential ~seed fx in
   check_reports_equal "cached rerun" base again;
   Alcotest.(check int) "no regeneration on rerun" Reference.(small_economy.en_n)
     (Triple.Cache.generations Triple.Cache.shared - g0);
@@ -503,8 +487,7 @@ let () =
     [
       ( "engine",
         [
-          Alcotest.test_case "distributed preprocess differential" `Quick
-            test_engine_distributed;
+          Alcotest.test_case "preprocess differential" `Quick test_engine_preprocess;
           Alcotest.test_case "disk reload" `Quick test_engine_disk_reload;
           Alcotest.test_case "sequential and parallel differential" `Quick test_engine_seq_par;
         ] );
