@@ -6,6 +6,15 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
+# Every persistent or wire format gets a typed decoder that answers
+# hostile bytes with an error. The stdlib's untyped serializer cannot,
+# so it stays out of the library and the tools.
+echo "== no untyped serializer in lib/ or bin/ =="
+if grep -rn --include='*.ml' --include='*.mli' 'Marshal\.' lib bin; then
+  echo "ci: write a typed codec instead" >&2
+  exit 1
+fi
+
 echo "== dune build @check =="
 dune build @check
 
@@ -78,27 +87,18 @@ done
 dune exec test/json_check.exe -- \
   "$OBS_TMP/trace.sequential.json" "$OBS_TMP/metrics.sequential.json"
 
-# Offline/online smoke: an EN run with preprocessing (and the on-disk
-# triple cache) must be observationally identical to the inline run —
-# the tick-domain trace/metrics exports byte-compare. The third run
-# starts a fresh process against the populated cache dir, so it proves
-# the disk-reload path too (--triple-cache implies --preprocess).
+# Offline/online smoke: an EN run with preprocessing must be
+# observationally identical to the inline run — the tick-domain
+# trace/metrics exports byte-compare.
 echo "== preprocess smoke (offline/online observational identity) =="
 dune exec bin/dstress.exe -- stress --core 2 --periphery 3 -i 2 \
   --trace "$CI_TMP/trace.inline.json" --metrics "$CI_TMP/metrics.inline.json" \
   > /dev/null
-dune exec bin/dstress.exe -- stress --core 2 --periphery 3 -i 2 \
-  --preprocess --triple-cache "$CI_TMP/triples" \
+dune exec bin/dstress.exe -- stress --core 2 --periphery 3 -i 2 --preprocess \
   --trace "$CI_TMP/trace.pre.json" --metrics "$CI_TMP/metrics.pre.json" \
   > /dev/null
 cmp "$CI_TMP/trace.inline.json" "$CI_TMP/trace.pre.json"
 cmp "$CI_TMP/metrics.inline.json" "$CI_TMP/metrics.pre.json"
-dune exec bin/dstress.exe -- stress --core 2 --periphery 3 -i 2 \
-  --triple-cache "$CI_TMP/triples" \
-  --trace "$CI_TMP/trace.reload.json" --metrics "$CI_TMP/metrics.reload.json" \
-  > /dev/null
-cmp "$CI_TMP/trace.inline.json" "$CI_TMP/trace.reload.json"
-cmp "$CI_TMP/metrics.inline.json" "$CI_TMP/metrics.reload.json"
 
 # OT-mode differential: Simulation OT is the ideal functionality, so a
 # whole run must be Crypto OT minus the cost — the tick-domain trace and
@@ -119,19 +119,13 @@ for run in "en:--preprocess" "egj:"; do
   cmp "$CI_TMP/ot.$model.simulation.metrics.json" "$CI_TMP/ot.$model.crypto.metrics.json"
 done
 
-# Transport smoke: the two-process transport demo, a real exec'd worker
-# over a named socket — the one check of listen/connect across an exec.
-# Each wire-fault kind is checked against the daemon's persistent pool in
-# test_service.ml.
-echo "== transport smoke (named-socket echo across exec) =="
-dune exec bin/dstress.exe -- transport --pings 100 > /dev/null
-
 # Service smoke: a daemon with a persistent worker pool serves three
-# concurrent requests; each response's tick-domain trace/metrics must
-# byte-match a solo `stress` run of the same seeded config, and SIGTERM
-# must drain the daemon cleanly (exit 0). The daemon binary is invoked
-# directly (not through `dune exec`) so $! is the daemon's own pid and
-# the TERM signal reaches it, not a wrapper.
+# concurrent requests from exec'd clients over its named socket; each
+# response's tick-domain trace/metrics must byte-match a solo `stress`
+# run of the same seeded config, and SIGTERM must drain the daemon
+# cleanly (exit 0) and remove its socket file. The daemon binary is
+# invoked directly (not through `dune exec`) so $! is the daemon's own
+# pid and the TERM signal reaches it, not a wrapper.
 echo "== service smoke (daemon + concurrent requests + drain) =="
 dune exec bin/dstress.exe -- stress --core 2 --periphery 3 -i 2 \
   --trace "$CI_TMP/solo.trace.json" --metrics "$CI_TMP/solo.metrics.json" \
@@ -167,8 +161,24 @@ grep -q '^dstress_service_request_s_count 3$' "$CI_TMP/stats.prom"
 grep '^dstress_service_request_s{quantile="0.99"} ' "$CI_TMP/stats.prom" | grep -qv ' 0$'
 grep -q '^dstress_worker_up{worker="0"' "$CI_TMP/stats.prom"
 grep -q 'trace=3 msg="request finished"' "$CI_TMP/serve.err"
+# A second daemon must not take a live socket over (it exits 1 and the
+# first keeps answering), nor replace a file that is not a socket. The
+# timeout only bounds a daemon that wrongly starts; it would exit 124.
+echo "== socket path ownership =="
+status=0
+timeout 20 _build/default/bin/dstress.exe serve --socket "$SVC_SOCK" \
+  --service-workers 1 > /dev/null 2>&1 || status=$?
+test "$status" -eq 1
+_build/default/bin/dstress.exe stats --socket "$SVC_SOCK" > /dev/null
+echo "not a socket" > "$CI_TMP/plain"
+status=0
+timeout 20 _build/default/bin/dstress.exe serve --socket "$CI_TMP/plain" \
+  --service-workers 1 > /dev/null 2>&1 || status=$?
+test "$status" -eq 1
+grep -qx "not a socket" "$CI_TMP/plain"
 kill -TERM "$SVC_PID"
 wait "$SVC_PID"
+test ! -e "$SVC_SOCK"
 
 # Benchmark correctness smoke: a short run of each perfbench workload
 # checks every released output against its oracle, the exact work

@@ -136,20 +136,10 @@ let preprocess_arg =
     value & flag
     & info [ "preprocess" ]
         ~doc:
-          "Run the offline phase: generate (or load from --triple-cache) each \
-           block's correlated randomness for the whole run before the timed \
-           online rounds. Outputs, traffic and tick-domain observability are \
-           identical either way; only wall-clock moves offline.")
-
-let triple_cache_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "triple-cache" ] ~docv:"DIR"
-        ~doc:
-          "Persist preprocessed correlated randomness under DIR (created on \
-           demand) so later runs — including other processes — reuse it. \
-           Implies --preprocess.")
+          "Run the offline phase: generate each block's correlated randomness \
+           for the whole run before the timed online rounds. Outputs, traffic \
+           and tick-domain observability are identical either way; only \
+           wall-clock moves offline.")
 
 (* ------------------------------------------------------------------ *)
 (* Observability arguments                                              *)
@@ -269,13 +259,12 @@ let egj_scale = 4.0
    tick-domain exports) as a solo `dstress stress` of that config.
    Returns the report and the decoded TDS. *)
 let run_model model ~grp ~k ~epsilon ~iterations ~seed ~core ~periphery ~shock ~ot_mode
-    ~preprocess ~triple_cache ~executor ~obs_level ~fault_plan ~max_retries ~backoff =
+    ~preprocess ~executor ~obs_level ~fault_plan ~max_retries ~backoff =
   let base_cfg ~degree =
     { (Engine.default_config grp ~k ~degree_bound:degree ~seed:(string_of_int seed)) with
       Engine.executor;
       ot_mode;
       preprocess;
-      triple_cache;
       obs_level;
       fault_plan;
       max_retries;
@@ -304,9 +293,8 @@ let run_model model ~grp ~k ~epsilon ~iterations ~seed ~core ~periphery ~shock ~
 
 let stress model seed grpname ot_mode k core periphery iterations epsilon shock
     reference_only fault_rate fault_crashes max_retries backoff executor_spec preprocess
-    triple_cache trace metrics trace_wall profile =
+    trace metrics trace_wall profile =
   let grp = Group.by_name grpname in
-  let preprocess = preprocess || triple_cache <> None in
   (* Only the export flags read the collector: collect exactly when one
      is given. *)
   let obs_level =
@@ -320,7 +308,7 @@ let stress model seed grpname ot_mode k core periphery iterations epsilon shock
     in
     let report, tds =
       run_model model ~grp ~k ~epsilon ~iterations ~seed ~core ~periphery ~shock ~ot_mode
-        ~preprocess ~triple_cache ~executor ~obs_level ~fault_plan ~max_retries ~backoff
+        ~preprocess ~executor ~obs_level ~fault_plan ~max_retries ~backoff
     in
     Printf.printf "DStress noised TDS:   $%.2f\n" tds;
     Format.printf "%a@." Engine.pp_report report;
@@ -357,8 +345,7 @@ let stress_cmd =
       $ periphery_arg
       $ iterations_arg $ epsilon_arg $ shock_arg $ reference_only_arg $ fault_rate_arg
       $ fault_crashes_arg $ max_retries_arg $ backoff_arg $ executor_arg
-      $ preprocess_arg $ triple_cache_arg $ trace_arg $ metrics_arg $ trace_wall_arg
-      $ profile_arg)
+      $ preprocess_arg $ trace_arg $ metrics_arg $ trace_wall_arg $ profile_arg)
 
 (* ------------------------------------------------------------------ *)
 (* project command                                                     *)
@@ -450,105 +437,6 @@ let scenarios_cmd =
   Cmd.v (Cmd.info "scenarios" ~doc) Term.(const scenarios $ seed_arg $ iters)
 
 (* ------------------------------------------------------------------ *)
-(* transport command                                                   *)
-(* ------------------------------------------------------------------ *)
-
-(* A true two-process demo of the wire layer: the coordinator re-execs
-   this same binary as an echo worker (no fork-snapshot sharing — the
-   frames on the socket are the only channel), then measures frame RTTs
-   and prints the transport counters. This is also the CI smoke test for
-   the listen/connect/backoff path. *)
-
-let transport_worker path =
-  let conn = Transport.connect ~attempts:20 ~backoff:0.01 ~path () in
-  let rec loop () =
-    match Transport.recv conn ~timeout:30.0 with
-    | None -> exit 1
-    | Some fr when fr.Transport.kind = Transport.Kind.shutdown -> exit 0
-    | Some fr when fr.Transport.kind = Transport.Kind.ping ->
-        ignore (Transport.send conn ~kind:Transport.Kind.echo ~epoch:fr.Transport.epoch fr.Transport.payload);
-        loop ()
-    | Some _ -> loop ()
-  in
-  loop ()
-
-let transport_run pings payload_bytes =
-  if pings < 1 then invalid_arg "dstress transport: --pings must be >= 1";
-  let dir = Filename.get_temp_dir_name () in
-  let path = Filename.concat dir (Printf.sprintf "dstress-transport-%d.sock" (Unix.getpid ())) in
-  let lfd = Transport.listen ~path in
-  let pid =
-    Unix.create_process Sys.executable_name
-      [| Sys.executable_name; "transport"; "--connect"; path |]
-      Unix.stdin Unix.stdout Unix.stderr
-  in
-  Fun.protect
-    ~finally:(fun () ->
-      (try Unix.close lfd with Unix.Unix_error _ -> ());
-      (try Unix.unlink path with Unix.Unix_error _ -> ());
-      match Unix.waitpid [ Unix.WNOHANG ] pid with
-      | 0, _ ->
-          (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
-          (try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ())
-      | _ | (exception Unix.Unix_error _) -> ())
-    (fun () ->
-      let conn = Transport.accept ~deadline:10.0 lfd in
-      let payload = Bytes.make payload_bytes 'p' in
-      let rtts =
-        Array.init pings (fun _ ->
-            let t0 = Unix.gettimeofday () in
-            ignore (Transport.send conn ~kind:Transport.Kind.ping ~epoch:0 payload);
-            match Transport.recv conn ~timeout:10.0 with
-            | Some fr when fr.Transport.kind = Transport.Kind.echo ->
-                Unix.gettimeofday () -. t0
-            | _ -> failwith "dstress transport: echo did not arrive")
-      in
-      ignore (Transport.send conn ~kind:Transport.Kind.shutdown ~epoch:0 Bytes.empty);
-      let wpid, status = Unix.waitpid [] pid in
-      Array.sort compare rtts;
-      let pct p = rtts.(min (pings - 1) (p * pings / 100)) in
-      Printf.printf "transport echo over %s\n" path;
-      Printf.printf "  worker pid %d exited %s\n" wpid
-        (match status with
-        | Unix.WEXITED c -> Printf.sprintf "with code %d" c
-        | Unix.WSIGNALED s -> Printf.sprintf "on signal %d" s
-        | Unix.WSTOPPED s -> Printf.sprintf "stopped by %d" s);
-      Printf.printf "  %d pings of %d B: rtt p50 %.1f us, p95 %.1f us, max %.1f us\n" pings
-        payload_bytes
-        (pct 50 *. 1e6)
-        (pct 95 *. 1e6)
-        (rtts.(pings - 1) *. 1e6);
-      let m = Transport.metrics conn in
-      Printf.printf "  frames sent %d (%d B), received %d (%d B)\n"
-        (Dstress_obs.Obs.Metrics.counter m "transport.frames_sent")
-        (Dstress_obs.Obs.Metrics.counter m "transport.bytes_sent")
-        (Dstress_obs.Obs.Metrics.counter m "transport.frames_received")
-        (Dstress_obs.Obs.Metrics.counter m "transport.bytes_received");
-      Transport.close conn)
-
-let transport pings payload connect =
-  match connect with
-  | Some path -> transport_worker path
-  | None -> transport_run pings payload
-
-let transport_cmd =
-  let doc = "Exercise the fault-tolerant transport against a real worker process." in
-  let pings =
-    Arg.(value & opt int 200 & info [ "pings" ] ~docv:"INT" ~doc:"Ping frames to send.")
-  in
-  let payload =
-    Arg.(value & opt int 64 & info [ "payload" ] ~docv:"BYTES" ~doc:"Ping payload size.")
-  in
-  let connect =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "connect" ] ~docv:"PATH"
-          ~doc:"Internal: run as the echo worker, connecting to PATH.")
-  in
-  Cmd.v (Cmd.info "transport" ~doc) Term.(const transport $ pings $ payload $ connect)
-
-(* ------------------------------------------------------------------ *)
 (* serve / request commands (daemon mode)                              *)
 (* ------------------------------------------------------------------ *)
 
@@ -576,17 +464,16 @@ let parse_host_port spec =
    request and return the per-request tick-domain exports. Runs inside a
    persistent worker, so it must never exit the process — engine
    exceptions propagate and become a typed error frame (-> Degraded). *)
-let service_handler ~grpname ~epsilon ~shock ~triple_cache (req : Service.request) =
+let service_handler ~grpname ~epsilon ~shock (req : Service.request) =
   let grp = Group.by_name grpname in
   let executor =
     match Service.request_executor req with Ok e -> e | Error m -> failwith m
   in
   let model = match req.Service.workload with Service.En -> `En | Service.Egj -> `Egj in
-  let preprocess = req.Service.preprocess || triple_cache <> None in
   let report, _tds =
     run_model model ~grp ~k:req.Service.k ~epsilon ~iterations:req.Service.iterations
       ~seed:req.Service.seed ~core:req.Service.core ~periphery:req.Service.periphery
-      ~shock ~ot_mode:req.Service.ot_mode ~preprocess ~triple_cache ~executor
+      ~shock ~ot_mode:req.Service.ot_mode ~preprocess:req.Service.preprocess ~executor
       ~obs_level:Obs.Full ~fault_plan:Fault.empty ~max_retries:2 ~backoff:0.05
   in
   {
@@ -598,8 +485,7 @@ let service_handler ~grpname ~epsilon ~shock ~triple_cache (req : Service.reques
     metrics = Obs.metrics_json report.Engine.obs;
   }
 
-let serve socket listen workers queue_depth log_level slow_request grpname epsilon shock
-    triple_cache =
+let serve socket listen workers queue_depth log_level slow_request grpname epsilon shock =
   let listen_addr =
     match listen with
     | Some spec ->
@@ -607,7 +493,16 @@ let serve socket listen workers queue_depth log_level slow_request grpname epsil
         Service.Tcp (host, port)
     | None -> Service.Unix_socket socket
   in
-  let listener, addr = Service.bind_listener listen_addr in
+  let listener, addr =
+    try Service.bind_listener listen_addr
+    with Unix.Unix_error (e, _, _) ->
+      (* A live daemon's socket, or a file that is not a socket, is never
+         taken over. *)
+      Printf.eprintf "dstress: cannot listen on %s: %s\n"
+        (Option.value listen ~default:socket)
+        (Unix.error_message e);
+      exit 1
+  in
   let pool_opts =
     { Service.default_pool_opts with
       Service.workers;
@@ -620,7 +515,7 @@ let serve socket listen workers queue_depth log_level slow_request grpname epsil
     | None -> Log.nop
     | Some level -> Log.create ~level ~capacity:256 ~sink:Log.stderr_sink ()
   in
-  let handler = service_handler ~grpname ~epsilon ~shock ~triple_cache in
+  let handler = service_handler ~grpname ~epsilon ~shock in
   Service.serve ~pool_opts ~log
     ~ready:(fun ~addr ->
       Printf.printf "dstress: serving on %s (%d persistent workers, queue depth %d)\n%!"
@@ -689,7 +584,7 @@ let serve_cmd =
     (Cmd.info "serve" ~doc)
     Term.(
       const serve $ socket $ listen $ workers $ queue_depth $ log_level $ slow_request
-      $ group_arg $ epsilon_arg $ shock_arg $ triple_cache_arg)
+      $ group_arg $ epsilon_arg $ shock_arg)
 
 let request socket connect model seed core periphery iterations k ot_mode preprocess
     executor_spec timeout trace metrics =
@@ -842,7 +737,6 @@ let main_cmd =
       privacy_cmd;
       baseline_cmd;
       scenarios_cmd;
-      transport_cmd;
       serve_cmd;
       request_cmd;
       stats_cmd;

@@ -1,6 +1,6 @@
 module Prng = Dstress_util.Prng
 
-type kind = Crash | Drop | Delay | Corrupt | Decrypt_miss | Disconnect | Stall | Partition
+type kind = Crash | Drop | Delay | Corrupt | Decrypt_miss
 
 let kind_name = function
   | Crash -> "crash"
@@ -8,11 +8,8 @@ let kind_name = function
   | Delay -> "delay"
   | Corrupt -> "corrupt"
   | Decrypt_miss -> "decrypt-miss"
-  | Disconnect -> "disconnect"
-  | Stall -> "stall"
-  | Partition -> "partition"
 
-let all_kinds = [ Crash; Drop; Delay; Corrupt; Decrypt_miss; Disconnect; Stall; Partition ]
+let all_kinds = [ Crash; Drop; Delay; Corrupt; Decrypt_miss ]
 
 (* The one simulated-time rounding rule: float seconds are charged to the
    tick timeline by truncation toward zero. Every recovery delay the
@@ -28,9 +25,6 @@ type fault =
   | Delay_transfer of { src : int; dst : int; round : int; seconds : float }
   | Corrupt_transfer of { src : int; dst : int; round : int }
   | Miss_decrypt of { src : int; dst : int; round : int }
-  | Disconnect_worker of { worker : int; batch : int }
-  | Stall_worker of { worker : int; batch : int; seconds : float }
-  | Partition_worker of { worker : int; from_batch : int; until_batch : int }
 
 let kind_of = function
   | Crash_node _ -> Crash
@@ -38,9 +32,6 @@ let kind_of = function
   | Delay_transfer _ -> Delay
   | Corrupt_transfer _ -> Corrupt
   | Miss_decrypt _ -> Decrypt_miss
-  | Disconnect_worker _ -> Disconnect
-  | Stall_worker _ -> Stall
-  | Partition_worker _ -> Partition
 
 type plan = fault list
 
@@ -97,40 +88,11 @@ let random_crashes ~seed ~nodes ~rounds ~count =
       Crash_node { node; from_round; until_round = from_round + 1 })
     victims
 
-type wire_rates = { disconnect : float; stall : float; partition : float }
-
-let no_wire_faults = { disconnect = 0.0; stall = 0.0; partition = 0.0 }
-
-let random_wire_plan ~seed ~workers ~batches rates =
-  if workers < 1 then invalid_arg "Fault.random_wire_plan: workers < 1";
-  if batches < 1 then invalid_arg "Fault.random_wire_plan: batches < 1";
-  check_rate "disconnect" rates.disconnect;
-  check_rate "stall" rates.stall;
-  check_rate "partition" rates.partition;
-  let prng = Prng.create (Int64.of_int (Hashtbl.hash ("wire-plan", seed))) in
-  let faults = ref [] in
-  let push f = faults := f :: !faults in
-  for worker = 0 to workers - 1 do
-    for batch = 0 to batches - 1 do
-      if Prng.float prng < rates.disconnect then push (Disconnect_worker { worker; batch });
-      if Prng.float prng < rates.stall then begin
-        let seconds = 0.05 +. (Prng.float prng *. 0.2) in
-        push (Stall_worker { worker; batch; seconds })
-      end;
-      if Prng.float prng < rates.partition then begin
-        let span = 1 + Prng.int prng 2 in
-        push (Partition_worker { worker; from_batch = batch; until_batch = batch + span })
-      end
-    done
-  done;
-  List.rev !faults
-
 module Injector = struct
   type t = {
     faults : (int * fault) array;  (* stable ids for fired-tracking *)
     by_edge : (int * int * int, (int * fault) list) Hashtbl.t;
     crashes_by_node : (int, (int * fault) list) Hashtbl.t;
-    wires_by_worker : (int, (int * fault) list) Hashtbl.t;
     fired : (int, unit) Hashtbl.t;
   }
 
@@ -138,7 +100,6 @@ module Injector = struct
     let faults = Array.of_list (List.mapi (fun id f -> (id, f)) plan) in
     let by_edge = Hashtbl.create 64 in
     let crashes_by_node = Hashtbl.create 16 in
-    let wires_by_worker = Hashtbl.create 16 in
     let push tbl key v =
       let prev = Option.value (Hashtbl.find_opt tbl key) ~default:[] in
       Hashtbl.replace tbl key (prev @ [ v ])
@@ -150,12 +111,9 @@ module Injector = struct
         | Drop_transfer { src; dst; round }
         | Delay_transfer { src; dst; round; _ }
         | Corrupt_transfer { src; dst; round }
-        | Miss_decrypt { src; dst; round } -> push by_edge (src, dst, round) (id, f)
-        | Disconnect_worker { worker; _ }
-        | Stall_worker { worker; _ }
-        | Partition_worker { worker; _ } -> push wires_by_worker worker (id, f))
+        | Miss_decrypt { src; dst; round } -> push by_edge (src, dst, round) (id, f))
       faults;
-    { faults; by_edge; crashes_by_node; wires_by_worker; fired = Hashtbl.create 16 }
+    { faults; by_edge; crashes_by_node; fired = Hashtbl.create 16 }
 
   let fire t id = Hashtbl.replace t.fired id ()
 
@@ -186,26 +144,6 @@ module Injector = struct
           (fun (id, f) ->
             fire t id;
             f)
-          fs
-
-  let wire_matches ~batch (_, f) =
-    match f with
-    | Disconnect_worker { batch = b; _ } | Stall_worker { batch = b; _ } -> b = batch
-    | Partition_worker { from_batch; until_batch; _ } ->
-        batch >= from_batch && batch < until_batch
-    | _ -> false
-
-  let wire_faults t ~batch ~worker =
-    match Hashtbl.find_opt t.wires_by_worker worker with
-    | None -> []
-    | Some fs ->
-        List.filter_map
-          (fun ((id, f) as entry) ->
-            if wire_matches ~batch entry then begin
-              fire t id;
-              Some f
-            end
-            else None)
           fs
 
   let injected t =

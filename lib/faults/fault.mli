@@ -14,13 +14,11 @@
     never reaches, stays dormant) and reports per-kind counters for the
     engine's execution report.
 
-    Two families share the plan type. {e Protocol} faults (crash, drop,
-    delay, corrupt, decrypt miss) are consumed by the engine. {e Wire}
-    faults (disconnect, stall, partition) attack the daemon's persistent
-    worker pool ([Service] in the runtime library): its fault source maps
-    each dispatch index (a plan's "batch") and worker slot to the faults
-    that apply there ({!Injector.wire_faults}). The engine never fires
-    them. *)
+    Every kind here is one the engine fires, on the tick timeline. The
+    faults of the daemon's worker pool (a worker that stalls, is
+    partitioned or disconnects) act in wall time on forked processes;
+    they are [Supervisor.fault] in the runtime library, not kinds of
+    this plan. *)
 
 type kind =
   | Crash  (** a block member fails (fail-stop) for a round interval *)
@@ -28,9 +26,6 @@ type kind =
   | Delay  (** one edge transfer is delivered late *)
   | Corrupt  (** one edge transfer arrives but fails its integrity check *)
   | Decrypt_miss  (** one decryption is forced outside the lookup table *)
-  | Disconnect  (** a pool worker's socket dies mid-request *)
-  | Stall  (** a pool worker stalls (stops writing) long enough to be suspected *)
-  | Partition  (** a pool worker slot is unreachable for a dispatch interval *)
 
 val kind_name : kind -> string
 val all_kinds : kind list
@@ -65,21 +60,6 @@ type fault =
   | Miss_decrypt of { src : int; dst : int; round : int }
       (** force one (member, bit) decryption of the transfer on edge
           [(src, dst)] at [round] to miss the lookup table *)
-  | Disconnect_worker of { worker : int; batch : int }
-      (** worker slot [worker]'s connection dies abruptly while serving
-          dispatch [batch]; the pool must respawn the slot and redispatch
-          the lost request *)
-  | Stall_worker of { worker : int; batch : int; seconds : float }
-      (** worker slot [worker] stalls for [seconds] before replying to
-          dispatch [batch] — long stalls trip the heartbeat failure
-          detector and exercise epoch fencing when the stalled worker's
-          late reply finally arrives *)
-  | Partition_worker of { worker : int; from_batch : int; until_batch : int }
-      (** worker slot [worker] is unreachable (drops every frame, sends
-          nothing) for dispatches [\[from_batch, until_batch)]; a
-          respawned replacement that receives one of them is equally
-          unreachable, so the pool must degrade onto the remaining
-          workers *)
 
 val kind_of : fault -> kind
 
@@ -110,22 +90,6 @@ val random_crashes : seed:int -> nodes:int -> rounds:int -> count:int -> plan
 (** Exactly [count] single-round crashes of distinct nodes at random
     mid-run rounds — the CLI's [--fault-crashes] helper. *)
 
-type wire_rates = {
-  disconnect : float;  (** per-(worker, batch) probability *)
-  stall : float;
-  partition : float;
-}
-
-val no_wire_faults : wire_rates
-
-val random_wire_plan :
-  seed:int -> workers:int -> batches:int -> wire_rates -> plan
-(** Draw a wire-fault schedule over every (worker slot, dispatch batch)
-    pair from independent Bernoulli trials on a private SplitMix stream:
-    same arguments, same plan. Stalls draw a duration in [\[0.05, 0.25)] s;
-    partitions cover 1–2 batches. Raises [Invalid_argument] if a rate is
-    outside [\[0, 1\]], or [workers < 1], or [batches < 1]. *)
-
 (** Runtime side: the engine queries the injector each round; the injector
     remembers which faults fired so the report can itemize them. *)
 module Injector : sig
@@ -143,12 +107,6 @@ module Injector : sig
   val edge_faults : t -> round:int -> src:int -> dst:int -> fault list
   (** All transfer faults scheduled for this edge at this round (marked as
       fired). *)
-
-  val wire_faults : t -> batch:int -> worker:int -> fault list
-  (** All wire faults covering this (worker slot, dispatch batch) pair —
-      a [Partition_worker] matches every batch of its interval. Marked as
-      fired (idempotently: an interval fault counts once however many
-      batches consult it). *)
 
   val injected : t -> (kind * int) list
   (** Fired faults by kind, for every kind (zero entries included). *)

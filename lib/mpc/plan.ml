@@ -35,10 +35,10 @@ let levels t = t.levels
 let depth t = Array.length t.levels
 let and_count t = Array.fold_left (fun a l -> a + Array.length l.and_dst) 0 t.levels
 
-(* Structural identity for preprocessed material: physical equality cannot
-   survive a process boundary (the triple disk cache hands material to
-   later processes), so cached triples are matched by a hash of the
-   circuit's full gate list instead. *)
+(* Structural identity for preprocessed material: every run rebuilds its
+   circuits, so physical equality would never match a material cached by
+   an earlier run; cached triples are matched by a hash of the circuit's
+   full gate list instead. *)
 let circuit_digest (circuit : Circuit.t) =
   let b = Buffer.create (12 * Array.length circuit.Circuit.gates) in
   let int n = Buffer.add_string b (string_of_int n) in

@@ -61,10 +61,10 @@ val levels : t -> level array
 
 val digest : t -> string
 (** Structural hash (hex SHA-256) of the plan's circuit — gate list,
-    input count and output wires. Unlike physical identity, it survives
-    Marshal round-trips, so preprocessed GMW material generated on one
-    side of a process boundary still matches the plan on the other. Two
-    structurally equal circuits share a digest.
+    input count and output wires. Two structurally equal circuits share
+    a digest. It is structural, not physical identity, because every run
+    rebuilds its circuits: a cached material drawn for an earlier run's
+    circuit must still match the equal circuit the next run builds.
 
     {!compile} does not hash: the digest is computed on the first call and
     cached in the plan. Only preprocessing reads it (the engine's offline

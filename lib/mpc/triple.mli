@@ -12,9 +12,9 @@
     counters, same per-party PRG states — to a session that generated
     inline.
 
-    Material is cached in memory (process-wide, thread-safe) and
-    optionally on disk, so later runs in fresh processes and daemon
-    restarts reuse it. *)
+    Material is cached in memory, per process and thread-safe, so a
+    repeated request (same circuit, parties, seed and mode) reuses it.
+    It is never written out: a fresh process generates again. *)
 
 type eval = {
   masks : bytes array array;
@@ -45,8 +45,7 @@ type material = {
           evaluation — indistinguishable to any observer that reads
           traffic after an evaluation). *)
 }
-(** The full offline product for one (circuit, parties, seed, mode) key.
-    Plain data — safe to [Marshal] across process boundaries. *)
+(** The full offline product for one (circuit, parties, seed, mode) key. *)
 
 val evals_available : material -> int
 
@@ -69,7 +68,6 @@ module Cache : sig
   (** Process-wide instance used by the runtime engine. *)
 
   val find_or_generate :
-    ?dir:string ->
     t ->
     digest:string ->
     parties:int ->
@@ -78,22 +76,17 @@ module Cache : sig
     evals:int ->
     generate:(evals:int -> material) ->
     material
-  (** Memory hit, else disk hit (when [dir] is given), else [generate] —
-      in that order. The returned material has at least [evals]
-      evaluations. The internal mutex is held across [generate], so
-      concurrent requests for one key trigger exactly one generation.
-      Freshly generated material is persisted to [dir] (created if
-      missing); disk files failing the magic/CRC/field checks are
-      silently regenerated. Memory keeps the 64 most recently added
-      keys: a new key beyond that evicts the oldest, whose next request
-      loads or generates again. *)
+  (** Memory hit, else [generate]. The returned material has at least
+      [evals] evaluations. The internal mutex is held across [generate],
+      so concurrent requests for one key trigger exactly one generation.
+      Memory keeps the 64 most recently added keys: a new key beyond
+      that evicts the oldest, whose next request generates again. *)
 
   val generations : t -> int
   (** How many times [generate] ran (cache-miss count). *)
 
-  val disk_loads : t -> int
   val hits : t -> int
 
   val clear : t -> unit
-  (** Drop all entries and reset counters (tests). Does not touch disk. *)
+  (** Drop all entries and reset counters (tests). *)
 end

@@ -32,7 +32,6 @@ type config = {
   executor : Executor.t;
   obs_level : Obs.level;
   preprocess : bool;
-  triple_cache : string option;
 }
 
 (* How much wider the escalation lookup table is than the regular one:
@@ -56,7 +55,6 @@ let default_config ?(seed = "dstress") grp ~k ~degree_bound =
     executor = Executor.of_env ();
     obs_level = Obs.Off;
     preprocess = false;
-    triple_cache = None;
   }
 
 let validate_config cfg =
@@ -186,7 +184,7 @@ let run cfg p ~graph ~initial_states =
           ~message_bits:l ~vertex:i ~members:(Setup.block_of setup i))
   in
   (* --- Offline preprocessing ------------------------------------ *)
-  (* Pre-generate (or load from the triple cache) every block session's
+  (* Pre-generate (or take from the triple cache) every block session's
      correlated randomness for the whole run — iterations + 1 update-
      circuit evaluations per block — and attach it, so the timed online
      rounds consume pre-drawn material instead of running the PRG/OT
@@ -201,7 +199,6 @@ let run cfg p ~graph ~initial_states =
       let t0 = Unix.gettimeofday () in
       let cache = Triple.Cache.shared in
       let g0 = Triple.Cache.generations cache in
-      let d0 = Triple.Cache.disk_loads cache in
       let h0 = Triple.Cache.hits cache in
       let plan = Plan.of_circuit update_c in
       let digest = Plan.digest plan in
@@ -210,8 +207,8 @@ let run cfg p ~graph ~initial_states =
         (fun b ->
           let bseed = Block.session_seed ~seed ~vertex:b.Block.vertex in
           let mat =
-            Triple.Cache.find_or_generate ?dir:cfg.triple_cache cache ~digest ~parties:kp1
-              ~seed:bseed ~mode:cfg.ot_mode ~evals
+            Triple.Cache.find_or_generate cache ~digest ~parties:kp1 ~seed:bseed
+              ~mode:cfg.ot_mode ~evals
               ~generate:(fun ~evals ->
                 Gmw.generate_material ~mode:cfg.ot_mode cfg.grp ~parties:kp1 ~seed:bseed
                   ~evals plan)
@@ -222,8 +219,6 @@ let run cfg p ~graph ~initial_states =
       Obs.Metrics.incr m ~by:(n * evals) "preprocess.evals";
       Obs.Metrics.incr m ~by:(Triple.Cache.generations cache - g0)
         "preprocess.cache.generations";
-      Obs.Metrics.incr m ~by:(Triple.Cache.disk_loads cache - d0)
-        "preprocess.cache.disk_loads";
       Obs.Metrics.incr m ~by:(Triple.Cache.hits cache - h0) "preprocess.cache.hits";
       Obs.Metrics.set m "preprocess.wall_s" (Unix.gettimeofday () -. t0);
       Some m
@@ -623,9 +618,8 @@ let pp_report ppf r =
   | Some m ->
       let c = Obs.Metrics.counter m in
       Format.fprintf ppf
-        "offline: %d session(s) preprocessed, %d eval(s) (%d generated, %d from disk, %d cached) in %.3f s@,"
+        "offline: %d session(s) preprocessed, %d eval(s) (%d generated, %d cached) in %.3f s@,"
         (c "preprocess.sessions") (c "preprocess.evals") (c "preprocess.cache.generations")
-        (c "preprocess.cache.disk_loads")
         (c "preprocess.cache.hits")
         (Obs.Metrics.sum m "preprocess.wall_s")
   | None -> ());

@@ -97,11 +97,6 @@ type config = {
           preprocessing, on every executor; only wall-clock shifts from
           the online phases to the offline one (reported in
           [report.offline_metrics]). Default [false]. *)
-  triple_cache : string option;
-      (** directory for persisting preprocessed material across processes
-          and runs (a fresh [dstress stress] process, a daemon restart);
-          created on demand. Only consulted when [preprocess] is set.
-          Default [None] (in-memory caching only). *)
 }
 
 val default_config : ?seed:string -> Dstress_crypto.Group.t -> k:int -> degree_bound:int -> config
@@ -161,8 +156,8 @@ type report = {
   offline_metrics : Dstress_obs.Obs.Metrics.t option;
       (** wall-domain offline-phase counters when [config.preprocess] was
           set: [preprocess.sessions] / [preprocess.evals] (work attached),
-          [preprocess.cache.generations] / [.disk_loads] / [.hits] (where
-          it came from) and the [preprocess.wall_s] gauge. Deliberately
+          [preprocess.cache.generations] / [.hits] (where it came
+          from) and the [preprocess.wall_s] gauge. Deliberately
           separate from [obs]: a run's tick-domain exports are
           byte-identical with and without preprocessing. *)
 }

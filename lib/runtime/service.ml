@@ -1,4 +1,3 @@
-module Fault = Dstress_faults.Fault
 module Metrics = Dstress_obs.Obs.Metrics
 module Sketch = Dstress_obs.Sketch
 module Log = Dstress_obs.Log
@@ -253,9 +252,8 @@ type pool = {
   mutable queue_high_water : int;
   queue : entry Queue.t;
   mutable next_id : int;
-  mutable dispatched : int;  (** dispatch counter — the fault plans' "batch" *)
-  mutable fault_source :
-    (request_index:int -> worker:int -> Fault.fault list) option;
+  mutable dispatched : int;  (** dispatch counter — the fault source's [request_index] *)
+  mutable fault_source : (request_index:int -> worker:int -> Supervisor.fault option) option;
   mutable closed : bool;
 }
 
@@ -431,10 +429,8 @@ let dispatch_ready p =
         let idx = p.dispatched in
         p.dispatched <- idx + 1;
         e.attempts <- e.attempts + 1;
-        let faults =
-          match p.fault_source with
-          | None -> []
-          | Some src -> src ~request_index:idx ~worker:s.Supervisor.sid
+        let fault =
+          Option.bind p.fault_source (fun src -> src ~request_index:idx ~worker:s.Supervisor.sid)
         in
         e.dispatched_at <- now ();
         Metrics.observe_sketch p.m "service.queue_wait_s" (e.dispatched_at -. e.submitted_at);
@@ -446,7 +442,7 @@ let dispatch_ready p =
               ("attempt", Log.Int e.attempts);
             ];
         match
-          Supervisor.dispatch p.sup s ~trace:e.trace ~faults e (encode_request e.req)
+          Supervisor.dispatch p.sup s ~trace:e.trace ?fault e (encode_request e.req)
         with
         | None -> Metrics.incr p.m "service.requests_dispatched"
         | Some lost -> handle p lost
@@ -834,6 +830,18 @@ let serve ?(pool_opts = default_pool_opts) ?(log = Log.nop)
     () =
   let clients : client list ref = ref [] in
   let listener_open = ref true in
+  (* A named socket's file goes with its listener. It is unlinked while
+     still bound: a closed socket file is stale, and another daemon may
+     replace it with its own before an unlink here would run. *)
+  let close_listener () =
+    if !listener_open then begin
+      listener_open := false;
+      (match Unix.getsockname listener with
+      | Unix.ADDR_UNIX path -> ( try Unix.unlink path with Unix.Unix_error _ -> ())
+      | Unix.ADDR_INET _ | (exception Unix.Unix_error _) -> ());
+      close_quietly listener
+    end
+  in
   (* The respawn path forks mid-service: children must drop the listener
      and every client connection they inherit. *)
   let fork_fds () =
@@ -919,9 +927,8 @@ let serve ?(pool_opts = default_pool_opts) ?(log = Log.nop)
       while not (finished ()) do
         if stop () then draining := true;
         if !draining && !listener_open then begin
-          listener_open := false;
-          Log.info log "daemon draining: listener closed" [];
-          close_quietly listener
+          close_listener ();
+          Log.info log "daemon draining: listener closed" []
         end;
         let client_fds =
           List.filter_map (fun c -> if c.dead then None else Some (Transport.fd c.cconn)) !clients
@@ -959,10 +966,7 @@ let serve ?(pool_opts = default_pool_opts) ?(log = Log.nop)
       List.iter (fun c -> if not c.dead then Transport.close c.cconn) !clients;
       clients := [];
       shutdown_pool pool;
-      if !listener_open then begin
-        listener_open := false;
-        close_quietly listener
-      end)
+      close_listener ())
 
 let call ?(timeout = 120.0) conn req =
   ignore (Transport.send conn ~kind:Transport.Kind.request ~epoch:0 (encode_request req));

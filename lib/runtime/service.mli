@@ -161,13 +161,12 @@ val pool_log : pool -> Dstress_obs.Log.t
     default); its ring tail feeds {!pool_stats}. *)
 
 val set_pool_fault_source :
-  pool -> (request_index:int -> worker:int -> Dstress_faults.Fault.fault list) -> unit
+  pool -> (request_index:int -> worker:int -> Supervisor.fault option) -> unit
 (** Deterministic wire-fault injection for chaos tests, consulted at
-    each dispatch ([request_index] counts dispatches, the "batch" of a
-    {!Dstress_faults.Fault.random_wire_plan}). Only wire kinds apply:
-    disconnect closes the worker mid-request, stall delays its reply
-    past the suspicion window, partition mutes it (no reply, no
-    heartbeats) long enough to be fenced. *)
+    each dispatch ([request_index] counts dispatches from 0, [worker] is
+    the slot id): disconnect closes the worker mid-request, stall delays
+    its reply past the suspicion window, partition mutes it (no reply,
+    no heartbeats) long enough to be fenced. *)
 
 val submit :
   pool -> request -> (response -> unit) -> [ `Queued | `Queue_full | `No_workers ]
@@ -294,7 +293,8 @@ val serve :
     malformed frames get a typed [Rejected] reply, a queue-full submit
     gets typed backpressure, an integrity violation drops the
     connection. SIGTERM/SIGINT (or [stop ()] returning true) starts a
-    graceful drain: stop accepting, finish queued and in-flight
+    graceful drain: stop accepting (closing the listener unlinks a
+    named socket's file), finish queued and in-flight
     requests, reply to their clients, shut the pool down, restore the
     signal handlers and return. [ready] is called once listening.
     [Stats] admin frames are answered on any client connection at any

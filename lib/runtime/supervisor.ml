@@ -1,7 +1,8 @@
-module Fault = Dstress_faults.Fault
 module Metrics = Dstress_obs.Obs.Metrics
 module Log = Dstress_obs.Log
 module Kind = Transport.Kind
+
+type fault = Stall of float | Partition | Disconnect
 
 type 'j slot = {
   sid : int;
@@ -255,20 +256,15 @@ let lose t s ~fence ~metric ~reason =
 
 let retire t s ~metric ~reason = lose t s ~fence:true ~metric ~reason
 
-let dispatch t s ?(trace = 0L) ~faults job payload =
+let dispatch t s ?(trace = 0L) ?fault job payload =
   if not (idle s) then invalid_arg "Supervisor.dispatch: slot is not idle";
-  let stall =
-    List.find_map (function Fault.Stall_worker { seconds; _ } -> Some seconds | _ -> None) faults
-    |> Option.value ~default:0.0
-  in
-  (* Long enough that the heartbeat detector fences the muted worker. *)
-  let mute =
-    if List.exists (function Fault.Partition_worker _ -> true | _ -> false) faults then
-      (3.0 *. t.phi *. t.heartbeat_interval) +. 0.5
-    else 0.0
-  in
-  let disconnect =
-    List.exists (function Fault.Disconnect_worker _ -> true | _ -> false) faults
+  let stall, mute, disconnect =
+    match fault with
+    | None -> (0.0, 0.0, false)
+    | Some (Stall seconds) -> (seconds, 0.0, false)
+    (* Long enough that the heartbeat detector fences the muted worker. *)
+    | Some Partition -> (0.0, (3.0 *. t.phi *. t.heartbeat_interval) +. 0.5, false)
+    | Some Disconnect -> (0.0, 0.0, true)
   in
   s.running <- Some job;
   s.trace <- trace;

@@ -24,19 +24,28 @@
       SIGKILLs stragglers and reaps every child ever forked.
 
     A worker runs one task at a time through the client's [serve]
-    function. Wire faults reach the worker in the task header
-    ({!dispatch}'s [faults]): a stall holds
-    the worker silent (heartbeats included) before it serves the task, a
-    partition mutes it without serving the task, long enough to be
-    fenced, and then ends it, and a disconnect makes it sever its
-    socket.
+    function. A {!fault} planted on a dispatch reaches the worker in the
+    task header.
 
     All state is wall-domain: counters go to the client's registry
     ([pool.*], [transport.*]) and lifecycle events to its logger
     (spawned at [Info], lost at [Warn], abandoned at [Error]). *)
 
+(** A wire fault planted on one dispatch, for chaos tests. It acts in
+    wall time on the worker process; a run's tick timeline never sees
+    it. The engine's protocol faults are a separate plan, [Fault.plan]. *)
+type fault =
+  | Stall of float
+      (** the worker holds silent, heartbeats included, for this many
+          seconds, then serves the task; a long stall gets it suspected
+          and fenced, and its late reply dropped *)
+  | Partition
+      (** the worker serves nothing and sends nothing, long enough to be
+          fenced, then exits *)
+  | Disconnect  (** the worker severs its socket before serving the task *)
+
 type 'j slot = private {
-  sid : int;  (** stable slot id — the fault plans' "worker" *)
+  sid : int;  (** stable slot id *)
   mutable pid : int;
   mutable conn : Transport.t;
   mutable epoch : int;
@@ -89,13 +98,13 @@ val dispatch :
   'j t ->
   'j slot ->
   ?trace:int64 ->
-  faults:Dstress_faults.Fault.fault list ->
+  ?fault:fault ->
   'j ->
   bytes ->
   'j event option
 (** Send an {!idle} slot its next job; [trace] stamps the frame and the
-    worker's log lines. Only the wire kinds of [faults] act. [Some (Lost
-    _)] when the send itself failed. *)
+    worker's log lines, and [fault] (default none) is carried out by the
+    worker on this task. [Some (Lost _)] when the send itself failed. *)
 
 val step : 'j t -> timeout:float -> 'j event list
 (** One supervision turn: wait up to [timeout] for worker frames, drain

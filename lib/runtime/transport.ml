@@ -69,14 +69,35 @@ let pair ?metrics ?log ?read_deadline ?write_deadline () =
   (of_fd ?metrics ?log ?read_deadline ?write_deadline a,
    of_fd ?metrics ?log ?read_deadline ?write_deadline b)
 
-let listen ~path =
-  (try Unix.unlink path with Unix.Unix_error _ -> ());
-  let fdesc = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Unix.bind fdesc (Unix.ADDR_UNIX path);
-  Unix.listen fdesc 16;
-  fdesc
-
 let close_quietly fdesc = try Unix.close fdesc with Unix.Unix_error _ -> ()
+
+(* Only a socket nobody listens on may be unlinked: connect refuses.
+   The probe is non-blocking, so a live listener with a full backlog
+   (EAGAIN) counts as live instead of stalling us. *)
+let stale_socket path =
+  match Unix.lstat path with
+  | { Unix.st_kind = Unix.S_SOCK; _ } ->
+      let probe = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      Fun.protect
+        ~finally:(fun () -> close_quietly probe)
+        (fun () ->
+          Unix.set_nonblock probe;
+          match Unix.connect probe (Unix.ADDR_UNIX path) with
+          | () -> false
+          | exception Unix.Unix_error (Unix.ECONNREFUSED, _, _) -> true
+          | exception Unix.Unix_error _ -> false)
+  | _ | (exception Unix.Unix_error _) -> false
+
+let listen ~path =
+  if stale_socket path then (try Unix.unlink path with Unix.Unix_error _ -> ());
+  let fdesc = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  (try
+     Unix.bind fdesc (Unix.ADDR_UNIX path);
+     Unix.listen fdesc 16
+   with e ->
+     close_quietly fdesc;
+     raise e);
+  fdesc
 
 (* Nagle batches our small frames behind earlier unacked data; every
    framed message here is a complete request/response, so latency wins. *)

@@ -32,9 +32,8 @@
     solo run (see DESIGN.md §10).
 
     {b Fault injection} happens above this layer: the worker pool carries
-    the wire fault kinds of {!Dstress_faults.Fault} in the
-    {!Supervisor}'s task header, so their failure paths are replayable
-    from a deterministic plan. *)
+    a {!Supervisor.fault} in the task header, so its failure paths are
+    replayable from a deterministic schedule. *)
 
 type error =
   | Timeout of string  (** a read/write/connect/accept deadline expired *)
@@ -83,7 +82,11 @@ val pair :
 (** An anonymous [socketpair] — the default coordinator/worker link. *)
 
 val listen : path:string -> Unix.file_descr
-(** Bind and listen on a named Unix socket, unlinking a stale file first. *)
+(** Bind and listen on a named Unix socket. A socket file at [path] that
+    refuses a connection is stale, left by a listener that died, and is
+    replaced. A live socket, or a file that is not a socket, stays, and
+    [listen] raises [Unix.Unix_error (EADDRINUSE, _, _)]; the live
+    listener sees the probe as one connection that hangs up at once. *)
 
 val listen_tcp : host:string -> port:int -> unit -> Unix.file_descr * int
 (** Bind and listen on a TCP address ([SO_REUSEADDR] set, backlog 16).
@@ -155,9 +158,9 @@ val close : t -> unit
 val fd : t -> Unix.file_descr
 val metrics : t -> Dstress_obs.Obs.Metrics.t
 
-(** Well-known frame kinds shared by the {!Supervisor}'s pools, the
-    {!Service} daemon and the [dstress transport] CLI tool. The transport
-    itself interprets none of them. *)
+(** Well-known frame kinds shared by the {!Supervisor}'s pool and the
+    {!Service} daemon; [ping] and [echo] serve the RTT benchmarks and
+    tests. The transport itself interprets none of them. *)
 module Kind : sig
   val hello : int
   val heartbeat : int

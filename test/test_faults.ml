@@ -84,10 +84,14 @@ let test_injector_counts_only_fired () =
   Alcotest.(check bool) "recovered at round 4" false (Fault.Injector.crashed inj ~round:4 ~node:2);
   Alcotest.(check int) "dormant fault not counted" 2 (Fault.Injector.total_injected inj);
   Alcotest.(check int) "drop count" 1 (List.assoc Fault.Drop (Fault.Injector.injected inj));
-  Alcotest.(check int) "crash count" 1 (List.assoc Fault.Crash (Fault.Injector.injected inj))
+  Alcotest.(check int) "crash count" 1 (List.assoc Fault.Crash (Fault.Injector.injected inj));
+  (* Every kind is one the engine fires: the five protocol kinds. *)
+  Alcotest.(check (list string)) "kinds"
+    [ "crash"; "drop"; "delay"; "corrupt"; "decrypt-miss" ]
+    (List.map (fun (k, _) -> Fault.kind_name k) (Fault.Injector.injected inj))
 
 (* ------------------------------------------------------------------ *)
-(* Wire faults and the simulated-time rounding contract                *)
+(* The simulated-time rounding contract                               *)
 (* ------------------------------------------------------------------ *)
 
 let test_delay_ticks_contract () =
@@ -97,76 +101,6 @@ let test_delay_ticks_contract () =
   Alcotest.(check int) "truncates toward zero" 1 (Fault.delay_ticks 1.9e-6);
   Alcotest.(check int) "sub-microsecond charges nothing" 0 (Fault.delay_ticks 4.0e-7);
   Alcotest.(check int) "negative never charges" 0 (Fault.delay_ticks (-0.5e-6))
-
-let test_random_wire_plan_deterministic_and_valid () =
-  let rates = { Fault.disconnect = 0.4; stall = 0.4; partition = 0.3 } in
-  let draw () = Fault.random_wire_plan ~seed:5 ~workers:4 ~batches:6 rates in
-  Alcotest.(check bool) "same seed, same plan" true (draw () = draw ());
-  Alcotest.(check bool) "different seed, different plan" true
-    (draw () <> Fault.random_wire_plan ~seed:6 ~workers:4 ~batches:6 rates);
-  let plan = draw () in
-  Alcotest.(check bool) "dense rates produce faults" true (plan <> []);
-  List.iter
-    (fun f ->
-      match f with
-      | Fault.Disconnect_worker { worker; batch } ->
-          Alcotest.(check bool) "disconnect in range" true
-            (worker >= 0 && worker < 4 && batch >= 0 && batch < 6)
-      | Fault.Stall_worker { worker; batch; seconds } ->
-          Alcotest.(check bool) "stall in range" true
-            (worker >= 0 && worker < 4 && batch >= 0 && batch < 6
-            && seconds >= 0.05 && seconds < 0.25)
-      | Fault.Partition_worker { worker; from_batch; until_batch } ->
-          let span = until_batch - from_batch in
-          Alcotest.(check bool) "partition in range" true
-            (worker >= 0 && worker < 4 && from_batch >= 0 && from_batch < 6
-            && (span = 1 || span = 2))
-      | _ -> Alcotest.fail "wire plan produced a protocol fault")
-    plan;
-  let rejects rates =
-    Alcotest.(check bool) "rejected" true
-      (try
-         ignore (Fault.random_wire_plan ~seed:1 ~workers:2 ~batches:2 rates);
-         false
-       with Invalid_argument _ -> true)
-  in
-  rejects { Fault.no_wire_faults with disconnect = -0.1 };
-  rejects { Fault.no_wire_faults with stall = 1.2 };
-  Alcotest.(check bool) "workers < 1 rejected" true
-    (try
-       ignore (Fault.random_wire_plan ~seed:1 ~workers:0 ~batches:2 Fault.no_wire_faults);
-       false
-     with Invalid_argument _ -> true)
-
-let test_injector_wire_faults () =
-  let plan =
-    [
-      Fault.Disconnect_worker { worker = 1; batch = 0 };
-      Fault.Stall_worker { worker = 2; batch = 1; seconds = 0.1 };
-      Fault.Partition_worker { worker = 0; from_batch = 1; until_batch = 3 };
-      Fault.Disconnect_worker { worker = 5; batch = 9 }; (* dormant *)
-    ]
-  in
-  let inj = Fault.Injector.create plan in
-  Alcotest.(check int) "disconnect matched" 1
-    (List.length (Fault.Injector.wire_faults inj ~batch:0 ~worker:1));
-  Alcotest.(check bool) "other slot clean" true
-    (Fault.Injector.wire_faults inj ~batch:0 ~worker:2 = []);
-  (* A partition interval matches every batch it covers... *)
-  Alcotest.(check int) "partition at start" 1
-    (List.length (Fault.Injector.wire_faults inj ~batch:1 ~worker:0));
-  Alcotest.(check int) "partition mid-interval" 1
-    (List.length (Fault.Injector.wire_faults inj ~batch:2 ~worker:0));
-  Alcotest.(check bool) "partition over" true
-    (Fault.Injector.wire_faults inj ~batch:3 ~worker:0 = []);
-  ignore (Fault.Injector.wire_faults inj ~batch:1 ~worker:2);
-  (* ...but fires once however many batches consult it, and the dormant
-     fault is never counted. *)
-  let by k = List.assoc k (Fault.Injector.injected inj) in
-  Alcotest.(check int) "one disconnect fired" 1 (by Fault.Disconnect);
-  Alcotest.(check int) "one stall fired" 1 (by Fault.Stall);
-  Alcotest.(check int) "partition fired once, not per batch" 1 (by Fault.Partition);
-  Alcotest.(check int) "total excludes dormant" 3 (Fault.Injector.total_injected inj)
 
 (* ------------------------------------------------------------------ *)
 (* Protocol recovery                                                   *)
@@ -563,9 +497,6 @@ let () =
           Alcotest.test_case "random crashes distinct" `Quick test_random_crashes_distinct;
           Alcotest.test_case "injector counters" `Quick test_injector_counts_only_fired;
           Alcotest.test_case "delay ticks contract" `Quick test_delay_ticks_contract;
-          Alcotest.test_case "random wire plan" `Quick
-            test_random_wire_plan_deterministic_and_valid;
-          Alcotest.test_case "injector wire faults" `Quick test_injector_wire_faults;
         ] );
       ( "protocol recovery",
         [

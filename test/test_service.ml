@@ -32,7 +32,7 @@
 module Hex = Dstress_util.Hex
 module Group = Dstress_crypto.Group
 module Ot_ext = Dstress_crypto.Ot_ext
-module Fault = Dstress_faults.Fault
+module Prng = Dstress_util.Prng
 module Obs = Dstress_obs.Obs
 module Metrics = Dstress_obs.Obs.Metrics
 module Reference = Dstress_risk.Reference
@@ -475,9 +475,8 @@ let test_pool_fence_drops_late_reply () =
      The stalled worker then serves the request anyway and replies on
      its fenced connection while follow-up requests keep the pool busy.
      Applying that reply would fire the callback a second time. *)
-  Service.set_pool_fault_source pool (fun ~request_index ~worker ->
-      if request_index = 0 then [ Fault.Stall_worker { worker; batch = 0; seconds = 2.0 } ]
-      else []);
+  Service.set_pool_fault_source pool (fun ~request_index ~worker:_ ->
+      if request_index = 0 then Some (Supervisor.Stall 2.0) else None);
   let req = { base_request with Service.seed = 41 } in
   let replies = ref [] and pending = ref 0 in
   let submit r on_done =
@@ -511,8 +510,8 @@ let test_pool_disconnect_recovered () =
   (* The first dispatch makes its worker sever its socket before serving:
      the pool must see the disconnect, respawn the slot and complete the
      request on a later attempt. *)
-  Service.set_pool_fault_source pool (fun ~request_index ~worker ->
-      if request_index = 0 then [ Fault.Disconnect_worker { worker; batch = 0 } ] else []);
+  Service.set_pool_fault_source pool (fun ~request_index ~worker:_ ->
+      if request_index = 0 then Some Supervisor.Disconnect else None);
   let req = { base_request with Service.seed = 61 } in
   let reply = ref None and pending = ref 1 in
   (match
@@ -539,8 +538,8 @@ let test_pool_every_slot_partitioned () =
   (* Every dispatch to every slot, respawns included, is muted: the
      detector fences each one until every slot is abandoned, and then the
      pool must fail what is left fast, with typed outcomes. *)
-  Service.set_pool_fault_source pool (fun ~request_index:_ ~worker ->
-      [ Fault.Partition_worker { worker; from_batch = 0; until_batch = max_int } ]);
+  Service.set_pool_fault_source pool (fun ~request_index:_ ~worker:_ ->
+      Some Supervisor.Partition);
   let n = 3 in
   let results = Array.make n None and pending = ref n in
   for i = 0 to n - 1 do
@@ -589,23 +588,27 @@ let test_pool_chaos_soak () =
     }
   in
   let pool = Service.create_pool ~opts ~handler () in
-  let plan =
-    Fault.random_wire_plan ~seed:0xD5 ~workers:2 ~batches:10
-      { Fault.disconnect = 0.12; stall = 0.10; partition = 0.08 }
+  (* A seeded schedule over the first 10 dispatches of every slot: per
+     cell, disconnect 12%, stall 10% (0.05-0.25 s), partition 8%. *)
+  let prng = Prng.of_int 0xD5 in
+  let schedule =
+    Array.init opts.Service.workers (fun _ ->
+        Array.init 10 (fun _ ->
+            let u = Prng.float prng in
+            if u < 0.12 then Some Supervisor.Disconnect
+            else if u < 0.22 then Some (Supervisor.Stall (0.05 +. (Prng.float prng *. 0.2)))
+            else if u < 0.30 then Some Supervisor.Partition
+            else None))
   in
-  let inj = Fault.Injector.create plan in
-  (* Guarantee at least one of each kind fires on top of the random
-     plan, so the soak always exercises disconnect, stall and fence. *)
+  (* On top of the schedule, one of each kind always fires, so the soak
+     always exercises disconnect, stall and fence. *)
   Service.set_pool_fault_source pool (fun ~request_index ~worker ->
-      let extra =
-        match (request_index, worker) with
-        | 0, 0 -> [ Fault.Disconnect_worker { worker = 0; batch = 0 } ]
-        | 1, 1 -> [ Fault.Stall_worker { worker = 1; batch = 1; seconds = 0.15 } ]
-        | 2, _ ->
-            [ Fault.Partition_worker { worker; from_batch = 2; until_batch = 3 } ]
-        | _ -> []
-      in
-      extra @ Fault.Injector.wire_faults inj ~batch:request_index ~worker);
+      match (request_index, worker) with
+      | 0, 0 -> Some Supervisor.Disconnect
+      | 1, 1 -> Some (Supervisor.Stall 0.15)
+      | 2, _ -> Some Supervisor.Partition
+      | i, w when i < 10 -> schedule.(w).(i)
+      | _ -> None);
   let n = 8 in
   let results = Array.make n None in
   let pending = ref n in

@@ -180,6 +180,55 @@ let test_named_socket_roundtrip () =
   Unix.close lfd;
   (try Unix.unlink path with Unix.Unix_error _ -> ())
 
+(* Listen never takes a path over: a live listener's socket and a file
+   that is not a socket both stay, and only the socket file of a
+   listener that died is replaced. *)
+let test_listen_takes_only_stale_sockets () =
+  let path =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "dstress-listen-%d.sock" (Unix.getpid ()))
+  in
+  let refused what =
+    match Transport.listen ~path with
+    | fdesc ->
+        Unix.close fdesc;
+        Alcotest.failf "listen over %s must fail" what
+    | exception Unix.Unix_error (Unix.EADDRINUSE, _, _) -> ()
+  in
+  let round_trip lfd payload =
+    let client = Transport.connect ~attempts:1 ~path () in
+    let server = Transport.accept ~deadline:2.0 lfd in
+    ignore (Transport.send client ~kind:Transport.Kind.ping ~epoch:0 (Bytes.of_string payload));
+    (match Transport.recv server ~timeout:1.0 with
+    | Some fr -> Alcotest.(check string) payload payload (Bytes.to_string fr.Transport.payload)
+    | None -> Alcotest.fail (payload ^ ": no frame"));
+    Transport.close client;
+    Transport.close server
+  in
+  Fun.protect
+    ~finally:(fun () -> try Unix.unlink path with Unix.Unix_error _ -> ())
+    (fun () ->
+      let first = Transport.listen ~path in
+      refused "a live socket";
+      (* The refused listen probed the path: the live listener sees one
+         connection that hangs up at once. *)
+      let probe = Transport.accept ~deadline:2.0 first in
+      (match Transport.recv probe ~timeout:1.0 with
+      | exception Transport.Error (Transport.Closed _) -> ()
+      | _ -> Alcotest.fail "the probe must hang up");
+      Transport.close probe;
+      round_trip first "first listener still accepts";
+      (* The listener dies without unlinking: its file is stale. *)
+      Unix.close first;
+      let second = Transport.listen ~path in
+      round_trip second "stale socket replaced";
+      Unix.close second;
+      Unix.unlink path;
+      Out_channel.with_open_bin path (fun oc -> output_string oc "not a socket");
+      refused "a regular file";
+      Alcotest.(check string) "regular file untouched" "not a socket"
+        (In_channel.with_open_bin path In_channel.input_all))
+
 let contains_substring ~sub s =
   let n = String.length s and m = String.length sub in
   let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
@@ -315,6 +364,8 @@ let () =
           Alcotest.test_case "dedup drops replay" `Quick test_dedup_drops_replay;
           Alcotest.test_case "connect backoff bounded" `Quick test_connect_backoff_bounded;
           Alcotest.test_case "named socket round-trip" `Quick test_named_socket_roundtrip;
+          Alcotest.test_case "listen takes only stale sockets" `Quick
+            test_listen_takes_only_stale_sockets;
         ] );
       ( "tcp",
         [

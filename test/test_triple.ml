@@ -7,10 +7,10 @@
    streams afterwards — from one that generated inline, across scalar and
    bitsliced evaluation, both OT backends, exhaustion fallback and mixed
    consume/inline slices. The Triple.Cache tests pin the one-generation-
-   per-key guarantee (including under domain hammering) and the disk
-   round-trip with corruption recovery. The engine tests check that a
-   preprocessed run, whether its material was generated, cached or
-   reloaded from disk, reports byte-identically to an inline run. *)
+   per-key guarantee (including under domain hammering) and the 64-entry
+   bound. The engine tests check that a preprocessed run, whether its
+   material was generated or cached, reports byte-identically to an
+   inline run. *)
 
 open Dstress_mpc
 module Bitvec = Dstress_util.Bitvec
@@ -213,7 +213,8 @@ let test_plan_digest_and_memo () =
   Alcotest.(check bool) "memo returns same plan" true (p1 == p2);
   Alcotest.(check string) "digest stable" (Plan.digest p1) (Plan.digest p2);
   (* Structurally equal circuit, different physical identity: same digest
-     (that is the point — material survives Marshal boundaries). *)
+     (that is the point — a later run rebuilds its circuits and must
+     still find the material an earlier run cached). *)
   let c' = adder_circuit 6 in
   Alcotest.(check bool) "distinct objects" true (c != c');
   Alcotest.(check string) "structural digest" (Plan.digest p1) (Plan.digest (Plan.compile c'));
@@ -221,14 +222,14 @@ let test_plan_digest_and_memo () =
     (Plan.digest p1 <> Plan.digest (Plan.compile (adder_circuit 7)))
 
 (* ------------------------------------------------------------------ *)
-(* Cache: memory, disk, corruption                                      *)
+(* Cache: hits, bound, concurrency                                    *)
 (* ------------------------------------------------------------------ *)
 
 let gen_for ~parties ~seed ~evals plan ~evals:_ =
   Gmw.generate_material ~mode:Ot_ext.Simulation grp ~parties ~seed ~evals plan
 
-let request ?dir cache plan ~parties ~seed ~evals =
-  Triple.Cache.find_or_generate ?dir cache ~digest:(Plan.digest plan) ~parties ~seed
+let request cache plan ~parties ~seed ~evals =
+  Triple.Cache.find_or_generate cache ~digest:(Plan.digest plan) ~parties ~seed
     ~mode:Ot_ext.Simulation ~evals
     ~generate:(gen_for ~parties ~seed ~evals plan)
 
@@ -268,76 +269,8 @@ let test_cache_bounded () =
   Alcotest.(check int) "newest key still hits" 66 (Triple.Cache.generations cache);
   Alcotest.(check int) "one hit" 1 (Triple.Cache.hits cache)
 
-let with_cache_dir f =
-  let dir = Filename.concat (Filename.get_temp_dir_name ()) "dstress-test-triples" in
-  Array.iter
-    (fun base ->
-      let p = Filename.concat dir base in
-      if Sys.file_exists p then Sys.remove p)
-    (if Sys.file_exists dir then Sys.readdir dir else [||]);
-  f dir
-
-let test_cache_disk () =
-  with_cache_dir (fun dir ->
-      let plan = Plan.of_circuit (adder_circuit 4) in
-      let c1 = Triple.Cache.create () in
-      let m1 = request ~dir c1 plan ~parties:2 ~seed:"cache-disk" ~evals:2 in
-      Alcotest.(check int) "generated once" 1 (Triple.Cache.generations c1);
-      let files = Sys.readdir dir in
-      Alcotest.(check bool) "file written" true
-        (Array.exists (fun f -> Filename.check_suffix f ".triple") files);
-      (* A fresh cache (fresh process, conceptually) loads from disk. *)
-      let c2 = Triple.Cache.create () in
-      let m2 = request ~dir c2 plan ~parties:2 ~seed:"cache-disk" ~evals:2 in
-      Alcotest.(check int) "no generation on reload" 0 (Triple.Cache.generations c2);
-      Alcotest.(check int) "disk load counted" 1 (Triple.Cache.disk_loads c2);
-      Alcotest.(check string) "same digest" (Triple.(m1.digest)) (Triple.(m2.digest));
-      Alcotest.(check int) "same evals" (Triple.evals_available m1) (Triple.evals_available m2);
-      (* The reloaded material must behave identically. *)
-      let circuit = adder_circuit 4 in
-      let inline = Gmw.create_session ~mode:Ot_ext.Simulation grp ~parties:2 ~seed:"cache-disk" in
-      let online = Gmw.create_session ~mode:Ot_ext.Simulation grp ~parties:2 ~seed:"cache-disk" in
-      Gmw.attach_material online m2;
-      let shares = (make_inputs ~parties:2 ~count:1 "cache-disk" circuit).(0) in
-      let out_a = Gmw.eval inline circuit ~input_shares:shares in
-      let out_b = Gmw.eval online circuit ~input_shares:shares in
-      Alcotest.(check bool) "reloaded material equivalent" true
-        (Bitvec.equal out_a.(0) out_b.(0) && Bitvec.equal out_a.(1) out_b.(1));
-      let rewrite_cache_files edit =
-        Array.iter
-          (fun f ->
-            if Filename.check_suffix f ".triple" then begin
-              let path = Filename.concat dir f in
-              let ic = open_in_bin path in
-              let b = Bytes.of_string (really_input_string ic (in_channel_length ic)) in
-              close_in ic;
-              edit b;
-              let oc = open_out_bin path in
-              output_bytes oc b;
-              close_out oc
-            end)
-          (Sys.readdir dir)
-      in
-      (* A file from an older build (version 2 magic) keeps a valid CRC,
-         but its payload may be another type: it must miss, not load. *)
-      let stale = "DSTRESS-TRIPLE/2\n" in
-      rewrite_cache_files (fun b -> Bytes.blit_string stale 0 b 0 (String.length stale));
-      let c_stale = Triple.Cache.create () in
-      ignore (request ~dir c_stale plan ~parties:2 ~seed:"cache-disk" ~evals:2);
-      Alcotest.(check int) "stale magic regenerates" 1 (Triple.Cache.generations c_stale);
-      Alcotest.(check int) "stale magic does not load" 0 (Triple.Cache.disk_loads c_stale);
-      (* Corrupt the payload: the load must fail the CRC and regenerate. *)
-      rewrite_cache_files (fun b ->
-          let mid = Bytes.length b / 2 in
-          Bytes.set b mid (Char.chr (Char.code (Bytes.get b mid) lxor 0xff)));
-      let c3 = Triple.Cache.create () in
-      ignore (request ~dir c3 plan ~parties:2 ~seed:"cache-disk" ~evals:2);
-      Alcotest.(check int) "corrupt file regenerates" 1 (Triple.Cache.generations c3);
-      Alcotest.(check int) "corrupt file does not load" 0 (Triple.Cache.disk_loads c3))
-
-(* Kept last: spawns domains (forking executors must run before this in
-   any process that also runs them). One key hammered from several
-   domains must generate exactly once; distinct keys generate once each. *)
+(* One key hammered from several domains must generate exactly once;
+   distinct keys generate once each. *)
 let test_cache_hammer () =
   let cache = Triple.Cache.create () in
   let plan = Plan.of_circuit (adder_circuit 5) in
@@ -374,10 +307,10 @@ let en_fixture ?(iterations = 2) () =
   let states = En_program.encode_instance small_economy ~graph ~l:12 ~degree:d ~scale:0.25 in
   (graph, d, p, states)
 
-let run_engine ?(preprocess = false) ?triple_cache ~executor ~seed (graph, d, p, states) =
+let run_engine ?(preprocess = false) ~executor ~seed (graph, d, p, states) =
   let cfg =
     { (Engine.default_config grp ~k:2 ~degree_bound:d ~seed) with
-      Engine.executor; obs_level = Obs.Full; preprocess; triple_cache }
+      Engine.executor; obs_level = Obs.Full; preprocess }
   in
   Engine.run cfg p ~graph ~initial_states:states
 
@@ -432,29 +365,6 @@ let test_engine_preprocess () =
   Alcotest.(check int) "rerun served from cache" Reference.(small_economy.en_n)
     (offline_counter again "preprocess.cache.hits")
 
-let test_engine_disk_reload () =
-  with_cache_dir (fun dir ->
-      let fx = en_fixture () in
-      let seed = "triple-engine-disk" in
-      let base = run_engine ~executor:Executor.sequential ~seed fx in
-      let first =
-        run_engine ~preprocess:true ~triple_cache:dir ~executor:Executor.sequential ~seed fx
-      in
-      check_reports_equal "disk-backed preprocess" base first;
-      Alcotest.(check int) "first run generates" Reference.(small_economy.en_n)
-        (offline_counter first "preprocess.cache.generations");
-      (* Clearing the in-memory cache models a fresh process: the rerun
-         must come entirely from the persisted files. *)
-      Triple.Cache.clear Triple.Cache.shared;
-      let reload =
-        run_engine ~preprocess:true ~triple_cache:dir ~executor:Executor.sequential ~seed fx
-      in
-      check_reports_equal "disk reload" base reload;
-      Alcotest.(check int) "reload generates nothing" 0
-        (offline_counter reload "preprocess.cache.generations");
-      Alcotest.(check int) "reload comes from disk" Reference.(small_economy.en_n)
-        (offline_counter reload "preprocess.cache.disk_loads"))
-
 let test_engine_seq_par () =
   let ((graph, _, _, _) as fx) = en_fixture () in
   let seed = "triple-engine-seqpar" in
@@ -488,7 +398,6 @@ let () =
       ( "engine",
         [
           Alcotest.test_case "preprocess differential" `Quick test_engine_preprocess;
-          Alcotest.test_case "disk reload" `Quick test_engine_disk_reload;
           Alcotest.test_case "sequential and parallel differential" `Quick test_engine_seq_par;
         ] );
       ( "gmw-equivalence",
@@ -507,7 +416,6 @@ let () =
         [
           Alcotest.test_case "memory" `Quick test_cache_memory;
           Alcotest.test_case "memory is bounded" `Quick test_cache_bounded;
-          Alcotest.test_case "disk" `Quick test_cache_disk;
           Alcotest.test_case "domain hammering" `Quick test_cache_hammer;
         ] );
     ]
