@@ -11,7 +11,6 @@
 
 open Bench_util
 module Nat = Dstress_bignum.Nat
-module Elgamal = Dstress_crypto.Elgamal
 module Engine = Dstress_runtime.Engine
 module Executor = Dstress_runtime.Executor
 module Graph = Dstress_runtime.Graph
@@ -193,61 +192,6 @@ let run ~quick () =
        (fun () -> Group.pow_g grp2048 e));
   ignore fb;
   Printf.printf "fixed-base vs seed generic: %.1fx\n" (ref_s /. fb_s);
-  (* Multi-exponentiation product at batch sizes 1 / 16 / 64. *)
-  List.iter
-    (fun n ->
-      let pairs =
-        Array.init n (fun _ -> (rand_elt (), Group.random_exponent prg grp2048))
-      in
-      let expected =
-        Array.fold_left
-          (fun acc (b, e) -> Group.mul grp2048 acc (Group.pow grp2048 b e))
-          Nat.one pairs
-      in
-      ignore
-        (measure ~repeats ~warmup:1
-           ~name:(Printf.sprintf "multi-exp-%d" n)
-           ~params:[ ("bits", Json.Int bits); ("batch", Json.Int n) ]
-           ~items:("exp", float_of_int n)
-           ~telemetry:(fun r ->
-             let _, s = time (fun () -> ignore (Group.multi_pow grp2048 pairs)) in
-             ( [ ("mismatch", mismatch expected r) ],
-               [ ("speedup_vs_ref_per_exp", float_of_int n *. ref_s /. s) ] ))
-           (fun () -> Group.multi_pow grp2048 pairs)))
-    [ 1; 16; 64 ];
-  (* Block re-randomization of 64 ciphertexts under one key — the §3.5
-     transfer shape. The batch must be draw-for-draw identical to the
-     scalar loop, so the mismatch counter replays both from one seed. *)
-  let block = 64 in
-  let sk, pk = Elgamal.keygen prg grp2048 in
-  ignore sk;
-  let cts =
-    Array.init block (fun _ -> { Elgamal.c1 = rand_elt (); c2 = rand_elt () })
-  in
-  let scalar_of_seed seed =
-    let t = Prg.of_string seed in
-    Array.map (fun c -> Elgamal.rerandomize t grp2048 pk c) cts
-  in
-  let batch_of_seed seed =
-    let t = Prg.of_string seed in
-    Elgamal.rerandomize_many t grp2048 pk cts
-  in
-  let expected = scalar_of_seed "rerand" in
-  ignore
-    (measure ~repeats ~warmup:1 ~name:(Printf.sprintf "block-rerand-%d" block)
-       ~params:[ ("bits", Json.Int bits); ("batch", Json.Int block) ]
-       ~items:("ct", float_of_int block)
-       ~telemetry:(fun r ->
-         let bad = ref 0 in
-         Array.iteri
-           (fun i c -> if not (Elgamal.ciphertext_equal expected.(i) c) then incr bad)
-           r;
-         let _, s = time (fun () -> ignore (batch_of_seed "rerand")) in
-         ( [ ("mismatch", !bad) ],
-           (* a scalar re-randomization costs two seed-generic pows per
-              ciphertext *)
-           [ ("speedup_vs_ref", 2.0 *. ref_s *. float_of_int block /. s) ] ))
-       (fun () -> batch_of_seed "rerand"));
   (* End-to-end: an EN run at N = 100 with real 2048-bit parameters —
      infeasible before the kernel refactor, now a bench row. Sequential
      executor (this suite runs before any fork-sensitive ordering

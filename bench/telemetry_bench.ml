@@ -2,10 +2,10 @@
    the hot paths it instruments.
 
    The headline row is [telemetry-tax]: the per-request cost of
-   everything the service pool's request path adds — the log lines, the
-   three latency-sketch observations and the queue/uptime gauge writes —
-   measured directly and compared against the measured per-request cost
-   of persistent-pool dispatch itself. The counter
+   everything the service pool's request path adds — the log lines and
+   the three latency-sketch observations — measured directly and
+   compared against the measured per-request cost of persistent-pool
+   dispatch itself. The counter
    [overhead_within_5pct] gates the ratio under bench_diff
    --counters-only: telemetry must stay below 5% of dispatch, or
    logging has crept onto the hot path.
@@ -139,8 +139,8 @@ let drain_requests pool reqs =
 
 (* The request path's own telemetry, replayed in isolation: the log
    lines a Debug-level request lifecycle emits (enqueue, dispatch,
-   finish), the three latency-sketch observations and the two gauge
-   writes. Measured per iteration, this is the tax one request pays. *)
+   finish) and the three latency-sketch observations. Measured per
+   iteration, this is the tax one request pays. *)
 let per_request_telemetry_chunk_s log m ~first ~iters =
   let t0 = Unix.gettimeofday () in
   for i = first to first + iters - 1 do
@@ -153,8 +153,6 @@ let per_request_telemetry_chunk_s log m ~first ~iters =
     Metrics.observe_sketch m "service.queue_wait_s" 1e-5;
     Metrics.observe_sketch m "service.dispatch_s" 5e-4;
     Metrics.observe_sketch m "service.request_s" 6e-4;
-    Metrics.set m "service.queue_depth" 0.0;
-    Metrics.set m "service.queue_high_water" 1.0;
     if Log.enabled log Log.Info then
       Log.info log ~trace:(Int64.of_int i) "request finished"
         [ ("id", Log.Int i); ("outcome", Log.Str "completed"); ("seconds", Log.Float 6e-4) ]

@@ -161,6 +161,14 @@ grep -q '^dstress_service_request_s_count 3$' "$CI_TMP/stats.prom"
 grep '^dstress_service_request_s{quantile="0.99"} ' "$CI_TMP/stats.prom" | grep -qv ' 0$'
 grep -q '^dstress_worker_up{worker="0"' "$CI_TMP/stats.prom"
 grep -q 'trace=3 msg="request finished"' "$CI_TMP/serve.err"
+# A request naming more domains than the executor's bound (64) must be
+# rejected before dispatch (exit 4), and the daemon must keep serving.
+echo "== oversized executor rejected =="
+status=0
+_build/default/bin/dstress.exe request --socket "$SVC_SOCK" --core 2 --periphery 3 \
+  -i 2 --executor parallel:65 > /dev/null 2> "$CI_TMP/reject.err" || status=$?
+test "$status" -eq 4
+grep -q 'bound of 64' "$CI_TMP/reject.err"
 # A second daemon must not take a live socket over (it exits 1 and the
 # first keeps answering), nor replace a file that is not a socket. The
 # timeout only bounds a daemon that wrongly starts; it would exit 124.

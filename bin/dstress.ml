@@ -119,7 +119,7 @@ let executor_arg =
     & opt (some string) None
     & info [ "executor" ] ~docv:"SPEC"
         ~doc:
-          "Execution backend: sequential or parallel[:N] (a pool of N domains); \
+          "Execution backend: sequential or parallel[:N] (a pool of N <= 64 domains); \
            sequential when absent. Tick-domain results and exports are \
            identical for every backend.")
 
@@ -164,8 +164,7 @@ let metrics_arg =
     & opt (some string) None
     & info [ "metrics" ] ~docv:"FILE"
         ~doc:
-          "Write the run's metrics registry to FILE: CSV when FILE ends in .csv, \
-           JSON otherwise.")
+          "Write the run's metrics registry to FILE as JSON.")
 
 let trace_wall_arg =
   Arg.(
@@ -194,14 +193,7 @@ let write_file path contents =
 let export_obs ~trace ~metrics ~trace_wall ~profile report =
   let obs = report.Engine.obs in
   Option.iter (fun path -> write_file path (Obs.trace_json obs)) trace;
-  Option.iter
-    (fun path ->
-      let contents =
-        if Filename.check_suffix path ".csv" then Obs.metrics_csv obs
-        else Obs.metrics_json obs
-      in
-      write_file path contents)
-    metrics;
+  Option.iter (fun path -> write_file path (Obs.metrics_json obs)) metrics;
   Option.iter (fun path -> write_file path (Prof.trace_wall_json obs)) trace_wall;
   Option.iter
     (fun path ->

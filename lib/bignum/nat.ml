@@ -579,115 +579,6 @@ module Mont = struct
               Array.map word_to_t accs)
       end
     end
-
-  let pow_many ctx pairs = Array.map (fun (b, e) -> pow ctx b e) pairs
-
-  (* Simultaneous multi-exponentiation: prod_i base_i^exp_i. Up to four
-     bases use Shamir's trick with a combination table (one shared squaring
-     chain, one multiply per nonzero joint bit); larger products use
-     Pippenger-style bucket windows. *)
-  let multi_pow ctx pairs =
-    let n = Array.length pairs in
-    if n = 0 then word_to_t ctx.onew
-    else if n = 1 then begin
-      let b, e = pairs.(0) in
-      pow ctx b e
-    end
-    else begin
-      let maxbits =
-        Array.fold_left (fun a (_, e) -> max a (num_bits e)) 0 pairs
-      in
-      if maxbits = 0 then word_to_t ctx.onew
-      else if n <= 4 then
-        with_scratch ctx (fun s ->
-            let k = ctx.k in
-            let words = Array.map (fun (b, _) -> word_fresh ctx b) pairs in
-            (* combos.(msk-1) = prod of bases whose bit is set in msk *)
-            let combos =
-              Array.init ((1 lsl n) - 1) (fun _ -> Array.make k 0)
-            in
-            for msk = 1 to (1 lsl n) - 1 do
-              let lsb = msk land -msk in
-              let rest = msk - lsb in
-              let rec log2 v = if v <= 1 then 0 else 1 + log2 (v lsr 1) in
-              if rest = 0 then Array.blit words.(log2 lsb) 0 combos.(msk - 1) 0 k
-              else
-                cios ctx ~tmp:s.s_tmp combos.(lsb - 1) combos.(rest - 1)
-                  combos.(msk - 1)
-            done;
-            let acc = s.s_acc in
-            Array.blit ctx.onew 0 acc 0 k;
-            let started = ref false in
-            for i = maxbits - 1 downto 0 do
-              if !started then sqr ctx ~sq:s.s_sq acc acc;
-              let msk = ref 0 in
-              for j = 0 to n - 1 do
-                if bit (snd pairs.(j)) i then msk := !msk lor (1 lsl j)
-              done;
-              if !msk <> 0 then begin
-                cios ctx ~tmp:s.s_tmp acc combos.(!msk - 1) acc;
-                started := true
-              end
-            done;
-            word_to_t acc)
-      else
-        with_scratch ctx (fun s ->
-            let k = ctx.k in
-            let c = if n >= 32 then 6 else if n >= 12 then 5 else 4 in
-            let nwin = (maxbits + c - 1) / c in
-            let nb = (1 lsl c) - 1 in
-            let words = Array.map (fun (b, _) -> word_fresh ctx b) pairs in
-            let buckets = Array.init nb (fun _ -> Array.make k 0) in
-            let occupied = Array.make nb false in
-            let running = Array.make k 0 and total = Array.make k 0 in
-            let acc = s.s_acc in
-            Array.blit ctx.onew 0 acc 0 k;
-            let started = ref false in
-            for w = nwin - 1 downto 0 do
-              if !started then
-                for _ = 1 to c do
-                  sqr ctx ~sq:s.s_sq acc acc
-                done;
-              Array.fill occupied 0 nb false;
-              for j = 0 to n - 1 do
-                let d = digit_of (snd pairs.(j)) ~w:c w in
-                if d <> 0 then begin
-                  if occupied.(d - 1) then
-                    cios ctx ~tmp:s.s_tmp buckets.(d - 1) words.(j)
-                      buckets.(d - 1)
-                  else begin
-                    Array.blit words.(j) 0 buckets.(d - 1) 0 k;
-                    occupied.(d - 1) <- true
-                  end
-                end
-              done;
-              (* window total = prod_d bucket_d^d via a running suffix
-                 product scanned from the heaviest bucket down *)
-              let have_run = ref false and have_tot = ref false in
-              for d = nb downto 1 do
-                if occupied.(d - 1) then begin
-                  if !have_run then
-                    cios ctx ~tmp:s.s_tmp running buckets.(d - 1) running
-                  else begin
-                    Array.blit buckets.(d - 1) 0 running 0 k;
-                    have_run := true
-                  end
-                end;
-                if !have_run then
-                  if !have_tot then cios ctx ~tmp:s.s_tmp total running total
-                  else begin
-                    Array.blit running 0 total 0 k;
-                    have_tot := true
-                  end
-              done;
-              if !have_tot then begin
-                if !started then cios ctx ~tmp:s.s_tmp acc total acc
-                else Array.blit total 0 acc 0 k;
-                started := true
-              end
-            done;
-            word_to_t acc)
-    end
 end
 
 let mod_pow ~base:b ~exp ~m =

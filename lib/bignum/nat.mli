@@ -119,8 +119,8 @@ val pp : Format.formatter -> t -> unit
     perform many operations modulo the same odd modulus.
 
     Internally this is a mutable word-array kernel: fixed-width limb
-    buffers sized per modulus, in-place fused CIOS multiplication and SOS
-    squaring, with per-context scratch space reused across calls so the
+    buffers sized per modulus, in-place fused CIOS multiplication (squaring
+    included), with per-context scratch space reused across calls so the
     inner loops never allocate. The API below stays immutable — every
     entry point takes and returns normalized [t] values. *)
 module Mont : sig
@@ -160,12 +160,4 @@ module Mont : sig
   (** One shared Montgomery-form base raised to many exponents. Small
       batches share one right-to-left squaring chain across the batch;
       large batches build a throwaway window table. *)
-
-  val pow_many : ctx -> (t * t) array -> t array
-  (** Independent (base, exponent) pairs, Montgomery-form bases. *)
-
-  val multi_pow : ctx -> (t * t) array -> t
-  (** Simultaneous multi-exponentiation [prod_i base_i ^ exp_i] over
-      Montgomery-form bases: Shamir's trick (joint combination table) up
-      to four bases, Pippenger-style bucket windows beyond. *)
 end

@@ -22,27 +22,6 @@ let rerandomize prg grp h c =
   { c1 = Group.mul grp c.c1 (Group.pow_g grp y);
     c2 = Group.mul grp c.c2 (Group.pow grp h y) }
 
-(* Block re-randomization under one public key: the fresh ephemerals are
-   drawn in ciphertext order (so a seeded PRG gives the same ciphertexts as
-   a scalar loop), then both exponentiation families are batched — g^y
-   through the fixed-base table, h^y through one shared-base batch. *)
-let rerandomize_many prg grp h cs =
-  let ys = Array.map (fun _ -> Group.random_exponent prg grp) cs in
-  let gys = Group.pow_base_many grp (Group.g grp) ys in
-  let hys = Group.pow_base_many grp h ys in
-  Array.mapi
-    (fun i c ->
-      { c1 = Group.mul grp c.c1 gys.(i); c2 = Group.mul grp c.c2 hys.(i) })
-    cs
-
-(* Batch decryption under one secret key: the ephemeral exponentiations are
-   independent, but the unblinding inverses collapse into one batch
-   inverse. *)
-let decrypt_many grp x cs =
-  let ss = Group.pow_many grp (Array.map (fun c -> (c.c1, x)) cs) in
-  let invs = Group.inv_many grp ss in
-  Array.mapi (fun i c -> Group.mul grp c.c2 invs.(i)) cs
-
 let ciphertext_bytes grp = 2 * Group.element_bytes grp
 
 let ciphertext_equal a b = Group.elt_equal a.c1 b.c1 && Group.elt_equal a.c2 b.c2

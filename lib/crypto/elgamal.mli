@@ -26,17 +26,6 @@ val rerandomize : Prg.t -> Group.t -> public_key -> ciphertext -> ciphertext
 (** Multiplies in a fresh encryption of the identity: same plaintext,
     unlinkable ciphertext. *)
 
-val rerandomize_many :
-  Prg.t -> Group.t -> public_key -> ciphertext array -> ciphertext array
-(** Block {!rerandomize} under one key. Ephemerals are drawn in ciphertext
-    order, so with the same PRG state this returns exactly what a scalar
-    {!rerandomize} loop would; the exponentiations are batched (fixed-base
-    table for [g], one shared-base batch for [h]). *)
-
-val decrypt_many : Group.t -> secret_key -> ciphertext array -> Group.elt array
-(** Batch {!decrypt} under one key; the unblinding inverses are computed
-    with one batch inversion. *)
-
 val ciphertext_bytes : Group.t -> int
 (** Wire size of one ciphertext (two group elements). *)
 

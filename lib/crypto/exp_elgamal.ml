@@ -110,8 +110,4 @@ let decrypt_shared grp table ~c1 pairs =
     (fun i (_, c2) -> Table.lookup table (Group.mul grp c2 invs.(i)))
     pairs
 
-let adjust_many grp cs r =
-  let c1s = Group.rerandomize_many grp (Array.map (fun c -> c.c1) cs) r in
-  Array.mapi (fun i c -> { c with c1 = c1s.(i) }) cs
-
 let multi_ciphertext_bytes grp l = (l + 1) * Group.element_bytes grp

@@ -41,7 +41,9 @@ val rerandomize_key : Group.t -> Elgamal.public_key -> Group.exponent -> Elgamal
 
 val adjust : Group.t -> ciphertext -> Group.exponent -> ciphertext
 (** [adjust grp c r] raises the ephemeral part to [r], converting a
-    ciphertext under [h^r] into one under [h]. *)
+    ciphertext under [h^r] into one under [h]. The transfer protocol
+    adjusts a whole block's ephemerals with one
+    {!Group.rerandomize_many}. *)
 
 val decrypt_elt : Group.t -> Elgamal.secret_key -> ciphertext -> Group.elt
 (** Recovers [g^v] (not [v] itself). *)
@@ -89,9 +91,6 @@ val decrypt_shared :
 (** Batched {!decrypt} of ciphertexts [(c1, c2_i)] sharing one (already
     adjusted) ephemeral part: the [c1^x_i] blindings are one shared-base
     batch and the inverses one batch inversion. *)
-
-val adjust_many : Group.t -> ciphertext array -> Group.exponent -> ciphertext array
-(** {!adjust} over a block with a shared [r]. *)
 
 val multi_ciphertext_bytes : Group.t -> int -> int
 (** [multi_ciphertext_bytes grp l]: wire size of [l] messages sent with the

@@ -245,15 +245,6 @@ let pow_base_many t b exps =
         Array.map (Nat.Mont.from_mont t.mont) (Nat.Mont.pow_base_many t.mont bm exps)
   end
 
-let pow_many t pairs =
-  Array.map
-    (fun (b, e) ->
-      if elt_equal b t.g then pow_g t e
-      else
-        Nat.Mont.from_mont t.mont
-          (Nat.Mont.pow t.mont (Nat.Mont.to_mont t.mont b) e))
-    pairs
-
 (* Shared-exponent batch (certificate blinding, ciphertext adjustment).
    The bases are all distinct so no cross-element work can be shared; the
    win over a caller-side loop is the kernel (scratch reuse, no per-op
@@ -264,36 +255,6 @@ let rerandomize_many t bases r =
       Nat.Mont.from_mont t.mont
         (Nat.Mont.pow t.mont (Nat.Mont.to_mont t.mont b) r))
     bases
-
-(* Simultaneous product exponentiation. Pairs based on the group generator
-   are merged by summing their exponents mod q (every subgroup element has
-   order dividing q) and routed through the fixed-base table; the rest go
-   through Shamir/Pippenger. Bases must be subgroup elements. *)
-let multi_pow t pairs =
-  let g_exp = ref None in
-  let rest = ref [] in
-  Array.iter
-    (fun (b, e) ->
-      if elt_equal b t.g then
-        g_exp := Some (match !g_exp with None -> e | Some a -> exp_add t a e)
-      else rest := (Nat.Mont.to_mont t.mont b, e) :: !rest)
-    pairs;
-  let rest = Array.of_list (List.rev !rest) in
-  let parts = [] in
-  let parts =
-    match !g_exp with
-    | None -> parts
-    | Some e -> Nat.Mont.pow_precomp t.mont t.g_pre e :: parts
-  in
-  let parts =
-    if Array.length rest = 0 then parts
-    else Nat.Mont.multi_pow t.mont rest :: parts
-  in
-  match parts with
-  | [] -> Nat.one
-  | [ x ] -> Nat.Mont.from_mont t.mont x
-  | [ x; y ] -> Nat.Mont.from_mont t.mont (Nat.Mont.mul t.mont x y)
-  | _ -> assert false
 
 (* Montgomery's batch-inversion trick: one modular inverse plus 3(n-1)
    multiplications instead of n inverses. *)

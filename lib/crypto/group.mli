@@ -66,24 +66,18 @@ val pow_g_int : t -> int -> elt
     same small plaintexts constantly, and the negative encodings are
     full-width exponents. *)
 
-val pow_many : t -> (elt * exponent) array -> elt array
-(** Independent exponentiations; generator-based pairs go through the
-    fixed-base table. *)
-
 val pow_base_many : t -> elt -> exponent array -> elt array
-(** One shared base, many exponents — the shape of batched lookup-table
-    decryption (shared adjusted ephemeral) and per-key bundle encryption.
-    Large batches build (and cache, per key) a window table; small ones
-    share a single squaring chain across the batch. *)
+(** One shared base, many exponents — the shape of per-key bundle
+    encryption ([Exp_elgamal.encrypt_multi_batch]) and batched lookup-table
+    decryption under a shared adjusted ephemeral
+    ([Exp_elgamal.decrypt_shared]). Large batches build (and cache, per
+    key) a window table; small ones share a single squaring chain across
+    the batch. *)
 
 val rerandomize_many : t -> elt array -> exponent -> elt array
 (** Many bases, one shared exponent — the shape of certificate blinding
-    ([pk_i^r]) and ciphertext adjustment. *)
-
-val multi_pow : t -> (elt * exponent) array -> elt
-(** Simultaneous product exponentiation [prod_i b_i^e_i] (Shamir's trick /
-    Pippenger buckets); generator-based pairs are merged mod q and routed
-    through the fixed-base table. Bases must be subgroup elements. *)
+    ([pk_i^r] in [Setup.run]) and ciphertext adjustment (in
+    [Protocol.transfer]). *)
 
 val inv_many : t -> elt array -> elt array
 (** Montgomery's batch-inversion trick: one modular inverse plus [3(n-1)]

@@ -29,11 +29,10 @@ let sign prg grp sk msg =
   { challenge = c; response = s }
 
 let verify grp pk msg { challenge; response } =
-  (* r' = g^s * pk^c as one simultaneous exponentiation; accept iff
-     H(r', pk, msg) = c. Group.multi_pow sends the g term through the
-     fixed-base table, so only the short pk^c factor pays for a squaring
+  (* r' = g^s * pk^c; accept iff H(r', pk, msg) = c. The g^s factor goes
+     through the fixed-base table, so only pk^c pays for a squaring
      chain. *)
-  let r' = Group.multi_pow grp [| (Group.g grp, response); (pk, challenge) |] in
+  let r' = Group.mul grp (Group.pow_g grp response) (Group.pow grp pk challenge) in
   Nat.equal (challenge_of grp r' pk msg) challenge
 
 let signature_bytes grp = 2 * ((Nat.num_bits (Group.q grp) + 7) / 8)

@@ -90,34 +90,6 @@ module Metrics = struct
   let to_json t =
     Json.Obj
       (List.map (fun name -> (name, value_to_json (Hashtbl.find t.tbl name))) (names t))
-
-  let float_csv f = Printf.sprintf "%.12g" f
-
-  let to_csv t =
-    let buf = Buffer.create 256 in
-    Buffer.add_string buf "name,kind,value\n";
-    List.iter
-      (fun name ->
-        let kind, value =
-          match Hashtbl.find t.tbl name with
-          | Counter c -> ("counter", string_of_int c)
-          | Sum s -> ("sum", float_csv s)
-          | Gauge g -> ("gauge", float_csv g)
-          | Quantiles s ->
-              let q p = float_csv (Sketch.quantile_or ~default:0.0 s p) in
-              ( "quantiles",
-                Printf.sprintf
-                  "count=%d;total=%s;mean=%s;min=%s;max=%s;p50=%s;p90=%s;p99=%s"
-                  (Sketch.count s)
-                  (float_csv (Sketch.total s))
-                  (float_csv (Sketch.mean s))
-                  (float_csv (Sketch.min_value s))
-                  (float_csv (Sketch.max_value s))
-                  (q 0.5) (q 0.9) (q 0.99) )
-        in
-        Buffer.add_string buf (Printf.sprintf "%s,%s,%s\n" name kind value))
-      (names t);
-    Buffer.contents buf
 end
 
 (* ------------------------------------------------------------------ *)
@@ -244,5 +216,3 @@ let trace_json t =
        ])
 
 let metrics_json t = Json.to_string (Metrics.to_json t.m)
-
-let metrics_csv t = Metrics.to_csv t.m

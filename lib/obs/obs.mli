@@ -15,8 +15,8 @@
       float sums, gauges and (wall-domain) quantile sketches that replaces
       the ad-hoc meter fields formerly scattered across [Engine.report]
       producers.
-    - {b Exporters} write Chrome [trace_event] JSON ({!trace_json}) and flat
-      metrics JSON/CSV dumps ({!metrics_json}, {!metrics_csv}).
+    - {b Exporters} write Chrome [trace_event] JSON ({!trace_json}) and a
+      flat metrics JSON dump ({!metrics_json}).
 
     {b Determinism.} Parallel task batches collect into per-task child
     collectors ({!fork}) merged in task-index order ({!merge_into}): a
@@ -86,8 +86,6 @@ module Metrics : sig
   val to_json : t -> Json.t
   (** Quantile sketches carry count/total/mean/min/max and
       [p50]/[p90]/[p99]. *)
-
-  val to_csv : t -> string
 end
 
 type span = {
@@ -161,7 +159,3 @@ val trace_json : t -> string
 
 val metrics_json : t -> string
 (** Flat object keyed by metric name, sorted. *)
-
-val metrics_csv : t -> string
-(** [name,kind,value] rows, sorted by name; quantile sketches flatten to
-    [count=..;total=..;mean=..;min=..;max=..;p50=..;p90=..;p99=..]. *)

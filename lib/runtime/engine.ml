@@ -70,8 +70,9 @@ let validate_config cfg =
   if cfg.max_retries < 0 then invalid_arg "Engine.run: max_retries must be >= 0";
   if cfg.backoff < 0.0 then invalid_arg "Engine.run: backoff must be >= 0";
   match cfg.executor with
-  | Executor.Parallel { jobs } when jobs < 1 ->
-      invalid_arg "Engine.run: executor jobs must be >= 1"
+  | Executor.Parallel { jobs } when jobs < 1 || jobs > Executor.max_jobs ->
+      invalid_arg
+        (Printf.sprintf "Engine.run: executor jobs must be in [1, %d]" Executor.max_jobs)
   | Executor.Parallel _ | Executor.Sequential -> ()
 
 type phase = Phase.id = Setup | Initialization | Computation | Communication | Aggregation

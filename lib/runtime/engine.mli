@@ -57,7 +57,7 @@
     vertex groupings) for a given seed. At [Off] the shared no-op
     collector is used and the hot paths do no work. The collector is
     returned in [report.obs]; export it with {!Dstress_obs.Obs.trace_json} /
-    {!Dstress_obs.Obs.metrics_json} / {!Dstress_obs.Obs.metrics_csv}. *)
+    {!Dstress_obs.Obs.metrics_json}. *)
 
 type aggregation = Single_block | Two_level of int  (** fan-out of the leaf level *)
 

@@ -1,8 +1,12 @@
 type t = Sequential | Parallel of { jobs : int }
 
+(* A pool spawns jobs - 1 domains. OCaml 5.1 allows 128 per process, and
+   past that Domain.spawn raises mid-batch; 64 keeps a wide margin. *)
+let max_jobs = 64
+
 let sequential = Sequential
 
-let parallel ~jobs = if jobs <= 1 then Sequential else Parallel { jobs }
+let parallel ~jobs = if jobs <= 1 then Sequential else Parallel { jobs = min jobs max_jobs }
 
 let of_string s =
   let s = String.trim (String.lowercase_ascii s) in
@@ -12,6 +16,8 @@ let of_string s =
   else if s = "parallel" then Ok (parallel ~jobs:(Domain.recommended_domain_count ()))
   else if String.length s > plen && String.sub s 0 plen = prefix then
     match int_of_string_opt (String.sub s plen (String.length s - plen)) with
+    | Some n when n > max_jobs ->
+        Error (Printf.sprintf "worker count %d in %S exceeds the bound of %d" n s max_jobs)
     | Some n when n >= 1 -> Ok (parallel ~jobs:n)
     | _ -> Error (Printf.sprintf "invalid worker count in %S" s)
   else Error (Printf.sprintf "unknown executor %S (expected sequential or parallel[:N])" s)
@@ -21,8 +27,8 @@ let of_env () =
   | None -> Sequential
   | Some s -> (
       match int_of_string_opt (String.trim s) with
-      | Some j -> parallel ~jobs:j
-      | None -> Sequential)
+      | Some j when j <= max_jobs -> parallel ~jobs:j
+      | Some _ | None -> Sequential)
 
 let jobs = function Sequential -> 1 | Parallel { jobs } -> jobs
 

@@ -26,24 +26,31 @@ type t =
   | Sequential  (** run every task on the calling domain, in index order *)
   | Parallel of { jobs : int }  (** work-stealing pool of [jobs] domains *)
 
+val max_jobs : int
+(** 64: the largest domain count a [Parallel] executor may use. A pool
+    spawns [jobs - 1] domains, and OCaml 5 allows only 128 per process. *)
+
 val sequential : t
 
 val parallel : jobs:int -> t
-(** [jobs <= 1] collapses to {!Sequential}. *)
+(** [jobs <= 1] collapses to {!Sequential}; [jobs > max_jobs] is capped
+    at {!max_jobs}. *)
 
 val of_string : string -> (t, string) result
 (** Parse an executor spec: ["sequential"] (or ["seq"]) or
-    ["parallel[:N]"] (bare ["parallel"] uses
-    [Domain.recommended_domain_count]). Case- and whitespace-insensitive;
-    [Error] explains rejects. This is the one parser behind [--executor]
-    in [bin/dstress.ml], the bench harness and a DSTRESS-REQ/1 request's
-    executor field. *)
+    ["parallel[:N]"] with [1 <= N <= max_jobs] (bare ["parallel"] uses
+    [Domain.recommended_domain_count], capped at {!max_jobs}). Case- and
+    whitespace-insensitive; [Error] explains rejects, and names the bound
+    when [N] exceeds it. This is the one parser behind [--executor] in
+    [bin/dstress.ml], the bench harness and a DSTRESS-REQ/1 request's
+    executor field, so the daemon rejects an oversized [parallel:N]
+    before dispatch. *)
 
 val of_env : unit -> t
-(** The [DSTRESS_JOBS] integer selects [Parallel { jobs }] when [>= 2];
-    absent, unparsable or smaller selects [Sequential]. This is how CI
-    runs the whole test suite under both backends without touching any
-    call site. *)
+(** The [DSTRESS_JOBS] integer selects [Parallel { jobs }] when in
+    [\[2, max_jobs\]]; absent, unparsable, smaller or larger selects
+    [Sequential]. This is how CI runs the whole test suite under both
+    backends without touching any call site. *)
 
 val jobs : t -> int
 (** 1 for [Sequential]; the domain count for [Parallel]. *)

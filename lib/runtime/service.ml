@@ -343,8 +343,6 @@ let submit p req reply =
     Metrics.incr p.m "service.requests_enqueued";
     let depth = Queue.length p.queue in
     if depth > p.queue_high_water then p.queue_high_water <- depth;
-    Metrics.set p.m "service.queue_depth" (float_of_int depth);
-    Metrics.set p.m "service.queue_high_water" (float_of_int p.queue_high_water);
     if Log.enabled p.log Log.Debug then
       Log.debug p.log ~trace "request enqueued"
         [ ("id", Log.Int e.id); ("queue_depth", Log.Int depth) ];
@@ -447,12 +445,10 @@ let dispatch_ready p =
         | None -> Metrics.incr p.m "service.requests_dispatched"
         | Some lost -> handle p lost
       end)
-    (Supervisor.slots p.sup);
-  Metrics.set p.m "service.queue_depth" (float_of_int (Queue.length p.queue))
+    (Supervisor.slots p.sup)
 
 let pool_step p ~timeout =
   if p.closed then invalid_arg "Service.pool_step: pool is shut down";
-  Metrics.set p.m "service.uptime_seconds" (now () -. p.started_at);
   dispatch_ready p;
   List.iter (handle p) (Supervisor.step p.sup ~timeout);
   (* The per-attempt deadline fences a wedged worker the way suspicion

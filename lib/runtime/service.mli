@@ -151,10 +151,9 @@ val create_pool :
 val pool_metrics : pool -> Dstress_obs.Obs.Metrics.t
 (** Wall-domain supervision counters ([service.*], [pool.*],
     [transport.*]) plus the latency sketches ([service.queue_wait_s],
-    [service.dispatch_s], [service.request_s]) and queue/uptime gauges
-    ([service.queue_depth], [service.queue_high_water],
-    [service.uptime_seconds]) — never merged into any request's
-    tick-domain Obs. *)
+    [service.dispatch_s], [service.request_s]) — never merged into any
+    request's tick-domain Obs. Queue depth, high-water mark and uptime are
+    {!pool_stats} fields, not registry entries. *)
 
 val pool_log : pool -> Dstress_obs.Log.t
 (** The logger given at {!create_pool} ({!Dstress_obs.Log.nop} by

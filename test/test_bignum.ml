@@ -2,7 +2,6 @@ open Dstress_bignum
 
 let prng () = Dstress_util.Prng.of_int 0xB16
 let nat = Alcotest.testable Nat.pp Nat.equal
-let zint = Alcotest.testable Zint.pp Zint.equal
 
 (* ------------------------------------------------------------------ *)
 (* Nat basics                                                          *)
@@ -315,59 +314,6 @@ let test_pow_base_many_vs_pow () =
         exps)
     [ 1; 2; 7; 8; 9; 32 ]
 
-let test_pow_many_vs_pow () =
-  let t = prng () in
-  let m = odd_modulus t 256 in
-  let ctx = Nat.Mont.create m in
-  let pairs =
-    Array.init 9 (fun _ -> (Nat.random_below t m, Nat.random_bits t 200))
-  in
-  let pairs_mont =
-    Array.map (fun (b, e) -> (Nat.Mont.to_mont ctx b, e)) pairs
-  in
-  let got = Array.map (Nat.Mont.from_mont ctx) (Nat.Mont.pow_many ctx pairs_mont) in
-  Array.iteri
-    (fun i (b, e) ->
-      Alcotest.check nat
-        (Printf.sprintf "pow_many i=%d" i)
-        (school_mod_pow ~base:b ~exp:e ~m)
-        got.(i))
-    pairs
-
-let test_multi_pow_vs_folded () =
-  let t = prng () in
-  let m = odd_modulus t 256 in
-  let ctx = Nat.Mont.create m in
-  (* n <= 4 exercises the Shamir combination table, larger n the
-     Pippenger bucket path. *)
-  List.iter
-    (fun n ->
-      let pairs =
-        Array.init n (fun _ -> (Nat.random_below t m, Nat.random_bits t 200))
-      in
-      let expected =
-        Array.fold_left
-          (fun acc (b, e) -> school_mod_mul acc (school_mod_pow ~base:b ~exp:e ~m) ~m)
-          (Nat.rem Nat.one m) pairs
-      in
-      let pairs_mont =
-        Array.map (fun (b, e) -> (Nat.Mont.to_mont ctx b, e)) pairs
-      in
-      let got = Nat.Mont.from_mont ctx (Nat.Mont.multi_pow ctx pairs_mont) in
-      Alcotest.check nat (Printf.sprintf "multi_pow n=%d" n) expected got)
-    [ 1; 2; 3; 4; 5; 8; 17 ]
-
-let test_multi_pow_zero_exponents () =
-  let t = prng () in
-  let m = odd_modulus t 128 in
-  let ctx = Nat.Mont.create m in
-  let pairs =
-    [| (Nat.Mont.to_mont ctx (Nat.random_below t m), Nat.zero);
-       (Nat.Mont.to_mont ctx (Nat.random_below t m), Nat.zero) |]
-  in
-  Alcotest.check nat "all-zero exponents" (Nat.rem Nat.one m)
-    (Nat.Mont.from_mont ctx (Nat.Mont.multi_pow ctx pairs))
-
 (* ------------------------------------------------------------------ *)
 (* to_bytes_be_padded                                                  *)
 (* ------------------------------------------------------------------ *)
@@ -466,38 +412,6 @@ let test_generate_prime () =
   Alcotest.(check bool) "is prime" true (Nat.is_probable_prime t p)
 
 (* ------------------------------------------------------------------ *)
-(* Zint                                                                *)
-(* ------------------------------------------------------------------ *)
-
-let test_zint_roundtrip () =
-  List.iter
-    (fun v -> Alcotest.(check int) "roundtrip" v (Zint.to_int (Zint.of_int v)))
-    [ 0; 1; -1; 1000; -123456; max_int; min_int + 1 ]
-
-let test_zint_arith () =
-  let z = Zint.of_int in
-  Alcotest.check zint "add" (z 1) (Zint.add (z 5) (z (-4)));
-  Alcotest.check zint "sub" (z (-9)) (Zint.sub (z (-5)) (z 4));
-  Alcotest.check zint "mul" (z (-20)) (Zint.mul (z 5) (z (-4)));
-  Alcotest.check zint "neg zero" Zint.zero (Zint.neg Zint.zero)
-
-let test_zint_divmod_euclidean () =
-  let check a b =
-    let q, r = Zint.divmod (Zint.of_int a) (Zint.of_int b) in
-    Alcotest.(check bool) "r >= 0" true (Zint.sign r >= 0);
-    Alcotest.(check bool) "r < |b|" true (Zint.compare r (Zint.of_int (abs b)) < 0);
-    Alcotest.(check int) "a = q*b + r" a
-      (Zint.to_int (Zint.add (Zint.mul q (Zint.of_int b)) r))
-  in
-  List.iter (fun (a, b) -> check a b)
-    [ (7, 3); (-7, 3); (7, -3); (-7, -3); (6, 3); (-6, 3); (0, 5) ]
-
-let test_zint_compare () =
-  Alcotest.(check bool) "neg < pos" true (Zint.compare (Zint.of_int (-5)) (Zint.of_int 3) < 0);
-  Alcotest.(check bool) "-5 < -3" true (Zint.compare (Zint.of_int (-5)) (Zint.of_int (-3)) < 0);
-  Alcotest.(check int) "sign" (-1) (Zint.sign (Zint.of_int (-7)))
-
-(* ------------------------------------------------------------------ *)
 (* Properties                                                          *)
 (* ------------------------------------------------------------------ *)
 
@@ -562,38 +476,6 @@ let prop_kernel_pow =
         (Nat.mod_pow ~base:b ~exp:e ~m)
         (school_mod_pow ~base:b ~exp:e ~m))
 
-let prop_multi_pow_folded =
-  QCheck2.Test.make ~name:"multi_pow matches folded pow" ~count:40
-    QCheck2.Gen.(triple int (int_range 2 160) (int_range 1 9))
-    (fun (seed, bits, n) ->
-      let t = Dstress_util.Prng.of_int seed in
-      let m = odd_modulus t bits in
-      let ctx = Nat.Mont.create m in
-      let pairs =
-        Array.init n (fun _ -> (Nat.random_below t m, Nat.random_bits t 80))
-      in
-      let expected =
-        Array.fold_left
-          (fun acc (b, e) ->
-            school_mod_mul acc (school_mod_pow ~base:b ~exp:e ~m) ~m)
-          (Nat.rem Nat.one m) pairs
-      in
-      let pairs_mont =
-        Array.map (fun (b, e) -> (Nat.Mont.to_mont ctx b, e)) pairs
-      in
-      Nat.equal expected
-        (Nat.Mont.from_mont ctx (Nat.Mont.multi_pow ctx pairs_mont)))
-
-let prop_zint_divmod =
-  QCheck2.Test.make ~name:"zint euclidean divmod" ~count:300
-    QCheck2.Gen.(pair (int_range (-100000) 100000) (int_range (-1000) 1000))
-    (fun (a, b) ->
-      QCheck2.assume (b <> 0);
-      let q, r = Zint.divmod (Zint.of_int a) (Zint.of_int b) in
-      Zint.sign r >= 0
-      && Zint.compare r (Zint.of_int (abs b)) < 0
-      && Zint.to_int (Zint.add (Zint.mul q (Zint.of_int b)) r) = a)
-
 let () =
   let qsuite =
     List.map QCheck_alcotest.to_alcotest
@@ -606,8 +488,6 @@ let () =
         prop_decimal_roundtrip;
         prop_kernel_mul;
         prop_kernel_pow;
-        prop_multi_pow_folded;
-        prop_zint_divmod;
       ]
   in
   Alcotest.run "bignum"
@@ -651,9 +531,6 @@ let () =
           Alcotest.test_case "pow vs schoolbook" `Quick test_kernel_pow_vs_schoolbook;
           Alcotest.test_case "pow_precomp vs pow" `Quick test_precomp_vs_pow;
           Alcotest.test_case "pow_base_many vs pow" `Quick test_pow_base_many_vs_pow;
-          Alcotest.test_case "pow_many vs pow" `Quick test_pow_many_vs_pow;
-          Alcotest.test_case "multi_pow vs folded" `Quick test_multi_pow_vs_folded;
-          Alcotest.test_case "multi_pow zero exps" `Quick test_multi_pow_zero_exponents;
           Alcotest.test_case "to_bytes_be_padded" `Quick test_to_bytes_be_padded;
           Alcotest.test_case "padded too narrow" `Quick test_to_bytes_be_padded_too_narrow;
         ] );
@@ -670,13 +547,6 @@ let () =
           Alcotest.test_case "known primes/composites" `Quick test_primality_known;
           Alcotest.test_case "large known" `Quick test_primality_large_known;
           Alcotest.test_case "generate prime" `Quick test_generate_prime;
-        ] );
-      ( "zint",
-        [
-          Alcotest.test_case "roundtrip" `Quick test_zint_roundtrip;
-          Alcotest.test_case "arithmetic" `Quick test_zint_arith;
-          Alcotest.test_case "euclidean divmod" `Quick test_zint_divmod_euclidean;
-          Alcotest.test_case "compare/sign" `Quick test_zint_compare;
         ] );
       ("properties", qsuite);
     ]

@@ -324,56 +324,27 @@ let test_exp_elgamal_multi_bandwidth () =
    real 2048/3072-bit kernel paths, so keep their batch sizes small. *)
 let small_batch name = if String.length name >= 5 && String.sub name 0 5 = "ffdhe" then 3 else 8
 
-let test_rerandomize_many_matches_scalar () =
+let test_rerandomize_many_matches_pow () =
+  (* Many bases under one shared exponent: the shape of certificate
+     blinding (Setup.run) and ciphertext adjustment (Protocol.transfer). *)
   List.iter
     (fun name ->
       let g = Group.by_name name in
-      let t = prg ("rr-setup:" ^ name) in
-      let _, pk = Elgamal.keygen t g in
-      let n = small_batch name in
-      let cts =
-        Array.init n (fun _ ->
-            Elgamal.encrypt t g pk (Group.pow_g g (Group.random_exponent t g)))
+      let t = prg ("rrm:" ^ name) in
+      let bases =
+        Array.init (small_batch name) (fun _ ->
+            Group.pow_g g (Group.random_exponent t g))
       in
-      let scalar =
-        let s = prg ("rr-draws:" ^ name) in
-        Array.map (fun c -> Elgamal.rerandomize s g pk c) cts
-      in
-      let batch =
-        let s = prg ("rr-draws:" ^ name) in
-        Elgamal.rerandomize_many s g pk cts
-      in
+      let r = Group.random_exponent t g in
+      let got = Group.rerandomize_many g bases r in
+      Alcotest.(check int) (name ^ " batch length") (Array.length bases) (Array.length got);
       Array.iteri
-        (fun i c ->
+        (fun i b ->
           Alcotest.(check bool)
-            (Printf.sprintf "%s ct %d identical" name i)
+            (Printf.sprintf "%s base %d" name i)
             true
-            (Elgamal.ciphertext_equal scalar.(i) c))
-        batch)
-    Group.names
-
-let test_decrypt_many_matches_scalar () =
-  List.iter
-    (fun name ->
-      let g = Group.by_name name in
-      let t = prg ("dm:" ^ name) in
-      let sk, pk = Elgamal.keygen t g in
-      let n = small_batch name in
-      let msgs = Array.init n (fun _ -> Group.pow_g g (Group.random_exponent t g)) in
-      let cts = Array.map (Elgamal.encrypt t g pk) msgs in
-      let got = Elgamal.decrypt_many g sk cts in
-      Array.iteri
-        (fun i m ->
-          Alcotest.(check bool)
-            (Printf.sprintf "%s msg %d" name i)
-            true
-            (Group.elt_equal m got.(i))
-          ;
-          Alcotest.(check bool)
-            (Printf.sprintf "%s scalar agrees %d" name i)
-            true
-            (Group.elt_equal (Elgamal.decrypt g sk cts.(i)) got.(i)))
-        msgs)
+            (Group.elt_equal (Group.pow g b r) got.(i)))
+        bases)
     Group.names
 
 let test_decrypt_shared_matches_scalar () =
@@ -447,25 +418,9 @@ let test_encrypt_multi_batch_matches_sequential () =
         c2s)
     batched
 
-let test_adjust_many_matches_adjust () =
-  let t = prg "adj" in
-  let _, pk = Exp_elgamal.keygen t grp in
-  let r = Group.random_exponent t grp in
-  let cs = Array.init 6 (fun i -> Exp_elgamal.encrypt t grp pk (i - 3)) in
-  let got = Exp_elgamal.adjust_many grp cs r in
-  Array.iteri
-    (fun i c ->
-      let e = Exp_elgamal.adjust grp cs.(i) r in
-      Alcotest.(check bool)
-        (Printf.sprintf "ct %d" i)
-        true
-        (Group.elt_equal e.Exp_elgamal.c1 c.Exp_elgamal.c1
-        && Group.elt_equal e.Exp_elgamal.c2 c.Exp_elgamal.c2))
-    got
-
 let test_schnorr_named_groups () =
-  (* Shamir-trick verification on every registered group, including the
-     RFC 7919 ones. *)
+  (* Sign and verify (fixed-base g^s times a generic pk^c) on every
+     registered group, including the RFC 7919 ones. *)
   List.iter
     (fun name ->
       let g = Group.by_name name in
@@ -938,12 +893,10 @@ let () =
         ] );
       ( "batch-vs-scalar",
         [
-          Alcotest.test_case "rerandomize_many" `Quick test_rerandomize_many_matches_scalar;
-          Alcotest.test_case "decrypt_many" `Quick test_decrypt_many_matches_scalar;
+          Alcotest.test_case "rerandomize_many" `Quick test_rerandomize_many_matches_pow;
           Alcotest.test_case "decrypt_shared" `Quick test_decrypt_shared_matches_scalar;
           Alcotest.test_case "encrypt_multi_batch" `Quick
             test_encrypt_multi_batch_matches_sequential;
-          Alcotest.test_case "adjust_many" `Quick test_adjust_many_matches_adjust;
         ] );
       ( "base-ot",
         [

@@ -202,9 +202,7 @@ let check_exports_equal label (a : Engine.report) (b : Engine.report) =
   Alcotest.(check string) (label ^ ": trace bytes") (Obs.trace_json a.Engine.obs)
     (Obs.trace_json b.Engine.obs);
   Alcotest.(check string) (label ^ ": metrics bytes") (Obs.metrics_json a.Engine.obs)
-    (Obs.metrics_json b.Engine.obs);
-  Alcotest.(check string) (label ^ ": metrics csv") (Obs.metrics_csv a.Engine.obs)
-    (Obs.metrics_csv b.Engine.obs)
+    (Obs.metrics_json b.Engine.obs)
 
 (* Each run groups the vertices differently: on the default 9-vertex ring
    Sequential runs one group of 9, and parallel:2, :4 and :9 run groups of

@@ -351,7 +351,17 @@ let test_executor_of_string () =
       | Error _ -> ()
       | Ok _ -> Alcotest.failf "of_string %S must be rejected" spec)
     [ ""; "paralel"; "parallel:"; "parallel:0"; "parallel:x"; "seq:2"; "distributed";
-      "distributed:2" ]
+      "distributed:2" ];
+  (* A pool spawns jobs - 1 domains and OCaml caps domains per process, so
+     the worker count is bounded; the rejection names the bound. *)
+  Alcotest.(check bool) "parallel:64 parses" true
+    (ok (Printf.sprintf "parallel:%d" Executor.max_jobs)
+    = Executor.Parallel { jobs = Executor.max_jobs });
+  match Executor.of_string "parallel:65" with
+  | Ok _ -> Alcotest.fail "parallel:65 must be rejected"
+  | Error m ->
+      Alcotest.(check string) "error names the bound"
+        "worker count 65 in \"parallel:65\" exceeds the bound of 64" m
 
 let test_setup_traffic_is_external () =
   (* The trusted party's setup download lives on the dedicated external

@@ -180,6 +180,13 @@ let test_validate_request () =
     (ok { golden_request with Service.executor = "bogus:seven" });
   Alcotest.(check bool) "no multi-process executor" false
     (ok { golden_request with Service.executor = "distributed:2" });
+  Alcotest.(check bool) "parallel:64 accepted" true
+    (ok { golden_request with Service.executor = "parallel:64" });
+  (match Service.validate_request { golden_request with Service.executor = "parallel:65" } with
+  | Ok () -> Alcotest.fail "parallel:65 must be rejected"
+  | Error m ->
+      Alcotest.(check bool) ("names the bound: " ^ m) true
+        (contains_substring ~sub:"bound of 64" m));
   Alcotest.(check bool) "empty executor means sequential" true
     (ok { golden_request with Service.executor = "" })
 

@@ -231,28 +231,14 @@ let test_metrics_quantiles_rows () =
   let m = Metrics.create () in
   List.iter (Metrics.observe_sketch m "q") [ 1.0; 2.0; 4.0 ];
   Metrics.incr m "c";
-  let csv = Metrics.to_csv m in
-  Alcotest.(check bool) "csv row is percentile-aware" true
-    (let lines = String.split_on_char '\n' csv in
-     List.exists
-       (fun l ->
-         String.length l > 2
-         && String.sub l 0 2 = "q,"
-         && List.for_all
-              (fun key ->
-                let rec contains i =
-                  i + String.length key <= String.length l
-                  && (String.sub l i (String.length key) = key || contains (i + 1))
-                in
-                contains 0)
-              [ "quantiles"; "count=3"; "total=7"; "p50="; "p90="; "p99=" ])
-       lines);
   match Json.member "q" (Metrics.to_json m) with
   | Some j ->
       List.iter
         (fun key ->
           Alcotest.(check bool) ("json has " ^ key) true (Json.member key j <> None))
-        [ "count"; "total"; "mean"; "min"; "max"; "p50"; "p90"; "p99" ]
+        [ "count"; "total"; "mean"; "min"; "max"; "p50"; "p90"; "p99" ];
+      Alcotest.(check bool) "count 3" true (Json.member "count" j = Some (Json.Int 3));
+      Alcotest.(check bool) "total 7" true (Json.member "total" j = Some (Json.Num 7.0))
   | None -> Alcotest.fail "sketch missing from metrics json"
 
 (* ------------------------------------------------------------------ *)
@@ -529,9 +515,7 @@ let check_exports_equal label (a : Engine.report) (b : Engine.report) =
   Alcotest.(check string) (label ^ ": trace bytes") (Obs.trace_json a.Engine.obs)
     (Obs.trace_json b.Engine.obs);
   Alcotest.(check string) (label ^ ": metrics bytes") (Obs.metrics_json a.Engine.obs)
-    (Obs.metrics_json b.Engine.obs);
-  Alcotest.(check string) (label ^ ": metrics csv") (Obs.metrics_csv a.Engine.obs)
-    (Obs.metrics_csv b.Engine.obs)
+    (Obs.metrics_json b.Engine.obs)
 
 let summary_of (r : Engine.report) =
   {

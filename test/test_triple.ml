@@ -329,9 +329,7 @@ let check_reports_equal label (a : Engine.report) (b : Engine.report) =
   Alcotest.(check string) (label ^ ": trace bytes") (Obs.trace_json a.Engine.obs)
     (Obs.trace_json b.Engine.obs);
   Alcotest.(check string) (label ^ ": metrics bytes") (Obs.metrics_json a.Engine.obs)
-    (Obs.metrics_json b.Engine.obs);
-  Alcotest.(check string) (label ^ ": metrics csv") (Obs.metrics_csv a.Engine.obs)
-    (Obs.metrics_csv b.Engine.obs)
+    (Obs.metrics_json b.Engine.obs)
 
 let offline_counter (r : Engine.report) name =
   match r.Engine.offline_metrics with
