@@ -118,6 +118,17 @@ let bor t a b = bnot t (band t (bnot t a) (bnot t b))
 (* if sel then a else b  =  b XOR (sel AND (a XOR b)) *)
 let mux t sel a b = bxor t b (band t sel (bxor t a b))
 
+(* With a constant operand the majority is a plain AND or OR of the
+   other two. Folding that case first keeps the general form's two XOR
+   gates out of comparisons against constants, such as the noise
+   sampler's thresholds. *)
+let maj t a b c =
+  match (const_of t a, const_of t b, const_of t c) with
+  | Some k, _, _ -> if k then bor t b c else band t b c
+  | _, Some k, _ -> if k then bor t a c else band t a c
+  | _, _, Some k -> if k then bor t a b else band t a b
+  | None, None, None -> bxor t c (band t (bxor t a c) (bxor t b c))
+
 let num_inputs t = t.num_inputs
 
 let finish t ~outputs =

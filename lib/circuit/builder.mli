@@ -30,6 +30,13 @@ val bor : t -> wire -> wire -> wire
 val mux : t -> wire -> wire -> wire -> wire
 (** [mux t sel a b] is [if sel then a else b] — one AND gate. *)
 
+val maj : t -> wire -> wire -> wire -> wire
+(** [maj t a b c] is 1 iff at least two operands are — the carry of a full
+    adder, one AND gate. With a constant operand it is the AND (constant
+    0) or OR (constant 1) of the other two; otherwise it is
+    [c XOR ((a XOR c) AND (b XOR c))], so an adder's sum bit
+    [(a XOR c) XOR b] shares the XOR [a XOR c]. *)
+
 val num_inputs : t -> int
 
 val finish : t -> outputs:wire array -> Circuit.t

@@ -26,38 +26,31 @@ let shift_right_const b w k =
 let check_widths name a c =
   if Array.length a <> Array.length c then invalid_arg ("Word." ^ name ^ ": width mismatch")
 
-(* Ripple-carry adder: 1 AND per bit for the carry via the standard
-   majority decomposition carry' = (a AND b) XOR (c AND (a XOR b)) — the
-   builder folds the constant-operand cases for free. *)
-let add_with_carry b x y =
-  check_widths "add" x y;
+(* Ripple-carry x + y + c, one AND per bit: the carry is [Builder.maj],
+   and the sum bit (x XOR c) XOR y reuses the XOR that [maj] builds. *)
+let adder b x y c =
   let n = Array.length x in
   let out = Array.make n (Builder.const b false) in
-  let carry = ref (Builder.const b false) in
+  let carry = ref c in
   for i = 0 to n - 1 do
-    let axb = Builder.bxor b x.(i) y.(i) in
-    out.(i) <- Builder.bxor b axb !carry;
-    carry := Builder.bxor b (Builder.band b x.(i) y.(i)) (Builder.band b !carry axb)
+    out.(i) <- Builder.bxor b (Builder.bxor b x.(i) !carry) y.(i);
+    carry := Builder.maj b x.(i) y.(i) !carry
   done;
   (out, !carry)
+
+let add_with_carry b x y =
+  check_widths "add" x y;
+  adder b x y (Builder.const b false)
 
 let add b x y = fst (add_with_carry b x y)
 
 let lognot b w = Array.map (Builder.bnot b) w
 
-(* a - b = a + NOT b + 1; borrow = NOT carry_out. *)
+(* x - y = x + NOT y + 1; borrow = NOT carry_out. *)
 let sub_with_borrow b x y =
   check_widths "sub" x y;
-  let n = Array.length x in
-  let out = Array.make n (Builder.const b false) in
-  let carry = ref (Builder.const b true) in
-  for i = 0 to n - 1 do
-    let ny = Builder.bnot b y.(i) in
-    let axb = Builder.bxor b x.(i) ny in
-    out.(i) <- Builder.bxor b axb !carry;
-    carry := Builder.bxor b (Builder.band b x.(i) ny) (Builder.band b !carry axb)
-  done;
-  (out, Builder.bnot b !carry)
+  let out, carry = adder b x (lognot b y) (Builder.const b true) in
+  (out, Builder.bnot b carry)
 
 let sub b x y = fst (sub_with_borrow b x y)
 
@@ -81,7 +74,13 @@ let eq b x y =
 let is_zero b w =
   Array.fold_left (fun acc bit -> Builder.band b acc (Builder.bnot b bit)) (Builder.const b true) w
 
-let lt b x y = snd (sub_with_borrow b x y)
+(* The borrow of x - y from the carry chain alone: no difference bits. *)
+let lt b x y =
+  check_widths "lt" x y;
+  let carry = ref (Builder.const b true) in
+  Array.iteri (fun i xi -> carry := Builder.maj b xi (Builder.bnot b y.(i)) !carry) x;
+  Builder.bnot b !carry
+
 let ge b x y = Builder.bnot b (lt b x y)
 let gt b x y = lt b y x
 let le b x y = Builder.bnot b (lt b y x)
@@ -117,25 +116,32 @@ let mul_truncated b x y ~bits =
   done;
   !acc
 
-(* Restoring division, MSB-first. The running remainder has one guard bit
-   beyond the divisor width. *)
+(* Non-restoring division, MSB-first. The running remainder r is a
+   signed (m+1)-bit word in [-divisor, divisor). Each step shifts in the
+   next dividend bit and subtracts the divisor when r >= 0 or adds it
+   when r < 0 (both as x + (divisor XOR s) + s, with s = 1 to subtract),
+   and the quotient bit is NOT sign(r). A negative final r is corrected
+   by adding the divisor back. A zero divisor leaves r holding the
+   dividend's low bits but lets its sign flip, so the quotient bits are
+   forced to 1 there. *)
 let divmod b dividend divisor =
   let n = Array.length dividend and m = Array.length divisor in
   let rw = m + 1 in
   let divisor_ext = zero_extend b divisor ~bits:rw in
   let quotient = Array.make n (Builder.const b false) in
-  let remainder = ref (constant b ~bits:rw 0) in
+  let r = ref (constant b ~bits:rw 0) in
   for i = n - 1 downto 0 do
-    (* R = (R << 1) | dividend_i *)
-    let shifted =
-      Array.init rw (fun j -> if j = 0 then dividend.(i) else !remainder.(j - 1))
-    in
-    let diff, borrow = sub_with_borrow b shifted divisor_ext in
-    let fits = Builder.bnot b borrow in
-    quotient.(i) <- fits;
-    remainder := mux b fits diff shifted
+    let shifted = Array.init rw (fun j -> if j = 0 then dividend.(i) else !r.(j - 1)) in
+    let subtract = Builder.bnot b !r.(m) in
+    let operand = Array.map (fun d -> Builder.bxor b d subtract) divisor_ext in
+    r := fst (adder b shifted operand subtract);
+    quotient.(i) <- Builder.bnot b !r.(m)
   done;
-  (quotient, truncate !remainder ~bits:m)
+  let zero = is_zero b divisor in
+  let quotient = Array.map (fun q -> Builder.bor b q zero) quotient in
+  let negative = !r.(m) in
+  let correction = Array.map (fun d -> Builder.band b d negative) divisor in
+  (quotient, add b (truncate !r ~bits:m) correction)
 
 let logand b x y =
   check_widths "logand" x y;

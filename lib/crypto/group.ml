@@ -245,16 +245,12 @@ let pow_base_many t b exps =
         Array.map (Nat.Mont.from_mont t.mont) (Nat.Mont.pow_base_many t.mont bm exps)
   end
 
-(* Shared-exponent batch (certificate blinding, ciphertext adjustment).
-   The bases are all distinct so no cross-element work can be shared; the
-   win over a caller-side loop is the kernel (scratch reuse, no per-op
-   context) plus one API the transfer layer can hand a whole block to. *)
-let rerandomize_many t bases r =
-  Array.map
-    (fun b ->
-      Nat.Mont.from_mont t.mont
-        (Nat.Mont.pow t.mont (Nat.Mont.to_mont t.mont b) r))
-    bases
+(* The one shared-exponent entry point: [Setup.run] (certificate
+   blinding) and [Protocol.transfer] (ciphertext adjustment) call it. It
+   is [pow] per base and shares no work across bases; a real batch gain
+   would come from per-key window tables like the ones [pow_base_many]
+   keeps. *)
+let rerandomize_many t bases r = Array.map (fun b -> pow t b r) bases
 
 (* Montgomery's batch-inversion trick: one modular inverse plus 3(n-1)
    multiplications instead of n inverses. *)

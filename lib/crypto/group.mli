@@ -75,9 +75,10 @@ val pow_base_many : t -> elt -> exponent array -> elt array
     the batch. *)
 
 val rerandomize_many : t -> elt array -> exponent -> elt array
-(** Many bases, one shared exponent — the shape of certificate blinding
-    ([pk_i^r] in [Setup.run]) and ciphertext adjustment (in
-    [Protocol.transfer]). *)
+(** Many bases, one shared exponent: [pow] on each base. This is the one
+    entry point for the shape of certificate blinding ([pk_i^r] in
+    [Setup.run]) and ciphertext adjustment (in [Protocol.transfer]). It
+    shares no work across bases. *)
 
 val inv_many : t -> elt array -> elt array
 (** Montgomery's batch-inversion trick: one modular inverse plus [3(n-1)]

@@ -3,6 +3,13 @@ open Dstress_circuit
 (* Build a circuit over [n] words of [bits] bits each, apply it to integer
    inputs, and return the outputs as an integer (little-endian bit order).
    This is the harness all gadget tests share. *)
+let int_of_bits out =
+  let r = ref 0 in
+  for i = Array.length out - 1 downto 0 do
+    r := (!r lsl 1) lor (if out.(i) then 1 else 0)
+  done;
+  !r
+
 let run ~bits ~arity f values =
   let b = Builder.create () in
   let words = Array.init arity (fun _ -> Word.inputs b ~bits) in
@@ -14,12 +21,7 @@ let run ~bits ~arity f values =
          (fun v -> Array.init bits (fun i -> (v lsr i) land 1 = 1))
          values)
   in
-  let out = Circuit.eval circuit input_bits in
-  let r = ref 0 in
-  for i = Array.length out - 1 downto 0 do
-    r := (!r lsl 1) lor (if out.(i) then 1 else 0)
-  done;
-  !r
+  int_of_bits (Circuit.eval circuit input_bits)
 
 let run2 ~bits f a c = run ~bits ~arity:2 (fun b w -> f b w.(0) w.(1)) [ a; c ]
 
@@ -270,6 +272,87 @@ let test_word_negate () =
   Alcotest.(check int) "negate" ((-5) land mask)
     (run ~bits ~arity:1 (fun b ws -> Word.negate b ws.(0)) [ 5 ])
 
+(* Build [f] once over an [xbits]-bit and a [ybits]-bit input word, then
+   evaluate it through [Circuit.eval] on every operand pair and compare
+   its outputs, read as one little-endian integer, with [expected]. *)
+let check_all_pairs name ~xbits ~ybits f expected =
+  let b = Builder.create () in
+  let x = Word.inputs b ~bits:xbits in
+  let y = Word.inputs b ~bits:ybits in
+  let c = Builder.finish b ~outputs:(f b x y) in
+  let input = Array.make (xbits + ybits) false in
+  for u = 0 to (1 lsl xbits) - 1 do
+    for v = 0 to (1 lsl ybits) - 1 do
+      for i = 0 to xbits + ybits - 1 do
+        input.(i) <- (if i < xbits then u lsr i else v lsr (i - xbits)) land 1 = 1
+      done;
+      let got = int_of_bits (Circuit.eval c input) in
+      let want = expected u v in
+      if got <> want then
+        Alcotest.failf "%s (%d, %d bits): %d, %d gives %d, expected %d" name xbits ybits u
+          v got want
+    done
+  done
+
+let test_word_exhaustive () =
+  let ind p = if p then 1 else 0 in
+  for n = 1 to 8 do
+    let check name f expected = check_all_pairs name ~xbits:n ~ybits:n f expected in
+    let mask = (1 lsl n) - 1 in
+    check "add_with_carry"
+      (fun b x y ->
+        let s, c = Word.add_with_carry b x y in
+        Array.append s [| c |])
+      ( + );
+    check "sub_with_borrow"
+      (fun b x y ->
+        let d, w = Word.sub_with_borrow b x y in
+        Array.append d [| w |])
+      (fun u v -> ((u - v) land mask) lor (ind (u < v) lsl n));
+    check "lt/le/gt/ge"
+      (fun b x y -> [| Word.lt b x y; Word.le b x y; Word.gt b x y; Word.ge b x y |])
+      (fun u v ->
+        ind (u < v) lor (ind (u <= v) lsl 1) lor (ind (u > v) lsl 2) lor (ind (u >= v) lsl 3));
+    check "saturating_sub" Word.saturating_sub (fun u v -> Stdlib.max (u - v) 0);
+    check "min/max"
+      (fun b x y -> Array.append (Word.min b x y) (Word.max b x y))
+      (fun u v -> Stdlib.min u v lor (Stdlib.max u v lsl n))
+  done
+
+(* Quotient bits first, then the remainder; a zero divisor gives the
+   all-ones quotient and the dividend's low bits. *)
+let test_word_divmod_exhaustive () =
+  for n = 1 to 6 do
+    for m = 1 to 6 do
+      check_all_pairs "divmod" ~xbits:n ~ybits:m
+        (fun b x y ->
+          let q, r = Word.divmod b x y in
+          Array.append q r)
+        (fun u v ->
+          if v = 0 then ((1 lsl n) - 1) lor ((u land ((1 lsl m) - 1)) lsl n)
+          else (u / v) lor ((u mod v) lsl n))
+    done
+  done
+
+(* One AND per carry bit; [add] and [sub] drop the last carry. *)
+let test_word_and_counts () =
+  let ands ~bits f =
+    let b = Builder.create () in
+    let x = Word.inputs b ~bits in
+    let y = Word.inputs b ~bits in
+    Circuit.and_count (Builder.finish b ~outputs:(f b x y))
+  in
+  List.iter
+    (fun n ->
+      let check name want f = Alcotest.(check int) (Printf.sprintf "%s %d" name n) want (ands ~bits:n f) in
+      check "add" (n - 1) Word.add;
+      check "add_with_carry" n (fun b x y ->
+          let s, c = Word.add_with_carry b x y in
+          Array.append s [| c |]);
+      check "sub" (n - 1) Word.sub;
+      check "lt" n (fun b x y -> [| Word.lt b x y |]))
+    [ 8; 16; 32 ]
+
 (* ------------------------------------------------------------------ *)
 (* Fixed point                                                         *)
 (* ------------------------------------------------------------------ *)
@@ -403,6 +486,9 @@ let () =
           Alcotest.test_case "shifts" `Quick test_word_shifts;
           Alcotest.test_case "sum" `Quick test_word_sum;
           Alcotest.test_case "negate" `Quick test_word_negate;
+          Alcotest.test_case "exhaustive widths 1-8" `Quick test_word_exhaustive;
+          Alcotest.test_case "divmod exhaustive widths 1-6" `Quick test_word_divmod_exhaustive;
+          Alcotest.test_case "AND counts" `Quick test_word_and_counts;
         ] );
       ( "fixed",
         [

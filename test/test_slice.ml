@@ -41,6 +41,17 @@ let make_inputs ~parties ~count tag (circuit : Circuit.t) =
   Array.init count (fun _ ->
       Sharing.share dealer ~parties (Prg.bits dealer circuit.Circuit.num_inputs))
 
+(* Outputs are correct when the XOR of the output shares is the
+   plaintext circuit on the XOR of the input shares. *)
+let check_reconstructs what circuit input_shares outputs =
+  let cleartext = Sharing.reconstruct input_shares in
+  let expected =
+    Circuit.eval circuit (Array.of_list (Bitvec.to_bool_list cleartext))
+    |> Array.to_list |> Bitvec.of_bool_list
+  in
+  Alcotest.(check bool) (what ^ " matches plaintext") true
+    (Bitvec.equal expected (Sharing.reconstruct outputs))
+
 let check_equiv ?mode ~parties ~count circuit tag =
   let a = make_sessions ?mode ~parties ~count tag in
   let b = make_sessions ?mode ~parties ~count tag in
@@ -70,15 +81,7 @@ let check_equiv ?mode ~parties ~count circuit tag =
       (Printf.sprintf "%s: instance %d OTs" tag i)
       (Gmw.ots_performed a.(i)) (Gmw.ots_performed b.(i));
     (* And both must be *correct*: reconstruction matches plaintext. *)
-    let cleartext = Sharing.reconstruct inputs.(i) in
-    let expected =
-      Circuit.eval circuit (Array.of_list (Bitvec.to_bool_list cleartext))
-      |> Array.to_list |> Bitvec.of_bool_list
-    in
-    Alcotest.(check bool)
-      (Printf.sprintf "%s: instance %d matches plaintext" tag i)
-      true
-      (Bitvec.equal expected (Sharing.reconstruct sliced.(i)))
+    check_reconstructs (Printf.sprintf "%s: instance %d" tag i) circuit inputs.(i) sliced.(i)
   done
 
 let random_circuit prng ~num_inputs ~gates =
@@ -193,8 +196,11 @@ let test_eval_many_rejects_mismatches () =
    Each circuit is evaluated twice on the same sessions (the second shows
    the PRG and OT-session state the first left behind), and every
    evaluation records, per session, the output shares, the cumulative
-   traffic matrix and the rounds / AND / OT counters. To regenerate a
-   fixture after an intentional change, run (from the repo root):
+   traffic matrix and the rounds / AND / OT counters. Before anything is
+   compared or written, every evaluation's outputs must reconstruct to
+   the plaintext result, so a fixture never pins wrong outputs. To
+   regenerate a fixture after an intentional change, run (from the repo
+   root):
 
      DSTRESS_REGEN_GOLDEN=$PWD/test/golden/gmw_two_evals.json \
        dune exec test/test_slice.exe -- test golden
@@ -237,7 +243,11 @@ let render_eval ~indent s out =
 let render_two_evals ~name ~mode ~parties circuit =
   let s = Gmw.create_session ~mode grp ~parties ~seed:("golden:" ^ name) in
   let inputs = make_inputs ~parties ~count:2 ("golden:" ^ name) circuit in
-  let eval i = render_eval ~indent:"    " s (Gmw.eval s circuit ~input_shares:inputs.(i)) in
+  let eval i =
+    let out = Gmw.eval s circuit ~input_shares:inputs.(i) in
+    check_reconstructs (Printf.sprintf "%s eval %d" name i) circuit inputs.(i) out;
+    render_eval ~indent:"    " s out
+  in
   let first = eval 0 in
   let second = eval 1 in
   Printf.sprintf "  \"%s\": [\n%s,\n%s\n  ]" name first second
@@ -251,6 +261,10 @@ let render_many_evals ~name ~mode ~parties ~count circuit =
   let eval e =
     let inputs = make_inputs ~parties ~count (Printf.sprintf "%s:eval%d" tag e) circuit in
     let outs = Gmw.eval_many sessions circuit ~input_shares:inputs in
+    Array.iteri
+      (fun i out ->
+        check_reconstructs (Printf.sprintf "%s eval %d slot %d" name e i) circuit inputs.(i) out)
+      outs;
     let slots = Array.mapi (fun i s -> render_eval ~indent:"      " s outs.(i)) sessions in
     "    [\n" ^ String.concat ",\n" (Array.to_list slots) ^ "\n    ]"
   in
