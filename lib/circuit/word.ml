@@ -78,7 +78,7 @@ let is_zero b w =
 let lt b x y =
   check_widths "lt" x y;
   let carry = ref (Builder.const b true) in
-  Array.iteri (fun i xi -> carry := Builder.maj b xi (Builder.bnot b y.(i)) !carry) x;
+  Array.iter2 (fun xi yi -> carry := Builder.maj b xi (Builder.bnot b yi) !carry) x y;
   Builder.bnot b !carry
 
 let ge b x y = Builder.bnot b (lt b x y)
@@ -117,13 +117,13 @@ let mul_truncated b x y ~bits =
   !acc
 
 (* Non-restoring division, MSB-first. The running remainder r is a
-   signed (m+1)-bit word in [-divisor, divisor). Each step shifts in the
-   next dividend bit and subtracts the divisor when r >= 0 or adds it
-   when r < 0 (both as x + (divisor XOR s) + s, with s = 1 to subtract),
-   and the quotient bit is NOT sign(r). A negative final r is corrected
-   by adding the divisor back. A zero divisor leaves r holding the
-   dividend's low bits but lets its sign flip, so the quotient bits are
-   forced to 1 there. *)
+   signed (m+1)-bit word in [-divisor, divisor). Each step shifts the
+   next dividend bit into r, then subtracts the divisor if r was >= 0 and
+   adds it if r was < 0, both as one adder: r + (divisor XOR s) + s, with
+   s = 1 to subtract. The quotient bit is NOT sign(r). A negative final r
+   is corrected by adding the divisor back. A zero divisor leaves r
+   holding the dividend's low bits but lets its sign flip, so the
+   quotient bits are forced to 1 there. *)
 let divmod b dividend divisor =
   let n = Array.length dividend and m = Array.length divisor in
   let rw = m + 1 in
