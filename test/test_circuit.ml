@@ -1,8 +1,5 @@
 open Dstress_circuit
 
-(* Build a circuit over [n] words of [bits] bits each, apply it to integer
-   inputs, and return the outputs as an integer (little-endian bit order).
-   This is the harness all gadget tests share. *)
 let int_of_bits out =
   let r = ref 0 in
   for i = Array.length out - 1 downto 0 do
@@ -10,6 +7,9 @@ let int_of_bits out =
   done;
   !r
 
+(* Build a circuit over [n] words of [bits] bits each, apply it to integer
+   inputs, and return the outputs as an integer (little-endian bit order).
+   This is the harness all gadget tests share. *)
 let run ~bits ~arity f values =
   let b = Builder.create () in
   let words = Array.init arity (fun _ -> Word.inputs b ~bits) in
@@ -294,16 +294,17 @@ let check_all_pairs name ~xbits ~ybits f expected =
     done
   done
 
+(* The sum with the carry-out as its top bit. *)
+let add_with_carry_out b x y =
+  let s, c = Word.add_with_carry b x y in
+  Array.append s [| c |]
+
 let test_word_exhaustive () =
   let ind p = if p then 1 else 0 in
   for n = 1 to 8 do
     let check name f expected = check_all_pairs name ~xbits:n ~ybits:n f expected in
     let mask = (1 lsl n) - 1 in
-    check "add_with_carry"
-      (fun b x y ->
-        let s, c = Word.add_with_carry b x y in
-        Array.append s [| c |])
-      ( + );
+    check "add_with_carry" add_with_carry_out ( + );
     check "sub_with_borrow"
       (fun b x y ->
         let d, w = Word.sub_with_borrow b x y in
@@ -344,11 +345,11 @@ let test_word_and_counts () =
   in
   List.iter
     (fun n ->
-      let check name want f = Alcotest.(check int) (Printf.sprintf "%s %d" name n) want (ands ~bits:n f) in
+      let check name want f =
+        Alcotest.(check int) (Printf.sprintf "%s %d" name n) want (ands ~bits:n f)
+      in
       check "add" (n - 1) Word.add;
-      check "add_with_carry" n (fun b x y ->
-          let s, c = Word.add_with_carry b x y in
-          Array.append s [| c |]);
+      check "add_with_carry" n add_with_carry_out;
       check "sub" (n - 1) Word.sub;
       check "lt" n (fun b x y -> [| Word.lt b x y |]))
     [ 8; 16; 32 ]
