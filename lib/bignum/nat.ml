@@ -285,12 +285,11 @@ module Mont = struct
      [int array] of exactly [k] limbs (zero-padded), always < m and in
      Montgomery form (x*R mod m, R = base^k). The exported entry points
      keep the immutable normalized [t] representation at the boundary;
-     the buffers below are per-context scratch or per-call staging, so
-     the inner multiplication loops never allocate. *)
+     the buffers below are per-context scratch, so the inner
+     multiplication loops never allocate. *)
 
   type scratch = {
     s_tmp : int array; (* k + 1: fused-CIOS accumulator *)
-    s_sq : int array; (* 2k + 1: squaring buffer *)
     s_wa : int array; (* k: operand staging *)
     s_wb : int array; (* k *)
     s_acc : int array; (* k: exponentiation accumulator *)
@@ -303,10 +302,11 @@ module Mont = struct
     m0' : int; (* -m[0]^{-1} mod base *)
     r2w : int array; (* R^2 mod m: converts into Montgomery form *)
     onew : int array; (* R mod m, i.e. 1 in Montgomery form *)
-    pool : scratch option Atomic.t;
+    pool : scratch Atomic.t;
         (* One-slot lock-free scratch pool: sequential callers reuse the
            same buffers allocation-free; a domain that finds the slot empty
-           allocates a fresh scratch, and at most one copy is retained. *)
+           ([no_scratch]) allocates a fresh scratch, and at most one copy
+           is retained. *)
   }
 
   let modulus ctx = ctx.m
@@ -314,21 +314,29 @@ module Mont = struct
   let alloc_scratch k =
     {
       s_tmp = Array.make (k + 1) 0;
-      s_sq = Array.make ((2 * k) + 1) 0;
       s_wa = Array.make k 0;
       s_wb = Array.make k 0;
       s_acc = Array.make k 0;
     }
 
-  let with_scratch ctx f =
-    let s =
-      match Atomic.exchange ctx.pool None with
-      | Some s -> s
-      | None -> alloc_scratch ctx.k
-    in
-    let r = f s in
-    Atomic.set ctx.pool (Some s);
-    r
+  let no_scratch = alloc_scratch 0
+
+  let take ctx =
+    let s = Atomic.exchange ctx.pool no_scratch in
+    if s == no_scratch then alloc_scratch ctx.k else s
+
+  let release ctx s = Atomic.set ctx.pool s
+
+  (* Per-domain count of CIOS multiplications, squarings included. Each
+     entry point adds its own total once, after its loops, so counting
+     costs one domain-local read per call and no synchronization. *)
+  let count_key = Domain.DLS.new_key (fun () -> ref 0)
+
+  let add_muls n =
+    let c = Domain.DLS.get count_key in
+    c := !c + n
+
+  let muls () = !(Domain.DLS.get count_key)
 
   (* Inverse of an odd limb modulo 2^30 by Newton–Hensel lifting: the seed
      x = m0 is correct to 3 low bits (odd^2 = 1 mod 8) and each step doubles
@@ -359,7 +367,7 @@ module Mont = struct
       m0';
       r2w = pad r2;
       onew = pad one_r;
-      pool = Atomic.make (Some (alloc_scratch k));
+      pool = Atomic.make (alloc_scratch k);
     }
 
   (* --- word-level kernel ------------------------------------------- *)
@@ -367,24 +375,29 @@ module Mont = struct
   (* [dst] <- [x] as exactly k limbs; [x] must have <= k limbs. *)
   let word_blit ctx x dst =
     let n = Array.length x in
-    Array.blit x 0 dst 0 n;
-    Array.fill dst n (ctx.k - n) 0
+    for i = 0 to ctx.k - 1 do
+      Array.unsafe_set dst i (if i < n then Array.unsafe_get x i else 0)
+    done
 
-  let word_fresh ctx x =
-    let dst = Array.make ctx.k 0 in
-    Array.blit x 0 dst 0 (Array.length x);
-    dst
+  (* Freeze a k-limb word into a normalized [t]: one allocation, exactly
+     the result's limbs. *)
+  let word_to_t w =
+    let n = ref (Array.length w) in
+    while !n > 0 && Array.unsafe_get w (!n - 1) = 0 do
+      decr n
+    done;
+    if !n = 0 then zero else Array.sub w 0 !n
 
-  let word_to_t w = normalize (Array.copy w)
-
-  (* Does the low-k-limb window of [w] exceed or equal the modulus? *)
+  (* Does the low-k-limb window of [w] exceed or equal the modulus? A loop
+     rather than a local recursive function, which would allocate a
+     closure on every multiplication. *)
   let word_ge_m ctx w =
-    let rec go i =
-      i < 0
-      || (let wi = Array.unsafe_get w i and mi = Array.unsafe_get ctx.mk i in
-          if wi <> mi then wi > mi else go (i - 1))
-    in
-    go (ctx.k - 1)
+    let m = ctx.mk in
+    let i = ref (ctx.k - 1) in
+    while !i >= 0 && Array.unsafe_get w !i = Array.unsafe_get m !i do
+      decr i
+    done;
+    !i < 0 || Array.unsafe_get w !i > Array.unsafe_get m !i
 
   (* Move a (k+1)-limb value < 2m (top limb [top] in {0,1}) into [dst] as a
      canonical k-limb word, subtracting m once if needed. The final borrow
@@ -399,7 +412,10 @@ module Mont = struct
         borrow := if x < 0 then 1 else 0
       done
     end
-    else Array.blit src 0 dst 0 k
+    else
+      for i = 0 to k - 1 do
+        Array.unsafe_set dst i (Array.unsafe_get src i)
+      done
 
   (* dst <- a*b*R^-1 mod m. Fused CIOS: each pass over a limb of [a] does
      the multiply step and the Montgomery reduction step in one inner loop
@@ -407,7 +423,9 @@ module Mont = struct
      (k+1)-limb accumulator; [dst] may alias [a] or [b]. *)
   let cios ctx ~tmp a b dst =
     let k = ctx.k and m = ctx.mk and m0' = ctx.m0' in
-    Array.fill tmp 0 (k + 1) 0;
+    for j = 0 to k do
+      Array.unsafe_set tmp j 0
+    done;
     for i = 0 to k - 1 do
       let ai = Array.unsafe_get a i in
       let t0 = Array.unsafe_get tmp 0 + (ai * Array.unsafe_get b 0) in
@@ -432,9 +450,8 @@ module Mont = struct
      SOS squaring (schoolbook-with-doubling then a reduction sweep) was
      measured ~30% slower here despite ~25% fewer limb products — the two
      extra memory sweeps over the double-width buffer cost more than the
-     products saved. [sq] doubles as the accumulator; [dst] may alias
-     [a]. *)
-  let sqr ctx ~sq a dst = cios ctx ~tmp:sq a a dst
+     products saved. [dst] may alias [a]. *)
+  let sqr ctx ~tmp a dst = cios ctx ~tmp a a dst
 
   let digit_of exp ~w i =
     let d = ref 0 in
@@ -443,11 +460,14 @@ module Mont = struct
     done;
     !d
 
-  (* acc <- base_w ^ exp, 4-bit fixed window over k-limb words. [acc] must
-     not alias [base_w]. *)
+  (* acc <- base_w ^ exp, 4-bit fixed window over k-limb words; returns
+     the number of multiplications. [acc] must not alias [base_w]. *)
   let pow_words ctx ~s base_w exp acc =
     let bits = num_bits exp in
-    if bits = 0 then Array.blit ctx.onew 0 acc 0 ctx.k
+    if bits = 0 then begin
+      Array.blit ctx.onew 0 acc 0 ctx.k;
+      0
+    end
     else begin
       let table = Array.init 16 (fun _ -> Array.make ctx.k 0) in
       Array.blit ctx.onew 0 table.(0) 0 ctx.k;
@@ -455,130 +475,164 @@ module Mont = struct
         cios ctx ~tmp:s.s_tmp table.(i - 1) base_w table.(i)
       done;
       let nwin = (bits + 3) / 4 in
+      let muls = ref (15 + (4 * (nwin - 1))) in
       Array.blit ctx.onew 0 acc 0 ctx.k;
       for w = nwin - 1 downto 0 do
         if w < nwin - 1 then
           for _ = 1 to 4 do
-            sqr ctx ~sq:s.s_sq acc acc
+            sqr ctx ~tmp:s.s_tmp acc acc
           done;
         let d = digit_of exp ~w:4 w in
-        if d <> 0 then cios ctx ~tmp:s.s_tmp acc table.(d) acc
-      done
+        if d <> 0 then begin
+          cios ctx ~tmp:s.s_tmp acc table.(d) acc;
+          incr muls
+        end
+      done;
+      !muls
     end
 
-  let mul ctx a b =
-    with_scratch ctx (fun s ->
-        word_blit ctx a s.s_wa;
-        word_blit ctx b s.s_wb;
-        cios ctx ~tmp:s.s_tmp s.s_wa s.s_wb s.s_wa;
-        word_to_t s.s_wa)
+  (* Entry point shape: stage [a] (and [b]) in scratch, one multiplication,
+     freeze the result. *)
+  let mul_staged ctx a b =
+    let s = take ctx in
+    word_blit ctx a s.s_wa;
+    word_blit ctx b s.s_wb;
+    cios ctx ~tmp:s.s_tmp s.s_wa s.s_wb s.s_wa;
+    let r = word_to_t s.s_wa in
+    release ctx s;
+    add_muls 1;
+    r
+
+  let mul ctx a b = mul_staged ctx a b
 
   let to_mont ctx x =
     let x = if Array.length x > ctx.k || compare x ctx.m >= 0 then rem x ctx.m else x in
-    with_scratch ctx (fun s ->
-        word_blit ctx x s.s_wa;
-        cios ctx ~tmp:s.s_tmp s.s_wa ctx.r2w s.s_wa;
-        word_to_t s.s_wa)
+    mul_staged ctx x ctx.r2w
 
-  let from_mont ctx x =
-    with_scratch ctx (fun s ->
-        word_blit ctx x s.s_wa;
-        word_blit ctx one s.s_wb;
-        cios ctx ~tmp:s.s_tmp s.s_wa s.s_wb s.s_wa;
-        word_to_t s.s_wa)
+  let from_mont ctx x = mul_staged ctx x one
 
   let pow ctx base_mont exp =
-    with_scratch ctx (fun s ->
-        word_blit ctx base_mont s.s_wb;
-        pow_words ctx ~s s.s_wb exp s.s_acc;
-        word_to_t s.s_acc)
+    let s = take ctx in
+    word_blit ctx base_mont s.s_wb;
+    let n = pow_words ctx ~s s.s_wb exp s.s_acc in
+    let r = word_to_t s.s_acc in
+    release ctx s;
+    add_muls n;
+    r
 
-  (* --- fixed-base precomputation ------------------------------------ *)
+  (* --- Lim–Lee fixed-base comb --------------------------------------- *)
 
-  type precomp = {
-    p_m : t; (* modulus the table belongs to *)
-    p_w : int; (* window width in bits *)
-    p_bits : int; (* exponent bits covered *)
-    p_rows : int array array array;
-        (* p_rows.(i).(d-1) = base^(d * 2^(w*i)) in Montgomery form *)
+  (* An exponent e of at most h*d bits is read as h "teeth" of d bits:
+     tooth i holds bits [i*d, (i+1)*d). Column j gathers bit j of every
+     tooth into an h-bit index, so
+       base^e = prod_j (table[column j])^(2^j),
+     where table[s] = prod over the set bits i of s of base^(2^(i*d)).
+     Horner over the columns, high to low, costs one squaring and at most
+     one table multiplication per column. *)
+  type comb = {
+    c_ctx : ctx;
+    c_teeth : int;
+    c_d : int; (* columns: ceil(ebits / teeth) *)
+    c_ebits : int; (* widest exponent the table serves *)
+    c_table : Bytes.t;
+        (* 2^teeth entries of k limbs, 4 native-endian bytes per 30-bit
+           limb, entry s at byte s*k*4, in Montgomery form. Unboxed, so
+           the GC never scans it. *)
   }
 
-  let precomp_bits pre = pre.p_bits
+  let max_teeth = 16
 
-  let precompute ctx base_mont ~ebits =
-    if ebits <= 0 then invalid_arg "Nat.Mont.precompute: ebits must be > 0";
-    (* Wider windows amortize better at large exponents: 2^w-1 row entries
-       are built once, and each pow costs ~ebits/w multiplications. *)
-    let w = if ebits >= 1024 then 5 else 4 in
-    let nwin = (ebits + w - 1) / w in
-    let row_len = (1 lsl w) - 1 in
-    let rows =
-      Array.init nwin (fun _ ->
-          Array.init row_len (fun _ -> Array.make ctx.k 0))
+  external get32 : Bytes.t -> int -> int32 = "%caml_bytes_get32u"
+  external set32 : Bytes.t -> int -> int32 -> unit = "%caml_bytes_set32u"
+
+  let entry_load c s dst =
+    let k = c.c_ctx.k in
+    let off = s * k * 4 in
+    for j = 0 to k - 1 do
+      Array.unsafe_set dst j (Int32.to_int (get32 c.c_table (off + (4 * j))))
+    done
+
+  let entry_store table ~k s src =
+    let off = s * k * 4 in
+    for j = 0 to k - 1 do
+      set32 table (off + (4 * j)) (Int32.of_int (Array.unsafe_get src j))
+    done
+
+  let comb ctx base_mont ~teeth ~ebits =
+    if teeth < 1 || teeth > max_teeth then
+      invalid_arg "Nat.Mont.comb: teeth must lie in [1, 16]";
+    if ebits < 1 then invalid_arg "Nat.Mont.comb: ebits must be positive";
+    let k = ctx.k in
+    let d = (ebits + teeth - 1) / teeth in
+    let c =
+      { c_ctx = ctx; c_teeth = teeth; c_d = d; c_ebits = ebits;
+        c_table = Bytes.create ((1 lsl teeth) * k * 4) }
     in
-    with_scratch ctx (fun s ->
-        let cur = word_fresh ctx base_mont in
-        for i = 0 to nwin - 1 do
-          let row = rows.(i) in
-          Array.blit cur 0 row.(0) 0 ctx.k;
-          for d = 1 to row_len - 1 do
-            cios ctx ~tmp:s.s_tmp row.(d - 1) cur row.(d)
-          done;
-          if i < nwin - 1 then cios ctx ~tmp:s.s_tmp row.(row_len - 1) cur cur
-        done);
-    { p_m = ctx.m; p_w = w; p_bits = nwin * w; p_rows = rows }
+    let s = take ctx in
+    entry_store c.c_table ~k 0 ctx.onew;
+    (* Single-tooth entries: base^(2^(i*d)), d squarings apart. *)
+    word_blit ctx base_mont s.s_acc;
+    entry_store c.c_table ~k 1 s.s_acc;
+    for i = 1 to teeth - 1 do
+      for _ = 1 to d do
+        sqr ctx ~tmp:s.s_tmp s.s_acc s.s_acc
+      done;
+      entry_store c.c_table ~k (1 lsl i) s.s_acc
+    done;
+    (* Every other entry: its top tooth times the entry below it. *)
+    for i = 1 to teeth - 1 do
+      let top = 1 lsl i in
+      entry_load c top s.s_wb;
+      for low = 1 to top - 1 do
+        entry_load c low s.s_wa;
+        cios ctx ~tmp:s.s_tmp s.s_wa s.s_wb s.s_wa;
+        entry_store c.c_table ~k (top + low) s.s_wa
+      done
+    done;
+    release ctx s;
+    add_muls (((teeth - 1) * d) + (1 lsl teeth) - teeth - 1);
+    c
 
-  let pow_precomp ctx pre exp =
-    if not (equal pre.p_m ctx.m) then
-      invalid_arg "Nat.Mont.pow_precomp: precomp belongs to another modulus";
-    if num_bits exp > pre.p_bits then
-      (* wider than the table: fall back to the generic path *)
-      pow ctx (word_to_t pre.p_rows.(0).(0)) exp
-    else
-      with_scratch ctx (fun s ->
-          let acc = s.s_acc in
-          Array.blit ctx.onew 0 acc 0 ctx.k;
-          let nwin = Array.length pre.p_rows in
-          for i = 0 to nwin - 1 do
-            let d = digit_of exp ~w:pre.p_w i in
-            if d <> 0 then cios ctx ~tmp:s.s_tmp acc pre.p_rows.(i).(d - 1) acc
-          done;
-          word_to_t acc)
+  let column e ~teeth ~d j =
+    let col = ref 0 in
+    for i = teeth - 1 downto 0 do
+      col := (!col lsl 1) lor (if bit e ((i * d) + j) then 1 else 0)
+    done;
+    !col
 
-  (* --- batched exponentiation --------------------------------------- *)
-
-  (* Shared base, many exponents. Small batches share the right-to-left
-     squaring chain of the base across the whole batch; large batches build
-     a throwaway fixed-base window table instead. The crossover is decided
-     by estimated multiplication counts. *)
-  let pow_base_many ctx base_mont exps =
-    let bn = Array.length exps in
-    if bn = 0 then [||]
-    else begin
-      let maxbits = Array.fold_left (fun a e -> max a (num_bits e)) 0 exps in
-      if maxbits = 0 then Array.map (fun _ -> word_to_t ctx.onew) exps
-      else begin
-        let w = if maxbits >= 1024 then 5 else 4 in
-        let nwin = (maxbits + w - 1) / w in
-        let cost_table = (nwin * ((1 lsl w) - 1)) + (bn * nwin) in
-        let cost_r2l = (3 * maxbits / 4) + (bn * maxbits / 2) in
-        if cost_table < cost_r2l then begin
-          let pre = precompute ctx base_mont ~ebits:maxbits in
-          Array.map (fun e -> pow_precomp ctx pre e) exps
+  let pow_comb ctx c e =
+    if c.c_ctx != ctx then invalid_arg "Nat.Mont.pow_comb: comb of another context";
+    let nb = num_bits e in
+    if nb > c.c_ebits then invalid_arg "Nat.Mont.pow_comb: exponent wider than the comb";
+    let teeth = c.c_teeth and d = c.c_d in
+    let s = take ctx in
+    let acc = s.s_acc in
+    (* Until the first nonzero column the accumulator is 1: load that
+       column's entry instead of squaring and multiplying into 1. Columns
+       at or above [nb] are zero when only the first tooth is populated. *)
+    let started = ref false and muls = ref 0 in
+    for j = min d nb - 1 downto 0 do
+      if !started then begin
+        sqr ctx ~tmp:s.s_tmp acc acc;
+        incr muls
+      end;
+      let col = column e ~teeth ~d j in
+      if col <> 0 then
+        if !started then begin
+          entry_load c col s.s_wb;
+          cios ctx ~tmp:s.s_tmp acc s.s_wb acc;
+          incr muls
         end
-        else
-          with_scratch ctx (fun s ->
-              let accs = Array.init bn (fun _ -> Array.copy ctx.onew) in
-              let p = word_fresh ctx base_mont in
-              for i = 0 to maxbits - 1 do
-                for j = 0 to bn - 1 do
-                  if bit exps.(j) i then cios ctx ~tmp:s.s_tmp accs.(j) p accs.(j)
-                done;
-                if i < maxbits - 1 then sqr ctx ~sq:s.s_sq p p
-              done;
-              Array.map word_to_t accs)
-      end
-    end
+        else begin
+          entry_load c col acc;
+          started := true
+        end
+    done;
+    if not !started then Array.blit ctx.onew 0 acc 0 ctx.k;
+    let r = word_to_t acc in
+    release ctx s;
+    add_muls !muls;
+    r
 end
 
 let mod_pow ~base:b ~exp ~m =

@@ -122,7 +122,8 @@ val pp : Format.formatter -> t -> unit
     buffers sized per modulus, in-place fused CIOS multiplication (squaring
     included), with per-context scratch space reused across calls so the
     inner loops never allocate. The API below stays immutable — every
-    entry point takes and returns normalized [t] values. *)
+    entry point takes and returns normalized [t] values, and allocates
+    only its result. *)
 module Mont : sig
   type ctx
 
@@ -138,26 +139,35 @@ module Mont : sig
 
   val pow : ctx -> t -> t -> t
   (** [pow ctx base_mont exp] with Montgomery-form base and plain exponent;
-      result in Montgomery form (as for every other entry point below). *)
+      result in Montgomery form (as for every other entry point below).
+      4-bit fixed window: 15 table multiplications, then 4 squarings and
+      at most one multiplication per window. *)
 
-  type precomp
-  (** Fixed-base window table: all powers [base^(d * 2^(w*i))] for a 4–6
-      bit window [w], covering exponents up to a fixed bit width. *)
+  type comb
+  (** Lim–Lee fixed-base comb table ("More Flexible Exponentiation with
+      Precomputation", CRYPTO 1994) of one Montgomery-form base, for
+      exponents of at most [ebits] bits. With [h] teeth the exponent is
+      read as [h] slices of [d = ceil(ebits / h)] bits, and the table holds
+      the [2^h] products of the powers [base^(2^(i*d))]. It lives in one
+      unboxed [Bytes] of [2^h * k * 4] bytes ([k] 30-bit limbs per entry,
+      4 bytes each), which the GC never scans. *)
 
-  val precompute : ctx -> t -> ebits:int -> precomp
-  (** [precompute ctx base_mont ~ebits] builds the window table of a
-      Montgomery-form base for exponents of at most [ebits] bits. *)
+  val comb : ctx -> t -> teeth:int -> ebits:int -> comb
+  (** [comb ctx base_mont ~teeth ~ebits] builds the table: [(teeth-1) * d]
+      squarings plus [2^teeth - teeth - 1] multiplications. Raises
+      [Invalid_argument] unless [1 <= teeth <= 16] and [ebits >= 1]. *)
 
-  val precomp_bits : precomp -> int
-  (** Exponent bit width the table covers. *)
+  val pow_comb : ctx -> comb -> t -> t
+  (** [pow_comb ctx c e] is [base^e] in Montgomery form: at most [d - 1]
+      squarings and [d - 1] table multiplications, and fewer for an
+      exponent that fits in the first tooth ([num_bits e <= d]: one
+      squaring per bit below the top one and one multiplication per set
+      bit below it). Raises [Invalid_argument] if [e] has more than the
+      table's [ebits] bits or if [c] was built on another context. *)
 
-  val pow_precomp : ctx -> precomp -> t -> t
-  (** Fixed-base exponentiation through the table: ~[ebits/w] multiplies
-      and no squarings. Falls back to {!pow} when the exponent is wider
-      than the table. *)
-
-  val pow_base_many : ctx -> t -> t array -> t array
-  (** One shared Montgomery-form base raised to many exponents. Small
-      batches share one right-to-left squaring chain across the batch;
-      large batches build a throwaway window table. *)
+  val muls : unit -> int
+  (** Montgomery multiplications (squarings included) performed so far by
+      this module's entry points on the calling domain. The count is exact
+      for the calling domain's own work; a difference of two reads
+      measures the code in between. *)
 end

@@ -64,47 +64,28 @@ let encrypt_multi prg grp recipients =
   in
   (c1, c2s)
 
-(* A block transfer's worth of multi-recipient bundles in one batched
-   call. Ephemerals are drawn in bundle order — a seeded PRG yields
-   exactly the bundles a sequential [encrypt_multi] loop would — and the
-   per-recipient [h^y] exponentiations are then regrouped by key: each
-   member key appears in every bundle of a transfer, so one shared-base
-   batch per distinct key replaces a generic exponentiation per
-   (bundle, recipient). *)
+(* A block transfer's worth of multi-recipient bundles in one call.
+   Ephemerals are drawn in bundle order — a seeded PRG yields exactly the
+   bundles a sequential [encrypt_multi] loop would — and each recipient's
+   h^y goes through the comb table its key's owner built once for every
+   bundle, attempt and round that addresses the key. *)
 let encrypt_multi_batch prg grp bundles =
   let ys = Array.map (fun _ -> Group.random_exponent prg grp) bundles in
-  let c1s = Array.map (Group.pow_g grp) ys in
-  let occs_by_key : (int * int) list Nat_table.t = Nat_table.create 16 in
-  Array.iteri
-    (fun bi recipients ->
-      List.iteri
-        (fun pi (h, _) ->
-          let prev = try Nat_table.find occs_by_key h with Not_found -> [] in
-          Nat_table.replace occs_by_key h ((bi, pi) :: prev))
-        recipients)
-    bundles;
-  let hys =
-    Array.map (fun recipients -> Array.make (List.length recipients) Nat.zero) bundles
-  in
-  Nat_table.iter
-    (fun h occs ->
-      let occs = Array.of_list (List.rev occs) in
-      let rs = Group.pow_base_many grp h (Array.map (fun (bi, _) -> ys.(bi)) occs) in
-      Array.iteri (fun j (bi, pi) -> hys.(bi).(pi) <- rs.(j)) occs)
-    occs_by_key;
   Array.mapi
     (fun bi recipients ->
-      ( c1s.(bi),
-        List.mapi
-          (fun pi (_, v) -> Group.mul grp (g_to_the grp v) hys.(bi).(pi))
+      let y = ys.(bi) in
+      ( Group.pow_g grp y,
+        List.map
+          (fun (h, v) -> Group.mul grp (g_to_the grp v) (Group.pow_comb grp h y))
           recipients ))
     bundles
 
 (* Batched lookup decryption of ciphertexts sharing one ephemeral part
-   (the Kurosawa bundles after adjustment): the blinding factors c1^x are
-   one shared-base batch, and their inverses one batch inversion. *)
+   (the Kurosawa bundles after adjustment): the blinding factors c1^x come
+   from the ephemeral's comb table, and their inverses from one batch
+   inversion. *)
 let decrypt_shared grp table ~c1 pairs =
-  let ss = Group.pow_base_many grp c1 (Array.map fst pairs) in
+  let ss = Array.map (fun (x, _) -> Group.pow_comb grp c1 x) pairs in
   let invs = Group.inv_many grp ss in
   Array.mapi
     (fun i (_, c2) -> Table.lookup table (Group.mul grp c2 invs.(i)))

@@ -41,9 +41,7 @@ val rerandomize_key : Group.t -> Elgamal.public_key -> Group.exponent -> Elgamal
 
 val adjust : Group.t -> ciphertext -> Group.exponent -> ciphertext
 (** [adjust grp c r] raises the ephemeral part to [r], converting a
-    ciphertext under [h^r] into one under [h]. The transfer protocol
-    adjusts a whole block's ephemerals with one
-    {!Group.rerandomize_many}. *)
+    ciphertext under [h^r] into one under [h]. *)
 
 val decrypt_elt : Group.t -> Elgamal.secret_key -> ciphertext -> Group.elt
 (** Recovers [g^v] (not [v] itself). *)
@@ -73,24 +71,23 @@ val encrypt_multi :
     both exponentiations and bandwidth. *)
 
 val encrypt_multi_batch :
-  Prg.t ->
-  Group.t ->
-  (Elgamal.public_key * int) list array ->
-  (Group.elt * Group.elt list) array
-(** A whole block transfer's bundles through one batched call. Ephemerals
-    are drawn in bundle order (same PRG state ⇒ bit-identical to a
-    sequential {!encrypt_multi} loop) and the [h^y] exponentiations are
-    regrouped per distinct key into shared-base batches. *)
+  Prg.t -> Group.t -> (Group.comb * int) list array -> (Group.elt * Group.elt list) array
+(** A whole block transfer's bundles through one call, each recipient
+    named by the comb table ({!Group.comb}) of its public key [h].
+    Ephemerals are drawn in bundle order, so with the same PRG state the
+    result is bit-identical to a sequential {!encrypt_multi} loop over
+    the keys; each [h^y] costs one {!Group.pow_comb}. *)
 
 val decrypt_shared :
   Group.t ->
   Table.t ->
-  c1:Group.elt ->
+  c1:Group.comb ->
   (Elgamal.secret_key * Group.elt) array ->
   int option array
 (** Batched {!decrypt} of ciphertexts [(c1, c2_i)] sharing one (already
-    adjusted) ephemeral part: the [c1^x_i] blindings are one shared-base
-    batch and the inverses one batch inversion. *)
+    adjusted) ephemeral part, given [c1]'s comb table: the [c1^x_i]
+    blindings are one {!Group.pow_comb} each and the inverses one batch
+    inversion. The same table serves every recipient of the bundle. *)
 
 val multi_ciphertext_bytes : Group.t -> int -> int
 (** [multi_ciphertext_bytes grp l]: wire size of [l] messages sent with the

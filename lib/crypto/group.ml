@@ -3,46 +3,34 @@ module Nat = Dstress_bignum.Nat
 type elt = Nat.t
 type exponent = Nat.t
 
-module Nat_table = Hashtbl.Make (struct
-  type t = Nat.t
-
-  let equal = Nat.equal
-  let hash = Nat.hash
-end)
-
 type t = {
   p : Nat.t;
   q : Nat.t;
   g : elt;
   mont : Nat.Mont.ctx;
-  g_mont : Nat.t; (* generator in Montgomery form *)
-  one_mont : Nat.t;
-  g_pre : Nat.Mont.precomp;
-      (* fixed-base window table for g, covering every exponent below q;
-         built eagerly so parallel domains never race a lazy *)
-  key_tables : Nat.Mont.precomp Nat_table.t;
-      (* per-key window tables, built lazily the first time a key carries a
-         batch big enough to amortize the build; bounded (cleared wholesale
-         at [key_tables_cap]) and guarded by [cache_lock] *)
-  g_int_cache : (int, elt) Hashtbl.t;
-      (* memo of g^v for the small signed plaintexts of exponential
-         ElGamal; values are deterministic so concurrent double-computes
-         are harmless. Guarded by [cache_lock]. *)
+  g_comb : Nat.Mont.comb;
+      (* the generator's comb, built eagerly with the group so parallel
+         domains never race a lazy *)
+  g_inv_comb : Nat.Mont.comb;
+      (* g^-1 with one tooth (two entries): binary exponentiation by |v|
+         for the negative small plaintexts of [pow_g_int] *)
 }
 
-(* One module-level lock guards every group's caches. Contention is
-   negligible (lock-holding sections are a hash probe or replace), so a
-   lock per group would buy nothing. *)
-let cache_lock = Mutex.create ()
-
-let key_tables_cap = 8
-let g_int_cache_cap = 1 lsl 16
+type comb = Nat.Mont.comb
 
 let p t = t.p
 let q t = t.q
 let g t = t.g
 
 let element_bytes t = (Nat.num_bits t.p + 7) / 8
+
+(* Teeth of the generator's comb: enough that [pow_g] never does more
+   multiplications than a 4-bit (5-bit from 1024 bits) fixed-window table
+   would, in the worst case or on average, at every named group — 9
+   teeth give at most 2*29 - 2 = 56 table steps for a 255-bit q (the
+   window: 64), 11 teeth 2*187 - 2 = 372 for ffdhe2048's 2047-bit q (the
+   window: 410). *)
+let generator_teeth ~ebits = if ebits < 1024 then 9 else 11
 
 let make ~p ~q ~g =
   if not (Nat.equal p (Nat.add (Nat.mul Nat.two q) Nat.one)) then
@@ -51,17 +39,15 @@ let make ~p ~q ~g =
   let pow_plain b e = Nat.mod_pow ~base:b ~exp:e ~m:p in
   if Nat.is_one g || not (Nat.is_one (pow_plain g q)) then
     invalid_arg "Group.make: generator does not have order q";
-  let g_mont = Nat.Mont.to_mont mont g in
+  let ebits = Nat.num_bits q in
+  let comb_of ~teeth b = Nat.Mont.comb mont (Nat.Mont.to_mont mont b) ~teeth ~ebits in
   {
     p;
     q;
     g;
     mont;
-    g_mont;
-    one_mont = Nat.Mont.to_mont mont Nat.one;
-    g_pre = Nat.Mont.precompute mont g_mont ~ebits:(Nat.num_bits q);
-    key_tables = Nat_table.create 16;
-    g_int_cache = Hashtbl.create 256;
+    g_comb = comb_of ~teeth:(generator_teeth ~ebits) g;
+    g_inv_comb = comb_of ~teeth:1 (Nat.mod_inv g ~m:p);
   }
 
 (* Parameters generated offline (see DESIGN.md): safe primes with fixed
@@ -152,11 +138,12 @@ let mul t a b =
 let pow t b e =
   Nat.Mont.from_mont t.mont (Nat.Mont.pow t.mont (Nat.Mont.to_mont t.mont b) e)
 
-(* Fixed-base exponentiation: one precomputed-table multiplication per
-   nonzero window digit of the exponent, no squarings. Exponents wider
-   than the table (never produced by the exponent arithmetic, which
-   reduces mod q) fall back to the generic ladder inside [pow_precomp]. *)
-let pow_g t e = Nat.Mont.from_mont t.mont (Nat.Mont.pow_precomp t.mont t.g_pre e)
+let comb t ~teeth b =
+  Nat.Mont.comb t.mont (Nat.Mont.to_mont t.mont b) ~teeth ~ebits:(Nat.num_bits t.q)
+
+let pow_comb t c e = Nat.Mont.from_mont t.mont (Nat.Mont.pow_comb t.mont c e)
+
+let pow_g t e = pow_comb t t.g_comb e
 
 let inv t a = Nat.mod_inv a ~m:t.p
 
@@ -179,78 +166,13 @@ let is_element t x =
 
 let elt_equal = Nat.equal
 
-(* ------------------------------------------------------------------ *)
-(* Batch entry points                                                  *)
-(* ------------------------------------------------------------------ *)
-
-(* g^v for a signed machine integer, through a memo of the (heavily
-   repeated) small plaintexts of exponential ElGamal. Negative values
-   encode as q - |v|, a full-width exponent, which makes the memo
-   worthwhile even for tiny |v|. *)
+(* g^v for a signed machine integer. A small |v| fits the first tooth of
+   either comb, so it costs one squaring per bit of |v|: a negative v
+   goes through g^-1 rather than through q - |v|, a full-width
+   exponent. *)
 let pow_g_int t v =
-  let cached =
-    Mutex.lock cache_lock;
-    let r = Hashtbl.find_opt t.g_int_cache v in
-    Mutex.unlock cache_lock;
-    r
-  in
-  match cached with
-  | Some e -> e
-  | None ->
-      let exp =
-        if v >= 0 then Nat.rem (Nat.of_int v) t.q
-        else Nat.mod_sub Nat.zero (Nat.rem (Nat.of_int (-v)) t.q) ~m:t.q
-      in
-      let e = pow_g t exp in
-      Mutex.lock cache_lock;
-      if Hashtbl.length t.g_int_cache < g_int_cache_cap then
-        Hashtbl.replace t.g_int_cache v e;
-      Mutex.unlock cache_lock;
-      e
-
-(* Look up (or, when a batch of [hint] exponentiations justifies the build
-   cost, create) the window table of a non-generator base. *)
-let key_table t base_mont ~hint =
-  let key = base_mont in
-  Mutex.lock cache_lock;
-  let found = Nat_table.find_opt t.key_tables key in
-  Mutex.unlock cache_lock;
-  match found with
-  | Some pre -> Some pre
-  | None ->
-      if hint < 8 then None
-      else begin
-        let pre =
-          Nat.Mont.precompute t.mont base_mont ~ebits:(Nat.num_bits t.q)
-        in
-        Mutex.lock cache_lock;
-        if Nat_table.length t.key_tables >= key_tables_cap then
-          Nat_table.reset t.key_tables;
-        Nat_table.replace t.key_tables key pre;
-        Mutex.unlock cache_lock;
-        Some pre
-      end
-
-let pow_base_many t b exps =
-  if Array.length exps = 0 then [||]
-  else if elt_equal b t.g then Array.map (fun e -> pow_g t e) exps
-  else begin
-    let bm = Nat.Mont.to_mont t.mont b in
-    match key_table t bm ~hint:(Array.length exps) with
-    | Some pre ->
-        Array.map
-          (fun e -> Nat.Mont.from_mont t.mont (Nat.Mont.pow_precomp t.mont pre e))
-          exps
-    | None ->
-        Array.map (Nat.Mont.from_mont t.mont) (Nat.Mont.pow_base_many t.mont bm exps)
-  end
-
-(* The one shared-exponent entry point: [Setup.run] (certificate
-   blinding) and [Protocol.transfer] (ciphertext adjustment) call it. It
-   is [pow] per base and shares no work across bases; a real batch gain
-   would come from per-key window tables like the ones [pow_base_many]
-   keeps. *)
-let rerandomize_many t bases r = Array.map (fun b -> pow t b r) bases
+  let e = Nat.rem (Nat.of_int (abs v)) t.q in
+  if v >= 0 then pow_g t e else pow_comb t t.g_inv_comb e
 
 (* Montgomery's batch-inversion trick: one modular inverse plus 3(n-1)
    multiplications instead of n inverses. *)

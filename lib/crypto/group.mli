@@ -56,29 +56,41 @@ val mul : t -> elt -> elt -> elt
 val inv : t -> elt -> elt
 val pow : t -> elt -> exponent -> elt
 
+type comb
+(** A Lim–Lee fixed-base comb table of one element (see
+    {!Dstress_bignum.Nat.Mont.comb}): with [h] teeth and
+    [d = ceil(num_bits q / h)] it takes [(h-1)*d] squarings plus
+    [2^h - h - 1] multiplications to build, at most [2d - 1]
+    multiplications per exponentiation (counting the conversion out of
+    Montgomery form), and [2^h * 4] bytes per 30-bit limb of [p], in one
+    unboxed [Bytes]. A table lives exactly as long as its owner keeps
+    it: the group owns the generator's, and every other base's table
+    belongs to the caller that built it. *)
+
+val comb : t -> teeth:int -> elt -> comb
+(** [comb t ~teeth b] builds [b]'s table, covering every exponent of at
+    most [num_bits q] bits. Raises [Invalid_argument] unless
+    [1 <= teeth <= 16]. *)
+
+val pow_comb : t -> comb -> exponent -> elt
+(** [pow_comb t c e] is [b^e] for the [b] that [c] was built from; the
+    same value {!pow} returns. Raises [Invalid_argument] if [e] has more
+    bits than [q] or if [c] belongs to another group. *)
+
 val pow_g : t -> exponent -> elt
-(** [pow_g t e] is [g^e] through the group's precomputed fixed-base window
-    table: one table multiplication per window digit, no squarings. *)
+(** [pow_g t e] is [g^e] through the generator's comb, built with the
+    group: 9 teeth below 1024-bit [q] and 11 from there, so at most
+    [2*ceil(num_bits q / teeth) - 1] multiplications (57 at [standard]'s
+    255-bit [q]). Raises [Invalid_argument] if [e] has more bits than
+    [q]. *)
 
 val pow_g_int : t -> int -> elt
 (** [pow_g_int t v] is [g^v] for a signed machine integer (negative [v]
-    encodes as [q - |v|]), memoized — exponential ElGamal re-encrypts the
-    same small plaintexts constantly, and the negative encodings are
-    full-width exponents. *)
-
-val pow_base_many : t -> elt -> exponent array -> elt array
-(** One shared base, many exponents — the shape of per-key bundle
-    encryption ([Exp_elgamal.encrypt_multi_batch]) and batched lookup-table
-    decryption under a shared adjusted ephemeral
-    ([Exp_elgamal.decrypt_shared]). Large batches build (and cache, per
-    key) a window table; small ones share a single squaring chain across
-    the batch. *)
-
-val rerandomize_many : t -> elt array -> exponent -> elt array
-(** Many bases, one shared exponent: [pow] on each base. This is the one
-    entry point for the shape of certificate blinding ([pk_i^r] in
-    [Setup.run]) and ciphertext adjustment (in [Protocol.transfer]). It
-    shares no work across bases. *)
+    encodes as [q - |v|]). Exponential ElGamal encrypts small plaintexts
+    constantly: [|v|] is the exponent, through the generator's comb for
+    [v >= 0] and a one-tooth comb of [g^-1] otherwise, so a small value
+    costs about two multiplications per bit of [|v|] rather than a
+    full-width exponentiation. *)
 
 val inv_many : t -> elt array -> elt array
 (** Montgomery's batch-inversion trick: one modular inverse plus [3(n-1)]

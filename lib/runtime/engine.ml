@@ -141,7 +141,8 @@ let run cfg p ~graph ~initial_states =
   let ebytes = Group.element_bytes cfg.grp in
   let injector = Fault.Injector.create cfg.fault_plan in
   (* --- Setup --------------------------------------------------- *)
-  let setup =
+  let edges = Array.of_list (Graph.edges graph) in
+  let setup, edge_keys =
     Phase.run_sequential acc Setup (fun () ->
         let s =
           Setup.run (Prg.of_string ("engine:" ^ seed)) cfg.grp ~n ~k:cfg.k ~degree_bound:d
@@ -153,7 +154,17 @@ let run cfg p ~graph ~initial_states =
         for i = 0 to n - 1 do
           Traffic.add_external global ~dst:i per_node
         done;
-        s)
+        (* Each sender installs the certificate its receiver handed it:
+           the comb tables every transfer along that edge encrypts
+           through, held for the whole run. *)
+        let keys =
+          Array.map
+            (fun (i, j) ->
+              Protocol.keys s ~receiver:j
+                ~neighbor_slot:(Graph.neighbor_slot graph ~owner:j ~other:i))
+            edges
+        in
+        (s, keys))
   in
   let table =
     Exp_elgamal.Table.make cfg.grp ~lo:(-cfg.table_radius) ~hi:(kp1 + cfg.table_radius)
@@ -341,7 +352,6 @@ let run cfg p ~graph ~initial_states =
       ~merge:(fun _ events -> Array.iter replay_recoveries events) ()
   in
   (* --- Communication step ---------------------------------------- *)
-  let edges = Array.of_list (Graph.edges graph) in
   let communicate ~round () =
     (* Reset all inboxes to no-op shares; real messages overwrite. Edge
        faults are resolved sequentially (the injector is stateful); each
@@ -377,8 +387,8 @@ let run cfg p ~graph ~initial_states =
         let noise = Block.derive_prng ~seed (Printf.sprintf "noise:%d:%d:%d" round i j) in
         if Obs.enabled obs then Obs.enter obs (Printf.sprintf "xfer:%d->%d" i j);
         let outcome =
-          Protocol.transfer ~recovery:(recovery ()) ?inject ~obs params ~prg ~noise ~traffic
-            ~variant:Protocol.Final ~setup ~sender:i ~receiver:j
+          Protocol.transfer ~recovery:(recovery ()) ?inject ~obs ~keys:edge_keys.(e) params
+            ~prg ~noise ~traffic ~variant:Protocol.Final ~setup ~sender:i ~receiver:j
             ~neighbor_slot:(Graph.neighbor_slot graph ~owner:j ~other:i) ~shares
         in
         if Obs.enabled obs then Obs.leave obs;

@@ -62,14 +62,34 @@ let expected_bytes variant ~k ~bits ~element_bytes =
       let per_receiver = multi bits in
       (per_sender, i_to_j, per_receiver, (kp1 * per_sender) + i_to_j + (kp1 * per_receiver))
 
+type keys = { receiver : int; neighbor_slot : int; combs : Group.comb array array }
+
+(* Teeth of an attempt's adjusted-ephemeral table, which serves the
+   (k+1)*L decryptions of the attempt: 8 teeth (256 entries, ~9 KB at 256
+   bits) cost ~470 multiplications to build and at most 62 per 255-bit
+   exponent. *)
+let ephemeral_teeth = 8
+
+let keys setup ~receiver ~neighbor_slot =
+  if neighbor_slot < 0 || neighbor_slot >= setup.Setup.degree_bound then
+    invalid_arg "Protocol.keys: bad neighbor slot";
+  let grp = setup.Setup.grp in
+  let cert = setup.Setup.nodes.(receiver).Setup.certificates.(neighbor_slot) in
+  {
+    receiver;
+    neighbor_slot;
+    combs =
+      Array.map (Array.map (Group.comb grp ~teeth:Setup.key_teeth)) cert.Setup.member_keys;
+  }
+
 (* One attempt of the transfer either delivers decrypted values (with the
    positions that missed the lookup table) or is killed in flight by an
    injected drop/corruption, which the receiver detects (timeout or failed
    integrity check) without learning anything. *)
 type 'a attempt_status = Killed | Decrypted of 'a
 
-let transfer ?(recovery = no_recovery) ?inject ?(obs = Obs.off) params ~prg ~noise ~traffic
-    ~variant ~setup ~sender ~receiver ~neighbor_slot ~shares =
+let transfer ?(recovery = no_recovery) ?inject ?(obs = Obs.off) ?keys:installed params ~prg
+    ~noise ~traffic ~variant ~setup ~sender ~receiver ~neighbor_slot ~shares =
   let grp = setup.Setup.grp in
   let l = setup.Setup.bits in
   let kp1 = setup.Setup.k + 1 in
@@ -81,8 +101,18 @@ let transfer ?(recovery = no_recovery) ?inject ?(obs = Obs.off) params ~prg ~noi
   if neighbor_slot < 0 || neighbor_slot >= setup.Setup.degree_bound then
     invalid_arg "Protocol.transfer: bad neighbor slot";
   if recovery.max_retries < 0 then invalid_arg "Protocol.transfer: max_retries < 0";
-  let cert = setup.Setup.nodes.(receiver).certificates.(neighbor_slot) in
+  let member_keys =
+    match installed with
+    | None -> (keys setup ~receiver ~neighbor_slot).combs
+    | Some k ->
+        if k.receiver <> receiver || k.neighbor_slot <> neighbor_slot then
+          invalid_arg "Protocol.transfer: keys of another certificate";
+        k.combs
+  in
   let r = setup.Setup.nodes.(receiver).neighbor_keys.(neighbor_slot) in
+  (* j adjusts an ephemeral to its neighbor key; the comb table of the
+     result serves every decryption under it. *)
+  let adjust c1 = Group.comb grp ~teeth:ephemeral_teeth (Group.pow grp c1 r) in
   let ebytes = Group.element_bytes grp in
   let multi_bytes l = (l + 1) * ebytes in
   let secret_of y t = setup.Setup.nodes.(bj.(y)).keys.Keys.secrets.(t) in
@@ -96,10 +126,11 @@ let transfer ?(recovery = no_recovery) ?inject ?(obs = Obs.off) params ~prg ~noi
   let attempt ~table ~inject =
     let missed = ref [] in
     (* Batched decryption of one member's L-bit bundle (all ciphertexts
-       share an already-adjusted ephemeral part): the blindings [c1^x_t]
-       are one shared-base batch and the unblinding inverses one batch
-       inversion. Injected misses overwrite the decrypted value, so the
-       missed-position order (bit ascending) matches the scalar loop. *)
+       share an already-adjusted ephemeral part, given as its comb table):
+       the blindings [c1^x_t] come from the table and the unblinding
+       inverses from one batch inversion. Injected misses overwrite the
+       decrypted value, so the missed-position order (bit ascending)
+       matches the scalar loop. *)
     let dec_bundle ~member ~c1 c2s =
       let pairs = Array.mapi (fun bit c2 -> (secret_of member bit, c2)) c2s in
       let results = Exp_elgamal.decrypt_shared grp table ~c1 pairs in
@@ -123,7 +154,7 @@ let transfer ?(recovery = no_recovery) ?inject ?(obs = Obs.off) params ~prg ~noi
             (Array.mapi
                (fun x share ->
                  List.init l (fun t ->
-                     (cert.Setup.member_keys.(x).(t), if Bitvec.get share t then 1 else 0)))
+                     (member_keys.(x).(t), if Bitvec.get share t then 1 else 0)))
                shares)
         in
         Array.iteri
@@ -132,14 +163,13 @@ let transfer ?(recovery = no_recovery) ?inject ?(obs = Obs.off) params ~prg ~noi
         Traffic.add traffic ~src:sender ~dst:receiver (kp1 * multi_bytes l);
         if killed inject then (zero_shares (), Killed, None)
         else begin
-          (* j adjusts every ephemeral — one shared-exponent batch — and
-             forwards each bundle to its member. *)
-          let c1s = Group.rerandomize_many grp (Array.map fst bundles) r in
+          (* j adjusts every ephemeral and forwards each bundle to its
+             member. *)
           let new_shares =
             Array.mapi
-              (fun y (_, c2s) ->
+              (fun y (c1, c2s) ->
                 Traffic.add traffic ~src:receiver ~dst:bj.(y) (multi_bytes l);
-                let vals = dec_bundle ~member:y ~c1:c1s.(y) (Array.of_list c2s) in
+                let vals = dec_bundle ~member:y ~c1:(adjust c1) (Array.of_list c2s) in
                 Bitvec.init l (fun t -> vals.(t) = 1))
               bundles
           in
@@ -160,7 +190,7 @@ let transfer ?(recovery = no_recovery) ?inject ?(obs = Obs.off) params ~prg ~noi
               List.concat
                 (List.init kp1 (fun y ->
                      List.init l (fun t ->
-                         ( cert.Setup.member_keys.(y).(t),
+                         ( member_keys.(y).(t),
                            if Bitvec.get subshares.(x).(y) t then 1 else 0 )))))
             shares
         in
@@ -172,12 +202,12 @@ let transfer ?(recovery = no_recovery) ?inject ?(obs = Obs.off) params ~prg ~noi
         let c2_of (_, c2s) y t = List.nth c2s ((y * l) + t) in
         let finish_shared_sums c1_combined c2_combined =
           (* j adjusts the single combined ephemeral and hands each member
-             its L summed ciphertexts, decrypted as one shared-c1 batch per
-             member. *)
+             its L summed ciphertexts; one comb table of the adjusted
+             ephemeral serves every member's shared-c1 batch. *)
           Traffic.add traffic ~src:sender ~dst:receiver (multi_bytes (kp1 * l));
           if killed inject then (zero_shares (), Killed, None)
           else begin
-            let c1_adjusted = Group.pow grp c1_combined r in
+            let c1_adjusted = adjust c1_combined in
             let sums =
               Array.init kp1 (fun y ->
                   Traffic.add traffic ~src:receiver ~dst:bj.(y) (multi_bytes l);
@@ -190,13 +220,13 @@ let transfer ?(recovery = no_recovery) ?inject ?(obs = Obs.off) params ~prg ~noi
           end
         in
         let strawman2 bundles =
-          (* i forwards every bundle unchanged; j adjusts all ephemerals in
-             one shared-exponent batch; each recipient decrypts k+1
-             subshare bundles and XORs them. *)
+          (* i forwards every bundle unchanged; j adjusts every ephemeral
+             (one comb table each, shared by the k+1 recipients); each
+             recipient decrypts k+1 subshare bundles and XORs them. *)
           Traffic.add traffic ~src:sender ~dst:receiver (kp1 * multi_bytes (kp1 * l));
           if killed inject then (zero_shares (), Killed, None)
           else begin
-            let c1s = Group.rerandomize_many grp (Array.map fst bundles) r in
+            let c1s = Array.map (fun (c1, _) -> adjust c1) bundles in
             let new_shares =
               Array.init kp1 (fun y ->
                   Traffic.add traffic ~src:receiver ~dst:bj.(y) (kp1 * multi_bytes l);
@@ -259,7 +289,7 @@ let transfer ?(recovery = no_recovery) ?inject ?(obs = Obs.off) params ~prg ~noi
               List.concat
                 (List.init kp1 (fun y ->
                      List.init l (fun t ->
-                         (cert.Setup.member_keys.(y).(t), noise_values.(y).(t)))))
+                         (member_keys.(y).(t), noise_values.(y).(t)))))
             in
             let all =
               Exp_elgamal.encrypt_multi_batch prg grp

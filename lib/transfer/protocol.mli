@@ -93,10 +93,24 @@ type outcome = {
           and the edge-privacy analysis can quantify the side channel *)
 }
 
+type keys
+(** The certificate a sender holds for one edge, ready to encrypt to:
+    the comb tables ({!Dstress_crypto.Group.comb}, {!Setup.key_teeth}
+    teeth) of its (k+1)·L member keys. Every bundle of every attempt
+    addresses all of them, so the sender builds them once, when it
+    installs the certificate, and reuses them for every attempt, retry
+    and escalation of every transfer along the edge. *)
+
+val keys : Setup.t -> receiver:int -> neighbor_slot:int -> keys
+(** [keys setup ~receiver ~neighbor_slot] installs [receiver]'s
+    certificate [neighbor_slot]: (k+1)·L comb tables, ~1.1 KB each at
+    256 bits. Raises [Invalid_argument] on a bad slot. *)
+
 val transfer :
   ?recovery:recovery ->
   ?inject:inject ->
   ?obs:Dstress_obs.Obs.t ->
+  ?keys:keys ->
   params ->
   prg:Dstress_crypto.Prg.t ->
   noise:Dstress_util.Prng.t ->
@@ -114,7 +128,11 @@ val transfer :
     handed to [i] during setup. The reconstructed message is preserved:
     XOR of output shares = XOR of input shares (Theorem 1) whenever
     [unrecovered = 0]. [recovery] defaults to {!no_recovery}; [inject]
-    applies a simulated fault to the first attempt only.
+    applies a simulated fault to the first attempt only. [keys] are the
+    certificate's tables from {!keys} (default: built for this call
+    alone); every attempt encrypts through them, and each attempt's
+    adjusted ephemeral gets one 8-teeth comb table shared by the k+1
+    recipients' decryptions.
 
     [obs] (default: the no-op collector) receives phase-attributed
     observability: [transfer.attempts] per protocol attempt plus the
@@ -123,7 +141,8 @@ val transfer :
     duration is the bytes that attempt put on [traffic].
     Pass the calling task's private collector so emission stays
     deterministic under parallel schedules. Raises
-    [Invalid_argument] on shape mismatches or a negative retry bound. *)
+    [Invalid_argument] on shape mismatches, a negative retry bound, or
+    [keys] installed for another receiver or slot. *)
 
 val expected_bytes :
   variant -> k:int -> bits:int -> element_bytes:int -> int * int * int * int

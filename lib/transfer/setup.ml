@@ -31,6 +31,8 @@ type t = {
   roster_signature : Schnorr.signature;
 }
 
+let key_teeth = 5
+
 let certificate_string grp owner slot keys =
   let buf = Buffer.create 256 in
   Buffer.add_string buf (Printf.sprintf "cert:%d:%d" owner slot);
@@ -91,13 +93,18 @@ let run prg grp ~n ~k ~degree_bound ~bits =
   let blocks = Array.init n (fun i -> draw_block block_prng ~n ~k i) in
   let agg_block = Array.of_list (Prng.sample_without_replacement block_prng (k + 1) n) in
   let roster_signature = Schnorr.sign prg grp tp_secret (roster_string blocks agg_block) in
+  (* Every member public key is raised to the neighbor keys of each block
+     it sits in, D per block: one comb table per key, held for the
+     certificates below and dropped with them. *)
+  let key_combs =
+    Array.map (fun keys -> Array.map (Group.comb grp ~teeth:key_teeth) keys.Keys.publics)
+      node_keys
+  in
   let make_certificate i slot =
     let r = neighbor_keys.(i).(slot) in
-    (* All (k+1)*L member keys of a certificate are raised to one shared
-       neighbor key: a single many-bases/one-exponent batch. *)
     let keys =
       Array.map
-        (fun member -> Group.rerandomize_many grp node_keys.(member).publics r)
+        (fun member -> Array.map (fun c -> Group.pow_comb grp c r) key_combs.(member))
         blocks.(i)
     in
     {

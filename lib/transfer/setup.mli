@@ -44,6 +44,16 @@ type t = {
   roster_signature : Dstress_crypto.Schnorr.signature;
 }
 
+val key_teeth : int
+(** Teeth of the comb table ({!Dstress_crypto.Group.comb}) built for a
+    public key that is raised to many exponents: 5, i.e. 32 entries
+    (~1.1 KB at 256 bits) and at most 101 multiplications per 255-bit
+    exponent, against ~330 for a generic exponentiation. [run] builds
+    one for every member public key (each is raised to the D neighbor
+    keys of every block it belongs to) and drops them when it returns;
+    {!Protocol.keys} builds one for every key of an installed
+    certificate. *)
+
 val run :
   Dstress_crypto.Prg.t ->
   Dstress_crypto.Group.t ->
@@ -52,7 +62,9 @@ val run :
   degree_bound:int ->
   bits:int ->
   t
-(** Raises [Invalid_argument] if [k + 1 > n], [k < 1], [degree_bound < 1]
+(** Certificate keys [pk^r] are computed through per-key comb tables
+    ({!key_teeth}), built here and dropped on return.
+    Raises [Invalid_argument] if [k + 1 > n], [k < 1], [degree_bound < 1]
     or [bits < 1]. *)
 
 val verify_roster : t -> bool

@@ -261,7 +261,25 @@ let test_kernel_pow_vs_schoolbook () =
       Alcotest.check nat "exp 1" (Nat.rem b m) (Nat.mod_pow ~base:b ~exp:Nat.one ~m))
     boundary_widths
 
-let test_precomp_vs_pow () =
+(* Lim–Lee comb vs the generic window ladder and mod_pow: every teeth
+   count 1–9 at every limb-boundary width (table widths that are and are
+   not multiples of the teeth), on exponents 0, 1, all ones (every column
+   full), one full column at each end of the comb, and random values. *)
+let comb_exponents t ~teeth ~ebits =
+  let d = (ebits + teeth - 1) / teeth in
+  let full_column j =
+    List.fold_left
+      (fun acc i ->
+        let b = (i * d) + j in
+        if b < ebits then Nat.add acc (Nat.shift_left Nat.one b) else acc)
+      Nat.zero (List.init teeth Fun.id)
+  in
+  Nat.zero :: Nat.one
+  :: Nat.sub (Nat.shift_left Nat.one ebits) Nat.one
+  :: full_column 0 :: full_column (d - 1)
+  :: List.init 3 (fun _ -> Nat.random_bits t ebits)
+
+let test_comb_vs_pow () =
   let t = prng () in
   List.iter
     (fun bits ->
@@ -269,50 +287,107 @@ let test_precomp_vs_pow () =
       let ctx = Nat.Mont.create m in
       let base = Nat.random_below t m in
       let bm = Nat.Mont.to_mont ctx base in
-      let ebits = 160 in
-      let pre = Nat.Mont.precompute ctx bm ~ebits in
-      Alcotest.(check bool) "covers ebits" true (Nat.Mont.precomp_bits pre >= ebits);
-      let exps =
-        Nat.zero :: Nat.one
-        :: Nat.sub (Nat.shift_left Nat.one ebits) Nat.one
-        :: List.init 10 (fun _ -> Nat.random_bits t ebits)
-      in
-      List.iter
-        (fun e ->
-          let got = Nat.Mont.from_mont ctx (Nat.Mont.pow_precomp ctx pre e) in
-          Alcotest.check nat
-            (Printf.sprintf "pow_precomp %d bits" bits)
-            (school_mod_pow ~base ~exp:e ~m)
-            got)
-        exps;
-      (* wider than the table: must fall back, not truncate *)
-      let wide = Nat.random_bits t (ebits + 40) in
-      Alcotest.check nat "fallback beyond table"
-        (school_mod_pow ~base ~exp:wide ~m)
-        (Nat.Mont.from_mont ctx (Nat.Mont.pow_precomp ctx pre wide)))
-    [ 61; 256 ]
+      for teeth = 1 to 9 do
+        let c = Nat.Mont.comb ctx bm ~teeth ~ebits:bits in
+        List.iter
+          (fun e ->
+            let got = Nat.Mont.pow_comb ctx c e in
+            let label = Printf.sprintf "%d bits, %d teeth" bits teeth in
+            Alcotest.check nat (label ^ " vs Mont.pow") (Nat.Mont.pow ctx bm e) got;
+            Alcotest.check nat (label ^ " vs mod_pow")
+              (Nat.mod_pow ~base ~exp:e ~m)
+              (Nat.Mont.from_mont ctx got))
+          (comb_exponents t ~teeth ~ebits:bits)
+      done)
+    boundary_widths
 
-let test_pow_base_many_vs_pow () =
+let test_comb_contract () =
+  let t = prng () in
+  let m = odd_modulus t 61 in
+  let ctx = Nat.Mont.create m in
+  let base = Nat.random_below t m in
+  let c = Nat.Mont.comb ctx (Nat.Mont.to_mont ctx base) ~teeth:4 ~ebits:50 in
+  (* 4 teeth of 13 columns could hold 52 bits, but the table serves
+     exactly the 50 it was built for. *)
+  let widest = Nat.sub (Nat.shift_left Nat.one 50) Nat.one in
+  Alcotest.check nat "ebits-wide exponent"
+    (Nat.mod_pow ~base ~exp:widest ~m)
+    (Nat.Mont.from_mont ctx (Nat.Mont.pow_comb ctx c widest));
+  Alcotest.check_raises "wider than the table"
+    (Invalid_argument "Nat.Mont.pow_comb: exponent wider than the comb") (fun () ->
+      ignore (Nat.Mont.pow_comb ctx c (Nat.shift_left Nat.one 50)));
+  Alcotest.check_raises "another context"
+    (Invalid_argument "Nat.Mont.pow_comb: comb of another context") (fun () ->
+      ignore (Nat.Mont.pow_comb (Nat.Mont.create m) c Nat.one));
+  List.iter
+    (fun teeth ->
+      Alcotest.check_raises (Printf.sprintf "%d teeth" teeth)
+        (Invalid_argument "Nat.Mont.comb: teeth must lie in [1, 16]") (fun () ->
+          ignore (Nat.Mont.comb ctx Nat.one ~teeth ~ebits:50)))
+    [ 0; 17 ];
+  Alcotest.check_raises "no exponent bits"
+    (Invalid_argument "Nat.Mont.comb: ebits must be positive") (fun () ->
+      ignore (Nat.Mont.comb ctx Nat.one ~teeth:4 ~ebits:0))
+
+(* Words of minor heap a normalized result occupies: header plus limbs
+   (zero is the shared empty array). *)
+let result_words r =
+  let limbs = (Nat.num_bits r + 29) / 30 in
+  if limbs = 0 then 0 else limbs + 1
+
+let test_mont_mul_allocates_results_only () =
   let t = prng () in
   let m = odd_modulus t 256 in
   let ctx = Nat.Mont.create m in
-  let base = Nat.random_below t m in
-  let bm = Nat.Mont.to_mont ctx base in
-  (* batch sizes on both sides of the shared-chain / window-table cutoff *)
-  List.iter
-    (fun n ->
-      let exps = Array.init n (fun _ -> Nat.random_bits t 200) in
-      let got =
-        Array.map (Nat.Mont.from_mont ctx) (Nat.Mont.pow_base_many ctx bm exps)
-      in
-      Array.iteri
-        (fun i e ->
-          Alcotest.check nat
-            (Printf.sprintf "pow_base_many n=%d i=%d" n i)
-            (school_mod_pow ~base ~exp:e ~m)
-            got.(i))
-        exps)
-    [ 1; 2; 7; 8; 9; 32 ]
+  let a = Nat.Mont.to_mont ctx (Nat.random_below t m) in
+  let b = Nat.Mont.to_mont ctx (Nat.random_below t m) in
+  let n = 1000 in
+  let results = Array.make n Nat.zero in
+  let run f =
+    let w0 = Gc.minor_words () in
+    for i = 0 to n - 1 do
+      results.(i) <- f i
+    done;
+    Gc.minor_words () -. w0
+  in
+  ignore (run (fun _ -> Nat.Mont.mul ctx a b));
+  let overhead = run (fun _ -> Nat.zero) in
+  let words = run (fun i -> Nat.Mont.mul ctx (if i land 1 = 0 then a else b) b) in
+  let expected = Array.fold_left (fun acc r -> acc + result_words r) 0 results in
+  Alcotest.(check int) "minor words of N muls" expected (int_of_float (words -. overhead))
+
+let test_mont_mul_count () =
+  let t = prng () in
+  let m = odd_modulus t 256 in
+  let ctx = Nat.Mont.create m in
+  let counted f =
+    let c0 = Nat.Mont.muls () in
+    let r = f () in
+    (r, Nat.Mont.muls () - c0)
+  in
+  let am, n = counted (fun () -> Nat.Mont.to_mont ctx (Nat.random_below t m)) in
+  Alcotest.(check int) "to_mont" 1 n;
+  Alcotest.(check int) "mul" 1 (snd (counted (fun () -> Nat.Mont.mul ctx am am)));
+  Alcotest.(check int) "from_mont" 1 (snd (counted (fun () -> Nat.Mont.from_mont ctx am)));
+  (* 64 one bits: 16 windows, all digits nonzero: 15 + 4*15 + 16 *)
+  let ones = Nat.sub (Nat.shift_left Nat.one 64) Nat.one in
+  Alcotest.(check int) "pow" 91 (snd (counted (fun () -> Nat.Mont.pow ctx am ones)));
+  (* 5 teeth of d = 12 columns: 4*12 squarings + 32 - 5 - 1 *)
+  let c, n = counted (fun () -> Nat.Mont.comb ctx am ~teeth:5 ~ebits:60) in
+  Alcotest.(check int) "comb build" 74 n;
+  let all_ones = Nat.sub (Nat.shift_left Nat.one 60) Nat.one in
+  Alcotest.(check int) "pow_comb, every column full" 22
+    (snd (counted (fun () -> Nat.Mont.pow_comb ctx c all_ones)));
+  Alcotest.(check int) "pow_comb 0" 0 (snd (counted (fun () -> Nat.Mont.pow_comb ctx c Nat.zero)));
+  Alcotest.(check int) "pow_comb 1" 0 (snd (counted (fun () -> Nat.Mont.pow_comb ctx c Nat.one)));
+  (* 0b1011 fits the first tooth: 3 squarings, 2 multiplications *)
+  Alcotest.(check int) "pow_comb 11" 5
+    (snd (counted (fun () -> Nat.Mont.pow_comb ctx c (Nat.of_int 11))));
+  (* Another domain's work is its own. *)
+  let n =
+    snd (counted (fun () -> Domain.join (Domain.spawn (fun () -> Nat.Mont.mul ctx am am))))
+  in
+  Alcotest.(check int) "other domain" 0 n
 
 (* ------------------------------------------------------------------ *)
 (* to_bytes_be_padded                                                  *)
@@ -529,8 +604,11 @@ let () =
         [
           Alcotest.test_case "mul vs schoolbook" `Quick test_kernel_mul_vs_schoolbook;
           Alcotest.test_case "pow vs schoolbook" `Quick test_kernel_pow_vs_schoolbook;
-          Alcotest.test_case "pow_precomp vs pow" `Quick test_precomp_vs_pow;
-          Alcotest.test_case "pow_base_many vs pow" `Quick test_pow_base_many_vs_pow;
+          Alcotest.test_case "comb vs pow" `Quick test_comb_vs_pow;
+          Alcotest.test_case "comb contract" `Quick test_comb_contract;
+          Alcotest.test_case "mul allocates only results" `Quick
+            test_mont_mul_allocates_results_only;
+          Alcotest.test_case "mul counter" `Quick test_mont_mul_count;
           Alcotest.test_case "to_bytes_be_padded" `Quick test_to_bytes_be_padded;
           Alcotest.test_case "padded too narrow" `Quick test_to_bytes_be_padded_too_narrow;
         ] );

@@ -316,36 +316,109 @@ let test_exp_elgamal_multi_bandwidth () =
     < 12 * Elgamal.ciphertext_bytes grp)
 
 (* ------------------------------------------------------------------ *)
+(* Comb tables on every named group                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* The ffdhe groups take the real 2048/3072-bit kernel; every teeth count
+   still runs there, on the widest exponents only. *)
+let is_ffdhe name = String.length name >= 5 && String.sub name 0 5 = "ffdhe"
+
+let test_comb_every_group () =
+  List.iter
+    (fun name ->
+      let g = Group.by_name name in
+      let t = prg ("comb:" ^ name) in
+      let b = Group.pow_g g (Group.random_exponent t g) in
+      let q = Group.q g in
+      let ebits = Nat.num_bits q in
+      let exps =
+        (if is_ffdhe name then [] else [ Nat.zero; Nat.one; Group.random_exponent t g ])
+        @ [ Nat.sub q Nat.one; Nat.sub (Nat.shift_left Nat.one ebits) Nat.one ]
+      in
+      let expected =
+        List.map
+          (fun e ->
+            let v = Group.pow g b e in
+            Alcotest.(check bool)
+              (name ^ " pow = mod_pow") true
+              (Group.elt_equal v (Nat.mod_pow ~base:b ~exp:e ~m:(Group.p g)));
+            v)
+          exps
+      in
+      for teeth = 1 to 9 do
+        let c = Group.comb g ~teeth b in
+        List.iter2
+          (fun e v ->
+            Alcotest.(check bool)
+              (Printf.sprintf "%s, %d teeth, %d-bit exponent" name teeth (Nat.num_bits e))
+              true
+              (Group.elt_equal v (Group.pow_comb g c e)))
+          exps expected
+      done)
+    Group.names
+
+let test_comb_contract_in_group () =
+  let std = Group.by_name "standard" in
+  let c = Group.comb grp ~teeth:5 (Group.g grp) in
+  Alcotest.check_raises "comb of another group"
+    (Invalid_argument "Nat.Mont.pow_comb: comb of another context") (fun () ->
+      ignore (Group.pow_comb std c Nat.one));
+  Alcotest.check_raises "exponent wider than q"
+    (Invalid_argument "Nat.Mont.pow_comb: exponent wider than the comb") (fun () ->
+      ignore (Group.pow_comb grp c (Nat.shift_left Nat.one (Nat.num_bits (Group.q grp)))));
+  Alcotest.check_raises "pow_g wider than q"
+    (Invalid_argument "Nat.Mont.pow_comb: exponent wider than the comb") (fun () ->
+      ignore (Group.pow_g grp (Nat.shift_left Nat.one (Nat.num_bits (Group.q grp)))))
+
+(* The generator's comb does no more multiplications than a 4-bit (5-bit
+   from 1024 bits) fixed-window table, conversion out of Montgomery form
+   included, at every named group; small signed plaintexts cost about two
+   multiplications per bit. *)
+let test_pow_g_multiplications () =
+  List.iter
+    (fun name ->
+      let g = Group.by_name name in
+      let t = prg ("powg-count:" ^ name) in
+      let ebits = Nat.num_bits (Group.q g) in
+      let w = if ebits >= 1024 then 5 else 4 in
+      let window = ((ebits + w - 1) / w) + 1 in
+      let counted f =
+        let c0 = Nat.Mont.muls () in
+        let r = f () in
+        (r, Nat.Mont.muls () - c0)
+      in
+      List.iter
+        (fun e ->
+          let v, n = counted (fun () -> Group.pow_g g e) in
+          Alcotest.(check bool) (name ^ " pow_g value") true (Group.elt_equal v (Group.pow g (Group.g g) e));
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: %d multiplications <= %d" name n window)
+            true (n <= window))
+        [ Nat.sub (Group.q g) Nat.one; Group.random_exponent t g ];
+      List.iter
+        (fun v ->
+          let r, n = counted (fun () -> Group.pow_g_int g v) in
+          let e =
+            if v >= 0 then Nat.of_int v else Nat.sub (Group.q g) (Nat.of_int (-v))
+          in
+          Alcotest.(check bool) (Printf.sprintf "%s g^%d" name v) true
+            (Group.elt_equal r (Group.pow g (Group.g g) e));
+          let bits = Nat.num_bits (Nat.of_int (abs v)) in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s g^%d: %d multiplications" name v n)
+            true
+            (n <= (2 * bits) + 1))
+        [ 0; 1; -1; 2; -2; 37; -37; 1000; -1000 ])
+    Group.names
+
+(* ------------------------------------------------------------------ *)
 (* Batch entry points vs their scalar loops                            *)
 (* ------------------------------------------------------------------ *)
 
 (* The batch paths promise draw-for-draw identity with the scalar loops
    they replace, on every registered group — the ffdhe groups take the
    real 2048/3072-bit kernel paths, so keep their batch sizes small. *)
-let small_batch name = if String.length name >= 5 && String.sub name 0 5 = "ffdhe" then 3 else 8
-
-let test_rerandomize_many_matches_pow () =
-  (* Many bases under one shared exponent: the shape of certificate
-     blinding (Setup.run) and ciphertext adjustment (Protocol.transfer). *)
-  List.iter
-    (fun name ->
-      let g = Group.by_name name in
-      let t = prg ("rrm:" ^ name) in
-      let bases =
-        Array.init (small_batch name) (fun _ ->
-            Group.pow_g g (Group.random_exponent t g))
-      in
-      let r = Group.random_exponent t g in
-      let got = Group.rerandomize_many g bases r in
-      Alcotest.(check int) (name ^ " batch length") (Array.length bases) (Array.length got);
-      Array.iteri
-        (fun i b ->
-          Alcotest.(check bool)
-            (Printf.sprintf "%s base %d" name i)
-            true
-            (Group.elt_equal (Group.pow g b r) got.(i)))
-        bases)
-    Group.names
+let small_batch name = if is_ffdhe name then 3 else 8
 
 let test_decrypt_shared_matches_scalar () =
   (* Shared-c1 lookup decryption: one bundle to many recipients, each
@@ -363,7 +436,7 @@ let test_decrypt_shared_matches_scalar () =
       let pairs =
         Array.of_list (List.map2 (fun (sk, _) c2 -> (sk, c2)) keys c2s)
       in
-      let got = Exp_elgamal.decrypt_shared g tbl ~c1 pairs in
+      let got = Exp_elgamal.decrypt_shared g tbl ~c1:(Group.comb g ~teeth:8 c1) pairs in
       List.iteri
         (fun i v ->
           Alcotest.(check (option int))
@@ -381,26 +454,30 @@ let test_decrypt_shared_matches_scalar () =
 let test_encrypt_multi_batch_matches_sequential () =
   (* Same seed, bundle order: the batched multi-recipient encryption must
      reproduce the sequential encrypt_multi loop draw for draw — keys
-     repeat across bundles to exercise the per-key grouping. *)
+     repeat across bundles, so one comb table serves several bundles. *)
   let t = prg "emb-setup" in
   let keys = Array.init 4 (fun _ -> Exp_elgamal.keygen t grp) in
-  let bundle spec = List.map (fun (k, v) -> (snd keys.(k), v)) spec in
-  let bundles =
+  let combs = Array.map (fun (_, pk) -> Group.comb grp ~teeth:5 pk) keys in
+  let specs =
     [|
-      bundle [ (0, 3); (1, -4); (2, 10) ];
-      bundle [ (1, 7) ];
-      bundle [ (3, 0); (0, 5); (1, 2); (2, -9) ];
-      bundle [];
-      bundle [ (2, 1); (2, 1) ];
+      [ (0, 3); (1, -4); (2, 10) ];
+      [ (1, 7) ];
+      [ (3, 0); (0, 5); (1, 2); (2, -9) ];
+      [];
+      [ (2, 1); (2, 1) ];
     |]
   in
   let sequential =
     let s = prg "emb-draws" in
-    Array.map (Exp_elgamal.encrypt_multi s grp) bundles
+    Array.map
+      (fun spec ->
+        Exp_elgamal.encrypt_multi s grp (List.map (fun (k, v) -> (snd keys.(k), v)) spec))
+      specs
   in
   let batched =
     let s = prg "emb-draws" in
-    Exp_elgamal.encrypt_multi_batch s grp bundles
+    Exp_elgamal.encrypt_multi_batch s grp
+      (Array.map (List.map (fun (k, v) -> (combs.(k), v))) specs)
   in
   Array.iteri
     (fun i (c1, c2s) ->
@@ -870,6 +947,9 @@ let () =
           Alcotest.test_case "inverse" `Quick test_group_inverse;
           Alcotest.test_case "exponent arithmetic" `Quick test_group_exp_arith;
           Alcotest.test_case "make rejects bad params" `Quick test_group_make_rejects_bad;
+          Alcotest.test_case "comb every group" `Quick test_comb_every_group;
+          Alcotest.test_case "comb contract" `Quick test_comb_contract_in_group;
+          Alcotest.test_case "pow_g multiplications" `Quick test_pow_g_multiplications;
         ] );
       ( "elgamal",
         [
@@ -893,7 +973,6 @@ let () =
         ] );
       ( "batch-vs-scalar",
         [
-          Alcotest.test_case "rerandomize_many" `Quick test_rerandomize_many_matches_pow;
           Alcotest.test_case "decrypt_shared" `Quick test_decrypt_shared_matches_scalar;
           Alcotest.test_case "encrypt_multi_batch" `Quick
             test_encrypt_multi_batch_matches_sequential;

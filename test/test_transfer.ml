@@ -178,6 +178,45 @@ let test_transfer_tiny_table_fails () =
   in
   Alcotest.(check bool) "failures occurred" true (outcome.Protocol.failures > 0)
 
+(* A Final transfer on the 256-bit group through installed keys: the
+   comb tables are built once and reused, as the engine reuses them for
+   every round of an edge, and give the same shares as tables built for
+   the call alone. *)
+let test_transfer_final_standard () =
+  let std = Group.by_name "standard" in
+  let s = Setup.run (prg "std-setup") std ~n:5 ~k:2 ~degree_bound:2 ~bits:8 in
+  let params = { Protocol.alpha = 0.5; table = Exp_elgamal.Table.make std ~lo:(-120) ~hi:123 } in
+  let keys = Protocol.keys s ~receiver:3 ~neighbor_slot:1 in
+  let transfer ?keys tag message =
+    let m = Bitvec.of_int ~bits:8 message in
+    let shares = Sharing.share (prg ("std-msg:" ^ tag)) ~parties:3 m in
+    let o =
+      Protocol.transfer ?keys params ~prg:(prg ("std-run:" ^ tag)) ~noise:(Prng.of_int 0x57D)
+        ~traffic:(Traffic.create 5) ~variant:Protocol.Final ~setup:s ~sender:0 ~receiver:3
+        ~neighbor_slot:1 ~shares
+    in
+    Alcotest.(check int) (tag ^ " no misses") 0 o.Protocol.failures;
+    Alcotest.(check int) (tag ^ " nothing unrecovered") 0 o.Protocol.unrecovered;
+    Alcotest.(check bool) (tag ^ " reconstructs") true
+      (Bitvec.equal m (Sharing.reconstruct o.Protocol.shares));
+    o
+  in
+  let first = transfer ~keys "a" 0xA7 in
+  ignore (transfer ~keys "b" 0x3C);
+  let fresh = transfer "a" 0xA7 in
+  Array.iteri
+    (fun y sh ->
+      Alcotest.(check bool) (Printf.sprintf "share %d as with fresh tables" y) true
+        (Bitvec.equal sh fresh.Protocol.shares.(y)))
+    first.Protocol.shares;
+  Alcotest.check_raises "keys of another slot"
+    (Invalid_argument "Protocol.transfer: keys of another certificate") (fun () ->
+      ignore
+        (Protocol.transfer ~keys params ~prg:(prg "std-bad") ~noise:(Prng.of_int 1)
+           ~traffic:(Traffic.create 5) ~variant:Protocol.Final ~setup:s ~sender:0
+           ~receiver:3 ~neighbor_slot:0
+           ~shares:(Array.make 3 (Bitvec.create 8 false))))
+
 (* ------------------------------------------------------------------ *)
 (* Protocol: traffic accounting                                        *)
 (* ------------------------------------------------------------------ *)
@@ -334,6 +373,7 @@ let () =
           Alcotest.test_case "random messages" `Quick test_transfer_repeated_messages;
           Alcotest.test_case "bad shapes" `Quick test_transfer_bad_shapes;
           Alcotest.test_case "tiny table fails" `Quick test_transfer_tiny_table_fails;
+          Alcotest.test_case "final on standard" `Quick test_transfer_final_standard;
         ] );
       ( "traffic",
         [
