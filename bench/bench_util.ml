@@ -58,14 +58,10 @@ let emit row =
 
 let collected_doc ~mode = { Bench_result.mode; suites = List.rev !collected }
 
-(* [measure ~name f] times [f] ([warmup] untimed runs, then [repeats]
-   timed ones), emits a row summarising the wall samples, and returns the
-   last run's value. [telemetry] turns that value into the row's
-   (counters, floats); [items = (unit, count)] derives a throughput from
-   the median repeat. Stateful benches that cannot re-run keep the
-   default [repeats = 1]. *)
-let measure ?(repeats = 1) ?(warmup = 0) ?(params = []) ?items ?telemetry ~name
-    f =
+(* [sample f] runs [f] [warmup] times untimed, then [repeats] times
+   timed, and returns the last run's value with the summary of the timed
+   runs. *)
+let sample ?(repeats = 1) ?(warmup = 0) f =
   for _ = 1 to warmup do
     ignore (f ())
   done;
@@ -76,7 +72,16 @@ let measure ?(repeats = 1) ?(warmup = 0) ?(params = []) ?items ?telemetry ~name
     last := Some v
   done;
   let v = match !last with Some v -> v | None -> invalid_arg "measure: repeats < 1" in
-  let wall = Bench_result.wall_of_samples !samples in
+  (v, Bench_result.wall_of_samples !samples)
+
+(* [measure ~name f] samples [f] (see [sample]), emits a row summarising
+   the wall samples, and returns the last run's value. [telemetry] turns
+   that value into the row's (counters, floats); [items = (unit, count)]
+   derives a throughput from the median repeat. Stateful benches that
+   cannot re-run keep the default [repeats = 1]. *)
+let measure ?repeats ?warmup ?(params = []) ?items ?telemetry ~name f =
+  let v, wall = sample ?repeats ?warmup f in
+  let repeats = Option.value repeats ~default:1 and warmup = Option.value warmup ~default:0 in
   let throughput =
     match items with
     | Some (unit_, count) when wall.Bench_result.median_s > 0.0 ->

@@ -1,13 +1,16 @@
 (* Microbenchmarks of the rebuilt bignum/crypto hot path at real 2048-bit
-   parameters, plus one end-to-end EN run on ffdhe2048 — the workload the
-   kernel refactor exists to make feasible.
+   parameters, one end-to-end EN run on ffdhe2048 — the workload the
+   kernel refactor exists to make feasible — and one EGJ run at the
+   egj-256 benchmark workload's shape that counts its Montgomery
+   multiplications.
 
    The speedup yardstick is a seed-faithful reference exponentiation
    embedded below: the pre-refactor kernel shape (26-bit limbs, a fresh
    buffer allocated per multiplication, a fresh Montgomery context per
    call). Wall times and speedup ratios are informational floats; the
    gated counters are the mismatch counts of each fast path against the
-   reference (always 0) and the deterministic outputs of the EN run. *)
+   reference (always 0), the deterministic outputs of the EN and EGJ
+   runs, and the EGJ run's exact multiplication counts. *)
 
 open Bench_util
 module Nat = Dstress_bignum.Nat
@@ -15,8 +18,10 @@ module Engine = Dstress_runtime.Engine
 module Executor = Dstress_runtime.Executor
 module Graph = Dstress_runtime.Graph
 module En_program = Dstress_risk.En_program
+module Egj_program = Dstress_risk.Egj_program
 module Topology = Dstress_graphgen.Topology
 module Banking = Dstress_graphgen.Banking
+module Setup = Dstress_transfer.Setup
 
 (* ------------------------------------------------------------------ *)
 (* Seed-faithful reference: allocating 26-bit CIOS Montgomery ladder    *)
@@ -139,6 +144,71 @@ end
 
 let mismatch expected got = if Nat.equal expected got then 0 else 1
 
+(* [f ()] and the Montgomery multiplications it did on this domain. *)
+let counting_muls f =
+  let c0 = Nat.Mont.muls () in
+  let r = f () in
+  (r, Nat.Mont.muls () - c0)
+
+(* One query at the egj-256 benchmark workload's shape, as `dstress
+   stress --model egj --group standard --core 3 --periphery 5 -i 5
+   --preprocess` runs it for seed 1 (sequential executor): output,
+   traffic and the exact Montgomery multiplications of the whole query
+   and of its trusted-party setup ([Setup.run] alone, replayed with the
+   engine's PRG seed). *)
+let egj_256 () =
+  subheader "EGJ at egj-256's shape (standard group, core 3, periphery 5, 5 iterations)";
+  let grp = Group.by_name "standard" in
+  let seed = 1 and core = 3 and periphery = 5 and iterations = 5 and k = 2 in
+  let l = 16 and frac = 6 in
+  let prng = Prng.of_int seed in
+  let topo = Topology.core_periphery prng ~core ~periphery () in
+  let inst = Banking.shock_egj prng (Banking.egj_of_topology prng topo ()) topo Banking.Cascade in
+  let graph = Egj_program.graph_of_instance inst in
+  let degree = Graph.max_degree graph in
+  let program =
+    Egj_program.make ~epsilon:1.0 ~sensitivity:20 ~l ~frac ~degree ~iterations ()
+  in
+  let states = Egj_program.encode_instance inst ~graph ~l ~frac ~degree ~scale:4.0 in
+  let cfg =
+    { (Engine.default_config grp ~k ~degree_bound:degree ~seed:(string_of_int seed)) with
+      Engine.executor = Executor.sequential;
+      preprocess = true }
+  in
+  let _, setup_muls =
+    counting_muls (fun () ->
+        Setup.run
+          (Prg.of_string ("engine:" ^ string_of_int seed))
+          grp ~n:(Graph.n graph) ~k ~degree_bound:degree ~bits:l)
+  in
+  let (report, query_muls), wall =
+    time (fun () ->
+        counting_muls (fun () -> Engine.run cfg program ~graph ~initial_states:states))
+  in
+  let traffic = Dstress_mpc.Traffic.total report.Engine.traffic in
+  emit
+    (Bench_result.make_result
+       ~params:
+         [
+           ("group", Json.Str "standard"); ("core", Json.Int core);
+           ("periphery", Json.Int periphery); ("iterations", Json.Int iterations);
+           ("k", Json.Int k); ("preprocess", Json.Bool true);
+         ]
+       ~wall:{ Bench_result.median_s = wall; min_s = wall; p10_s = wall; p90_s = wall }
+       ~counters:
+         [
+           ("output", report.Engine.output);
+           ("traffic.total_bytes", traffic);
+           ("transfer_failures", report.Engine.transfer_failures);
+           ("setup.mont_muls", setup_muls);
+           ("query.mont_muls", query_muls);
+         ]
+       "egj-256");
+  Printf.printf
+    "EGJ egj-256 shape: wall %.2f s, output %d, %.1f MB total, %d Montgomery multiplications \
+     (%d in Setup.run)\n"
+    wall report.Engine.output (mb traffic) query_muls setup_muls
+
 let run ~quick () =
   header "bignum kernel (2048-bit hot path)";
   let grp2048 = Group.by_name "ffdhe2048" in
@@ -167,31 +237,27 @@ let run ~quick () =
   (* The yardstick: seed-shaped generic exponentiation. *)
   let e = Group.random_exponent prg grp2048 in
   let g = Group.g grp2048 in
-  let ref_pow = measure ~repeats ~warmup:1 ~name:"generic-pow-ref"
-      ~params:[ ("bits", Json.Int bits) ]
-      (fun () -> Ref.mod_pow ~base:g ~exp:e ~m:p)
+  let params = [ ("bits", Json.Int bits) ] in
+  let ref_pow, ref_wall =
+    sample ~repeats ~warmup:1 (fun () -> Ref.mod_pow ~base:g ~exp:e ~m:p)
   in
-  let ref_s =
-    let _, s = time (fun () -> ignore (Ref.mod_pow ~base:g ~exp:e ~m:p)) in
-    s
-  in
+  emit (Bench_result.make_result ~params ~repeats ~warmup:1 ~wall:ref_wall "generic-pow-ref");
   (* Current generic path (fresh Montgomery context per call). *)
   ignore
     (measure ~repeats ~warmup:1 ~name:"generic-pow"
        ~params:[ ("bits", Json.Int bits) ]
        ~telemetry:(fun r -> ([ ("mismatch", mismatch ref_pow r) ], []))
        (fun () -> Nat.mod_pow ~base:g ~exp:e ~m:p));
-  (* Fixed-base path through the group's window table. *)
-  let fb, fb_s = time (fun () -> Group.pow_g grp2048 e) in
-  ignore
-    (measure ~repeats ~warmup:1 ~name:"fixed-base-pow"
-       ~params:[ ("bits", Json.Int bits) ]
-       ~telemetry:(fun r ->
-         ( [ ("mismatch", mismatch ref_pow r) ],
-           [ ("speedup_vs_ref", ref_s /. fb_s) ] ))
-       (fun () -> Group.pow_g grp2048 e));
-  ignore fb;
-  Printf.printf "fixed-base vs seed generic: %.1fx\n" (ref_s /. fb_s);
+  (* Fixed-base path through the generator's comb table. The speedup
+     divides the two rows' medians over the same number of repeats. *)
+  let fb, fb_wall = sample ~repeats ~warmup:1 (fun () -> Group.pow_g grp2048 e) in
+  let speedup = ref_wall.Bench_result.median_s /. fb_wall.Bench_result.median_s in
+  emit
+    (Bench_result.make_result ~params ~repeats ~warmup:1 ~wall:fb_wall
+       ~counters:[ ("mismatch", mismatch ref_pow fb) ]
+       ~floats:[ ("speedup_vs_ref", speedup) ]
+       "fixed-base-pow");
+  Printf.printf "fixed-base vs seed generic: %.1fx (medians of %d)\n" speedup repeats;
   (* End-to-end: an EN run at N = 100 with real 2048-bit parameters —
      infeasible before the kernel refactor, now a bench row. Sequential
      executor; the deterministic outputs gate the run. A quick run uses
@@ -228,4 +294,5 @@ let run ~quick () =
        "en-ffdhe2048");
   Printf.printf "EN N=%d D=%d k=%d l=%d on ffdhe2048: wall %.1f s, output %d, %.1f MB total\n"
     n d k l wall report.Engine.output
-    (mb (Dstress_mpc.Traffic.total report.Engine.traffic))
+    (mb (Dstress_mpc.Traffic.total report.Engine.traffic));
+  egj_256 ()

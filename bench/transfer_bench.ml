@@ -1,8 +1,8 @@
-(* §5.2/§5.3 message-transfer microbenchmarks: end-to-end latency of a
-   single L-bit transfer for different block sizes, and the per-role
-   traffic breakdown (relay-out node i, senders in B_i, receivers in B_j),
-   validated against the closed-form expectations. Also the strawman
-   ablation of §3.5. *)
+(* §5.2/§5.3 message-transfer microbenchmarks: end-to-end latency and
+   exact Montgomery multiplications of a single L-bit transfer for
+   different block sizes, and the per-role traffic breakdown (relay-out
+   node i, senders in B_i, receivers in B_j), validated against the
+   closed-form expectations. Also the strawman ablation of §3.5. *)
 
 open Bench_util
 module Setup = Dstress_transfer.Setup
@@ -20,13 +20,15 @@ let run_one ~k ~variant =
   let m = Bitvec.of_int ~bits:l 0xABC in
   let shares = Sharing.share (Prg.of_string "bench-msg") ~parties:(k + 1) m in
   let traffic = Traffic.create n in
+  let muls0 = Dstress_bignum.Nat.Mont.muls () in
   let outcome, seconds =
     time (fun () ->
         Protocol.transfer params ~prg:(Prg.of_string "bench-run") ~noise:(Prng.of_int 7)
           ~traffic ~variant ~setup ~sender:0 ~receiver:1 ~neighbor_slot:0 ~shares)
   in
+  let muls = Dstress_bignum.Nat.Mont.muls () - muls0 in
   assert (Bitvec.equal m (Sharing.reconstruct outcome.Protocol.shares));
-  (seconds, traffic)
+  (seconds, traffic, muls)
 
 let latency ~quick () =
   header "Message transfer latency vs block size (§5.2)";
@@ -36,14 +38,15 @@ let latency ~quick () =
   let points =
     List.map
       (fun k ->
-        let seconds, traffic = run_one ~k ~variant:Protocol.Final in
+        let seconds, traffic, muls = run_one ~k ~variant:Protocol.Final in
         emit
           (Bench_result.make_result
              ~params:[ ("block", Json.Int (k + 1)) ]
              ~wall:
                { Bench_result.median_s = seconds; min_s = seconds;
                  p10_s = seconds; p90_s = seconds }
-             ~counters:[ ("traffic.total_bytes", Traffic.total traffic) ]
+             ~counters:
+               [ ("traffic.total_bytes", Traffic.total traffic); ("bignum.mont_muls", muls) ]
              "transfer");
         Printf.printf "%8d %9.1f ms %12d B\n" (k + 1) (seconds *. 1000.0)
           (Traffic.total traffic);
@@ -64,7 +67,7 @@ let traffic_roles ~quick () =
     "receiver member (B)";
   List.iter
     (fun k ->
-      let _, traffic = run_one ~k ~variant:Protocol.Final in
+      let _, traffic, _ = run_one ~k ~variant:Protocol.Final in
       (* Node 0 is the relay-out i; nodes of B_0 send to it; node 1 is j;
          B_1 members receive from 1. Extract roles from the matrix. *)
       let setup = Setup.run (Prg.of_string "bench-transfer") grp ~n:(k + 3) ~k ~degree_bound:2 ~bits:l in
@@ -99,7 +102,7 @@ let strawman_ablation ~quick:_ () =
   Printf.printf "%-12s %12s %14s %s\n" "variant" "latency" "total bytes" "leak";
   List.iter
     (fun (name, variant, leak) ->
-      let seconds, traffic = run_one ~k ~variant in
+      let seconds, traffic, _ = run_one ~k ~variant in
       emit
         (Bench_result.make_result
            ~params:[ ("block", Json.Int (k + 1)) ]
