@@ -58,13 +58,31 @@ for baseline in bench/baselines/BENCH_*.json; do
 done
 
 # Crypto backend smoke: a tiny EN run with real (Crypto-mode) base OTs on
-# the RFC 7919 2048-bit group — the full batched hot path (fixed-base
-# windows, block re-randomization, shared-c1 decryption, OT key exchange)
-# at production parameters. Sized to ~6 session pairs so it stays around
-# a minute.
+# the RFC 7919 2048-bit group — the transfer's whole exponentiation path
+# (the generator's and the certificate keys' comb tables, ephemeral
+# adjustment, shared-c1 decryption through the ephemeral's comb, OT key
+# exchange) at production parameters. Sized to ~6 session pairs so it
+# stays well under a minute.
 echo "== crypto backend smoke (--ot crypto --group ffdhe2048) =="
 dune exec bin/dstress.exe -- stress --core 2 --periphery 1 -i 1 -k 1 \
   --ot crypto --group ffdhe2048 > /dev/null
+
+# Released outputs on the 256-bit group at the egj-256 benchmark's shape
+# are pinned per seed: how exponentiations are computed must never move
+# an output, and no transfer may miss its lookup table.
+echo "== EGJ outputs on the standard group (seeds 1-3) =="
+for pin in 1:5907 2:6384 3:6076; do
+  seed="${pin%%:*}"
+  want="${pin#*:}"
+  out="$(dune exec bin/dstress.exe -- stress --model egj --group standard \
+    --core 3 --periphery 5 -i 5 --preprocess --seed "$seed")"
+  if ! echo "$out" | grep -qx "output: $want" ||
+     ! echo "$out" | grep -q '^transfer failures: 0 '; then
+    echo "ci: EGJ seed $seed: expected output $want with 0 transfer failures" >&2
+    echo "$out" >&2
+    exit 1
+  fi
+done
 
 # Observability smoke: the same faulty run under every executor backend
 # and vertex grouping must export byte-identical trace/metrics files, and
