@@ -14,10 +14,10 @@
    - the span list forms a well-nested tree rooted at a single [run] span;
    - golden report: a small EN run's metrics JSON matches the checked-in
      snapshot. To regenerate after an intentional accounting change, run
-     (from the repo root):
+     (from the repo root; the variable names the golden directory, and
+     this suite writes only en_small_metrics.json there):
 
-       DSTRESS_REGEN_GOLDEN=$PWD/test/golden/en_small_metrics.json \
-         dune exec test/test_obs.exe
+       DSTRESS_REGEN_GOLDEN=$PWD/test/golden dune exec test/test_obs.exe
 
      and commit the updated file;
    - property: on randomized ring and banking topologies the registry
@@ -354,7 +354,8 @@ let test_golden_en_metrics () =
   let r = small_en_run () in
   let current = Obs.metrics_json r.Engine.obs ^ "\n" in
   match Sys.getenv_opt "DSTRESS_REGEN_GOLDEN" with
-  | Some path ->
+  | Some dir ->
+      let path = Filename.concat dir (Filename.basename golden_path) in
       let oc = open_out_bin path in
       output_string oc current;
       close_out oc;

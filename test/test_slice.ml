@@ -199,13 +199,13 @@ let test_eval_many_rejects_mismatches () =
    traffic matrix and the rounds / AND / OT counters. Before anything is
    compared or written, every evaluation's outputs must reconstruct to
    the plaintext result, so a fixture never pins wrong outputs. To
-   regenerate a fixture after an intentional change, run (from the repo
-   root):
+   regenerate the fixtures after an intentional change, run (from the
+   repo root; the variable names the golden directory, and this suite
+   writes only gmw_two_evals.json and gmw_many_evals.json there):
 
-     DSTRESS_REGEN_GOLDEN=$PWD/test/golden/gmw_two_evals.json \
-       dune exec test/test_slice.exe -- test golden
+     DSTRESS_REGEN_GOLDEN=$PWD/test/golden dune exec test/test_slice.exe -- test golden
 
-   (or name gmw_many_evals.json) and commit the updated file. *)
+   and commit the updated files. *)
 
 let golden_path file =
   let local = Filename.concat "golden" file in
@@ -213,7 +213,8 @@ let golden_path file =
 
 let check_golden file current =
   match Sys.getenv_opt "DSTRESS_REGEN_GOLDEN" with
-  | Some path when String.equal (Filename.basename path) file ->
+  | Some dir ->
+      let path = Filename.concat dir file in
       Out_channel.with_open_bin path (fun oc -> output_string oc current);
       Printf.printf "regenerated %s\n" path
   | _ ->

@@ -15,11 +15,13 @@
      merge semantics and the percentile-aware CSV/JSON row shapes;
    - Stats codec: JSON round-trip of a hand-built snapshot plus golden
      files for the JSON document and the Prometheus text exposition. To
-     regenerate after an intentional change, run (from the repo root):
+     regenerate after an intentional change, run (from the repo root; the
+     variable names the golden directory, and this suite writes only
+     stats_snapshot.{json,prom} there):
 
        DSTRESS_REGEN_GOLDEN=$PWD/test/golden dune exec test/test_telemetry.exe
 
-     and commit the updated stats_snapshot.{json,prom};
+     and commit the updated files;
    - pool: end-to-end stats over a live pool (counters, latency
      sketches, worker states, queue gauges), per-request trace IDs on
      every log line, and the slow-request warning;
