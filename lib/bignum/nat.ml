@@ -491,9 +491,7 @@ module Mont = struct
       !muls
     end
 
-  (* Entry point shape: stage [a] (and [b]) in scratch, one multiplication,
-     freeze the result. *)
-  let mul_staged ctx a b =
+  let mul ctx a b =
     let s = take ctx in
     word_blit ctx a s.s_wa;
     word_blit ctx b s.s_wb;
@@ -503,13 +501,11 @@ module Mont = struct
     add_muls 1;
     r
 
-  let mul ctx a b = mul_staged ctx a b
-
   let to_mont ctx x =
     let x = if Array.length x > ctx.k || compare x ctx.m >= 0 then rem x ctx.m else x in
-    mul_staged ctx x ctx.r2w
+    mul ctx x ctx.r2w
 
-  let from_mont ctx x = mul_staged ctx x one
+  let from_mont ctx x = mul ctx x one
 
   let pow ctx base_mont exp =
     let s = take ctx in
@@ -540,8 +536,6 @@ module Mont = struct
            the GC never scans it. *)
   }
 
-  let max_teeth = 16
-
   external get32 : Bytes.t -> int -> int32 = "%caml_bytes_get32u"
   external set32 : Bytes.t -> int -> int32 -> unit = "%caml_bytes_set32u"
 
@@ -559,7 +553,7 @@ module Mont = struct
     done
 
   let comb ctx base_mont ~teeth ~ebits =
-    if teeth < 1 || teeth > max_teeth then
+    if teeth < 1 || teeth > 16 then
       invalid_arg "Nat.Mont.comb: teeth must lie in [1, 16]";
     if ebits < 1 then invalid_arg "Nat.Mont.comb: ebits must be positive";
     let k = ctx.k in
