@@ -19,8 +19,8 @@ let make_tests () =
     Test.make ~name:"modexp-64bit-group" (Staged.stage (fun () -> Group.pow_g grp exponent));
     Test.make ~name:"modexp-256bit-group"
       (Staged.stage (fun () -> Group.pow_g grp_std exponent_std));
-    (* Same base and exponent through the generic square-and-multiply
-       path: the gap is what the fixed-base window table buys. *)
+    (* Same base and exponent through the generic window path: the gap
+       is what the generator's comb table buys. *)
     Test.make ~name:"modexp-256bit-generic"
       (Staged.stage (fun () -> Group.pow grp_std g_std exponent_std));
     Test.make ~name:"exp-elgamal-encrypt"
