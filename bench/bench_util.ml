@@ -29,6 +29,12 @@ let time f =
 
 let mb bytes = float_of_int bytes /. 1048576.0
 
+(* [f ()] and the Montgomery multiplications it did on this domain. *)
+let counting_muls f =
+  let c0 = Dstress_bignum.Nat.Mont.muls () in
+  let r = f () in
+  (r, Dstress_bignum.Nat.Mont.muls () - c0)
+
 let header title =
   Printf.printf "\n=== %s ===\n%!" title
 

@@ -144,12 +144,6 @@ end
 
 let mismatch expected got = if Nat.equal expected got then 0 else 1
 
-(* [f ()] and the Montgomery multiplications it did on this domain. *)
-let counting_muls f =
-  let c0 = Nat.Mont.muls () in
-  let r = f () in
-  (r, Nat.Mont.muls () - c0)
-
 (* One query at the egj-256 benchmark workload's shape, as `dstress
    stress --model egj --group standard --core 3 --periphery 5 -i 5
    --preprocess` runs it for seed 1 (sequential executor): output,

@@ -20,13 +20,12 @@ let run_one ~k ~variant =
   let m = Bitvec.of_int ~bits:l 0xABC in
   let shares = Sharing.share (Prg.of_string "bench-msg") ~parties:(k + 1) m in
   let traffic = Traffic.create n in
-  let muls0 = Dstress_bignum.Nat.Mont.muls () in
-  let outcome, seconds =
-    time (fun () ->
-        Protocol.transfer params ~prg:(Prg.of_string "bench-run") ~noise:(Prng.of_int 7)
-          ~traffic ~variant ~setup ~sender:0 ~receiver:1 ~neighbor_slot:0 ~shares)
+  let (outcome, seconds), muls =
+    counting_muls (fun () ->
+        time (fun () ->
+            Protocol.transfer params ~prg:(Prg.of_string "bench-run") ~noise:(Prng.of_int 7)
+              ~traffic ~variant ~setup ~sender:0 ~receiver:1 ~neighbor_slot:0 ~shares))
   in
-  let muls = Dstress_bignum.Nat.Mont.muls () - muls0 in
   assert (Bitvec.equal m (Sharing.reconstruct outcome.Protocol.shares));
   (seconds, traffic, muls)
 
