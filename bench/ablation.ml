@@ -98,7 +98,9 @@ let twopc ~quick () =
   (* Two-party GMW on the same circuit. *)
   let session = Gmw.create_session grp ~parties:2 ~seed:"2pc-gmw" in
   let shares = Gmw.share_input session inputs in
-  let _, gmw_secs = time (fun () -> ignore (Gmw.eval session circuit ~input_shares:shares)) in
+  let _, gmw_secs =
+    time (fun () -> ignore (Gmw.eval session (Plan.compile circuit) ~input_shares:shares))
+  in
   let gmw_bytes = Traffic.total (Gmw.traffic session) in
   Printf.printf "EN step circuit (D=%d): %d AND gates, depth %d\n\n" d
     (Circuit.and_count circuit) (Circuit.and_depth circuit);

@@ -14,6 +14,7 @@ module Group = Dstress_crypto.Group
 module Ot_ext = Dstress_crypto.Ot_ext
 module Circuit = Dstress_circuit.Circuit
 module Gmw = Dstress_mpc.Gmw
+module Plan = Dstress_mpc.Plan
 module Traffic = Dstress_mpc.Traffic
 module Vertex_program = Dstress_runtime.Vertex_program
 module Obs = Dstress_obs.Obs
@@ -61,6 +62,10 @@ let end_suite () =
    (no open suite) just prints its tables; emission is a no-op. *)
 let emit row =
   match !current with None -> () | Some (_, rows) -> rows := row :: !rows
+
+(* The open suite's rows so far, oldest first: lets a bench print its
+   table from exactly what it emitted. *)
+let suite_rows () = match !current with None -> [] | Some (_, rows) -> List.rev !rows
 
 let collected_doc ~mode = { Bench_result.mode; suites = List.rev !collected }
 
@@ -129,7 +134,9 @@ let run_mpc_circuit ?(seed = "bench") circuit ~block =
   let prng = Prng.of_int (Hashtbl.hash seed) in
   let inputs = Bitvec.random prng circuit.Circuit.num_inputs in
   let input_shares = Gmw.share_input session inputs in
-  let _, sim_seconds = time (fun () -> ignore (Gmw.eval session circuit ~input_shares)) in
+  let _, sim_seconds =
+    time (fun () -> ignore (Gmw.eval session (Plan.compile circuit) ~input_shares))
+  in
   let traffic = Gmw.traffic session in
   {
     block;

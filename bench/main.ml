@@ -18,7 +18,7 @@
 
 let experiments : (string * string * (quick:bool -> unit -> unit)) list =
   [
-    ("micro", "Bechamel microbenchmarks of the crypto primitives", Micro.run);
+    ("micro", "Microbenchmarks of the crypto primitives", Micro.run);
     ("bignum", "2048-bit kernel micro + EN end-to-end on ffdhe2048", Bignum_bench.run);
     ("fig3-left", "Fig 3 (left) + Fig 4: MPC cost vs block size", Fig3.left);
     ("fig3-right", "Fig 3 (right): MPC cost vs D and N", Fig3.right);

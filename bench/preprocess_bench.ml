@@ -54,7 +54,7 @@ let run_config ~quick ~model ~mode ~width =
   in
   let batches = 2 in
   let circuit = circuit_for ~quick model in
-  let plan = Plan.of_circuit circuit in
+  let plan = Plan.compile circuit in
   let tag = Printf.sprintf "%s-%s-w%d" (model_tag model) (mode_tag mode) width in
   let seed i = Printf.sprintf "preprocess-bench:%s:%d" tag i in
   let sessions () =
@@ -67,8 +67,8 @@ let run_config ~quick ~model ~mode ~width =
             Sharing.share dealer ~parties (Prg.bits dealer circuit.Circuit.num_inputs)))
   in
   let eval_batch ss batch =
-    if width = 1 then Array.mapi (fun i s -> Gmw.eval s circuit ~input_shares:batch.(i)) ss
-    else Gmw.eval_many ss circuit ~input_shares:batch
+    if width = 1 then Array.mapi (fun i s -> Gmw.eval s plan ~input_shares:batch.(i)) ss
+    else Gmw.eval_many ss plan ~input_shares:batch
   in
   let combined_sessions = sessions () in
   let combined_out, combined_s =

@@ -33,13 +33,12 @@ let run ~quick () =
         Sharing.share dealer ~parties:block (Prg.bits dealer circuit.Circuit.num_inputs))
   in
   let scalar_sessions = sessions () and sliced_sessions = sessions () in
+  let plan = Plan.compile circuit in
   let scalar, scalar_s =
     time (fun () ->
-        Array.mapi (fun i s -> Gmw.eval s circuit ~input_shares:inputs.(i)) scalar_sessions)
+        Array.mapi (fun i s -> Gmw.eval s plan ~input_shares:inputs.(i)) scalar_sessions)
   in
-  let sliced, sliced_s =
-    time (fun () -> Gmw.eval_many sliced_sessions circuit ~input_shares:inputs)
-  in
+  let sliced, sliced_s = time (fun () -> Gmw.eval_many sliced_sessions plan ~input_shares:inputs) in
   (* The sliced path must be observably indistinguishable per instance. *)
   for i = 0 to count - 1 do
     for party = 0 to block - 1 do

@@ -15,6 +15,20 @@ if grep -rn --include='*.ml' --include='*.mli' 'Marshal\.' lib bin; then
   exit 1
 fi
 
+# A run owns its GMW plans, preprocessed material and base-OT point, so
+# work counts and memory never depend on what ran earlier in the process.
+# No weak memo anywhere in the library, and no process-wide table or lock
+# (a top-level binding) in the layers below the engine.
+echo "== no process-wide cache below the engine =="
+found="$(grep -rn --include='*.ml' --include='*.mli' 'Ephemeron' lib
+  grep -rnE --include='*.ml' '^let [^=]*= *(Mutex|Hashtbl)\.create' \
+    lib/bignum lib/crypto lib/mpc)" || true
+if [ -n "$found" ]; then
+  echo "$found"
+  echo "ci: let the run that needs the state own it" >&2
+  exit 1
+fi
+
 echo "== dune build @check =="
 dune build @check
 

@@ -3,6 +3,7 @@ module Builder = Dstress_circuit.Builder
 module Word = Dstress_circuit.Word
 module Circuit = Dstress_circuit.Circuit
 module Gmw = Dstress_mpc.Gmw
+module Plan = Dstress_mpc.Plan
 module Sharing = Dstress_mpc.Sharing
 module Traffic = Dstress_mpc.Traffic
 
@@ -37,7 +38,7 @@ let measure grp ~parties ~n ~bits ~seed =
   let inputs = Bitvec.random prng (2 * n * n * bits) in
   let input_shares = Gmw.share_input session inputs in
   let t0 = Unix.gettimeofday () in
-  let out_shares = Gmw.eval session c ~input_shares in
+  let out_shares = Gmw.eval session (Plan.compile c) ~input_shares in
   let seconds = Unix.gettimeofday () -. t0 in
   (* Sanity: the protocol result must match plaintext evaluation. *)
   let got = Sharing.reconstruct out_shares in

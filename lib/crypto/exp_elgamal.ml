@@ -4,8 +4,7 @@ type ciphertext = Elgamal.ciphertext = { c1 : Group.elt; c2 : Group.elt }
 
 let keygen = Elgamal.keygen
 
-(* The mod-q encoding of signed plaintexts lives in Group.pow_g_int, which
-   also memoizes the resulting powers. *)
+(* The mod-q encoding of signed plaintexts lives in Group.pow_g_int. *)
 let g_to_the grp v = Group.pow_g_int grp v
 
 let encrypt prg grp h v = Elgamal.encrypt prg grp h (g_to_the grp v)

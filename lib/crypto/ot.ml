@@ -5,42 +5,21 @@ let xor_bytes a b =
   Bytes.init (Bytes.length a) (fun i ->
       Char.chr (Char.code (Bytes.get a i) lxor Char.code (Bytes.get b i)))
 
-(* random_point is a pure function of (p, tag), and every base OT of a run
-   asks for the same tag — memoize it rather than re-hashing ~p bits of
-   digest output per OT. *)
-let point_cache : (Nat.t * string, Nat.t) Hashtbl.t = Hashtbl.create 8
-let point_lock = Mutex.create ()
-
 let random_point grp tag =
   (* Hash the tag into Z_p and square to land in the order-q subgroup of a
      safe-prime group. Retry (by extending the tag) until nonzero. *)
   let p = Group.p grp in
-  let key = (p, tag) in
-  let cached =
-    Mutex.lock point_lock;
-    let r = Hashtbl.find_opt point_cache key in
-    Mutex.unlock point_lock;
-    r
+  let rec go tag =
+    let raw = ref (Bytes.of_string "") in
+    while 8 * Bytes.length !raw < Nat.num_bits p + 64 do
+      let i = Bytes.length !raw / 32 in
+      raw := Bytes.cat !raw (Sha256.digest (Bytes.of_string (tag ^ ":" ^ string_of_int i)))
+    done;
+    let candidate = Nat.rem (Nat.of_bytes_be !raw) p in
+    if Nat.is_zero candidate || Nat.is_one candidate then go (tag ^ "#")
+    else Group.mul grp candidate candidate
   in
-  match cached with
-  | Some pt -> pt
-  | None ->
-      let rec go tag =
-        let raw = ref (Bytes.of_string "") in
-        while 8 * Bytes.length !raw < Nat.num_bits p + 64 do
-          let i = Bytes.length !raw / 32 in
-          raw := Bytes.cat !raw (Sha256.digest (Bytes.of_string (tag ^ ":" ^ string_of_int i)))
-        done;
-        let candidate = Nat.rem (Nat.of_bytes_be !raw) p in
-        if Nat.is_zero candidate || Nat.is_one candidate then go (tag ^ "#")
-        else Group.mul grp candidate candidate
-      in
-      let pt = go tag in
-      Mutex.lock point_lock;
-      if Hashtbl.length point_cache > 64 then Hashtbl.reset point_cache;
-      Hashtbl.replace point_cache key pt;
-      Mutex.unlock point_lock;
-      pt
+  go tag
 
 (* Key-derivation for the hashed-ElGamal KEM: expand H(kem || index) to the
    message length. *)
@@ -48,10 +27,9 @@ let kem_pad kem idx len =
   let seed = Sha256.digest (Bytes.cat (Nat.to_bytes_be kem) (Bytes.make 1 (Char.chr idx))) in
   Prg.bytes (Prg.create seed) len
 
-let base_ot grp meter ~sender_prg ~receiver_prg ~m0 ~m1 ~choice =
+let base_ot grp meter ~point:c ~sender_prg ~receiver_prg ~m0 ~m1 ~choice =
   let len = Bytes.length m0 in
   if Bytes.length m1 <> len then invalid_arg "Ot.base_ot: message length mismatch";
-  let c = random_point grp "dstress-base-ot" in
   let ebytes = Group.element_bytes grp in
   (* Receiver: one real key pair; the other public key is forced to
      C / pk, whose secret key the receiver cannot know. *)
@@ -74,7 +52,9 @@ let base_ot grp meter ~sender_prg ~receiver_prg ~m0 ~m1 ~choice =
   let kem = Group.pow grp eph x in
   xor_bytes body (kem_pad kem (if choice then 1 else 0) len)
 
-let base_ot_bit grp meter ~sender_prg ~receiver_prg ~b0 ~b1 ~choice =
+let base_ot_bit grp meter ~point ~sender_prg ~receiver_prg ~b0 ~b1 ~choice =
   let enc b = Bytes.make 1 (if b then '\x01' else '\x00') in
-  let out = base_ot grp meter ~sender_prg ~receiver_prg ~m0:(enc b0) ~m1:(enc b1) ~choice in
+  let out =
+    base_ot grp meter ~point ~sender_prg ~receiver_prg ~m0:(enc b0) ~m1:(enc b1) ~choice
+  in
   Bytes.get out 0 = '\x01'

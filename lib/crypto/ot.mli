@@ -13,24 +13,30 @@
 
 val random_point : Group.t -> string -> Group.elt
 (** Hash-to-group: a nothing-up-my-sleeve subgroup element whose discrete
-    log is unknown to everyone (derived by hashing [tag] and squaring). *)
+    log is unknown to everyone (derived by hashing [tag] and squaring).
+    Nothing is memoized: a caller running many base OTs derives the point
+    once and passes it to each. *)
 
 val base_ot :
   Group.t ->
   Xfer.t ->
+  point:Group.elt ->
   sender_prg:Prg.t ->
   receiver_prg:Prg.t ->
   m0:bytes ->
   m1:bytes ->
   choice:bool ->
   bytes
-(** [base_ot grp meter ~sender_prg ~receiver_prg ~m0 ~m1 ~choice] returns
-    [m_choice]. [m0] and [m1] must have equal length.
-    Raises [Invalid_argument] otherwise. *)
+(** [base_ot grp meter ~point ~sender_prg ~receiver_prg ~m0 ~m1 ~choice]
+    returns [m_choice]. [point] is the common element of unknown discrete
+    log ({!random_point}) that pins the receiver's second public key.
+    [m0] and [m1] must have equal length. Raises [Invalid_argument]
+    otherwise. *)
 
 val base_ot_bit :
   Group.t ->
   Xfer.t ->
+  point:Group.elt ->
   sender_prg:Prg.t ->
   receiver_prg:Prg.t ->
   b0:bool ->

@@ -34,6 +34,7 @@ let setup ?(mode = Crypto) grp meter ~sender_prg ~receiver_prg =
       { iknp = None; index = 0 }
   | Crypto ->
       let s = Array.init kappa (fun _ -> Prg.bool sender_prg) in
+      let point = Ot.random_point grp "dstress-base-ot" in
       let seeds =
         Array.init kappa (fun i ->
             (* Roles reverse in the base phase: the extension receiver owns
@@ -45,8 +46,8 @@ let setup ?(mode = Crypto) grp meter ~sender_prg ~receiver_prg =
             let k1 = Prg.bytes receiver_prg seed_bytes in
             let sub = Xfer.create () in
             let chosen =
-              Ot.base_ot grp sub ~sender_prg:receiver_prg ~receiver_prg:sender_prg ~m0:k0
-                ~m1:k1 ~choice:s.(i)
+              Ot.base_ot grp sub ~point ~sender_prg:receiver_prg ~receiver_prg:sender_prg
+                ~m0:k0 ~m1:k1 ~choice:s.(i)
             in
             Xfer.add_b_to_a meter (Xfer.a_to_b sub);
             Xfer.add_a_to_b meter (Xfer.b_to_a sub);
@@ -210,17 +211,3 @@ let extend_words session meter ~width ~pairs ~choices =
   end
 
 let ots_performed session = session.index
-
-(* Deep snapshot: the column PRGs and the OT counter are the only mutable
-   state, so copying them makes the two sessions fully independent while
-   sharing the immutable correlation string. *)
-let copy_session session =
-  let copy_iknp k =
-    {
-      k with
-      sender_cols = Array.map Prg.copy k.sender_cols;
-      recv_cols0 = Array.map Prg.copy k.recv_cols0;
-      recv_cols1 = Array.map Prg.copy k.recv_cols1;
-    }
-  in
-  { iknp = Option.map copy_iknp session.iknp; index = session.index }

@@ -35,8 +35,9 @@ type session
 
 val setup :
   ?mode:mode -> Group.t -> Xfer.t -> sender_prg:Prg.t -> receiver_prg:Prg.t -> session
-(** Runs the [kappa] base OTs (with reversed roles, per IKNP) and installs
-    the column PRGs. In [Simulation] it draws nothing: it moves
+(** Runs the [kappa] base OTs (with reversed roles, per IKNP), all
+    against one common point ({!Ot.random_point}) derived once per call,
+    and installs the column PRGs. In [Simulation] it draws nothing: it moves
     [sender_prg] forward by [kappa] bytes and [receiver_prg] by
     [2 * kappa * 16] bytes, and meters the base-OT bytes. Default mode is
     [Crypto]. *)
@@ -74,10 +75,3 @@ val extend_words :
 
 val ots_performed : session -> int
 (** Total OTs served so far (diagnostics). *)
-
-val copy_session : session -> session
-(** Independent deep snapshot: the column PRGs (Crypto only) and the OT
-    counter are copied, so extending the copy does not disturb the
-    original. The GMW offline phase uses this to hand pre-generated
-    correlated randomness to a live session without aliasing the
-    generator's state. *)

@@ -6,7 +6,7 @@ module Circuit = Dstress_circuit.Circuit
 
 (* Attached offline material and a cursor counting evaluations already
    served from it. The cursor also advances on inline evaluations of the
-   matching circuit, so entry [k] always corresponds to evaluation [k]. *)
+   matching plan, so entry [k] always corresponds to evaluation [k]. *)
 type preload = { mat : Triple.material; mutable next : int }
 
 type session = {
@@ -104,9 +104,8 @@ let generate_material ?mode grp ~parties ~seed ~evals plan =
         { Triple.masks; post_prgs = Array.map Prg.copy s.prgs })
   in
   {
-    Triple.digest = Plan.digest plan;
+    Triple.plan;
     parties;
-    seed;
     ot_mode = s.mode;
     evals = eval_mats;
     ot = s.ot;
@@ -123,11 +122,9 @@ let attach_material s (mat : Triple.material) =
     s.ot;
   if mat.Triple.parties <> s.n then invalid_arg "Gmw.attach_material: party count mismatch";
   if mat.Triple.ot_mode <> s.mode then invalid_arg "Gmw.attach_material: OT mode mismatch";
-  for i = 0 to s.n - 1 do
-    for j = 0 to s.n - 1 do
-      s.ot.(i).(j) <- Option.map Ot_ext.copy_session mat.Triple.ot.(i).(j)
-    done
-  done;
+  (* The material serves this session alone, so its OT sessions are
+     taken over, not copied. *)
+  Array.iteri (fun i row -> Array.blit row 0 s.ot.(i) 0 s.n) mat.Triple.ot;
   (* Inline, base-OT setup traffic is charged lazily during the first
      evaluation; nothing reads the matrix between attach and then, so
      charging it here is observationally the same. *)
@@ -140,16 +137,17 @@ let material_remaining s =
   | Some c -> max 0 (Array.length c.mat.Triple.evals - c.next)
 
 (* Claim this evaluation's slot in the attached material. Returns the
-   pre-drawn entry when one is left; on a digest mismatch the material is
-   dropped entirely (its PRG snapshots assume the session evaluates only
-   the matching circuit); once exhausted the cursor keeps advancing and
-   evaluation falls back to inline draws — correct automatically, because
-   the restored snapshots equal the pure-inline PRG states. *)
+   pre-drawn entry when one is left; evaluating any plan other than the
+   one the material was drawn for drops it entirely (its PRG snapshots
+   assume the session evaluates only that plan); once exhausted the
+   cursor keeps advancing and evaluation falls back to inline draws —
+   correct automatically, because the restored snapshots equal the
+   pure-inline PRG states. *)
 let take_pre s plan =
   match s.pre with
   | None -> None
   | Some c ->
-      if not (String.equal c.mat.Triple.digest (Plan.digest plan)) then begin
+      if c.mat.Triple.plan != plan then begin
         s.pre <- None;
         None
       end
@@ -327,20 +325,20 @@ let eval_sliced plan sessions input_shares =
           Bitvec.init (Array.length outputs) (fun o ->
               Int64.logand (Int64.shift_right_logical (word vals.(p) outputs.(o)) sl) 1L = 1L)))
 
-let check_shares ~parties circuit shares =
+let check_shares ~parties plan shares =
   if Array.length shares <> parties then
     invalid_arg "Gmw.eval: need one input share vector per party";
   Array.iter
     (fun v ->
-      if Bitvec.length v <> circuit.Circuit.num_inputs then
+      if Bitvec.length v <> (Plan.circuit plan).Circuit.num_inputs then
         invalid_arg "Gmw.eval: input share length mismatch")
     shares
 
-let eval s circuit ~input_shares =
-  check_shares ~parties:s.n circuit input_shares;
-  (eval_sliced (Plan.of_circuit circuit) [| s |] [| input_shares |]).(0)
+let eval s plan ~input_shares =
+  check_shares ~parties:s.n plan input_shares;
+  (eval_sliced plan [| s |] [| input_shares |]).(0)
 
-let eval_many sessions circuit ~input_shares =
+let eval_many sessions plan ~input_shares =
   let count = Array.length sessions in
   if Array.length input_shares <> count then
     invalid_arg "Gmw.eval_many: need one input-share set per session";
@@ -352,8 +350,7 @@ let eval_many sessions circuit ~input_shares =
         if s.n <> n || s.mode <> mode then
           invalid_arg "Gmw.eval_many: sessions must agree on party count and OT mode")
       sessions;
-    Array.iter (check_shares ~parties:n circuit) input_shares;
-    let plan = Plan.of_circuit circuit in
+    Array.iter (check_shares ~parties:n plan) input_shares;
     let out = Array.make count [||] in
     let pos = ref 0 in
     while !pos < count do

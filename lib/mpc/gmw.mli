@@ -42,10 +42,12 @@ val share_input : session -> Dstress_util.Bitvec.t -> Dstress_util.Bitvec.t arra
 
 val eval :
   session ->
-  Dstress_circuit.Circuit.t ->
+  Plan.t ->
   input_shares:Dstress_util.Bitvec.t array ->
   Dstress_util.Bitvec.t array
-(** [eval s c ~input_shares] runs the protocol. [input_shares] has one
+(** [eval s plan ~input_shares] runs the protocol on the plan's circuit
+    [c] ({!Plan.compile}; compile a circuit once and pass its plan to
+    every evaluation). [input_shares] has one
     vector of length [c.num_inputs] per party; the result has one vector of
     length [Array.length c.outputs] per party, XOR-sharing the outputs
     (outputs are *not* revealed — DStress keeps them shared, §3.6).
@@ -66,13 +68,13 @@ val lanes : int
 
 val eval_many :
   session array ->
-  Dstress_circuit.Circuit.t ->
+  Plan.t ->
   input_shares:Dstress_util.Bitvec.t array array ->
   Dstress_util.Bitvec.t array array
-(** Bitsliced evaluation of the same circuit across many independent
-    sessions (protocol instances): [eval_many sessions c ~input_shares]
+(** Bitsliced evaluation of the same plan across many independent
+    sessions (protocol instances): [eval_many sessions plan ~input_shares]
     is observably identical to
-    [Array.mapi (fun i s -> eval s c ~input_shares:input_shares.(i)) sessions]
+    [Array.mapi (fun i s -> eval s plan ~input_shares:input_shares.(i)) sessions]
     — same output shares, same per-session traffic matrices, same
     rounds/AND/OT counters, same PRG states afterwards — but packs up to
     {!lanes} instances into each 64-bit wire word (one lane per instance),
@@ -95,23 +97,25 @@ val generate_material :
     randomness that [evals] evaluations of the plan's circuit will
     consume — the lazy per-pair OT-extension setup and every Beaver-style
     mask bit, in the online draw order — plus per-party PRG snapshots
-    after each evaluation. The result is input-independent and can be
-    cached ({!Triple.Cache}), shipped across processes, and attached to
-    any number of fresh sessions. *)
+    after each evaluation. The result is input-independent, bound to
+    [plan] and attached to one fresh session. *)
 
 val attach_material : session -> Triple.material -> unit
 (** [attach_material s mat] installs offline material into a fresh
-    session: deep-copies of the pre-set-up OT sessions, the base-OT setup
+    session: the pre-set-up OT sessions, which [s] takes over (so a
+    material serves one session), the base-OT setup
     traffic (charged here instead of lazily during the first evaluation —
     indistinguishable to any caller that reads traffic after an
     evaluation), and the mask store. Subsequent {!eval}/{!eval_many}
-    calls on the matching circuit consume one pre-drawn entry each and
+    calls on the material's plan consume one pre-drawn entry each and
     skip every online PRG and OT invocation, remaining bit-identical —
     output shares, traffic, counters, PRG states — to inline generation;
     once the material is exhausted, evaluation falls back to inline draws
     and continuity of the PRG streams keeps the equivalence exact.
-    Evaluating a {e different} circuit drops the material (the snapshots
-    would no longer line up) and continues inline.
+    Evaluating any other plan drops the material (the snapshots would
+    no longer line up) and continues inline; plans match by physical
+    identity, so a separately compiled copy of the same circuit is
+    another plan.
 
     The session must be fresh — same [parties], [seed]-compatible PRG
     states (unevaluated), same OT [mode], no established OT sessions.

@@ -14,9 +14,9 @@
     same sizes) the sweep produced, which is what keeps PRG draws, OT
     counts and metered traffic bit-identical to the historical evaluator.
 
-    Plans are memoized per circuit (physical identity, thread-safe), so
-    concurrent evaluations of the same circuit from a domain pool compile
-    it once. A memoized plan lives exactly as long as its circuit. *)
+    The caller compiles and owns its plans: the engine compiles each
+    circuit it evaluates once per run and passes the plan to every
+    evaluation. A plan is immutable, so domains may share it. *)
 
 type op =
   | Load_input of { dst : int; input : int }
@@ -40,12 +40,9 @@ type level = {
 
 type t
 
-val of_circuit : Dstress_circuit.Circuit.t -> t
-(** Memoized compilation, keyed weakly on the circuit's physical identity:
-    the memo never keeps a dropped circuit's plan alive. *)
-
 val compile : Dstress_circuit.Circuit.t -> t
-(** Uncached compilation; exposed for tests. *)
+(** Partition the circuit into its AND levels, in one pass over its
+    gates. *)
 
 val circuit : t -> Dstress_circuit.Circuit.t
 val num_wires : t -> int
@@ -58,22 +55,3 @@ val and_count : t -> int
 
 val prologue : t -> op array
 val levels : t -> level array
-
-val digest : t -> string
-(** Structural hash (hex SHA-256) of the plan's circuit — gate list,
-    input count and output wires. Two structurally equal circuits share
-    a digest. It is structural, not physical identity, because every run
-    rebuilds its circuits: a cached material drawn for an earlier run's
-    circuit must still match the equal circuit the next run builds.
-
-    {!compile} does not hash: the digest is computed on the first call and
-    cached in the plan. Only preprocessing reads it (the engine's offline
-    phase, {!Gmw.generate_material}, and evaluations of a session holding
-    attached material), so plans evaluated inline never pay for it. The
-    first read may race across domains on a shared plan; every racer gets
-    the same string. *)
-
-val compilations : unit -> int
-(** Process-wide count of {!compile} runs (including those triggered by
-    {!of_circuit} misses) — lets tests assert that memoization served a
-    repeated circuit without recompiling. *)

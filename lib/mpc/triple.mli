@@ -12,9 +12,9 @@
     counters, same per-party PRG states — to a session that generated
     inline.
 
-    Material is cached in memory, per process and thread-safe, so a
-    repeated request (same circuit, parties, seed and mode) reuses it.
-    It is never written out: a fresh process generates again. *)
+    A material belongs to the run that drew it: it is bound to one
+    compiled {!Plan.t} and serves one session. Nothing is cached across
+    runs. *)
 
 type eval = {
   masks : bytes array array;
@@ -30,63 +30,31 @@ type eval = {
 (** Pre-drawn randomness for one full circuit evaluation. *)
 
 type material = {
-  digest : string;  (** {!Plan.digest} of the circuit it was drawn for. *)
+  plan : Plan.t;
+      (** The plan it was drawn for, matched by physical identity: any
+          other plan, even a structurally equal one, drops the material. *)
   parties : int;
-  seed : string;  (** Session seed the draws were replayed from. *)
   ot_mode : Dstress_crypto.Ot_ext.mode;
   evals : eval array;
   ot : Dstress_crypto.Ot_ext.session option array array;
-      (** Post-setup OT-extension sessions, [.(sender).(receiver)];
-          deep-copied on attach so one cached value serves many
-          sessions. *)
+      (** Post-setup OT-extension sessions, [.(sender).(receiver)]; the
+          session the material is attached to takes them over. *)
   setup_traffic : Traffic.t;
       (** Base-OT setup traffic, charged to the online session at attach
           time (inline it would be charged lazily during the first
           evaluation — indistinguishable to any observer that reads
           traffic after an evaluation). *)
 }
-(** The full offline product for one (circuit, parties, seed, mode) key. *)
+(** The full offline product for one session's evaluations of one plan. *)
 
 val evals_available : material -> int
 
-val key :
-  digest:string ->
-  parties:int ->
-  seed:string ->
-  mode:Dstress_crypto.Ot_ext.mode ->
-  string
-(** Canonical cache-key string for a material request. Scalar and sliced
-    evaluation consume identical draw sequences, so one material serves
-    every vertex grouping. *)
-
+(** Holds nothing: [clear] is a no-op kept only because perfbench still
+    calls [Cache.clear Cache.shared] after each solo query. ROADMAP item
+    10 drops that call, then this module. *)
 module Cache : sig
   type t
 
-  val create : unit -> t
-
   val shared : t
-  (** Process-wide instance used by the runtime engine. *)
-
-  val find_or_generate :
-    t ->
-    digest:string ->
-    parties:int ->
-    seed:string ->
-    mode:Dstress_crypto.Ot_ext.mode ->
-    evals:int ->
-    generate:(evals:int -> material) ->
-    material
-  (** Memory hit, else [generate]. The returned material has at least
-      [evals] evaluations. The internal mutex is held across [generate],
-      so concurrent requests for one key trigger exactly one generation.
-      Memory keeps the 64 most recently added keys: a new key beyond
-      that evicts the oldest, whose next request generates again. *)
-
-  val generations : t -> int
-  (** How many times [generate] ran (cache-miss count). *)
-
-  val hits : t -> int
-
   val clear : t -> unit
-  (** Drop all entries and reset counters (tests). *)
 end

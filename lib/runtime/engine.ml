@@ -8,7 +8,6 @@ module Traffic = Dstress_mpc.Traffic
 module Sharing = Dstress_mpc.Sharing
 module Gmw = Dstress_mpc.Gmw
 module Plan = Dstress_mpc.Plan
-module Triple = Dstress_mpc.Triple
 module Setup = Dstress_transfer.Setup
 module Protocol = Dstress_transfer.Protocol
 module Noise_circuit = Dstress_dp.Noise_circuit
@@ -190,48 +189,37 @@ let run cfg p ~graph ~initial_states =
   in
   let params = { Protocol.alpha = cfg.transfer_alpha; table } in
   let update_c = Vertex_program.update_circuit p ~degree:d in
+  (* Every circuit is compiled once per run; the plan is passed to every
+     evaluation and to the offline phase, so no plan outlives the run. *)
+  let update_plan = Plan.compile update_c in
   let blocks =
     Array.init n (fun i ->
         Block.create ~ot_mode:cfg.ot_mode ~grp:cfg.grp ~seed ~kp1 ~degree:d ~state_bits:sb
           ~message_bits:l ~vertex:i ~members:(Setup.block_of setup i))
   in
   (* --- Offline preprocessing ------------------------------------ *)
-  (* Pre-generate (or take from the triple cache) every block session's
-     correlated randomness for the whole run — iterations + 1 update-
-     circuit evaluations per block — and attach it, so the timed online
-     rounds consume pre-drawn material instead of running the PRG/OT
-     machinery inline. Runs sequentially, before any task batch. Metrics
-     go to a separate wall-domain registry (never the tick-domain [obs]):
-     a run must export byte-identical traces and metrics with and without
-     preprocessing. *)
+  (* Generate every block session's correlated randomness for the whole
+     run — iterations + 1 update-plan evaluations per block — and attach
+     it, so the timed online rounds consume pre-drawn material instead of
+     running the PRG/OT machinery inline. Runs sequentially, before any
+     task batch. Metrics go to a separate wall-domain registry (never the
+     tick-domain [obs]): a run must export byte-identical traces and
+     metrics with and without preprocessing. *)
   let offline_metrics =
     if not cfg.preprocess then None
     else begin
       let m = Obs.Metrics.create () in
       let t0 = Unix.gettimeofday () in
-      let cache = Triple.Cache.shared in
-      let g0 = Triple.Cache.generations cache in
-      let h0 = Triple.Cache.hits cache in
-      let plan = Plan.of_circuit update_c in
-      let digest = Plan.digest plan in
       let evals = p.Vertex_program.iterations + 1 in
       Array.iter
         (fun b ->
-          let bseed = Block.session_seed ~seed ~vertex:b.Block.vertex in
-          let mat =
-            Triple.Cache.find_or_generate cache ~digest ~parties:kp1 ~seed:bseed
-              ~mode:cfg.ot_mode ~evals
-              ~generate:(fun ~evals ->
-                Gmw.generate_material ~mode:cfg.ot_mode cfg.grp ~parties:kp1 ~seed:bseed
-                  ~evals plan)
-          in
-          Gmw.attach_material b.Block.session mat)
+          Gmw.attach_material b.Block.session
+            (Gmw.generate_material ~mode:cfg.ot_mode cfg.grp ~parties:kp1
+               ~seed:(Block.session_seed ~seed ~vertex:b.Block.vertex)
+               ~evals update_plan))
         blocks;
       Obs.Metrics.incr m ~by:n "preprocess.sessions";
       Obs.Metrics.incr m ~by:(n * evals) "preprocess.evals";
-      Obs.Metrics.incr m ~by:(Triple.Cache.generations cache - g0)
-        "preprocess.cache.generations";
-      Obs.Metrics.incr m ~by:(Triple.Cache.hits cache - h0) "preprocess.cache.hits";
       Obs.Metrics.set m "preprocess.wall_s" (Unix.gettimeofday () -. t0);
       Some m
     end
@@ -335,7 +323,7 @@ let run cfg p ~graph ~initial_states =
         in
         let sessions = Array.init len (fun o -> blocks.(lo + o).Block.session) in
         let inputs = Array.init len (fun o -> Block.gather_inputs blocks.(lo + o)) in
-        let outs = Gmw.eval_many sessions update_c ~input_shares:inputs in
+        let outs = Gmw.eval_many sessions update_plan ~input_shares:inputs in
         Array.iteri
           (fun o out ->
             let b = blocks.(lo + o) in
@@ -426,7 +414,7 @@ let run cfg p ~graph ~initial_states =
         ~seed:(Printf.sprintf "%s:agg:%s" seed label)
     in
     agg_sessions := session :: !agg_sessions;
-    let out = Gmw.eval session circuit ~input_shares in
+    let out = Gmw.eval session (Plan.compile circuit) ~input_shares in
     merge_session_traffic global session members;
     (session, out)
   in
@@ -498,7 +486,10 @@ let run cfg p ~graph ~initial_states =
               Gmw.create_session ~mode:cfg.ot_mode cfg.grp ~parties:kp1
                 ~seed:(Printf.sprintf "%s:agg:leaf:%d" seed gi)
             in
-            let out = Gmw.eval session circuit ~input_shares:(concat_inputs reshared empty_extra) in
+            let out =
+              Gmw.eval session (Plan.compile circuit)
+                ~input_shares:(concat_inputs reshared empty_extra)
+            in
             merge_session_traffic traffic session leaf_members;
             { Phase.traffic; payload = (session, leaf_members, out) })
           ~merge:(fun gi (session, leaf_members, out) ->
@@ -628,10 +619,8 @@ let pp_report ppf r =
   (match r.offline_metrics with
   | Some m ->
       let c = Obs.Metrics.counter m in
-      Format.fprintf ppf
-        "offline: %d session(s) preprocessed, %d eval(s) (%d generated, %d cached) in %.3f s@,"
-        (c "preprocess.sessions") (c "preprocess.evals") (c "preprocess.cache.generations")
-        (c "preprocess.cache.hits")
+      Format.fprintf ppf "offline: %d session(s) preprocessed, %d eval(s) in %.3f s@,"
+        (c "preprocess.sessions") (c "preprocess.evals")
         (Obs.Metrics.sum m "preprocess.wall_s")
   | None -> ());
   Format.fprintf ppf "total traffic: %.3f MB (mean %.3f MB/node)@]"

@@ -88,11 +88,11 @@ type config = {
           per-transfer-attempt spans, and per-node traffic gauges) *)
   preprocess : bool;
       (** run the offline phase: before the timed online rounds, generate
-          (or fetch from the triple cache) each block session's correlated
-          randomness for the whole run — [iterations + 1] update-circuit
-          evaluations per block ({!Dstress_mpc.Gmw.generate_material}) —
-          and attach it, so the online critical path consumes pre-drawn
-          material. The run's outputs, traffic, counters and tick-domain
+          each block session's correlated randomness for the whole run —
+          [iterations + 1] evaluations per block of the run's one compiled
+          update plan ({!Dstress_mpc.Gmw.generate_material}) — and attach
+          it, so the online critical path consumes pre-drawn material.
+          Nothing outlives the run: the next run generates again. The run's outputs, traffic, counters and tick-domain
           observability exports are bit-identical with or without
           preprocessing, on every executor; only wall-clock shifts from
           the online phases to the offline one (reported in
@@ -155,9 +155,8 @@ type report = {
           {!Dstress_obs.Obs} exporters *)
   offline_metrics : Dstress_obs.Obs.Metrics.t option;
       (** wall-domain offline-phase counters when [config.preprocess] was
-          set: [preprocess.sessions] / [preprocess.evals] (work attached),
-          [preprocess.cache.generations] / [.hits] (where it came
-          from) and the [preprocess.wall_s] gauge. Deliberately
+          set: [preprocess.sessions] / [preprocess.evals] (material
+          generated and attached) and the [preprocess.wall_s] gauge. Deliberately
           separate from [obs]: a run's tick-domain exports are
           byte-identical with and without preprocessing. *)
 }

@@ -32,9 +32,9 @@
     byte-identical to a solo run of the same seeded config — whichever
     worker serves it, whatever else the daemon is doing, and under every
     in-worker executor (the executor invariance is already proven for
-    the engine). Warm state carried across requests ({!Dstress_mpc}'s
-    [Triple.Cache], keyed by plan digest/parties/seed/OT mode) only moves
-    wall-clock, never ticks. *)
+    the engine). A worker carries no protocol state from one request to
+    the next: each engine run compiles its own GMW plans and generates
+    its own preprocessed material. *)
 
 type workload = En | Egj
 

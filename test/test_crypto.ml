@@ -529,13 +529,16 @@ let test_table_lookup_hit_and_miss () =
 (* Base OT                                                             *)
 (* ------------------------------------------------------------------ *)
 
+(* The common point every base OT of one setup shares. *)
+let point = Ot.random_point grp "test-base-ot"
+
 let test_base_ot_all_cases () =
   let t = prg "ot" in
   List.iter
     (fun (b0, b1, choice) ->
       let meter = Xfer.create () in
       let got =
-        Ot.base_ot_bit grp meter ~sender_prg:t ~receiver_prg:t ~b0 ~b1 ~choice
+        Ot.base_ot_bit grp meter ~point ~sender_prg:t ~receiver_prg:t ~b0 ~b1 ~choice
       in
       Alcotest.(check bool) "selected" (if choice then b1 else b0) got)
     [
@@ -551,7 +554,7 @@ let test_base_ot_bytes () =
     let m0 = Prg.bytes t 16 and m1 = Prg.bytes t 16 in
     let choice = Prg.bool t in
     let meter = Xfer.create () in
-    let got = Ot.base_ot grp meter ~sender_prg:t ~receiver_prg:t ~m0 ~m1 ~choice in
+    let got = Ot.base_ot grp meter ~point ~sender_prg:t ~receiver_prg:t ~m0 ~m1 ~choice in
     Alcotest.(check bytes) "chosen message" (if choice then m1 else m0) got;
     Alcotest.(check bool) "traffic metered" true (Xfer.total meter > 0)
   done
@@ -561,14 +564,16 @@ let test_base_ot_length_mismatch () =
   Alcotest.check_raises "mismatch"
     (Invalid_argument "Ot.base_ot: message length mismatch") (fun () ->
       ignore
-        (Ot.base_ot grp (Xfer.create ()) ~sender_prg:t ~receiver_prg:t
+        (Ot.base_ot grp (Xfer.create ()) ~point ~sender_prg:t ~receiver_prg:t
            ~m0:(Bytes.create 4) ~m1:(Bytes.create 5) ~choice:false))
 
 let test_random_point_is_element () =
   let c = Ot.random_point grp "tag-a" in
   Alcotest.(check bool) "in subgroup" true (Group.is_element grp c);
   let c' = Ot.random_point grp "tag-b" in
-  Alcotest.(check bool) "tag-dependent" false (Group.elt_equal c c')
+  Alcotest.(check bool) "tag-dependent" false (Group.elt_equal c c');
+  Alcotest.(check bool) "a function of the tag" true
+    (Group.elt_equal c (Ot.random_point grp "tag-a"))
 
 (* ------------------------------------------------------------------ *)
 (* OT extension                                                        *)

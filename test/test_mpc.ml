@@ -111,7 +111,7 @@ let test_traffic_external_row () =
 let gmw_matches_plaintext ?(mode = Dstress_crypto.Ot_ext.Simulation) ~parties circuit inputs =
   let session = Gmw.create_session ~mode grp ~parties ~seed:"match" in
   let input_shares = Gmw.share_input session inputs in
-  let out_shares = Gmw.eval session circuit ~input_shares in
+  let out_shares = Gmw.eval session (Plan.compile circuit) ~input_shares in
   let got = Sharing.reconstruct out_shares in
   let expected =
     Circuit.eval circuit (Array.of_list (Bitvec.to_bool_list inputs)) |> Array.to_list
@@ -193,14 +193,14 @@ let test_gmw_rounds_equal_depth () =
   let c = adder_circuit 8 in
   let session = Gmw.create_session ~mode:Dstress_crypto.Ot_ext.Simulation grp ~parties:3 ~seed:"depth" in
   let input_shares = Gmw.share_input session (Bitvec.of_int ~bits:16 0xBEEF) in
-  ignore (Gmw.eval session c ~input_shares);
+  ignore (Gmw.eval session (Plan.compile c) ~input_shares);
   Alcotest.(check int) "rounds = AND depth" (Circuit.and_depth c) (Gmw.rounds session)
 
 let test_gmw_and_count_accounting () =
   let c = adder_circuit 8 in
   let session = Gmw.create_session ~mode:Dstress_crypto.Ot_ext.Simulation grp ~parties:4 ~seed:"acct" in
   let input_shares = Gmw.share_input session (Bitvec.of_int ~bits:16 0x1234) in
-  ignore (Gmw.eval session c ~input_shares);
+  ignore (Gmw.eval session (Plan.compile c) ~input_shares);
   Alcotest.(check int) "and gates" (Circuit.and_count c) (Gmw.and_gates_evaluated session);
   (* Every AND gate needs one OT per ordered pair: n(n-1). *)
   Alcotest.(check int) "ots" (Circuit.and_count c * 4 * 3) (Gmw.ots_performed session)
@@ -210,7 +210,7 @@ let test_gmw_traffic_scales_with_parties () =
   let run parties =
     let session = Gmw.create_session ~mode:Dstress_crypto.Ot_ext.Simulation grp ~parties ~seed:"scale" in
     let input_shares = Gmw.share_input session (Bitvec.of_int ~bits:16 0xCAFE) in
-    ignore (Gmw.eval session c ~input_shares);
+    ignore (Gmw.eval session (Plan.compile c) ~input_shares);
     Traffic.total (Gmw.traffic session)
   in
   let t3 = run 3 and t6 = run 6 in
@@ -223,7 +223,7 @@ let test_gmw_outputs_stay_shared () =
   let c = adder_circuit 8 in
   let session = Gmw.create_session ~mode:Dstress_crypto.Ot_ext.Simulation grp ~parties:3 ~seed:"shared" in
   let inputs = Bitvec.of_int ~bits:16 (77 lor (88 lsl 8)) in
-  let out_shares = Gmw.eval session c ~input_shares:(Gmw.share_input session inputs) in
+  let out_shares = Gmw.eval session (Plan.compile c) ~input_shares:(Gmw.share_input session inputs) in
   Alcotest.(check int) "reconstruction" ((77 + 88) land 255)
     (Bitvec.to_int (Sharing.reconstruct out_shares))
 
@@ -231,7 +231,7 @@ let test_gmw_reveal_meters () =
   let c = adder_circuit 8 in
   let session = Gmw.create_session ~mode:Dstress_crypto.Ot_ext.Simulation grp ~parties:3 ~seed:"reveal" in
   let inputs = Bitvec.of_int ~bits:16 (1 lor (2 lsl 8)) in
-  let out_shares = Gmw.eval session c ~input_shares:(Gmw.share_input session inputs) in
+  let out_shares = Gmw.eval session (Plan.compile c) ~input_shares:(Gmw.share_input session inputs) in
   Gmw.reset_traffic session;
   let v = Gmw.reveal session out_shares in
   Alcotest.(check int) "revealed value" 3 (Bitvec.to_int v);
@@ -242,11 +242,11 @@ let test_gmw_input_shape_errors () =
   let session = Gmw.create_session ~mode:Dstress_crypto.Ot_ext.Simulation grp ~parties:3 ~seed:"err" in
   Alcotest.check_raises "wrong party count"
     (Invalid_argument "Gmw.eval: need one input share vector per party") (fun () ->
-      ignore (Gmw.eval session c ~input_shares:[| Bitvec.create 8 false |]));
+      ignore (Gmw.eval session (Plan.compile c) ~input_shares:[| Bitvec.create 8 false |]));
   Alcotest.check_raises "wrong length"
     (Invalid_argument "Gmw.eval: input share length mismatch") (fun () ->
       ignore
-        (Gmw.eval session c
+        (Gmw.eval session (Plan.compile c)
            ~input_shares:(Array.make 3 (Bitvec.create 5 false))))
 
 let test_gmw_rejects_one_party () =

@@ -56,8 +56,9 @@ let check_equiv ?mode ~parties ~count circuit tag =
   let a = make_sessions ?mode ~parties ~count tag in
   let b = make_sessions ?mode ~parties ~count tag in
   let inputs = make_inputs ~parties ~count tag circuit in
-  let scalar = Array.mapi (fun i s -> Gmw.eval s circuit ~input_shares:inputs.(i)) a in
-  let sliced = Gmw.eval_many b circuit ~input_shares:inputs in
+  let plan = Plan.compile circuit in
+  let scalar = Array.mapi (fun i s -> Gmw.eval s plan ~input_shares:inputs.(i)) a in
+  let sliced = Gmw.eval_many b plan ~input_shares:inputs in
   Alcotest.(check int) (tag ^ ": result count") count (Array.length sliced);
   for i = 0 to count - 1 do
     for p = 0 to parties - 1 do
@@ -157,15 +158,16 @@ let test_crypto_mode () =
    aggregation circuit (3 parties, 19,732 ANDs, x86-64, OCaml 5.1): 136.0
    minor words per AND gate with boxed int64 array wires and a
    Simulation OT carrier batch per pair and level; 20.7 with unboxed
-   words and the ideal OT computed inline. The first evaluation compiles
-   the plan and sets up the OT sessions, so only the second is measured. *)
+   words and the ideal OT computed inline. The first evaluation sets up
+   the OT sessions, so only the second is measured. *)
 let test_eval_allocation () =
   let c = en_aggregation_circuit () in
+  let plan = Plan.compile c in
   let s = Gmw.create_session ~mode:Ot_ext.Simulation grp ~parties:3 ~seed:"alloc-guard" in
   let shares = Gmw.share_input s (Bitvec.create c.Circuit.num_inputs false) in
-  ignore (Gmw.eval s c ~input_shares:shares);
+  ignore (Gmw.eval s plan ~input_shares:shares);
   let before = Gc.minor_words () in
-  ignore (Gmw.eval s c ~input_shares:shares);
+  ignore (Gmw.eval s plan ~input_shares:shares);
   let per_and = (Gc.minor_words () -. before) /. float_of_int (Circuit.and_count c) in
   Alcotest.(check bool)
     (Printf.sprintf "%.1f minor words per AND gate < 50" per_and)
@@ -173,17 +175,19 @@ let test_eval_allocation () =
 
 let test_eval_many_rejects_mismatches () =
   let c = adder_circuit 4 in
+  let plan = Plan.compile c in
   let s = make_sessions ~parties:2 ~count:2 "reject" in
   Alcotest.check_raises "share-set count"
     (Invalid_argument "Gmw.eval_many: need one input-share set per session") (fun () ->
-      ignore (Gmw.eval_many s c ~input_shares:[||]));
+      ignore (Gmw.eval_many s plan ~input_shares:[||]));
   let mixed =
     [| s.(0); Gmw.create_session ~mode:Ot_ext.Simulation grp ~parties:3 ~seed:"odd" |]
   in
   Alcotest.check_raises "party count"
     (Invalid_argument "Gmw.eval_many: sessions must agree on party count and OT mode")
     (fun () ->
-      ignore (Gmw.eval_many mixed c ~input_shares:(make_inputs ~parties:2 ~count:2 "reject" c)))
+      ignore
+        (Gmw.eval_many mixed plan ~input_shares:(make_inputs ~parties:2 ~count:2 "reject" c)))
 
 (* ------------------------------------------------------------------ *)
 (* Golden fixtures: two successive evaluations per session             *)
@@ -244,8 +248,9 @@ let render_eval ~indent s out =
 let render_two_evals ~name ~mode ~parties circuit =
   let s = Gmw.create_session ~mode grp ~parties ~seed:("golden:" ^ name) in
   let inputs = make_inputs ~parties ~count:2 ("golden:" ^ name) circuit in
+  let plan = Plan.compile circuit in
   let eval i =
-    let out = Gmw.eval s circuit ~input_shares:inputs.(i) in
+    let out = Gmw.eval s plan ~input_shares:inputs.(i) in
     check_reconstructs (Printf.sprintf "%s eval %d" name i) circuit inputs.(i) out;
     render_eval ~indent:"    " s out
   in
@@ -259,9 +264,10 @@ let render_many_evals ~name ~mode ~parties ~count circuit =
     Array.init count (fun i ->
         Gmw.create_session ~mode grp ~parties ~seed:(Printf.sprintf "%s:%d" tag i))
   in
+  let plan = Plan.compile circuit in
   let eval e =
     let inputs = make_inputs ~parties ~count (Printf.sprintf "%s:eval%d" tag e) circuit in
-    let outs = Gmw.eval_many sessions circuit ~input_shares:inputs in
+    let outs = Gmw.eval_many sessions plan ~input_shares:inputs in
     Array.iteri
       (fun i out ->
         check_reconstructs (Printf.sprintf "%s eval %d slot %d" name e i) circuit inputs.(i) out)
@@ -327,61 +333,6 @@ let test_plan_partition () =
           expected lv.Plan.and_dst)
       (Plan.levels plan)
   done
-
-(* Structural digests of two fixed circuits. Preprocessed material is
-   keyed on them, so a change to the digest, or to the gadgets that
-   build these circuits, must show here. *)
-let adder4_digest = "ccf071501540809997ae02523619b2186c5e4a95c6b2de9058e229c8f18859fb"
-let en_update_digest = "9573164b1ba543752451a66607e3f2dede6f70d458cb06ddd334c158bc0aa844"
-
-let test_plan_digest_pins () =
-  Alcotest.(check string) "adder_circuit 4" adder4_digest
-    (Plan.digest (Plan.compile (adder_circuit 4)));
-  Alcotest.(check string) "EN update circuit" en_update_digest
-    (Plan.digest (Plan.compile (en_update_circuit ())))
-
-(* Parallel-executor domains reach [Plan.digest] (through preprocessed
-   sessions' [take_pre]) concurrently on one shared memoized plan: the
-   first read must be safe to race. Four domains released together all
-   force the digest of one fresh plan. *)
-let test_plan_digest_concurrent () =
-  let plan = Plan.compile (en_update_circuit ()) in
-  let domains = 4 in
-  let ready = Atomic.make 0 in
-  let spawned =
-    Array.init domains (fun _ ->
-        Domain.spawn (fun () ->
-            Atomic.incr ready;
-            while Atomic.get ready < domains do
-              Domain.cpu_relax ()
-            done;
-            Plan.digest plan))
-  in
-  Array.iteri
-    (fun i d ->
-      Alcotest.(check string) (Printf.sprintf "domain %d" i) en_update_digest (Domain.join d))
-    spawned
-
-let test_plan_memoized () =
-  let c = adder_circuit 6 in
-  Alcotest.(check bool) "same circuit, same plan" true
-    (Plan.of_circuit c == Plan.of_circuit c)
-
-(* A plan must live exactly as long as its circuit: engine runs build
-   fresh circuits per request, so a memo that pinned plans would keep
-   dead ones alive in long-lived daemon workers. *)
-let[@inline never] evaluate_and_watch_plan weak =
-  let c = adder_circuit 5 in
-  let s = Gmw.create_session ~mode:Ot_ext.Simulation grp ~parties:2 ~seed:"plan-lifetime" in
-  let shares = Gmw.share_input s (Bitvec.create c.Circuit.num_inputs false) in
-  ignore (Gmw.eval s c ~input_shares:shares);
-  Weak.set weak 0 (Some (Plan.of_circuit c))
-
-let test_plan_dies_with_circuit () =
-  let weak = Weak.create 1 in
-  evaluate_and_watch_plan weak;
-  Gc.full_major ();
-  Alcotest.(check bool) "plan collected with its circuit" false (Weak.check weak 0)
 
 (* ------------------------------------------------------------------ *)
 (* Engine: the vertex grouping must not be observable in the report    *)
@@ -479,13 +430,6 @@ let () =
           Alcotest.test_case "two evals per session" `Quick test_golden_two_evals;
           Alcotest.test_case "two batched evals, many sessions" `Quick test_golden_many_evals;
         ] );
-      ( "plan",
-        [
-          Alcotest.test_case "level partition" `Quick test_plan_partition;
-          Alcotest.test_case "memoized per circuit" `Quick test_plan_memoized;
-          Alcotest.test_case "digest pins" `Quick test_plan_digest_pins;
-          Alcotest.test_case "digest raced from 4 domains" `Quick test_plan_digest_concurrent;
-          Alcotest.test_case "dies with its circuit" `Quick test_plan_dies_with_circuit;
-        ] );
+      ("plan", [ Alcotest.test_case "level partition" `Quick test_plan_partition ]);
       ("engine", [ Alcotest.test_case "groupings agree" `Quick test_engine_groupings_agree ]);
     ]

@@ -6,11 +6,11 @@
    output shares, traffic matrices, rounds/AND/OT counters, and the PRG
    streams afterwards — from one that generated inline, across scalar and
    bitsliced evaluation, both OT backends, exhaustion fallback and mixed
-   consume/inline slices. The Triple.Cache tests pin the one-generation-
-   per-key guarantee (including under domain hammering) and the 64-entry
-   bound. The engine tests check that a preprocessed run, whether its
-   material was generated or cached, reports byte-identically to an
-   inline run. *)
+   consume/inline slices. A material is bound to the plan it was drawn
+   for: any other plan, even a structurally equal one compiled
+   separately, drops it. The engine tests check that a preprocessed run
+   reports byte-identically to an inline run, and that nothing outlives
+   a run: an identical rerun generates its material again. *)
 
 open Dstress_mpc
 module Bitvec = Dstress_util.Bitvec
@@ -72,7 +72,7 @@ let check_sessions_agree tag i a b =
 let check_scalar_equiv ?(mode = Ot_ext.Simulation) ~parties ~evals ~batches circuit tag =
   let inline = (make_sessions ~mode ~parties ~count:1 tag).(0) in
   let online = (make_sessions ~mode ~parties ~count:1 tag).(0) in
-  let plan = Plan.of_circuit circuit in
+  let plan = Plan.compile circuit in
   let mat =
     Gmw.generate_material ~mode grp ~parties ~seed:(seed_of tag 0) ~evals plan
   in
@@ -82,8 +82,8 @@ let check_scalar_equiv ?(mode = Ot_ext.Simulation) ~parties ~evals ~batches circ
     (Gmw.material_remaining online);
   for e = 0 to batches - 1 do
     let shares = (make_inputs ~parties ~count:1 (Printf.sprintf "%s:%d" tag e) circuit).(0) in
-    let out_a = Gmw.eval inline circuit ~input_shares:shares in
-    let out_b = Gmw.eval online circuit ~input_shares:shares in
+    let out_a = Gmw.eval inline plan ~input_shares:shares in
+    let out_b = Gmw.eval online plan ~input_shares:shares in
     for p = 0 to parties - 1 do
       Alcotest.(check bool)
         (Printf.sprintf "%s: eval %d party %d output" tag e p)
@@ -120,7 +120,7 @@ let check_sliced_equiv ?(mode = Ot_ext.Simulation) ~parties ~count ~evals ~batch
     ?(attach_to = fun _ -> true) circuit tag =
   let inline = make_sessions ~mode ~parties ~count tag in
   let online = make_sessions ~mode ~parties ~count tag in
-  let plan = Plan.of_circuit circuit in
+  let plan = Plan.compile circuit in
   Array.iteri
     (fun i s ->
       if attach_to i then
@@ -129,8 +129,8 @@ let check_sliced_equiv ?(mode = Ot_ext.Simulation) ~parties ~count ~evals ~batch
     online;
   for e = 0 to batches - 1 do
     let inputs = make_inputs ~parties ~count (Printf.sprintf "%s:%d" tag e) circuit in
-    let out_a = Gmw.eval_many inline circuit ~input_shares:inputs in
-    let out_b = Gmw.eval_many online circuit ~input_shares:inputs in
+    let out_a = Gmw.eval_many inline plan ~input_shares:inputs in
+    let out_b = Gmw.eval_many online plan ~input_shares:inputs in
     for i = 0 to count - 1 do
       for p = 0 to parties - 1 do
         Alcotest.(check bool)
@@ -156,27 +156,40 @@ let test_mixed_slots () =
     ~attach_to:(fun i -> i mod 2 = 0)
     (adder_circuit 5) "mixed-slots"
 
-let test_digest_mismatch_drops_material () =
-  let circuit_a = adder_circuit 4 and circuit_b = adder_circuit 5 in
-  let s = (make_sessions ~parties:2 ~count:1 "mismatch").(0) in
-  let mat =
-    Gmw.generate_material ~mode:Ot_ext.Simulation grp ~parties:2 ~seed:(seed_of "mismatch" 0)
-      ~evals:2 (Plan.of_circuit circuit_a)
+(* A material drawn for [plan] is consumed only by evaluations of that
+   very plan. Evaluating another circuit's plan, or a plan compiled
+   separately from a structurally equal circuit, drops it; evaluation
+   continues inline and stays correct. *)
+let test_other_plan_drops_material () =
+  let plan = Plan.compile (adder_circuit 4) in
+  let attached () =
+    let s = (make_sessions ~parties:2 ~count:1 "other-plan").(0) in
+    Gmw.attach_material s
+      (Gmw.generate_material ~mode:Ot_ext.Simulation grp ~parties:2
+         ~seed:(seed_of "other-plan" 0) ~evals:2 plan);
+    s
   in
-  Gmw.attach_material s mat;
-  let shares = (make_inputs ~parties:2 ~count:1 "mismatch" circuit_b).(0) in
-  let out = Gmw.eval s circuit_b ~input_shares:shares in
-  Alcotest.(check int) "material dropped" 0 (Gmw.material_remaining s);
-  let cleartext = Sharing.reconstruct shares in
-  let expected =
-    Circuit.eval circuit_b (Array.of_list (Bitvec.to_bool_list cleartext))
-    |> Array.to_list |> Bitvec.of_bool_list
+  let eval_on label s other ~remaining =
+    let circuit = Plan.circuit other in
+    let shares = (make_inputs ~parties:2 ~count:1 label circuit).(0) in
+    let out = Gmw.eval s other ~input_shares:shares in
+    Alcotest.(check int) (label ^ ": material left") remaining (Gmw.material_remaining s);
+    let cleartext = Sharing.reconstruct shares in
+    let expected =
+      Circuit.eval circuit (Array.of_list (Bitvec.to_bool_list cleartext))
+      |> Array.to_list |> Bitvec.of_bool_list
+    in
+    Alcotest.(check bool) (label ^ ": still correct") true
+      (Bitvec.equal expected (Sharing.reconstruct out))
   in
-  Alcotest.(check bool) "still correct" true (Bitvec.equal expected (Sharing.reconstruct out))
+  eval_on "its own plan" (attached ()) plan ~remaining:1;
+  eval_on "another circuit" (attached ()) (Plan.compile (adder_circuit 5)) ~remaining:0;
+  eval_on "equal circuit, compiled separately" (attached ())
+    (Plan.compile (adder_circuit 4)) ~remaining:0
 
 let test_attach_rejects () =
   let circuit = adder_circuit 4 in
-  let plan = Plan.of_circuit circuit in
+  let plan = Plan.compile circuit in
   let mk () = (make_sessions ~parties:2 ~count:1 "reject").(0) in
   let mat =
     Gmw.generate_material ~mode:Ot_ext.Simulation grp ~parties:2 ~seed:(seed_of "reject" 0)
@@ -185,7 +198,7 @@ let test_attach_rejects () =
   (* Used session. *)
   let used = mk () in
   let shares = (make_inputs ~parties:2 ~count:1 "reject" circuit).(0) in
-  ignore (Gmw.eval used circuit ~input_shares:shares);
+  ignore (Gmw.eval used plan ~input_shares:shares);
   Alcotest.check_raises "used session"
     (Invalid_argument "Gmw.attach_material: session has already evaluated") (fun () ->
       Gmw.attach_material used mat);
@@ -199,93 +212,6 @@ let test_attach_rejects () =
   Alcotest.check_raises "mode mismatch"
     (Invalid_argument "Gmw.attach_material: OT mode mismatch") (fun () ->
       Gmw.attach_material crypto mat)
-
-(* ------------------------------------------------------------------ *)
-(* Plan digest and memoization                                          *)
-(* ------------------------------------------------------------------ *)
-
-let test_plan_digest_and_memo () =
-  let c = adder_circuit 6 in
-  let p1 = Plan.of_circuit c in
-  let before = Plan.compilations () in
-  let p2 = Plan.of_circuit c in
-  Alcotest.(check int) "memo hit compiles nothing" before (Plan.compilations ());
-  Alcotest.(check bool) "memo returns same plan" true (p1 == p2);
-  Alcotest.(check string) "digest stable" (Plan.digest p1) (Plan.digest p2);
-  (* Structurally equal circuit, different physical identity: same digest
-     (that is the point — a later run rebuilds its circuits and must
-     still find the material an earlier run cached). *)
-  let c' = adder_circuit 6 in
-  Alcotest.(check bool) "distinct objects" true (c != c');
-  Alcotest.(check string) "structural digest" (Plan.digest p1) (Plan.digest (Plan.compile c'));
-  Alcotest.(check bool) "different circuit, different digest" true
-    (Plan.digest p1 <> Plan.digest (Plan.compile (adder_circuit 7)))
-
-(* ------------------------------------------------------------------ *)
-(* Cache: hits, bound, concurrency                                    *)
-(* ------------------------------------------------------------------ *)
-
-let gen_for ~parties ~seed ~evals plan ~evals:_ =
-  Gmw.generate_material ~mode:Ot_ext.Simulation grp ~parties ~seed ~evals plan
-
-let request cache plan ~parties ~seed ~evals =
-  Triple.Cache.find_or_generate cache ~digest:(Plan.digest plan) ~parties ~seed
-    ~mode:Ot_ext.Simulation ~evals
-    ~generate:(gen_for ~parties ~seed ~evals plan)
-
-let test_cache_memory () =
-  let cache = Triple.Cache.create () in
-  let plan = Plan.of_circuit (adder_circuit 4) in
-  let m1 = request cache plan ~parties:2 ~seed:"cache-mem" ~evals:2 in
-  let m2 = request cache plan ~parties:2 ~seed:"cache-mem" ~evals:2 in
-  Alcotest.(check bool) "hit returns same material" true (m1 == m2);
-  Alcotest.(check int) "one generation" 1 (Triple.Cache.generations cache);
-  Alcotest.(check int) "one hit" 1 (Triple.Cache.hits cache);
-  (* Bigger request on the same key regenerates. *)
-  let m3 = request cache plan ~parties:2 ~seed:"cache-mem" ~evals:5 in
-  Alcotest.(check int) "regenerated for more evals" 2 (Triple.Cache.generations cache);
-  Alcotest.(check int) "larger material" 5 (Triple.evals_available m3);
-  (* Different key (other seed) is a fresh generation. *)
-  ignore (request cache plan ~parties:2 ~seed:"cache-mem2" ~evals:2);
-  Alcotest.(check int) "per-key generation" 3 (Triple.Cache.generations cache);
-  Triple.Cache.clear cache;
-  Alcotest.(check int) "cleared" 0 (Triple.Cache.generations cache)
-
-(* Memory keeps 64 materials: a 65th key evicts the oldest, and only
-   the oldest. *)
-let test_cache_bounded () =
-  let cache = Triple.Cache.create () in
-  let plan = Plan.of_circuit (adder_circuit 4) in
-  let req i =
-    ignore (request cache plan ~parties:2 ~seed:(Printf.sprintf "bound-%d" i) ~evals:1)
-  in
-  for i = 1 to 65 do
-    req i
-  done;
-  Alcotest.(check int) "65 distinct keys generate" 65 (Triple.Cache.generations cache);
-  req 1;
-  Alcotest.(check int) "oldest key was evicted" 66 (Triple.Cache.generations cache);
-  req 65;
-  Alcotest.(check int) "newest key still hits" 66 (Triple.Cache.generations cache);
-  Alcotest.(check int) "one hit" 1 (Triple.Cache.hits cache)
-
-(* One key hammered from several domains must generate exactly once;
-   distinct keys generate once each. *)
-let test_cache_hammer () =
-  let cache = Triple.Cache.create () in
-  let plan = Plan.of_circuit (adder_circuit 5) in
-  let domains =
-    Array.init 4 (fun d ->
-        Domain.spawn (fun () ->
-            for i = 0 to 9 do
-              let seed = Printf.sprintf "hammer-%d" (i mod 3) in
-              ignore (request cache plan ~parties:2 ~seed ~evals:1);
-              ignore d
-            done))
-  in
-  Array.iter Domain.join domains;
-  Alcotest.(check int) "one generation per key" 3 (Triple.Cache.generations cache);
-  Alcotest.(check int) "everything else hit" (4 * 10 - 3) (Triple.Cache.hits cache)
 
 (* ------------------------------------------------------------------ *)
 (* Engine: preprocess on/off differentials                             *)
@@ -331,62 +257,53 @@ let check_reports_equal label (a : Engine.report) (b : Engine.report) =
   Alcotest.(check string) (label ^ ": metrics bytes") (Obs.metrics_json a.Engine.obs)
     (Obs.metrics_json b.Engine.obs)
 
-let offline_counter (r : Engine.report) name =
+(* Every counter of a preprocessed run's wall-domain offline registry
+   (the [preprocess.wall_s] gauge is wall time, so it is left out). *)
+let offline_counters (r : Engine.report) =
   match r.Engine.offline_metrics with
-  | Some m -> Metrics.counter m name
   | None -> Alcotest.fail "preprocess run must expose offline metrics"
+  | Some m ->
+      List.filter_map
+        (fun name ->
+          match Metrics.find m name with
+          | Some (Metrics.Counter c) -> Some (name, c)
+          | _ -> None)
+        (Metrics.names m)
 
 let test_engine_preprocess () =
-  let fx = en_fixture () in
+  let ((_, _, p, _) as fx) = en_fixture () in
   let seed = "triple-engine-pre" in
+  let n = Reference.(small_economy.en_n) in
   let base = run_engine ~executor:Executor.sequential ~seed fx in
   Alcotest.(check bool) "inline run has no offline metrics" true
     (base.Engine.offline_metrics = None);
-  Triple.Cache.clear Triple.Cache.shared;
-  let g0 = Triple.Cache.generations Triple.Cache.shared in
   let pre = run_engine ~preprocess:true ~executor:Executor.sequential ~seed fx in
   check_reports_equal "EN preprocess = inline" base pre;
-  (* One generation per block key (one key per vertex block). *)
-  Alcotest.(check int) "one generation per block key" Reference.(small_economy.en_n)
-    (Triple.Cache.generations Triple.Cache.shared - g0);
-  Alcotest.(check int) "sessions preprocessed" Reference.(small_economy.en_n)
-    (offline_counter pre "preprocess.sessions");
-  Alcotest.(check int) "generations counted" Reference.(small_economy.en_n)
-    (offline_counter pre "preprocess.cache.generations");
-  Alcotest.(check bool) "evals attached" true
-    (offline_counter pre "preprocess.evals" >= Reference.(small_economy.en_n));
-  (* A second identical run is served entirely from the shared cache. *)
+  Alcotest.(check (list (pair string int)))
+    "one material per block, iterations + 1 evals each"
+    [
+      ("preprocess.evals", n * (p.Vertex_program.iterations + 1));
+      ("preprocess.sessions", n);
+    ]
+    (offline_counters pre);
+  (* A second identical run in the same process owns its material too: it
+     generates all n materials again and reports exactly what the first
+     run reported. *)
   let again = run_engine ~preprocess:true ~executor:Executor.sequential ~seed fx in
-  check_reports_equal "cached rerun" base again;
-  Alcotest.(check int) "no regeneration on rerun" Reference.(small_economy.en_n)
-    (Triple.Cache.generations Triple.Cache.shared - g0);
-  Alcotest.(check int) "rerun served from cache" Reference.(small_economy.en_n)
-    (offline_counter again "preprocess.cache.hits")
+  check_reports_equal "identical rerun" pre again;
+  Alcotest.(check (list (pair string int)))
+    "rerun's offline counters" (offline_counters pre) (offline_counters again)
 
 let test_engine_seq_par () =
   let ((graph, _, _, _) as fx) = en_fixture () in
   let seed = "triple-engine-seqpar" in
   let base = run_engine ~executor:Executor.sequential ~seed fx in
-  (* Preprocessing must not change how many plans get compiled: the
-     offline phase's Plan.of_circuit is served by the same memo the
-     online phase uses. *)
-  let c0 = Plan.compilations () in
-  let pre = run_engine ~preprocess:true ~executor:Executor.sequential ~seed fx in
-  let d_pre = Plan.compilations () - c0 in
-  let c1 = Plan.compilations () in
-  let inline_again = run_engine ~executor:Executor.sequential ~seed fx in
-  let d_inline = Plan.compilations () - c1 in
-  check_reports_equal "seq preprocessed" base pre;
-  check_reports_equal "seq inline rerun" base inline_again;
-  Alcotest.(check int) "preprocess adds no compilations" d_inline d_pre;
-  let singles =
-    run_engine ~preprocess:true ~executor:(Executor.parallel ~jobs:(Graph.n graph)) ~seed fx
-  in
-  check_reports_equal "par one-vertex groups" base singles;
-  (* One material serves every grouping: the one-vertex-group run reuses
-     what the sequential run generated. *)
-  Alcotest.(check int) "one-vertex groups reuse the sequential run's material" 0
-    (offline_counter singles "preprocess.cache.generations");
+  check_reports_equal "seq preprocessed" base
+    (run_engine ~preprocess:true ~executor:Executor.sequential ~seed fx);
+  check_reports_equal "seq inline rerun" base
+    (run_engine ~executor:Executor.sequential ~seed fx);
+  check_reports_equal "par one-vertex groups" base
+    (run_engine ~preprocess:true ~executor:(Executor.parallel ~jobs:(Graph.n graph)) ~seed fx);
   check_reports_equal "par3 preprocessed" base
     (run_engine ~preprocess:true ~executor:(Executor.parallel ~jobs:3) ~seed fx)
 
@@ -405,15 +322,8 @@ let () =
           Alcotest.test_case "sliced simulation" `Quick test_sliced_simulation;
           Alcotest.test_case "sliced crypto" `Quick test_sliced_crypto;
           Alcotest.test_case "mixed slots" `Quick test_mixed_slots;
-          Alcotest.test_case "digest mismatch" `Quick test_digest_mismatch_drops_material;
+          Alcotest.test_case "another plan drops the material" `Quick
+            test_other_plan_drops_material;
           Alcotest.test_case "attach rejects" `Quick test_attach_rejects;
-        ] );
-      ( "plan",
-        [ Alcotest.test_case "digest and memoization" `Quick test_plan_digest_and_memo ] );
-      ( "cache",
-        [
-          Alcotest.test_case "memory" `Quick test_cache_memory;
-          Alcotest.test_case "memory is bounded" `Quick test_cache_bounded;
-          Alcotest.test_case "domain hammering" `Quick test_cache_hammer;
         ] );
     ]
