@@ -1,4 +1,4 @@
-(* Wire-layer cost of the daemon's transport: frame round-trip latency
+(* Cost of the daemon's transport layer: frame round-trip latency
    (in-process loopback and against a real forked echo process), the
    connect/accept path, and bounded-backoff cost against a dead socket.
    What a whole pool dispatch costs is the service suite's

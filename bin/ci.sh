@@ -29,6 +29,30 @@ if [ -n "$found" ]; then
   exit 1
 fi
 
+# Every library module has a caller outside its own two files and the
+# tests: some .ml/.mli under lib/, bin/, bench/, perfbench/ or examples/
+# names it as `M.` or aliases it as `= Dstress_<lib>.M`. Code that only
+# its own tests reach is deleted, not kept. Budget is exempt until the
+# service's epsilon odometer uses it (ROADMAP item 4).
+echo "== no library module that only tests reach =="
+found=""
+for f in $(find lib -name '*.ml' | sort); do
+  m="$(basename "$f" .ml)"
+  M="$(echo "$m" | awk '{ print toupper(substr($0, 1, 1)) substr($0, 2) }')"
+  lib="$(basename "$(dirname "$f")")"
+  [ "$M" = Budget ] && continue
+  if ! grep -rlE --include='*.ml' --include='*.mli' \
+      "\\b$M\\.|= *Dstress_$lib\\.$M\\b" lib bin bench perfbench examples |
+      grep -qvxF -e "$f" -e "${f}i"; then
+    found="$found $f"
+  fi
+done
+if [ -n "$found" ]; then
+  echo "only tests reach:$found"
+  echo "ci: delete the module, or give it a caller" >&2
+  exit 1
+fi
+
 echo "== dune build @check =="
 dune build @check
 

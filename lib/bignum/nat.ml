@@ -252,7 +252,6 @@ let divmod a b =
   end
   else divmod_long a b
 
-let div a b = fst (divmod a b)
 let rem a b = snd (divmod a b)
 
 let pow b e =

@@ -21,8 +21,6 @@ val of_int : int -> t
 val to_int : t -> int
 (** Raises [Failure] if the value exceeds [max_int]. *)
 
-val to_int_opt : t -> int option
-
 val is_zero : t -> bool
 val is_one : t -> bool
 val is_even : t -> bool
@@ -52,13 +50,10 @@ val divmod : t -> t -> t * t
 (** [divmod a b = (q, r)] with [a = q*b + r], [0 <= r < b].
     Raises [Division_by_zero] if [b] is zero. *)
 
-val div : t -> t -> t
 val rem : t -> t -> t
 
 val shift_left : t -> int -> t
 val shift_right : t -> int -> t
-
-val sqr : t -> t
 
 val pow : t -> int -> t
 (** Plain (non-modular) exponentiation; exponent must be non-negative. *)

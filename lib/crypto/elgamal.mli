@@ -27,6 +27,6 @@ val rerandomize : Prg.t -> Group.t -> public_key -> ciphertext -> ciphertext
     unlinkable ciphertext. *)
 
 val ciphertext_bytes : Group.t -> int
-(** Wire size of one ciphertext (two group elements). *)
+(** Size of one ciphertext on the wire (two group elements). *)
 
 val ciphertext_equal : ciphertext -> ciphertext -> bool

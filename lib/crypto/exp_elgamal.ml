@@ -11,9 +11,6 @@ let encrypt prg grp h v = Elgamal.encrypt prg grp h (g_to_the grp v)
 
 let add = Elgamal.mul
 
-let add_clear prg grp h c v =
-  add grp c (encrypt prg grp h v)
-
 let rerandomize_key grp h r = Group.pow grp h r
 
 let adjust grp c r = { c with c1 = Group.pow grp c.c1 r }

@@ -28,12 +28,6 @@ val encrypt : Prg.t -> Group.t -> Elgamal.public_key -> int -> ciphertext
 val add : Group.t -> ciphertext -> ciphertext -> ciphertext
 (** Homomorphic addition of plaintexts. *)
 
-val add_clear : Prg.t -> Group.t -> Elgamal.public_key -> ciphertext -> int -> ciphertext
-(** [add_clear prg grp h c v] homomorphically adds the known integer [v]
-    to [c] (used by node [i] to inject geometric noise into a forwarded
-    ciphertext without knowing its plaintext). Re-randomizes the
-    ciphertext as a side effect. *)
-
 val rerandomize_key : Group.t -> Elgamal.public_key -> Group.exponent -> Elgamal.public_key
 (** [rerandomize_key grp h r] is [h^r]: a fresh-looking public key that
     no longer matches [h] but whose holder can still decrypt adjusted
@@ -42,9 +36,6 @@ val rerandomize_key : Group.t -> Elgamal.public_key -> Group.exponent -> Elgamal
 val adjust : Group.t -> ciphertext -> Group.exponent -> ciphertext
 (** [adjust grp c r] raises the ephemeral part to [r], converting a
     ciphertext under [h^r] into one under [h]. *)
-
-val decrypt_elt : Group.t -> Elgamal.secret_key -> ciphertext -> Group.elt
-(** Recovers [g^v] (not [v] itself). *)
 
 (** Bounded discrete-log lookup table, the paper's decryption mechanism. *)
 module Table : sig

@@ -68,7 +68,7 @@ let execute ?(mode = Ot_ext.Crypto) grp meter circuit ~garbler_bits ~garbler_inp
     gates;
   let tables = List.rev !tables in
   let label_of gid v = if v then xor_labels label0.(gid) delta else label0.(gid) in
-  (* --- Wire: garbler -> evaluator ------------------------------- *)
+  (* --- Sent: garbler -> evaluator ------------------------------- *)
   (* Tables. *)
   let table_bytes = 4 * label_bytes * !and_count in
   Xfer.add_a_to_b meter table_bytes;

@@ -46,4 +46,4 @@ val execute :
     the garbler. Raises [Invalid_argument] on width mismatches. *)
 
 val label_bytes : int
-(** Wire-label size (16 bytes, kappa = 128). *)
+(** Size of a wire label (16 bytes, kappa = 128). *)

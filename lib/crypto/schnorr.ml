@@ -19,10 +19,9 @@ let challenge_of grp commitment pk msg =
   let d2 = Sha256.digest (Bytes.cat d1 payload) in
   Nat.rem (Nat.of_bytes_be (Bytes.cat d1 d2)) (Group.q grp)
 
-let sign prg grp sk msg =
+let sign prg grp (sk, pk) msg =
   let k = Group.random_exponent prg grp in
   let commitment = Group.pow_g grp k in
-  let pk = Group.pow_g grp sk in
   let c = challenge_of grp commitment pk msg in
   (* s = k - c*x mod q *)
   let s = Group.exp_sub grp k (Group.exp_mul grp c sk) in

@@ -11,9 +11,12 @@ type signature = { challenge : Dstress_bignum.Nat.t; response : Dstress_bignum.N
 
 val keygen : Prg.t -> Group.t -> Elgamal.secret_key * Elgamal.public_key
 
-val sign : Prg.t -> Group.t -> Elgamal.secret_key -> string -> signature
+val sign : Prg.t -> Group.t -> Elgamal.secret_key * Elgamal.public_key -> string -> signature
+(** [sign prg grp (sk, pk) msg] with the key pair {!keygen} returned:
+    [pk] goes into the challenge as it is, so a signature costs one
+    fixed-base exponentiation (the commitment). *)
 
 val verify : Group.t -> Elgamal.public_key -> string -> signature -> bool
 
 val signature_bytes : Group.t -> int
-(** Wire size (two exponents). *)
+(** Size on the wire (two exponents). *)

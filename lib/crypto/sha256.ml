@@ -90,13 +90,3 @@ let digest msg =
   out
 
 let hex_digest s = Dstress_util.Hex.encode (digest (Bytes.of_string s))
-
-let block_size = 64
-
-let hmac ~key msg =
-  let key = if Bytes.length key > block_size then digest key else key in
-  let k0 = Bytes.make block_size '\x00' in
-  Bytes.blit key 0 k0 0 (Bytes.length key);
-  let xor_with c = Bytes.map (fun b -> Char.chr (Char.code b lxor c)) k0 in
-  let ipad = xor_with 0x36 and opad = xor_with 0x5c in
-  digest (Bytes.cat opad (digest (Bytes.cat ipad msg)))

@@ -10,6 +10,3 @@ val digest : bytes -> bytes
 
 val hex_digest : string -> string
 (** Digest of a string, hex-encoded (64 characters). *)
-
-val hmac : key:bytes -> bytes -> bytes
-(** HMAC-SHA256 (RFC 2104). *)

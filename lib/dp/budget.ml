@@ -31,7 +31,3 @@ let ledger t = List.rev t.entries
 let replenish t =
   t.spent <- 0.0;
   t.entries <- []
-
-let pp ppf t =
-  Format.fprintf ppf "budget %.4g / %.4g spent (%d entries)" t.spent t.epsilon_max
-    (List.length t.entries)

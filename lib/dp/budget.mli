@@ -27,5 +27,3 @@ val ledger : t -> entry list
 val replenish : t -> unit
 (** Reset the budget (the paper's "replenish once per year" policy, §4.5).
     The ledger is cleared. *)
-
-val pp : Format.formatter -> t -> unit

@@ -28,7 +28,6 @@ type kind =
   | Decrypt_miss  (** one decryption is forced outside the lookup table *)
 
 val kind_name : kind -> string
-val all_kinds : kind list
 
 (** {2 Simulated-time rounding contract}
 

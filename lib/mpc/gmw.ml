@@ -164,7 +164,7 @@ let restore_post s (e : Triple.eval) =
 (* Evaluation                                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* Wire and mask words live unboxed, 8 bytes each, in [Bytes]: word [i]
+(* The wire and mask words live unboxed, 8 bytes each, in [Bytes]: word [i]
    of a buffer sits at byte offset [8 * i]. These are the bounds-checked
    primitives behind [Bytes.get_int64_ne]/[set_int64_ne], declared here so
    every read and write compiles to a plain load or store and no [Int64]
@@ -178,7 +178,7 @@ let[@inline] set_word b i v = set64 b (i lsl 3) v
 let lanes = 64
 
 (* Evaluate up to [lanes] sessions in lockstep over one compiled plan; a single
-   evaluation is the one-slot case. Wire values are 64-bit words: bit [sl]
+   evaluation is the one-slot case. A wire's value is a 64-bit word: bit [sl]
    of every word belongs to instance [sl], so local gates cost one word op
    for all instances. Everything observable per instance is independent of
    how many instances share the batch:

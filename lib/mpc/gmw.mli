@@ -3,8 +3,8 @@
     every vertex computation step, the aggregation step and the noising
     step.
 
-    Wires carry XOR shares: each of the [k+1] parties holds one bit per
-    wire and the cleartext value is the XOR of all of them.
+    Every wire carries XOR shares: each of the [k+1] parties holds one
+    bit of it and the cleartext value is the XOR of all of them.
     - XOR and NOT gates are evaluated locally (free);
     - AND gates use one 1-out-of-2 oblivious transfer per *ordered* party
       pair, batched per circuit AND-level and served by the IKNP extension
@@ -54,7 +54,7 @@ val eval :
     It is {!eval_many} on the one session: the word-level evaluator with a
     single slot. Each AND level performs one bit OT per gate and ordered
     pair and meters the bytes {!Dstress_crypto.Ot_ext.extend_bits} would
-    for that batch. Wire words are stored unboxed (8-byte [Bytes] words),
+    for that batch. The wire words are stored unboxed (8-byte [Bytes] words),
     so evaluation boxes no [Int64] per wire or gate. In [Simulation] mode,
     and whenever every session consumes pre-drawn material, the OT's
     receiver output — the ideal chosen message [mask ⊕ (x_s ∧ y_r)] — is

@@ -89,7 +89,3 @@ let observe ?(prefix = "traffic") t obs =
         (Printf.sprintf "%s.node.%03d.received" prefix p)
         (float_of_int (received_by t p))
     done
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>traffic over %d parties: %d B total, max/node %d B@]" t.n
-    (total t) (max_per_node t)

@@ -64,5 +64,3 @@ val observe : ?prefix:string -> t -> Dstress_obs.Obs.t -> unit
     ([<prefix>.node.%03d.sent/.received]); nothing when the collector is
     off. This is the phase-attributed replacement for reading the matrix
     fields by hand. *)
-
-val pp : Format.formatter -> t -> unit

@@ -147,15 +147,20 @@ let run cfg p ~graph ~initial_states =
           Setup.run (Prg.of_string ("engine:" ^ seed)) cfg.grp ~n ~k:cfg.k ~degree_bound:d
             ~bits:l
         in
+        (* Every node checks the trusted party's signature on the block
+           list before it joins its blocks; each certificate's is checked
+           where a sender installs it. *)
+        if not (Setup.verify_roster s) then
+          invalid_arg "Engine.run: the roster's signature does not verify";
         (* The one-time setup download is TP->node traffic: charged on the
            dedicated external row, spread uniformly for per-node reporting. *)
         let per_node = Setup.setup_traffic_bytes s / n in
         for i = 0 to n - 1 do
           Traffic.add_external global ~dst:i per_node
         done;
-        (* Each sender installs the certificate its receiver handed it:
-           the comb tables every transfer along that edge encrypts
-           through, held for the whole run. *)
+        (* Each sender installs the certificate its receiver handed it,
+           after checking its signature: the comb tables every transfer
+           along that edge encrypts through, held for the whole run. *)
         let keys =
           Array.map
             (fun (i, j) ->

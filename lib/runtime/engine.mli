@@ -39,7 +39,7 @@
     members are replaced by standbys and the block's state is re-shared;
     failed transfers are retried up to [max_retries] times with
     exponential backoff (simulated, accounted separately from measured
-    wall-clock), escalating to an {!escalation_widening}-times-wider
+    wall-clock), escalating to an 8-times-wider
     lookup table before giving up. The {!report} itemizes injected faults,
     retries, recovered/unrecovered failures, and the extra edge-privacy
     budget consumed by retried transfers.
@@ -106,10 +106,6 @@ val default_config : ?seed:string -> Dstress_crypto.Group.t -> k:int -> degree_b
     {!Executor.of_env} — sequential unless the [DSTRESS_JOBS] environment
     variable requests a domain pool. *)
 
-val escalation_widening : int
-(** Factor by which the last-resort decryption table is wider than
-    [table_radius]. *)
-
 val validate_config : config -> unit
 (** Raises [Invalid_argument] with a descriptive message if any field is
     out of range ([k < 1], [transfer_alpha] outside (0,1), nonpositive
@@ -168,7 +164,11 @@ val run :
   initial_states:Dstress_util.Bitvec.t array ->
   report
 (** Raises [Invalid_argument] if a vertex degree exceeds [degree_bound],
-    the state widths are wrong, or the graph size does not match. *)
+    the state widths are wrong, the graph size does not match, or the
+    Setup phase finds that the trusted party's signature on the roster
+    does not verify ({!Dstress_transfer.Setup.verify_roster}). Each
+    certificate's signature is checked where a sender installs it
+    ({!Dstress_transfer.Protocol.keys}). *)
 
 val run_plaintext :
   Vertex_program.t ->

@@ -52,7 +52,3 @@ let index_of lst x =
 let out_slot t ~src ~dst = index_of t.out_adj.(src) dst
 let in_slot t ~src ~dst = index_of t.in_adj.(dst) src
 let neighbor_slot t ~owner ~other = index_of t.und_adj.(owner) other
-
-let pp ppf t =
-  Format.fprintf ppf "graph(n=%d, m=%d, maxdeg=%d)" t.n (List.length t.edge_list)
-    (max_degree t)

@@ -41,5 +41,3 @@ val in_slot : t -> src:int -> dst:int -> int
 val neighbor_slot : t -> owner:int -> other:int -> int
 (** Index of [other] in [owner]'s undirected neighbor list — selects which
     block certificate [owner] handed to [other]. *)
-
-val pp : Format.formatter -> t -> unit

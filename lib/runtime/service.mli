@@ -181,14 +181,8 @@ val pool_step : pool -> timeout:float -> unit
     run heartbeat suspicion / request deadlines, respawn and re-dispatch
     as needed, reap exited children. [timeout] 0 polls. *)
 
-val pool_idle : pool -> bool
-(** No queued and no in-flight requests. *)
-
-val pool_fds : pool -> Unix.file_descr list
-(** Live worker descriptors, for embedding in an outer select. *)
-
 val shutdown_pool : ?drain_deadline:float -> pool -> unit
-(** Finish queued + in-flight requests (stepping until {!pool_idle} or
+(** Finish queued + in-flight requests (stepping until none is left or
     [drain_deadline] seconds, default 30 — any survivors degrade with a
     shutdown message), then stop workers: shutdown frames, a grace
     period, SIGKILL stragglers, reap every child. Idempotent. *)
@@ -239,9 +233,6 @@ type stats = {
 
 val pool_stats : pool -> stats
 (** Snapshot the pool now. Cheap (no locking beyond the log ring). *)
-
-val stats_schema : string
-(** ["dstress-stats/1"], the [schema] tag of the JSON encoding. *)
 
 val stats_to_json : stats -> Dstress_obs.Json.t
 val stats_of_json : Dstress_obs.Json.t -> (stats, string) result

@@ -58,5 +58,3 @@ val combine_circuit : t -> count:int -> noised:bool -> Dstress_circuit.Circuit.t
 val aggregate_circuit : t -> count:int -> Dstress_circuit.Circuit.t
 (** Single-level aggregation: [count] vertex states in, noised aggregate
     out (inputs: [count * state_bits + 32 + 1]). *)
-
-val noise_alpha : t -> float

@@ -28,9 +28,6 @@ val sensitivity : config -> int
 val total_transfers : config -> float
 (** N_q = Y * R * I * N * D * L * (k+1)^2. *)
 
-val lookup_table_entries : ram_bytes:float -> ciphertext_bits:int -> float
-(** N_l: how many table entries fit in RAM. *)
-
 val max_alpha : config -> table_entries:float -> float
 (** Largest noise parameter such that the system fails to decrypt at most
     once in [total_transfers] transfers (inequality (1)). *)
@@ -38,17 +35,13 @@ val max_alpha : config -> table_entries:float -> float
 val per_transfer_epsilon : alpha:float -> float
 (** eps = -ln alpha per revealed sum. *)
 
-val observed_per_transfer : k:int -> bits:int -> int
-(** [k * bits]: how many noised bit-sums a coalition of [k] corrupted
-    members of the receiving block observes when one transfer's sums are
-    released. Raises [Invalid_argument] on nonpositive parameters. *)
-
 val retry_epsilon : alpha:float -> k:int -> bits:int -> retries:int -> float
 (** Budget cost of re-running a transfer [retries] times after decryption
-    failures: every retry re-releases a fresh set of noised sums, so each
-    one is charged [observed_per_transfer * per_transfer_epsilon] on top
-    of the baseline accounting. Raises [Invalid_argument] if
-    [retries < 0]. *)
+    failures: every retry re-releases the [k * bits] noised sums that a
+    coalition of [k] corrupted receiving members observes, so each one is
+    charged [k * bits * per_transfer_epsilon] on top of the baseline
+    accounting. Raises [Invalid_argument] if [retries < 0], [k < 1] or
+    [bits < 1]. *)
 
 val per_iteration_epsilon : config -> alpha:float -> float
 (** k * (k+1) * L * eps: an adversary controlling k members of the

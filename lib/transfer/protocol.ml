@@ -70,11 +70,15 @@ type keys = { receiver : int; neighbor_slot : int; combs : Group.comb array arra
    exponent. *)
 let ephemeral_teeth = 8
 
+exception Bad_certificate of { receiver : int; neighbor_slot : int }
+
 let keys setup ~receiver ~neighbor_slot =
   if neighbor_slot < 0 || neighbor_slot >= setup.Setup.degree_bound then
     invalid_arg "Protocol.keys: bad neighbor slot";
   let grp = setup.Setup.grp in
   let cert = setup.Setup.nodes.(receiver).Setup.certificates.(neighbor_slot) in
+  if not (Setup.verify_certificate setup cert) then
+    raise (Bad_certificate { receiver; neighbor_slot });
   {
     receiver;
     neighbor_slot;

@@ -54,10 +54,6 @@ type recovery = {
           exhausted; forced at most once per transfer *)
 }
 
-val no_recovery : recovery
-(** Zero retries, no escalation: a miss is reported, not retried — the
-    pre-fault-model behaviour, still used by the strawman ablations. *)
-
 type inject =
   | Drop_attempt  (** the relay leg [i -> j] of the first attempt is lost *)
   | Corrupt_attempt
@@ -101,10 +97,17 @@ type keys
     installs the certificate, and reuses them for every attempt, retry
     and escalation of every transfer along the edge. *)
 
+exception Bad_certificate of { receiver : int; neighbor_slot : int }
+(** The trusted party's signature (σTP, §3.4) on [receiver]'s
+    certificate [neighbor_slot] does not verify: a sender never encrypts
+    to keys the trusted party did not sign. *)
+
 val keys : Setup.t -> receiver:int -> neighbor_slot:int -> keys
 (** [keys setup ~receiver ~neighbor_slot] installs [receiver]'s
-    certificate [neighbor_slot]: (k+1)·L comb tables, ~1.1 KB each at
-    256 bits. Raises [Invalid_argument] on a bad slot. *)
+    certificate [neighbor_slot]: it checks the certificate's signature
+    ({!Setup.verify_certificate}), then builds (k+1)·L comb tables,
+    ~1.1 KB each at 256 bits. Raises [Invalid_argument] on a bad slot
+    and {!Bad_certificate} if the signature does not verify. *)
 
 val transfer :
   ?recovery:recovery ->
@@ -127,8 +130,9 @@ val transfer :
     (block order); [neighbor_slot] selects which of [j]'s certificates was
     handed to [i] during setup. The reconstructed message is preserved:
     XOR of output shares = XOR of input shares (Theorem 1) whenever
-    [unrecovered = 0]. [recovery] defaults to {!no_recovery}; [inject]
-    applies a simulated fault to the first attempt only. [keys] are the
+    [unrecovered = 0]. [recovery] defaults to zero retries and no
+    escalation: a miss is reported, not retried. [inject] applies a
+    simulated fault to the first attempt only. [keys] are the
     certificate's tables from {!keys} (default: built for this call
     alone); every attempt encrypts through them, and each attempt's
     adjusted ephemeral gets one 8-teeth comb table shared by the k+1
@@ -142,7 +146,9 @@ val transfer :
     Pass the calling task's private collector so emission stays
     deterministic under parallel schedules. Raises
     [Invalid_argument] on shape mismatches, a negative retry bound, or
-    [keys] installed for another receiver or slot. *)
+    [keys] installed for another receiver or slot. Without [keys] it
+    installs the certificate through {!keys}, so it raises
+    {!Bad_certificate} as {!keys} does. *)
 
 val expected_bytes :
   variant -> k:int -> bits:int -> element_bytes:int -> int * int * int * int

@@ -33,10 +33,9 @@ type t = {
 
 let key_teeth = 5
 
-let certificate_string grp owner slot keys =
+let certificate_string owner slot keys =
   let buf = Buffer.create 256 in
   Buffer.add_string buf (Printf.sprintf "cert:%d:%d" owner slot);
-  ignore grp;
   Array.iter
     (fun member_keys ->
       Array.iter
@@ -81,7 +80,7 @@ let run prg grp ~n ~k ~degree_bound ~bits =
   if k + 1 > n then invalid_arg "Setup.run: block size exceeds node count";
   if degree_bound < 1 then invalid_arg "Setup.run: degree_bound < 1";
   if bits < 1 then invalid_arg "Setup.run: bits < 1";
-  let tp_secret, tp_public = Schnorr.keygen prg grp in
+  let ((_, tp_public) as tp) = Schnorr.keygen prg grp in
   (* Node-side material: keys and neighbor keys are chosen by the nodes
      themselves; the TP only relays public parts. *)
   let node_keys = Array.init n (fun node -> Keys.generate prg grp ~node ~bits) in
@@ -92,7 +91,7 @@ let run prg grp ~n ~k ~degree_bound ~bits =
   let block_prng = Prng.create 0x7A0BEEFL in
   let blocks = Array.init n (fun i -> draw_block block_prng ~n ~k i) in
   let agg_block = Array.of_list (Prng.sample_without_replacement block_prng (k + 1) n) in
-  let roster_signature = Schnorr.sign prg grp tp_secret (roster_string blocks agg_block) in
+  let roster_signature = Schnorr.sign prg grp tp (roster_string blocks agg_block) in
   (* Every member public key is raised to the neighbor keys of each block
      it sits in, D per block: one comb table per key, held for the
      certificates below and dropped with them. *)
@@ -111,7 +110,7 @@ let run prg grp ~n ~k ~degree_bound ~bits =
       owner = i;
       neighbor_slot = slot;
       member_keys = keys;
-      signature = Schnorr.sign prg grp tp_secret (certificate_string grp i slot keys);
+      signature = Schnorr.sign prg grp tp (certificate_string i slot keys);
     }
   in
   let nodes =
@@ -132,7 +131,7 @@ let verify_roster t =
 
 let verify_certificate t cert =
   Schnorr.verify t.grp t.tp_public
-    (certificate_string t.grp cert.owner cert.neighbor_slot cert.member_keys)
+    (certificate_string cert.owner cert.neighbor_slot cert.member_keys)
     cert.signature
 
 let block_of t i = t.nodes.(i).block

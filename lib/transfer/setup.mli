@@ -68,9 +68,12 @@ val run :
     or [bits < 1]. *)
 
 val verify_roster : t -> bool
-(** Check the TP's signature over the published block list. *)
+(** Check the TP's signature over the published block list. The engine
+    checks it once per run, in its Setup phase. *)
 
 val verify_certificate : t -> certificate -> bool
+(** Check the TP's signature over one certificate. {!Protocol.keys}
+    checks it before a sender encrypts to the certificate's keys. *)
 
 val block_of : t -> int -> int array
 (** Members of [B_i]. *)

@@ -73,9 +73,3 @@ let to_bool_array = Array.copy
 let of_bool_array = Array.copy
 
 let equal a b = a = b
-
-let pp ppf t =
-  Format.pp_print_string ppf "0b";
-  for i = Array.length t - 1 downto 0 do
-    Format.pp_print_char ppf (if t.(i) then '1' else '0')
-  done

@@ -66,5 +66,3 @@ val to_bool_array : t -> bool array
 val of_bool_array : bool array -> t
 
 val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit
-(** Most-significant bit first, e.g. [0b0101] for [of_int ~bits:4 5]. *)

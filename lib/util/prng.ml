@@ -11,8 +11,6 @@ let create seed = { state = seed; bitbuf = 0L; bitcnt = 0 }
 
 let of_int seed = create (Int64.of_int seed)
 
-let copy t = { state = t.state; bitbuf = t.bitbuf; bitcnt = t.bitcnt }
-
 (* SplitMix64 finalizer: two xor-shift-multiply rounds. *)
 let mix z =
   let z = Int64.(mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L) in

@@ -21,12 +21,6 @@ val create : int64 -> t
 val of_int : int -> t
 (** [of_int seed] is [create (Int64.of_int seed)]. *)
 
-val copy : t -> t
-(** Independent snapshot of the generator: the copy and the original
-    produce the same stream from this point on, without affecting each
-    other. Used to checkpoint and restore draw positions (the GMW
-    preprocessing pipeline snapshots per-party generators per eval). *)
-
 val split : t -> t
 (** [split t] advances [t] and returns a statistically independent
     generator. Streams obtained by [split] do not overlap in practice. *)
@@ -40,9 +34,6 @@ val bits : t -> int -> int
 val int : t -> int -> int
 (** [int t bound] is uniform in [\[0, bound)]. Raises [Invalid_argument] if
     [bound <= 0]. *)
-
-val int64_range : t -> int64 -> int64
-(** [int64_range t bound] is uniform in [\[0, bound)] for positive [bound]. *)
 
 val bool : t -> bool
 (** Uniform boolean. *)

@@ -28,43 +28,3 @@ let percentile xs p =
     (sorted.(lo) *. (1.0 -. frac)) +. (sorted.(hi) *. frac)
 
 let median xs = percentile xs 50.0
-
-let linear_fit pts =
-  let n = Array.length pts in
-  if n < 2 then invalid_arg "Stats.linear_fit: need >= 2 points";
-  let sx = ref 0.0 and sy = ref 0.0 and sxx = ref 0.0 and sxy = ref 0.0 in
-  Array.iter
-    (fun (x, y) ->
-      sx := !sx +. x;
-      sy := !sy +. y;
-      sxx := !sxx +. (x *. x);
-      sxy := !sxy +. (x *. y))
-    pts;
-  let nf = float_of_int n in
-  let denom = (nf *. !sxx) -. (!sx *. !sx) in
-  if abs_float denom < 1e-12 then invalid_arg "Stats.linear_fit: zero x-variance";
-  let b = ((nf *. !sxy) -. (!sx *. !sy)) /. denom in
-  let a = (!sy -. (b *. !sx)) /. nf in
-  (a, b)
-
-let r_squared pts ~a ~b =
-  let ys = Array.map snd pts in
-  let ybar = mean ys in
-  let ss_tot = Array.fold_left (fun acc y -> acc +. ((y -. ybar) ** 2.0)) 0.0 ys in
-  let ss_res =
-    Array.fold_left (fun acc (x, y) -> acc +. ((y -. (a +. (b *. x))) ** 2.0)) 0.0 pts
-  in
-  if ss_tot = 0.0 then 1.0 else 1.0 -. (ss_res /. ss_tot)
-
-let histogram xs ~bins ~lo ~hi =
-  if bins <= 0 then invalid_arg "Stats.histogram: bins <= 0";
-  if hi <= lo then invalid_arg "Stats.histogram: hi <= lo";
-  let counts = Array.make bins 0 in
-  let width = (hi -. lo) /. float_of_int bins in
-  Array.iter
-    (fun x ->
-      let b = int_of_float (floor ((x -. lo) /. width)) in
-      let b = if b < 0 then 0 else if b >= bins then bins - 1 else b in
-      counts.(b) <- counts.(b) + 1)
-    xs;
-  counts

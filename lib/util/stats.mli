@@ -1,26 +1,14 @@
-(** Small statistics toolkit for benchmark reporting and the cost model. *)
+(** Summary statistics for benchmark results and the utility experiment. *)
 
 val mean : float array -> float
 (** Raises [Invalid_argument] on an empty array. *)
 
-val variance : float array -> float
-(** Unbiased sample variance; 0 for arrays of length < 2. *)
-
 val stddev : float array -> float
+(** Square root of the unbiased sample variance; 0 for arrays of length
+    < 2. *)
 
 val percentile : float array -> float -> float
 (** [percentile xs p] with [p] in [\[0,100\]], linear interpolation between
     order statistics. Raises [Invalid_argument] on an empty array. *)
 
 val median : float array -> float
-
-val linear_fit : (float * float) array -> float * float
-(** Least-squares fit [y = a + b*x]; returns [(a, b)]. Raises
-    [Invalid_argument] with fewer than two points or zero x-variance. *)
-
-val r_squared : (float * float) array -> a:float -> b:float -> float
-(** Coefficient of determination of the fit [y = a + b*x] on the points. *)
-
-val histogram : float array -> bins:int -> lo:float -> hi:float -> int array
-(** Counts per equal-width bin; values outside [\[lo,hi)] are clamped to the
-    first/last bin. Raises [Invalid_argument] if [bins <= 0] or [hi <= lo]. *)

@@ -355,66 +355,6 @@ let test_word_and_counts () =
     [ 8; 16; 32 ]
 
 (* ------------------------------------------------------------------ *)
-(* Fixed point                                                         *)
-(* ------------------------------------------------------------------ *)
-
-let cfg = { Fixed.int_bits = 6; frac_bits = 6 }
-
-let test_fixed_encode_decode () =
-  List.iter
-    (fun v ->
-      let err = abs_float (Fixed.decode cfg (Fixed.encode cfg v) -. v) in
-      Alcotest.(check bool) (Printf.sprintf "encode %f" v) true (err < 0.01))
-    [ 0.0; 1.0; 0.5; 3.25; 0.984375 ]
-
-let test_fixed_encode_clamps () =
-  Alcotest.(check int) "negative clamps" 0 (Fixed.encode cfg (-3.0));
-  Alcotest.(check int) "huge clamps" ((1 lsl 12) - 1) (Fixed.encode cfg 1e9)
-
-let run_fixed f a b =
-  let bits = Fixed.width cfg in
-  let raw =
-    run ~bits ~arity:2 (fun bl ws -> f bl cfg ws.(0) ws.(1))
-      [ Fixed.encode cfg a; Fixed.encode cfg b ]
-  in
-  Fixed.decode cfg raw
-
-let test_fixed_mul () =
-  List.iter
-    (fun (a, b) ->
-      let got = run_fixed Fixed.mul a b in
-      Alcotest.(check bool)
-        (Printf.sprintf "%f*%f" a b)
-        true
-        (abs_float (got -. (a *. b)) < 0.05))
-    [ (0.5, 0.5); (1.0, 3.0); (2.5, 1.5); (0.25, 0.25) ]
-
-let test_fixed_div () =
-  List.iter
-    (fun (a, b) ->
-      let got = run_fixed Fixed.div a b in
-      Alcotest.(check bool)
-        (Printf.sprintf "%f/%f" a b)
-        true
-        (abs_float (got -. (a /. b)) < 0.05))
-    [ (1.0, 2.0); (3.0, 1.5); (0.5, 4.0); (7.0, 7.0) ]
-
-let test_fixed_clamp () =
-  let bits = Fixed.width cfg in
-  let raw =
-    run ~bits ~arity:1
-      (fun bl ws -> Fixed.clamp_to_one bl cfg ws.(0))
-      [ Fixed.encode cfg 2.5 ]
-  in
-  Alcotest.(check (float 0.001)) "clamped" 1.0 (Fixed.decode cfg raw);
-  let raw2 =
-    run ~bits ~arity:1
-      (fun bl ws -> Fixed.clamp_to_one bl cfg ws.(0))
-      [ Fixed.encode cfg 0.75 ]
-  in
-  Alcotest.(check (float 0.001)) "unchanged" 0.75 (Fixed.decode cfg raw2)
-
-(* ------------------------------------------------------------------ *)
 (* Properties                                                          *)
 (* ------------------------------------------------------------------ *)
 
@@ -490,14 +430,6 @@ let () =
           Alcotest.test_case "exhaustive widths 1-8" `Quick test_word_exhaustive;
           Alcotest.test_case "divmod exhaustive widths 1-6" `Quick test_word_divmod_exhaustive;
           Alcotest.test_case "AND counts" `Quick test_word_and_counts;
-        ] );
-      ( "fixed",
-        [
-          Alcotest.test_case "encode/decode" `Quick test_fixed_encode_decode;
-          Alcotest.test_case "encode clamps" `Quick test_fixed_encode_clamps;
-          Alcotest.test_case "mul" `Quick test_fixed_mul;
-          Alcotest.test_case "div" `Quick test_fixed_div;
-          Alcotest.test_case "clamp to one" `Quick test_fixed_clamp;
         ] );
       ("properties", qsuite);
     ]

@@ -50,21 +50,6 @@ let test_sha256_million_a () =
     "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
     (Sha256.hex_digest msg)
 
-let test_hmac_rfc4231 () =
-  let key = Bytes.make 20 '\x0b' in
-  let data = Bytes.of_string "Hi There" in
-  Alcotest.(check string) "rfc4231 case 1"
-    "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7"
-    (Dstress_util.Hex.encode (Sha256.hmac ~key data))
-
-let test_hmac_long_key () =
-  (* Keys longer than the block size are hashed first (RFC 4231 case 6). *)
-  let key = Bytes.make 131 '\xaa' in
-  let data = Bytes.of_string "Test Using Larger Than Block-Size Key - Hash Key First" in
-  Alcotest.(check string) "rfc4231 case 6"
-    "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54"
-    (Dstress_util.Hex.encode (Sha256.hmac ~key data))
-
 (* ------------------------------------------------------------------ *)
 (* Prg                                                                 *)
 (* ------------------------------------------------------------------ *)
@@ -252,13 +237,6 @@ let test_exp_elgamal_additive () =
     in
     Alcotest.(check (option int)) "sum" (Some (a + b)) (Exp_elgamal.decrypt grp sk table c)
   done
-
-let test_exp_elgamal_add_clear () =
-  let t = prg "xeg-clear" in
-  let sk, pk = Exp_elgamal.keygen t grp in
-  let c = Exp_elgamal.encrypt t grp pk 100 in
-  let c' = Exp_elgamal.add_clear t grp pk c (-30) in
-  Alcotest.(check (option int)) "add_clear" (Some 70) (Exp_elgamal.decrypt grp sk table c')
 
 let test_exp_elgamal_out_of_table () =
   let t = prg "xeg-oob" in
@@ -502,8 +480,8 @@ let test_schnorr_named_groups () =
     (fun name ->
       let g = Group.by_name name in
       let t = prg ("schnorr:" ^ name) in
-      let sk, pk = Schnorr.keygen t g in
-      let s = Schnorr.sign t g sk ("roster:" ^ name) in
+      let ((_, pk) as tp) = Schnorr.keygen t g in
+      let s = Schnorr.sign t g tp ("roster:" ^ name) in
       Alcotest.(check bool) (name ^ " verifies") true
         (Schnorr.verify g pk ("roster:" ^ name) s);
       Alcotest.(check bool) (name ^ " rejects") false
@@ -778,30 +756,30 @@ let test_ot_ext_words_rejects_bad_width () =
 
 let test_schnorr_sign_verify () =
   let t = prg "schnorr" in
-  let sk, pk = Schnorr.keygen t grp in
+  let ((_, pk) as tp) = Schnorr.keygen t grp in
   List.iter
     (fun msg ->
-      let s = Schnorr.sign t grp sk msg in
+      let s = Schnorr.sign t grp tp msg in
       Alcotest.(check bool) ("verifies: " ^ msg) true (Schnorr.verify grp pk msg s))
     [ ""; "roster"; "cert:0:1:deadbeef"; String.make 1000 'x' ]
 
 let test_schnorr_rejects_wrong_message () =
   let t = prg "schnorr-msg" in
-  let sk, pk = Schnorr.keygen t grp in
-  let s = Schnorr.sign t grp sk "original" in
+  let ((_, pk) as tp) = Schnorr.keygen t grp in
+  let s = Schnorr.sign t grp tp "original" in
   Alcotest.(check bool) "tampered message" false (Schnorr.verify grp pk "tampered" s)
 
 let test_schnorr_rejects_wrong_key () =
   let t = prg "schnorr-key" in
-  let sk, _ = Schnorr.keygen t grp in
+  let tp = Schnorr.keygen t grp in
   let _, pk2 = Schnorr.keygen t grp in
-  let s = Schnorr.sign t grp sk "msg" in
+  let s = Schnorr.sign t grp tp "msg" in
   Alcotest.(check bool) "wrong key" false (Schnorr.verify grp pk2 "msg" s)
 
 let test_schnorr_rejects_tampered_signature () =
   let t = prg "schnorr-tamper" in
-  let sk, pk = Schnorr.keygen t grp in
-  let s = Schnorr.sign t grp sk "msg" in
+  let ((_, pk) as tp) = Schnorr.keygen t grp in
+  let s = Schnorr.sign t grp tp "msg" in
   let bumped = { s with Schnorr.response = Group.exp_add grp s.Schnorr.response Nat.one } in
   Alcotest.(check bool) "tampered response" false (Schnorr.verify grp pk "msg" bumped)
 
@@ -809,89 +787,11 @@ let test_schnorr_signatures_randomized () =
   (* Fresh commitment per signature: signing twice yields different
      signatures that both verify. *)
   let t = prg "schnorr-rand" in
-  let sk, pk = Schnorr.keygen t grp in
-  let s1 = Schnorr.sign t grp sk "m" and s2 = Schnorr.sign t grp sk "m" in
+  let ((_, pk) as tp) = Schnorr.keygen t grp in
+  let s1 = Schnorr.sign t grp tp "m" and s2 = Schnorr.sign t grp tp "m" in
   Alcotest.(check bool) "distinct" false (Nat.equal s1.Schnorr.response s2.Schnorr.response);
   Alcotest.(check bool) "both verify" true
     (Schnorr.verify grp pk "m" s1 && Schnorr.verify grp pk "m" s2)
-
-(* ------------------------------------------------------------------ *)
-(* Wire format                                                         *)
-(* ------------------------------------------------------------------ *)
-
-let test_wire_element_roundtrip () =
-  let t = prg "wire-elt" in
-  for _ = 1 to 20 do
-    let e = Group.pow_g grp (Group.random_exponent t grp) in
-    let b = Wire.encode_element grp e in
-    Alcotest.(check int) "fixed width" (Group.element_bytes grp) (Bytes.length b);
-    Alcotest.(check bool) "roundtrip" true
-      (Group.elt_equal e (Wire.decode_element grp (Wire.reader b)))
-  done
-
-let test_wire_rejects_non_element () =
-  (* p - 1 is not in the order-q subgroup of squares. *)
-  let bad = Nat.sub (Group.p grp) Nat.one in
-  let b = Wire.encode_element grp bad in
-  Alcotest.(check bool) "rejected" true
-    (try ignore (Wire.decode_element grp (Wire.reader b)); false
-     with Failure _ -> true)
-
-let test_wire_rejects_truncation () =
-  let t = prg "wire-trunc" in
-  let e = Group.pow_g grp (Group.random_exponent t grp) in
-  let b = Wire.encode_element grp e in
-  let short = Bytes.sub b 0 (Bytes.length b - 1) in
-  Alcotest.(check bool) "truncated rejected" true
-    (try ignore (Wire.decode_element grp (Wire.reader short)); false
-     with Failure _ -> true)
-
-let test_wire_ciphertext_roundtrip () =
-  let t = prg "wire-ct" in
-  let _, pk = Exp_elgamal.keygen t grp in
-  let c = Exp_elgamal.encrypt t grp pk 77 in
-  let r = Wire.reader (Wire.encode_ciphertext grp c) in
-  Alcotest.(check bool) "roundtrip" true
-    (Elgamal.ciphertext_equal c (Wire.decode_ciphertext grp r))
-
-let test_wire_multi_bundle () =
-  let t = prg "wire-multi" in
-  let keys = List.init 4 (fun _ -> snd (Exp_elgamal.keygen t grp)) in
-  let bundle = Exp_elgamal.encrypt_multi t grp (List.map (fun k -> (k, 3)) keys) in
-  let encoded = Wire.encode_multi_bundle grp bundle in
-  Alcotest.(check int) "exact predicted size" (Wire.multi_bundle_bytes grp 4)
-    (Bytes.length encoded);
-  let c1, c2s = Wire.decode_multi_bundle grp (Wire.reader encoded) in
-  Alcotest.(check bool) "c1" true (Group.elt_equal (fst bundle) c1);
-  Alcotest.(check int) "bodies" 4 (List.length c2s);
-  List.iter2
-    (fun a b -> Alcotest.(check bool) "body" true (Group.elt_equal a b))
-    (snd bundle) c2s
-
-let test_wire_bundle_bad_count_rejected () =
-  (* A forged length prefix claiming an implausible body count must be
-     rejected before any allocation is attempted. *)
-  let forged = Bytes.cat (Bytes.of_string "\x7f\xff\xff\xff") (Bytes.create 16) in
-  Alcotest.(check bool) "rejected" true
-    (try ignore (Wire.decode_multi_bundle grp (Wire.reader forged)); false
-     with Failure _ -> true)
-
-let test_wire_signature_roundtrip () =
-  let t = prg "wire-sig" in
-  let sk, pk = Schnorr.keygen t grp in
-  let s = Schnorr.sign t grp sk "hello" in
-  let s' = Wire.decode_signature grp (Wire.reader (Wire.encode_signature grp s)) in
-  Alcotest.(check bool) "still verifies" true (Schnorr.verify grp pk "hello" s')
-
-let test_wire_bits_roundtrip () =
-  let t = prg "wire-bits" in
-  List.iter
-    (fun n ->
-      let v = Prg.bits t n in
-      let v' = Wire.decode_bits (Wire.reader (Wire.encode_bits v)) in
-      Alcotest.(check bool) (Printf.sprintf "bits %d" n) true
-        (Dstress_util.Bitvec.equal v v'))
-    [ 0; 1; 7; 8; 9; 64; 100 ]
 
 (* ------------------------------------------------------------------ *)
 (* Properties                                                          *)
@@ -929,8 +829,6 @@ let () =
           Alcotest.test_case "FIPS vectors" `Quick test_sha256_fips_vectors;
           Alcotest.test_case "block boundaries" `Quick test_sha256_block_boundaries;
           Alcotest.test_case "million a" `Slow test_sha256_million_a;
-          Alcotest.test_case "hmac rfc4231" `Quick test_hmac_rfc4231;
-          Alcotest.test_case "hmac long key" `Quick test_hmac_long_key;
         ] );
       ( "prg",
         [
@@ -966,7 +864,6 @@ let () =
         [
           Alcotest.test_case "roundtrip" `Quick test_exp_elgamal_roundtrip;
           Alcotest.test_case "additive" `Quick test_exp_elgamal_additive;
-          Alcotest.test_case "add_clear" `Quick test_exp_elgamal_add_clear;
           Alcotest.test_case "out of table" `Quick test_exp_elgamal_out_of_table;
           Alcotest.test_case "rerandomized key" `Quick test_exp_elgamal_rerandomized_key;
           Alcotest.test_case "sum then adjust" `Quick
@@ -997,17 +894,6 @@ let () =
           Alcotest.test_case "tampered signature" `Quick test_schnorr_rejects_tampered_signature;
           Alcotest.test_case "randomized" `Quick test_schnorr_signatures_randomized;
           Alcotest.test_case "named groups" `Quick test_schnorr_named_groups;
-        ] );
-      ( "wire",
-        [
-          Alcotest.test_case "element roundtrip" `Quick test_wire_element_roundtrip;
-          Alcotest.test_case "rejects non-element" `Quick test_wire_rejects_non_element;
-          Alcotest.test_case "rejects truncation" `Quick test_wire_rejects_truncation;
-          Alcotest.test_case "ciphertext roundtrip" `Quick test_wire_ciphertext_roundtrip;
-          Alcotest.test_case "multi bundle" `Quick test_wire_multi_bundle;
-          Alcotest.test_case "forged bundle count" `Quick test_wire_bundle_bad_count_rejected;
-          Alcotest.test_case "signature roundtrip" `Quick test_wire_signature_roundtrip;
-          Alcotest.test_case "bits roundtrip" `Quick test_wire_bits_roundtrip;
         ] );
       ( "ot-extension",
         [

@@ -48,7 +48,7 @@ let contains_substring ~sub s =
   go 0
 
 (* ------------------------------------------------------------------ *)
-(* Wire format: golden fixtures                                        *)
+(* DSTRESS-REQ/1: golden fixtures                                      *)
 (* ------------------------------------------------------------------ *)
 
 let golden_request =
@@ -115,7 +115,7 @@ let test_golden_response () =
   | _ -> Alcotest.fail "golden rejected must decode"
 
 (* ------------------------------------------------------------------ *)
-(* Wire format: malformed payloads                                     *)
+(* DSTRESS-REQ/1: malformed payloads                                   *)
 (* ------------------------------------------------------------------ *)
 
 let expect_decode_error label what = function
@@ -191,7 +191,7 @@ let test_validate_request () =
     (ok { golden_request with Service.executor = "" })
 
 (* ------------------------------------------------------------------ *)
-(* Wire format: qcheck round trips                                     *)
+(* DSTRESS-REQ/1: qcheck round trips                                   *)
 (* ------------------------------------------------------------------ *)
 
 let gen_request =

@@ -462,7 +462,7 @@ let test_pool_slow_request_logged () =
   Service.shutdown_pool pool
 
 (* ------------------------------------------------------------------ *)
-(* Wire: fetch_stats against a forked responder                        *)
+(* Socket: fetch_stats against a forked responder                      *)
 (* ------------------------------------------------------------------ *)
 
 let test_fetch_stats_wire () =

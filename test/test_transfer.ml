@@ -2,6 +2,8 @@ open Dstress_transfer
 module Group = Dstress_crypto.Group
 module Prg = Dstress_crypto.Prg
 module Exp_elgamal = Dstress_crypto.Exp_elgamal
+module Schnorr = Dstress_crypto.Schnorr
+module Nat = Dstress_bignum.Nat
 module Bitvec = Dstress_util.Bitvec
 module Prng = Dstress_util.Prng
 module Traffic = Dstress_mpc.Traffic
@@ -58,6 +60,18 @@ let test_setup_tampered_certificate_fails () =
                              cert.Setup.member_keys }
   in
   Alcotest.(check bool) "tampered fails" false (Setup.verify_certificate s tampered)
+
+let test_setup_roster_rejects_swapped_member () =
+  (* Node 4's block with its last member swapped for a node outside it. *)
+  let s = Lazy.force small_setup in
+  let nodes = Array.copy s.Setup.nodes in
+  let block = Array.copy nodes.(4).Setup.block in
+  let outsider =
+    List.find (fun v -> not (Array.mem v block)) (List.init s.Setup.n Fun.id)
+  in
+  block.(Array.length block - 1) <- outsider;
+  nodes.(4) <- { (nodes.(4)) with Setup.block };
+  Alcotest.(check bool) "swapped member" false (Setup.verify_roster { s with Setup.nodes })
 
 let test_setup_certificate_keys_rerandomized () =
   (* cert key = public key ^ neighbor_key, for every member and bit. *)
@@ -217,6 +231,45 @@ let test_transfer_final_standard () =
            ~receiver:3 ~neighbor_slot:0
            ~shares:(Array.make 3 (Bitvec.create 8 false))))
 
+(* [s] with [receiver]'s certificate [slot] rewritten by [f]. *)
+let with_certificate s ~receiver ~slot f =
+  let nodes = Array.copy s.Setup.nodes in
+  let certificates = Array.copy nodes.(receiver).Setup.certificates in
+  certificates.(slot) <- f certificates.(slot);
+  nodes.(receiver) <- { (nodes.(receiver)) with Setup.certificates };
+  { s with Setup.nodes }
+
+(* A forged certificate 5/1 is refused where it is installed, by
+   [Protocol.keys] and by a transfer that installs it itself; node 5's
+   other certificates still install. *)
+let check_certificate_rejected forged =
+  let rejected = Protocol.Bad_certificate { receiver = 5; neighbor_slot = 1 } in
+  Alcotest.check_raises "keys" rejected (fun () ->
+      ignore (Protocol.keys forged ~receiver:5 ~neighbor_slot:1));
+  Alcotest.check_raises "transfer" rejected (fun () ->
+      ignore
+        (Protocol.transfer (params ()) ~prg:(prg "forged") ~noise:(Prng.of_int 1)
+           ~traffic:(Traffic.create 8) ~variant:Protocol.Final ~setup:forged ~sender:1
+           ~receiver:5 ~neighbor_slot:1
+           ~shares:(Array.make 3 (Bitvec.create 8 false))));
+  ignore (Protocol.keys forged ~receiver:5 ~neighbor_slot:0)
+
+let test_keys_reject_replaced_member_key () =
+  let attacker = Group.pow_g grp (Group.random_exponent (prg "attacker") grp) in
+  check_certificate_rejected
+    (with_certificate (Lazy.force small_setup) ~receiver:5 ~slot:1 (fun cert ->
+         let keys = Array.map Array.copy cert.Setup.member_keys in
+         keys.(1).(2) <- attacker;
+         { cert with Setup.member_keys = keys }))
+
+let test_keys_reject_bumped_signature () =
+  check_certificate_rejected
+    (with_certificate (Lazy.force small_setup) ~receiver:5 ~slot:1 (fun cert ->
+         let sg = cert.Setup.signature in
+         { cert with
+           Setup.signature =
+             { sg with Schnorr.response = Group.exp_add grp sg.Schnorr.response Nat.one } }))
+
 (* ------------------------------------------------------------------ *)
 (* Protocol: traffic accounting                                        *)
 (* ------------------------------------------------------------------ *)
@@ -361,6 +414,8 @@ let () =
           Alcotest.test_case "roster verifies" `Quick test_setup_roster_verifies;
           Alcotest.test_case "certificates verify" `Quick test_setup_certificates_verify;
           Alcotest.test_case "tampered cert fails" `Quick test_setup_tampered_certificate_fails;
+          Alcotest.test_case "roster rejects swapped member" `Quick
+            test_setup_roster_rejects_swapped_member;
           Alcotest.test_case "keys re-randomized" `Quick test_setup_certificate_keys_rerandomized;
           Alcotest.test_case "rejects bad params" `Quick test_setup_rejects_bad_params;
           Alcotest.test_case "member index" `Quick test_setup_member_index;
@@ -374,6 +429,10 @@ let () =
           Alcotest.test_case "bad shapes" `Quick test_transfer_bad_shapes;
           Alcotest.test_case "tiny table fails" `Quick test_transfer_tiny_table_fails;
           Alcotest.test_case "final on standard" `Quick test_transfer_final_standard;
+          Alcotest.test_case "keys reject replaced member key" `Quick
+            test_keys_reject_replaced_member_key;
+          Alcotest.test_case "keys reject bumped signature" `Quick
+            test_keys_reject_bumped_signature;
         ] );
       ( "traffic",
         [

@@ -209,28 +209,6 @@ let test_stats_percentile () =
   Alcotest.(check (float 1e-9)) "p100" 5.0 (Stats.percentile xs 100.0);
   Alcotest.(check (float 1e-9)) "p25" 2.0 (Stats.percentile xs 25.0)
 
-let test_stats_linear_fit () =
-  let pts = Array.init 10 (fun i -> (float_of_int i, 3.0 +. (2.0 *. float_of_int i))) in
-  let a, b = Stats.linear_fit pts in
-  Alcotest.(check (float 1e-9)) "intercept" 3.0 a;
-  Alcotest.(check (float 1e-9)) "slope" 2.0 b;
-  Alcotest.(check (float 1e-9)) "r2" 1.0 (Stats.r_squared pts ~a ~b)
-
-let test_stats_fit_noisy () =
-  let t = prng () in
-  let pts =
-    Array.init 200 (fun i ->
-        let x = float_of_int i in
-        (x, 5.0 +. (0.5 *. x) +. (Prng.float t -. 0.5)))
-  in
-  let a, b = Stats.linear_fit pts in
-  Alcotest.(check bool) "slope near 0.5" true (abs_float (b -. 0.5) < 0.05);
-  Alcotest.(check bool) "intercept near 5" true (abs_float (a -. 5.0) < 1.0)
-
-let test_stats_histogram () =
-  let h = Stats.histogram [| 0.1; 0.2; 0.6; 0.9; -1.0; 2.0 |] ~bins:2 ~lo:0.0 ~hi:1.0 in
-  Alcotest.(check (array int)) "bins" [| 3; 3 |] h
-
 (* ------------------------------------------------------------------ *)
 (* Properties                                                          *)
 (* ------------------------------------------------------------------ *)
@@ -301,9 +279,6 @@ let () =
           Alcotest.test_case "mean" `Quick test_stats_mean;
           Alcotest.test_case "stddev" `Quick test_stats_stddev;
           Alcotest.test_case "percentile" `Quick test_stats_percentile;
-          Alcotest.test_case "linear fit exact" `Quick test_stats_linear_fit;
-          Alcotest.test_case "linear fit noisy" `Quick test_stats_fit_noisy;
-          Alcotest.test_case "histogram" `Quick test_stats_histogram;
         ] );
       ("properties", qsuite);
     ]
