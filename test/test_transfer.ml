@@ -19,6 +19,12 @@ let table = lazy (Exp_elgamal.Table.make grp ~lo:(-300) ~hi:320)
 
 let params () = { Protocol.alpha = 0.5; table = Lazy.force table }
 
+(* [s] with node [i]'s state rewritten by [f]: a forged setup. *)
+let with_node s i f =
+  let nodes = Array.copy s.Setup.nodes in
+  nodes.(i) <- f nodes.(i);
+  { s with Setup.nodes }
+
 (* ------------------------------------------------------------------ *)
 (* Setup                                                               *)
 (* ------------------------------------------------------------------ *)
@@ -64,14 +70,16 @@ let test_setup_tampered_certificate_fails () =
 let test_setup_roster_rejects_swapped_member () =
   (* Node 4's block with its last member swapped for a node outside it. *)
   let s = Lazy.force small_setup in
-  let nodes = Array.copy s.Setup.nodes in
-  let block = Array.copy nodes.(4).Setup.block in
-  let outsider =
-    List.find (fun v -> not (Array.mem v block)) (List.init s.Setup.n Fun.id)
+  let forged =
+    with_node s 4 (fun ns ->
+        let block = Array.copy ns.Setup.block in
+        let outsider =
+          List.find (fun v -> not (Array.mem v block)) (List.init s.Setup.n Fun.id)
+        in
+        block.(Array.length block - 1) <- outsider;
+        { ns with Setup.block })
   in
-  block.(Array.length block - 1) <- outsider;
-  nodes.(4) <- { (nodes.(4)) with Setup.block };
-  Alcotest.(check bool) "swapped member" false (Setup.verify_roster { s with Setup.nodes })
+  Alcotest.(check bool) "swapped member" false (Setup.verify_roster forged)
 
 let test_setup_certificate_keys_rerandomized () =
   (* cert key = public key ^ neighbor_key, for every member and bit. *)
@@ -233,11 +241,10 @@ let test_transfer_final_standard () =
 
 (* [s] with [receiver]'s certificate [slot] rewritten by [f]. *)
 let with_certificate s ~receiver ~slot f =
-  let nodes = Array.copy s.Setup.nodes in
-  let certificates = Array.copy nodes.(receiver).Setup.certificates in
-  certificates.(slot) <- f certificates.(slot);
-  nodes.(receiver) <- { (nodes.(receiver)) with Setup.certificates };
-  { s with Setup.nodes }
+  with_node s receiver (fun ns ->
+      let certificates = Array.copy ns.Setup.certificates in
+      certificates.(slot) <- f certificates.(slot);
+      { ns with Setup.certificates })
 
 (* A forged certificate 5/1 is refused where it is installed, by
    [Protocol.keys] and by a transfer that installs it itself; node 5's
