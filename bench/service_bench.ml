@@ -63,7 +63,7 @@ let small_economy =
   }
 
 (* A real handler: one small seeded EN clearing run per request. The
-   run owns everything it computes, preprocessed material included, so
+   run owns everything it computes, preprocessed sessions included, so
    a repeated request does the same work as the first. *)
 let en_handler (req : Service.request) =
   let graph = En_program.graph_of_instance small_economy in

@@ -15,7 +15,7 @@ if grep -rn --include='*.ml' --include='*.mli' 'Marshal\.' lib bin; then
   exit 1
 fi
 
-# A run owns its GMW plans, preprocessed material and base-OT point, so
+# A run owns its GMW plans, preprocessed sessions and base-OT point, so
 # work counts and memory never depend on what ran earlier in the process.
 # No weak memo anywhere in the library, and no process-wide table or lock
 # (a top-level binding) in the layers below the engine.
@@ -145,16 +145,25 @@ dune exec test/json_check.exe -- \
 
 # Offline/online smoke: an EN run with preprocessing must be
 # observationally identical to the inline run — the tick-domain
-# trace/metrics exports byte-compare.
+# trace/metrics exports byte-compare — in both OT modes. Crypto mode
+# runs every IKNP extension online either way, so it gets the small
+# shape (~1.5 s a run).
 echo "== preprocess smoke (offline/online observational identity) =="
-dune exec bin/dstress.exe -- stress --core 2 --periphery 3 -i 2 \
-  --trace "$CI_TMP/trace.inline.json" --metrics "$CI_TMP/metrics.inline.json" \
-  > /dev/null
-dune exec bin/dstress.exe -- stress --core 2 --periphery 3 -i 2 --preprocess \
-  --trace "$CI_TMP/trace.pre.json" --metrics "$CI_TMP/metrics.pre.json" \
-  > /dev/null
-cmp "$CI_TMP/trace.inline.json" "$CI_TMP/trace.pre.json"
-cmp "$CI_TMP/metrics.inline.json" "$CI_TMP/metrics.pre.json"
+for run in "simulation:--core 2 --periphery 3 -i 2" \
+    "crypto:--core 2 --periphery 1 -i 1 -k 1"; do
+  ot="${run%%:*}"
+  shape="${run#*:}"
+  for tag in inline pre; do
+    flag=""
+    if [ "$tag" = pre ]; then flag="--preprocess"; fi
+    # $shape and $flag are flag lists, left unquoted so they split into words.
+    dune exec bin/dstress.exe -- stress $shape --ot "$ot" $flag \
+      --trace "$CI_TMP/pre.$ot.$tag.trace.json" \
+      --metrics "$CI_TMP/pre.$ot.$tag.metrics.json" > /dev/null
+  done
+  cmp "$CI_TMP/pre.$ot.inline.trace.json" "$CI_TMP/pre.$ot.pre.trace.json"
+  cmp "$CI_TMP/pre.$ot.inline.metrics.json" "$CI_TMP/pre.$ot.pre.metrics.json"
+done
 
 # OT-mode differential: Simulation OT is the ideal functionality, so a
 # whole run must be Crypto OT minus the cost — the tick-domain trace and

@@ -136,10 +136,10 @@ let preprocess_arg =
     value & flag
     & info [ "preprocess" ]
         ~doc:
-          "Run the offline phase: generate each block's correlated randomness \
-           for the whole run before the timed online rounds. Outputs, traffic \
-           and tick-domain observability are identical either way; only \
-           wall-clock moves offline.")
+          "Run the offline phase: set up each block's OT sessions and compute \
+           its GMW mask keystream for the whole run before the timed online \
+           rounds. Outputs, traffic and tick-domain observability are \
+           identical either way; only wall-clock moves offline.")
 
 (* ------------------------------------------------------------------ *)
 (* Observability arguments                                              *)

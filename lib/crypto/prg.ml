@@ -1,8 +1,10 @@
 module Nat = Dstress_bignum.Nat
 
 (* SHA-256 in counter mode: block_i = H(key || i64). A buffer holds the
-   unconsumed tail of the last block so bit/byte requests of any size are
-   served without waste. *)
+   unconsumed tail of the last block computed (and any blocks computed
+   ahead of it by [prefetch]), so bit/byte requests of any size are
+   served without waste. The buffer always ends at a block boundary, and
+   [counter] numbers the block that follows it. *)
 type t = {
   key : bytes;
   mutable counter : int64;
@@ -13,11 +15,6 @@ type t = {
 let create seed = { key = Bytes.copy seed; counter = 0L; buffer = Bytes.create 0; pos = 0 }
 
 let of_string s = create (Bytes.of_string s)
-
-(* The key is never written after [create], and [refill] replaces the
-   buffer wholesale rather than mutating it, so both can be shared; the
-   scalar cursor fields make the copy independent. *)
-let copy t = { key = t.key; counter = t.counter; buffer = t.buffer; pos = t.pos }
 
 let next_block t =
   let ctr = Bytes.create 8 in
@@ -55,6 +52,23 @@ let skip t n =
       refill t;
       t.pos <- rest mod 32
     end
+  end
+
+(* Compute the stream's next [n] bytes now: the unread tail and enough
+   whole blocks after it go into one buffer, which later draws read as
+   they would the blocks computed on demand. *)
+let prefetch t n =
+  if n < 0 then invalid_arg "Prg.prefetch: negative length";
+  let buffered = Bytes.length t.buffer - t.pos in
+  if n > buffered then begin
+    let blocks = (n - buffered + 31) / 32 in
+    let buffer = Bytes.create (buffered + (32 * blocks)) in
+    Bytes.blit t.buffer t.pos buffer 0 buffered;
+    for i = 0 to blocks - 1 do
+      Bytes.blit (next_block t) 0 buffer (buffered + (32 * i)) 32
+    done;
+    t.buffer <- buffer;
+    t.pos <- 0
   end
 
 (* Bulk draw: blit whole buffered blocks instead of going byte by byte.

@@ -11,12 +11,6 @@ val create : bytes -> t
 
 val of_string : string -> t
 
-val copy : t -> t
-(** Independent snapshot: the copy continues the stream from the same
-    position without affecting the original. The GMW preprocessing
-    pipeline uses this to checkpoint per-party streams after each
-    pre-generated evaluation and to restore them on consumption. *)
-
 val bytes : t -> int -> bytes
 (** [bytes t n] produces [n] pseudo-random bytes. *)
 
@@ -25,6 +19,15 @@ val skip : t -> int -> unit
     every later draw equals the one that would follow [bytes t n]. It
     costs at most one block computation whatever [n] is. Raises
     [Invalid_argument] if [n < 0]. *)
+
+val prefetch : t -> int -> unit
+(** [prefetch t n] computes the stream's next [n] bytes now and buffers
+    them, so the draws that consume them hash nothing. It changes no
+    draw: every later [bytes], [bits], [bool], [skip] and [nat_below]
+    returns what it would have without it. The GMW offline phase
+    ([Gmw.preprocess] in the MPC layer) calls it with the mask bytes a
+    session's evaluations will draw. Raises [Invalid_argument] if
+    [n < 0]. *)
 
 val bits : t -> int -> Dstress_util.Bitvec.t
 (** [bits t n] produces [n] pseudo-random bits. *)

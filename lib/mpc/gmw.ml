@@ -4,22 +4,17 @@ module Xfer = Dstress_crypto.Xfer
 module Ot_ext = Dstress_crypto.Ot_ext
 module Circuit = Dstress_circuit.Circuit
 
-(* Attached offline material and a cursor counting evaluations already
-   served from it. The cursor also advances on inline evaluations of the
-   matching plan, so entry [k] always corresponds to evaluation [k]. *)
-type preload = { mat : Triple.material; mutable next : int }
-
 type session = {
   mode : Ot_ext.mode;
   grp : Dstress_crypto.Group.t;
   n : int;
   prgs : Prg.t array; (* per-party local randomness *)
-  ot : Ot_ext.session option array array; (* [sender][receiver], lazy *)
+  mutable ot : Ot_ext.session option array array;
+      (* [sender][receiver], diagonal [None]; [||] until set up *)
   traffic : Traffic.t;
   mutable rounds : int;
   mutable and_gates : int;
   mutable ots : int;
-  mutable pre : preload option;
 }
 
 let create_session ?(mode = Ot_ext.Crypto) grp ~parties ~seed =
@@ -32,12 +27,11 @@ let create_session ?(mode = Ot_ext.Crypto) grp ~parties ~seed =
     grp;
     n = parties;
     prgs;
-    ot = Array.make_matrix parties parties None;
+    ot = [||];
     traffic = Traffic.create parties;
     rounds = 0;
     and_gates = 0;
     ots = 0;
-    pre = None;
   }
 
 let parties s = s.n
@@ -49,18 +43,24 @@ let drain_xfer s xfer ~sender ~receiver =
   Traffic.add s.traffic ~src:sender ~dst:receiver (Xfer.a_to_b xfer);
   Traffic.add s.traffic ~src:receiver ~dst:sender (Xfer.b_to_a xfer)
 
-let ot_session s ~sender ~receiver =
-  match s.ot.(sender).(receiver) with
-  | Some session -> session
-  | None ->
-      let xfer = Xfer.create () in
-      let session =
-        Ot_ext.setup ~mode:s.mode s.grp xfer ~sender_prg:s.prgs.(sender)
-          ~receiver_prg:s.prgs.(receiver)
-      in
-      drain_xfer s xfer ~sender ~receiver;
-      s.ot.(sender).(receiver) <- Some session;
-      session
+(* Set up every ordered pair's OT session, sender-major, charging its
+   base-OT traffic. A session does this once, before its first mask
+   draw, so no setup draw ever lands between mask draws. *)
+let setup_ots s =
+  if Array.length s.ot = 0 then
+    s.ot <-
+      Array.init s.n (fun sender ->
+          Array.init s.n (fun receiver ->
+              if sender = receiver then None
+              else begin
+                let xfer = Xfer.create () in
+                let session =
+                  Ot_ext.setup ~mode:s.mode s.grp xfer ~sender_prg:s.prgs.(sender)
+                    ~receiver_prg:s.prgs.(receiver)
+                in
+                drain_xfer s xfer ~sender ~receiver;
+                Some session
+              end))
 
 let share_input s v = Sharing.share s.prgs.(0) ~parties:s.n v
 
@@ -68,97 +68,17 @@ let share_input s v = Sharing.share s.prgs.(0) ~parties:s.n v
    bit of byte [g]. *)
 let draw_mask_bytes prg m = Prg.bytes prg m
 
-(* ------------------------------------------------------------------ *)
-(* Offline phase: generate / attach / consume correlated randomness     *)
-(* ------------------------------------------------------------------ *)
-
-(* Replay, on a fresh throwaway session with the same seed, exactly the
-   randomness the online evaluator consumes for [evals] evaluations of
-   [plan]: per evaluation, per AND level, per ordered pair — the lazy OT
-   setup (first evaluation only) followed by the sender's bulk mask draw.
-   Per-party PRG states are snapshotted after each evaluation so the
-   consumer can restore them and stay stream-exact. *)
-let generate_material ?mode grp ~parties ~seed ~evals plan =
-  if evals < 0 then invalid_arg "Gmw.generate_material: evals < 0";
-  let s = create_session ?mode grp ~parties ~seed in
-  let levels = Plan.levels plan in
-  let eval_mats =
-    Array.init evals (fun _ ->
-        let masks =
-          Array.map
-            (fun (lv : Plan.level) ->
-              let m = Array.length lv.Plan.and_dst in
-              let level_masks = Array.make (parties * parties) Bytes.empty in
-              for sender = 0 to parties - 1 do
-                for receiver = 0 to parties - 1 do
-                  if sender <> receiver then begin
-                    ignore (ot_session s ~sender ~receiver);
-                    level_masks.((sender * parties) + receiver) <-
-                      draw_mask_bytes s.prgs.(sender) m
-                  end
-                done
-              done;
-              level_masks)
-            levels
-        in
-        { Triple.masks; post_prgs = Array.map Prg.copy s.prgs })
-  in
-  {
-    Triple.plan;
-    parties;
-    ot_mode = s.mode;
-    evals = eval_mats;
-    ot = s.ot;
-    setup_traffic = s.traffic;
-  }
-
-let attach_material s (mat : Triple.material) =
-  if s.rounds <> 0 || s.ots <> 0 then
-    invalid_arg "Gmw.attach_material: session has already evaluated";
-  Array.iter
-    (Array.iter (fun o ->
-         if Option.is_some o then
-           invalid_arg "Gmw.attach_material: OT sessions already established"))
-    s.ot;
-  if mat.Triple.parties <> s.n then invalid_arg "Gmw.attach_material: party count mismatch";
-  if mat.Triple.ot_mode <> s.mode then invalid_arg "Gmw.attach_material: OT mode mismatch";
-  (* The material serves this session alone, so its OT sessions are
-     taken over, not copied. *)
-  Array.iteri (fun i row -> Array.blit row 0 s.ot.(i) 0 s.n) mat.Triple.ot;
-  (* Inline, base-OT setup traffic is charged lazily during the first
-     evaluation; nothing reads the matrix between attach and then, so
-     charging it here is observationally the same. *)
-  Traffic.merge_into ~dst:s.traffic mat.Triple.setup_traffic;
-  s.pre <- Some { mat; next = 0 }
-
-let material_remaining s =
-  match s.pre with
-  | None -> 0
-  | Some c -> max 0 (Array.length c.mat.Triple.evals - c.next)
-
-(* Claim this evaluation's slot in the attached material. Returns the
-   pre-drawn entry when one is left; evaluating any plan other than the
-   one the material was drawn for drops it entirely (its PRG snapshots
-   assume the session evaluates only that plan); once exhausted the
-   cursor keeps advancing and evaluation falls back to inline draws —
-   correct automatically, because the restored snapshots equal the
-   pure-inline PRG states. *)
-let take_pre s plan =
-  match s.pre with
-  | None -> None
-  | Some c ->
-      if c.mat.Triple.plan != plan then begin
-        s.pre <- None;
-        None
-      end
-      else begin
-        let i = c.next in
-        c.next <- i + 1;
-        if i < Array.length c.mat.Triple.evals then Some c.mat.Triple.evals.(i) else None
-      end
-
-let restore_post s (e : Triple.eval) =
-  Array.iteri (fun p prg -> s.prgs.(p) <- Prg.copy prg) e.Triple.post_prgs
+(* Every mask byte is a function of the session seed, so the offline
+   phase only has to compute ahead the keystream the evaluations will
+   draw: each party, as the sender of n - 1 pairs, draws one byte per
+   AND gate and receiver. *)
+let preprocess s plan ~evals =
+  if evals < 0 then invalid_arg "Gmw.preprocess: evals < 0";
+  let draws = evals * (s.n - 1) * Plan.and_count plan in
+  if draws > 0 then begin
+    setup_ots s;
+    Array.iter (fun prg -> Prg.prefetch prg draws) s.prgs
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Evaluation                                                           *)
@@ -182,10 +102,12 @@ let lanes = 64
    of every word belongs to instance [sl], so local gates cost one word op
    for all instances. Everything observable per instance is independent of
    how many instances share the batch:
+   - each instance sets up all its OT pair sessions before its first
+     mask draw (at its first evaluation with an AND level, unless
+     {!preprocess} did), consuming its own PRG bytes and charging its own
+     base-OT traffic;
    - mask bits come from the instance's own sender PRG bytes, drawn in a
      fixed order (level, then receiver, then gate);
-   - each instance's OT pair session is set up lazily on first use,
-     consuming its own PRG bytes and charging its own base-OT traffic;
    - extension traffic is charged per instance with the formula
      {!Ot_ext.extend_bits} meters for a batch of m bit OTs
      (kappa * ceil(m/8) receiver->sender, 2 * ceil(m/8) sender->receiver
@@ -194,27 +116,20 @@ let lanes = 64
    - rounds/AND/OT counters advance per instance.
    Each AND gate's cross term for an ordered pair is one bit OT whose
    receiver output is the ideal chosen message mask XOR (x_s AND y_r).
-   Simulation OT hands the receiver exactly that, and so does the IKNP
-   carrier whenever every slot consumes pre-drawn material (a column
-   stream nobody draws from is unobservable), so both compute it inline.
-   Only Crypto mode with an inline slot runs the faithful word-level
-   batch ({!Ot_ext.extend_words}) on slot 0's pair session, discarding
-   its honest batch meter in favour of the per-instance split. *)
+   Simulation OT hands the receiver exactly that, so it is computed
+   inline. Crypto mode runs the faithful word-level batch
+   ({!Ot_ext.extend_words}) on slot 0's pair session, discarding its
+   honest batch meter in favour of the per-instance split. *)
 let eval_sliced plan sessions input_shares =
   let slots = Array.length sessions in
   let s0 = sessions.(0) in
   let n = s0.n in
-  (* Per-slot offline material: a consuming slot takes its mask bytes from
-     the pre-drawn entry instead of its PRG (and needs no lazy OT setup —
-     attach installed the sessions); the carrier batch computes every
-     lane as the ideal chosen message, so mixed consume / inline slots
-     coexist in one batch. *)
-  let pres = Array.map (fun s -> take_pre s plan) sessions in
-  let ideal_ot = s0.mode = Ot_ext.Simulation || Array.for_all Option.is_some pres in
+  let ideal_ot = s0.mode = Ot_ext.Simulation in
   let slot_mask = if slots = lanes then -1L else Int64.sub (Int64.shift_left 1L slots) 1L in
   (* Zero-filled: inputs OR their lanes in, constants set party 0 only. *)
   let vals = Array.init n (fun _ -> Bytes.make (8 * Plan.num_wires plan) '\000') in
   let levels = Plan.levels plan in
+  if Array.length levels > 0 then Array.iter setup_ots sessions;
   let widest = Array.fold_left (fun w lv -> max w (Array.length lv.Plan.and_dst)) 0 levels in
   let masks = Bytes.create (8 * widest) in
   let apply op =
@@ -240,8 +155,8 @@ let eval_sliced plan sessions input_shares =
         done
   in
   Array.iter apply (Plan.prologue plan);
-  Array.iteri
-    (fun li (lv : Plan.level) ->
+  Array.iter
+    (fun (lv : Plan.level) ->
       let dst = lv.Plan.and_dst and wa = lv.Plan.and_a and wb = lv.Plan.and_b in
       let m = Array.length dst in
       (* Local terms x_p * y_p, all slots at once. No AND of this level
@@ -258,14 +173,7 @@ let eval_sliced plan sessions input_shares =
           if sender <> receiver then begin
             Bytes.fill masks 0 (8 * m) '\000';
             for sl = 0 to slots - 1 do
-              let s = sessions.(sl) in
-              let raw =
-                match pres.(sl) with
-                | Some e -> e.Triple.masks.(li).((sender * n) + receiver)
-                | None ->
-                    ignore (ot_session s ~sender ~receiver);
-                    draw_mask_bytes s.prgs.(sender) m
-              in
+              let raw = draw_mask_bytes sessions.(sl).prgs.(sender) m in
               for g = 0 to m - 1 do
                 let bit = Int64.of_int (Char.code (Bytes.get raw g) land 1) in
                 set_word masks g (Int64.logor (word masks g) (Int64.shift_left bit sl))
@@ -287,7 +195,7 @@ let eval_sliced plan sessions input_shares =
                     (word masks g, Int64.logxor (word masks g) (word vs wa.(g))))
               in
               let choices = Array.init m (fun g -> word vr wb.(g)) in
-              let carrier = ot_session s0 ~sender ~receiver in
+              let carrier = Option.get s0.ot.(sender).(receiver) in
               (* The bulk transfer is re-attributed per slot below, so
                  the carrier's own account is a discarded scratch. *)
               let outs =
@@ -316,9 +224,6 @@ let eval_sliced plan sessions input_shares =
       done;
       Array.iter apply lv.Plan.post)
     levels;
-  Array.iteri
-    (fun sl pre -> match pre with Some e -> restore_post sessions.(sl) e | None -> ())
-    pres;
   let outputs = (Plan.circuit plan).Circuit.outputs in
   Array.init slots (fun sl ->
       Array.init n (fun p ->

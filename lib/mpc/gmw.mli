@@ -25,9 +25,10 @@ val create_session :
   seed:string ->
   session
 (** [create_session grp ~parties ~seed] prepares per-party randomness.
-    OT-extension sessions between party pairs are established lazily on
-    first use (and their base-OT traffic is charged at that point).
-    Default mode is [Crypto], the IKNP construction. [Simulation] uses the
+    The OT-extension sessions of all ordered party pairs are set up
+    together, in a fixed order, before the session's first mask draw:
+    by {!preprocess}, or else by its first evaluation that has an AND
+    level. Their base-OT traffic is charged at that point. Default mode is [Crypto], the IKNP construction. [Simulation] uses the
     ideal OT functionality instead: the same output shares, traffic,
     counters and PRG streams, without the OT work (see
     {!Dstress_crypto.Ot_ext}). Raises [Invalid_argument] if
@@ -55,10 +56,11 @@ val eval :
     single slot. Each AND level performs one bit OT per gate and ordered
     pair and meters the bytes {!Dstress_crypto.Ot_ext.extend_bits} would
     for that batch. The wire words are stored unboxed (8-byte [Bytes] words),
-    so evaluation boxes no [Int64] per wire or gate. In [Simulation] mode,
-    and whenever every session consumes pre-drawn material, the OT's
-    receiver output — the ideal chosen message [mask ⊕ (x_s ∧ y_r)] — is
-    computed inline; [Crypto] mode with inline draws runs the IKNP carrier
+    so evaluation boxes no [Int64] per wire or gate. Every mask bit is
+    drawn from the sender's PRG, whether or not {!preprocess} computed
+    those bytes ahead. In [Simulation] mode the OT's receiver output —
+    the ideal chosen message [mask ⊕ (x_s ∧ y_r)] — is computed inline;
+    [Crypto] mode runs the IKNP carrier
     ({!Dstress_crypto.Ot_ext.extend_words}) per ordered pair.
     Raises [Invalid_argument] on shape mismatches. *)
 
@@ -84,45 +86,20 @@ val eval_many :
     sessions must agree on party count and OT mode.
     Raises [Invalid_argument] on shape mismatches. *)
 
-val generate_material :
-  ?mode:Dstress_crypto.Ot_ext.mode ->
-  Dstress_crypto.Group.t ->
-  parties:int ->
-  seed:string ->
-  evals:int ->
-  Plan.t ->
-  Triple.material
-(** Offline phase: pre-draw, on a throwaway session created exactly like
-    [create_session ?mode grp ~parties ~seed], all the correlated
-    randomness that [evals] evaluations of the plan's circuit will
-    consume — the lazy per-pair OT-extension setup and every Beaver-style
-    mask bit, in the online draw order — plus per-party PRG snapshots
-    after each evaluation. The result is input-independent, bound to
-    [plan] and attached to one fresh session. *)
-
-val attach_material : session -> Triple.material -> unit
-(** [attach_material s mat] installs offline material into a fresh
-    session: the pre-set-up OT sessions, which [s] takes over (so a
-    material serves one session), the base-OT setup
-    traffic (charged here instead of lazily during the first evaluation —
-    indistinguishable to any caller that reads traffic after an
-    evaluation), and the mask store. Subsequent {!eval}/{!eval_many}
-    calls on the material's plan consume one pre-drawn entry each and
-    skip every online PRG and OT invocation, remaining bit-identical —
-    output shares, traffic, counters, PRG states — to inline generation;
-    once the material is exhausted, evaluation falls back to inline draws
-    and continuity of the PRG streams keeps the equivalence exact.
-    Evaluating any other plan drops the material (the snapshots would
-    no longer line up) and continues inline; plans match by physical
-    identity, so a separately compiled copy of the same circuit is
-    another plan.
-
-    The session must be fresh — same [parties], [seed]-compatible PRG
-    states (unevaluated), same OT [mode], no established OT sessions.
-    Raises [Invalid_argument] otherwise. *)
-
-val material_remaining : session -> int
-(** Pre-drawn evaluations not yet consumed (0 when none attached). *)
+val preprocess : session -> Plan.t -> evals:int -> unit
+(** Offline phase for [evals] evaluations of [plan]: [preprocess s plan
+    ~evals] sets up every ordered pair's OT session (if the session has
+    not yet) and computes, on each party's PRG ({!Dstress_crypto.Prg.prefetch}),
+    the [evals × (parties − 1) × Plan.and_count plan] mask bytes those
+    evaluations will draw. It does nothing when that count is 0.
+    Prefetching changes no draw, and the setup is the one the first
+    evaluation would run, so a session that evaluates right after
+    [preprocess] is observably identical — output shares, traffic,
+    counters, PRG streams — to one that never called it. Any plan may
+    follow, and evaluations beyond [evals] draw on demand. Only a draw
+    made between [preprocess] and the first evaluation ({!share_input})
+    sees the streams after setup instead of before it. Raises
+    [Invalid_argument] if [evals < 0]. *)
 
 val reveal : session -> Dstress_util.Bitvec.t array -> Dstress_util.Bitvec.t
 (** Open shared values by all-to-all broadcast of shares (metered). *)

@@ -19,14 +19,12 @@ type t = {
 
 let zero_shares kp1 bits = Array.init kp1 (fun _ -> Bitvec.create bits false)
 
-let session_seed ~seed ~vertex = Printf.sprintf "%s:block:%d" seed vertex
-
 let create ~ot_mode ~grp ~seed ~kp1 ~degree ~state_bits ~message_bits ~vertex ~members =
   {
     vertex;
     members;
     session =
-      Gmw.create_session ~mode:ot_mode grp ~parties:kp1 ~seed:(session_seed ~seed ~vertex);
+      Gmw.create_session ~mode:ot_mode grp ~parties:kp1 ~seed:(Printf.sprintf "%s:block:%d" seed vertex);
     state_bits;
     message_bits;
     degree;

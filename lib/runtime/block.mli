@@ -26,12 +26,6 @@ type t = {
       (** [outbox.(slot).(member)] — shares produced by the last update *)
 }
 
-val session_seed : seed:string -> vertex:int -> string
-(** The seed string a block's GMW session is created from
-    (["<seed>:block:<vertex>"]) — exposed so the offline preprocessing
-    phase can generate correlated randomness for exactly the session a
-    block will hold. *)
-
 val create :
   ot_mode:Dstress_crypto.Ot_ext.mode ->
   grp:Dstress_crypto.Group.t ->

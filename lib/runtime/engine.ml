@@ -203,26 +203,20 @@ let run cfg p ~graph ~initial_states =
           ~message_bits:l ~vertex:i ~members:(Setup.block_of setup i))
   in
   (* --- Offline preprocessing ------------------------------------ *)
-  (* Generate every block session's correlated randomness for the whole
-     run — iterations + 1 update-plan evaluations per block — and attach
-     it, so the timed online rounds consume pre-drawn material instead of
-     running the PRG/OT machinery inline. Runs sequentially, before any
-     task batch. Metrics go to a separate wall-domain registry (never the
-     tick-domain [obs]): a run must export byte-identical traces and
-     metrics with and without preprocessing. *)
+  (* Set up every block session's OT sessions and compute ahead the mask
+     keystream of the whole run — iterations + 1 update-plan evaluations
+     per block — so the timed online rounds draw their masks without
+     hashing. Runs sequentially, before any task batch. Metrics go to a
+     separate wall-domain registry (never the tick-domain [obs]): a run
+     must export byte-identical traces and metrics with and without
+     preprocessing. *)
   let offline_metrics =
     if not cfg.preprocess then None
     else begin
       let m = Obs.Metrics.create () in
       let t0 = Unix.gettimeofday () in
       let evals = p.Vertex_program.iterations + 1 in
-      Array.iter
-        (fun b ->
-          Gmw.attach_material b.Block.session
-            (Gmw.generate_material ~mode:cfg.ot_mode cfg.grp ~parties:kp1
-               ~seed:(Block.session_seed ~seed ~vertex:b.Block.vertex)
-               ~evals update_plan))
-        blocks;
+      Array.iter (fun b -> Gmw.preprocess b.Block.session update_plan ~evals) blocks;
       Obs.Metrics.incr m ~by:n "preprocess.sessions";
       Obs.Metrics.incr m ~by:(n * evals) "preprocess.evals";
       Obs.Metrics.set m "preprocess.wall_s" (Unix.gettimeofday () -. t0);

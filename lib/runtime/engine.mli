@@ -87,16 +87,17 @@ type config = {
           (metrics, run/round/phase spans, per-task, per-vertex and
           per-transfer-attempt spans, and per-node traffic gauges) *)
   preprocess : bool;
-      (** run the offline phase: before the timed online rounds, generate
-          each block session's correlated randomness for the whole run —
-          [iterations + 1] evaluations per block of the run's one compiled
-          update plan ({!Dstress_mpc.Gmw.generate_material}) — and attach
-          it, so the online critical path consumes pre-drawn material.
-          Nothing outlives the run: the next run generates again. The run's outputs, traffic, counters and tick-domain
-          observability exports are bit-identical with or without
-          preprocessing, on every executor; only wall-clock shifts from
-          the online phases to the offline one (reported in
-          [report.offline_metrics]). Default [false]. *)
+      (** run the offline phase: before the timed online rounds, set up
+          each block session's OT sessions and compute ahead the mask
+          keystream of [iterations + 1] evaluations of the run's one
+          compiled update plan ({!Dstress_mpc.Gmw.preprocess}), so the
+          online rounds draw their masks without hashing. The OT
+          extension itself stays online. Nothing outlives the run. The
+          run's outputs, traffic, counters and tick-domain observability
+          exports are bit-identical with or without preprocessing, on
+          every executor; only wall-clock shifts from the online phases
+          to the offline one (reported in [report.offline_metrics]).
+          Default [false]. *)
 }
 
 val default_config : ?seed:string -> Dstress_crypto.Group.t -> k:int -> degree_bound:int -> config
@@ -151,10 +152,11 @@ type report = {
           {!Dstress_obs.Obs} exporters *)
   offline_metrics : Dstress_obs.Obs.Metrics.t option;
       (** wall-domain offline-phase counters when [config.preprocess] was
-          set: [preprocess.sessions] / [preprocess.evals] (material
-          generated and attached) and the [preprocess.wall_s] gauge. Deliberately
-          separate from [obs]: a run's tick-domain exports are
-          byte-identical with and without preprocessing. *)
+          set: [preprocess.sessions] / [preprocess.evals] (sessions
+          preprocessed and the evaluations each was preprocessed for)
+          and the [preprocess.wall_s] gauge. Deliberately separate from
+          [obs]: a run's tick-domain exports are byte-identical with and
+          without preprocessing. *)
 }
 
 val run :

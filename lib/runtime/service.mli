@@ -33,8 +33,8 @@
     worker serves it, whatever else the daemon is doing, and under every
     in-worker executor (the executor invariance is already proven for
     the engine). A worker carries no protocol state from one request to
-    the next: each engine run compiles its own GMW plans and generates
-    its own preprocessed material. *)
+    the next: each engine run compiles its own GMW plans and preprocesses
+    its own GMW sessions. *)
 
 type workload = En | Egj
 

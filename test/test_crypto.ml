@@ -102,6 +102,65 @@ let test_prg_skip () =
   Alcotest.check_raises "negative" (Invalid_argument "Prg.skip: negative length") (fun () ->
       Prg.skip (prg "skip") (-1))
 
+(* [prefetch] only computes ahead: a PRG that prefetches at any points of
+   any sequence of draws and skips yields exactly what a PRG with the same
+   key yields for the same sequence without them. *)
+type prg_op =
+  | Draw_bytes of int
+  | Draw_bits of int
+  | Draw_bool
+  | Skip of int
+  | Nat_below of int * int (* bound = k lsl shift *)
+  | Prefetch of int
+
+let prop_prg_prefetch =
+  let open QCheck2.Gen in
+  (* Lengths inside one 32-byte block, across a few and across many. *)
+  let len = oneof [ int_range 0 40; int_range 0 300; int_range 0 5000 ] in
+  let op =
+    oneof
+      [
+        map (fun n -> Draw_bytes n) len;
+        map (fun n -> Draw_bits n) len;
+        pure Draw_bool;
+        map (fun n -> Skip n) len;
+        map2 (fun k shift -> Nat_below (k, shift)) (int_range 1 1000) (int_range 0 200);
+        map (fun n -> Prefetch n) len;
+      ]
+  in
+  QCheck2.Test.make ~name:"prefetch keeps the stream" ~count:200 (list_size (int_range 0 30) op)
+    (fun ops ->
+      let run ~prefetch =
+        let t = prg "prefetch" in
+        let out =
+          List.filter_map
+            (function
+              | Draw_bytes n -> Some (Bytes.to_string (Prg.bytes t n))
+              | Draw_bits n ->
+                  Some
+                    (String.concat ""
+                       (List.map
+                          (fun b -> if b then "1" else "0")
+                          (Dstress_util.Bitvec.to_bool_list (Prg.bits t n))))
+              | Draw_bool -> Some (string_of_bool (Prg.bool t))
+              | Skip n ->
+                  Prg.skip t n;
+                  None
+              | Nat_below (k, shift) ->
+                  Some (Nat.to_decimal (Prg.nat_below t (Nat.shift_left (Nat.of_int k) shift)))
+              | Prefetch n ->
+                  if prefetch then Prg.prefetch t n;
+                  None)
+            ops
+        in
+        out @ [ Bytes.to_string (Prg.bytes t 100) ]
+      in
+      run ~prefetch:true = run ~prefetch:false)
+
+let test_prg_prefetch_negative () =
+  Alcotest.check_raises "negative" (Invalid_argument "Prg.prefetch: negative length") (fun () ->
+      Prg.prefetch (prg "prefetch") (-1))
+
 let test_prg_bool_balanced () =
   let t = prg "bool" in
   let ones = ref 0 in
@@ -838,6 +897,8 @@ let () =
           Alcotest.test_case "nat_below" `Quick test_prg_nat_below;
           Alcotest.test_case "bits length" `Quick test_prg_bits_length;
           Alcotest.test_case "skip" `Quick test_prg_skip;
+          QCheck_alcotest.to_alcotest prop_prg_prefetch;
+          Alcotest.test_case "prefetch negative" `Quick test_prg_prefetch_negative;
           Alcotest.test_case "bool balanced" `Quick test_prg_bool_balanced;
         ] );
       ( "group",

@@ -1,16 +1,14 @@
-(* Offline/online split: correlated-randomness preprocessing.
+(* Offline/online split: GMW preprocessing.
 
-   Gmw.generate_material pre-draws everything a GMW evaluation consumes
-   (base-OT setup, per-pair Beaver mask bits, PRG snapshots); a session
-   with the material attached must be observationally indistinguishable —
+   Gmw.preprocess sets up a session's OT pair sessions and computes ahead,
+   on each party's PRG, the mask bytes its evaluations will draw. A
+   preprocessed session must be observationally indistinguishable —
    output shares, traffic matrices, rounds/AND/OT counters, and the PRG
-   streams afterwards — from one that generated inline, across scalar and
-   bitsliced evaluation, both OT backends, exhaustion fallback and mixed
-   consume/inline slices. A material is bound to the plan it was drawn
-   for: any other plan, even a structurally equal one compiled
-   separately, drops it. The engine tests check that a preprocessed run
-   reports byte-identically to an inline run, and that nothing outlives
-   a run: an identical rerun generates its material again. *)
+   streams afterwards — from one that drew inline, across scalar and
+   bitsliced evaluation, both OT backends, a prefetch that runs short and
+   batches that mix preprocessed and inline slots. The engine tests check
+   that a preprocessed run reports byte-identically to an inline run, and
+   that nothing outlives a run: an identical rerun preprocesses again. *)
 
 open Dstress_mpc
 module Bitvec = Dstress_util.Bitvec
@@ -66,20 +64,14 @@ let check_sessions_agree tag i a b =
     (Gmw.ots_performed a) (Gmw.ots_performed b)
 
 (* Scalar path: [batches] successive Gmw.eval calls on an inline session
-   vs a clone holding material for [evals] of them — when
-   [batches > evals] the tail exercises the exhaustion fallback, which
-   must stay stream-exact thanks to the restored PRG snapshots. *)
+   vs a clone preprocessed for [evals] of them. When [batches > evals]
+   the prefetch runs short and the tail draws on demand; later
+   evaluations agree only if the streams stayed exact. *)
 let check_scalar_equiv ?(mode = Ot_ext.Simulation) ~parties ~evals ~batches circuit tag =
   let inline = (make_sessions ~mode ~parties ~count:1 tag).(0) in
   let online = (make_sessions ~mode ~parties ~count:1 tag).(0) in
   let plan = Plan.compile circuit in
-  let mat =
-    Gmw.generate_material ~mode grp ~parties ~seed:(seed_of tag 0) ~evals plan
-  in
-  Alcotest.(check int) (tag ^ ": evals available") evals (Triple.evals_available mat);
-  Gmw.attach_material online mat;
-  Alcotest.(check int) (tag ^ ": remaining after attach") evals
-    (Gmw.material_remaining online);
+  Gmw.preprocess online plan ~evals;
   for e = 0 to batches - 1 do
     let shares = (make_inputs ~parties ~count:1 (Printf.sprintf "%s:%d" tag e) circuit).(0) in
     let out_a = Gmw.eval inline plan ~input_shares:shares in
@@ -101,9 +93,7 @@ let check_scalar_equiv ?(mode = Ot_ext.Simulation) ~parties ~evals ~batches circ
       (Printf.sprintf "%s: eval %d plaintext" tag e)
       true
       (Bitvec.equal expected (Sharing.reconstruct out_b))
-  done;
-  Alcotest.(check int) (tag ^ ": remaining at end") (max 0 (evals - batches))
-    (Gmw.material_remaining online)
+  done
 
 let test_scalar_simulation () =
   check_scalar_equiv ~parties:3 ~evals:3 ~batches:4 (adder_circuit 6) "scalar-sim";
@@ -114,19 +104,14 @@ let test_scalar_crypto () =
     "scalar-crypto"
 
 (* Bitsliced path via eval_many: [batches] rounds over [count] sessions.
-   [attach_to] picks which slots get material (a strict subset exercises
-   mixed consume/inline slices within one word batch). *)
+   [preprocessed] picks which slots are preprocessed (a strict subset
+   mixes preprocessed and inline slots within one word batch). *)
 let check_sliced_equiv ?(mode = Ot_ext.Simulation) ~parties ~count ~evals ~batches
-    ?(attach_to = fun _ -> true) circuit tag =
+    ?(preprocessed = fun _ -> true) circuit tag =
   let inline = make_sessions ~mode ~parties ~count tag in
   let online = make_sessions ~mode ~parties ~count tag in
   let plan = Plan.compile circuit in
-  Array.iteri
-    (fun i s ->
-      if attach_to i then
-        Gmw.attach_material s
-          (Gmw.generate_material ~mode grp ~parties ~seed:(seed_of tag i) ~evals plan))
-    online;
+  Array.iteri (fun i s -> if preprocessed i then Gmw.preprocess s plan ~evals) online;
   for e = 0 to batches - 1 do
     let inputs = make_inputs ~parties ~count (Printf.sprintf "%s:%d" tag e) circuit in
     let out_a = Gmw.eval_many inline plan ~input_shares:inputs in
@@ -153,65 +138,8 @@ let test_sliced_crypto () =
 
 let test_mixed_slots () =
   check_sliced_equiv ~parties:3 ~count:4 ~evals:2 ~batches:3
-    ~attach_to:(fun i -> i mod 2 = 0)
+    ~preprocessed:(fun i -> i mod 2 = 0)
     (adder_circuit 5) "mixed-slots"
-
-(* A material drawn for [plan] is consumed only by evaluations of that
-   very plan. Evaluating another circuit's plan, or a plan compiled
-   separately from a structurally equal circuit, drops it; evaluation
-   continues inline and stays correct. *)
-let test_other_plan_drops_material () =
-  let plan = Plan.compile (adder_circuit 4) in
-  let attached () =
-    let s = (make_sessions ~parties:2 ~count:1 "other-plan").(0) in
-    Gmw.attach_material s
-      (Gmw.generate_material ~mode:Ot_ext.Simulation grp ~parties:2
-         ~seed:(seed_of "other-plan" 0) ~evals:2 plan);
-    s
-  in
-  let eval_on label s other ~remaining =
-    let circuit = Plan.circuit other in
-    let shares = (make_inputs ~parties:2 ~count:1 label circuit).(0) in
-    let out = Gmw.eval s other ~input_shares:shares in
-    Alcotest.(check int) (label ^ ": material left") remaining (Gmw.material_remaining s);
-    let cleartext = Sharing.reconstruct shares in
-    let expected =
-      Circuit.eval circuit (Array.of_list (Bitvec.to_bool_list cleartext))
-      |> Array.to_list |> Bitvec.of_bool_list
-    in
-    Alcotest.(check bool) (label ^ ": still correct") true
-      (Bitvec.equal expected (Sharing.reconstruct out))
-  in
-  eval_on "its own plan" (attached ()) plan ~remaining:1;
-  eval_on "another circuit" (attached ()) (Plan.compile (adder_circuit 5)) ~remaining:0;
-  eval_on "equal circuit, compiled separately" (attached ())
-    (Plan.compile (adder_circuit 4)) ~remaining:0
-
-let test_attach_rejects () =
-  let circuit = adder_circuit 4 in
-  let plan = Plan.compile circuit in
-  let mk () = (make_sessions ~parties:2 ~count:1 "reject").(0) in
-  let mat =
-    Gmw.generate_material ~mode:Ot_ext.Simulation grp ~parties:2 ~seed:(seed_of "reject" 0)
-      ~evals:1 plan
-  in
-  (* Used session. *)
-  let used = mk () in
-  let shares = (make_inputs ~parties:2 ~count:1 "reject" circuit).(0) in
-  ignore (Gmw.eval used plan ~input_shares:shares);
-  Alcotest.check_raises "used session"
-    (Invalid_argument "Gmw.attach_material: session has already evaluated") (fun () ->
-      Gmw.attach_material used mat);
-  (* Party mismatch. *)
-  let three = Gmw.create_session ~mode:Ot_ext.Simulation grp ~parties:3 ~seed:"reject3" in
-  Alcotest.check_raises "party mismatch"
-    (Invalid_argument "Gmw.attach_material: party count mismatch") (fun () ->
-      Gmw.attach_material three mat);
-  (* Mode mismatch. *)
-  let crypto = Gmw.create_session ~mode:Ot_ext.Crypto grp ~parties:2 ~seed:(seed_of "reject" 0) in
-  Alcotest.check_raises "mode mismatch"
-    (Invalid_argument "Gmw.attach_material: OT mode mismatch") (fun () ->
-      Gmw.attach_material crypto mat)
 
 (* ------------------------------------------------------------------ *)
 (* Engine: preprocess on/off differentials                             *)
@@ -280,15 +208,14 @@ let test_engine_preprocess () =
   let pre = run_engine ~preprocess:true ~executor:Executor.sequential ~seed fx in
   check_reports_equal "EN preprocess = inline" base pre;
   Alcotest.(check (list (pair string int)))
-    "one material per block, iterations + 1 evals each"
+    "every block preprocessed, iterations + 1 evals each"
     [
       ("preprocess.evals", n * (p.Vertex_program.iterations + 1));
       ("preprocess.sessions", n);
     ]
     (offline_counters pre);
-  (* A second identical run in the same process owns its material too: it
-     generates all n materials again and reports exactly what the first
-     run reported. *)
+  (* A second identical run in the same process preprocesses its own
+     sessions again and reports exactly what the first run reported. *)
   let again = run_engine ~preprocess:true ~executor:Executor.sequential ~seed fx in
   check_reports_equal "identical rerun" pre again;
   Alcotest.(check (list (pair string int)))
@@ -322,8 +249,5 @@ let () =
           Alcotest.test_case "sliced simulation" `Quick test_sliced_simulation;
           Alcotest.test_case "sliced crypto" `Quick test_sliced_crypto;
           Alcotest.test_case "mixed slots" `Quick test_mixed_slots;
-          Alcotest.test_case "another plan drops the material" `Quick
-            test_other_plan_drops_material;
-          Alcotest.test_case "attach rejects" `Quick test_attach_rejects;
         ] );
     ]
