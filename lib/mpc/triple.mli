@@ -1,6 +1,5 @@
-(** What is left of the stored correlated randomness the GMW offline
-    phase once drew into memory. {!Gmw.preprocess} now computes each
-    party's keystream ahead on its own PRG, so nothing is stored here. *)
+(** GMW preprocessing ({!Gmw.preprocess}) stores no correlated
+    randomness; this module keeps only the no-op cache perfbench calls. *)
 
 (** Holds nothing: [clear] is a no-op kept only because perfbench still
     calls [Cache.clear Cache.shared] after each solo query. ROADMAP item
