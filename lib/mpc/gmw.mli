@@ -28,7 +28,8 @@ val create_session :
     The OT-extension sessions of all ordered party pairs are set up
     together, in a fixed order, before the session's first mask draw:
     by {!preprocess}, or else by its first evaluation that has an AND
-    level. Their base-OT traffic is charged at that point. Default mode is [Crypto], the IKNP construction. [Simulation] uses the
+    level. Their base-OT traffic is charged at that point. Default mode
+    is [Crypto], the IKNP construction. [Simulation] uses the
     ideal OT functionality instead: the same output shares, traffic,
     counters and PRG streams, without the OT work (see
     {!Dstress_crypto.Ot_ext}). Raises [Invalid_argument] if
@@ -89,8 +90,9 @@ val eval_many :
 val preprocess : session -> Plan.t -> evals:int -> unit
 (** Offline phase for [evals] evaluations of [plan]: [preprocess s plan
     ~evals] sets up every ordered pair's OT session (if the session has
-    not yet) and computes, on each party's PRG ({!Dstress_crypto.Prg.prefetch}),
-    the [evals × (parties − 1) × Plan.and_count plan] mask bytes those
+    not yet) and computes, on each party's PRG
+    ({!Dstress_crypto.Prg.prefetch}), the
+    [evals × (parties − 1) × Plan.and_count plan] mask bytes those
     evaluations will draw. It does nothing when that count is 0.
     Prefetching changes no draw, and the setup is the one the first
     evaluation would run, so a session that evaluates right after

@@ -24,7 +24,8 @@ let create ~ot_mode ~grp ~seed ~kp1 ~degree ~state_bits ~message_bits ~vertex ~m
     vertex;
     members;
     session =
-      Gmw.create_session ~mode:ot_mode grp ~parties:kp1 ~seed:(Printf.sprintf "%s:block:%d" seed vertex);
+      Gmw.create_session ~mode:ot_mode grp ~parties:kp1
+        ~seed:(Printf.sprintf "%s:block:%d" seed vertex);
     state_bits;
     message_bits;
     degree;
