@@ -6,7 +6,7 @@
    gates — one persistent-pool request must cost at most ten framed
    round trips over TCP loopback (the rtt-tcp row of the same run). A
    request is one task frame out and one result frame back plus queue
-   and epoch bookkeeping, so it costs about one or two round trips; a
+   bookkeeping, so it costs about one or two round trips; a
    drain that waits even 2 ms per reply costs over a hundred. The wall
    latencies are machine-dependent telemetry.
 
@@ -44,7 +44,7 @@ let base_request =
 
 (* A handler that does no work: everything the row measures is dispatch
    tax — queueing, the request frame out, the worker's decode/encode,
-   the result frame back, epoch bookkeeping. *)
+   the result frame back. *)
 let noop_handler (req : Service.request) =
   {
     Service.output = req.Service.seed;
@@ -159,10 +159,10 @@ let bench_tcp_rtt ~pings =
   let roundtrips () =
     let t0 = Unix.gettimeofday () in
     for _ = 1 to pings do
-      ignore (Transport.send a ~kind:Transport.Kind.ping ~epoch:0 payload);
+      Transport.send a ~kind:Transport.Kind.ping payload;
       (match Transport.recv b ~timeout:5.0 with
       | Some fr ->
-          ignore (Transport.send b ~kind:Transport.Kind.echo ~epoch:0 fr.Transport.payload)
+          Transport.send b ~kind:Transport.Kind.echo fr.Transport.payload
       | None -> failwith "service_bench: tcp ping lost");
       match Transport.recv a ~timeout:5.0 with
       | Some _ -> ()

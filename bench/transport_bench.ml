@@ -27,9 +27,9 @@ let bench_loopback ~pings =
   let roundtrips () =
     let f0 = Metrics.counter m "transport.frames_sent" in
     for _ = 1 to pings do
-      ignore (Transport.send a ~kind:Transport.Kind.ping ~epoch:0 payload);
+      Transport.send a ~kind:Transport.Kind.ping payload;
       (match Transport.recv b ~timeout:5.0 with
-      | Some fr -> ignore (Transport.send b ~kind:Transport.Kind.echo ~epoch:0 fr.Transport.payload)
+      | Some fr -> Transport.send b ~kind:Transport.Kind.echo fr.Transport.payload
       | None -> failwith "transport_bench: loopback ping lost");
       match Transport.recv a ~timeout:5.0 with
       | Some _ -> ()
@@ -70,7 +70,7 @@ let bench_process_echo ~pings =
         | None -> Unix._exit 1
         | Some fr when fr.Transport.kind = Transport.Kind.shutdown -> Unix._exit 0
         | Some fr ->
-            ignore (Transport.send b ~kind:Transport.Kind.echo ~epoch:0 fr.Transport.payload);
+            Transport.send b ~kind:Transport.Kind.echo fr.Transport.payload;
             loop ()
       in
       (try loop () with _ -> Unix._exit 1)
@@ -79,7 +79,7 @@ let bench_process_echo ~pings =
       let payload = Bytes.make payload_bytes 'x' in
       let roundtrips () =
         for _ = 1 to pings do
-          ignore (Transport.send a ~kind:Transport.Kind.ping ~epoch:0 payload);
+          Transport.send a ~kind:Transport.Kind.ping payload;
           match Transport.recv a ~timeout:10.0 with
           | Some _ -> ()
           | None -> failwith "transport_bench: process echo lost"
@@ -94,12 +94,11 @@ let bench_process_echo ~pings =
             ( [
                 ("roundtrips_per_run", n);
                 ("crc_failures", Metrics.counter m "transport.crc_failures");
-                ("dup_dropped", Metrics.counter m "transport.dup_dropped");
               ],
               [] ))
           roundtrips
       in
-      ignore (Transport.send a ~kind:Transport.Kind.shutdown ~epoch:0 Bytes.empty);
+      Transport.send a ~kind:Transport.Kind.shutdown Bytes.empty;
       ignore (Unix.waitpid [] pid);
       Transport.close a;
       Printf.printf "process echo: %d round trips per run across a fork boundary\n%!" pings

@@ -53,6 +53,18 @@ if [ -n "$found" ]; then
   exit 1
 fi
 
+# Worker processes have one owner: only the Supervisor forks, signals
+# and starts threads, so every lost worker goes through its fail-stop
+# path (closed, killed, reaped) and none is left running.
+echo "== worker processes belong to the Supervisor =="
+found="$(grep -rnE --include='*.ml' 'Unix\.(fork|kill)|Thread\.create' lib bin |
+  grep -v '^lib/runtime/supervisor\.ml:')" || true
+if [ -n "$found" ]; then
+  echo "$found"
+  echo "ci: fork, kill and start threads only in lib/runtime/supervisor.ml" >&2
+  exit 1
+fi
+
 echo "== dune build @check =="
 dune build @check
 

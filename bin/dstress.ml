@@ -711,7 +711,7 @@ let stats_cmd =
       value
       & opt (some string) None
       & info [ "json" ] ~docv:"FILE"
-          ~doc:"Also write the snapshot as a dstress-stats/1 JSON document to FILE.")
+          ~doc:"Also write the snapshot as a dstress-stats/2 JSON document to FILE.")
   in
   Cmd.v
     (Cmd.info "stats" ~doc)

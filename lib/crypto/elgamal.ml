@@ -23,5 +23,3 @@ let rerandomize prg grp h c =
     c2 = Group.mul grp c.c2 (Group.pow grp h y) }
 
 let ciphertext_bytes grp = 2 * Group.element_bytes grp
-
-let ciphertext_equal a b = Group.elt_equal a.c1 b.c1 && Group.elt_equal a.c2 b.c2

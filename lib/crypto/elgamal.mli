@@ -28,5 +28,3 @@ val rerandomize : Prg.t -> Group.t -> public_key -> ciphertext -> ciphertext
 
 val ciphertext_bytes : Group.t -> int
 (** Size of one ciphertext on the wire (two group elements). *)
-
-val ciphertext_equal : ciphertext -> ciphertext -> bool

@@ -73,16 +73,20 @@ let prefetch t n =
 
 (* Bulk draw: blit whole buffered blocks instead of going byte by byte.
    The output stream is identical to repeated [next_byte]. *)
-let bytes t n =
-  let out = Bytes.create n in
+let blit t buf off n =
+  if n < 0 || off < 0 || off > Bytes.length buf - n then invalid_arg "Prg.blit: out of bounds";
   let filled = ref 0 in
   while !filled < n do
     if t.pos >= Bytes.length t.buffer then refill t;
     let take = min (n - !filled) (Bytes.length t.buffer - t.pos) in
-    Bytes.blit t.buffer t.pos out !filled take;
+    Bytes.blit t.buffer t.pos buf (off + !filled) take;
     t.pos <- t.pos + take;
     filled := !filled + take
-  done;
+  done
+
+let bytes t n =
+  let out = Bytes.create n in
+  blit t out 0 n;
   out
 
 let bits t n =

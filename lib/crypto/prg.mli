@@ -14,6 +14,12 @@ val of_string : string -> t
 val bytes : t -> int -> bytes
 (** [bytes t n] produces [n] pseudo-random bytes. *)
 
+val blit : t -> bytes -> int -> int -> unit
+(** [blit t buf off n] writes the stream's next [n] bytes into [buf] from
+    offset [off]: the bytes [bytes t n] would return, without allocating.
+    Raises [Invalid_argument] if [off] and [n] do not name a range of
+    [buf]. *)
+
 val skip : t -> int -> unit
 (** [skip t n] advances the stream past [n] bytes without producing them:
     every later draw equals the one that would follow [bytes t n]. It
@@ -23,11 +29,11 @@ val skip : t -> int -> unit
 val prefetch : t -> int -> unit
 (** [prefetch t n] computes the stream's next [n] bytes now and buffers
     them, so the draws that consume them hash nothing. It changes no
-    draw: every later [bytes], [bits], [bool], [skip] and [nat_below]
-    returns what it would have without it. The GMW offline phase
-    ([Gmw.preprocess] in the MPC layer) calls it with the mask bytes a
-    session's evaluations will draw. Raises [Invalid_argument] if
-    [n < 0]. *)
+    draw: every later [bytes], [blit], [bits], [bool], [skip] and
+    [nat_below] returns what it would have without it. The GMW offline
+    phase ([Gmw.preprocess] in the MPC layer) calls it with the mask
+    bytes a session's evaluations will draw. Raises [Invalid_argument]
+    if [n < 0]. *)
 
 val bits : t -> int -> Dstress_util.Bitvec.t
 (** [bits t n] produces [n] pseudo-random bits. *)

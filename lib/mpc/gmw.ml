@@ -64,9 +64,9 @@ let setup_ots s =
 
 let share_input s v = Sharing.share s.prgs.(0) ~parties:s.n v
 
-(* Draw [m] mask bits from [prg] as one bulk byte draw: bit [g] is the low
-   bit of byte [g]. *)
-let draw_mask_bytes prg m = Prg.bytes prg m
+(* Draw [m] mask bits from [prg] as one bulk byte draw into [raw]: bit [g]
+   is the low bit of byte [g]. *)
+let draw_mask_bytes prg raw m = Prg.blit prg raw 0 m
 
 (* Every mask byte is a function of the session seed, so the offline
    phase only has to compute ahead the keystream the evaluations will
@@ -132,6 +132,7 @@ let eval_sliced plan sessions input_shares =
   if Array.length levels > 0 then Array.iter setup_ots sessions;
   let widest = Array.fold_left (fun w lv -> max w (Array.length lv.Plan.and_dst)) 0 levels in
   let masks = Bytes.create (8 * widest) in
+  let raw = Bytes.create widest in
   let apply op =
     match op with
     | Plan.Load_input { dst; input } ->
@@ -173,7 +174,7 @@ let eval_sliced plan sessions input_shares =
           if sender <> receiver then begin
             Bytes.fill masks 0 (8 * m) '\000';
             for sl = 0 to slots - 1 do
-              let raw = draw_mask_bytes sessions.(sl).prgs.(sender) m in
+              draw_mask_bytes sessions.(sl).prgs.(sender) raw m;
               for g = 0 to m - 1 do
                 let bit = Int64.of_int (Char.code (Bytes.get raw g) land 1) in
                 set_word masks g (Int64.logor (word masks g) (Int64.shift_left bit sl))

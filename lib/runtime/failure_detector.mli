@@ -8,11 +8,10 @@
     since the last heartbeat divided by a smoothed estimate of the
     arrival interval. A healthy peer hovers near 1; a stalled or dead
     peer's level grows without bound, and once it crosses [phi] the peer
-    is {e suspected}. Suspicion is advisory — the supervisor treats a
-    suspected worker like a [Crash_node] fault (requeue its request,
-    respawn its slot) but keeps reading the old socket until it closes,
-    so a falsely-suspected straggler's late reply is fenced by epoch
-    rather than double-applied.
+    is {e suspected}. The supervisor treats a suspected worker like a
+    [Crash_node] fault: it kills the worker, requeues its request and
+    respawns its slot, so even a falsely-suspected straggler never
+    replies.
 
     The detector never reads the clock itself: every call takes [now],
     so tests drive it with a simulated clock and the suspicion timeline

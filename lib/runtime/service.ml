@@ -208,10 +208,6 @@ let validate_request r =
 type pool_opts = {
   workers : int;
   queue_depth : int;
-  heartbeat_interval : float;
-  phi : float;
-  io_deadline : float;
-  poll_interval : float;
   request_deadline : float;
   max_respawns_per_slot : int;
   max_attempts_per_request : int;
@@ -222,15 +218,15 @@ let default_pool_opts =
   {
     workers = 2;
     queue_depth = 64;
-    heartbeat_interval = 0.05;
-    phi = 8.0;
-    io_deadline = 10.0;
-    poll_interval = 0.02;
     request_deadline = 120.0;
     max_respawns_per_slot = 2;
     max_attempts_per_request = 3;
     slow_request_s = 5.0;
   }
+
+(* Longest single wait of the serve loop's select and of the drain in
+   [shutdown_pool]. *)
+let poll_interval = 0.02
 
 type entry = {
   id : int;
@@ -283,21 +279,15 @@ let create_pool ?(opts = default_pool_opts) ?(log = Log.nop)
     ?(fork_fds = fun () -> []) ~handler () =
   if opts.workers < 1 then invalid_arg "Service.create_pool: workers < 1";
   if opts.queue_depth < 1 then invalid_arg "Service.create_pool: queue_depth < 1";
-  if not (opts.heartbeat_interval > 0.0) then
-    invalid_arg "Service.create_pool: heartbeat_interval <= 0";
-  if not (opts.phi > 1.0) then invalid_arg "Service.create_pool: phi <= 1";
-  if
-    not
-      (opts.io_deadline > 0.0 && opts.poll_interval > 0.0 && opts.request_deadline > 0.0)
-  then invalid_arg "Service.create_pool: non-positive deadline";
+  if not (opts.request_deadline > 0.0) then
+    invalid_arg "Service.create_pool: request_deadline <= 0";
   if opts.max_respawns_per_slot < 0 || opts.max_attempts_per_request < 1 then
     invalid_arg "Service.create_pool: bad budget";
   let m = Metrics.create () in
   {
     po = opts;
     sup =
-      Supervisor.create ~workers:opts.workers ~heartbeat_interval:opts.heartbeat_interval
-        ~phi:opts.phi ~io_deadline:opts.io_deadline
+      Supervisor.create ~workers:opts.workers
         ~max_respawns_per_slot:opts.max_respawns_per_slot ~log ~metrics:m ~fork_fds
         ~serve:(serve_request handler) ();
     m;
@@ -451,14 +441,14 @@ let pool_step p ~timeout =
   if p.closed then invalid_arg "Service.pool_step: pool is shut down";
   dispatch_ready p;
   List.iter (handle p) (Supervisor.step p.sup ~timeout);
-  (* The per-attempt deadline fences a wedged worker the way suspicion
-     fences a silent one — a request can never hang. *)
+  (* The per-attempt deadline loses a wedged worker the way suspicion
+     loses a silent one — a request can never hang. *)
   Array.iter
     (fun (s : entry Supervisor.slot) ->
       match s.running with
       | Some e when now () -. e.dispatched_at > p.po.request_deadline ->
           handle p
-            (Supervisor.retire p.sup s ~metric:"pool.request_timeouts"
+            (Supervisor.lose p.sup s ~metric:"pool.request_timeouts"
                ~reason:"request deadline expired")
       | _ -> ())
     (Supervisor.slots p.sup);
@@ -470,7 +460,7 @@ let shutdown_pool ?(drain_deadline = 30.0) p =
     let deadline = now () +. drain_deadline in
     (try
        while (not (pool_idle p)) && now () < deadline do
-         pool_step p ~timeout:(min p.po.poll_interval (max 0.0 (deadline -. now ())))
+         pool_step p ~timeout:(min poll_interval (max 0.0 (deadline -. now ())))
        done
      with _ -> ());
     p.closed <- true;
@@ -490,7 +480,6 @@ type worker_stat = {
   w_slot : int;
   w_pid : int;
   w_state : string; (* "idle" | "busy" | "abandoned" *)
-  w_epoch : int;
   w_respawns : int;
   w_trace : int64; (* trace of the running request; 0L when idle *)
 }
@@ -517,7 +506,7 @@ type stats = {
   log_tail : string list;
 }
 
-let stats_schema = "dstress-stats/1"
+let stats_schema = "dstress-stats/2"
 
 let latency_of_sketch sk =
   let q p = Sketch.quantile_or ~default:0.0 sk p in
@@ -559,7 +548,6 @@ let pool_stats p =
                (if s.abandoned then "abandoned"
                 else if s.running <> None then "busy"
                 else "idle");
-             w_epoch = s.epoch;
              w_respawns = s.respawns;
              w_trace = s.trace;
            })
@@ -583,7 +571,6 @@ let worker_stat_to_json w =
       ("slot", Json.Int w.w_slot);
       ("pid", Json.Int w.w_pid);
       ("state", Json.Str w.w_state);
-      ("epoch", Json.Int w.w_epoch);
       ("respawns", Json.Int w.w_respawns);
       ("trace", Json.Str (trace_hex w.w_trace));
     ]
@@ -667,7 +654,6 @@ let stats_of_json j =
               let* w_slot = int_field "slot" w in
               let* w_pid = int_field "pid" w in
               let* w_state = str_field "state" w in
-              let* w_epoch = int_field "epoch" w in
               let* w_respawns = int_field "respawns" w in
               let* hex = str_field "trace" w in
               let* w_trace =
@@ -675,7 +661,7 @@ let stats_of_json j =
                 | Some t -> Ok t
                 | None -> err "stats: bad trace %S" hex
               in
-              Ok { w_slot; w_pid; w_state; w_epoch; w_respawns; w_trace })
+              Ok { w_slot; w_pid; w_state; w_respawns; w_trace })
             ws
       | _ -> err "stats: missing list field %S" "workers"
     in
@@ -786,7 +772,7 @@ let stats_prometheus st =
   Buffer.contents b
 
 let fetch_stats ?(timeout = 10.0) conn =
-  ignore (Transport.send conn ~kind:Transport.Kind.stats ~epoch:0 Bytes.empty);
+  Transport.send conn ~kind:Transport.Kind.stats Bytes.empty;
   let deadline = now () +. timeout in
   let rec await () =
     let remaining = deadline -. now () in
@@ -860,11 +846,8 @@ let serve ?(pool_opts = default_pool_opts) ?(log = Log.nop)
   in
   let reply_to c resp =
     if not c.dead then
-      match
-        Transport.send c.cconn ~kind:Transport.Kind.response ~epoch:0
-          (encode_response resp)
-      with
-      | _ -> ()
+      match Transport.send c.cconn ~kind:Transport.Kind.response (encode_response resp) with
+      | () -> ()
       | exception Transport.Error _ ->
           c.dead <- true;
           Transport.close c.cconn
@@ -903,10 +886,10 @@ let serve ?(pool_opts = default_pool_opts) ?(log = Log.nop)
           (* Admin request: always answered, even while draining or with a
              clearing request in flight on this connection. *)
           match
-            Transport.send c.cconn ~kind:Transport.Kind.stats_reply ~epoch:0
+            Transport.send c.cconn ~kind:Transport.Kind.stats_reply
               (encode_stats (pool_stats pool))
           with
-          | _ -> ()
+          | () -> ()
           | exception Transport.Error _ ->
               c.dead <- true;
               Transport.close c.cconn)
@@ -936,7 +919,7 @@ let serve ?(pool_opts = default_pool_opts) ?(log = Log.nop)
         let readable =
           if fds = [] then []
           else
-            match Unix.select fds [] [] pool.po.poll_interval with
+            match Unix.select fds [] [] poll_interval with
             | r, _, _ -> r
             | exception Unix.Unix_error (EINTR, _, _) -> []
         in
@@ -944,11 +927,7 @@ let serve ?(pool_opts = default_pool_opts) ?(log = Log.nop)
           match Unix.accept listener with
           | fdesc, _ ->
               (try Unix.setsockopt fdesc Unix.TCP_NODELAY true with Unix.Unix_error _ -> ());
-              let cconn =
-                Transport.of_fd ~metrics:(pool_metrics pool) ~log
-                  ~read_deadline:pool.po.io_deadline ~write_deadline:pool.po.io_deadline
-                  fdesc
-              in
+              let cconn = Transport.of_fd ~metrics:(pool_metrics pool) ~log fdesc in
               clients := { cconn; inflight = false; dead = false } :: !clients
           | exception Unix.Unix_error _ -> ()
         end;
@@ -965,7 +944,7 @@ let serve ?(pool_opts = default_pool_opts) ?(log = Log.nop)
       close_listener ())
 
 let call ?(timeout = 120.0) conn req =
-  ignore (Transport.send conn ~kind:Transport.Kind.request ~epoch:0 (encode_request req));
+  Transport.send conn ~kind:Transport.Kind.request (encode_request req);
   let deadline = now () +. timeout in
   let rec await () =
     let remaining = deadline -. now () in

@@ -11,7 +11,7 @@
       [response] frames;
     + a persistent {!pool}: workers forked at creation (inheriting the
       handler via copy-on-write) and kept warm across requests, their
-      slots run by a {!Supervisor} (heartbeats, fencing, respawn) — plus
+      slots run by a {!Supervisor} (heartbeats, fail-stop loss, respawn) — plus
       a bounded submission queue with typed backpressure, per-request
       attempt budgets and deadlines;
     + a single-threaded {!serve} loop multiplexing a listener (Unix
@@ -99,12 +99,8 @@ val request_executor : request -> (Executor.t, string) result
 type pool_opts = {
   workers : int;  (** persistent worker processes, forked at creation *)
   queue_depth : int;  (** bound on requests awaiting dispatch *)
-  heartbeat_interval : float;
-  phi : float;  (** suspicion threshold of the phi-accrual detector *)
-  io_deadline : float;  (** per-frame read/write deadline, seconds *)
-  poll_interval : float;  (** max wait per {!pool_step} select *)
   request_deadline : float;
-      (** wall bound on one dispatched attempt; exceeding it fences the
+      (** wall bound on one dispatched attempt; exceeding it kills the
           worker and re-dispatches — a wedged worker can never hang a
           request *)
   max_respawns_per_slot : int;  (** then the slot is abandoned *)
@@ -115,9 +111,11 @@ type pool_opts = {
 }
 
 val default_pool_opts : pool_opts
-(** 2 workers, queue depth 64, 50 ms heartbeats, phi 8, 10 s io
-    deadline, 20 ms poll, 120 s request deadline, 2 respawns per slot,
-    3 attempts per request, 5 s slow-request threshold. *)
+(** 2 workers, queue depth 64, 120 s request deadline, 2 respawns per
+    slot, 3 attempts per request, 5 s slow-request threshold. The rest
+    is fixed: 50 ms heartbeats and phi 8 ({!Supervisor}), a 10 s
+    per-frame read/write deadline ({!Transport}) and a 20 ms longest
+    select wait in {!serve} and {!shutdown_pool}. *)
 
 type pool
 
@@ -132,7 +130,7 @@ val create_pool :
     Must run before any [Domain.spawn] in this process. Each worker
     inherits [handler] via fork and serves requests one at a time:
     heartbeating from a side thread, replying [Completed] (or a typed
-    error that surfaces as [Degraded]) in an epoch-tagged result frame.
+    error that surfaces as [Degraded]) in a result frame.
     A handler exception inside a worker fails only that request, never
     the worker. [fork_fds] (consulted at every fork, including respawns)
     names descriptors the embedding process holds — listener, client
@@ -164,8 +162,8 @@ val set_pool_fault_source :
 (** Deterministic wire-fault injection for chaos tests, consulted at
     each dispatch ([request_index] counts dispatches from 0, [worker] is
     the slot id): disconnect closes the worker mid-request, stall delays
-    its reply past the suspicion window, partition mutes it (no reply,
-    no heartbeats) long enough to be fenced. *)
+    its reply (past the suspicion window, it is killed first), partition
+    mutes it (no reply, no heartbeats) until it is killed. *)
 
 val submit :
   pool -> request -> (response -> unit) -> [ `Queued | `Queue_full | `No_workers ]
@@ -177,9 +175,10 @@ val submit :
 
 val pool_step : pool -> timeout:float -> unit
 (** One supervision turn: dispatch queued requests to idle live workers,
-    wait up to [timeout] for worker frames, apply epoch-fenced results,
-    run heartbeat suspicion / request deadlines, respawn and re-dispatch
-    as needed, reap exited children. [timeout] 0 polls. *)
+    wait up to [timeout] for worker frames, apply results, run heartbeat
+    suspicion and request deadlines (killing each lost worker), respawn
+    and re-dispatch as needed, reap exited children. [timeout] 0
+    polls. *)
 
 val shutdown_pool : ?drain_deadline:float -> pool -> unit
 (** Finish queued + in-flight requests (stepping until none is left or
@@ -198,7 +197,6 @@ type worker_stat = {
   w_slot : int;  (** slot index, stable across respawns *)
   w_pid : int;
   w_state : string;  (** ["idle" | "busy" | "abandoned"] *)
-  w_epoch : int;  (** current fencing epoch *)
   w_respawns : int;
   w_trace : int64;  (** trace of the running request; [0L] when idle *)
 }

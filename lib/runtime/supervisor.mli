@@ -1,27 +1,28 @@
 (** Worker-slot lifecycle of the daemon's persistent pool ({!Service}).
     It is a module of its own so that the pool's queue policy (attempt
     budgets, deadlines, backpressure) never touches fork, heartbeats or
-    epochs.
+    signals; it is the one owner of the daemon's worker processes.
 
     A supervisor owns a fixed array of worker {e slots}, each holding one
     forked worker process reached over an anonymous socketpair through
     {!Transport}. It decides how a worker is
 
-    - {b forked}: the child closes every coordinator-side descriptor it
-      inherits (sibling workers, fenced stragglers, and whatever the
-      client names in [fork_fds]), so a leaked write end never masks an
-      EOF elsewhere;
+    - {b forked}: on a socketpair of its own; the child closes every
+      coordinator-side descriptor it inherits (sibling workers, and
+      whatever the client names in [fork_fds]), so a leaked write end
+      never masks an EOF elsewhere;
     - {b proven alive}: the worker sends a hello, then heartbeats from a
-      side thread every [heartbeat_interval]; one phi-accrual
-      {!Failure_detector} per slot turns silence into suspicion;
-    - {b fenced}: every spawn runs under a fresh epoch. A suspected
-      worker's connection moves to a fenced list that is still drained,
-      so a straggler's late reply is read and dropped
-      ([transport.fenced_frames]), never applied;
+      side thread every 50 ms; one phi-accrual {!Failure_detector} per
+      slot (default phi 8) turns silence into suspicion;
+    - {b lost}, fail-stop: heartbeat suspicion, a broken connection, a
+      failed dispatch or the client's own grounds ({!lose}) all end the
+      same way. The connection is closed and the worker is SIGKILLed, so
+      a lost worker never replies and never keeps running; a later
+      {!step} reaps it;
     - {b replaced}: a lost slot respawns at once, at most
       [max_respawns_per_slot] times, then it is abandoned;
     - {b reaped}: {!shutdown} sends shutdown frames, allows a 2 s grace,
-      SIGKILLs stragglers and reaps every child ever forked.
+      SIGKILLs stragglers and reaps every child still unreaped.
 
     A worker runs one task at a time through the client's [serve]
     function. A {!fault} planted on a dispatch reaches the worker in the
@@ -37,18 +38,17 @@
 type fault =
   | Stall of float
       (** the worker holds silent, heartbeats included, for this many
-          seconds, then serves the task; a long stall gets it suspected
-          and fenced, and its late reply dropped *)
+          seconds, then serves the task; a stall past suspicion gets it
+          killed first *)
   | Partition
-      (** the worker serves nothing and sends nothing, long enough to be
-          fenced, then exits *)
+      (** the worker serves nothing and sends nothing until it is
+          killed (or its connection is closed) *)
   | Disconnect  (** the worker severs its socket before serving the task *)
 
 type 'j slot = private {
   sid : int;  (** stable slot id *)
   mutable pid : int;
   mutable conn : Transport.t;
-  mutable epoch : int;
   mutable det : Failure_detector.t;
   mutable running : 'j option;  (** the job in flight *)
   mutable trace : int64;  (** trace of the job in flight; [0L] when idle *)
@@ -60,8 +60,8 @@ type 'j slot = private {
 (** What became of jobs the client dispatched. *)
 type 'j event =
   | Reply of 'j * (bytes, string) result
-      (** the job's reply from its current-epoch worker: [Ok] payload,
-          or [Error] with the message of a task that failed there *)
+      (** the job's reply from its worker: [Ok] payload, or [Error] with
+          the message of a task that failed there *)
   | Lost of 'j option * string
       (** a worker was lost for the given reason, and its slot already
           respawned or abandoned; the job it was running comes back *)
@@ -70,9 +70,6 @@ type 'j t
 
 val create :
   workers:int ->
-  heartbeat_interval:float ->
-  phi:float ->
-  io_deadline:float ->
   max_respawns_per_slot:int ->
   ?log:Dstress_obs.Log.t ->
   metrics:Dstress_obs.Obs.Metrics.t ->
@@ -108,13 +105,14 @@ val dispatch :
 
 val step : 'j t -> timeout:float -> 'j event list
 (** One supervision turn: wait up to [timeout] for worker frames, drain
-    live and fenced connections, apply replies by epoch, retire
-    suspected workers (fenced) and broken connections (closed), reap
-    exited children. Events come back in the order they happened. *)
+    live connections and apply their replies, lose suspected workers
+    and broken connections, reap exited children. Events come back in
+    the order they happened. *)
 
-val retire : 'j t -> 'j slot -> metric:string -> reason:string -> 'j event
-(** Fence a live slot on the client's own grounds (counted in
-    [metric]), as suspicion would. *)
+val lose : 'j t -> 'j slot -> metric:string -> reason:string -> 'j event
+(** Lose a live slot on the client's own grounds (counted in
+    [metric]): its worker is killed and the slot respawned, as
+    suspicion would. *)
 
 val shutdown : 'j t -> 'j list
 (** Stop and reap every worker; returns the jobs still in flight.

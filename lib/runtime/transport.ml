@@ -19,15 +19,13 @@ let () =
 
 type frame = {
   kind : int;
-  epoch : int;
-  seq : int64;
   trace : int64;  (* request trace ID; 0L = none *)
   payload : bytes;
 }
 
 let magic = "DSTR"
-let version = 2
-let header_bytes = 36
+let version = 3
+let header_bytes = 24
 let max_payload = 1 lsl 28 (* 256 MB: anything bigger is a framing bug *)
 
 type t = {
@@ -36,8 +34,6 @@ type t = {
   write_deadline : float;
   m : Metrics.t;
   log : Log.t;
-  mutable next_seq : int64;
-  mutable delivered : int64; (* highest seq handed to the application *)
   mutable closed : bool;
 }
 
@@ -47,16 +43,7 @@ let metrics t = t.m
 let of_fd ?(metrics = Metrics.create ()) ?(log = Log.nop) ?(read_deadline = 10.0)
     ?(write_deadline = 10.0) fdesc =
   Unix.set_nonblock fdesc;
-  {
-    fdesc;
-    read_deadline;
-    write_deadline;
-    m = metrics;
-    log;
-    next_seq = 0L;
-    delivered = -1L;
-    closed = false;
-  }
+  { fdesc; read_deadline; write_deadline; m = metrics; log; closed = false }
 
 let close t =
   if not t.closed then begin
@@ -269,36 +256,32 @@ let write_all t buf ~what =
 (* Framing                                                             *)
 (* ------------------------------------------------------------------ *)
 
-let encode_frame ~kind ~epoch ~seq ?(trace = 0L) payload =
+let encode_frame ~kind ?(trace = 0L) payload =
   let len = Bytes.length payload in
   let b = Bytes.create (header_bytes + len) in
   Bytes.blit_string magic 0 b 0 4;
   Bytes.set_uint8 b 4 version;
   Bytes.set_uint8 b 5 kind;
   Bytes.set_uint16_le b 6 0;
-  Bytes.set_int32_le b 8 (Int32.of_int epoch);
-  Bytes.set_int64_le b 12 seq;
-  Bytes.set_int64_le b 20 trace;
-  Bytes.set_int32_le b 28 (Int32.of_int len);
-  Bytes.set_int32_le b 32 (Crc32.digest payload);
+  Bytes.set_int64_le b 8 trace;
+  Bytes.set_int32_le b 16 (Int32.of_int len);
+  Bytes.set_int32_le b 20 (Crc32.digest payload);
   Bytes.blit payload 0 b header_bytes len;
   b
 
-let send t ~kind ~epoch ?trace payload =
+let send t ~kind ?trace payload =
   if t.closed then raise (Error (Closed "send on closed connection"));
-  let seq = t.next_seq in
-  t.next_seq <- Int64.add seq 1L;
-  let b = encode_frame ~kind ~epoch ~seq ?trace payload in
+  let b = encode_frame ~kind ?trace payload in
   write_all t b ~what:"send";
   Metrics.incr t.m "transport.frames_sent";
-  Metrics.incr t.m ~by:(Bytes.length b) "transport.bytes_sent";
-  seq
+  Metrics.incr t.m ~by:(Bytes.length b) "transport.bytes_sent"
 
-(* One raw frame off the wire, however long since the last one — the
-   caller bounds the wait; once the header starts arriving the per-frame
-   read deadline takes over. *)
-let read_frame t ~first_timeout =
-  match select_r [ t.fdesc ] first_timeout with
+(* The caller bounds the wait for a frame to start; once its header
+   starts arriving the per-frame read deadline takes over. A timeout of
+   0 polls: a frame already readable is returned. *)
+let recv t ~timeout =
+  if t.closed then raise (Error (Closed "recv on closed connection"));
+  match select_r [ t.fdesc ] (max timeout 0.0) with
   | [] -> None
   | _ ->
       let hdr = Bytes.create header_bytes in
@@ -320,11 +303,9 @@ let read_frame t ~first_timeout =
         raise (Error (Integrity "bad version"))
       end;
       let kind = Bytes.get_uint8 hdr 5 in
-      let epoch = Int32.to_int (Bytes.get_int32_le hdr 8) in
-      let seq = Bytes.get_int64_le hdr 12 in
-      let trace = Bytes.get_int64_le hdr 20 in
-      let len = Int32.to_int (Bytes.get_int32_le hdr 28) in
-      let crc = Bytes.get_int32_le hdr 32 in
+      let trace = Bytes.get_int64_le hdr 8 in
+      let len = Int32.to_int (Bytes.get_int32_le hdr 16) in
+      let crc = Bytes.get_int32_le hdr 20 in
       if len < 0 || len > max_payload then begin
         Metrics.incr t.m "transport.framing_errors";
         Log.error t.log "transport framing error"
@@ -341,31 +322,7 @@ let read_frame t ~first_timeout =
       end;
       Metrics.incr t.m "transport.frames_received";
       Metrics.incr t.m ~by:(header_bytes + len) "transport.bytes_received";
-      Some { kind; epoch; seq; trace; payload }
-
-let recv t ~timeout =
-  if t.closed then raise (Error (Closed "recv on closed connection"));
-  let deadline = now () +. timeout in
-  (* The first read is always attempted: with [~timeout:0.0] the clock
-     has already passed the deadline, yet a ready frame must come back. *)
-  let rec loop ~first =
-    let remaining = deadline -. now () in
-    if remaining < 0.0 && not first then None
-    else
-      match read_frame t ~first_timeout:(max remaining 0.0) with
-      | None -> None
-      | Some f when Int64.compare f.seq t.delivered <= 0 ->
-          (* A frame whose seq is not above the last one delivered is a
-             replay: dropped, never re-applied. *)
-          Metrics.incr t.m "transport.dup_dropped";
-          Log.debug t.log "transport duplicate dropped" ~trace:f.trace
-            [ ("seq", Log.Int (Int64.to_int f.seq)) ];
-          loop ~first:false
-      | Some f ->
-          t.delivered <- f.seq;
-          Some f
-  in
-  loop ~first:true
+      Some { kind; trace; payload }
 
 module Kind = struct
   let hello = 1

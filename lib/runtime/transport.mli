@@ -3,22 +3,21 @@
     This is the wire layer of the daemon ({!Service}): the coordinator
     and its persistent worker processes exchange length-prefixed,
     checksummed frames over anonymous [AF_UNIX] [socketpair]s
-    ({!Supervisor}); named sockets and TCP carry the daemon's clients. The layer is built {e failure
-    first} — every operation has a deadline, connections are established
-    with bounded jittered-exponential-backoff retry, and every frame
-    carries a CRC-32 and a sequence number; a receiver drops any frame
-    whose sequence number is not above the last one it delivered. A lost
-    connection is not repaired here: the {!Supervisor} fences it and
-    respawns the worker on a fresh one.
+    ({!Supervisor}); named sockets and TCP carry the daemon's clients.
+    The layer is built {e failure first}: every operation has a
+    deadline, connections are established with bounded
+    jittered-exponential-backoff retry, and every frame carries a
+    CRC-32. A stream socket delivers each frame once and in order, so
+    frames carry no sequence number. A lost connection is not repaired
+    here: the {!Supervisor} kills its worker and respawns the slot on a
+    fresh socketpair.
 
     {b Frame format} (little-endian):
     {v
       magic   4 B  "DSTR"
-      version 1 B  (2)
+      version 1 B  (3)
       kind    1 B  caller-defined message kind
       pad     2 B  zero
-      epoch   4 B  fencing epoch (see Supervisor)
-      seq     8 B  per-connection monotone sequence number
       trace   8 B  request trace ID (0 = none; see Service)
       length  4 B  payload bytes
       crc32   4 B  CRC-32 (IEEE) of the payload
@@ -49,8 +48,6 @@ val error_message : error -> string
 
 type frame = {
   kind : int;
-  epoch : int;
-  seq : int64;
   trace : int64;
       (** request trace ID propagated end-to-end by the {!Service} layer;
           [0L] when the frame belongs to no request *)
@@ -70,7 +67,7 @@ val of_fd :
     [write_deadline] (default 10 s) bound every frame-level operation —
     a peer that stalls mid-frame surfaces as [Error (Timeout _)], never a
     hang. [log] (default {!Dstress_obs.Log.nop}) receives wall-domain
-    events for timeouts, framing/CRC violations and duplicate drops. *)
+    events for timeouts and framing/CRC violations. *)
 
 val pair :
   ?metrics:Dstress_obs.Obs.Metrics.t ->
@@ -140,17 +137,15 @@ val connect_tcp :
     ([ECONNREFUSED], [ETIMEDOUT], [EHOSTUNREACH], [ENETUNREACH]).
     [TCP_NODELAY] is set on the connected socket. *)
 
-val send : t -> kind:int -> epoch:int -> ?trace:int64 -> bytes -> int64
-(** Frame and write the payload within the write deadline; returns the
-    assigned sequence number. [trace] (default [0L]) is carried verbatim
-    in the frame header and delivered in {!recv}'s [frame.trace]. *)
+val send : t -> kind:int -> ?trace:int64 -> bytes -> unit
+(** Frame and write the payload within the write deadline. [trace]
+    (default [0L]) is carried verbatim in the frame header and delivered
+    in {!recv}'s [frame.trace]. *)
 
 val recv : t -> timeout:float -> frame option
-(** Next fresh frame within [timeout] seconds, or [None]. [timeout] 0
-    polls: a frame already readable is returned. A frame whose sequence
-    number is not above the highest already delivered is a replay: it is
-    dropped and counted under [transport.dup_dropped]. A CRC or framing
-    violation raises [Error (Integrity _)]. *)
+(** Next frame, or [None] if none starts to arrive within [timeout]
+    seconds. [timeout] 0 polls: a frame already readable is returned. A
+    CRC or framing violation raises [Error (Integrity _)]. *)
 
 val close : t -> unit
 (** Idempotent. *)

@@ -107,6 +107,7 @@ let test_prg_skip () =
    key yields for the same sequence without them. *)
 type prg_op =
   | Draw_bytes of int
+  | Draw_blit of int * int (* length, offset into a larger buffer *)
   | Draw_bits of int
   | Draw_bool
   | Skip of int
@@ -121,6 +122,7 @@ let prop_prg_prefetch =
     oneof
       [
         map (fun n -> Draw_bytes n) len;
+        map2 (fun n off -> Draw_blit (n, off)) len (int_range 0 40);
         map (fun n -> Draw_bits n) len;
         pure Draw_bool;
         map (fun n -> Skip n) len;
@@ -136,6 +138,10 @@ let prop_prg_prefetch =
           List.filter_map
             (function
               | Draw_bytes n -> Some (Bytes.to_string (Prg.bytes t n))
+              | Draw_blit (n, off) ->
+                  let buf = Bytes.make (off + n + 7) '.' in
+                  Prg.blit t buf off n;
+                  Some (Bytes.to_string buf)
               | Draw_bits n ->
                   Some
                     (String.concat ""

@@ -13,9 +13,11 @@
      bytes — identical to a solo sequential run of the same seeded
      config, whichever in-worker executor the request names;
    - one wire fault at a time: a disconnected worker is respawned and
-     its request completes, a stalled worker's late reply is fenced,
-     and partitioning every slot degrades every request, abandons every
-     slot and leaves the pool refusing submissions ([`No_workers]);
+     its request completes; a lost worker (stalled past suspicion, or
+     wedged past the request deadline) is killed and reaped by the pool
+     and never replies; and partitioning every slot degrades every
+     request, abandons every slot and leaves the pool refusing
+     submissions ([`No_workers]);
    - lifecycle chaos: a seeded soak killing/stalling/partitioning
      persistent workers mid-request; every submission must terminate
      with a typed outcome (never a hang), and completed ones must still
@@ -356,18 +358,8 @@ let check_summary_equal label (want : Service.summary) (got : Service.summary) =
     (label ^ ": metrics bytes")
     want.Service.metrics got.Service.metrics
 
-(* Keep the default heartbeat cadence and phi: a service task is a whole
-   CPU-bound engine run, during which the worker's heartbeat thread only
-   gets scheduled at the OCaml thread tick (~50 ms), so a tight
-   phi-4/20ms detector false-positives under load and burns the respawn
-   budget on healthy workers. *)
 let quick_opts =
-  {
-    Service.default_pool_opts with
-    Service.workers = 2;
-    poll_interval = 0.02;
-    request_deadline = 60.0;
-  }
+  { Service.default_pool_opts with Service.workers = 2; request_deadline = 60.0 }
 
 let run_pool_until pool ~pending ~deadline =
   let until = Unix.gettimeofday () +. deadline in
@@ -475,41 +467,101 @@ let test_pool_handler_failure_is_typed () =
   | _ -> Alcotest.fail "pool must keep serving after a handler failure");
   Service.shutdown_pool pool
 
-let test_pool_fence_drops_late_reply () =
+(* True once [pid] is gone and reaped. Pool workers are this process's
+   children: a killed one lingers as a zombie, still found by signal 0,
+   until the pool's own waitpid reaps it. *)
+let reaped pid =
+  match Unix.kill pid 0 with
+  | () -> false
+  | exception Unix.Unix_error (Unix.ESRCH, _, _) -> true
+
+(* Plant [fault] on the pool's first dispatch; the returned cell gets the
+   pid of the worker that dispatch went to. *)
+let watch_first_dispatch pool fault =
+  let pids = List.map (fun w -> w.Service.w_pid) (Service.pool_stats pool).Service.workers in
+  let victim = ref None in
+  Service.set_pool_fault_source pool (fun ~request_index ~worker ->
+      if request_index = 0 then begin
+        victim := Some (List.nth pids worker);
+        fault
+      end
+      else None);
+  victim
+
+(* Step the pool until the lost worker [victim] is reaped: the loss
+   killed it, so a few turns suffice. *)
+let check_reaped pool what victim =
+  match !victim with
+  | None -> Alcotest.failf "%s: nothing was dispatched" what
+  | Some pid ->
+      let until = Unix.gettimeofday () +. 2.0 in
+      while (not (reaped pid)) && Unix.gettimeofday () < until do
+        Service.pool_step pool ~timeout:0.05
+      done;
+      Alcotest.(check bool) (Printf.sprintf "%s: worker %d reaped" what pid) true (reaped pid)
+
+let test_pool_lost_worker_killed () =
+  (* A stall far past suspicion (phi 8 x 50 ms = 0.4 s): the slot is
+     lost, its worker killed mid-stall, and the request re-dispatched.
+     The pool keeps stepping past the end of the stall, when a surviving
+     worker would have replied: the callback must fire exactly once. *)
   let pool = Service.create_pool ~opts:quick_opts ~handler () in
-  (* The first dispatch stalls its worker far past suspicion (phi 8 x
-     50 ms = 0.4 s): the slot is fenced and the request re-dispatched.
-     The stalled worker then serves the request anyway and replies on
-     its fenced connection while follow-up requests keep the pool busy.
-     Applying that reply would fire the callback a second time. *)
-  Service.set_pool_fault_source pool (fun ~request_index ~worker:_ ->
-      if request_index = 0 then Some (Supervisor.Stall 2.0) else None);
+  let victim = watch_first_dispatch pool (Some (Supervisor.Stall 2.0)) in
   let req = { base_request with Service.seed = 41 } in
-  let replies = ref [] and pending = ref 0 in
-  let submit r on_done =
-    match Service.submit pool r on_done with
-    | `Queued -> incr pending
-    | `Queue_full | `No_workers -> Alcotest.fail "submit rejected"
-  in
-  submit req (fun r ->
-      replies := r :: !replies;
-      decr pending);
+  let replies = ref [] and pending = ref 1 in
+  (match
+     Service.submit pool req (fun r ->
+         replies := r :: !replies;
+         decr pending)
+   with
+  | `Queued -> ()
+  | `Queue_full | `No_workers -> Alcotest.fail "submit rejected");
+  let stall_ends = Unix.gettimeofday () +. 2.5 in
   let m = Service.pool_metrics pool in
-  let until = Unix.gettimeofday () +. 60.0 in
-  while
-    (!pending > 0 || Metrics.counter m "transport.fenced_frames" = 0)
-    && Unix.gettimeofday () < until
-  do
-    if !replies <> [] && !pending = 0 then
-      submit { base_request with Service.seed = 42 } (fun _ -> decr pending);
+  let until = Unix.gettimeofday () +. 30.0 in
+  while Metrics.counter m "pool.suspicions" = 0 && Unix.gettimeofday () < until do
     Service.pool_step pool ~timeout:0.05
   done;
   Alcotest.(check bool) "stall tripped suspicion" true (Metrics.counter m "pool.suspicions" > 0);
-  Alcotest.(check bool) "late reply fenced" true (Metrics.counter m "transport.fenced_frames" >= 1);
+  check_reaped pool "stalled" victim;
+  run_pool_until pool ~pending ~deadline:60.0;
+  while Unix.gettimeofday () < stall_ends do
+    Service.pool_step pool ~timeout:0.05
+  done;
   (match !replies with
   | [ Service.Completed s ] -> check_summary_equal "stalled request" (oracle req) s
   | [ _ ] -> Alcotest.fail "stalled request did not complete"
   | rs -> Alcotest.failf "callback fired %d times" (List.length rs));
+  Service.shutdown_pool pool;
+  (* A handler that outlives the request deadline while still
+     heartbeating: the deadline loses the slot the way suspicion does,
+     and kills the wedged worker. *)
+  let opts = { quick_opts with Service.request_deadline = 1.0; max_attempts_per_request = 1 } in
+  let pool =
+    Service.create_pool ~opts
+      ~handler:(fun req ->
+        Unix.sleepf 30.0;
+        handler req)
+      ()
+  in
+  let victim = watch_first_dispatch pool None in
+  let reply = ref None and pending = ref 1 in
+  (match
+     Service.submit pool base_request (fun r ->
+         reply := Some r;
+         decr pending)
+   with
+  | `Queued -> ()
+  | `Queue_full | `No_workers -> Alcotest.fail "submit rejected");
+  run_pool_until pool ~pending ~deadline:30.0;
+  (match !reply with
+  | Some (Service.Degraded msg) ->
+      Alcotest.(check bool) "names the deadline" true
+        (contains_substring ~sub:"request deadline expired" msg)
+  | _ -> Alcotest.fail "the wedged request must degrade");
+  Alcotest.(check bool) "deadline counted" true
+    (Metrics.counter (Service.pool_metrics pool) "pool.request_timeouts" >= 1);
+  check_reaped pool "wedged" victim;
   Service.shutdown_pool pool
 
 let test_pool_disconnect_recovered () =
@@ -720,9 +772,7 @@ let test_daemon_concurrent_unix () =
   let conns = Array.map (fun _ -> connect_unix path) reqs in
   Array.iteri
     (fun i r ->
-      ignore
-        (Transport.send conns.(i) ~kind:Transport.Kind.request ~epoch:0
-           (Service.encode_request r)))
+      Transport.send conns.(i) ~kind:Transport.Kind.request (Service.encode_request r))
     reqs;
   let results = Array.make (Array.length reqs) None in
   let deadline = Unix.gettimeofday () +. 120.0 in
@@ -763,9 +813,7 @@ let test_daemon_malformed_and_garbage () =
   (* A well-framed request whose payload is not DSTRESS-REQ/1 gets a
      typed reject and the connection stays usable. *)
   let conn = connect_unix path in
-  ignore
-    (Transport.send conn ~kind:Transport.Kind.request ~epoch:0
-       (Bytes.of_string "not a request"));
+  Transport.send conn ~kind:Transport.Kind.request (Bytes.of_string "not a request");
   (match Service.call ~timeout:30.0 conn base_request with
   | exception Transport.Error _ -> Alcotest.fail "connection must survive a bad payload"
   | _ -> ());
@@ -791,16 +839,15 @@ let test_daemon_malformed_and_garbage () =
   (* A corrupted CRC is an integrity violation: same drop. *)
   let conn = connect_unix path in
   let payload = Service.encode_request base_request in
-  let frame = Bytes.create (36 + Bytes.length payload) in
+  let frame = Bytes.create (24 + Bytes.length payload) in
   Bytes.blit_string "DSTR" 0 frame 0 4;
-  Bytes.set frame 4 '\002';
+  Bytes.set frame 4 '\003';
   Bytes.set frame 5 (Char.chr Transport.Kind.request);
-  Bytes.set_int32_le frame 8 0l (* epoch *);
-  Bytes.set_int64_le frame 12 0L (* seq *);
-  Bytes.set_int64_le frame 20 0L (* trace *);
-  Bytes.set_int32_le frame 28 (Int32.of_int (Bytes.length payload));
-  Bytes.set_int32_le frame 32 0xDEADl (* wrong CRC *);
-  Bytes.blit payload 0 frame 36 (Bytes.length payload);
+  Bytes.set_uint16_le frame 6 0 (* pad *);
+  Bytes.set_int64_le frame 8 0L (* trace *);
+  Bytes.set_int32_le frame 16 (Int32.of_int (Bytes.length payload));
+  Bytes.set_int32_le frame 20 0xDEADl (* wrong CRC *);
+  Bytes.blit payload 0 frame 24 (Bytes.length payload);
   ignore (Unix.write (Transport.fd conn) frame 0 (Bytes.length frame));
   (match Transport.recv conn ~timeout:10.0 with
   | exception Transport.Error (Transport.Closed _) -> ()
@@ -840,9 +887,7 @@ let test_daemon_sigterm_drains_inflight () =
   with_daemon (Service.Unix_socket path) @@ fun pid _addr ->
   let conn = connect_unix path in
   let req = { base_request with Service.seed = 51; iterations = 3 } in
-  ignore
-    (Transport.send conn ~kind:Transport.Kind.request ~epoch:0
-       (Service.encode_request req));
+  Transport.send conn ~kind:Transport.Kind.request (Service.encode_request req);
   (* Let the daemon dispatch it, then ask for shutdown mid-request. *)
   Unix.sleepf 0.15;
   Unix.kill pid Sys.sigterm;
@@ -890,7 +935,7 @@ let () =
           Alcotest.test_case "differential vs solo" `Slow test_pool_differential;
           Alcotest.test_case "queue backpressure" `Quick test_pool_queue_backpressure;
           Alcotest.test_case "handler failure typed" `Slow test_pool_handler_failure_is_typed;
-          Alcotest.test_case "fenced late reply ignored" `Slow test_pool_fence_drops_late_reply;
+          Alcotest.test_case "lost worker is killed" `Slow test_pool_lost_worker_killed;
           Alcotest.test_case "disconnect recovered" `Slow test_pool_disconnect_recovered;
           Alcotest.test_case "every slot partitioned" `Slow test_pool_every_slot_partitioned;
         ] );

@@ -259,7 +259,6 @@ let fixture_stats =
           Service.w_slot = 0;
           w_pid = 4242;
           w_state = "busy";
-          w_epoch = 2;
           w_respawns = 1;
           w_trace = 0x2aL;
         };
@@ -267,7 +266,6 @@ let fixture_stats =
           Service.w_slot = 1;
           w_pid = 4243;
           w_state = "idle";
-          w_epoch = 1;
           w_respawns = 0;
           w_trace = 0L;
         };
@@ -368,8 +366,7 @@ let tiny_request =
     executor = "";
   }
 
-let pool_opts =
-  { Service.default_pool_opts with Service.workers = 2; poll_interval = 0.02 }
+let pool_opts = { Service.default_pool_opts with Service.workers = 2 }
 
 (* Parent-side events only: worker processes log into their own forked
    copy of the ring. The sink runs under the log mutex, on the pool's
@@ -474,9 +471,8 @@ let test_fetch_stats_wire () =
       let code =
         match Transport.recv server ~timeout:10.0 with
         | Some fr when fr.Transport.kind = Transport.Kind.stats ->
-            ignore
-              (Transport.send server ~kind:Transport.Kind.stats_reply ~epoch:0
-                 (Service.encode_stats fixture_stats));
+            Transport.send server ~kind:Transport.Kind.stats_reply
+              (Service.encode_stats fixture_stats);
             0
         | _ -> 1
       in

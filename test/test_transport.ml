@@ -2,17 +2,17 @@
 
    Layers under test:
 
-   - Transport: frame round-trips (magic/version/CRC) over socketpairs,
-     named sockets and TCP, per-operation deadlines, suppression of
-     replayed frames by sequence number, and bounded jittered-backoff
-     connect;
+   - Transport: the v3 frame layout and round-trips (magic/version/CRC)
+     over socketpairs, named sockets and TCP, per-operation deadlines,
+     and bounded jittered-backoff connect;
    - Failure_detector: suspicion timeline under an injected clock —
      fully deterministic, no sleeps.
 
-   The worker pool built on both (Supervisor: fork, heartbeats, fencing,
-   respawn, wire faults) is tested through the daemon's persistent pool
-   in test_service.ml. *)
+   The worker pool built on both (Supervisor: fork, heartbeats,
+   fail-stop loss, respawn, wire faults) is tested through the daemon's
+   persistent pool in test_service.ml. *)
 
+module Hex = Dstress_util.Hex
 module Metrics = Dstress_obs.Obs.Metrics
 open Dstress_runtime
 
@@ -20,25 +20,53 @@ open Dstress_runtime
 (* Transport framing                                                   *)
 (* ------------------------------------------------------------------ *)
 
+(* Read exactly [len] bytes off a non-blocking socket, bypassing the
+   transport's framing. *)
+let read_raw fd len =
+  let buf = Bytes.create len in
+  let got = ref 0 in
+  while !got < len do
+    (match Unix.select [ fd ] [] [] 2.0 with
+    | [], _, _ -> Alcotest.fail "no bytes to capture"
+    | _ -> ());
+    match Unix.read fd buf !got (len - !got) with
+    | 0 -> Alcotest.fail "EOF while capturing a frame"
+    | n -> got := !got + n
+    | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> ()
+  done;
+  buf
+
 let test_frame_roundtrip () =
   let m = Metrics.create () in
   let a, b = Transport.pair ~metrics:m () in
   let payload = Bytes.of_string "forty-two" in
-  let seq = Transport.send a ~kind:Transport.Kind.task ~epoch:7 payload in
-  Alcotest.(check int64) "first seq" 0L seq;
+  Transport.send a ~kind:Transport.Kind.task ~trace:0x0102030405060708L payload;
+  (* The v3 layout, pinned off the wire: a 24-byte little-endian header,
+     then the payload. *)
+  let frame = read_raw (Transport.fd b) (24 + Bytes.length payload) in
+  Alcotest.(check string)
+    "v3 header"
+    ("44535452" (* magic "DSTR" *) ^ "03" (* version *) ^ "03" (* kind: task *)
+    ^ "0000" (* pad *) ^ "0807060504030201" (* trace *) ^ "09000000" (* length *)
+    ^ "6b76ee63" (* CRC-32 of the payload *))
+    (Hex.encode (Bytes.sub frame 0 24));
+  Alcotest.(check int) "bytes counted" (Bytes.length frame)
+    (Metrics.counter m "transport.bytes_sent");
+  (* The captured bytes decode back to the frame that was sent. *)
+  ignore (Unix.write (Transport.fd a) frame 0 (Bytes.length frame));
   (match Transport.recv b ~timeout:1.0 with
   | Some fr ->
       Alcotest.(check int) "kind" Transport.Kind.task fr.Transport.kind;
-      Alcotest.(check int) "epoch" 7 fr.Transport.epoch;
-      Alcotest.(check int64) "seq" 0L fr.Transport.seq;
+      Alcotest.(check int64) "trace" 0x0102030405060708L fr.Transport.trace;
       Alcotest.(check string) "payload" "forty-two" (Bytes.to_string fr.Transport.payload)
   | None -> Alcotest.fail "frame did not arrive");
-  ignore (Transport.send a ~kind:Transport.Kind.ping ~epoch:7 Bytes.empty);
+  Transport.send a ~kind:Transport.Kind.ping Bytes.empty;
   (match Transport.recv b ~timeout:1.0 with
-  | Some fr -> Alcotest.(check int64) "seq increments" 1L fr.Transport.seq
+  | Some fr ->
+      Alcotest.(check int64) "no trace" 0L fr.Transport.trace;
+      Alcotest.(check int) "empty payload" 0 (Bytes.length fr.Transport.payload)
   | None -> Alcotest.fail "second frame did not arrive");
   Alcotest.(check int) "frames counted" 2 (Metrics.counter m "transport.frames_sent");
-  Alcotest.(check bool) "bytes counted" true (Metrics.counter m "transport.bytes_sent" > 0);
   Transport.close a;
   Transport.close b
 
@@ -60,7 +88,7 @@ let test_recv_zero_timeout_reads_ready_frame () =
   let a, b = Transport.pair () in
   let misses = ref 0 in
   for _ = 1 to 5000 do
-    ignore (Transport.send a ~kind:Transport.Kind.task ~epoch:0 Bytes.empty);
+    Transport.send a ~kind:Transport.Kind.task Bytes.empty;
     ignore (Unix.select [ Transport.fd b ] [] [] 1.0);
     if Transport.recv b ~timeout:0.0 = None then begin
       incr misses;
@@ -86,47 +114,6 @@ let test_integrity_rejected () =
   Transport.close a;
   Transport.close b
 
-(* Read exactly [len] bytes off a non-blocking socket, bypassing the
-   transport's framing. *)
-let read_raw fd len =
-  let buf = Bytes.create len in
-  let got = ref 0 in
-  while !got < len do
-    (match Unix.select [ fd ] [] [] 2.0 with
-    | [], _, _ -> Alcotest.fail "no bytes to capture"
-    | _ -> ());
-    match Unix.read fd buf !got (len - !got) with
-    | 0 -> Alcotest.fail "EOF while capturing a frame"
-    | n -> got := !got + n
-    | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> ()
-  done;
-  buf
-
-let test_dedup_drops_replay () =
-  let m = Metrics.create () in
-  let a, b = Transport.pair ~metrics:m () in
-  (* Capture one frame's bytes off the wire and write them onto it twice,
-     as a peer replaying old traffic would: the receiver must deliver
-     that seq exactly once. *)
-  ignore (Transport.send a ~kind:Transport.Kind.task ~epoch:1 (Bytes.of_string "one"));
-  let frame = read_raw (Transport.fd b) (Metrics.counter m "transport.bytes_sent") in
-  for _ = 1 to 2 do
-    ignore (Unix.write (Transport.fd a) frame 0 (Bytes.length frame))
-  done;
-  let recv_frame () =
-    match Transport.recv b ~timeout:1.0 with
-    | Some fr -> (Bytes.to_string fr.Transport.payload, fr.Transport.seq)
-    | None -> Alcotest.fail "expected a frame"
-  in
-  Alcotest.(check (pair string int64)) "first copy delivered" ("one", 0L) (recv_frame ());
-  Alcotest.(check bool) "replay suppressed" true (Transport.recv b ~timeout:0.2 = None);
-  Alcotest.(check int) "dup counted" 1 (Metrics.counter m "transport.dup_dropped");
-  (* The next fresh seq still gets through. *)
-  ignore (Transport.send a ~kind:Transport.Kind.task ~epoch:1 (Bytes.of_string "two"));
-  Alcotest.(check (pair string int64)) "fresh frame delivered" ("two", 1L) (recv_frame ());
-  Transport.close a;
-  Transport.close b
-
 let test_connect_backoff_bounded () =
   let m = Metrics.create () in
   let path = Filename.concat (Filename.get_temp_dir_name ()) "dstress-no-such.sock" in
@@ -147,27 +134,25 @@ let test_named_socket_roundtrip () =
   let dir = Filename.get_temp_dir_name () in
   let path = Filename.concat dir (Printf.sprintf "dstress-test-%d.sock" (Unix.getpid ())) in
   let lfd = Transport.listen ~path in
-  let expect what conn ~kind ~epoch ~seq payload =
+  let expect what conn ~kind payload =
     match Transport.recv conn ~timeout:1.0 with
     | Some fr ->
         Alcotest.(check int) (what ^ " kind") kind fr.Transport.kind;
-        Alcotest.(check int) (what ^ " epoch") epoch fr.Transport.epoch;
-        Alcotest.(check int64) (what ^ " seq") seq fr.Transport.seq;
         Alcotest.(check string) (what ^ " payload") payload
           (Bytes.to_string fr.Transport.payload)
     | None -> Alcotest.fail (what ^ ": no frame")
   in
-  (* Two connections in turn on one listener: each carries frames both
-     ways, and the second starts its sequence afresh. *)
-  for round = 1 to 2 do
+  (* Two connections in turn on one listener, each carrying frames both
+     ways, in order. *)
+  for _ = 1 to 2 do
     let client = Transport.connect ~metrics:m ~path () in
     let server = Transport.accept ~deadline:2.0 lfd in
-    ignore (Transport.send client ~kind:Transport.Kind.task ~epoch:round (Bytes.of_string "a"));
-    ignore (Transport.send client ~kind:Transport.Kind.task ~epoch:round (Bytes.of_string "b"));
-    expect "client a" server ~kind:Transport.Kind.task ~epoch:round ~seq:0L "a";
-    expect "client b" server ~kind:Transport.Kind.task ~epoch:round ~seq:1L "b";
-    ignore (Transport.send server ~kind:Transport.Kind.result ~epoch:round (Bytes.of_string "ok"));
-    expect "server reply" client ~kind:Transport.Kind.result ~epoch:round ~seq:0L "ok";
+    Transport.send client ~kind:Transport.Kind.task (Bytes.of_string "a");
+    Transport.send client ~kind:Transport.Kind.task (Bytes.of_string "b");
+    expect "client a" server ~kind:Transport.Kind.task "a";
+    expect "client b" server ~kind:Transport.Kind.task "b";
+    Transport.send server ~kind:Transport.Kind.result (Bytes.of_string "ok");
+    expect "server reply" client ~kind:Transport.Kind.result "ok";
     Transport.close server;
     (match Transport.recv client ~timeout:1.0 with
     | exception Transport.Error (Transport.Closed _) -> ()
@@ -198,7 +183,7 @@ let test_listen_takes_only_stale_sockets () =
   let round_trip lfd payload =
     let client = Transport.connect ~attempts:1 ~path () in
     let server = Transport.accept ~deadline:2.0 lfd in
-    ignore (Transport.send client ~kind:Transport.Kind.ping ~epoch:0 (Bytes.of_string payload));
+    Transport.send client ~kind:Transport.Kind.ping (Bytes.of_string payload);
     (match Transport.recv server ~timeout:1.0 with
     | Some fr -> Alcotest.(check string) payload payload (Bytes.to_string fr.Transport.payload)
     | None -> Alcotest.fail (payload ^ ": no frame"));
@@ -244,15 +229,14 @@ let test_tcp_roundtrip () =
   Alcotest.(check bool) "ephemeral port assigned" true (port > 0);
   let client = Transport.connect_tcp ~metrics:m ~host:"127.0.0.1" ~port () in
   let server = Transport.accept ~deadline:2.0 lfd in
-  ignore (Transport.send client ~kind:Transport.Kind.request ~epoch:5 (Bytes.of_string "over tcp"));
+  Transport.send client ~kind:Transport.Kind.request (Bytes.of_string "over tcp");
   (match Transport.recv server ~timeout:2.0 with
   | Some fr ->
       Alcotest.(check int) "kind" Transport.Kind.request fr.Transport.kind;
-      Alcotest.(check int) "epoch" 5 fr.Transport.epoch;
       Alcotest.(check string) "payload survives CRC" "over tcp"
         (Bytes.to_string fr.Transport.payload)
   | None -> Alcotest.fail "frame did not arrive over TCP");
-  ignore (Transport.send server ~kind:Transport.Kind.response ~epoch:5 (Bytes.of_string "back"));
+  Transport.send server ~kind:Transport.Kind.response (Bytes.of_string "back");
   (match Transport.recv client ~timeout:2.0 with
   | Some fr -> Alcotest.(check string) "reply" "back" (Bytes.to_string fr.Transport.payload)
   | None -> Alcotest.fail "reply did not arrive over TCP");
@@ -361,7 +345,6 @@ let () =
           Alcotest.test_case "poll returns a ready frame" `Quick
             test_recv_zero_timeout_reads_ready_frame;
           Alcotest.test_case "integrity rejected" `Quick test_integrity_rejected;
-          Alcotest.test_case "dedup drops replay" `Quick test_dedup_drops_replay;
           Alcotest.test_case "connect backoff bounded" `Quick test_connect_backoff_bounded;
           Alcotest.test_case "named socket round-trip" `Quick test_named_socket_roundtrip;
           Alcotest.test_case "listen takes only stale sockets" `Quick
