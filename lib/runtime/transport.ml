@@ -28,10 +28,12 @@ let version = 3
 let header_bytes = 24
 let max_payload = 1 lsl 28 (* 256 MB: anything bigger is a framing bug *)
 
+(* Seconds any one frame may take to read or write once it has started,
+   so a peer that stalls mid-frame costs bounded time, never a hang. *)
+let io_deadline = 10.0
+
 type t = {
   fdesc : Unix.file_descr;
-  read_deadline : float;
-  write_deadline : float;
   m : Metrics.t;
   log : Log.t;
   mutable closed : bool;
@@ -40,10 +42,9 @@ type t = {
 let fd t = t.fdesc
 let metrics t = t.m
 
-let of_fd ?(metrics = Metrics.create ()) ?(log = Log.nop) ?(read_deadline = 10.0)
-    ?(write_deadline = 10.0) fdesc =
+let of_fd ?(metrics = Metrics.create ()) ?(log = Log.nop) fdesc =
   Unix.set_nonblock fdesc;
-  { fdesc; read_deadline; write_deadline; m = metrics; log; closed = false }
+  { fdesc; m = metrics; log; closed = false }
 
 let close t =
   if not t.closed then begin
@@ -51,10 +52,9 @@ let close t =
     try Unix.close t.fdesc with Unix.Unix_error _ -> ()
   end
 
-let pair ?metrics ?log ?read_deadline ?write_deadline () =
+let pair ?metrics ?log () =
   let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  (of_fd ?metrics ?log ?read_deadline ?write_deadline a,
-   of_fd ?metrics ?log ?read_deadline ?write_deadline b)
+  (of_fd ?metrics ?log a, of_fd ?metrics ?log b)
 
 let close_quietly fdesc = try Unix.close fdesc with Unix.Unix_error _ -> ()
 
@@ -130,7 +130,7 @@ let select_w fds timeout =
   | _, w, _ -> w
   | exception Unix.Unix_error (EINTR, _, _) -> []
 
-let accept ?metrics ?log ?read_deadline ?write_deadline ~deadline lfd =
+let accept ?metrics ?log ~deadline lfd =
   let until = Unix.gettimeofday () +. deadline in
   let rec wait () =
     let remaining = until -. Unix.gettimeofday () in
@@ -140,13 +140,13 @@ let accept ?metrics ?log ?read_deadline ?write_deadline ~deadline lfd =
   wait ();
   let fdesc, _ = Unix.accept lfd in
   set_nodelay_if_inet fdesc;
-  of_fd ?metrics ?log ?read_deadline ?write_deadline fdesc
+  of_fd ?metrics ?log fdesc
 
 (* One bounded-retry connect loop for both address families; only the
    socket domain, target address and the set of transient errnos differ.
    Jittered exponential backoff: base * 2^i * (0.5 + u). *)
-let connect_retry ~metrics ?(log = Log.nop) ?read_deadline ?write_deadline ~attempts
-    ~backoff ~domain ~addr ~transient ~describe () =
+let connect_retry ~metrics ?(log = Log.nop) ~attempts ~backoff ~domain ~addr ~transient
+    ~describe () =
   let prng = Prng.create (Int64.of_int (Hashtbl.hash ("transport-jitter", 0))) in
   let rec go i =
     Metrics.incr metrics "transport.connect_attempts";
@@ -159,7 +159,7 @@ let connect_retry ~metrics ?(log = Log.nop) ?read_deadline ?write_deadline ~atte
             [ ("target", Log.Str describe); ("attempts", Log.Int (i + 1)) ]
         end;
         set_nodelay_if_inet fdesc;
-        of_fd ~metrics ~log ?read_deadline ?write_deadline fdesc
+        of_fd ~metrics ~log fdesc
     | exception Unix.Unix_error (e, _, _) when transient e ->
         close_quietly fdesc;
         Metrics.incr metrics "transport.connect_failures";
@@ -182,20 +182,18 @@ let connect_retry ~metrics ?(log = Log.nop) ?read_deadline ?write_deadline ~atte
   in
   go 0
 
-let connect ?(metrics = Metrics.create ()) ?log ?read_deadline ?write_deadline
-    ?(attempts = 8) ?(backoff = 0.01) ~path () =
-  connect_retry ~metrics ?log ?read_deadline ?write_deadline ~attempts ~backoff
-    ~domain:Unix.PF_UNIX ~addr:(Unix.ADDR_UNIX path)
+let connect ?(metrics = Metrics.create ()) ?log ?(attempts = 8) ?(backoff = 0.01) ~path () =
+  connect_retry ~metrics ?log ~attempts ~backoff ~domain:Unix.PF_UNIX
+    ~addr:(Unix.ADDR_UNIX path)
     ~transient:(function
       | Unix.ECONNREFUSED | Unix.ENOENT | Unix.EAGAIN | Unix.EINTR -> true
       | _ -> false)
     ~describe:path ()
 
-let connect_tcp ?(metrics = Metrics.create ()) ?log ?read_deadline ?write_deadline
-    ?(attempts = 8) ?(backoff = 0.01) ~host ~port () =
+let connect_tcp ?(metrics = Metrics.create ()) ?log ?(attempts = 8) ?(backoff = 0.01) ~host
+    ~port () =
   let addr = resolve_inet host in
-  connect_retry ~metrics ?log ?read_deadline ?write_deadline ~attempts ~backoff
-    ~domain:Unix.PF_INET
+  connect_retry ~metrics ?log ~attempts ~backoff ~domain:Unix.PF_INET
     ~addr:(Unix.ADDR_INET (addr, port))
     ~transient:(function
       | Unix.ECONNREFUSED | Unix.ETIMEDOUT | Unix.EHOSTUNREACH | Unix.ENETUNREACH
@@ -232,7 +230,7 @@ let read_exact t buf len ~deadline ~what =
   done
 
 let write_all t buf ~what =
-  let deadline = now () +. t.write_deadline in
+  let deadline = now () +. io_deadline in
   let len = Bytes.length buf in
   let sent = ref 0 in
   while !sent < len do
@@ -285,7 +283,7 @@ let recv t ~timeout =
   | [] -> None
   | _ ->
       let hdr = Bytes.create header_bytes in
-      let deadline = now () +. t.read_deadline in
+      let deadline = now () +. io_deadline in
       read_exact t hdr header_bytes ~deadline ~what:"recv header";
       if Bytes.sub_string hdr 0 4 <> magic then begin
         Metrics.incr t.m "transport.framing_errors";

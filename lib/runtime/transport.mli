@@ -59,21 +59,17 @@ type t
 val of_fd :
   ?metrics:Dstress_obs.Obs.Metrics.t ->
   ?log:Dstress_obs.Log.t ->
-  ?read_deadline:float ->
-  ?write_deadline:float ->
   Unix.file_descr ->
   t
-(** Wrap a connected socket (set non-blocking here). [read_deadline] /
-    [write_deadline] (default 10 s) bound every frame-level operation —
-    a peer that stalls mid-frame surfaces as [Error (Timeout _)], never a
+(** Wrap a connected socket (set non-blocking here). Every frame-level
+    read and write must finish within 10 s once it has started — a peer
+    that stalls mid-frame surfaces as [Error (Timeout _)], never a
     hang. [log] (default {!Dstress_obs.Log.nop}) receives wall-domain
     events for timeouts and framing/CRC violations. *)
 
 val pair :
   ?metrics:Dstress_obs.Obs.Metrics.t ->
   ?log:Dstress_obs.Log.t ->
-  ?read_deadline:float ->
-  ?write_deadline:float ->
   unit ->
   t * t
 (** An anonymous [socketpair] — the default coordinator/worker link. *)
@@ -95,8 +91,6 @@ val listen_tcp : host:string -> port:int -> unit -> Unix.file_descr * int
 val accept :
   ?metrics:Dstress_obs.Obs.Metrics.t ->
   ?log:Dstress_obs.Log.t ->
-  ?read_deadline:float ->
-  ?write_deadline:float ->
   deadline:float ->
   Unix.file_descr ->
   t
@@ -107,8 +101,6 @@ val accept :
 val connect :
   ?metrics:Dstress_obs.Obs.Metrics.t ->
   ?log:Dstress_obs.Log.t ->
-  ?read_deadline:float ->
-  ?write_deadline:float ->
   ?attempts:int ->
   ?backoff:float ->
   path:string ->
@@ -123,8 +115,6 @@ val connect :
 val connect_tcp :
   ?metrics:Dstress_obs.Obs.Metrics.t ->
   ?log:Dstress_obs.Log.t ->
-  ?read_deadline:float ->
-  ?write_deadline:float ->
   ?attempts:int ->
   ?backoff:float ->
   host:string ->
