@@ -18,9 +18,10 @@ module Engine = Dstress_runtime.Engine
 module Executor = Dstress_runtime.Executor
 module Graph = Dstress_runtime.Graph
 module En_program = Dstress_risk.En_program
-module Egj_program = Dstress_risk.Egj_program
 module Topology = Dstress_graphgen.Topology
 module Banking = Dstress_graphgen.Banking
+module Query = Dstress_graphgen.Query
+module Service = Dstress_runtime.Service
 module Setup = Dstress_transfer.Setup
 
 (* ------------------------------------------------------------------ *)
@@ -154,30 +155,32 @@ let egj_256 () =
   subheader "EGJ at egj-256's shape (standard group, core 3, periphery 5, 5 iterations)";
   let grp = Group.by_name "standard" in
   let seed = 1 and core = 3 and periphery = 5 and iterations = 5 and k = 2 in
-  let l = 16 and frac = 6 in
-  let prng = Prng.of_int seed in
-  let topo = Topology.core_periphery prng ~core ~periphery () in
-  let inst = Banking.shock_egj prng (Banking.egj_of_topology prng topo ()) topo Banking.Cascade in
-  let graph = Egj_program.graph_of_instance inst in
-  let degree = Graph.max_degree graph in
-  let program =
-    Egj_program.make ~epsilon:1.0 ~sensitivity:20 ~l ~frac ~degree ~iterations ()
+  let req =
+    {
+      Service.workload = Service.Egj;
+      core;
+      periphery;
+      iterations;
+      k;
+      seed;
+      slice_width = 64;
+      ot_mode = Ot_ext.Simulation;
+      preprocess = true;
+      executor = "";
+    }
   in
-  let states = Egj_program.encode_instance inst ~graph ~l ~frac ~degree ~scale:4.0 in
-  let cfg =
-    { (Engine.default_config grp ~k ~degree_bound:degree ~seed:(string_of_int seed)) with
-      Engine.executor = Executor.sequential;
-      preprocess = true }
-  in
+  let b = Query.build ~epsilon:1.0 ~shock:Banking.Cascade req in
   let _, setup_muls =
     counting_muls (fun () ->
         Setup.run
           (Prg.of_string ("engine:" ^ string_of_int seed))
-          grp ~n:(Graph.n graph) ~k ~degree_bound:degree ~bits:l)
+          grp ~n:(Graph.n b.Query.graph) ~k ~degree_bound:b.Query.degree ~bits:16)
   in
   let (report, query_muls), wall =
     time (fun () ->
-        counting_muls (fun () -> Engine.run cfg program ~graph ~initial_states:states))
+        counting_muls (fun () ->
+            Query.run ~grp ~obs_level:Obs.Off ~fault_plan:Dstress_faults.Fault.empty
+              ~max_retries:2 ~backoff:0.05 req b))
   in
   let traffic = Dstress_mpc.Traffic.total report.Engine.traffic in
   emit

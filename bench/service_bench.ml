@@ -18,11 +18,9 @@
 open Bench_util
 module Transport = Dstress_runtime.Transport
 module Service = Dstress_runtime.Service
-module Engine = Dstress_runtime.Engine
-module Graph = Dstress_runtime.Graph
 module Metrics = Dstress_obs.Obs.Metrics
-module Reference = Dstress_risk.Reference
-module En_program = Dstress_risk.En_program
+module Banking = Dstress_graphgen.Banking
+module Query = Dstress_graphgen.Query
 
 (* ------------------------------------------------------------------ *)
 (* Requests and handlers                                               *)
@@ -55,47 +53,11 @@ let noop_handler (req : Service.request) =
     metrics = "{}";
   }
 
-let small_economy =
-  {
-    Reference.en_n = 4;
-    cash = [| 0.0; 12.0; 20.0; 8.0 |];
-    debts = [ (0, 1, 15.0); (1, 2, 10.0); (2, 3, 12.0); (3, 0, 4.0) ];
-  }
-
-(* A real handler: one small seeded EN clearing run per request. The
-   run owns everything it computes, preprocessed sessions included, so
-   a repeated request does the same work as the first. *)
-let en_handler (req : Service.request) =
-  let graph = En_program.graph_of_instance small_economy in
-  let d = Graph.max_degree graph in
-  let p =
-    En_program.make ~epsilon:50.0 ~sensitivity:1 ~noise_max:2 ~l:12 ~degree:d
-      ~iterations:req.Service.iterations ()
-  in
-  let states =
-    En_program.encode_instance small_economy ~graph ~l:12 ~degree:d ~scale:0.25
-  in
-  let executor =
-    match Service.request_executor req with Ok e -> e | Error m -> failwith m
-  in
-  let cfg =
-    { (Engine.default_config grp ~k:req.Service.k ~degree_bound:d
-         ~seed:(string_of_int req.Service.seed))
-      with
-      Engine.executor;
-      ot_mode = req.Service.ot_mode;
-      preprocess = req.Service.preprocess;
-    }
-  in
-  let report = Engine.run cfg p ~graph ~initial_states:states in
-  {
-    Service.output = report.Engine.output;
-    mpc_rounds = report.Engine.mpc_rounds;
-    mpc_and_gates = report.Engine.mpc_and_gates;
-    mpc_ots = report.Engine.mpc_ots;
-    trace = "";
-    metrics = "";
-  }
+(* The handler `dstress serve` runs at its defaults (epsilon 1, cascade
+   shock): one seeded EN clearing per request. The run owns everything
+   it computes, preprocessed sessions included, so a repeated request
+   does the same work as the first. *)
+let en_handler = Query.handler ~grp ~epsilon:1.0 ~shock:Banking.Cascade
 
 (* Push [n] requests through the pool and step until every callback has
    fired; returns the completed count (callers assert it equals [n]). *)

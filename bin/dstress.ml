@@ -7,11 +7,10 @@ module Prng = Dstress_util.Prng
 module Group = Dstress_crypto.Group
 module Graph = Dstress_runtime.Graph
 module Engine = Dstress_runtime.Engine
+module Service = Dstress_runtime.Service
 module Reference = Dstress_risk.Reference
-module En_program = Dstress_risk.En_program
-module Egj_program = Dstress_risk.Egj_program
-module Topology = Dstress_graphgen.Topology
 module Banking = Dstress_graphgen.Banking
+module Query = Dstress_graphgen.Query
 module Projection = Dstress_costmodel.Projection
 module Utility = Dstress_costmodel.Utility
 module Edge_privacy = Dstress_transfer.Edge_privacy
@@ -110,7 +109,6 @@ let backoff_arg =
     & info [ "backoff" ] ~docv:"SECONDS"
         ~doc:"Base simulated retry backoff; doubles on every retry.")
 
-module Executor = Dstress_runtime.Executor
 module Transport = Dstress_runtime.Transport
 
 let executor_arg =
@@ -122,14 +120,6 @@ let executor_arg =
           "Execution backend: sequential or parallel[:N] (a pool of N <= 64 domains); \
            sequential when absent. Tick-domain results and exports are \
            identical for every backend.")
-
-let resolve_executor spec =
-  match spec with
-  | None -> Executor.sequential
-  | Some s -> (
-      match Executor.of_string s with
-      | Ok e -> e
-      | Error m -> invalid_arg ("dstress: --executor " ^ m))
 
 let preprocess_arg =
   Arg.(
@@ -226,66 +216,12 @@ let protocol_plan ~graph ~iterations ~seed ~fault_rate ~fault_crashes =
 (* stress command                                                      *)
 (* ------------------------------------------------------------------ *)
 
-let make_network ~seed ~core ~periphery ~shock =
-  let prng = Prng.of_int seed in
-  let topo = Topology.core_periphery prng ~core ~periphery () in
-  let inst = Banking.en_of_topology prng topo () in
-  (Banking.shock_en prng inst topo shock, topo)
-
-let make_egj_network ~seed ~core ~periphery ~shock =
-  let prng = Prng.of_int seed in
-  let topo = Topology.core_periphery prng ~core ~periphery () in
-  let inst = Banking.egj_of_topology prng topo () in
-  (Banking.shock_egj prng inst topo shock, topo)
-
-(* Fixed-point encoding parameters are part of the protocol, not user
-   knobs: both the solo path and the daemon must agree on them for a
-   served request to reproduce a solo run bit for bit. *)
-let en_scale = 0.25
-let egj_frac = 6
-let egj_scale = 4.0
-
-(* One seeded clearing run — shared verbatim by the stress command and
-   the daemon's request handler, so a request served by `dstress serve`
-   is the same computation (same network draws, same engine config, same
-   tick-domain exports) as a solo `dstress stress` of that config.
-   Returns the report and the decoded TDS. *)
-let run_model model ~grp ~k ~epsilon ~iterations ~seed ~core ~periphery ~shock ~ot_mode
-    ~preprocess ~executor ~obs_level ~fault_plan ~max_retries ~backoff =
-  let base_cfg ~degree =
-    { (Engine.default_config grp ~k ~degree_bound:degree ~seed:(string_of_int seed)) with
-      Engine.executor;
-      ot_mode;
-      preprocess;
-      obs_level;
-      fault_plan;
-      max_retries;
-      backoff;
-    }
-  in
-  match model with
-  | `En ->
-      let inst, _ = make_network ~seed ~core ~periphery ~shock in
-      let l = 12 and scale = en_scale in
-      let graph = En_program.graph_of_instance inst in
-      let degree = Graph.max_degree graph in
-      let p = En_program.make ~epsilon ~sensitivity:20 ~l ~degree ~iterations () in
-      let states = En_program.encode_instance inst ~graph ~l ~degree ~scale in
-      let report = Engine.run (base_cfg ~degree) p ~graph ~initial_states:states in
-      (report, En_program.decode_output ~scale report.Engine.output)
-  | `Egj ->
-      let inst, _ = make_egj_network ~seed ~core ~periphery ~shock in
-      let l = 16 and frac = egj_frac and scale = egj_scale in
-      let graph = Egj_program.graph_of_instance inst in
-      let degree = Graph.max_degree graph in
-      let p = Egj_program.make ~epsilon ~sensitivity:20 ~l ~frac ~degree ~iterations () in
-      let states = Egj_program.encode_instance inst ~graph ~l ~frac ~degree ~scale in
-      let report = Engine.run (base_cfg ~degree) p ~graph ~initial_states:states in
-      (report, Egj_program.decode_output ~scale ~frac report.Engine.output)
-
-let stress model seed grpname ot_mode k core periphery iterations epsilon shock
-    reference_only fault_rate fault_crashes max_retries backoff executor_spec preprocess
-    trace metrics trace_wall profile =
+let stress req grpname epsilon shock reference_only fault_rate fault_crashes max_retries
+    backoff trace metrics trace_wall profile =
+  (* A bad --executor fails before any output. *)
+  Result.iter_error
+    (fun m -> invalid_arg ("dstress: --executor " ^ m))
+    (Service.request_executor req);
   let grp = Group.by_name grpname in
   (* Only the export flags read the collector: collect exactly when one
      is given. *)
@@ -293,51 +229,67 @@ let stress model seed grpname ot_mode k core periphery iterations epsilon shock
     if trace <> None || metrics <> None || trace_wall <> None || profile <> None then Obs.Full
     else Obs.Off
   in
-  let executor = resolve_executor executor_spec in
-  let mpc graph_of_model =
-    let fault_plan =
-      protocol_plan ~graph:(graph_of_model ()) ~iterations ~seed ~fault_rate ~fault_crashes
-    in
-    let report, tds =
-      run_model model ~grp ~k ~epsilon ~iterations ~seed ~core ~periphery ~shock ~ot_mode
-        ~preprocess ~executor ~obs_level ~fault_plan ~max_retries ~backoff
-    in
-    Printf.printf "DStress noised TDS:   $%.2f\n" tds;
-    Format.printf "%a@." Engine.pp_report report;
-    export_obs ~trace ~metrics ~trace_wall ~profile report
-  in
-  match model with
-  | `En ->
-      let inst, _ = make_network ~seed ~core ~periphery ~shock in
+  let iterations = req.Service.iterations in
+  (match Query.network ~shock req with
+  | Query.En inst ->
       let oracle = Reference.eisenberg_noe ~iterations inst in
       Printf.printf "cleartext oracle TDS: $%.2f (converged at round %d)\n"
-        oracle.Reference.en_tds oracle.Reference.en_rounds_to_converge;
-      if not reference_only then mpc (fun () -> En_program.graph_of_instance inst)
-  | `Egj ->
-      let inst, _ = make_egj_network ~seed ~core ~periphery ~shock in
+        oracle.Reference.en_tds oracle.Reference.en_rounds_to_converge
+  | Query.Egj inst ->
       let oracle = Reference.elliott_golub_jackson ~iterations inst in
       Printf.printf "cleartext oracle TDS: $%.2f (%d failed banks, monotone: %b)\n"
         oracle.Reference.egj_tds
         (Array.fold_left (fun a f -> if f then a + 1 else a) 0 oracle.Reference.failed)
-        oracle.Reference.monotone;
-      if not reference_only then mpc (fun () -> Egj_program.graph_of_instance inst)
+        oracle.Reference.monotone);
+  if not reference_only then begin
+    let b = Query.build ~epsilon ~shock req in
+    let fault_plan =
+      protocol_plan ~graph:b.Query.graph ~iterations ~seed:req.Service.seed ~fault_rate
+        ~fault_crashes
+    in
+    let report = Query.run ~grp ~obs_level ~fault_plan ~max_retries ~backoff req b in
+    Printf.printf "DStress noised TDS:   $%.2f\n"
+      (Query.tds req.Service.workload report.Engine.output);
+    Format.printf "%a@." Engine.pp_report report;
+    export_obs ~trace ~metrics ~trace_wall ~profile report
+  end
 
 let model_arg =
   Arg.(
     value
-    & opt (enum [ ("en", `En); ("egj", `Egj) ]) `En
+    & opt (enum [ ("en", Service.En); ("egj", Service.Egj) ]) Service.En
     & info [ "model" ] ~docv:"MODEL" ~doc:"Systemic-risk model: en or egj.")
+
+(* The flags that name a clearing query, shared by `stress` and
+   `request`, so both describe it the same way. *)
+let request_term =
+  let make workload seed core periphery iterations k ot_mode preprocess executor =
+    {
+      Service.workload;
+      core;
+      periphery;
+      iterations;
+      k;
+      seed;
+      (* Reserved: the daemon ignores it. *)
+      slice_width = 64;
+      ot_mode;
+      preprocess;
+      executor = Option.value executor ~default:"";
+    }
+  in
+  Term.(
+    const make $ model_arg $ seed_arg $ core_arg $ periphery_arg $ iterations_arg $ k_arg
+    $ ot_arg $ preprocess_arg $ executor_arg)
 
 let stress_cmd =
   let doc = "Run a private systemic-risk stress test on a synthetic network." in
   Cmd.v
     (Cmd.info "stress" ~doc)
     Term.(
-      const stress $ model_arg $ seed_arg $ group_arg $ ot_arg $ k_arg $ core_arg
-      $ periphery_arg
-      $ iterations_arg $ epsilon_arg $ shock_arg $ reference_only_arg $ fault_rate_arg
-      $ fault_crashes_arg $ max_retries_arg $ backoff_arg $ executor_arg
-      $ preprocess_arg $ trace_arg $ metrics_arg $ trace_wall_arg $ profile_arg)
+      const stress $ request_term $ group_arg $ epsilon_arg $ shock_arg $ reference_only_arg
+      $ fault_rate_arg $ fault_crashes_arg $ max_retries_arg $ backoff_arg $ trace_arg
+      $ metrics_arg $ trace_wall_arg $ profile_arg)
 
 (* ------------------------------------------------------------------ *)
 (* project command                                                     *)
@@ -432,7 +384,6 @@ let scenarios_cmd =
 (* serve / request commands (daemon mode)                              *)
 (* ------------------------------------------------------------------ *)
 
-module Service = Dstress_runtime.Service
 module Log = Dstress_obs.Log
 
 (* Degraded and rejected requests are expected, typed outcomes: report
@@ -451,31 +402,6 @@ let parse_host_port spec =
       match int_of_string_opt port with
       | Some p when p >= 0 && p <= 0xffff && host <> "" -> (host, p)
       | _ -> invalid_arg (Printf.sprintf "dstress: %S is not HOST:PORT" spec))
-
-(* The daemon side of run_model: rebuild the engine config from the wire
-   request and return the per-request tick-domain exports. Runs inside a
-   persistent worker, so it must never exit the process — engine
-   exceptions propagate and become a typed error frame (-> Degraded). *)
-let service_handler ~grpname ~epsilon ~shock (req : Service.request) =
-  let grp = Group.by_name grpname in
-  let executor =
-    match Service.request_executor req with Ok e -> e | Error m -> failwith m
-  in
-  let model = match req.Service.workload with Service.En -> `En | Service.Egj -> `Egj in
-  let report, _tds =
-    run_model model ~grp ~k:req.Service.k ~epsilon ~iterations:req.Service.iterations
-      ~seed:req.Service.seed ~core:req.Service.core ~periphery:req.Service.periphery
-      ~shock ~ot_mode:req.Service.ot_mode ~preprocess:req.Service.preprocess ~executor
-      ~obs_level:Obs.Full ~fault_plan:Fault.empty ~max_retries:2 ~backoff:0.05
-  in
-  {
-    Service.output = report.Engine.output;
-    mpc_rounds = report.Engine.mpc_rounds;
-    mpc_and_gates = report.Engine.mpc_and_gates;
-    mpc_ots = report.Engine.mpc_ots;
-    trace = Obs.trace_json report.Engine.obs;
-    metrics = Obs.metrics_json report.Engine.obs;
-  }
 
 let serve socket listen workers queue_depth log_level slow_request grpname epsilon shock =
   let listen_addr =
@@ -507,7 +433,7 @@ let serve socket listen workers queue_depth log_level slow_request grpname epsil
     | None -> Log.nop
     | Some level -> Log.create ~level ~capacity:256 ~sink:Log.stderr_sink ()
   in
-  let handler = service_handler ~grpname ~epsilon ~shock in
+  let handler = Query.handler ~grp:(Group.by_name grpname) ~epsilon ~shock in
   Service.serve ~pool_opts ~log
     ~ready:(fun ~addr ->
       Printf.printf "dstress: serving on %s (%d persistent workers, queue depth %d)\n%!"
@@ -578,8 +504,7 @@ let serve_cmd =
       const serve $ socket $ listen $ workers $ queue_depth $ log_level $ slow_request
       $ group_arg $ epsilon_arg $ shock_arg)
 
-let request socket connect model seed core periphery iterations k ot_mode preprocess
-    executor_spec timeout trace metrics =
+let request socket connect req timeout trace metrics =
   let conn =
     match connect with
     | Some spec ->
@@ -587,33 +512,13 @@ let request socket connect model seed core periphery iterations k ot_mode prepro
         Transport.connect_tcp ~attempts:20 ~backoff:0.02 ~host ~port ()
     | None -> Transport.connect ~attempts:20 ~backoff:0.02 ~path:socket ()
   in
-  let req =
-    {
-      Service.workload = (match model with `En -> Service.En | `Egj -> Service.Egj);
-      core;
-      periphery;
-      iterations;
-      k;
-      seed;
-      (* Reserved: the daemon ignores it. *)
-      slice_width = 64;
-      ot_mode;
-      preprocess;
-      executor = Option.value executor_spec ~default:"";
-    }
-  in
   let response = Fun.protect ~finally:(fun () -> Transport.close conn) (fun () ->
       Service.call ~timeout conn req)
   in
   match response with
   | Service.Completed s ->
-      let tds =
-        match model with
-        | `En -> En_program.decode_output ~scale:en_scale s.Service.output
-        | `Egj ->
-            Egj_program.decode_output ~scale:egj_scale ~frac:egj_frac s.Service.output
-      in
-      Printf.printf "DStress noised TDS:   $%.2f\n" tds;
+      Printf.printf "DStress noised TDS:   $%.2f\n"
+        (Query.tds req.Service.workload s.Service.output);
       Printf.printf "rounds: %d  AND gates: %d  OTs: %d\n" s.Service.mpc_rounds
         s.Service.mpc_and_gates s.Service.mpc_ots;
       Option.iter (fun path -> write_file path s.Service.trace) trace;
@@ -649,9 +554,7 @@ let request_cmd =
   Cmd.v
     (Cmd.info "request" ~doc)
     Term.(
-      const request $ socket $ connect $ model_arg $ seed_arg $ core_arg $ periphery_arg
-      $ iterations_arg $ k_arg $ ot_arg $ preprocess_arg $ executor_arg
-      $ timeout $ trace_arg $ metrics_arg)
+      const request $ socket $ connect $ request_term $ timeout $ trace_arg $ metrics_arg)
 
 (* ------------------------------------------------------------------ *)
 (* stats command                                                       *)

@@ -1,5 +1,6 @@
 module Prng = Dstress_util.Prng
 module Reference = Dstress_risk.Reference
+open Dstress_runtime
 open Dstress_graphgen
 
 let prng () = Prng.of_int 0x66
@@ -159,6 +160,42 @@ let test_absorbed_spares_core () =
   Alcotest.(check int) "core survives" 0 (List.length failed_core)
 
 (* ------------------------------------------------------------------ *)
+(* Query: the recipe every clearing request runs                       *)
+(* ------------------------------------------------------------------ *)
+
+(* Network draws, encodings, sensitivity and engine config together pin
+   the released outputs: `dstress stress --core 2 --periphery 2 -i 2
+   --seed 1|2|3` (serve-en's shape on the toy group) prints 46, 93 and
+   35. *)
+let test_query_outputs () =
+  let grp = Dstress_crypto.Group.by_name "toy" in
+  List.iter
+    (fun (seed, want) ->
+      let req =
+        {
+          Service.workload = Service.En;
+          core = 2;
+          periphery = 2;
+          iterations = 2;
+          k = 2;
+          seed;
+          slice_width = 64;
+          ot_mode = Dstress_crypto.Ot_ext.Simulation;
+          preprocess = false;
+          executor = "";
+        }
+      in
+      let report =
+        Query.run ~grp ~obs_level:Dstress_obs.Obs.Off ~fault_plan:Dstress_faults.Fault.empty
+          ~max_retries:2 ~backoff:0.05 req
+          (Query.build ~epsilon:1.0 ~shock:Banking.Cascade req)
+      in
+      let label = Printf.sprintf "seed %d" seed in
+      Alcotest.(check int) (label ^ ": output") want report.Engine.output;
+      Alcotest.(check int) (label ^ ": transfer failures") 0 report.Engine.transfer_failures)
+    [ (1, 46); (2, 93); (3, 35) ]
+
+(* ------------------------------------------------------------------ *)
 (* Properties                                                          *)
 (* ------------------------------------------------------------------ *)
 
@@ -205,5 +242,6 @@ let () =
           Alcotest.test_case "cascade hits core" `Quick test_cascade_hits_core;
           Alcotest.test_case "absorbed spares core" `Quick test_absorbed_spares_core;
         ] );
+      ("query", [ Alcotest.test_case "released EN outputs" `Quick test_query_outputs ]);
       ("properties", qsuite);
     ]

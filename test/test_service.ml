@@ -35,11 +35,8 @@ module Hex = Dstress_util.Hex
 module Group = Dstress_crypto.Group
 module Ot_ext = Dstress_crypto.Ot_ext
 module Prng = Dstress_util.Prng
-module Obs = Dstress_obs.Obs
 module Metrics = Dstress_obs.Obs.Metrics
-module Reference = Dstress_risk.Reference
-module En_program = Dstress_risk.En_program
-module Egj_program = Dstress_risk.Egj_program
+module Query = Dstress_graphgen.Query
 open Dstress_runtime
 
 let grp = Group.by_name "toy"
@@ -252,80 +249,14 @@ let prop_response_roundtrip =
     (fun r -> Service.decode_response (Service.encode_response r) = Ok r)
 
 (* ------------------------------------------------------------------ *)
-(* A real engine handler over the small EN/EGJ fixtures                *)
+(* The handler `dstress serve` runs                                    *)
 (* ------------------------------------------------------------------ *)
 
-let small_economy =
-  {
-    Reference.en_n = 4;
-    cash = [| 0.0; 12.0; 20.0; 8.0 |];
-    debts = [ (0, 1, 15.0); (1, 2, 10.0); (2, 3, 12.0); (3, 0, 4.0) ];
-  }
-
-let en_fixture ~iterations =
-  let graph = En_program.graph_of_instance small_economy in
-  let d = Graph.max_degree graph in
-  let p =
-    En_program.make ~epsilon:50.0 ~sensitivity:1 ~noise_max:2 ~l:12 ~degree:d ~iterations
-      ()
-  in
-  let states =
-    En_program.encode_instance small_economy ~graph ~l:12 ~degree:d ~scale:0.25
-  in
-  (graph, d, p, states)
-
-let egj_fixture () =
-  let inst =
-    {
-      Reference.egj_n = 3;
-      base_assets = [| 20.0; 70.0; 60.0 |];
-      orig_val = [| 100.0; 100.0; 90.0 |];
-      threshold = [| 80.0; 80.0; 72.0 |];
-      penalty = [| 10.0; 10.0; 10.0 |];
-      holdings = [ (0, 1, 0.3); (1, 0, 0.3); (1, 2, 0.2); (2, 1, 0.2) ];
-    }
-  in
-  let graph = Egj_program.graph_of_instance inst in
-  let d = max 1 (Graph.max_degree graph) in
-  let p =
-    Egj_program.make ~epsilon:50.0 ~sensitivity:1 ~noise_max:2 ~l:14 ~frac:4 ~degree:d
-      ~iterations:2 ()
-  in
-  let states = Egj_program.encode_instance inst ~graph ~l:14 ~frac:4 ~degree:d ~scale:1.0 in
-  (graph, d, p, states)
-
-(* The handler the persistent workers inherit: one ordinary engine run
-   per request on the small fixtures, every request-visible knob (seed,
-   iterations, k, OT mode, preprocess, executor) honored. Like the
-   daemon, it ignores the reserved slice width. *)
-let handler (req : Service.request) =
-  let graph, d, p, states =
-    match req.Service.workload with
-    | Service.En -> en_fixture ~iterations:req.Service.iterations
-    | Service.Egj -> egj_fixture ()
-  in
-  let executor =
-    match Service.request_executor req with Ok e -> e | Error m -> failwith m
-  in
-  let cfg =
-    { (Engine.default_config grp ~k:req.Service.k ~degree_bound:d
-         ~seed:(string_of_int req.Service.seed))
-      with
-      Engine.executor;
-      ot_mode = req.Service.ot_mode;
-      preprocess = req.Service.preprocess;
-      obs_level = Obs.Full;
-    }
-  in
-  let report = Engine.run cfg p ~graph ~initial_states:states in
-  {
-    Service.output = report.Engine.output;
-    mpc_rounds = report.Engine.mpc_rounds;
-    mpc_and_gates = report.Engine.mpc_and_gates;
-    mpc_ots = report.Engine.mpc_ots;
-    trace = Obs.trace_json report.Engine.obs;
-    metrics = Obs.metrics_json report.Engine.obs;
-  }
+(* What the persistent workers inherit: the daemon's own handler at
+   `serve`'s defaults (epsilon 1, cascade shock), so every request-visible
+   knob (seed, sizes, iterations, k, OT mode, preprocess, executor) is
+   honored and the reserved slice width ignored. *)
+let handler = Query.handler ~grp ~epsilon:1.0 ~shock:Dstress_graphgen.Banking.Cascade
 
 let base_request =
   {

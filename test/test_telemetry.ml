@@ -35,17 +35,13 @@
    (domain-spawning) case, which is the last fork-relevant test in the
    binary. *)
 
-module Prng = Dstress_util.Prng
 module Group = Dstress_crypto.Group
-module Fault = Dstress_faults.Fault
-module Obs = Dstress_obs.Obs
 module Metrics = Dstress_obs.Obs.Metrics
 module Sketch = Dstress_obs.Sketch
 module Log = Dstress_obs.Log
 module Json = Dstress_obs.Json
-module En_program = Dstress_risk.En_program
-module Topology = Dstress_graphgen.Topology
 module Banking = Dstress_graphgen.Banking
+module Query = Dstress_graphgen.Query
 open Dstress_runtime
 
 let grp = Group.by_name "toy"
@@ -489,56 +485,24 @@ let test_fetch_stats_wire () =
 (* Differential: logging must not touch tick-domain exports            *)
 (* ------------------------------------------------------------------ *)
 
-let en_fixture () =
-  let prng = Prng.of_int 0x7E1 in
-  let topo = Topology.core_periphery prng ~core:2 ~periphery:2 () in
-  let inst = Banking.en_of_topology prng topo () in
-  let graph = En_program.graph_of_instance inst in
-  let d = max 1 (Graph.max_degree graph) in
-  let p = En_program.make ~l:12 ~degree:d ~iterations:2 () in
-  let states = En_program.encode_instance inst ~graph ~l:12 ~degree:d ~scale:0.25 in
-  (graph, d, p, states)
+(* `dstress serve`'s handler at its defaults on one small EN request. *)
+let handler = Query.handler ~grp ~epsilon:1.0 ~shock:Banking.Cascade
+let diff_request = { tiny_request with Service.iterations = 2 }
 
-let run_with ~executor (graph, d, p, states) =
-  let cfg =
-    { (Engine.default_config grp ~k:2 ~degree_bound:d ~seed:"telemetry-diff") with
-      Engine.executor;
-      obs_level = Obs.Full;
-    }
-  in
-  Engine.run cfg p ~graph ~initial_states:states
-
-let check_exports_equal label (a : Engine.report) (b : Engine.report) =
-  Alcotest.(check int) (label ^ ": output") a.Engine.output b.Engine.output;
-  Alcotest.(check string) (label ^ ": trace bytes") (Obs.trace_json a.Engine.obs)
-    (Obs.trace_json b.Engine.obs);
-  Alcotest.(check string) (label ^ ": metrics bytes") (Obs.metrics_json a.Engine.obs)
-    (Obs.metrics_json b.Engine.obs)
-
-let summary_of (r : Engine.report) =
-  {
-    Service.output = r.Engine.output;
-    mpc_rounds = r.Engine.mpc_rounds;
-    mpc_and_gates = r.Engine.mpc_and_gates;
-    mpc_ots = r.Engine.mpc_ots;
-    trace = Obs.trace_json r.Engine.obs;
-    metrics = Obs.metrics_json r.Engine.obs;
-  }
+let check_exports_equal label (want : Service.summary) (got : Service.summary) =
+  Alcotest.(check int) (label ^ ": output") want.Service.output got.Service.output;
+  Alcotest.(check string) (label ^ ": trace bytes") want.Service.trace got.Service.trace;
+  Alcotest.(check string) (label ^ ": metrics bytes") want.Service.metrics got.Service.metrics
 
 let test_differential_logging () =
-  let fx = en_fixture () in
-  let seq = run_with ~executor:Executor.sequential fx in
+  let seq = handler diff_request in
   (* The pool forks, so it runs before the parallel case spawns domains.
-     Its worker serves the fixture's Full-level exports while the pool
+     Its worker serves the request's Full-level exports while the pool
      logs at Debug. *)
   let log, events = collecting_log () in
-  let pool =
-    Service.create_pool ~opts:pool_opts ~log
-      ~handler:(fun _ -> summary_of (run_with ~executor:Executor.sequential fx))
-      ()
-  in
+  let pool = Service.create_pool ~opts:pool_opts ~log ~handler () in
   let reply = ref None in
-  (match Service.submit pool tiny_request (fun r -> reply := Some r) with
+  (match Service.submit pool diff_request (fun r -> reply := Some r) with
   | `Queued -> ()
   | `Queue_full | `No_workers -> Alcotest.fail "submit rejected");
   let until = Unix.gettimeofday () +. 60.0 in
@@ -547,17 +511,10 @@ let test_differential_logging () =
   done;
   Service.shutdown_pool pool;
   (match !reply with
-  | Some (Service.Completed got) ->
-      let want = summary_of seq in
-      let label = "pool, logging on at debug" in
-      Alcotest.(check int) (label ^ ": output") want.Service.output got.Service.output;
-      Alcotest.(check string) (label ^ ": trace bytes") want.Service.trace got.Service.trace;
-      Alcotest.(check string)
-        (label ^ ": metrics bytes")
-        want.Service.metrics got.Service.metrics
+  | Some (Service.Completed got) -> check_exports_equal "pool, logging on at debug" seq got
   | _ -> Alcotest.fail "the pool request did not complete");
   Alcotest.(check bool) "the logger actually saw pool events" true (events () <> []);
-  let par = run_with ~executor:(Executor.parallel ~jobs:3) fx in
+  let par = handler { diff_request with Service.executor = "parallel:3" } in
   check_exports_equal "parallel" seq par
 
 (* ------------------------------------------------------------------ *)
