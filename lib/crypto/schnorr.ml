@@ -4,20 +4,21 @@ type signature = { challenge : Nat.t; response : Nat.t }
 
 let keygen = Elgamal.keygen
 
-(* Hash (commitment, public key, message) into Z_q. *)
+(* Hash (commitment, public key, message) into Z_q. The two elements are
+   fixed-width, so the payload parses one way with the message last. *)
 let challenge_of grp commitment pk msg =
+  let len = Group.element_bytes grp in
   let payload =
-    Bytes.concat (Bytes.of_string "|")
+    Bytes.concat Bytes.empty
       [
-        Nat.to_bytes_be commitment;
-        Nat.to_bytes_be pk;
-        Bytes.of_string msg;
+        Nat.to_bytes_be_padded commitment ~len;
+        Nat.to_bytes_be_padded pk ~len;
+        Bytes.unsafe_of_string msg;
       ]
   in
-  (* Two digest blocks give enough entropy for any of our group sizes. *)
+  (* Two digest blocks, the payload hashed once: H(payload) || H(H(payload)). *)
   let d1 = Sha256.digest payload in
-  let d2 = Sha256.digest (Bytes.cat d1 payload) in
-  Nat.rem (Nat.of_bytes_be (Bytes.cat d1 d2)) (Group.q grp)
+  Nat.rem (Nat.of_bytes_be (Bytes.cat d1 (Sha256.digest d1))) (Group.q grp)
 
 let sign prg grp (sk, pk) msg =
   let k = Group.random_exponent prg grp in

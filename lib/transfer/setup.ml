@@ -33,30 +33,29 @@ type t = {
 
 let key_teeth = 5
 
-let certificate_string owner slot keys =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf (Printf.sprintf "cert:%d:%d" owner slot);
-  Array.iter
-    (fun member_keys ->
-      Array.iter
-        (fun key ->
-          Buffer.add_char buf ':';
-          Buffer.add_string buf (Nat.to_hex key))
-        member_keys)
-    keys;
-  Buffer.contents buf
+(* What σTP signs, in fixed-width fields so each message parses one way:
+   a kind byte, then 4-byte big-endian ids, then group elements
+   left-padded to [Group.element_bytes]. *)
+let add_id b v =
+  (* Only ids that fit keep the encoding one-to-one. *)
+  if v < 0 || v > 0x7fff_ffff then invalid_arg "Setup: id outside [0, 2^31)";
+  Buffer.add_int32_be b (Int32.of_int v)
 
-let roster_string blocks agg_block =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf "roster";
-  Array.iteri
-    (fun i block ->
-      Buffer.add_string buf (Printf.sprintf "|%d:" i);
-      Array.iter (fun m -> Buffer.add_string buf (string_of_int m ^ ",")) block)
-    blocks;
-  Buffer.add_string buf "|agg:";
-  Array.iter (fun m -> Buffer.add_string buf (string_of_int m ^ ",")) agg_block;
-  Buffer.contents buf
+let certificate_message grp ~owner ~neighbor_slot keys =
+  let len = Group.element_bytes grp in
+  let b = Buffer.create 256 in
+  Buffer.add_char b 'C';
+  add_id b owner;
+  add_id b neighbor_slot;
+  Array.iter (Array.iter (fun key -> Buffer.add_bytes b (Nat.to_bytes_be_padded key ~len))) keys;
+  Buffer.contents b
+
+let roster_message blocks agg_block =
+  let b = Buffer.create 256 in
+  Buffer.add_char b 'R';
+  Array.iter (Array.iter (add_id b)) blocks;
+  Array.iter (add_id b) agg_block;
+  Buffer.contents b
 
 (* Random block for node i: i itself plus k distinct others, drawn with a
    PRNG derived from the TP's generator. *)
@@ -91,7 +90,7 @@ let run prg grp ~n ~k ~degree_bound ~bits =
   let block_prng = Prng.create 0x7A0BEEFL in
   let blocks = Array.init n (fun i -> draw_block block_prng ~n ~k i) in
   let agg_block = Array.of_list (Prng.sample_without_replacement block_prng (k + 1) n) in
-  let roster_signature = Schnorr.sign prg grp tp (roster_string blocks agg_block) in
+  let roster_signature = Schnorr.sign prg grp tp (roster_message blocks agg_block) in
   (* Every member public key is raised to the neighbor keys of each block
      it sits in, D per block: one comb table per key, held for the
      certificates below and dropped with them. *)
@@ -110,7 +109,8 @@ let run prg grp ~n ~k ~degree_bound ~bits =
       owner = i;
       neighbor_slot = slot;
       member_keys = keys;
-      signature = Schnorr.sign prg grp tp (certificate_string i slot keys);
+      signature =
+        Schnorr.sign prg grp tp (certificate_message grp ~owner:i ~neighbor_slot:slot keys);
     }
   in
   let nodes =
@@ -125,13 +125,23 @@ let run prg grp ~n ~k ~degree_bound ~bits =
   in
   { grp; n; k; degree_bound; bits; nodes; agg_block; tp_public; roster_signature }
 
+(* A message with an id or a key out of range has no encoding, so the TP
+   never signed it. *)
+let verify t message signature =
+  match message () with
+  | msg -> Schnorr.verify t.grp t.tp_public msg signature
+  | exception Invalid_argument _ -> false
+
 let verify_roster t =
-  let blocks = Array.map (fun ns -> ns.block) t.nodes in
-  Schnorr.verify t.grp t.tp_public (roster_string blocks t.agg_block) t.roster_signature
+  verify t
+    (fun () -> roster_message (Array.map (fun ns -> ns.block) t.nodes) t.agg_block)
+    t.roster_signature
 
 let verify_certificate t cert =
-  Schnorr.verify t.grp t.tp_public
-    (certificate_string cert.owner cert.neighbor_slot cert.member_keys)
+  verify t
+    (fun () ->
+      certificate_message t.grp ~owner:cert.owner ~neighbor_slot:cert.neighbor_slot
+        cert.member_keys)
     cert.signature
 
 let block_of t i = t.nodes.(i).block

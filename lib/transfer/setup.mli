@@ -67,6 +67,25 @@ val run :
     Raises [Invalid_argument] if [k + 1 > n], [k < 1], [degree_bound < 1]
     or [bits < 1]. *)
 
+val certificate_message :
+  Dstress_crypto.Group.t ->
+  owner:int ->
+  neighbor_slot:int ->
+  Dstress_crypto.Group.elt array array ->
+  string
+(** What σTP signs for a certificate: the kind byte ['C'], [owner] and
+    [neighbor_slot] as 4-byte big-endian fields, then each member key
+    (member-major) left-padded to {!Dstress_crypto.Group.element_bytes}:
+    9 + (k+1)·L·element_bytes bytes. Raises [Invalid_argument] if an id
+    lies outside [\[0, 2^31)] or a key does not fit in an element. *)
+
+val roster_message : int array array -> int array -> string
+(** What σTP signs for the roster of the n blocks and the aggregation
+    block: the kind byte ['R'], then every member id, block by block and
+    the aggregation block last, as a 4-byte big-endian field:
+    1 + 4·(n+1)·(k+1) bytes. Raises [Invalid_argument] if an id lies
+    outside [\[0, 2^31)]. *)
+
 val verify_roster : t -> bool
 (** Check the TP's signature over the published block list. The engine
     checks it once per run, in its Setup phase. *)

@@ -79,7 +79,42 @@ let test_setup_roster_rejects_swapped_member () =
         block.(Array.length block - 1) <- outsider;
         { ns with Setup.block })
   in
-  Alcotest.(check bool) "swapped member" false (Setup.verify_roster forged)
+  Alcotest.(check bool) "swapped member" false (Setup.verify_roster forged);
+  (* An id that wraps its 4-byte field would encode as the genuine one. *)
+  let wrapped =
+    with_node s 4 (fun ns ->
+        let block = Array.copy ns.Setup.block in
+        block.(0) <- block.(0) + (1 lsl 32);
+        { ns with Setup.block })
+  in
+  Alcotest.(check bool) "wrapped id" false (Setup.verify_roster wrapped)
+
+(* σTP signs fixed-width fields: a kind byte, 4-byte ids and keys padded
+   to the group's element width. *)
+let test_setup_signed_lengths () =
+  List.iter
+    (fun (name, n, k, bits) ->
+      let g = Group.by_name name in
+      let s = Setup.run (prg "lengths") g ~n ~k ~degree_bound:2 ~bits in
+      let label = Printf.sprintf "%s n=%d k=%d L=%d" name n k bits in
+      Array.iter
+        (fun ns ->
+          Array.iter
+            (fun c ->
+              Alcotest.(check int) (label ^ ": certificate")
+                (9 + ((k + 1) * bits * Group.element_bytes g))
+                (String.length
+                   (Setup.certificate_message g ~owner:c.Setup.owner
+                      ~neighbor_slot:c.Setup.neighbor_slot c.Setup.member_keys)))
+            ns.Setup.certificates)
+        s.Setup.nodes;
+      Alcotest.(check int) (label ^ ": roster")
+        (1 + (4 * (n + 1) * (k + 1)))
+        (String.length
+           (Setup.roster_message
+              (Array.map (fun ns -> ns.Setup.block) s.Setup.nodes)
+              s.Setup.agg_block)))
+    [ ("toy", 8, 2, 8); ("medium", 5, 1, 12); ("standard", 4, 3, 4) ]
 
 let test_setup_certificate_keys_rerandomized () =
   (* cert key = public key ^ neighbor_key, for every member and bit. *)
@@ -423,6 +458,7 @@ let () =
           Alcotest.test_case "tampered cert fails" `Quick test_setup_tampered_certificate_fails;
           Alcotest.test_case "roster rejects swapped member" `Quick
             test_setup_roster_rejects_swapped_member;
+          Alcotest.test_case "signed message lengths" `Quick test_setup_signed_lengths;
           Alcotest.test_case "keys re-randomized" `Quick test_setup_certificate_keys_rerandomized;
           Alcotest.test_case "rejects bad params" `Quick test_setup_rejects_bad_params;
           Alcotest.test_case "member index" `Quick test_setup_member_index;
