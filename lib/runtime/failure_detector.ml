@@ -1,19 +1,17 @@
 type t = {
-  phi : float;
-  min_interval : float;
+  min_interval : float;  (* floor of the estimate: expected_interval / 4 *)
   mutable interval : float;  (* EWMA of observed inter-arrival times *)
   mutable last : float option;  (* last observe arrival *)
   mutable origin : float option;  (* start reference, pre-first-heartbeat *)
 }
 
-let create ?(phi = 8.0) ?min_interval ~expected_interval () =
+let phi = 8.0
+
+let create ~expected_interval =
   if not (expected_interval > 0.0) then
     invalid_arg "Failure_detector.create: expected_interval <= 0";
-  if not (phi > 1.0) then invalid_arg "Failure_detector.create: phi <= 1";
-  let min_interval =
-    match min_interval with Some m -> m | None -> expected_interval /. 4.0
-  in
-  { phi; min_interval; interval = expected_interval; last = None; origin = None }
+  { min_interval = expected_interval /. 4.0; interval = expected_interval; last = None;
+    origin = None }
 
 let start t ~now = t.origin <- Some now
 
@@ -36,7 +34,6 @@ let suspicion t ~now =
   | None -> 0.0
   | Some r -> Float.max 0.0 (now -. r) /. t.interval
 
-let suspected t ~now = suspicion t ~now >= t.phi
+let suspected t ~now = suspicion t ~now >= phi
 let last_heard t = t.last
 let interval_estimate t = t.interval
-let phi t = t.phi

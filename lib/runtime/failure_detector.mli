@@ -7,8 +7,8 @@
     phi-accrual detector (Hayashibara et al.): the level is the time
     since the last heartbeat divided by a smoothed estimate of the
     arrival interval. A healthy peer hovers near 1; a stalled or dead
-    peer's level grows without bound, and once it crosses [phi] the peer
-    is {e suspected}. The supervisor treats a suspected worker like a
+    peer's level grows without bound, and once it crosses phi = 8 the
+    peer is {e suspected}. The supervisor treats a suspected worker like a
     [Crash_node] fault: it kills the worker, requeues its request and
     respawns its slot, so even a falsely-suspected straggler never
     replies.
@@ -19,14 +19,13 @@
 
 type t
 
-val create : ?phi:float -> ?min_interval:float -> expected_interval:float -> unit -> t
+val create : expected_interval:float -> t
 (** [expected_interval] is the nominal heartbeat period (seconds). The
     interval estimate starts there and is EWMA-smoothed (factor 0.8
-    toward history) over observed arrivals, floored at [min_interval]
-    (default [expected_interval /. 4.]) so a burst of rapid heartbeats
-    cannot collapse the estimate and hair-trigger the detector. [phi]
-    (default 8.0) is the suspicion threshold. Raises [Invalid_argument]
-    if [expected_interval <= 0.] or [phi <= 1.]. *)
+    toward history) over observed arrivals, floored at
+    [expected_interval /. 4.] so a burst of rapid heartbeats cannot
+    collapse the estimate and hair-trigger the detector. Raises
+    [Invalid_argument] if [expected_interval <= 0.]. *)
 
 val observe : t -> now:float -> unit
 (** Record a heartbeat (or any proof of life — task results count)
@@ -40,17 +39,15 @@ val suspicion : t -> now:float -> float
 
 val start : t -> now:float -> unit
 (** Set the grace-period reference point: a freshly spawned worker that
-    never says hello is suspected [phi * expected_interval] seconds
-    after [start], not never. Does not count as an arrival for the
+    never says hello is suspected 8 × [expected_interval] seconds after
+    [start], not never. Does not count as an arrival for the
     interval estimate. *)
 
 val suspected : t -> now:float -> bool
-(** [suspicion t ~now >= phi]. *)
+(** [suspicion t ~now >= 8]. *)
 
 val last_heard : t -> float option
 (** Arrival time of the most recent {!observe}, if any. *)
 
 val interval_estimate : t -> float
 (** Current smoothed inter-arrival estimate (seconds). *)
-
-val phi : t -> float

@@ -455,9 +455,9 @@ let pool_step p ~timeout =
   (* Re-queued work should not wait for the caller's next turn. *)
   dispatch_ready p
 
-let shutdown_pool ?(drain_deadline = 30.0) p =
+let shutdown_pool p =
   if not p.closed then begin
-    let deadline = now () +. drain_deadline in
+    let deadline = now () +. 30.0 in
     (try
        while (not (pool_idle p)) && now () < deadline do
          pool_step p ~timeout:(min poll_interval (max 0.0 (deadline -. now ())))
@@ -771,23 +771,28 @@ let stats_prometheus st =
   end;
   Buffer.contents b
 
-let fetch_stats ?(timeout = 10.0) conn =
-  Transport.send conn ~kind:Transport.Kind.stats Bytes.empty;
+(* The client side of one exchange: send a frame, then read until a
+   frame of kind [reply] arrives and decode it. Running out of [timeout]
+   or an undecodable reply raises a typed [Transport.Error]. *)
+let exchange ~what ~timeout conn ~kind payload ~reply decode =
+  Transport.send conn ~kind payload;
   let deadline = now () +. timeout in
   let rec await () =
     let remaining = deadline -. now () in
-    if remaining <= 0.0 then
-      raise (Transport.Error (Transport.Timeout "stats: no reply"))
+    if remaining <= 0.0 then raise (Transport.Error (Transport.Timeout (what ^ ": no reply")))
     else
       match Transport.recv conn ~timeout:remaining with
-      | None -> await ()
-      | Some fr when fr.Transport.kind = Transport.Kind.stats_reply -> (
-          match decode_stats fr.Transport.payload with
-          | Ok st -> st
-          | Error e -> raise (Transport.Error (Transport.Integrity e)))
-      | Some _ -> await ()
+      | Some fr when fr.Transport.kind = reply -> (
+          match decode fr.Transport.payload with
+          | Ok v -> v
+          | Error e -> raise (Transport.Error (Transport.Integrity (what ^ ": " ^ e))))
+      | Some _ | None -> await ()
   in
   await ()
+
+let fetch_stats ?(timeout = 10.0) conn =
+  exchange ~what:"stats reply" ~timeout conn ~kind:Transport.Kind.stats Bytes.empty
+    ~reply:Transport.Kind.stats_reply decode_stats
 
 (* ------------------------------------------------------------------ *)
 (* Server                                                              *)
@@ -944,19 +949,5 @@ let serve ?(pool_opts = default_pool_opts) ?(log = Log.nop)
       close_listener ())
 
 let call ?(timeout = 120.0) conn req =
-  Transport.send conn ~kind:Transport.Kind.request (encode_request req);
-  let deadline = now () +. timeout in
-  let rec await () =
-    let remaining = deadline -. now () in
-    if remaining <= 0.0 then
-      raise (Transport.Error (Transport.Timeout "service call: no response"))
-    else
-      match Transport.recv conn ~timeout:remaining with
-      | None -> await ()
-      | Some fr when fr.Transport.kind = Transport.Kind.response -> (
-          match decode_response fr.Transport.payload with
-          | Ok resp -> resp
-          | Error e -> raise (Transport.Error (Transport.Integrity ("service call: " ^ e))))
-      | Some _ -> await ()
-  in
-  await ()
+  exchange ~what:"service call" ~timeout conn ~kind:Transport.Kind.request
+    (encode_request req) ~reply:Transport.Kind.response decode_response

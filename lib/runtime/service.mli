@@ -180,11 +180,11 @@ val pool_step : pool -> timeout:float -> unit
     and re-dispatch as needed, reap exited children. [timeout] 0
     polls. *)
 
-val shutdown_pool : ?drain_deadline:float -> pool -> unit
+val shutdown_pool : pool -> unit
 (** Finish queued + in-flight requests (stepping until none is left or
-    [drain_deadline] seconds, default 30 — any survivors degrade with a
-    shutdown message), then stop workers: shutdown frames, a grace
-    period, SIGKILL stragglers, reap every child. Idempotent. *)
+    30 s have passed — any survivors degrade with a shutdown message),
+    then stop workers: shutdown frames, a grace period, SIGKILL
+    stragglers, reap every child. Idempotent. *)
 
 (** {1 Live stats}
 

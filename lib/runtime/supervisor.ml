@@ -28,7 +28,7 @@ type 'j t = {
   mutable pids : int list;  (* every child forked and not yet reaped *)
 }
 
-(* Heartbeat period. At the detector's default phi of 8, a worker is
+(* Heartbeat period. At the detector's phi of 8, a worker is
    suspected after about 0.4 s of silence: long enough that a CPU-bound
    request, during which the heartbeat thread runs only at the OCaml
    thread tick (~50 ms), never trips it. *)
@@ -166,7 +166,7 @@ let spawn t ~sid =
       Unix.close wfd;
       t.pids <- pid :: t.pids;
       Log.info t.log "worker spawned" [ ("worker", Log.Int sid); ("pid", Log.Int pid) ];
-      let det = Failure_detector.create ~expected_interval:heartbeat_interval () in
+      let det = Failure_detector.create ~expected_interval:heartbeat_interval in
       Failure_detector.start det ~now:(now ());
       (pid, Transport.of_fd ~metrics:t.m ~log:t.log cfd, det)
 

@@ -13,7 +13,7 @@
       never masks an EOF elsewhere;
     - {b proven alive}: the worker sends a hello, then heartbeats from a
       side thread every 50 ms; one phi-accrual {!Failure_detector} per
-      slot (default phi 8) turns silence into suspicion;
+      slot (phi 8) turns silence into suspicion;
     - {b lost}, fail-stop: heartbeat suspicion, a broken connection, a
       failed dispatch or the client's own grounds ({!lose}) all end the
       same way. The connection is closed and the worker is SIGKILLed, so

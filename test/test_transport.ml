@@ -292,14 +292,14 @@ let test_tcp_connect_backoff_bounded () =
 (* ------------------------------------------------------------------ *)
 
 let test_detector_suspicion_timeline () =
-  let det = Failure_detector.create ~phi:8.0 ~expected_interval:0.1 () in
+  let det = Failure_detector.create ~expected_interval:0.1 in
   Alcotest.(check (float 0.0)) "silent before start" 0.0
     (Failure_detector.suspicion det ~now:100.0);
   Failure_detector.start det ~now:0.0;
   Alcotest.(check bool) "grace period" false (Failure_detector.suspected det ~now:0.5);
   Alcotest.(check bool) "no hello ever -> suspected" true
     (Failure_detector.suspected det ~now:1.0);
-  let det = Failure_detector.create ~phi:8.0 ~expected_interval:0.1 () in
+  let det = Failure_detector.create ~expected_interval:0.1 in
   Failure_detector.start det ~now:0.0;
   (* Regular heartbeats keep suspicion near 1. *)
   for i = 1 to 20 do
@@ -318,7 +318,7 @@ let test_detector_suspicion_timeline () =
   | None -> Alcotest.fail "expected arrivals")
 
 let test_detector_burst_floor_and_clamp () =
-  let det = Failure_detector.create ~phi:4.0 ~expected_interval:0.1 () in
+  let det = Failure_detector.create ~expected_interval:0.1 in
   Failure_detector.start det ~now:0.0;
   (* A burst of instant heartbeats must not collapse the estimate below
      the floor (expected/4) and hair-trigger the detector... *)
@@ -330,10 +330,7 @@ let test_detector_burst_floor_and_clamp () =
   (* ...and a non-monotone arrival is clamped, never a negative gap. *)
   Failure_detector.observe det ~now:0.5;
   Alcotest.(check bool) "clock step clamped" true
-    (Failure_detector.suspicion det ~now:1.0 >= 0.0);
-  Alcotest.check_raises "phi <= 1 rejected"
-    (Invalid_argument "Failure_detector.create: phi <= 1") (fun () ->
-      ignore (Failure_detector.create ~phi:1.0 ~expected_interval:0.1 ()))
+    (Failure_detector.suspicion det ~now:1.0 >= 0.0)
 
 let () =
   Alcotest.run "transport"
