@@ -72,10 +72,11 @@ echo "== dune build =="
 dune build
 
 echo "== dune runtest (sequential executor) =="
-DSTRESS_JOBS=1 dune runtest
+DSTRESS_JOBS=1 dune runtest --force
 
 # DSTRESS_JOBS switches every Engine.default_config to the domain-pool
-# executor; --force re-runs suites the sequential pass already cached.
+# executor. Dune does not track the variable, so both passes --force: a
+# result cached under the other executor never stands in for a run.
 echo "== dune runtest (parallel executor, 4 domains) =="
 DSTRESS_JOBS=4 dune runtest --force
 
