@@ -4,8 +4,7 @@ type signature = { challenge : Nat.t; response : Nat.t }
 
 let keygen = Elgamal.keygen
 
-(* Hash (commitment, public key, message) into Z_q. The two elements are
-   fixed-width, so the payload parses one way with the message last. *)
+(* Hash (commitment, public key, message) into Z_q, the two elements fixed-width. *)
 let challenge_of grp commitment pk msg =
   let len = Group.element_bytes grp in
   let payload =

@@ -24,12 +24,10 @@ type build = {
   states : Dstress_util.Bitvec.t array;
 }
 
-(* The protocol's fixed-point encodings and output sensitivity. *)
-let en_l = 12
-let en_scale = 0.25
-let egj_l = 16
-let egj_frac = 6
-let egj_scale = 4.0
+(* The protocol's fixed-point encodings (word bits, fraction bits,
+   dollars per unit) and output sensitivity. *)
+let en_l, en_scale = (12, 0.25)
+let egj_l, egj_frac, egj_scale = (16, 6, 4.0)
 let sensitivity = 20
 
 let build ~epsilon ~shock (req : Service.request) =
@@ -38,25 +36,16 @@ let build ~epsilon ~shock (req : Service.request) =
   | En inst ->
       let graph = En_program.graph_of_instance inst in
       let degree = Graph.max_degree graph in
-      {
-        program = En_program.make ~epsilon ~sensitivity ~l:en_l ~degree ~iterations ();
-        graph;
-        degree;
-        states = En_program.encode_instance inst ~graph ~l:en_l ~degree ~scale:en_scale;
-      }
+      let program = En_program.make ~epsilon ~sensitivity ~l:en_l ~degree ~iterations () in
+      let states = En_program.encode_instance inst ~graph ~l:en_l ~degree ~scale:en_scale in
+      { program; graph; degree; states }
   | Egj inst ->
       let graph = Egj_program.graph_of_instance inst in
       let degree = Graph.max_degree graph in
-      {
-        program =
-          Egj_program.make ~epsilon ~sensitivity ~l:egj_l ~frac:egj_frac ~degree ~iterations
-            ();
-        graph;
-        degree;
-        states =
-          Egj_program.encode_instance inst ~graph ~l:egj_l ~frac:egj_frac ~degree
-            ~scale:egj_scale;
-      }
+      let l = egj_l and frac = egj_frac in
+      let program = Egj_program.make ~epsilon ~sensitivity ~l ~frac ~degree ~iterations () in
+      let states = Egj_program.encode_instance inst ~graph ~l ~frac ~degree ~scale:egj_scale in
+      { program; graph; degree; states }
 
 let run ~grp ~obs_level ~fault_plan ~max_retries ~backoff (req : Service.request) b =
   let executor =

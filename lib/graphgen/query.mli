@@ -3,34 +3,31 @@
 
     §4's case study runs each systemic-risk model as a vertex program
     over L-bit fixed-point values, so the network recipe, the encodings
-    and the sensitivity are part of the protocol, not user knobs. This
-    module is their one owner. [dstress stress] runs a query built from
-    its flags, [dstress serve] answers every request with {!handler},
-    and the benches and tests call the same functions, so a served
-    request computes exactly what a solo run of the same seed does:
-    same network draws, same engine config, same tick-domain exports. *)
+    and the sensitivity are part of the protocol. This module is their
+    one owner: [dstress stress] runs a query built from its flags, and
+    [dstress serve] answers each request with {!handler}, so a served
+    request computes exactly what a solo run of the same seed does. *)
 
 type network =
   | En of Dstress_risk.Reference.en_instance
   | Egj of Dstress_risk.Reference.egj_instance
 
 val network : shock:Banking.shock -> Dstress_runtime.Service.request -> network
-(** The request's seeded core–periphery economy ({!Topology.core_periphery}
-    at its core and periphery sizes) for its workload, after [shock]. *)
+(** The request's seeded core–periphery economy for its workload, after
+    [shock]. *)
 
 type build = {
   program : Dstress_runtime.Vertex_program.t;
   graph : Dstress_runtime.Graph.t;
   degree : int;  (** the graph's maximum degree: the run's public bound D *)
-  states : Dstress_util.Bitvec.t array;  (** initial vertex states *)
+  states : Dstress_util.Bitvec.t array;
 }
 
 val build :
   epsilon:float -> shock:Banking.shock -> Dstress_runtime.Service.request -> build
-(** The {!network}'s vertex program, graph and initial states at the
-    protocol's encodings: EN at l = 12 with $0.25 per unit, EGJ at
-    l = 16 with 6 fraction bits and $4 per unit, both with sensitivity
-    20 and the request's iterations. *)
+(** The {!network}'s program, graph and initial states at the protocol's
+    encodings: EN at l = 12 and $0.25 per unit, EGJ at l = 16 with 6
+    fraction bits and $4 per unit, both with sensitivity 20. *)
 
 val run :
   grp:Dstress_crypto.Group.t ->
@@ -41,10 +38,9 @@ val run :
   Dstress_runtime.Service.request ->
   build ->
   Dstress_runtime.Engine.report
-(** One engine run of [build] (the request's {!build}) from the request's
-    seed, k, OT mode, preprocessing and executor spec. Raises
-    [Invalid_argument] if the executor spec does not parse
-    ({!Dstress_runtime.Service.request_executor}). *)
+(** The engine run of the request's {!build} from its seed, k, OT mode,
+    preprocessing and executor spec. Raises [Invalid_argument] if the
+    spec does not parse. *)
 
 val tds : Dstress_runtime.Service.workload -> int -> float
 (** A released output in dollars: the noised total dollar shortfall. *)
@@ -56,6 +52,5 @@ val handler :
   Dstress_runtime.Service.request ->
   Dstress_runtime.Service.summary
 (** What [dstress serve] runs for a request: {!run} at full
-    observability, no faults, 2 retries and 50 ms backoff, summarized
-    with the run's tick-domain trace and metrics exports. Runs inside a
-    persistent worker: an exception fails only that request. *)
+    observability, without faults, with 2 retries and 50 ms backoff,
+    summarized with its tick-domain trace and metrics exports. *)

@@ -34,28 +34,24 @@ type t = {
 let key_teeth = 5
 
 (* What σTP signs, in fixed-width fields so each message parses one way:
-   a kind byte, then 4-byte big-endian ids, then group elements
-   left-padded to [Group.element_bytes]. *)
-let add_id b v =
-  (* Only ids that fit keep the encoding one-to-one. *)
-  if v < 0 || v > 0x7fff_ffff then invalid_arg "Setup: id outside [0, 2^31)";
-  Buffer.add_int32_be b (Int32.of_int v)
-
-let certificate_message grp ~owner ~neighbor_slot keys =
-  let len = Group.element_bytes grp in
+   a kind byte, 4-byte big-endian ids (only ids in [0, 2^31) keep that
+   one-to-one), then group elements left-padded to [len] bytes. *)
+let message kind ~ids ~keys ~len =
   let b = Buffer.create 256 in
-  Buffer.add_char b 'C';
-  add_id b owner;
-  add_id b neighbor_slot;
+  Buffer.add_char b kind;
+  Array.iter
+    (fun v ->
+      if v < 0 || v > 0x7fff_ffff then invalid_arg "Setup: id outside [0, 2^31)";
+      Buffer.add_int32_be b (Int32.of_int v))
+    ids;
   Array.iter (Array.iter (fun key -> Buffer.add_bytes b (Nat.to_bytes_be_padded key ~len))) keys;
   Buffer.contents b
 
+let certificate_message grp ~owner ~neighbor_slot keys =
+  message 'C' ~ids:[| owner; neighbor_slot |] ~keys ~len:(Group.element_bytes grp)
+
 let roster_message blocks agg_block =
-  let b = Buffer.create 256 in
-  Buffer.add_char b 'R';
-  Array.iter (Array.iter (add_id b)) blocks;
-  Array.iter (add_id b) agg_block;
-  Buffer.contents b
+  message 'R' ~ids:(Array.concat (Array.to_list blocks @ [ agg_block ])) ~keys:[||] ~len:0
 
 (* Random block for node i: i itself plus k distinct others, drawn with a
    PRNG derived from the TP's generator. *)
@@ -125,24 +121,21 @@ let run prg grp ~n ~k ~degree_bound ~bits =
   in
   { grp; n; k; degree_bound; bits; nodes; agg_block; tp_public; roster_signature }
 
-(* A message with an id or a key out of range has no encoding, so the TP
-   never signed it. *)
+(* A message with an id or a key out of range has no encoding: unsigned. *)
 let verify t message signature =
   match message () with
   | msg -> Schnorr.verify t.grp t.tp_public msg signature
   | exception Invalid_argument _ -> false
 
 let verify_roster t =
-  verify t
-    (fun () -> roster_message (Array.map (fun ns -> ns.block) t.nodes) t.agg_block)
+  verify t (fun () -> roster_message (Array.map (fun ns -> ns.block) t.nodes) t.agg_block)
     t.roster_signature
 
-let verify_certificate t cert =
+let verify_certificate t c =
   verify t
     (fun () ->
-      certificate_message t.grp ~owner:cert.owner ~neighbor_slot:cert.neighbor_slot
-        cert.member_keys)
-    cert.signature
+      certificate_message t.grp ~owner:c.owner ~neighbor_slot:c.neighbor_slot c.member_keys)
+    c.signature
 
 let block_of t i = t.nodes.(i).block
 

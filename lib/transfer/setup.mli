@@ -68,23 +68,15 @@ val run :
     or [bits < 1]. *)
 
 val certificate_message :
-  Dstress_crypto.Group.t ->
-  owner:int ->
-  neighbor_slot:int ->
-  Dstress_crypto.Group.elt array array ->
-  string
-(** What σTP signs for a certificate: the kind byte ['C'], [owner] and
-    [neighbor_slot] as 4-byte big-endian fields, then each member key
-    (member-major) left-padded to {!Dstress_crypto.Group.element_bytes}:
-    9 + (k+1)·L·element_bytes bytes. Raises [Invalid_argument] if an id
-    lies outside [\[0, 2^31)] or a key does not fit in an element. *)
+  Dstress_crypto.Group.t -> owner:int -> neighbor_slot:int ->
+  Dstress_crypto.Group.elt array array -> string
 
 val roster_message : int array array -> int array -> string
-(** What σTP signs for the roster of the n blocks and the aggregation
-    block: the kind byte ['R'], then every member id, block by block and
-    the aggregation block last, as a 4-byte big-endian field:
-    1 + 4·(n+1)·(k+1) bytes. Raises [Invalid_argument] if an id lies
-    outside [\[0, 2^31)]. *)
+(** What σTP signs: a kind byte, 4-byte big-endian ids (a certificate's
+    owner and slot; a roster's blocks, the aggregation block last), then
+    a certificate's (k+1)·L keys padded to [element_bytes]: 9 +
+    (k+1)·L·element_bytes and 1 + 4·(n+1)·(k+1) bytes. Raise
+    [Invalid_argument] on an id outside [\[0, 2^31)] or an over-wide key. *)
 
 val verify_roster : t -> bool
 (** Check the TP's signature over the published block list. The engine

@@ -172,27 +172,17 @@ let test_query_outputs () =
   List.iter
     (fun (seed, want) ->
       let req =
-        {
-          Service.workload = Service.En;
-          core = 2;
-          periphery = 2;
-          iterations = 2;
-          k = 2;
-          seed;
-          slice_width = 64;
-          ot_mode = Dstress_crypto.Ot_ext.Simulation;
-          preprocess = false;
-          executor = "";
-        }
+        { Service.workload = Service.En; core = 2; periphery = 2; iterations = 2; k = 2; seed;
+          slice_width = 64; ot_mode = Dstress_crypto.Ot_ext.Simulation; preprocess = false;
+          executor = "" }
       in
       let report =
         Query.run ~grp ~obs_level:Dstress_obs.Obs.Off ~fault_plan:Dstress_faults.Fault.empty
           ~max_retries:2 ~backoff:0.05 req
           (Query.build ~epsilon:1.0 ~shock:Banking.Cascade req)
       in
-      let label = Printf.sprintf "seed %d" seed in
-      Alcotest.(check int) (label ^ ": output") want report.Engine.output;
-      Alcotest.(check int) (label ^ ": transfer failures") 0 report.Engine.transfer_failures)
+      Alcotest.(check int) (Printf.sprintf "seed %d" seed) want report.Engine.output;
+      Alcotest.(check int) "no transfer failures" 0 report.Engine.transfer_failures)
     [ (1, 46); (2, 93); (3, 35) ]
 
 (* ------------------------------------------------------------------ *)

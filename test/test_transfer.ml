@@ -96,24 +96,19 @@ let test_setup_signed_lengths () =
     (fun (name, n, k, bits) ->
       let g = Group.by_name name in
       let s = Setup.run (prg "lengths") g ~n ~k ~degree_bound:2 ~bits in
-      let label = Printf.sprintf "%s n=%d k=%d L=%d" name n k bits in
+      let check what want msg =
+        Alcotest.(check int) (name ^ " " ^ what) want (String.length msg)
+      in
       Array.iter
         (fun ns ->
           Array.iter
-            (fun c ->
-              Alcotest.(check int) (label ^ ": certificate")
-                (9 + ((k + 1) * bits * Group.element_bytes g))
-                (String.length
-                   (Setup.certificate_message g ~owner:c.Setup.owner
-                      ~neighbor_slot:c.Setup.neighbor_slot c.Setup.member_keys)))
+            (fun { Setup.owner; neighbor_slot; member_keys; _ } ->
+              check "certificate" (9 + ((k + 1) * bits * Group.element_bytes g))
+                (Setup.certificate_message g ~owner ~neighbor_slot member_keys))
             ns.Setup.certificates)
         s.Setup.nodes;
-      Alcotest.(check int) (label ^ ": roster")
-        (1 + (4 * (n + 1) * (k + 1)))
-        (String.length
-           (Setup.roster_message
-              (Array.map (fun ns -> ns.Setup.block) s.Setup.nodes)
-              s.Setup.agg_block)))
+      let blocks = Array.map (fun ns -> ns.Setup.block) s.Setup.nodes in
+      check "roster" (1 + (4 * (n + 1) * (k + 1))) (Setup.roster_message blocks s.Setup.agg_block))
     [ ("toy", 8, 2, 8); ("medium", 5, 1, 12); ("standard", 4, 3, 4) ]
 
 let test_setup_certificate_keys_rerandomized () =
