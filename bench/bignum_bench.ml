@@ -174,7 +174,8 @@ let egj_256 () =
     counting_muls (fun () ->
         Setup.run
           (Prg.of_string ("engine:" ^ string_of_int seed))
-          grp ~n:(Graph.n b.Query.graph) ~k ~degree_bound:b.Query.degree ~bits:16)
+          grp ~n:(Graph.n b.Query.graph) ~k ~degree_bound:b.Query.degree
+          ~bits:b.Query.program.Vertex_program.message_bits)
   in
   let (report, query_muls), wall =
     time (fun () ->

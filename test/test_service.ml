@@ -11,7 +11,10 @@
    - pool differential: concurrent requests through the persistent pool
      must return summaries — output, counters and tick-domain Obs export
      bytes — identical to a solo sequential run of the same seeded
-     config, whichever in-worker executor the request names;
+     config, whichever in-worker executor the request names. The pool,
+     chaos and daemon cases all serve real clearing queries with
+     [Query.handler], the handler `dstress serve` ships, at its
+     defaults (epsilon 1, cascade shock);
    - one wire fault at a time: a disconnected worker is respawned and
      its request completes; a lost worker (stalled past suspicion, or
      wedged past the request deadline) is killed and reaped by the pool

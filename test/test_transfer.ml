@@ -65,7 +65,12 @@ let test_setup_tampered_certificate_fails () =
     { cert with Setup.member_keys = Array.map (Array.map (fun k -> Group.mul grp k (Group.g grp)))
                              cert.Setup.member_keys }
   in
-  Alcotest.(check bool) "tampered fails" false (Setup.verify_certificate s tampered)
+  Alcotest.(check bool) "tampered fails" false (Setup.verify_certificate s tampered);
+  (* A key wider than an element has no signed encoding. *)
+  let keys = Array.map Array.copy cert.Setup.member_keys in
+  keys.(0).(0) <- Nat.shift_left (Group.p grp) 8;
+  Alcotest.(check bool) "over-wide key fails" false
+    (Setup.verify_certificate s { cert with Setup.member_keys = keys })
 
 let test_setup_roster_rejects_swapped_member () =
   (* Node 4's block with its last member swapped for a node outside it. *)
