@@ -31,7 +31,9 @@ let verify grp pk msg { challenge; response } =
   (* r' = g^s * pk^c; accept iff H(r', pk, msg) = c. The g^s factor goes
      through the fixed-base table, so only pk^c pays for a squaring
      chain. *)
-  let r' = Group.mul grp (Group.pow_g grp response) (Group.pow grp pk challenge) in
-  Nat.equal (challenge_of grp r' pk msg) challenge
+  if Nat.num_bits pk > 8 * Group.element_bytes grp then false
+  else
+    let r' = Group.mul grp (Group.pow_g grp response) (Group.pow grp pk challenge) in
+    Nat.equal (challenge_of grp r' pk msg) challenge
 
 let signature_bytes grp = 2 * ((Nat.num_bits (Group.q grp) + 7) / 8)

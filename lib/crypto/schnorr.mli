@@ -17,6 +17,8 @@ val sign : Prg.t -> Group.t -> Elgamal.secret_key * Elgamal.public_key -> string
     fixed-base exponentiation (the commitment). *)
 
 val verify : Group.t -> Elgamal.public_key -> string -> signature -> bool
+(** False, too, for a key wider than {!Group.element_bytes}: the
+    challenge hashes keys at that fixed width. *)
 
 val signature_bytes : Group.t -> int
 (** Size on the wire (two exponents). *)

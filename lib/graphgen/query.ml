@@ -30,8 +30,7 @@ let en_l, en_scale = (12, 0.25)
 let egj_l, egj_frac, egj_scale = (16, 6, 4.0)
 let sensitivity = 20
 
-let build ~epsilon ~shock (req : Service.request) =
-  let iterations = req.iterations in
+let build ~epsilon ~shock ({ Service.iterations; _ } as req) =
   match network ~shock req with
   | En inst ->
       let graph = En_program.graph_of_instance inst in

@@ -33,9 +33,9 @@ type t = {
 
 let key_teeth = 5
 
-(* What σTP signs, in fixed-width fields so each message parses one way:
-   a kind byte, 4-byte big-endian ids (only ids in [0, 2^31) keep that
-   one-to-one), then group elements left-padded to [len] bytes. *)
+(* What σTP signs, in fixed-width fields: a kind byte, 4-byte big-endian
+   ids in [0, 2^31), then group elements left-padded to [len] bytes. With
+   n and k signed and any other shape refused, a message parses one way. *)
 let message kind ~ids ~keys ~len =
   let b = Buffer.create 256 in
   Buffer.add_char b kind;
@@ -50,8 +50,9 @@ let message kind ~ids ~keys ~len =
 let certificate_message grp ~owner ~neighbor_slot keys =
   message 'C' ~ids:[| owner; neighbor_slot |] ~keys ~len:(Group.element_bytes grp)
 
-let roster_message blocks agg_block =
-  message 'R' ~ids:(Array.concat (Array.to_list blocks @ [ agg_block ])) ~keys:[||] ~len:0
+let roster_message ~n ~k blocks agg_block =
+  message 'R' ~ids:(Array.concat ([| n; k |] :: Array.to_list blocks @ [ agg_block ])) ~keys:[||]
+    ~len:0
 
 (* Random block for node i: i itself plus k distinct others, drawn with a
    PRNG derived from the TP's generator. *)
@@ -86,7 +87,7 @@ let run prg grp ~n ~k ~degree_bound ~bits =
   let block_prng = Prng.create 0x7A0BEEFL in
   let blocks = Array.init n (fun i -> draw_block block_prng ~n ~k i) in
   let agg_block = Array.of_list (Prng.sample_without_replacement block_prng (k + 1) n) in
-  let roster_signature = Schnorr.sign prg grp tp (roster_message blocks agg_block) in
+  let roster_signature = Schnorr.sign prg grp tp (roster_message ~n ~k blocks agg_block) in
   (* Every member public key is raised to the neighbor keys of each block
      it sits in, D per block: one comb table per key, held for the
      certificates below and dropped with them. *)
@@ -128,14 +129,18 @@ let verify t message signature =
   | exception Invalid_argument _ -> false
 
 let verify_roster t =
-  verify t (fun () -> roster_message (Array.map (fun ns -> ns.block) t.nodes) t.agg_block)
-    t.roster_signature
+  let blocks = Array.map (fun ns -> ns.block) t.nodes in
+  Array.length blocks = t.n
+  && Array.for_all (fun b -> Array.length b = t.k + 1) blocks
+  && verify t (fun () -> roster_message ~n:t.n ~k:t.k blocks t.agg_block) t.roster_signature
 
 let verify_certificate t c =
-  verify t
-    (fun () ->
-      certificate_message t.grp ~owner:c.owner ~neighbor_slot:c.neighbor_slot c.member_keys)
-    c.signature
+  Array.length c.member_keys = t.k + 1
+  && Array.for_all (fun keys -> Array.length keys = t.bits) c.member_keys
+  && verify t
+       (fun () ->
+         certificate_message t.grp ~owner:c.owner ~neighbor_slot:c.neighbor_slot c.member_keys)
+       c.signature
 
 let block_of t i = t.nodes.(i).block
 

@@ -71,20 +71,20 @@ val certificate_message :
   Dstress_crypto.Group.t -> owner:int -> neighbor_slot:int ->
   Dstress_crypto.Group.elt array array -> string
 
-val roster_message : int array array -> int array -> string
-(** What σTP signs: a kind byte, 4-byte big-endian ids (a certificate's
-    owner and slot; a roster's blocks, the aggregation block last), then
-    a certificate's (k+1)·L keys padded to [element_bytes]: 9 +
-    (k+1)·L·element_bytes and 1 + 4·(n+1)·(k+1) bytes. Raise
-    [Invalid_argument] on an id outside [\[0, 2^31)] or an over-wide key. *)
+val roster_message : n:int -> k:int -> int array array -> int array -> string
+(** What σTP signs: a kind byte, 4-byte big-endian ids (owner and slot;
+    or n, k and the blocks, [agg_block] last), then a certificate's keys
+    padded to [element_bytes]: 9 + (k+1)·L·element_bytes and
+    9 + 4·(n+1)·(k+1) bytes. Raise [Invalid_argument] on an id outside
+    [\[0, 2^31)] or an over-wide key. *)
 
 val verify_roster : t -> bool
-(** Check the TP's signature over the published block list. The engine
-    checks it once per run, in its Setup phase. *)
+(** Check the TP's signature over [n] blocks of [k+1] members, then the
+    aggregation block. The engine checks it once per run, in Setup. *)
 
 val verify_certificate : t -> certificate -> bool
-(** Check the TP's signature over one certificate. {!Protocol.keys}
-    checks it before a sender encrypts to the certificate's keys. *)
+(** Check the TP's signature over a certificate of (k+1)·L keys.
+    {!Protocol.keys} checks it before a sender encrypts to its keys. *)
 
 val block_of : t -> int -> int array
 (** Members of [B_i]. *)

@@ -61,38 +61,64 @@ let test_setup_certificates_verify () =
 let test_setup_tampered_certificate_fails () =
   let s = Lazy.force small_setup in
   let cert = s.Setup.nodes.(0).Setup.certificates.(0) in
-  let tampered =
-    { cert with Setup.member_keys = Array.map (Array.map (fun k -> Group.mul grp k (Group.g grp)))
-                             cert.Setup.member_keys }
+  let refused what member_keys =
+    Alcotest.(check bool) what false (Setup.verify_certificate s { cert with Setup.member_keys })
   in
-  Alcotest.(check bool) "tampered fails" false (Setup.verify_certificate s tampered);
+  refused "tampered fails"
+    (Array.map (Array.map (fun k -> Group.mul grp k (Group.g grp))) cert.Setup.member_keys);
   (* A key wider than an element has no signed encoding. *)
-  let keys = Array.map Array.copy cert.Setup.member_keys in
-  keys.(0).(0) <- Nat.shift_left (Group.p grp) 8;
-  Alcotest.(check bool) "over-wide key fails" false
-    (Setup.verify_certificate s { cert with Setup.member_keys = keys })
+  let wide = Nat.shift_left (Group.p grp) 8 in
+  refused "over-wide key fails"
+    (Array.mapi (fun m -> Array.mapi (fun b k -> if m + b = 0 then wide else k))
+       cert.Setup.member_keys);
+  (* The same keys cut into 4 members of 6, not 3 of 8, encode to the
+     signed bytes. *)
+  let flat = Array.concat (Array.to_list cert.Setup.member_keys) in
+  refused "reshaped keys fail" (Array.init 4 (fun m -> Array.sub flat (6 * m) 6));
+  (* Nothing verifies under a trusted-party key wider than an element. *)
+  let s = { s with Setup.tp_public = wide } in
+  Alcotest.(check bool) "over-wide tp key: certificate" false (Setup.verify_certificate s cert);
+  Alcotest.(check bool) "over-wide tp key: roster" false (Setup.verify_roster s);
+  Alcotest.check_raises "over-wide tp key: keys"
+    (Protocol.Bad_certificate { receiver = 0; neighbor_slot = 0 }) (fun () ->
+      ignore (Protocol.keys s ~receiver:0 ~neighbor_slot:0))
+
+(* [s] with node [i]'s block rewritten by [f]. *)
+let with_block s i f = with_node s i (fun ns -> { ns with Setup.block = f ns.Setup.block })
 
 let test_setup_roster_rejects_swapped_member () =
-  (* Node 4's block with its last member swapped for a node outside it. *)
   let s = Lazy.force small_setup in
-  let forged =
-    with_node s 4 (fun ns ->
-        let block = Array.copy ns.Setup.block in
-        let outsider =
-          List.find (fun v -> not (Array.mem v block)) (List.init s.Setup.n Fun.id)
-        in
-        block.(Array.length block - 1) <- outsider;
-        { ns with Setup.block })
-  in
-  Alcotest.(check bool) "swapped member" false (Setup.verify_roster forged);
+  let refused what forged = Alcotest.(check bool) what false (Setup.verify_roster forged) in
+  let last b = b.(Array.length b - 1) and drop_last b = Array.sub b 0 (Array.length b - 1) in
+  (* Node 4's block with its last member swapped for a node outside it. *)
+  refused "swapped member"
+    (with_block s 4 (fun b ->
+         let outsider = List.find (fun v -> not (Array.mem v b)) (List.init s.Setup.n Fun.id) in
+         Array.append (drop_last b) [| outsider |]));
   (* An id that wraps its 4-byte field would encode as the genuine one. *)
-  let wrapped =
-    with_node s 4 (fun ns ->
-        let block = Array.copy ns.Setup.block in
-        block.(0) <- block.(0) + (1 lsl 32);
-        { ns with Setup.block })
-  in
-  Alcotest.(check bool) "wrapped id" false (Setup.verify_roster wrapped)
+  refused "wrapped id"
+    (with_block s 4 (Array.mapi (fun i v -> if i = 0 then v + (1 lsl 32) else v)));
+  (* Moving a block's last member to the front of the next block, or the
+     last block's into the aggregation block, keeps the run of ids. *)
+  let moved i = [| last (Setup.block_of s i) |] and n = s.Setup.n in
+  refused "moved member" (with_block (with_block s 0 drop_last) 1 (Array.append (moved 0)));
+  refused "moved into the aggregation block"
+    { (with_block s (n - 1) drop_last) with
+      Setup.agg_block = Array.append (moved (n - 1)) s.Setup.agg_block };
+  refused "block moved into the aggregation block"
+    { s with
+      Setup.nodes = Array.sub s.Setup.nodes 0 (n - 1);
+      agg_block = Array.append (Setup.block_of s (n - 1)) s.Setup.agg_block };
+  (* The same 27 ids read as n = 2 blocks of k + 1 = 9, then an
+     aggregation block of 9: only the signed n and k tell them apart. *)
+  let ids = Array.concat (List.init n (Setup.block_of s) @ [ s.Setup.agg_block ]) in
+  let nine i = Array.sub ids (9 * i) 9 in
+  refused "n and k changed"
+    { s with
+      Setup.n = 2;
+      k = 8;
+      nodes = Array.init 2 (fun i -> { s.Setup.nodes.(i) with Setup.block = nine i });
+      agg_block = nine 2 }
 
 (* σTP signs fixed-width fields: a kind byte, 4-byte ids and keys padded
    to the group's element width. *)
@@ -113,7 +139,8 @@ let test_setup_signed_lengths () =
             ns.Setup.certificates)
         s.Setup.nodes;
       let blocks = Array.map (fun ns -> ns.Setup.block) s.Setup.nodes in
-      check "roster" (1 + (4 * (n + 1) * (k + 1))) (Setup.roster_message blocks s.Setup.agg_block))
+      check "roster" (9 + (4 * (n + 1) * (k + 1)))
+        (Setup.roster_message ~n ~k blocks s.Setup.agg_block))
     [ ("toy", 8, 2, 8); ("medium", 5, 1, 12); ("standard", 4, 3, 4) ]
 
 let test_setup_certificate_keys_rerandomized () =
