@@ -156,8 +156,18 @@ let egj_256 () =
   let grp = Group.by_name "standard" in
   let seed = 1 and core = 3 and periphery = 5 and iterations = 5 and k = 2 in
   let req =
-    { Service.workload = Service.Egj; core; periphery; iterations; k; seed; slice_width = 64;
-      ot_mode = Ot_ext.Simulation; preprocess = true; executor = "" }
+    {
+      Service.workload = Service.Egj;
+      core;
+      periphery;
+      iterations;
+      k;
+      seed;
+      slice_width = 64;
+      ot_mode = Ot_ext.Simulation;
+      preprocess = true;
+      executor = "";
+    }
   in
   let b = Query.build ~epsilon:1.0 ~shock:Banking.Cascade req in
   let _, setup_muls =

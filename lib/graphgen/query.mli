@@ -30,9 +30,14 @@ val build :
     fraction bits and $4 per unit, both with sensitivity 20. *)
 
 val run :
-  grp:Dstress_crypto.Group.t -> obs_level:Dstress_obs.Obs.level ->
-  fault_plan:Dstress_faults.Fault.plan -> max_retries:int -> backoff:float ->
-  Dstress_runtime.Service.request -> build -> Dstress_runtime.Engine.report
+  grp:Dstress_crypto.Group.t ->
+  obs_level:Dstress_obs.Obs.level ->
+  fault_plan:Dstress_faults.Fault.plan ->
+  max_retries:int ->
+  backoff:float ->
+  Dstress_runtime.Service.request ->
+  build ->
+  Dstress_runtime.Engine.report
 (** The engine run of the request's {!build} from its seed, k, OT mode,
     preprocessing and executor spec. Raises [Invalid_argument] if the
     spec does not parse. *)
@@ -41,8 +46,11 @@ val tds : Dstress_runtime.Service.workload -> int -> float
 (** A released output in dollars: the noised total dollar shortfall. *)
 
 val handler :
-  grp:Dstress_crypto.Group.t -> epsilon:float -> shock:Banking.shock ->
-  Dstress_runtime.Service.request -> Dstress_runtime.Service.summary
+  grp:Dstress_crypto.Group.t ->
+  epsilon:float ->
+  shock:Banking.shock ->
+  Dstress_runtime.Service.request ->
+  Dstress_runtime.Service.summary
 (** What [dstress serve] runs for a request: {!run} at full
     observability, without faults, with 2 retries and 50 ms backoff,
     summarized with its tick-domain trace and metrics exports. *)

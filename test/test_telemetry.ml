@@ -353,7 +353,7 @@ let tiny_request =
     Service.workload = Service.En;
     core = 2;
     periphery = 2;
-    iterations = 1;
+    iterations = 2;
     k = 2;
     seed = 1;
     slice_width = 64;
@@ -494,16 +494,14 @@ let check_exports_equal label (want : Service.summary) (got : Service.summary) =
   Alcotest.(check string) (label ^ ": metrics bytes") want.Service.metrics got.Service.metrics
 
 let test_differential_logging () =
-  (* Two iterations, so each export spans two communicate rounds. *)
-  let req = { tiny_request with Service.iterations = 2 } in
-  let seq = handler req in
+  let seq = handler tiny_request in
   (* The pool forks, so it runs before the parallel case spawns domains.
      Its worker serves the request's Full-level exports while the pool
      logs at Debug. *)
   let log, events = collecting_log () in
   let pool = Service.create_pool ~opts:pool_opts ~log ~handler () in
   let reply = ref None in
-  (match Service.submit pool req (fun r -> reply := Some r) with
+  (match Service.submit pool tiny_request (fun r -> reply := Some r) with
   | `Queued -> ()
   | `Queue_full | `No_workers -> Alcotest.fail "submit rejected");
   let until = Unix.gettimeofday () +. 60.0 in
@@ -515,7 +513,7 @@ let test_differential_logging () =
   | Some (Service.Completed got) -> check_exports_equal "pool, logging on at debug" seq got
   | _ -> Alcotest.fail "the pool request did not complete");
   Alcotest.(check bool) "the logger actually saw pool events" true (events () <> []);
-  let par = handler { req with Service.executor = "parallel:3" } in
+  let par = handler { tiny_request with Service.executor = "parallel:3" } in
   check_exports_equal "parallel" seq par
 
 (* ------------------------------------------------------------------ *)

@@ -138,9 +138,8 @@ let test_setup_signed_lengths () =
                 (Setup.certificate_message g ~owner ~neighbor_slot member_keys))
             ns.Setup.certificates)
         s.Setup.nodes;
-      let blocks = Array.map (fun ns -> ns.Setup.block) s.Setup.nodes in
       check "roster" (9 + (4 * (n + 1) * (k + 1)))
-        (Setup.roster_message ~n ~k blocks s.Setup.agg_block))
+        (Setup.roster_message ~n ~k (Array.init n (Setup.block_of s)) s.Setup.agg_block))
     [ ("toy", 8, 2, 8); ("medium", 5, 1, 12); ("standard", 4, 3, 4) ]
 
 let test_setup_certificate_keys_rerandomized () =
