@@ -41,7 +41,7 @@ let bench_sketch_add ~n =
   let s = ref (Sketch.create ()) in
   let _ =
     measure ~repeats:3 ~warmup:1 ~name:"sketch-add"
-      ~params:[ ("alpha", Json.Num Sketch.default_alpha) ]
+      ~params:[ ("alpha", Json.Num Sketch.relative_error) ]
       ~items:("add", float_of_int n)
       ~telemetry:(fun () ->
         let sorted = Array.copy values in
@@ -49,7 +49,7 @@ let bench_sketch_add ~n =
         let ok q =
           let exact = exact_quantile sorted q in
           let est = Sketch.quantile_or ~default:nan !s q in
-          Float.abs (est -. exact) <= (Sketch.default_alpha +. 1e-9) *. exact
+          Float.abs (est -. exact) <= (Sketch.relative_error +. 1e-9) *. exact
         in
         ( [ ("rel_err_ok", if ok 0.5 && ok 0.99 then 1 else 0) ],
           [
@@ -64,7 +64,7 @@ let bench_sketch_add ~n =
   ()
 
 let bench_log_append ~n =
-  let log = Log.create ~level:Log.Debug ~capacity:256 () in
+  let log = Log.create ~level:Log.Debug () in
   let _ =
     measure ~repeats:3 ~warmup:1 ~name:"log-append"
       ~params:[ ("ring", Json.Int 256) ]
@@ -167,7 +167,7 @@ let per_request_telemetry_chunk_s log m ~first ~iters =
    some run preemption-free estimates the intrinsic cost even when the
    machine is busy. *)
 let per_request_telemetry_s ~iters =
-  let log = Log.create ~level:Log.Debug ~capacity:256 () in
+  let log = Log.create ~level:Log.Debug () in
   let m = Metrics.create () in
   let chunk = 250 in
   let best = ref infinity in
@@ -180,7 +180,7 @@ let per_request_telemetry_s ~iters =
 
 let bench_telemetry_tax ~requests ~tax_iters =
   let opts = { Service.default_pool_opts with Service.queue_depth = requests + 1 } in
-  let log = Log.create ~level:Log.Debug ~capacity:256 () in
+  let log = Log.create ~level:Log.Debug () in
   let pool = Service.create_pool ~opts ~log ~handler:noop_handler () in
   let reqs =
     List.init requests (fun i -> { base_request with Service.seed = 2000 + i })

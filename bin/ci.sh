@@ -29,27 +29,78 @@ if [ -n "$found" ]; then
   exit 1
 fi
 
+# Library code that only its own tests reach is deleted, not kept: the
+# two steps below reject such a module and such an exported value. What
+# is listed here stays, for the reason given; a module name keeps the
+# whole module.
+ONLY_TESTS_REACH_OK="
+Budget                            the service's epsilon odometer (ROADMAP item 4)
+Group.is_element                  input validation at the group boundary (item 15)
+Service.set_pool_fault_source     the chaos tests' wire-fault injection point
+Ot_ext.ots_performed              shows word and bit extension use equal IKNP rows
+Nat.to_decimal                    the bignum known answers are written in decimal
+Stats.stddev                      the statistic the sampler tests check
+Sensitivity.elliott_golub_jackson the EGJ bound of §4.4, beside the EN bound
+"
+kept() { echo "$ONLY_TESTS_REACH_OK" | awk '{ print $1 }' | grep -qxF "$1"; }
+module_of() { basename "$1" .ml | awk '{ print toupper(substr($0, 1, 1)) substr($0, 2) }'; }
+# Prints the files under lib/, bin/, bench/, perfbench/ and examples/
+# other than $1 and $1i that match the pattern $2.
+named_elsewhere() {
+  grep -rlE --include='*.ml' --include='*.mli' "$2" lib bin bench perfbench examples |
+    grep -vxF -e "$1" -e "${1}i"
+}
+
 # Every library module has a caller outside its own two files and the
-# tests: some .ml/.mli under lib/, bin/, bench/, perfbench/ or examples/
-# names it as `M.` or aliases it as `= Dstress_<lib>.M`. Code that only
-# its own tests reach is deleted, not kept. Budget is exempt until the
-# service's epsilon odometer uses it (ROADMAP item 4).
+# tests: some .ml/.mli names it as `M.` or aliases it as
+# `= Dstress_<lib>.M`.
 echo "== no library module that only tests reach =="
 found=""
 for f in $(find lib -name '*.ml' | sort); do
-  m="$(basename "$f" .ml)"
-  M="$(echo "$m" | awk '{ print toupper(substr($0, 1, 1)) substr($0, 2) }')"
+  M="$(module_of "$f")"
   lib="$(basename "$(dirname "$f")")"
-  [ "$M" = Budget ] && continue
-  if ! grep -rlE --include='*.ml' --include='*.mli' \
-      "\\b$M\\.|= *Dstress_$lib\\.$M\\b" lib bin bench perfbench examples |
-      grep -qvxF -e "$f" -e "${f}i"; then
+  kept "$M" && continue
+  if ! named_elsewhere "$f" "\\b$M\\.|= *Dstress_$lib\\.$M\\b" > /dev/null; then
     found="$found $f"
   fi
 done
 if [ -n "$found" ]; then
   echo "only tests reach:$found"
   echo "ci: delete the module, or give it a caller" >&2
+  exit 1
+fi
+
+# The same rule for each `val v` of a lib/ .mli, inside `module S : sig`
+# too: its own .ml names v somewhere other than where it defines it, or
+# another .ml/.mli names it as `M.v`, `M.S.v` or `S.v`.
+echo "== no exported library value that only tests reach =="
+found=""
+for f in $(find lib -name '*.ml' | sort); do
+  M="$(module_of "$f")"
+  kept "$M" && continue
+  for sv in $(awk '
+      /^[ \t]*module [A-Z][A-Za-z0-9_]* *: *sig/ {
+        match($0, /module [A-Z][A-Za-z0-9_]*/)
+        s[++d] = substr($0, RSTART + 7, RLENGTH - 7)
+        next }
+      /^[ \t]*end([ \t]|$)/ && d > 0 { d--; next }
+      /^[ \t]*val [a-z_][A-Za-z0-9_]*/ {
+        match($0, /val [a-z_][A-Za-z0-9_]*/)
+        print (d ? s[d] : "") ":" substr($0, RSTART + 4, RLENGTH - 4) }
+    ' "${f}i"); do
+    S="${sv%%:*}"
+    v="${sv#*:}"
+    name="$M.${S:+$S.}$v"
+    kept "$name" && continue
+    if [ -n "$S" ]; then pat="\\b($M\\.)?$S\\.$v\\b"; else pat="\\b$M\\.$v\\b"; fi
+    named_elsewhere "$f" "$pat" > /dev/null && continue
+    grep -wF -- "$v" "$f" | grep -vqE "^ *(let|let rec|and) +$v\\b" && continue
+    found="$found $name"
+  done
+done
+if [ -n "$found" ]; then
+  echo "only tests reach:$found"
+  echo "ci: delete the value, or give it a caller" >&2
   exit 1
 fi
 

@@ -431,7 +431,7 @@ let serve socket listen workers queue_depth log_level slow_request grpname epsil
   let log =
     match log_level with
     | None -> Log.nop
-    | Some level -> Log.create ~level ~capacity:256 ~sink:Log.stderr_sink ()
+    | Some level -> Log.create ~level ~sink:Log.stderr_sink ()
   in
   let handler = Query.handler ~grp:(Group.by_name grpname) ~epsilon ~shock in
   Service.serve ~pool_opts ~log

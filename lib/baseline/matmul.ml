@@ -22,8 +22,6 @@ let circuit ~n ~bits =
   done;
   Builder.finish b ~outputs:(Array.concat (Array.to_list out))
 
-let and_gates ~n ~bits = Circuit.and_count (circuit ~n ~bits)
-
 type measurement = {
   n : int;
   seconds : float;

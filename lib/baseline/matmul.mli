@@ -14,9 +14,6 @@ val circuit : n:int -> bits:int -> Dstress_circuit.Circuit.t
     modulo [2^bits]). Inputs: [2 n^2 bits] values, row-major, A before B;
     outputs: [n^2] entries. *)
 
-val and_gates : n:int -> bits:int -> int
-(** AND-gate count of {!circuit} (cubic in [n]). *)
-
 type measurement = {
   n : int;
   seconds : float;

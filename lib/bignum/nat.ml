@@ -265,11 +265,6 @@ let pow b e =
   in
   go one b e
 
-let rec gcd a b = if is_zero b then a else gcd b (rem a b)
-
-let mod_add a b ~m =
-  let s = add a b in
-  if compare s m >= 0 then sub s m else s
 
 let mod_sub a b ~m = if compare a b >= 0 then sub a b else sub (add a m) b
 
@@ -706,9 +701,6 @@ let of_hex s =
   let s = if String.length s mod 2 = 1 then "0" ^ s else s in
   of_bytes_be (Dstress_util.Hex.decode s)
 
-let to_hex t =
-  let s = Dstress_util.Hex.encode (to_bytes_be t) in
-  if s = "" then "0" else s
 
 let chunk_pow = 1_000_000_000 (* 10^9 < 2^30: fits a single limb *)
 let chunk_digits = 9
@@ -742,8 +734,6 @@ let to_decimal t =
     in
     String.concat "" (go t [])
   end
-
-let pp ppf t = Format.pp_print_string ppf (to_decimal t)
 
 (* ------------------------------------------------------------------ *)
 (* Randomness and primality                                            *)

@@ -58,10 +58,6 @@ val shift_right : t -> int -> t
 val pow : t -> int -> t
 (** Plain (non-modular) exponentiation; exponent must be non-negative. *)
 
-val gcd : t -> t -> t
-
-val mod_add : t -> t -> m:t -> t
-(** Arguments must already be reduced modulo [m]. *)
 
 val mod_sub : t -> t -> m:t -> t
 val mod_mul : t -> t -> m:t -> t
@@ -73,7 +69,7 @@ val mod_pow : base:t -> exp:t -> m:t -> t
 
 val mod_inv : t -> m:t -> t
 (** Multiplicative inverse modulo [m]. Raises [Not_found] when the inverse
-    does not exist (i.e. [gcd t m <> 1]). *)
+    does not exist ([t] and [m] are not coprime). *)
 
 val of_bytes_be : bytes -> t
 val to_bytes_be : t -> bytes
@@ -87,7 +83,6 @@ val to_bytes_be_padded : t -> len:int -> bytes
 val of_hex : string -> t
 (** Accepts an even- or odd-length hex string. *)
 
-val to_hex : t -> string
 
 val of_decimal : string -> t
 (** Raises [Invalid_argument] on empty strings or non-digit characters. *)
@@ -106,9 +101,6 @@ val is_probable_prime : ?rounds:int -> Dstress_util.Prng.t -> t -> bool
 
 val generate_prime : Dstress_util.Prng.t -> bits:int -> t
 (** Random probable prime with exactly [bits] bits ([bits >= 2]). *)
-
-val pp : Format.formatter -> t -> unit
-(** Decimal rendering. *)
 
 (** Montgomery-form contexts, exposed for hot loops in the crypto layer that
     perform many operations modulo the same odd modulus.

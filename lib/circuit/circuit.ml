@@ -49,8 +49,6 @@ let eval t inputs =
     t.gates;
   Array.map (fun w -> values.(w)) t.outputs
 
-let num_gates t = Array.length t.gates
-
 let count p t = Array.fold_left (fun acc g -> if p g then acc + 1 else acc) 0 t.gates
 
 let and_count = count (function And _ -> true | Input _ | Const _ | Not _ | Xor _ -> false)

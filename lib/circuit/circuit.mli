@@ -35,7 +35,6 @@ val eval : t -> bool array -> bool array
 (** Plaintext evaluation; the semantics oracle the MPC engine is tested
     against. Raises [Invalid_argument] if the input length is wrong. *)
 
-val num_gates : t -> int
 val and_count : t -> int
 
 val and_depth : t -> int

@@ -82,11 +82,8 @@ let lt b x y =
   Builder.bnot b !carry
 
 let ge b x y = Builder.bnot b (lt b x y)
-let gt b x y = lt b y x
-let le b x y = Builder.bnot b (lt b y x)
 
 let min b x y = mux b (lt b x y) x y
-let max b x y = mux b (lt b x y) y x
 
 (* Shift-and-add schoolbook multiplier. *)
 let mul b x y =

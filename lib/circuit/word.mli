@@ -59,19 +59,15 @@ val is_zero : Builder.t -> t -> Builder.wire
 
 val lt : Builder.t -> t -> t -> Builder.wire
 (** Unsigned comparison: the borrow of [a - b], built without the
-    difference bits. [n] ANDs, and so are [le], [gt] and [ge]. *)
+    difference bits. [n] ANDs, and so is [ge]. *)
 
-val le : Builder.t -> t -> t -> Builder.wire
-val gt : Builder.t -> t -> t -> Builder.wire
 val ge : Builder.t -> t -> t -> Builder.wire
 
 val mux : Builder.t -> Builder.wire -> t -> t -> t
 (** [mux b sel a c] selects [a] when [sel] is 1. [n] ANDs. *)
 
 val min : Builder.t -> t -> t -> t
-(** [lt] then [mux]: [2n] ANDs, and so is [max]. *)
-
-val max : Builder.t -> t -> t -> t
+(** [lt] then [mux]: [2n] ANDs. *)
 
 val mul : Builder.t -> t -> t -> t
 (** Full product: width is the sum of the operand widths. [n(2n - 1)]

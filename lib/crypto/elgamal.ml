@@ -22,4 +22,3 @@ let rerandomize prg grp h c =
   { c1 = Group.mul grp c.c1 (Group.pow_g grp y);
     c2 = Group.mul grp c.c2 (Group.pow grp h y) }
 
-let ciphertext_bytes grp = 2 * Group.element_bytes grp

@@ -25,6 +25,3 @@ val mul : Group.t -> ciphertext -> ciphertext -> ciphertext
 val rerandomize : Prg.t -> Group.t -> public_key -> ciphertext -> ciphertext
 (** Multiplies in a fresh encryption of the identity: same plaintext,
     unlinkable ciphertext. *)
-
-val ciphertext_bytes : Group.t -> int
-(** Size of one ciphertext on the wire (two group elements). *)

@@ -9,12 +9,6 @@ let g_to_the grp v = Group.pow_g_int grp v
 
 let encrypt prg grp h v = Elgamal.encrypt prg grp h (g_to_the grp v)
 
-let add = Elgamal.mul
-
-let rerandomize_key grp h r = Group.pow grp h r
-
-let adjust grp c r = { c with c1 = Group.pow grp c.c1 r }
-
 let decrypt_elt = Elgamal.decrypt
 
 (* Keying the table on the number itself (canonical limb array, cheap

@@ -10,12 +10,13 @@
     probability analyzed in Appendix B of the paper — when geometric noise
     pushes a value outside the table.
 
-    The module also implements the two "unusual properties" of §3:
-    {!rerandomize_key} (raising a public key to a neighbor key [r]) and
-    {!adjust} (raising the ephemeral part of a ciphertext to the same [r]
-    so the original secret key decrypts it again), plus the Kurosawa
-    multi-recipient optimization (§5.1) that reuses one ephemeral key
-    across the [L] bit-ciphertexts of a share. *)
+    The two "unusual properties" of §3 are one {!Group.pow} each and live
+    in [Dstress_transfer.Protocol]: raising a public key to a neighbor key
+    [r], and raising the ephemeral part of a ciphertext to the same [r] so
+    the original secret key decrypts it again; homomorphic addition is
+    {!Elgamal.mul}. This module adds the Kurosawa multi-recipient
+    optimization (§5.1) that reuses one ephemeral key across the [L]
+    bit-ciphertexts of a share. *)
 
 type ciphertext = Elgamal.ciphertext = { c1 : Group.elt; c2 : Group.elt }
 
@@ -24,18 +25,6 @@ val keygen : Prg.t -> Group.t -> Elgamal.secret_key * Elgamal.public_key
 val encrypt : Prg.t -> Group.t -> Elgamal.public_key -> int -> ciphertext
 (** [encrypt prg grp h v] encrypts integer [v] (negative allowed; encoded
     mod q) as [(g^y, g^v * h^y)]. *)
-
-val add : Group.t -> ciphertext -> ciphertext -> ciphertext
-(** Homomorphic addition of plaintexts. *)
-
-val rerandomize_key : Group.t -> Elgamal.public_key -> Group.exponent -> Elgamal.public_key
-(** [rerandomize_key grp h r] is [h^r]: a fresh-looking public key that
-    no longer matches [h] but whose holder can still decrypt adjusted
-    ciphertexts. *)
-
-val adjust : Group.t -> ciphertext -> Group.exponent -> ciphertext
-(** [adjust grp c r] raises the ephemeral part to [r], converting a
-    ciphertext under [h^r] into one under [h]. *)
 
 (** Bounded discrete-log lookup table, the paper's decryption mechanism. *)
 module Table : sig

@@ -154,17 +154,13 @@ let random_exponent prg t =
   in
   loop ()
 
-let exp_add t a b = Nat.mod_add a b ~m:t.q
 let exp_sub t a b = Nat.mod_sub a b ~m:t.q
 let exp_mul t a b = Nat.mod_mul a b ~m:t.q
-let exp_inv t a = Nat.mod_inv a ~m:t.q
 
 let is_element t x =
   Nat.compare x Nat.zero > 0
   && Nat.compare x t.p < 0
   && Nat.is_one (pow t x t.q)
-
-let elt_equal = Nat.equal
 
 (* g^v for a signed machine integer. A small |v| fits the first tooth of
    either comb, so it costs one squaring per bit of |v|: a negative v

@@ -99,13 +99,9 @@ val inv_many : t -> elt array -> elt array
 val random_exponent : Prg.t -> t -> exponent
 (** Uniform in [\[1, q)] (never zero, so re-randomizers are invertible). *)
 
-val exp_add : t -> exponent -> exponent -> exponent
 val exp_sub : t -> exponent -> exponent -> exponent
 val exp_mul : t -> exponent -> exponent -> exponent
-val exp_inv : t -> exponent -> exponent
-(** Arithmetic in Z_q. [exp_inv] raises [Not_found] on zero. *)
+(** Arithmetic in Z_q. *)
 
 val is_element : t -> elt -> bool
 (** Membership test for the order-q subgroup. *)
-
-val elt_equal : elt -> elt -> bool

@@ -51,10 +51,3 @@ let base_ot grp meter ~point:c ~sender_prg ~receiver_prg ~m0 ~m1 ~choice =
   let eph, body = if choice then e1 else e0 in
   let kem = Group.pow grp eph x in
   xor_bytes body (kem_pad kem (if choice then 1 else 0) len)
-
-let base_ot_bit grp meter ~point ~sender_prg ~receiver_prg ~b0 ~b1 ~choice =
-  let enc b = Bytes.make 1 (if b then '\x01' else '\x00') in
-  let out =
-    base_ot grp meter ~point ~sender_prg ~receiver_prg ~m0:(enc b0) ~m1:(enc b1) ~choice
-  in
-  Bytes.get out 0 = '\x01'

@@ -32,15 +32,3 @@ val base_ot :
     log ({!random_point}) that pins the receiver's second public key.
     [m0] and [m1] must have equal length. Raises [Invalid_argument]
     otherwise. *)
-
-val base_ot_bit :
-  Group.t ->
-  Xfer.t ->
-  point:Group.elt ->
-  sender_prg:Prg.t ->
-  receiver_prg:Prg.t ->
-  b0:bool ->
-  b1:bool ->
-  choice:bool ->
-  bool
-(** Single-bit convenience wrapper. *)

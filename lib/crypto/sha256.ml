@@ -88,5 +88,3 @@ let digest msg =
   let out = Bytes.create 32 in
   Array.iteri (fun i v -> Bytes.set_int32_be out (4 * i) (Int32.of_int v)) h;
   out
-
-let hex_digest s = Dstress_util.Hex.encode (digest (Bytes.of_string s))

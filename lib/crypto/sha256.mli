@@ -7,6 +7,3 @@
 
 val digest : bytes -> bytes
 (** 32-byte digest. *)
-
-val hex_digest : string -> string
-(** Digest of a string, hex-encoded (64 characters). *)

@@ -117,24 +117,18 @@ module Injector = struct
 
   let fire t id = Hashtbl.replace t.fired id ()
 
-  let crash_matches ~round ~starting (_, f) =
-    match f with
-    | Crash_node { from_round; until_round; _ } ->
-        if starting then from_round = round else round >= from_round && round < until_round
-    | _ -> false
+  let starts_at round (_, f) =
+    match f with Crash_node { from_round; _ } -> from_round = round | _ -> false
 
-  let crash_query t ~round ~node ~starting =
+  let crash_starting t ~round ~node =
     match Hashtbl.find_opt t.crashes_by_node node with
     | None -> false
     | Some cs -> (
-        match List.find_opt (crash_matches ~round ~starting) cs with
+        match List.find_opt (starts_at round) cs with
         | None -> false
         | Some (id, _) ->
             fire t id;
             true)
-
-  let crashed t ~round ~node = crash_query t ~round ~node ~starting:false
-  let crash_starting t ~round ~node = crash_query t ~round ~node ~starting:true
 
   let edge_faults t ~round ~src ~dst =
     match Hashtbl.find_opt t.by_edge (src, dst, round) with
@@ -156,6 +150,4 @@ module Injector = struct
         Hashtbl.replace counts k (Hashtbl.find counts k + 1))
       t.fired;
     List.map (fun k -> (k, Hashtbl.find counts k)) all_kinds
-
-  let total_injected t = Hashtbl.length t.fired
 end

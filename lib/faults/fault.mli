@@ -96,9 +96,6 @@ module Injector : sig
 
   val create : plan -> t
 
-  val crashed : t -> round:int -> node:int -> bool
-  (** Is [node] down at [round]? Marks the covering crash fault as fired. *)
-
   val crash_starting : t -> round:int -> node:int -> bool
   (** Does a crash of [node] begin exactly at [round]? This is the moment
       the engine must hand the node's state to its replacement. *)
@@ -109,6 +106,4 @@ module Injector : sig
 
   val injected : t -> (kind * int) list
   (** Fired faults by kind, for every kind (zero entries included). *)
-
-  val total_injected : t -> int
 end

@@ -12,8 +12,4 @@ let reconstruct shares =
   if Array.length shares = 0 then invalid_arg "Sharing.reconstruct: empty";
   Bitvec.xor_all (Array.to_list shares)
 
-let share_int prg ~parties ~bits v = share prg ~parties (Bitvec.of_int ~bits v)
-
-let reconstruct_int shares = Bitvec.to_int (reconstruct shares)
-
 let subshare = share

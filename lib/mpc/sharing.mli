@@ -12,12 +12,6 @@ val share : Dstress_crypto.Prg.t -> parties:int -> Dstress_util.Bitvec.t -> Dstr
 val reconstruct : Dstress_util.Bitvec.t array -> Dstress_util.Bitvec.t
 (** XOR of all shares. Raises [Invalid_argument] on an empty array. *)
 
-val share_int : Dstress_crypto.Prg.t -> parties:int -> bits:int -> int -> Dstress_util.Bitvec.t array
-(** Shares the two's-complement encoding of an integer. *)
-
-val reconstruct_int : Dstress_util.Bitvec.t array -> int
-(** Unsigned reconstruction. *)
-
 val subshare :
   Dstress_crypto.Prg.t -> parties:int -> Dstress_util.Bitvec.t -> Dstress_util.Bitvec.t array
 (** Alias of {!share} with the §3.5 name: each block member re-shares its

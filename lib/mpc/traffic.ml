@@ -8,8 +8,6 @@ let create n =
   if n < 1 then invalid_arg "Traffic.create: n < 1";
   { n; bytes = Array.make (n * n) 0; external_in = Array.make n 0 }
 
-let parties t = t.n
-
 let add t ~src ~dst amount =
   if src < 0 || src >= t.n || dst < 0 || dst >= t.n then
     invalid_arg "Traffic.add: party out of range";

@@ -10,8 +10,6 @@ type t
 val create : int -> t
 (** [create n] for [n] parties. *)
 
-val parties : t -> int
-
 val add : t -> src:int -> dst:int -> int -> unit
 (** Raises [Invalid_argument] on out-of-range parties or negative bytes. *)
 

@@ -146,53 +146,19 @@ let to_json d =
 
 let ( let* ) = Result.bind
 
-let fail fmt = Printf.ksprintf (fun s -> Error s) fmt
-
-let str_field ctx name j =
-  match Json.member name j with
-  | Some (Json.Str s) -> Ok s
-  | _ -> fail "%s: missing string field %S" ctx name
-
-let int_field ctx name j =
-  match Json.member name j with
-  | Some (Json.Int i) -> Ok i
-  | _ -> fail "%s: missing int field %S" ctx name
-
-let num ctx name = function
-  | Json.Num f -> Ok f
-  | Json.Int i -> Ok (float_of_int i)
-  | _ -> fail "%s: field %S is not a number" ctx name
-
-let num_field ctx name j =
-  match Json.member name j with
-  | Some v -> num ctx name v
-  | None -> fail "%s: missing number field %S" ctx name
-
-let obj_field ctx name j =
-  match Json.member name j with
-  | Some (Json.Obj kvs) -> Ok kvs
-  | _ -> fail "%s: missing object field %S" ctx name
-
-let rec map_result f = function
-  | [] -> Ok []
-  | x :: rest ->
-      let* y = f x in
-      let* ys = map_result f rest in
-      Ok (y :: ys)
-
 let wall_of_json ctx j =
-  let* median_s = num_field ctx "median_s" j in
-  let* min_s = num_field ctx "min_s" j in
-  let* p10_s = num_field ctx "p10_s" j in
-  let* p90_s = num_field ctx "p90_s" j in
+  let* median_s = Json.num_field ctx "median_s" j in
+  let* min_s = Json.num_field ctx "min_s" j in
+  let* p10_s = Json.num_field ctx "p10_s" j in
+  let* p90_s = Json.num_field ctx "p90_s" j in
   Ok { median_s; min_s; p10_s; p90_s }
 
 let result_of_json j =
-  let* name = str_field "result" "name" j in
+  let* name = Json.str_field "result" "name" j in
   let ctx = Printf.sprintf "result %S" name in
-  let* params = obj_field ctx "params" j in
-  let* repeats = int_field ctx "repeats" j in
-  let* warmup = int_field ctx "warmup" j in
+  let* params = Json.obj_field ctx "params" j in
+  let* repeats = Json.int_field ctx "repeats" j in
+  let* warmup = Json.int_field ctx "warmup" j in
   let* wall =
     match Json.member "wall" j with
     | None -> Ok None
@@ -204,42 +170,38 @@ let result_of_json j =
     match Json.member "throughput" j with
     | None -> Ok None
     | Some t ->
-        let* unit_ = str_field ctx "unit" t in
-        let* v = num_field ctx "per_s" t in
+        let* unit_ = Json.str_field ctx "unit" t in
+        let* v = Json.num_field ctx "per_s" t in
         Ok (Some (unit_, v))
   in
-  let* counter_kvs = obj_field ctx "counters" j in
+  let* counter_kvs = Json.obj_field ctx "counters" j in
   let* counters =
-    map_result
+    Json.map_result
       (function
         | k, Json.Int v -> Ok (k, v)
-        | k, _ -> fail "%s: counter %S is not an int" ctx k)
+        | k, _ -> Json.errorf "%s: counter %S is not an int" ctx k)
       counter_kvs
   in
-  let* float_kvs = obj_field ctx "floats" j in
+  let* float_kvs = Json.obj_field ctx "floats" j in
   let* floats =
-    map_result (fun (k, v) -> Result.map (fun f -> (k, f)) (num ctx k v)) float_kvs
+    Json.map_result (fun (k, v) -> Result.map (fun f -> (k, f)) (Json.num ctx k v)) float_kvs
   in
   Ok { name; params; repeats; warmup; wall; throughput; counters; floats }
 
 let suite_of_json j =
-  let* suite = str_field "suite" "suite" j in
-  match Json.member "results" j with
-  | Some (Json.List rs) ->
-      let* results = map_result result_of_json rs in
-      Ok { suite; results }
-  | _ -> fail "suite %S: missing list field \"results\"" suite
+  let* suite = Json.str_field "suite" "suite" j in
+  let* rs = Json.list_field (Printf.sprintf "suite %S" suite) "results" j in
+  let* results = Json.map_result result_of_json rs in
+  Ok { suite; results }
 
 let of_json j =
-  let* tag = str_field "doc" "schema" j in
-  if tag <> schema then fail "unsupported schema %S (want %S)" tag schema
+  let* tag = Json.str_field "doc" "schema" j in
+  if tag <> schema then Json.errorf "unsupported schema %S (want %S)" tag schema
   else
-    let* mode = str_field "doc" "mode" j in
-    match Json.member "suites" j with
-    | Some (Json.List ss) ->
-        let* suites = map_result suite_of_json ss in
-        Ok { mode; suites }
-    | _ -> fail "doc: missing list field \"suites\""
+    let* mode = Json.str_field "doc" "mode" j in
+    let* ss = Json.list_field "doc" "suites" j in
+    let* suites = Json.map_result suite_of_json ss in
+    Ok { mode; suites }
 
 let write_file path d =
   let oc = open_out path in
@@ -259,5 +221,5 @@ let read_file path =
   | exception Sys_error msg -> Error msg
   | contents -> (
       match Json.parse contents with
-      | Error msg -> fail "%s: %s" path msg
+      | Error msg -> Json.errorf "%s: %s" path msg
       | Ok j -> of_json j)

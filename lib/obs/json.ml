@@ -251,3 +251,42 @@ let parse input =
 let member key = function
   | Obj fields -> List.assoc_opt key fields
   | _ -> None
+
+let errorf fmt = Printf.ksprintf (fun m -> Error m) fmt
+
+let num ctx name = function
+  | Int i -> Ok (float_of_int i)
+  | Num f -> Ok f
+  | _ -> errorf "%s: field %S is not a number" ctx name
+
+let num_field ctx name j =
+  match member name j with
+  | Some v -> num ctx name v
+  | None -> errorf "%s: missing number field %S" ctx name
+
+let int_field ctx name j =
+  match member name j with
+  | Some (Int i) -> Ok i
+  | _ -> errorf "%s: missing int field %S" ctx name
+
+let str_field ctx name j =
+  match member name j with
+  | Some (Str s) -> Ok s
+  | _ -> errorf "%s: missing string field %S" ctx name
+
+let obj_field ctx name j =
+  match member name j with
+  | Some (Obj kvs) -> Ok kvs
+  | _ -> errorf "%s: missing object field %S" ctx name
+
+let list_field ctx name j =
+  match member name j with
+  | Some (List vs) -> Ok vs
+  | _ -> errorf "%s: missing list field %S" ctx name
+
+let rec map_result f = function
+  | [] -> Ok []
+  | x :: rest -> (
+      match f x with
+      | Error _ as e -> e
+      | Ok y -> Result.map (fun ys -> y :: ys) (map_result f rest))

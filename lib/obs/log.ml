@@ -17,13 +17,6 @@ let level_name = function
   | Info -> "info"
   | Debug -> "debug"
 
-let level_of_string = function
-  | "error" -> Some Error
-  | "warn" | "warning" -> Some Warn
-  | "info" -> Some Info
-  | "debug" -> Some Debug
-  | _ -> None
-
 type field = Str of string | Int of int | Float of float | Bool of bool
 
 type event = {
@@ -35,18 +28,18 @@ type event = {
 }
 
 type t = {
-  mutable threshold : int; (* max enabled severity; -1 disables all *)
+  threshold : int; (* max enabled severity; -1 disables all *)
   clock : unit -> float;
   sink : (event -> unit) option;
-  ring : event option array; (* capacity 0 => no ring *)
-  mutable next : int; (* total events accepted; ring slot = next mod cap *)
+  ring : event option array; (* empty in [nop] *)
+  mutable next : int; (* total events accepted; ring slot = next mod capacity *)
   mutable dropped : int; (* events evicted from the ring *)
   mu : Mutex.t;
 }
 
-let create ?(level = Info) ?(capacity = 256) ?(clock = Unix.gettimeofday) ?sink
-    () =
-  if capacity < 0 then invalid_arg "Log.create: negative capacity";
+let capacity = 256
+
+let create ?(level = Info) ?(clock = Unix.gettimeofday) ?sink () =
   {
     threshold = severity level;
     clock;
@@ -71,18 +64,14 @@ let nop =
   }
 
 let enabled t lvl = severity lvl <= t.threshold
-let set_level t lvl = if t != nop then t.threshold <- severity lvl
 
 let log t lvl ?(trace = 0L) msg fields =
   if enabled t lvl then begin
     let ev = { ts = t.clock (); level = lvl; msg; trace; fields } in
     Mutex.lock t.mu;
-    let cap = Array.length t.ring in
-    if cap > 0 then begin
-      let slot = t.next mod cap in
-      if t.ring.(slot) <> None then t.dropped <- t.dropped + 1;
-      t.ring.(slot) <- Some ev
-    end;
+    let slot = t.next mod capacity in
+    if t.ring.(slot) <> None then t.dropped <- t.dropped + 1;
+    t.ring.(slot) <- Some ev;
     t.next <- t.next + 1;
     (match t.sink with
     | Some f -> ( try f ev with _ -> ())
@@ -156,22 +145,3 @@ let render ev =
 
 let stderr_sink ev =
   prerr_endline (render ev)
-
-let field_to_json = function
-  | Str s -> Json.Str s
-  | Int i -> Json.Int i
-  | Float f -> Json.Num f
-  | Bool b -> Json.Bool b
-
-let to_json ev =
-  Json.Obj
-    ([
-       ("ts", Json.Num ev.ts);
-       ("level", Json.Str (level_name ev.level));
-       ("msg", Json.Str ev.msg);
-     ]
-    @ (if ev.trace <> 0L then [ ("trace", Json.Str (Printf.sprintf "%Lx" ev.trace)) ] else [])
-    @
-    match ev.fields with
-    | [] -> []
-    | fs -> [ ("fields", Json.Obj (List.map (fun (k, v) -> (k, field_to_json v)) fs)) ])

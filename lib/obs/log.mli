@@ -15,9 +15,6 @@ type level = Error | Warn | Info | Debug
 val level_name : level -> string
 (** ["error" | "warn" | "info" | "debug"]. *)
 
-val level_of_string : string -> level option
-(** Inverse of {!level_name} (also accepts ["warning"]). *)
-
 type field = Str of string | Int of int | Float of float | Bool of bool
 
 type event = {
@@ -32,13 +29,12 @@ type t
 
 val create :
   ?level:level ->
-  ?capacity:int ->
   ?clock:(unit -> float) ->
   ?sink:(event -> unit) ->
   unit ->
   t
-(** [create ()] makes a logger keeping the last [capacity] (default 256)
-    events at or above [level] (default [Info]) in a ring buffer.
+(** [create ()] makes a logger keeping the last 256 events at or above
+    [level] (default [Info]) in a ring buffer.
     [clock] defaults to [Unix.gettimeofday]. If [sink] is given, every
     accepted event is also passed to it (exceptions are swallowed). *)
 
@@ -49,9 +45,6 @@ val nop : t
 val enabled : t -> level -> bool
 (** Whether events at this level are currently accepted. Check before
     building expensive field lists. *)
-
-val set_level : t -> level -> unit
-(** Change the acceptance threshold. No effect on {!nop}. *)
 
 val log : t -> level -> ?trace:int64 -> string -> (string * field) list -> unit
 (** Record one event; a no-op when the level is disabled. *)
@@ -76,6 +69,3 @@ val render : event -> string
 
 val stderr_sink : event -> unit
 (** [render] to stderr — the sink used by [dstress serve]. *)
-
-val to_json : event -> Json.t
-(** Structured event as JSON (trace as a hex string; omitted when 0). *)

@@ -35,10 +35,10 @@ module Metrics = struct
     | None | Some (Gauge _) -> Hashtbl.replace t.tbl name (Gauge v)
     | Some _ -> kind_error name
 
-  let observe_sketch ?alpha t name v =
+  let observe_sketch t name v =
     match Hashtbl.find_opt t.tbl name with
     | None ->
-        let s = Sketch.create ?alpha () in
+        let s = Sketch.create () in
         Sketch.add s v;
         Hashtbl.replace t.tbl name (Quantiles s)
     | Some (Quantiles s) -> Sketch.add s v
@@ -56,12 +56,6 @@ module Metrics = struct
     match Hashtbl.find_opt t.tbl name with
     | None -> 0.0
     | Some (Sum s) | Some (Gauge s) -> s
-    | Some _ -> kind_error name
-
-  let sketch t name =
-    match Hashtbl.find_opt t.tbl name with
-    | None -> None
-    | Some (Quantiles s) -> Some s
     | Some _ -> kind_error name
 
   let names t = Hashtbl.fold (fun k _ acc -> k :: acc) t.tbl [] |> List.sort compare
@@ -133,7 +127,6 @@ let add t name v = if enabled t then Metrics.add t.m name v
 let set t name v = if enabled t then Metrics.set t.m name v
 
 let advance t n = if enabled t && n > 0 then t.cursor <- t.cursor + n
-let clock t = t.cursor
 
 let enter t name =
   if enabled t then

@@ -59,10 +59,9 @@ module Metrics : sig
   val add : t -> string -> float -> unit
   val set : t -> string -> float -> unit
 
-  val observe_sketch : ?alpha:float -> t -> string -> float -> unit
-  (** Record into a {!Quantiles} sketch under [name], creating it (with
-      [alpha], default {!Sketch.default_alpha}) on first use. [alpha] is
-      ignored on an existing sketch. *)
+  val observe_sketch : t -> string -> float -> unit
+  (** Record into a {!Quantiles} sketch under [name], creating it on
+      first use. *)
 
   val find : t -> string -> value option
   val counter : t -> string -> int
@@ -70,10 +69,6 @@ module Metrics : sig
 
   val sum : t -> string -> float
   (** 0. when absent; reads [Sum] and [Gauge] values. *)
-
-  val sketch : t -> string -> Sketch.t option
-  (** [None] when absent; raises [Invalid_argument] on a non-sketch.
-      The returned sketch is live — callers must not mutate it. *)
 
   val names : t -> string list
   (** Sorted. *)
@@ -123,9 +118,6 @@ val set : t -> string -> float -> unit
 val advance : t -> int -> unit
 (** Charge simulated ticks to the open span (and the cursor). Negative or
     zero amounts are ignored. *)
-
-val clock : t -> int
-(** Current cursor position in ticks. *)
 
 val enter : t -> string -> unit
 val leave : t -> unit

@@ -1,20 +1,17 @@
 (* Mergeable log-bucketed quantile sketch (DDSketch-style).
 
    Values are mapped to geometrically-spaced buckets: value [v] lands in
-   bucket [ceil (log_gamma v)] where [gamma = (1 + alpha) / (1 - alpha)].
+   bucket [ceil (log_gamma v)] where [gamma = (1 + alpha) / (1 - alpha)]
+   and [alpha = relative_error].
    The midpoint estimate [2 * gamma^i / (gamma + 1)] of any bucket is
    within relative error [alpha] of every value in that bucket, so any
    quantile estimate is within [alpha] relative error of the exact order
    statistic.  Buckets are sparse (a small hashtable), values at or below
    [zero_cutoff] (and negatives) collapse into a dedicated zero bucket,
-   and sketches built with the same [alpha] merge by bucket-wise
-   addition — merging is associative and commutative on bucket
-   contents. *)
+   and sketches merge by bucket-wise addition — merging is associative
+   and commutative on bucket contents. *)
 
 type t = {
-  alpha : float;
-  gamma : float;
-  log_gamma : float;
   buckets : (int, int) Hashtbl.t;
   mutable zero : int;
   mutable count : int;
@@ -23,17 +20,13 @@ type t = {
   mutable max_v : float;
 }
 
-let default_alpha = 0.01
+let relative_error = 0.01
+let gamma = (1.0 +. relative_error) /. (1.0 -. relative_error)
+let log_gamma = log gamma
 let zero_cutoff = 1e-12
 
-let create ?(alpha = default_alpha) () =
-  if not (alpha > 0.0 && alpha < 1.0) then
-    invalid_arg "Sketch.create: alpha must be in (0, 1)";
-  let gamma = (1.0 +. alpha) /. (1.0 -. alpha) in
+let create () =
   {
-    alpha;
-    gamma;
-    log_gamma = log gamma;
     buckets = Hashtbl.create 64;
     zero = 0;
     count = 0;
@@ -42,25 +35,23 @@ let create ?(alpha = default_alpha) () =
     max_v = neg_infinity;
   }
 
-let alpha t = t.alpha
 let count t = t.count
 let total t = t.total
-let is_empty t = t.count = 0
 let min_value t = if t.count = 0 then 0.0 else t.min_v
 let max_value t = if t.count = 0 then 0.0 else t.max_v
 let mean t = if t.count = 0 then 0.0 else t.total /. float_of_int t.count
 
-let bucket_index t v = int_of_float (Float.ceil (log v /. t.log_gamma))
+let bucket_index v = int_of_float (Float.ceil (log v /. log_gamma))
 
 (* Midpoint of bucket [i]'s value range (gamma^(i-1), gamma^i]: the
    estimate is 2 * gamma^i / (gamma + 1), within alpha of all of it. *)
-let bucket_estimate t i = 2.0 *. (t.gamma ** float_of_int i) /. (t.gamma +. 1.0)
+let bucket_estimate i = 2.0 *. (gamma ** float_of_int i) /. (gamma +. 1.0)
 
 let add t v =
   if Float.is_finite v then begin
     if v <= zero_cutoff then t.zero <- t.zero + 1
     else begin
-      let i = bucket_index t v in
+      let i = bucket_index v in
       let n = try Hashtbl.find t.buckets i with Not_found -> 0 in
       Hashtbl.replace t.buckets i (n + 1)
     end;
@@ -89,7 +80,7 @@ let quantile t q =
           if not !found then begin
             cum := !cum + n;
             if !cum > target then begin
-              est := bucket_estimate t i;
+              est := bucket_estimate i;
               found := true
             end
           end)
@@ -103,7 +94,6 @@ let quantile_or ~default t q = match quantile t q with Some v -> v | None -> def
 
 let copy t =
   {
-    t with
     buckets = Hashtbl.copy t.buckets;
     zero = t.zero;
     count = t.count;
@@ -113,8 +103,6 @@ let copy t =
   }
 
 let merge_into ~dst src =
-  if dst.alpha <> src.alpha then
-    invalid_arg "Sketch.merge_into: alpha mismatch";
   Hashtbl.iter
     (fun i n ->
       let m = try Hashtbl.find dst.buckets i with Not_found -> 0 in

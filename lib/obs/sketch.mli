@@ -2,9 +2,10 @@
 
     A sketch summarizes a stream of non-negative floats (wall-clock
     latencies, sizes) into geometrically-spaced buckets so any quantile
-    can be estimated with bounded {e relative} error [alpha]: for a
-    stream [xs] the estimate of the [q]-quantile [x] satisfies
-    [|est - x| <= alpha * x].  Exact count/total/min/max ride along.
+    can be estimated with bounded {e relative} error {!relative_error}:
+    for a stream [xs] the estimate of the [q]-quantile [x] satisfies
+    [|est - x| <= relative_error * x].  Exact count/total/min/max ride
+    along.
 
     Sketches live in the {e wall} domain — they are never part of the
     deterministic tick-domain exports, which must stay byte-identical
@@ -12,15 +13,11 @@
 
 type t
 
-val default_alpha : float
-(** Relative-error bound used by {!create} when none is given (0.01). *)
+val relative_error : float
+(** The relative-error bound of every sketch: 0.01. *)
 
-val create : ?alpha:float -> unit -> t
-(** Fresh empty sketch. [alpha] is the relative-error bound, in (0, 1).
-    @raise Invalid_argument if [alpha] is out of range. *)
-
-val alpha : t -> float
-(** The relative-error bound this sketch was built with. *)
+val create : unit -> t
+(** Fresh empty sketch. *)
 
 val add : t -> float -> unit
 (** Record one observation. Non-finite values are ignored; values at or
@@ -42,11 +39,9 @@ val min_value : t -> float
 val max_value : t -> float
 (** Exact maximum; [0.] for an empty sketch. *)
 
-val is_empty : t -> bool
-
 val quantile : t -> float -> float option
 (** [quantile t q] estimates the [q]-quantile ([0. <= q <= 1.]) within
-    relative error [alpha t]; [None] when the sketch is empty.
+    {!relative_error}; [None] when the sketch is empty.
     @raise Invalid_argument if [q] is out of range. *)
 
 val quantile_or : default:float -> t -> float -> float
@@ -55,8 +50,7 @@ val quantile_or : default:float -> t -> float -> float
 val merge_into : dst:t -> t -> unit
 (** Bucket-wise addition of the source into [dst]. Merging is
     associative and commutative on bucket contents and preserves the
-    [alpha] error bound.
-    @raise Invalid_argument if the two sketches' [alpha] differ. *)
+    error bound. *)
 
 val merge : t -> t -> t
 (** Non-destructive {!merge_into} onto a copy of the first argument. *)

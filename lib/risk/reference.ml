@@ -47,10 +47,13 @@ let en_total_debt inst =
   List.iter (fun (i, _, a) -> total.(i) <- total.(i) +. a) inst.debts;
   total
 
+(* A round in which no value moves by this much has converged. *)
+let tolerance = 1e-9
+
 (* Figure 2(a): iterate shortfall propagation. Each round, every bank
    receives the unpaid fraction of each debt owed to it, recomputes its
    liquidity, and prorates its own payments if insolvent. *)
-let eisenberg_noe ?iterations ?(tolerance = 1e-9) inst =
+let eisenberg_noe ?iterations inst =
   en_validate inst;
   let n = inst.en_n in
   let iterations = match iterations with Some i -> i | None -> n in
@@ -108,7 +111,7 @@ let egj_validate inst =
 (* Figure 2(b): each bank's value is its base assets plus its equity
    stakes discounted by the issuers' current devaluations, with a penalty
    once the value drops below the failure threshold. *)
-let elliott_golub_jackson ?iterations ?(tolerance = 1e-9) inst =
+let elliott_golub_jackson ?iterations inst =
   egj_validate inst;
   let n = inst.egj_n in
   let iterations = match iterations with Some i -> i | None -> n in

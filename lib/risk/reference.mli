@@ -31,12 +31,12 @@ type en_result = {
   prorate : float array;  (** payment fraction per bank, in [0,1] *)
   liquid : float array;
   en_tds : float;  (** total dollar shortfall *)
-  en_rounds_to_converge : int;  (** first round with change < tolerance *)
+  en_rounds_to_converge : int;  (** first round with every change < 1e-9 *)
 }
 
-val eisenberg_noe : ?iterations:int -> ?tolerance:float -> en_instance -> en_result
+val eisenberg_noe : ?iterations:int -> en_instance -> en_result
 (** Fixpoint iteration of Figure 2(a). Default iterations: [en_n] (the
-    model provably converges within n rounds); default tolerance 1e-9. *)
+    model provably converges within n rounds). *)
 
 type egj_result = {
   value : float array;
@@ -46,7 +46,7 @@ type egj_result = {
   monotone : bool;  (** valuations never increased across rounds *)
 }
 
-val elliott_golub_jackson : ?iterations:int -> ?tolerance:float -> egj_instance -> egj_result
+val elliott_golub_jackson : ?iterations:int -> egj_instance -> egj_result
 (** Fixpoint iteration of Figure 2(b), with the discontinuous failure
     penalty. Converges monotonically from above (Hemenway–Khanna). *)
 

@@ -13,5 +13,3 @@ let units ~sensitivity ~scale_dollars ~granularity_dollars =
   if scale_dollars <= 0.0 || granularity_dollars <= 0.0 then
     invalid_arg "Sensitivity.units: nonpositive scale";
   int_of_float (ceil (sensitivity *. granularity_dollars /. scale_dollars))
-
-let paper_epsilon_budget () = (log 2.0, 0.23, 3)

@@ -19,6 +19,3 @@ val units : sensitivity:float -> scale_dollars:float -> granularity_dollars:floa
     [granularity_dollars] reallocation (the paper's T = $1B) moves the
     integer TDS by at most [ceil (sensitivity * granularity / scale)]
     units when the aggregate is expressed in [scale_dollars] units. *)
-
-val paper_epsilon_budget : unit -> float * float * int
-(** The §4.5 policy: [(eps_max = ln 2, eps_query = 0.23, runs_per_year = 3)]. *)

@@ -35,5 +35,3 @@ let suspicion t ~now =
   | Some r -> Float.max 0.0 (now -. r) /. t.interval
 
 let suspected t ~now = suspicion t ~now >= phi
-let last_heard t = t.last
-let interval_estimate t = t.interval

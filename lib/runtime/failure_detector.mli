@@ -45,9 +45,3 @@ val start : t -> now:float -> unit
 
 val suspected : t -> now:float -> bool
 (** [suspicion t ~now >= 8]. *)
-
-val last_heard : t -> float option
-(** Arrival time of the most recent {!observe}, if any. *)
-
-val interval_estimate : t -> float
-(** Current smoothed inter-arrival estimate (seconds). *)

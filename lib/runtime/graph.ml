@@ -31,16 +31,11 @@ let n t = t.n
 let edges t = t.edge_list
 let out_neighbors t v = t.out_adj.(v)
 let in_neighbors t v = t.in_adj.(v)
-let neighbors t v = t.und_adj.(v)
-let out_degree t v = List.length t.out_adj.(v)
-let in_degree t v = List.length t.in_adj.(v)
 
 let max_degree t =
   let best = ref 0 in
   Array.iter (fun l -> best := max !best (List.length l)) t.und_adj;
   !best
-
-let has_edge t a b = List.mem b t.out_adj.(a)
 
 let index_of lst x =
   let rec go i = function

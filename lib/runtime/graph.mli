@@ -19,17 +19,10 @@ val out_neighbors : t -> int -> int list
 
 val in_neighbors : t -> int -> int list
 
-val neighbors : t -> int -> int list
-(** Union of in- and out-neighbors, sorted — the certificate recipients. *)
-
-val out_degree : t -> int -> int
-val in_degree : t -> int -> int
-
 val max_degree : t -> int
-(** Maximum over vertices of [List.length (neighbors t v)] — must not
-    exceed the system's degree bound D. *)
-
-val has_edge : t -> int -> int -> bool
+(** Maximum over vertices of the number of in- and out-neighbors together
+    (the certificate recipients) — must not exceed the system's degree
+    bound D. *)
 
 val out_slot : t -> src:int -> dst:int -> int
 (** Index of [dst] in [src]'s sorted out-neighbor list.

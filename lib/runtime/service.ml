@@ -254,10 +254,8 @@ type pool = {
 }
 
 let now () = Unix.gettimeofday ()
-let close_quietly fdesc = try Unix.close fdesc with Unix.Unix_error _ -> ()
 
 let pool_metrics p = p.m
-let pool_log p = p.log
 let set_pool_fault_source p src = p.fault_source <- Some src
 let pool_fds p = Supervisor.live_fds p.sup
 
@@ -610,97 +608,66 @@ let stats_to_json st =
 
 let stats_of_json j =
   let ( let* ) = Result.bind in
-  let err fmt = Printf.ksprintf (fun m -> Error m) fmt in
-  let int_field name j =
-    match Json.member name j with
-    | Some (Json.Int i) -> Ok i
-    | _ -> err "stats: missing int field %S" name
-  in
-  let num_field name j =
-    match Json.member name j with
-    | Some (Json.Num f) -> Ok f
-    | Some (Json.Int i) -> Ok (float_of_int i)
-    | _ -> err "stats: missing number field %S" name
-  in
-  let str_field name j =
-    match Json.member name j with
-    | Some (Json.Str v) -> Ok v
-    | _ -> err "stats: missing string field %S" name
-  in
-  let rec map_result f = function
-    | [] -> Ok []
-    | x :: rest ->
-        let* y = f x in
-        let* ys = map_result f rest in
-        Ok (y :: ys)
-  in
-  let* tag = str_field "schema" j in
-  if tag <> stats_schema then err "unsupported stats schema %S" tag
+  let ctx = "stats" in
+  let* tag = Json.str_field ctx "schema" j in
+  if tag <> stats_schema then Json.errorf "unsupported stats schema %S" tag
   else
-    let* uptime_s = num_field "uptime_s" j in
+    let* uptime_s = Json.num_field ctx "uptime_s" j in
     let* queue =
       match Json.member "queue" j with
       | Some q -> Ok q
-      | None -> err "stats: missing field %S" "queue"
+      | None -> Json.errorf "stats: missing field %S" "queue"
     in
-    let* queue_depth = int_field "depth" queue in
-    let* queue_high_water = int_field "high_water" queue in
-    let* queue_capacity = int_field "capacity" queue in
+    let* queue_depth = Json.int_field ctx "depth" queue in
+    let* queue_high_water = Json.int_field ctx "high_water" queue in
+    let* queue_capacity = Json.int_field ctx "capacity" queue in
+    let* ws = Json.list_field ctx "workers" j in
     let* workers =
-      match Json.member "workers" j with
-      | Some (Json.List ws) ->
-          map_result
-            (fun w ->
-              let* w_slot = int_field "slot" w in
-              let* w_pid = int_field "pid" w in
-              let* w_state = str_field "state" w in
-              let* w_respawns = int_field "respawns" w in
-              let* hex = str_field "trace" w in
-              let* w_trace =
-                match Int64.of_string_opt ("0x" ^ hex) with
-                | Some t -> Ok t
-                | None -> err "stats: bad trace %S" hex
-              in
-              Ok { w_slot; w_pid; w_state; w_respawns; w_trace })
-            ws
-      | _ -> err "stats: missing list field %S" "workers"
+      Json.map_result
+        (fun w ->
+          let* w_slot = Json.int_field ctx "slot" w in
+          let* w_pid = Json.int_field ctx "pid" w in
+          let* w_state = Json.str_field ctx "state" w in
+          let* w_respawns = Json.int_field ctx "respawns" w in
+          let* hex = Json.str_field ctx "trace" w in
+          let* w_trace =
+            match Int64.of_string_opt ("0x" ^ hex) with
+            | Some t -> Ok t
+            | None -> Json.errorf "stats: bad trace %S" hex
+          in
+          Ok { w_slot; w_pid; w_state; w_respawns; w_trace })
+        ws
     in
+    let* counter_kvs = Json.obj_field ctx "counters" j in
     let* counters =
-      match Json.member "counters" j with
-      | Some (Json.Obj kvs) ->
-          map_result
-            (function
-              | k, Json.Int v -> Ok (k, v)
-              | k, _ -> err "stats: counter %S is not an int" k)
-            kvs
-      | _ -> err "stats: missing object field %S" "counters"
+      Json.map_result
+        (function
+          | k, Json.Int v -> Ok (k, v)
+          | k, _ -> Json.errorf "stats: counter %S is not an int" k)
+        counter_kvs
     in
+    let* latency_kvs = Json.obj_field ctx "latencies" j in
     let* latencies =
-      match Json.member "latencies" j with
-      | Some (Json.Obj kvs) ->
-          map_result
-            (fun (k, l) ->
-              let* l_count = int_field "count" l in
-              let* l_total = num_field "total" l in
-              let* l_mean = num_field "mean" l in
-              let* l_min = num_field "min" l in
-              let* l_max = num_field "max" l in
-              let* l_p50 = num_field "p50" l in
-              let* l_p90 = num_field "p90" l in
-              let* l_p99 = num_field "p99" l in
-              Ok (k, { l_count; l_total; l_mean; l_min; l_max; l_p50; l_p90; l_p99 }))
-            kvs
-      | _ -> err "stats: missing object field %S" "latencies"
+      Json.map_result
+        (fun (k, l) ->
+          let* l_count = Json.int_field ctx "count" l in
+          let* l_total = Json.num_field ctx "total" l in
+          let* l_mean = Json.num_field ctx "mean" l in
+          let* l_min = Json.num_field ctx "min" l in
+          let* l_max = Json.num_field ctx "max" l in
+          let* l_p50 = Json.num_field ctx "p50" l in
+          let* l_p90 = Json.num_field ctx "p90" l in
+          let* l_p99 = Json.num_field ctx "p99" l in
+          Ok (k, { l_count; l_total; l_mean; l_min; l_max; l_p50; l_p90; l_p99 }))
+        latency_kvs
     in
+    let* lines = Json.list_field ctx "log_tail" j in
     let* log_tail =
-      match Json.member "log_tail" j with
-      | Some (Json.List ls) ->
-          map_result
-            (function
-              | Json.Str l -> Ok l
-              | _ -> err "stats: log_tail entry is not a string")
-            ls
-      | _ -> err "stats: missing list field %S" "log_tail"
+      Json.map_result
+        (function
+          | Json.Str l -> Ok l
+          | _ -> Json.errorf "stats: log_tail entry is not a string")
+        lines
     in
     Ok
       {
@@ -813,8 +780,7 @@ type client = {
 }
 
 let serve ?(pool_opts = default_pool_opts) ?(log = Log.nop)
-    ?(ready = fun ~addr:_ -> ()) ?(stop = fun () -> false) ~handler ~listener ~addr
-    () =
+    ?(ready = fun ~addr:_ -> ()) ~handler ~listener ~addr () =
   let clients : client list ref = ref [] in
   let listener_open = ref true in
   (* A named socket's file goes with its listener. It is unlinked while
@@ -826,7 +792,7 @@ let serve ?(pool_opts = default_pool_opts) ?(log = Log.nop)
       (match Unix.getsockname listener with
       | Unix.ADDR_UNIX path -> ( try Unix.unlink path with Unix.Unix_error _ -> ())
       | Unix.ADDR_INET _ | (exception Unix.Unix_error _) -> ());
-      close_quietly listener
+      Transport.close_quietly listener
     end
   in
   (* The respawn path forks mid-service: children must drop the listener
@@ -909,7 +875,6 @@ let serve ?(pool_opts = default_pool_opts) ?(log = Log.nop)
   Fun.protect ~finally:restore (fun () ->
       let finished () = !draining && pool_idle pool in
       while not (finished ()) do
-        if stop () then draining := true;
         if !draining && !listener_open then begin
           close_listener ();
           Log.info log "daemon draining: listener closed" []
@@ -921,13 +886,7 @@ let serve ?(pool_opts = default_pool_opts) ?(log = Log.nop)
           (if !listener_open then [ listener ] else [])
           @ client_fds @ pool_fds pool
         in
-        let readable =
-          if fds = [] then []
-          else
-            match Unix.select fds [] [] poll_interval with
-            | r, _, _ -> r
-            | exception Unix.Unix_error (EINTR, _, _) -> []
-        in
+        let readable = if fds = [] then [] else Transport.select_r fds poll_interval in
         if !listener_open && List.mem listener readable then begin
           match Unix.accept listener with
           | fdesc, _ ->

@@ -153,10 +153,6 @@ val pool_metrics : pool -> Dstress_obs.Obs.Metrics.t
     request's tick-domain Obs. Queue depth, high-water mark and uptime are
     {!pool_stats} fields, not registry entries. *)
 
-val pool_log : pool -> Dstress_obs.Log.t
-(** The logger given at {!create_pool} ({!Dstress_obs.Log.nop} by
-    default); its ring tail feeds {!pool_stats}. *)
-
 val set_pool_fault_source :
   pool -> (request_index:int -> worker:int -> Supervisor.fault option) -> unit
 (** Deterministic wire-fault injection for chaos tests, consulted at
@@ -202,7 +198,7 @@ type worker_stat = {
 }
 
 (** Flattened quantile-sketch summary: exact count/total/mean/min/max,
-    p50/p90/p99 within {!Dstress_obs.Sketch.default_alpha} relative
+    p50/p90/p99 within {!Dstress_obs.Sketch.relative_error} relative
     error ([0.] when empty). *)
 type latency_stat = {
   l_count : int;
@@ -268,7 +264,6 @@ val serve :
   ?pool_opts:pool_opts ->
   ?log:Dstress_obs.Log.t ->
   ?ready:(addr:string -> unit) ->
-  ?stop:(unit -> bool) ->
   handler:(request -> summary) ->
   listener:Unix.file_descr ->
   addr:string ->
@@ -280,7 +275,7 @@ val serve :
     Each client connection carries at most one in-flight request;
     malformed frames get a typed [Rejected] reply, a queue-full submit
     gets typed backpressure, an integrity violation drops the
-    connection. SIGTERM/SIGINT (or [stop ()] returning true) starts a
+    connection. SIGTERM/SIGINT starts a
     graceful drain: stop accepting (closing the listener unlinks a
     named socket's file), finish queued and in-flight
     requests, reply to their clients, shut the pool down, restore the

@@ -35,7 +35,6 @@ type 'j t = {
 let heartbeat_interval = 0.05
 
 let now () = Unix.gettimeofday ()
-let close_quietly fd = try Unix.close fd with Unix.Unix_error _ -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Task header: how wire faults reach the worker                       *)
@@ -159,8 +158,8 @@ let spawn t ~sid =
   let cfd, wfd = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   match Unix.fork () with
   | 0 ->
-      close_quietly cfd;
-      List.iter close_quietly inherited;
+      Transport.close_quietly cfd;
+      List.iter Transport.close_quietly inherited;
       worker_loop t (Transport.of_fd ~log:t.log wfd)
   | pid ->
       Unix.close wfd;
@@ -290,13 +289,7 @@ let step t ~timeout =
   let events = ref [] in
   let emit e = events := e :: !events in
   let fds = live_fds t in
-  let readable =
-    if fds = [] then []
-    else
-      match Unix.select fds [] [] timeout with
-      | r, _, _ -> r
-      | exception Unix.Unix_error (EINTR, _, _) -> []
-  in
+  let readable = if fds = [] then [] else Transport.select_r fds timeout in
   Array.iter
     (fun s -> if s.alive && List.mem (Transport.fd s.conn) readable then drain_live t s emit)
     t.slots;

@@ -143,6 +143,15 @@ val close : t -> unit
 val fd : t -> Unix.file_descr
 val metrics : t -> Dstress_obs.Obs.Metrics.t
 
+val close_quietly : Unix.file_descr -> unit
+(** [Unix.close], ignoring its errors: for a descriptor being given up. *)
+
+val select_r : Unix.file_descr list -> float -> Unix.file_descr list
+(** The descriptors readable within [timeout] seconds ([Unix.select]'s
+    timeout). A signal interrupting the wait (a daemon's SIGTERM drain
+    handler) reads as none ready: the caller's loop decides whether to
+    keep waiting. *)
+
 (** Well-known frame kinds shared by the {!Supervisor}'s pool and the
     {!Service} daemon; [ping] and [echo] serve the RTT benchmarks and
     tests. The transport itself interprets none of them. *)

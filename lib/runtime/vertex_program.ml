@@ -1,5 +1,6 @@
 module Builder = Dstress_circuit.Builder
 module Word = Dstress_circuit.Word
+module Mechanism = Dstress_dp.Mechanism
 module Noise_circuit = Dstress_dp.Noise_circuit
 
 type t = {
@@ -15,8 +16,6 @@ type t = {
     Builder.t -> state:Word.t -> incoming:Word.t array -> Word.t * Word.t array;
   build_aggregand : Builder.t -> state:Word.t -> Word.t;
 }
-
-let noise_alpha p = exp (-.p.epsilon /. float_of_int p.sensitivity)
 
 let update_circuit p ~degree =
   let b = Builder.create () in
@@ -45,7 +44,8 @@ let noised_sum p b terms =
   let sum = Word.sum b ~bits:p.agg_bits terms in
   let uniform = Word.inputs b ~bits:Noise_circuit.default_uniform_bits in
   let sign = Builder.input b in
-  Noise_circuit.add_noise b ~alpha:(noise_alpha p) ~max_magnitude:p.noise_max_magnitude
+  let alpha = Mechanism.alpha_of_epsilon ~epsilon:(p.epsilon /. float_of_int p.sensitivity) in
+  Noise_circuit.add_noise b ~alpha ~max_magnitude:p.noise_max_magnitude
     ~value:sum ~uniform ~sign
 
 let combine_circuit p ~count ~noised =

@@ -80,8 +80,10 @@ type report = {
   eps_per_year : float;
 }
 
-let analyze ?(ram_bytes = 8.0 *. 1024.0 *. 1024.0 *. 1024.0) ?(ciphertext_bits = 384) cfg =
-  let n_l = lookup_table_entries ~ram_bytes ~ciphertext_bits in
+let analyze cfg =
+  let n_l =
+    lookup_table_entries ~ram_bytes:(8.0 *. 1024.0 *. 1024.0 *. 1024.0) ~ciphertext_bits:384
+  in
   let n_q = total_transfers cfg in
   let alpha = max_alpha cfg ~table_entries:n_l in
   {

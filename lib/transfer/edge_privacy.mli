@@ -61,8 +61,8 @@ type report = {
   eps_per_year : float;
 }
 
-val analyze : ?ram_bytes:float -> ?ciphertext_bits:int -> config -> report
-(** End-to-end Appendix-B computation. Defaults: 8 GiB of lookup RAM and
+val analyze : config -> report
+(** End-to-end Appendix-B computation with 8 GiB of lookup RAM and
     384-bit ciphertexts, as in the paper's concrete example. *)
 
 val pp_report : Format.formatter -> report -> unit

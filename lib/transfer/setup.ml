@@ -144,15 +144,6 @@ let verify_certificate t c =
 
 let block_of t i = t.nodes.(i).block
 
-let member_index t ~block_owner ~node =
-  let block = t.nodes.(block_owner).block in
-  let rec find i =
-    if i >= Array.length block then raise Not_found
-    else if block.(i) = node then i
-    else find (i + 1)
-  in
-  find 0
-
 let setup_traffic_bytes t =
   let ebytes = Group.element_bytes t.grp in
   let exp_bytes = (Nat.num_bits (Group.q t.grp) + 7) / 8 in

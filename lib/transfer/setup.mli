@@ -20,7 +20,8 @@ type certificate = {
   owner : int;  (** node whose block's keys these are *)
   neighbor_slot : int;  (** which of the owner's D neighbor keys re-randomized them *)
   member_keys : Dstress_crypto.Group.elt array array;
-      (** [member_keys.(member_index).(bit)] — (k+1) members × L bit positions *)
+      (** [member_keys.(i).(bit)] for member [i] of the block — (k+1)
+          members × L bit positions *)
   signature : Dstress_crypto.Schnorr.signature;
 }
 
@@ -88,10 +89,6 @@ val verify_certificate : t -> certificate -> bool
 
 val block_of : t -> int -> int array
 (** Members of [B_i]. *)
-
-val member_index : t -> block_owner:int -> node:int -> int
-(** Position of [node] within [B_block_owner].
-    Raises [Not_found] if absent. *)
 
 val setup_traffic_bytes : t -> int
 (** Total bytes the setup exchanges (keys up, roster + certificates down) —

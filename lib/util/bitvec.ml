@@ -50,18 +50,12 @@ let logand a b =
   check_len a b "Bitvec.logand";
   Array.mapi (fun i x -> x && b.(i)) a
 
-let lognot a = Array.map not a
 
 let random prng n = Array.init n (fun _ -> Prng.bool prng)
 
 let xor_all = function
   | [] -> invalid_arg "Bitvec.xor_all: empty list"
   | x :: rest -> List.fold_left xor x rest
-
-let popcount t = Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 t
-
-let to_bool_list = Array.to_list
-let of_bool_list = Array.of_list
 
 let concat = Array.concat
 

@@ -41,7 +41,7 @@ val xor : t -> t -> t
 (** Pointwise exclusive-or. Raises [Invalid_argument] on length mismatch. *)
 
 val logand : t -> t -> t
-val lognot : t -> t
+
 
 val random : Prng.t -> int -> t
 (** [random prng n] is a uniform length-[n] vector. *)
@@ -49,11 +49,6 @@ val random : Prng.t -> int -> t
 val xor_all : t list -> t
 (** XOR of a non-empty list of equal-length vectors — reconstruction of an
     XOR-shared secret. Raises [Invalid_argument] on an empty list. *)
-
-val popcount : t -> int
-
-val to_bool_list : t -> bool list
-val of_bool_list : bool list -> t
 
 val concat : t list -> t
 (** Concatenation; index 0 of the first vector stays index 0. *)

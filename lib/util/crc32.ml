@@ -15,15 +15,10 @@ let table =
   done;
   t
 
-let digest ?(off = 0) ?len b =
-  let len = match len with Some l -> l | None -> Bytes.length b - off in
-  if off < 0 || len < 0 || off + len > Bytes.length b then
-    invalid_arg "Crc32.digest: slice out of range";
+let digest b =
   let c = ref 0xFFFFFFFFl in
-  for i = off to off + len - 1 do
+  for i = 0 to Bytes.length b - 1 do
     let idx = Int32.to_int (Int32.logand (Int32.logxor !c (Int32.of_int (Char.code (Bytes.get b i)))) 0xFFl) in
     c := Int32.logxor table.(idx) (Int32.shift_right_logical !c 8)
   done;
   Int32.logxor !c 0xFFFFFFFFl
-
-let string s = digest (Bytes.unsafe_of_string s)

@@ -8,9 +8,5 @@
     ubiquitous zlib/PNG/Ethernet convention (["123456789"] ->
     [0xCBF43926]). *)
 
-val digest : ?off:int -> ?len:int -> bytes -> int32
-(** CRC-32 of [len] bytes of [b] starting at [off] (defaults: the whole
-    buffer). Raises [Invalid_argument] on an out-of-range slice. *)
-
-val string : string -> int32
-(** [string s] is {!digest} over the bytes of [s]. *)
+val digest : bytes -> int32
+(** CRC-32 of the whole buffer. *)

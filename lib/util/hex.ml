@@ -1,15 +1,3 @@
-let digits = "0123456789abcdef"
-
-let encode b =
-  let n = Bytes.length b in
-  let out = Bytes.create (2 * n) in
-  for i = 0 to n - 1 do
-    let c = Char.code (Bytes.get b i) in
-    Bytes.set out (2 * i) digits.[c lsr 4];
-    Bytes.set out ((2 * i) + 1) digits.[c land 0xf]
-  done;
-  Bytes.to_string out
-
 let nibble c =
   match c with
   | '0' .. '9' -> Char.code c - Char.code '0'

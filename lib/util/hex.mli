@@ -1,8 +1,5 @@
-(** Hexadecimal encoding of byte strings. *)
-
-val encode : bytes -> string
-(** Lowercase hex, two characters per byte. *)
+(** Hexadecimal decoding of byte strings. *)
 
 val decode : string -> bytes
-(** Inverse of [encode]; accepts upper- and lowercase digits.
+(** Two hex digits per byte; accepts upper- and lowercase digits.
     Raises [Invalid_argument] on odd length or non-hex characters. *)

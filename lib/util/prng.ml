@@ -21,10 +21,6 @@ let next_int64 t =
   t.state <- Int64.add t.state golden_gamma;
   mix t.state
 
-let split t =
-  let seed = next_int64 t in
-  (* A distinct finalization constant decorrelates the child stream. *)
-  create (mix (Int64.logxor seed 0xA0761D6478BD642FL))
 
 let bits t n =
   if n < 0 || n > 62 then invalid_arg "Prng.bits: n must be in [0, 62]";
@@ -61,13 +57,6 @@ let bool t =
 let float t =
   let raw = Int64.shift_right_logical (next_int64 t) 11 in
   Int64.to_float raw *. (1.0 /. 9007199254740992.0)
-
-let bytes t n =
-  let b = Bytes.create n in
-  for i = 0 to n - 1 do
-    Bytes.set b i (Char.chr (bits t 8))
-  done;
-  b
 
 let shuffle t a =
   for i = Array.length a - 1 downto 1 do

@@ -1,11 +1,9 @@
-(** Deterministic, splittable pseudo-random number generator.
+(** Deterministic pseudo-random number generator.
 
     All randomness in the library flows through this module so that every
     protocol run, test, and benchmark is reproducible from a single seed.
     The generator is SplitMix64 (Steele, Lea & Flood, OOPSLA 2014): a tiny
-    state, good statistical quality, and an O(1) [split] that derives an
-    independent stream — which is exactly what we need to hand each simulated
-    protocol party its own generator.
+    state and good statistical quality.
 
     This is NOT a cryptographically secure generator; the crypto layer
     ([Dstress_crypto.Prg]) builds a hash-based PRG on top for key material
@@ -21,9 +19,6 @@ val create : int64 -> t
 val of_int : int -> t
 (** [of_int seed] is [create (Int64.of_int seed)]. *)
 
-val split : t -> t
-(** [split t] advances [t] and returns a statistically independent
-    generator. Streams obtained by [split] do not overlap in practice. *)
 
 val next_int64 : t -> int64
 (** Next raw 64-bit output. *)
@@ -40,9 +35,6 @@ val bool : t -> bool
 
 val float : t -> float
 (** Uniform float in [\[0, 1)], with 53 bits of precision. *)
-
-val bytes : t -> int -> bytes
-(** [bytes t n] is [n] uniform bytes. *)
 
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher–Yates shuffle. *)

@@ -1,7 +1,7 @@
 open Dstress_bignum
 
 let prng () = Dstress_util.Prng.of_int 0xB16
-let nat = Alcotest.testable Nat.pp Nat.equal
+let nat = Alcotest.testable (fun ppf v -> Format.pp_print_string ppf (Nat.to_decimal v)) Nat.equal
 
 (* ------------------------------------------------------------------ *)
 (* Nat basics                                                          *)
@@ -97,11 +97,6 @@ let test_nat_pow () =
     (Nat.to_decimal (Nat.pow Nat.two 128));
   Alcotest.check nat "x^0" Nat.one (Nat.pow (Nat.of_int 7) 0)
 
-let test_nat_gcd () =
-  Alcotest.(check int) "gcd" 6 (Nat.to_int (Nat.gcd (Nat.of_int 48) (Nat.of_int 18)));
-  Alcotest.(check int) "coprime" 1 (Nat.to_int (Nat.gcd (Nat.of_int 17) (Nat.of_int 4)));
-  Alcotest.check nat "gcd with zero" (Nat.of_int 5) (Nat.gcd (Nat.of_int 5) Nat.zero)
-
 (* ------------------------------------------------------------------ *)
 (* Modular arithmetic                                                  *)
 (* ------------------------------------------------------------------ *)
@@ -145,8 +140,6 @@ let test_mod_inv_no_inverse () =
 
 let test_mod_add_sub () =
   let m = Nat.of_int 13 in
-  Alcotest.(check int) "mod_add wraps" 2
-    (Nat.to_int (Nat.mod_add (Nat.of_int 7) (Nat.of_int 8) ~m));
   Alcotest.(check int) "mod_sub wraps" 12
     (Nat.to_int (Nat.mod_sub (Nat.of_int 7) (Nat.of_int 8) ~m))
 
@@ -425,13 +418,16 @@ let test_decimal_roundtrip () =
 
 let test_hex_roundtrip () =
   let t = prng () in
+  let hex b =
+    String.concat ""
+      (List.map (fun c -> Printf.sprintf "%02x" (Char.code c)) (List.of_seq (Bytes.to_seq b)))
+  in
   for _ = 1 to 50 do
     let v = Nat.random_bits t 300 in
-    Alcotest.check nat "hex roundtrip" v (Nat.of_hex (Nat.to_hex v))
+    Alcotest.check nat "hex roundtrip" v (Nat.of_hex (hex (Nat.to_bytes_be v)))
   done
 
 let test_hex_known () =
-  Alcotest.(check string) "to_hex" "ff" (Nat.to_hex (Nat.of_int 255));
   Alcotest.check nat "of_hex odd length" (Nat.of_int 0xabc) (Nat.of_hex "abc")
 
 let test_bytes_roundtrip () =
@@ -582,7 +578,6 @@ let () =
           Alcotest.test_case "shifts" `Quick test_nat_shifts;
           Alcotest.test_case "num_bits" `Quick test_nat_num_bits;
           Alcotest.test_case "pow" `Quick test_nat_pow;
-          Alcotest.test_case "gcd" `Quick test_nat_gcd;
         ] );
       ( "nat-modular",
         [

@@ -213,8 +213,6 @@ let test_word_comparisons () =
   List.iter
     (fun (a, b) ->
       check_cmp "lt" Word.lt (a < b) a b;
-      check_cmp "le" Word.le (a <= b) a b;
-      check_cmp "gt" Word.gt (a > b) a b;
       check_cmp "ge" Word.ge (a >= b) a b;
       check_cmp "eq" Word.eq (a = b) a b)
     [ (0, 0); (1, 0); (0, 1); (255, 255); (254, 255); (100, 100); (7, 200) ]
@@ -231,7 +229,7 @@ let test_word_mux () =
 
 let test_word_min_max () =
   Alcotest.(check int) "min" 13 (run2 ~bits Word.min 42 13);
-  Alcotest.(check int) "max" 42 (run2 ~bits Word.max 42 13)
+  Alcotest.(check int) "min, swapped" 13 (run2 ~bits Word.min 13 42)
 
 let test_word_mul () =
   List.iter
@@ -310,14 +308,11 @@ let test_word_exhaustive () =
         let d, w = Word.sub_with_borrow b x y in
         Array.append d [| w |])
       (fun u v -> ((u - v) land mask) lor (ind (u < v) lsl n));
-    check "lt/le/gt/ge"
-      (fun b x y -> [| Word.lt b x y; Word.le b x y; Word.gt b x y; Word.ge b x y |])
-      (fun u v ->
-        ind (u < v) lor (ind (u <= v) lsl 1) lor (ind (u > v) lsl 2) lor (ind (u >= v) lsl 3));
+    check "lt/ge"
+      (fun b x y -> [| Word.lt b x y; Word.ge b x y |])
+      (fun u v -> ind (u < v) lor (ind (u >= v) lsl 1));
     check "saturating_sub" Word.saturating_sub (fun u v -> Stdlib.max (u - v) 0);
-    check "min/max"
-      (fun b x y -> Array.append (Word.min b x y) (Word.max b x y))
-      (fun u v -> Stdlib.min u v lor (Stdlib.max u v lsl n))
+    check "min" Word.min Stdlib.min
   done
 
 (* Quotient bits first, then the remainder; a zero divisor gives the

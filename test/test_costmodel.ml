@@ -137,8 +137,9 @@ let test_matmul_circuit_correct () =
   Alcotest.(check int) "c11" 22 (entry 3)
 
 let test_matmul_and_gates_cubic () =
-  let a4 = Matmul.and_gates ~n:4 ~bits:8 in
-  let a8 = Matmul.and_gates ~n:8 ~bits:8 in
+  let and_gates n = Dstress_circuit.Circuit.and_count (Matmul.circuit ~n ~bits:8) in
+  let a4 = and_gates 4 in
+  let a8 = and_gates 8 in
   let ratio = float_of_int a8 /. float_of_int a4 in
   Alcotest.(check bool) "x8 for doubled n" true (ratio > 6.5 && ratio < 9.5)
 

@@ -8,11 +8,13 @@ let prg tag = Prg.of_string ("test-crypto:" ^ tag)
 (* SHA-256                                                             *)
 (* ------------------------------------------------------------------ *)
 
+(* Known answers are written in hex; compare digests as bytes. *)
+let check_sha256 name msg expected =
+  Alcotest.(check bytes) name (Dstress_util.Hex.decode expected)
+    (Sha256.digest (Bytes.of_string msg))
+
 let test_sha256_fips_vectors () =
-  let check msg expected =
-    Alcotest.(check string) ("sha256 of " ^ String.escaped msg) expected
-      (Sha256.hex_digest msg)
-  in
+  let check msg expected = check_sha256 ("sha256 of " ^ String.escaped msg) msg expected in
   check "" "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855";
   check "abc" "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad";
   check "abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"
@@ -24,9 +26,7 @@ let test_sha256_block_boundaries () =
      the byte pattern [i mod 251]. *)
   let pattern n = String.init n (fun i -> Char.chr (i mod 251)) in
   List.iter
-    (fun (n, expected) ->
-      Alcotest.(check string) (Printf.sprintf "%d bytes" n) expected
-        (Sha256.hex_digest (pattern n)))
+    (fun (n, expected) -> check_sha256 (Printf.sprintf "%d bytes" n) (pattern n) expected)
     [
       (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855");
       (1, "6e340b9cffb37a989ca544e6bb780a2c78901d3fb33738768511a30617afa01d");
@@ -45,10 +45,8 @@ let test_sha256_block_boundaries () =
     ]
 
 let test_sha256_million_a () =
-  let msg = String.make 1_000_000 'a' in
-  Alcotest.(check string) "million a"
+  check_sha256 "million a" (String.make 1_000_000 'a')
     "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
-    (Sha256.hex_digest msg)
 
 (* ------------------------------------------------------------------ *)
 (* Prg                                                                 *)
@@ -60,12 +58,13 @@ let test_prg_deterministic () =
 
 let test_prg_known_prefix () =
   (* SHA-256 in counter mode: block i = SHA-256(key || i as 8 LE bytes). *)
-  Alcotest.(check string) "100-byte prefix"
-    ("0ed48f4f442a717c44fe32fb20c342dfd3d17544eddf917676ea455b69d8abad"
-   ^ "89955ffdfd8d4667f2c37e48ec1d12e5faa58e990270833b7fc9663c06dea926"
-   ^ "dbdbb48a246c051746c8c849b4d4c036ffcaa7471a027db910e385a9276d404f"
-   ^ "f7b55357")
-    (Dstress_util.Hex.encode (Prg.bytes (prg "kat") 100))
+  Alcotest.(check bytes) "100-byte prefix"
+    (Dstress_util.Hex.decode
+       ("0ed48f4f442a717c44fe32fb20c342dfd3d17544eddf917676ea455b69d8abad"
+      ^ "89955ffdfd8d4667f2c37e48ec1d12e5faa58e990270833b7fc9663c06dea926"
+      ^ "dbdbb48a246c051746c8c849b4d4c036ffcaa7471a027db910e385a9276d404f"
+      ^ "f7b55357"))
+    (Prg.bytes (prg "kat") 100)
 
 let test_prg_distinct_keys () =
   let a = prg "k1" and b = prg "k2" in
@@ -145,9 +144,10 @@ let prop_prg_prefetch =
               | Draw_bits n ->
                   Some
                     (String.concat ""
-                       (List.map
-                          (fun b -> if b then "1" else "0")
-                          (Dstress_util.Bitvec.to_bool_list (Prg.bits t n))))
+                       (Array.to_list
+                          (Array.map
+                             (fun b -> if b then "1" else "0")
+                             (Dstress_util.Bitvec.to_bool_array (Prg.bits t n)))))
               | Draw_bool -> Some (string_of_bool (Prg.bool t))
               | Skip n ->
                   Prg.skip t n;
@@ -189,6 +189,19 @@ let test_group_safe_prime () =
   Alcotest.(check bool) "p = 2q+1" true
     (Nat.equal p (Nat.add (Nat.mul Nat.two q) Nat.one))
 
+(* Group.make checks p = 2q + 1 and g^q = 1, which a composite q passes
+   (4^q = 2^(p-1) = 1 for prime p), so the constants' primality is checked
+   here. Two Miller-Rabin rounds keep ffdhe3072 well under a second. *)
+let test_group_primes () =
+  let prng = Dstress_util.Prng.of_int 2 in
+  List.iter
+    (fun name ->
+      let g = Group.by_name name in
+      let prime n = Nat.is_probable_prime ~rounds:2 prng n in
+      Alcotest.(check bool) (name ^ " p prime") true (prime (Group.p g));
+      Alcotest.(check bool) (name ^ " q prime") true (prime (Group.q g)))
+    Group.names
+
 let test_group_all_sizes () =
   List.iter
     (fun name ->
@@ -213,7 +226,7 @@ let test_group_pow_g_matches_pow () =
   for _ = 1 to 20 do
     let e = Group.random_exponent t grp in
     Alcotest.(check bool) "pow_g = pow g" true
-      (Group.elt_equal (Group.pow_g grp e) (Group.pow grp (Group.g grp) e))
+      (Nat.equal (Group.pow_g grp e) (Group.pow grp (Group.g grp) e))
   done
 
 let test_group_inverse () =
@@ -227,15 +240,11 @@ let test_group_inverse () =
 
 let test_group_exp_arith () =
   let q = Group.q grp in
-  let a = Nat.sub q Nat.one and b = Nat.two in
-  Alcotest.(check bool) "exp_add wraps" true
-    (Nat.equal (Group.exp_add grp a b) Nat.one);
+  let a = Nat.sub q Nat.one in
   Alcotest.(check bool) "exp_sub wraps" true
     (Nat.equal (Group.exp_sub grp Nat.zero Nat.one) a);
-  let t = prg "exparith" in
-  let e = Group.random_exponent t grp in
-  Alcotest.(check bool) "exp_inv" true
-    (Nat.is_one (Group.exp_mul grp e (Group.exp_inv grp e)))
+  (* (q - 1)^2 = q(q - 2) + 1 *)
+  Alcotest.(check bool) "exp_mul wraps" true (Nat.is_one (Group.exp_mul grp a a))
 
 let test_group_make_rejects_bad () =
   Alcotest.(check bool) "bad p rejected" true
@@ -254,7 +263,7 @@ let test_elgamal_roundtrip () =
   for _ = 1 to 20 do
     let m = Group.pow_g grp (Group.random_exponent t grp) in
     let c = Elgamal.encrypt t grp pk m in
-    Alcotest.(check bool) "roundtrip" true (Group.elt_equal m (Elgamal.decrypt grp sk c))
+    Alcotest.(check bool) "roundtrip" true (Nat.equal m (Elgamal.decrypt grp sk c))
   done
 
 let test_elgamal_homomorphism () =
@@ -264,7 +273,7 @@ let test_elgamal_homomorphism () =
   let m2 = Group.pow_g grp (Group.random_exponent t grp) in
   let c = Elgamal.mul grp (Elgamal.encrypt t grp pk m1) (Elgamal.encrypt t grp pk m2) in
   Alcotest.(check bool) "product" true
-    (Group.elt_equal (Group.mul grp m1 m2) (Elgamal.decrypt grp sk c))
+    (Nat.equal (Group.mul grp m1 m2) (Elgamal.decrypt grp sk c))
 
 let test_elgamal_wrong_key () =
   let t = prg "eg-wrong" in
@@ -273,7 +282,7 @@ let test_elgamal_wrong_key () =
   let m = Group.pow_g grp (Group.random_exponent t grp) in
   let c = Elgamal.encrypt t grp pk m in
   Alcotest.(check bool) "wrong key garbles" false
-    (Group.elt_equal m (Elgamal.decrypt grp sk' c))
+    (Nat.equal m (Elgamal.decrypt grp sk' c))
 
 (* ------------------------------------------------------------------ *)
 (* Exponential ElGamal                                                 *)
@@ -298,7 +307,7 @@ let test_exp_elgamal_additive () =
     let a = Prg.bool t |> fun b -> if b then 17 else -55 in
     let b = 23 in
     let c =
-      Exp_elgamal.add grp (Exp_elgamal.encrypt t grp pk a) (Exp_elgamal.encrypt t grp pk b)
+      Elgamal.mul grp (Exp_elgamal.encrypt t grp pk a) (Exp_elgamal.encrypt t grp pk b)
     in
     Alcotest.(check (option int)) "sum" (Some (a + b)) (Exp_elgamal.decrypt grp sk table c)
   done
@@ -310,19 +319,23 @@ let test_exp_elgamal_out_of_table () =
   Alcotest.(check (option int)) "decryption failure" None
     (Exp_elgamal.decrypt grp sk table c)
 
+(* §3's two properties: a public key raised to a neighbor key [r], and a
+   ciphertext whose ephemeral part is raised to the same [r]. *)
+let adjust (c : Exp_elgamal.ciphertext) r = { c with c1 = Group.pow grp c.c1 r }
+
 let test_exp_elgamal_rerandomized_key () =
   let t = prg "xeg-rr" in
   let sk, pk = Exp_elgamal.keygen t grp in
   let r = Group.random_exponent t grp in
-  let pk_r = Exp_elgamal.rerandomize_key grp pk r in
-  Alcotest.(check bool) "key changed" false (Group.elt_equal pk pk_r);
+  let pk_r = Group.pow grp pk r in
+  Alcotest.(check bool) "key changed" false (Nat.equal pk pk_r);
   let c = Exp_elgamal.encrypt t grp pk_r 77 in
   (* Without adjustment the original key fails... *)
   Alcotest.(check bool) "unadjusted fails" true
     (Exp_elgamal.decrypt grp sk table c <> Some 77
     || Nat.is_one r);
   (* ...and with adjustment it succeeds. *)
-  let c' = Exp_elgamal.adjust grp c r in
+  let c' = adjust c r in
   Alcotest.(check (option int)) "adjusted decrypts" (Some 77)
     (Exp_elgamal.decrypt grp sk table c')
 
@@ -332,10 +345,10 @@ let test_exp_elgamal_homomorphism_after_adjust () =
   let t = prg "xeg-agg" in
   let sk, pk = Exp_elgamal.keygen t grp in
   let r = Group.random_exponent t grp in
-  let pk_r = Exp_elgamal.rerandomize_key grp pk r in
+  let pk_r = Group.pow grp pk r in
   let cs = List.map (fun v -> Exp_elgamal.encrypt t grp pk_r v) [ 3; 9; -5 ] in
-  let sum = List.fold_left (Exp_elgamal.add grp) (List.hd cs) (List.tl cs) in
-  let adjusted = Exp_elgamal.adjust grp sum r in
+  let sum = List.fold_left (Elgamal.mul grp) (List.hd cs) (List.tl cs) in
+  let adjusted = adjust sum r in
   Alcotest.(check (option int)) "sum decrypts" (Some 7)
     (Exp_elgamal.decrypt grp sk table adjusted)
 
@@ -356,7 +369,7 @@ let test_exp_elgamal_multi_recipient () =
 let test_exp_elgamal_multi_bandwidth () =
   Alcotest.(check bool) "multi saves bandwidth" true
     (Exp_elgamal.multi_ciphertext_bytes grp 12
-    < 12 * Elgamal.ciphertext_bytes grp)
+    < 12 * 2 * Group.element_bytes grp)
 
 (* ------------------------------------------------------------------ *)
 (* Comb tables on every named group                                    *)
@@ -384,7 +397,7 @@ let test_comb_every_group () =
             let v = Group.pow g b e in
             Alcotest.(check bool)
               (name ^ " pow = mod_pow") true
-              (Group.elt_equal v (Nat.mod_pow ~base:b ~exp:e ~m:(Group.p g)));
+              (Nat.equal v (Nat.mod_pow ~base:b ~exp:e ~m:(Group.p g)));
             v)
           exps
       in
@@ -395,7 +408,7 @@ let test_comb_every_group () =
             Alcotest.(check bool)
               (Printf.sprintf "%s, %d teeth, %d-bit exponent" name teeth (Nat.num_bits e))
               true
-              (Group.elt_equal v (Group.pow_comb g c e)))
+              (Nat.equal v (Group.pow_comb g c e)))
           exps expected
       done)
     Group.names
@@ -433,7 +446,7 @@ let test_pow_g_multiplications () =
       List.iter
         (fun e ->
           let v, n = counted (fun () -> Group.pow_g g e) in
-          Alcotest.(check bool) (name ^ " pow_g value") true (Group.elt_equal v (Group.pow g (Group.g g) e));
+          Alcotest.(check bool) (name ^ " pow_g value") true (Nat.equal v (Group.pow g (Group.g g) e));
           Alcotest.(check bool)
             (Printf.sprintf "%s: %d multiplications <= %d" name n window)
             true (n <= window))
@@ -445,7 +458,7 @@ let test_pow_g_multiplications () =
             if v >= 0 then Nat.of_int v else Nat.sub (Group.q g) (Nat.of_int (-v))
           in
           Alcotest.(check bool) (Printf.sprintf "%s g^%d" name v) true
-            (Group.elt_equal r (Group.pow g (Group.g g) e));
+            (Nat.equal r (Group.pow g (Group.g g) e));
           let bits = Nat.num_bits (Nat.of_int (abs v)) in
           Alcotest.(check bool)
             (Printf.sprintf "%s g^%d: %d multiplications" name v n)
@@ -528,13 +541,13 @@ let test_encrypt_multi_batch_matches_sequential () =
       Alcotest.(check bool)
         (Printf.sprintf "bundle %d c1" i)
         true
-        (Group.elt_equal c1 c1');
+        (Nat.equal c1 c1');
       List.iteri
         (fun j c2 ->
           Alcotest.(check bool)
             (Printf.sprintf "bundle %d c2 %d" i j)
             true
-            (Group.elt_equal c2 (List.nth c2s' j)))
+            (Nat.equal c2 (List.nth c2s' j)))
         c2s)
     batched
 
@@ -577,13 +590,15 @@ let point = Ot.random_point grp "test-base-ot"
 
 let test_base_ot_all_cases () =
   let t = prg "ot" in
+  let enc b = Bytes.make 1 (if b then '\x01' else '\x00') in
   List.iter
     (fun (b0, b1, choice) ->
       let meter = Xfer.create () in
       let got =
-        Ot.base_ot_bit grp meter ~point ~sender_prg:t ~receiver_prg:t ~b0 ~b1 ~choice
+        Ot.base_ot grp meter ~point ~sender_prg:t ~receiver_prg:t ~m0:(enc b0) ~m1:(enc b1)
+          ~choice
       in
-      Alcotest.(check bool) "selected" (if choice then b1 else b0) got)
+      Alcotest.(check bytes) "selected" (enc (if choice then b1 else b0)) got)
     [
       (false, false, false); (false, false, true);
       (false, true, false); (false, true, true);
@@ -614,9 +629,9 @@ let test_random_point_is_element () =
   let c = Ot.random_point grp "tag-a" in
   Alcotest.(check bool) "in subgroup" true (Group.is_element grp c);
   let c' = Ot.random_point grp "tag-b" in
-  Alcotest.(check bool) "tag-dependent" false (Group.elt_equal c c');
+  Alcotest.(check bool) "tag-dependent" false (Nat.equal c c');
   Alcotest.(check bool) "a function of the tag" true
-    (Group.elt_equal c (Ot.random_point grp "tag-a"))
+    (Nat.equal c (Ot.random_point grp "tag-a"))
 
 (* ------------------------------------------------------------------ *)
 (* OT extension                                                        *)
@@ -845,7 +860,9 @@ let test_schnorr_rejects_tampered_signature () =
   let t = prg "schnorr-tamper" in
   let ((_, pk) as tp) = Schnorr.keygen t grp in
   let s = Schnorr.sign t grp tp "msg" in
-  let bumped = { s with Schnorr.response = Group.exp_add grp s.Schnorr.response Nat.one } in
+  let bumped =
+    { s with Schnorr.response = Nat.rem (Nat.add s.Schnorr.response Nat.one) (Group.q grp) }
+  in
   Alcotest.(check bool) "tampered response" false (Schnorr.verify grp pk "msg" bumped)
 
 let test_schnorr_signatures_randomized () =
@@ -877,7 +894,7 @@ let prop_exp_elgamal_sum =
       let t = prg (Printf.sprintf "prop-sum-%d-%d" a b) in
       let sk, pk = Exp_elgamal.keygen t grp in
       let c =
-        Exp_elgamal.add grp
+        Elgamal.mul grp
           (Exp_elgamal.encrypt t grp pk a)
           (Exp_elgamal.encrypt t grp pk b)
       in
@@ -911,6 +928,7 @@ let () =
         [
           Alcotest.test_case "generator order" `Quick test_group_generator_order;
           Alcotest.test_case "safe prime" `Quick test_group_safe_prime;
+          Alcotest.test_case "primes every group" `Quick test_group_primes;
           Alcotest.test_case "all sizes" `Quick test_group_all_sizes;
           Alcotest.test_case "unknown name" `Quick test_group_unknown_name;
           Alcotest.test_case "pow_g" `Quick test_group_pow_g_matches_pow;

@@ -41,7 +41,7 @@ let test_single_gates () =
   in
   List.iter
     (fun (a, bb) ->
-      let inputs = Bitvec.of_bool_list [ a; bb ] in
+      let inputs = Bitvec.of_bool_array [| a; bb |] in
       let r, expected, _ = run_both c ~garbler_bits:1 inputs in
       Alcotest.(check bool)
         (Printf.sprintf "gates (%b,%b)" a bb)

@@ -166,7 +166,10 @@ let test_tiny_table_failures_surface () =
 
 let test_budget_over_runs () =
   (* The §4.5 policy driven through the accountant across a year. *)
-  let eps_max, eps_q, runs = Dstress_risk.Sensitivity.paper_epsilon_budget () in
+  let module Utility = Dstress_costmodel.Utility in
+  let p = Utility.paper_policy in
+  let eps_max = p.Utility.epsilon_max and eps_q = Utility.epsilon_for_accuracy p in
+  let runs = Utility.runs_per_year p in
   let b = Budget.create ~epsilon_max:eps_max in
   for i = 1 to runs do
     Alcotest.(check bool)
@@ -203,8 +206,8 @@ let test_executors_agree_en () =
     (List.map (fun (p, b) -> (Engine.phase_name p, b)) par.Engine.phase_bytes);
   let module T = Dstress_mpc.Traffic in
   Alcotest.(check (list int)) "same per-node traffic"
-    (List.init (T.parties seq.Engine.traffic) (T.by_node seq.Engine.traffic))
-    (List.init (T.parties par.Engine.traffic) (T.by_node par.Engine.traffic));
+    (List.init (Graph.n graph) (T.by_node seq.Engine.traffic))
+    (List.init (Graph.n graph) (T.by_node par.Engine.traffic));
   Alcotest.(check int) "same mpc OTs" seq.Engine.mpc_ots par.Engine.mpc_ots
 
 let test_report_internal_consistency () =

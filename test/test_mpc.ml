@@ -22,14 +22,6 @@ let test_share_reconstruct () =
     Alcotest.(check bool) "reconstructs" true (Bitvec.equal v (Sharing.reconstruct shares))
   done
 
-let test_share_int () =
-  let t = prg "share-int" in
-  List.iter
-    (fun v ->
-      let shares = Sharing.share_int t ~parties:5 ~bits:16 v in
-      Alcotest.(check int) "int roundtrip" v (Sharing.reconstruct_int shares))
-    [ 0; 1; 1000; 65535 ]
-
 let test_share_hides () =
   (* Any k of k+1 shares XOR to something independent of the secret: with
      the same PRG stream, sharing 0 and sharing v produce identical first
@@ -113,10 +105,7 @@ let gmw_matches_plaintext ?(mode = Dstress_crypto.Ot_ext.Simulation) ~parties ci
   let input_shares = Gmw.share_input session inputs in
   let out_shares = Gmw.eval session (Plan.compile circuit) ~input_shares in
   let got = Sharing.reconstruct out_shares in
-  let expected =
-    Circuit.eval circuit (Array.of_list (Bitvec.to_bool_list inputs)) |> Array.to_list
-    |> Bitvec.of_bool_list
-  in
+  let expected = Bitvec.of_bool_array (Circuit.eval circuit (Bitvec.to_bool_array inputs)) in
   Bitvec.equal got expected
 
 let adder_circuit bits =
@@ -131,7 +120,7 @@ let test_gmw_single_and () =
   let c = Builder.finish b ~outputs:[| Builder.band b x y |] in
   List.iter
     (fun (a, bb) ->
-      let inputs = Bitvec.of_bool_list [ a; bb ] in
+      let inputs = Bitvec.of_bool_array [| a; bb |] in
       Alcotest.(check bool)
         (Printf.sprintf "and %b %b" a bb)
         true
@@ -282,7 +271,6 @@ let () =
       ( "sharing",
         [
           Alcotest.test_case "share/reconstruct" `Quick test_share_reconstruct;
-          Alcotest.test_case "share int" `Quick test_share_int;
           Alcotest.test_case "prefix hides secret" `Quick test_share_hides;
           Alcotest.test_case "bad party count" `Quick test_share_bad_parties;
         ] );

@@ -240,9 +240,13 @@ let test_sensitivity_units () =
     (Sensitivity.units ~sensitivity:20.0 ~scale_dollars:1e9 ~granularity_dollars:1e9)
 
 let test_paper_budget () =
-  let eps_max, eps_q, runs = Sensitivity.paper_epsilon_budget () in
-  Alcotest.(check (float 1e-9)) "ln 2" (log 2.0) eps_max;
-  Alcotest.(check bool) "three runs fit" true (float_of_int runs *. eps_q <= eps_max)
+  let module Utility = Dstress_costmodel.Utility in
+  let p = Utility.paper_policy in
+  let eps_q = Utility.epsilon_for_accuracy p in
+  Alcotest.(check (float 1e-9)) "ln 2" (log 2.0) p.Utility.epsilon_max;
+  Alcotest.(check (float 5e-5)) "eps_query 0.2303" 0.2303 eps_q;
+  Alcotest.(check int) "three runs" 3 (Utility.runs_per_year p);
+  Alcotest.(check bool) "three runs fit" true (3.0 *. eps_q <= p.Utility.epsilon_max)
 
 (* ------------------------------------------------------------------ *)
 (* Properties                                                          *)

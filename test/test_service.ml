@@ -94,20 +94,20 @@ let golden_completed_hex =
 let golden_rejected_hex = "44525350" ^ "01" ^ "01" ^ "04000000" ^ "6e6f7065"
 
 let test_golden_request () =
-  Alcotest.(check string)
-    "request bytes" golden_request_hex
-    (Hex.encode (Service.encode_request golden_request));
+  Alcotest.(check bytes)
+    "request bytes" (Hex.decode golden_request_hex)
+    (Service.encode_request golden_request);
   match Service.decode_request (Hex.decode golden_request_hex) with
   | Ok r -> Alcotest.(check bool) "golden decodes back" true (r = golden_request)
   | Error e -> Alcotest.failf "golden request must decode: %s" e
 
 let test_golden_response () =
-  Alcotest.(check string)
-    "completed bytes" golden_completed_hex
-    (Hex.encode (Service.encode_response (Service.Completed golden_summary)));
-  Alcotest.(check string)
-    "rejected bytes" golden_rejected_hex
-    (Hex.encode (Service.encode_response (Service.Rejected "nope")));
+  Alcotest.(check bytes)
+    "completed bytes" (Hex.decode golden_completed_hex)
+    (Service.encode_response (Service.Completed golden_summary));
+  Alcotest.(check bytes)
+    "rejected bytes" (Hex.decode golden_rejected_hex)
+    (Service.encode_response (Service.Rejected "nope"));
   (match Service.decode_response (Hex.decode golden_completed_hex) with
   | Ok (Service.Completed s) ->
       Alcotest.(check bool) "summary round" true (s = golden_summary)

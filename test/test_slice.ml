@@ -45,10 +45,7 @@ let make_inputs ~parties ~count tag (circuit : Circuit.t) =
    plaintext circuit on the XOR of the input shares. *)
 let check_reconstructs what circuit input_shares outputs =
   let cleartext = Sharing.reconstruct input_shares in
-  let expected =
-    Circuit.eval circuit (Array.of_list (Bitvec.to_bool_list cleartext))
-    |> Array.to_list |> Bitvec.of_bool_list
-  in
+  let expected = Bitvec.of_bool_array (Circuit.eval circuit (Bitvec.to_bool_array cleartext)) in
   Alcotest.(check bool) (what ^ " matches plaintext") true
     (Bitvec.equal expected (Sharing.reconstruct outputs))
 
@@ -243,21 +240,20 @@ let check_golden file current =
 let render_bits v =
   String.init (Bitvec.length v) (fun i -> if Bitvec.get v i then '1' else '0')
 
-let render_traffic t =
-  let n = Traffic.parties t in
+let render_traffic ~parties:n t =
   let m = Array.make_matrix n n 0 in
   Traffic.iter_nonzero t (fun ~src ~dst b -> m.(src).(dst) <- b);
   let row r = "[" ^ String.concat "," (Array.to_list (Array.map string_of_int r)) ^ "]" in
   "[" ^ String.concat "," (Array.to_list (Array.map row m)) ^ "]"
 
 (* One session's observables after an evaluation that returned [out]. *)
-let render_eval ~indent s out =
+let render_eval ~indent ~parties s out =
   Printf.sprintf
     "%s{\"outputs\":[%s],\n%s \"traffic\":%s,\"rounds\":%d,\"and_gates\":%d,\"ots\":%d}"
     indent
     (String.concat "," (Array.to_list (Array.map (fun v -> "\"" ^ render_bits v ^ "\"") out)))
     indent
-    (render_traffic (Gmw.traffic s))
+    (render_traffic ~parties (Gmw.traffic s))
     (Gmw.rounds s) (Gmw.and_gates_evaluated s) (Gmw.ots_performed s)
 
 let render_two_evals ~name ~mode ~parties circuit =
@@ -267,7 +263,7 @@ let render_two_evals ~name ~mode ~parties circuit =
   let eval i =
     let out = Gmw.eval s plan ~input_shares:inputs.(i) in
     check_reconstructs (Printf.sprintf "%s eval %d" name i) circuit inputs.(i) out;
-    render_eval ~indent:"    " s out
+    render_eval ~indent:"    " ~parties s out
   in
   let first = eval 0 in
   let second = eval 1 in
@@ -287,7 +283,7 @@ let render_many_evals ~name ~mode ~parties ~count circuit =
       (fun i out ->
         check_reconstructs (Printf.sprintf "%s eval %d slot %d" name e i) circuit inputs.(i) out)
       outs;
-    let slots = Array.mapi (fun i s -> render_eval ~indent:"      " s outs.(i)) sessions in
+    let slots = Array.mapi (fun i s -> render_eval ~indent:"      " ~parties s outs.(i)) sessions in
     "    [\n" ^ String.concat ",\n" (Array.to_list slots) ^ "\n    ]"
   in
   let first = eval 0 in
@@ -330,7 +326,7 @@ let test_plan_partition () =
       (Circuit.and_count c) (Plan.and_count plan);
     Alcotest.(check int)
       (Printf.sprintf "case %d: wires" case)
-      (Circuit.num_gates c) (Plan.num_wires plan);
+      (Array.length c.Circuit.gates) (Plan.num_wires plan);
     (* The AND batch of round r holds exactly the AND gates at level r+1,
        in wire order. *)
     let levels = Circuit.and_levels c in

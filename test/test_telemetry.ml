@@ -54,7 +54,7 @@ let exact_quantile sorted q =
   let n = Array.length sorted in
   sorted.(int_of_float (q *. float_of_int (n - 1)))
 
-let check_relative_error ~alpha values q est =
+let check_relative_error values q est =
   let sorted = Array.of_list values in
   Array.sort compare sorted;
   let exact = exact_quantile sorted q in
@@ -62,12 +62,12 @@ let check_relative_error ~alpha values q est =
      of *some* sample rank-adjacent to the target; against the exact
      order statistic a small slack on top of alpha covers bucket
      boundary ties. *)
-  let tol = (alpha +. 1e-9) *. Float.max (Float.abs exact) 1e-12 in
+  let tol = (Sketch.relative_error +. 1e-9) *. Float.max (Float.abs exact) 1e-12 in
   Float.abs (est -. exact) <= tol
 
 let test_sketch_basics () =
   let s = Sketch.create () in
-  Alcotest.(check bool) "fresh sketch is empty" true (Sketch.is_empty s);
+  Alcotest.(check int) "fresh sketch is empty" 0 (Sketch.count s);
   Alcotest.(check bool) "empty quantile is None" true (Sketch.quantile s 0.5 = None);
   Alcotest.(check (float 0.0)) "empty quantile_or default" 7.0
     (Sketch.quantile_or ~default:7.0 s 0.5);
@@ -86,7 +86,7 @@ let test_sketch_basics () =
       Alcotest.(check bool)
         (Printf.sprintf "p%g within alpha" (q *. 100.))
         true
-        (check_relative_error ~alpha:(Sketch.alpha s) values q est))
+        (check_relative_error values q est))
     [ 0.0; 0.5; 0.9; 0.99; 1.0 ];
   (match Sketch.quantile s 1.5 with
   | exception Invalid_argument _ -> ()
@@ -96,7 +96,7 @@ let test_sketch_basics () =
   let z = Sketch.create () in
   Sketch.add z nan;
   Sketch.add z infinity;
-  Alcotest.(check bool) "non-finite ignored" true (Sketch.is_empty z);
+  Alcotest.(check int) "non-finite ignored" 0 (Sketch.count z);
   Sketch.add z 0.0;
   Sketch.add z (-3.0);
   Alcotest.(check int) "zero bucket counted" 2 (Sketch.count z);
@@ -133,42 +133,34 @@ let test_sketch_merge_misc () =
   Alcotest.(check int) "merge is a copy" 2 (Sketch.count a);
   Alcotest.(check int) "merged count" 3 (Sketch.count c);
   Sketch.merge_into ~dst:a (Sketch.create ());
-  Alcotest.(check int) "merging empty is a no-op" 2 (Sketch.count a);
-  (match Sketch.merge_into ~dst:a (Sketch.create ~alpha:0.05 ()) with
-  | exception Invalid_argument _ -> ()
-  | () -> Alcotest.fail "alpha mismatch must raise")
+  Alcotest.(check int) "merging empty is a no-op" 2 (Sketch.count a)
 
 (* ------------------------------------------------------------------ *)
 (* Log: levels, ring, rendering                                        *)
 (* ------------------------------------------------------------------ *)
 
 let test_log_levels_and_ring () =
-  let log = Log.create ~level:Log.Info ~capacity:4 ~clock:(fun () -> 1.0) () in
+  let log = Log.create ~level:Log.Info ~clock:(fun () -> 1.0) () in
   Alcotest.(check bool) "info enabled" true (Log.enabled log Log.Info);
   Alcotest.(check bool) "debug filtered" false (Log.enabled log Log.Debug);
   Log.debug log "invisible" [];
   Alcotest.(check int) "filtered events not counted" 0 (Log.total log);
-  for i = 1 to 6 do
+  (* The ring holds 256 events. *)
+  for i = 1 to 258 do
     Log.info log (Printf.sprintf "m%d" i) []
   done;
-  Alcotest.(check int) "total counts accepted" 6 (Log.total log);
+  Alcotest.(check int) "total counts accepted" 258 (Log.total log);
   Alcotest.(check int) "eviction counted" 2 (Log.dropped log);
   Alcotest.(check (list string)) "tail is oldest-first, bounded by ring"
-    [ "m3"; "m4"; "m5"; "m6" ]
+    (List.init 256 (fun i -> Printf.sprintf "m%d" (i + 3)))
     (List.map (fun (e : Log.event) -> e.Log.msg) (Log.tail log));
   Alcotest.(check (list string)) "tail ~max keeps newest"
-    [ "m5"; "m6" ]
+    [ "m257"; "m258" ]
     (List.map (fun (e : Log.event) -> e.Log.msg) (Log.tail ~max:2 log));
-  Log.set_level log Log.Error;
-  Log.warn log "now filtered" [];
-  Alcotest.(check int) "set_level tightens" 6 (Log.total log);
-  (* The shared nop logger records nothing and ignores set_level. *)
-  Log.set_level Log.nop Log.Debug;
+  (* The shared nop logger records nothing. *)
   Log.error Log.nop "void" [];
   Alcotest.(check bool) "nop never enables" false (Log.enabled Log.nop Log.Error);
-  Alcotest.(check int) "nop records nothing" 0 (Log.total Log.nop);
-  Alcotest.(check bool) "level_of_string warning" true
-    (Log.level_of_string "warning" = Some Log.Warn)
+  Alcotest.(check int) "nop records nothing" 0 (Log.total Log.nop)
 
 let test_log_render_golden () =
   let sunk = ref [] in
@@ -187,12 +179,7 @@ let test_log_render_golden () =
       Alcotest.(check string) "traced line with escapes"
         "ts=1234.500000 level=warn trace=beef msg=\"slow request\" quoted=\"a \\\"b\\\"\\nc\\\\d\" live=true"
         second
-  | evs -> Alcotest.failf "sink saw %d events, wanted 2" (List.length evs));
-  let json = Json.to_string (Log.to_json (List.nth (Log.tail log) 1)) in
-  Alcotest.(check string) "event json"
-    "{\"ts\":1234.5,\"level\":\"warn\",\"msg\":\"slow request\",\"trace\":\"beef\",\
-     \"fields\":{\"quoted\":\"a \\\"b\\\"\\nc\\\\d\",\"live\":true}}"
-    json
+  | evs -> Alcotest.failf "sink saw %d events, wanted 2" (List.length evs))
 
 let test_log_sink_failure_swallowed () =
   let log = Log.create ~level:Log.Info ~sink:(fun _ -> failwith "bad sink") () in
@@ -206,10 +193,13 @@ let test_log_sink_failure_swallowed () =
 let test_metrics_quantiles () =
   let m = Metrics.create () in
   List.iter (Metrics.observe_sketch m "lat") [ 0.5; 1.0; 2.0; 4.0 ];
-  (match Metrics.sketch m "lat" with
-  | Some s -> Alcotest.(check int) "sketch accessor" 4 (Sketch.count s)
-  | None -> Alcotest.fail "sketch must exist");
-  Alcotest.(check bool) "absent sketch is None" true (Metrics.sketch m "nope" = None);
+  let count m name =
+    match Metrics.find m name with
+    | Some (Metrics.Quantiles s) -> Sketch.count s
+    | _ -> Alcotest.fail "sketch must exist"
+  in
+  Alcotest.(check int) "sketch recorded" 4 (count m "lat");
+  Alcotest.(check bool) "absent sketch is None" true (Metrics.find m "nope" = None);
   (match Metrics.incr m "lat" with
   | exception Invalid_argument _ -> ()
   | () -> Alcotest.fail "kind mixing must raise");
@@ -217,13 +207,9 @@ let test_metrics_quantiles () =
   let dst = Metrics.create () in
   Metrics.merge_into ~dst m;
   Metrics.observe_sketch m "lat" 100.0;
-  (match Metrics.sketch dst "lat" with
-  | Some s -> Alcotest.(check int) "merge copied the sketch" 4 (Sketch.count s)
-  | None -> Alcotest.fail "merged sketch must exist");
+  Alcotest.(check int) "merge copied the sketch" 4 (count dst "lat");
   Metrics.merge_into ~dst m;
-  (match Metrics.sketch dst "lat" with
-  | Some s -> Alcotest.(check int) "second merge folds in" 9 (Sketch.count s)
-  | None -> Alcotest.fail "merged sketch must exist")
+  Alcotest.(check int) "second merge folds in" 9 (count dst "lat")
 
 let test_metrics_quantiles_rows () =
   let m = Metrics.create () in
@@ -415,7 +401,6 @@ let test_pool_stats_end_to_end () =
   Alcotest.(check bool) "dispatch sketch present" true
     (List.mem_assoc "service.dispatch_s" st.Service.latencies);
   Alcotest.(check bool) "log tail populated" true (st.Service.log_tail <> []);
-  Alcotest.(check bool) "pool_log is the given logger" true (Service.pool_log pool == log);
   (* Every request got a distinct nonzero trace, stamped on its whole
      lifecycle: enqueue, dispatch and finish lines share it. *)
   let evs = events () in
@@ -535,7 +520,7 @@ let () =
                   List.iter (Sketch.add s) values;
                   List.for_all
                     (fun q ->
-                      check_relative_error ~alpha:(Sketch.alpha s) values q
+                      check_relative_error values q
                         (Sketch.quantile_or ~default:nan s q))
                     [ 0.0; 0.25; 0.5; 0.75; 0.9; 0.99; 1.0 ]);
               QCheck.Test.make ~count:100

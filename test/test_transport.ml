@@ -44,12 +44,13 @@ let test_frame_roundtrip () =
   (* The v3 layout, pinned off the wire: a 24-byte little-endian header,
      then the payload. *)
   let frame = read_raw (Transport.fd b) (24 + Bytes.length payload) in
-  Alcotest.(check string)
+  Alcotest.(check bytes)
     "v3 header"
-    ("44535452" (* magic "DSTR" *) ^ "03" (* version *) ^ "03" (* kind: task *)
-    ^ "0000" (* pad *) ^ "0807060504030201" (* trace *) ^ "09000000" (* length *)
-    ^ "6b76ee63" (* CRC-32 of the payload *))
-    (Hex.encode (Bytes.sub frame 0 24));
+    (Hex.decode
+       ("44535452" (* magic "DSTR" *) ^ "03" (* version *) ^ "03" (* kind: task *)
+       ^ "0000" (* pad *) ^ "0807060504030201" (* trace *) ^ "09000000" (* length *)
+       ^ "6b76ee63" (* CRC-32 of the payload *)))
+    (Bytes.sub frame 0 24);
   Alcotest.(check int) "bytes counted" (Bytes.length frame)
     (Metrics.counter m "transport.bytes_sent");
   (* The captured bytes decode back to the frame that was sent. *)
@@ -307,15 +308,15 @@ let test_detector_suspicion_timeline () =
   done;
   Alcotest.(check bool) "healthy peer low" true
     (Failure_detector.suspicion det ~now:2.1 < 2.0);
+  (* Suspicion is the silence since the last arrival over the estimate. *)
+  Alcotest.(check (float 0.0)) "last heard at 2.0" 0.0
+    (Failure_detector.suspicion det ~now:2.0);
   Alcotest.(check bool) "estimate near interval" true
-    (abs_float (Failure_detector.interval_estimate det -. 0.1) < 0.02);
+    (abs_float ((1.0 /. Failure_detector.suspicion det ~now:3.0) -. 0.1) < 0.02);
   (* Then silence: suspicion crosses phi after ~phi * interval. *)
   Alcotest.(check bool) "not yet" false (Failure_detector.suspected det ~now:2.5);
   Alcotest.(check bool) "suspected after silence" true
-    (Failure_detector.suspected det ~now:3.0);
-  (match Failure_detector.last_heard det with
-  | Some t -> Alcotest.(check (float 1e-9)) "last heard" 2.0 t
-  | None -> Alcotest.fail "expected arrivals")
+    (Failure_detector.suspected det ~now:3.0)
 
 let test_detector_burst_floor_and_clamp () =
   let det = Failure_detector.create ~expected_interval:0.1 in
@@ -326,7 +327,8 @@ let test_detector_burst_floor_and_clamp () =
     Failure_detector.observe det ~now:1.0
   done;
   Alcotest.(check bool) "estimate floored" true
-    (Failure_detector.interval_estimate det >= 0.025 -. 1e-9);
+    (Failure_detector.suspicion det ~now:2.0 <= (1.0 /. 0.025) +. 1e-6);
+  Alcotest.(check bool) "no hair trigger" false (Failure_detector.suspected det ~now:1.1);
   (* ...and a non-monotone arrival is clamped, never a negative gap. *)
   Failure_detector.observe det ~now:0.5;
   Alcotest.(check bool) "clock step clamped" true

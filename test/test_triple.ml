@@ -85,10 +85,7 @@ let check_scalar_equiv ?(mode = Ot_ext.Simulation) ~parties ~evals ~batches circ
     check_sessions_agree tag e inline online;
     (* Reconstruction must also be plain-circuit correct. *)
     let cleartext = Sharing.reconstruct shares in
-    let expected =
-      Circuit.eval circuit (Array.of_list (Bitvec.to_bool_list cleartext))
-      |> Array.to_list |> Bitvec.of_bool_list
-    in
+    let expected = Bitvec.of_bool_array (Circuit.eval circuit (Bitvec.to_bool_array cleartext)) in
     Alcotest.(check bool)
       (Printf.sprintf "%s: eval %d plaintext" tag e)
       true
