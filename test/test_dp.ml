@@ -4,6 +4,7 @@ module Stats = Dstress_util.Stats
 module Builder = Dstress_circuit.Builder
 module Word = Dstress_circuit.Word
 module Circuit = Dstress_circuit.Circuit
+module Bitvec = Dstress_util.Bitvec
 
 let prng () = Prng.of_int 0xD9
 
@@ -225,31 +226,82 @@ let test_noise_circuit_extremes () =
   Alcotest.(check int) "sign negates" (-7)
     (eval_noise_circuit ~alpha:0.5 ~max_magnitude:7 ~bits:8 all_ones true)
 
-let test_noise_circuit_distribution () =
-  (* Empirical distribution through the actual circuit should match the
-     two-sided geometric restricted to magnitudes < max. *)
-  let alpha = 0.5 in
-  let t = prng () in
-  let n = 3000 in
-  let counts = Hashtbl.create 32 in
+(* The distribution gate: released minus exact, through the noised
+   combine circuit the aggregation block evaluates, against the
+   two-sided geometric (1-a)/(1+a) a^|k|. The circuit's noise inputs
+   are uniform, as the XOR of the k+1 members' [agg:noise] draws is.
+   Bins run over -K..K, where K is the last magnitude with an expected
+   count of at least 5, and the two outer bins absorb the tails. The
+   statistic must stay below the chi-square 0.9999 quantile for its
+   degrees of freedom (Wilson-Hilferty). Seed, draw count and threshold
+   are fixed. *)
+let distribution_draws = 10_000
+
+let chi_square_noise ~epsilon ~sensitivity ~noise_max_magnitude =
+  let agg_bits = 16 in
+  let p =
+    {
+      Dstress_runtime.Vertex_program.name = "noise-gate";
+      state_bits = agg_bits;
+      message_bits = 1;
+      iterations = 1;
+      sensitivity;
+      epsilon;
+      noise_max_magnitude;
+      agg_bits;
+      build_update = (fun _ ~state ~incoming -> (state, incoming));
+      build_aggregand = (fun _ ~state -> state);
+    }
+  in
+  let c = Dstress_runtime.Vertex_program.combine_circuit p ~count:1 ~noised:true in
+  let noise_bits = c.Circuit.num_inputs - agg_bits in
+  let alpha = Mechanism.alpha_of_epsilon ~epsilon:(epsilon /. float_of_int sensitivity) in
+  let n = distribution_draws in
+  let pmf k = (1.0 -. alpha) /. (1.0 +. alpha) *. (alpha ** float_of_int (abs k)) in
+  let rec last k = if float_of_int n *. pmf (k + 1) >= 5.0 then last (k + 1) else k in
+  let kmax = last 0 in
+  let counts = Array.make ((2 * kmax) + 1) 0 in
+  let t = Prng.of_int 0xD15 in
+  let modulus = 1 lsl agg_bits in
   for _ = 1 to n do
-    let u = Prng.bits t 32 in
-    let s = Prng.bool t in
-    let v = eval_noise_circuit ~alpha ~max_magnitude:15 ~bits:8 u s in
-    Hashtbl.replace counts v (1 + Option.value ~default:0 (Hashtbl.find_opt counts v))
+    let exact = Prng.int t modulus in
+    let inputs =
+      Array.append
+        (Array.init agg_bits (fun i -> (exact lsr i) land 1 = 1))
+        (Array.init noise_bits (fun _ -> Prng.bool t))
+    in
+    let released = Bitvec.to_int (Bitvec.of_bool_array (Circuit.eval c inputs)) in
+    let d = (released - exact + modulus) mod modulus in
+    let d = if d >= modulus / 2 then d - modulus else d in
+    let k = max (-kmax) (min kmax d) in
+    counts.(k + kmax) <- counts.(k + kmax) + 1
   done;
-  let freq d = float_of_int (Option.value ~default:0 (Hashtbl.find_opt counts d)) /. float_of_int n in
-  (* P(|Y| = 0) = (1-a)/(1+a); halves go to each sign for |Y| > 0. *)
-  let base = (1.0 -. alpha) /. (1.0 +. alpha) in
-  Alcotest.(check bool) "P(0)" true (abs_float (freq 0 -. base) < 0.04);
-  List.iter
-    (fun d ->
-      let expected = base *. (alpha ** float_of_int (abs d)) in
-      Alcotest.(check bool)
-        (Printf.sprintf "P(%d)" d)
-        true
-        (abs_float (freq d -. expected) < 0.03))
-    [ 1; -1; 2; -2 ]
+  let tail = (alpha ** float_of_int (kmax + 1)) /. (1.0 +. alpha) in
+  let chi2 = ref 0.0 in
+  Array.iteri
+    (fun i o ->
+      let k = i - kmax in
+      let mass = pmf k +. if abs k = kmax then tail else 0.0 in
+      let e = float_of_int n *. mass in
+      chi2 := !chi2 +. (((float_of_int o -. e) ** 2.0) /. e))
+    counts;
+  let df = float_of_int (2 * kmax) in
+  let z = 3.719 in
+  let h = 2.0 /. (9.0 *. df) in
+  let threshold = df *. ((1.0 -. h +. (z *. sqrt h)) ** 3.0) in
+  (kmax, !chi2, threshold)
+
+let check_distribution ~epsilon ~sensitivity ~noise_max_magnitude ~kmax:want () =
+  let kmax, chi2, threshold = chi_square_noise ~epsilon ~sensitivity ~noise_max_magnitude in
+  Alcotest.(check int) "bins" want kmax;
+  if not (chi2 < threshold) then
+    Alcotest.failf "chi-square %.1f >= %.1f (%d degrees of freedom)" chi2 threshold (2 * kmax)
+
+(* serve-en's release (epsilon 1, s = 20), and a steep alpha = 0.5 whose
+   bound of 15 cuts the tail. *)
+let test_noise_circuit_distribution () =
+  check_distribution ~epsilon:1.0 ~sensitivity:20 ~noise_max_magnitude:600 ~kmax:78 ();
+  check_distribution ~epsilon:(log 2.0) ~sensitivity:1 ~noise_max_magnitude:15 ~kmax:9 ()
 
 let test_noise_circuit_add_noise () =
   let b = Builder.create () in
