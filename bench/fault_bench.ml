@@ -2,7 +2,7 @@
 
    For each fault rate the same EN fixture runs with a random fault plan
    (drops, delays, corruptions and forced decryption misses on edge
-   transfers, plus node crashes at the higher rates). The run uses a huge
+   transfers, plus a node handoff at the higher rates). The run uses a huge
    epsilon so the release noise is negligible and the output must equal
    the plaintext reference exactly whenever every failure was recovered —
    which is what the "ok" column checks. The table reports the recovery
@@ -43,7 +43,7 @@ let run ~quick () =
   let rates = if quick then [ 0.0; 0.05 ] else [ 0.0; 0.02; 0.05; 0.10; 0.20 ] in
   Printf.printf
     "(N=%d, D<=%d, I=%d, k=3; rate applies to drop/corrupt/miss per (edge, round);\n\
-    \ crashes only at rate >= 0.1; plaintext reference = %d)\n\n"
+    \ a handoff only at rate >= 0.1; plaintext reference = %d)\n\n"
     (Graph.n graph) d iterations expected;
   Printf.printf "%6s | %8s %7s %9s %11s | %9s %9s | %5s\n" "rate" "injected" "retries"
     "recovered" "unrecovered" "extra-eps" "backoff-s" "ok";

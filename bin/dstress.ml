@@ -93,7 +93,10 @@ let fault_crashes_arg =
   Arg.(
     value & opt int 0
     & info [ "fault-crashes" ] ~docv:"INT"
-        ~doc:"Crash that many distinct block members at random mid-run rounds.")
+        ~doc:
+          "Hand that many distinct block members' slots to standbys at random mid-run \
+           rounds: each member's blocks re-share their state, the leaving member \
+           included. This models a planned departure, not a fail-stop loss.")
 
 let max_retries_arg =
   Arg.(

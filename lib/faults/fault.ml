@@ -1,15 +1,15 @@
 module Prng = Dstress_util.Prng
 
-type kind = Crash | Drop | Delay | Corrupt | Decrypt_miss
+type kind = Handoff | Drop | Delay | Corrupt | Decrypt_miss
 
 let kind_name = function
-  | Crash -> "crash"
+  | Handoff -> "crash"
   | Drop -> "drop"
   | Delay -> "delay"
   | Corrupt -> "corrupt"
   | Decrypt_miss -> "decrypt-miss"
 
-let all_kinds = [ Crash; Drop; Delay; Corrupt; Decrypt_miss ]
+let all_kinds = [ Handoff; Drop; Delay; Corrupt; Decrypt_miss ]
 
 (* The one simulated-time rounding rule: float seconds are charged to the
    tick timeline by truncation toward zero. Every recovery delay the
@@ -20,14 +20,14 @@ let ticks_per_second = 1_000_000.0
 let delay_ticks s = int_of_float (s *. ticks_per_second)
 
 type fault =
-  | Crash_node of { node : int; from_round : int; until_round : int }
+  | Handoff_node of { node : int; round : int }
   | Drop_transfer of { src : int; dst : int; round : int }
   | Delay_transfer of { src : int; dst : int; round : int; seconds : float }
   | Corrupt_transfer of { src : int; dst : int; round : int }
   | Miss_decrypt of { src : int; dst : int; round : int }
 
 let kind_of = function
-  | Crash_node _ -> Crash
+  | Handoff_node _ -> Handoff
   | Drop_transfer _ -> Drop
   | Delay_transfer _ -> Delay
   | Corrupt_transfer _ -> Corrupt
@@ -57,9 +57,11 @@ let random_plan ~seed ~rounds ~nodes ~edges rates =
   let push f = faults := f :: !faults in
   for node = 0 to nodes - 1 do
     if Prng.float prng < rates.crash then begin
-      let from_round = 1 + Prng.int prng rounds in
-      let duration = 1 + Prng.int prng 2 in
-      push (Crash_node { node; from_round; until_round = from_round + duration })
+      let round = 1 + Prng.int prng rounds in
+      (* A handoff takes no time. The draw is kept so that every later
+         draw of the plan keeps its place in the stream. *)
+      ignore (Prng.int prng 2);
+      push (Handoff_node { node; round })
     end
   done;
   for round = 1 to rounds do
@@ -83,23 +85,21 @@ let random_crashes ~seed ~nodes ~rounds ~count =
   let prng = Prng.create (Int64.of_int (Hashtbl.hash ("fault-crashes", seed))) in
   let victims = Prng.sample_without_replacement prng count nodes in
   List.map
-    (fun node ->
-      let from_round = 1 + Prng.int prng rounds in
-      Crash_node { node; from_round; until_round = from_round + 1 })
+    (fun node -> Handoff_node { node; round = 1 + Prng.int prng rounds })
     victims
 
 module Injector = struct
   type t = {
     faults : (int * fault) array;  (* stable ids for fired-tracking *)
     by_edge : (int * int * int, (int * fault) list) Hashtbl.t;
-    crashes_by_node : (int, (int * fault) list) Hashtbl.t;
+    handoffs_by_node : (int, (int * fault) list) Hashtbl.t;
     fired : (int, unit) Hashtbl.t;
   }
 
   let create plan =
     let faults = Array.of_list (List.mapi (fun id f -> (id, f)) plan) in
     let by_edge = Hashtbl.create 64 in
-    let crashes_by_node = Hashtbl.create 16 in
+    let handoffs_by_node = Hashtbl.create 16 in
     let push tbl key v =
       let prev = Option.value (Hashtbl.find_opt tbl key) ~default:[] in
       Hashtbl.replace tbl key (prev @ [ v ])
@@ -107,24 +107,24 @@ module Injector = struct
     Array.iter
       (fun (id, f) ->
         match f with
-        | Crash_node { node; _ } -> push crashes_by_node node (id, f)
+        | Handoff_node { node; _ } -> push handoffs_by_node node (id, f)
         | Drop_transfer { src; dst; round }
         | Delay_transfer { src; dst; round; _ }
         | Corrupt_transfer { src; dst; round }
         | Miss_decrypt { src; dst; round } -> push by_edge (src, dst, round) (id, f))
       faults;
-    { faults; by_edge; crashes_by_node; fired = Hashtbl.create 16 }
+    { faults; by_edge; handoffs_by_node; fired = Hashtbl.create 16 }
 
   let fire t id = Hashtbl.replace t.fired id ()
 
-  let starts_at round (_, f) =
-    match f with Crash_node { from_round; _ } -> from_round = round | _ -> false
+  let at round (_, f) =
+    match f with Handoff_node { round = r; _ } -> r = round | _ -> false
 
-  let crash_starting t ~round ~node =
-    match Hashtbl.find_opt t.crashes_by_node node with
+  let handoff_at t ~round ~node =
+    match Hashtbl.find_opt t.handoffs_by_node node with
     | None -> false
     | Some cs -> (
-        match List.find_opt (starts_at round) cs with
+        match List.find_opt (at round) cs with
         | None -> false
         | Some (id, _) ->
             fire t id;

@@ -21,7 +21,9 @@
     this plan. *)
 
 type kind =
-  | Crash  (** a block member fails (fail-stop) for a round interval *)
+  | Handoff
+      (** a block member leaves at the start of a round and hands its
+          share to a standby first (named ["crash"] in counters) *)
   | Drop  (** the relay leg of one edge transfer is lost *)
   | Delay  (** one edge transfer is delivered late *)
   | Corrupt  (** one edge transfer arrives but fails its integrity check *)
@@ -50,9 +52,14 @@ val delay_ticks : float -> int
     ticks by contract. *)
 
 type fault =
-  | Crash_node of { node : int; from_round : int; until_round : int }
-      (** [node] is unavailable for rounds [\[from_round, until_round)];
-          a standby replacement takes over its slot at [from_round]. *)
+  | Handoff_node of { node : int; round : int }
+      (** [node] leaves at the start of [round]. Before it goes, every
+          block it sits in re-shares its state from all k+1 members, the
+          leaving one included, to a fresh sharing that a standby takes
+          over. The member is gone for no round, and nothing is lost:
+          blocks hold (k+1)-out-of-(k+1) XOR shares, which k survivors
+          alone could not re-share, so a true fail-stop loss is not
+          modelled. *)
   | Drop_transfer of { src : int; dst : int; round : int }
   | Delay_transfer of { src : int; dst : int; round : int; seconds : float }
   | Corrupt_transfer of { src : int; dst : int; round : int }
@@ -69,7 +76,7 @@ type plan = fault list
 val empty : plan
 
 type rates = {
-  crash : float;  (** per-node probability of one crash during the run *)
+  crash : float;  (** per-node probability of one handoff during the run *)
   drop : float;  (** per-(edge, round) probability *)
   delay : float;
   corrupt : float;
@@ -81,13 +88,13 @@ val no_faults : rates
 val random_plan :
   seed:int -> rounds:int -> nodes:int -> edges:(int * int) list -> rates -> plan
 (** Draw a schedule from independent per-kind Bernoulli trials over every
-    node (crashes) and every (edge, round) pair (transfer faults), using a
+    node (handoffs) and every (edge, round) pair (transfer faults), using a
     private SplitMix stream: same arguments, same plan. Raises
     [Invalid_argument] if a rate is outside [\[0, 1\]] or [rounds < 1]. *)
 
 val random_crashes : seed:int -> nodes:int -> rounds:int -> count:int -> plan
-(** Exactly [count] single-round crashes of distinct nodes at random
-    mid-run rounds — the CLI's [--fault-crashes] helper. *)
+(** Exactly [count] handoffs of distinct nodes at random mid-run rounds —
+    the CLI's [--fault-crashes] helper. *)
 
 (** Runtime side: the engine queries the injector each round; the injector
     remembers which faults fired so the report can itemize them. *)
@@ -96,9 +103,9 @@ module Injector : sig
 
   val create : plan -> t
 
-  val crash_starting : t -> round:int -> node:int -> bool
-  (** Does a crash of [node] begin exactly at [round]? This is the moment
-      the engine must hand the node's state to its replacement. *)
+  val handoff_at : t -> round:int -> node:int -> bool
+  (** Does [node] hand off at [round]? This is the moment the engine
+      must hand the node's state to its replacement. *)
 
   val edge_faults : t -> round:int -> src:int -> dst:int -> fault list
   (** All transfer faults scheduled for this edge at this round (marked as

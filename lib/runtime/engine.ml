@@ -244,15 +244,16 @@ let run cfg p ~graph ~initial_states =
   let failures = ref 0 and recovered = ref 0 and unrecovered = ref 0 in
   let retries = ref 0 and crash_recoveries = ref 0 and retry_epsilon = ref 0.0 in
   (* --- Computation step ----------------------------------------- *)
-  (* Crash recovery (§3.6): a crashed member is fail-stop; a standby takes
-     over its slot and the surviving members re-share every value the
-     block holds, so the XOR invariant is preserved. Fault queries hit the
-     stateful injector in a sequential prologue (deterministic fired-fault
-     book-keeping); the re-sharing runs inside the block's task with an
-     event-keyed PRG and is charged as re-sharing traffic plus one backoff
-     period. *)
-  (* Crash handoff for vertex [i]: re-share every value block [i] holds,
-     once per crashed member. Charges re-sharing traffic to [traffic] and
+  (* Handoff (§3.6): a leaving member hands its slot to a standby. All
+     k+1 members, the leaving one included, re-share every value the
+     block holds, so the XOR invariant is preserved; k survivors alone
+     could not, since the shares are (k+1)-out-of-(k+1). Fault queries hit
+     the stateful injector in a sequential prologue (deterministic
+     fired-fault book-keeping); the re-sharing runs inside the block's
+     task with an event-keyed PRG and is charged as re-sharing traffic
+     plus one backoff period. *)
+  (* Handoff for vertex [i]: re-share every value block [i] holds, once
+     per leaving member. Charges re-sharing traffic to [traffic] and
      returns the number of recovery events. *)
   let recover_crashes ~obs ~round ~traffic i crashed_members =
     let b = blocks.(i) in
@@ -276,7 +277,7 @@ let run cfg p ~graph ~initial_states =
     let crashed =
       Array.init n (fun i ->
           Array.to_list blocks.(i).Block.members
-          |> List.filter (fun m -> Fault.Injector.crash_starting injector ~round ~node:m))
+          |> List.filter (fun m -> Fault.Injector.handoff_at injector ~round ~node:m))
     in
     (* Tasks update their own (disjoint) blocks in place and return each
        vertex's crash-recovery event count. The merge replays that

@@ -33,10 +33,11 @@
     executor and schedule.
 
     {b Fault injection and recovery.} A {!Dstress_faults.Fault.plan} in the
-    config injects deterministic faults into a run: crash a block member
-    for a window of rounds, drop/delay/corrupt an edge transfer, or force
-    a decryption-table miss. The engine degrades gracefully: crashed
-    members are replaced by standbys and the block's state is re-shared;
+    config injects deterministic faults into a run: hand a block member's
+    slot to a standby, drop/delay/corrupt an edge transfer, or force a
+    decryption-table miss. The engine degrades gracefully: at a handoff
+    the whole block, the leaving member included, re-shares its state to
+    the standby;
     failed transfers are retried up to [max_retries] times with
     exponential backoff (simulated, accounted separately from measured
     wall-clock), escalating to an 8-times-wider
@@ -133,7 +134,7 @@ type report = {
       (** (member, bit) positions still untrusted after all attempts; the
           protocol substituted the no-op value 0 and flagged them *)
   transfer_retries : int;  (** transfer attempts beyond the first *)
-  crash_recoveries : int;  (** standby replacements of crashed block members *)
+  crash_recoveries : int;  (** handoffs of block members to standbys *)
   faults_injected : (Dstress_faults.Fault.kind * int) list;
       (** per-kind count of plan entries that actually fired *)
   retry_epsilon : float;

@@ -8,8 +8,8 @@
     since the last heartbeat divided by a smoothed estimate of the
     arrival interval. A healthy peer hovers near 1; a stalled or dead
     peer's level grows without bound, and once it crosses phi = 8 the
-    peer is {e suspected}. The supervisor treats a suspected worker like a
-    [Crash_node] fault: it kills the worker, requeues its request and
+    peer is {e suspected}. The supervisor treats a suspected worker as
+    lost (fail-stop): it kills the worker, requeues its request and
     respawns its slot, so even a falsely-suspected straggler never
     replies.
 

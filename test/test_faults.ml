@@ -56,7 +56,7 @@ let test_random_crashes_distinct () =
   let plan = Fault.random_crashes ~seed:3 ~nodes:10 ~rounds:5 ~count:4 in
   Alcotest.(check int) "count" 4 (List.length plan);
   let victims =
-    List.map (function Fault.Crash_node { node; _ } -> node | _ -> Alcotest.fail "not a crash") plan
+    List.map (function Fault.Handoff_node { node; _ } -> node | _ -> Alcotest.fail "not a handoff") plan
   in
   Alcotest.(check int) "distinct victims" 4 (List.length (List.sort_uniq compare victims))
 
@@ -65,7 +65,7 @@ let test_injector_counts_only_fired () =
     [
       Fault.Drop_transfer { src = 0; dst = 1; round = 1 };
       Fault.Drop_transfer { src = 4; dst = 5; round = 9 }; (* never queried: dormant *)
-      Fault.Crash_node { node = 2; from_round = 2; until_round = 4 };
+      Fault.Handoff_node { node = 2; round = 2 };
     ]
   in
   let inj = Fault.Injector.create plan in
@@ -75,15 +75,15 @@ let test_injector_counts_only_fired () =
     (List.length (Fault.Injector.edge_faults inj ~round:1 ~src:0 ~dst:1));
   Alcotest.(check bool) "other edge clean" true
     (Fault.Injector.edge_faults inj ~round:1 ~src:1 ~dst:0 = []);
-  Alcotest.(check bool) "no crash starts at round 1" false
-    (Fault.Injector.crash_starting inj ~round:1 ~node:2);
-  Alcotest.(check bool) "crash starts at round 2" true
-    (Fault.Injector.crash_starting inj ~round:2 ~node:2);
-  Alcotest.(check bool) "not starting at round 3" false
-    (Fault.Injector.crash_starting inj ~round:3 ~node:2);
+  Alcotest.(check bool) "no handoff at round 1" false
+    (Fault.Injector.handoff_at inj ~round:1 ~node:2);
+  Alcotest.(check bool) "handoff at round 2" true
+    (Fault.Injector.handoff_at inj ~round:2 ~node:2);
+  Alcotest.(check bool) "no handoff at round 3" false
+    (Fault.Injector.handoff_at inj ~round:3 ~node:2);
   Alcotest.(check int) "dormant fault not counted" 2 (fired ());
   Alcotest.(check int) "drop count" 1 (List.assoc Fault.Drop (Fault.Injector.injected inj));
-  Alcotest.(check int) "crash count" 1 (List.assoc Fault.Crash (Fault.Injector.injected inj));
+  Alcotest.(check int) "crash count" 1 (List.assoc Fault.Handoff (Fault.Injector.injected inj));
   (* Every kind is one the engine fires: the five protocol kinds. *)
   Alcotest.(check (list string)) "kinds"
     [ "crash"; "drop"; "delay"; "corrupt"; "decrypt-miss" ]
@@ -298,7 +298,7 @@ let run_en ?(k = 2) ?(seed = "faults") ~plan () =
 let test_engine_replay_with_faults () =
   let plan =
     [
-      Fault.Crash_node { node = 1; from_round = 2; until_round = 3 };
+      Fault.Handoff_node { node = 1; round = 2 };
       Fault.Drop_transfer { src = 0; dst = 1; round = 1 };
       Fault.Miss_decrypt { src = 2; dst = 3; round = 2 };
     ]
@@ -313,10 +313,10 @@ let test_engine_replay_with_faults () =
     r2.Engine.retry_epsilon
 
 let test_engine_crash_recovery_en () =
-  let plan = [ Fault.Crash_node { node = 1; from_round = 2; until_round = 3 } ] in
+  let plan = [ Fault.Handoff_node { node = 1; round = 2 } ] in
   let expected, r = run_en ~plan () in
   Alcotest.(check int) "crash fired" 1
-    (List.assoc Fault.Crash r.Engine.faults_injected);
+    (List.assoc Fault.Handoff r.Engine.faults_injected);
   Alcotest.(check bool) "blocks re-shared" true (r.Engine.crash_recoveries > 0);
   Alcotest.(check int) "output unaffected by crash" expected r.Engine.output
 
@@ -353,7 +353,7 @@ let test_engine_crash_recovery_egj () =
   let expected = Engine.run_plaintext p ~degree_bound:d ~graph ~initial_states:states in
   let plan =
     [
-      Fault.Crash_node { node = 2; from_round = 2; until_round = 3 };
+      Fault.Handoff_node { node = 2; round = 2 };
       Fault.Drop_transfer { src = 0; dst = 1; round = 1 };
     ]
   in
@@ -382,7 +382,7 @@ let test_engine_acceptance_n20 () =
   let plan =
     Fault.random_plan ~seed:5 ~rounds:3 ~nodes:20 ~edges:(Graph.edges graph)
       { Fault.no_faults with miss = 0.08; drop = 0.05 }
-    @ [ Fault.Crash_node { node = 3; from_round = 2; until_round = 3 } ]
+    @ [ Fault.Handoff_node { node = 3; round = 2 } ]
   in
   let cfg =
     { (Engine.default_config grp ~k:3 ~degree_bound:d ~seed:"n20") with
@@ -392,7 +392,7 @@ let test_engine_acceptance_n20 () =
   Alcotest.(check int) "output matches plaintext exactly" expected r.Engine.output;
   let by k = List.assoc k r.Engine.faults_injected in
   Alcotest.(check bool) "misses injected" true (by Fault.Decrypt_miss > 0);
-  Alcotest.(check int) "crash injected" 1 (by Fault.Crash);
+  Alcotest.(check int) "crash injected" 1 (by Fault.Handoff);
   Alcotest.(check bool) "report itemizes retries" true (r.Engine.transfer_retries > 0);
   Alcotest.(check int) "all failures recovered" 0 r.Engine.unrecovered_failures;
   Alcotest.(check int) "recovered = failures" r.Engine.transfer_failures
@@ -444,7 +444,7 @@ let test_executors_agree_en_faulty () =
   let plan =
     Fault.random_plan ~seed:11 ~rounds:3 ~nodes:4 ~edges:(Graph.edges graph)
       { Fault.no_faults with drop = 0.3; corrupt = 0.2; miss = 0.3; delay = 0.2 }
-    @ [ Fault.Crash_node { node = 1; from_round = 2; until_round = 3 } ]
+    @ [ Fault.Handoff_node { node = 1; round = 2 } ]
   in
   let run executor =
     let cfg =
@@ -474,7 +474,7 @@ let test_executors_agree_egj () =
   let d = max 1 (Graph.max_degree graph) in
   let p = Egj_program.make ~epsilon:50.0 ~sensitivity:1 ~noise_max:2 ~l:14 ~frac:4 ~degree:d ~iterations:2 () in
   let states = Egj_program.encode_instance inst ~graph ~l:14 ~frac:4 ~degree:d ~scale:1.0 in
-  let plan = [ Fault.Crash_node { node = 2; from_round = 2; until_round = 3 } ] in
+  let plan = [ Fault.Handoff_node { node = 2; round = 2 } ] in
   let run executor =
     let cfg =
       { (Engine.default_config grp ~k:2 ~degree_bound:d ~seed:"exec-egj") with
