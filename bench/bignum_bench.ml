@@ -169,7 +169,7 @@ let egj_256 () =
       executor = "";
     }
   in
-  let b = Query.build ~epsilon:1.0 ~shock:Banking.Cascade req in
+  let b = Result.get_ok (Query.build ~epsilon:1.0 ~shock:Banking.Cascade req) in
   let _, setup_muls =
     counting_muls (fun () ->
         Setup.run

@@ -44,14 +44,15 @@ let base_request =
    tax — queueing, the request frame out, the worker's decode/encode,
    the result frame back. *)
 let noop_handler (req : Service.request) =
-  {
-    Service.output = req.Service.seed;
-    mpc_rounds = 0;
-    mpc_and_gates = 0;
-    mpc_ots = 0;
-    trace = "[]";
-    metrics = "{}";
-  }
+  Ok
+    {
+      Service.output = req.Service.seed;
+      mpc_rounds = 0;
+      mpc_and_gates = 0;
+      mpc_ots = 0;
+      trace = "[]";
+      metrics = "{}";
+    }
 
 (* The handler `dstress serve` runs at its defaults (epsilon 1, cascade
    shock): one seeded EN clearing per request. The run owns everything

@@ -99,14 +99,15 @@ let bench_log_append ~n =
 (* ------------------------------------------------------------------ *)
 
 let noop_handler (req : Service.request) =
-  {
-    Service.output = req.Service.seed;
-    mpc_rounds = 0;
-    mpc_and_gates = 0;
-    mpc_ots = 0;
-    trace = "[]";
-    metrics = "{}";
-  }
+  Ok
+    {
+      Service.output = req.Service.seed;
+      mpc_rounds = 0;
+      mpc_and_gates = 0;
+      mpc_ots = 0;
+      trace = "[]";
+      metrics = "{}";
+    }
 
 let base_request =
   {

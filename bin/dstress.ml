@@ -219,12 +219,19 @@ let protocol_plan ~graph ~iterations ~seed ~fault_rate ~fault_crashes =
 (* stress command                                                      *)
 (* ------------------------------------------------------------------ *)
 
+(* Degraded and rejected requests are expected, typed outcomes: report
+   them and exit distinctly rather than crash with a backtrace. *)
+let degraded_exit = 3
+let rejected_exit = 4
+
+let reject msg =
+  Printf.eprintf "dstress: request rejected: %s\n" msg;
+  exit rejected_exit
+
 let stress req grpname epsilon shock reference_only fault_rate fault_crashes max_retries
     backoff trace metrics trace_wall profile =
-  (* A bad --executor fails before any output. *)
-  Result.iter_error
-    (fun m -> invalid_arg ("dstress: --executor " ^ m))
-    (Service.request_executor req);
+  (* A request the daemon would refuse fails before any output. *)
+  Result.iter_error reject (Service.validate_request req);
   let grp = Group.by_name grpname in
   (* Only the export flags read the collector: collect exactly when one
      is given. *)
@@ -245,7 +252,7 @@ let stress req grpname epsilon shock reference_only fault_rate fault_crashes max
         (Array.fold_left (fun a f -> if f then a + 1 else a) 0 oracle.Reference.failed)
         oracle.Reference.monotone);
   if not reference_only then begin
-    let b = Query.build ~epsilon ~shock req in
+    let b = match Query.build ~epsilon ~shock req with Ok b -> b | Error m -> reject m in
     let fault_plan =
       protocol_plan ~graph:b.Query.graph ~iterations ~seed:req.Service.seed ~fault_rate
         ~fault_crashes
@@ -389,11 +396,6 @@ let scenarios_cmd =
 
 module Log = Dstress_obs.Log
 
-(* Degraded and rejected requests are expected, typed outcomes: report
-   them and exit distinctly rather than crash with a backtrace. *)
-let degraded_exit = 3
-let rejected_exit = 4
-
 let default_socket = Filename.concat (Filename.get_temp_dir_name ()) "dstress.sock"
 
 let parse_host_port spec =
@@ -526,9 +528,7 @@ let request socket connect req timeout trace metrics =
         s.Service.mpc_and_gates s.Service.mpc_ots;
       Option.iter (fun path -> write_file path s.Service.trace) trace;
       Option.iter (fun path -> write_file path s.Service.metrics) metrics
-  | Service.Rejected msg ->
-      Printf.eprintf "dstress: request rejected: %s\n" msg;
-      exit rejected_exit
+  | Service.Rejected msg -> reject msg
   | Service.Degraded msg ->
       Printf.eprintf "dstress: request degraded: %s\n" msg;
       exit degraded_exit

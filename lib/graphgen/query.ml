@@ -36,15 +36,15 @@ let build ~epsilon ~shock ({ Service.iterations; _ } as req) =
       let graph = En_program.graph_of_instance inst in
       let degree = Graph.max_degree graph in
       let program = En_program.make ~epsilon ~sensitivity ~l:en_l ~degree ~iterations () in
-      let states = En_program.encode_instance inst ~graph ~l:en_l ~degree ~scale:en_scale in
-      { program; graph; degree; states }
+      En_program.encode inst ~graph ~l:en_l ~degree ~scale:en_scale
+      |> Result.map (fun states -> { program; graph; degree; states })
   | Egj inst ->
       let graph = Egj_program.graph_of_instance inst in
       let degree = Graph.max_degree graph in
       let l = egj_l and frac = egj_frac in
       let program = Egj_program.make ~epsilon ~sensitivity ~l ~frac ~degree ~iterations () in
-      let states = Egj_program.encode_instance inst ~graph ~l ~frac ~degree ~scale:egj_scale in
-      { program; graph; degree; states }
+      Egj_program.encode inst ~graph ~l ~frac ~degree ~scale:egj_scale
+      |> Result.map (fun states -> { program; graph; degree; states })
 
 let run ~grp ~obs_level ~fault_plan ~max_retries ~backoff (req : Service.request) b =
   let executor =
@@ -73,15 +73,17 @@ let tds workload output =
   | Service.Egj -> Egj_program.decode_output ~scale:egj_scale ~frac:egj_frac output
 
 let handler ~grp ~epsilon ~shock req =
-  let report =
-    run ~grp ~obs_level:Obs.Full ~fault_plan:Dstress_faults.Fault.empty ~max_retries:2
-      ~backoff:0.05 req (build ~epsilon ~shock req)
-  in
-  {
-    Service.output = report.Engine.output;
-    mpc_rounds = report.Engine.mpc_rounds;
-    mpc_and_gates = report.Engine.mpc_and_gates;
-    mpc_ots = report.Engine.mpc_ots;
-    trace = Obs.trace_json report.Engine.obs;
-    metrics = Obs.metrics_json report.Engine.obs;
-  }
+  build ~epsilon ~shock req
+  |> Result.map (fun b ->
+         let report =
+           run ~grp ~obs_level:Obs.Full ~fault_plan:Dstress_faults.Fault.empty ~max_retries:2
+             ~backoff:0.05 req b
+         in
+         {
+           Service.output = report.Engine.output;
+           mpc_rounds = report.Engine.mpc_rounds;
+           mpc_and_gates = report.Engine.mpc_and_gates;
+           mpc_ots = report.Engine.mpc_ots;
+           trace = Obs.trace_json report.Engine.obs;
+           metrics = Obs.metrics_json report.Engine.obs;
+         })

@@ -24,10 +24,15 @@ type build = {
 }
 
 val build :
-  epsilon:float -> shock:Banking.shock -> Dstress_runtime.Service.request -> build
+  epsilon:float ->
+  shock:Banking.shock ->
+  Dstress_runtime.Service.request ->
+  (build, string) result
 (** The {!network}'s program, graph and initial states at the protocol's
     encodings: EN at l = 12 and $0.25 per unit, EGJ at l = 16 with 6
-    fraction bits and $4 per unit, both with sensitivity 20. *)
+    fraction bits and $4 per unit, both with sensitivity 20. [Error]
+    names the first value of the network that does not fit its word
+    (e.g. a bank's total debt above $1,023.75 for EN); nothing runs. *)
 
 val run :
   grp:Dstress_crypto.Group.t ->
@@ -50,7 +55,8 @@ val handler :
   epsilon:float ->
   shock:Banking.shock ->
   Dstress_runtime.Service.request ->
-  Dstress_runtime.Service.summary
+  (Dstress_runtime.Service.summary, string) result
 (** What [dstress serve] runs for a request: {!run} at full
     observability, without faults, with 2 retries and 50 ms backoff,
-    summarized with its tick-domain trace and metrics exports. *)
+    summarized with its tick-domain trace and metrics exports, or
+    {!build}'s [Error]. *)

@@ -97,15 +97,15 @@ let graph_of_instance inst =
   in
   Graph.create ~n:inst.Reference.egj_n ~edges
 
-let encode_instance inst ~graph ~l ~frac ~degree ~scale =
+let encode inst ~graph ~l ~frac ~degree ~scale =
   Reference.egj_validate inst;
   let n = inst.Reference.egj_n in
   let cap = (1 lsl l) - 1 in
+  let exception Unfit of string in
   let to_units what v =
     let u = int_of_float (Float.round (v /. scale *. float_of_int (1 lsl frac))) in
     if u < 0 || u > cap then
-      invalid_arg
-        (Printf.sprintf "Egj_program.encode_instance: %s = %g does not fit" what v);
+      raise (Unfit (Printf.sprintf "%s = %g does not fit %d bits" what v l));
     u
   in
   let holding_value = Hashtbl.create 64 in
@@ -113,20 +113,29 @@ let encode_instance inst ~graph ~l ~frac ~degree ~scale =
     (fun (h, iss, share) ->
       Hashtbl.replace holding_value (h, iss) (share *. inst.Reference.orig_val.(iss)))
     inst.Reference.holdings;
-  Array.init n (fun i ->
-      let words = Array.make (state_words ~degree) 0 in
-      words.(off_base) <- to_units "base" inst.Reference.base_assets.(i);
-      words.(off_orig) <- to_units "orig_val" inst.Reference.orig_val.(i);
-      words.(off_threshold) <- to_units "threshold" inst.Reference.threshold.(i);
-      words.(off_penalty) <- to_units "penalty" inst.Reference.penalty.(i);
-      words.(off_value) <- to_units "value" inst.Reference.orig_val.(i);
-      List.iteri
-        (fun s issuer ->
-          words.(off_holding ~s) <-
-            to_units "holding"
-              (Option.value ~default:0.0 (Hashtbl.find_opt holding_value (i, issuer))))
-        (Graph.in_neighbors graph i);
-      Bitvec.concat (Array.to_list (Array.map (fun w -> Bitvec.of_int ~bits:l w) words)))
+  match
+    Array.init n (fun i ->
+        let words = Array.make (state_words ~degree) 0 in
+        words.(off_base) <- to_units "base" inst.Reference.base_assets.(i);
+        words.(off_orig) <- to_units "orig_val" inst.Reference.orig_val.(i);
+        words.(off_threshold) <- to_units "threshold" inst.Reference.threshold.(i);
+        words.(off_penalty) <- to_units "penalty" inst.Reference.penalty.(i);
+        words.(off_value) <- to_units "value" inst.Reference.orig_val.(i);
+        List.iteri
+          (fun s issuer ->
+            words.(off_holding ~s) <-
+              to_units "holding"
+                (Option.value ~default:0.0 (Hashtbl.find_opt holding_value (i, issuer))))
+          (Graph.in_neighbors graph i);
+        Bitvec.concat (Array.to_list (Array.map (fun w -> Bitvec.of_int ~bits:l w) words)))
+  with
+  | states -> Ok states
+  | exception Unfit m -> Error m
+
+let encode_instance inst ~graph ~l ~frac ~degree ~scale =
+  match encode inst ~graph ~l ~frac ~degree ~scale with
+  | Ok states -> states
+  | Error m -> invalid_arg ("Egj_program.encode_instance: " ^ m)
 
 let decode_output ~scale ~frac units =
   float_of_int units /. float_of_int (1 lsl frac) *. scale

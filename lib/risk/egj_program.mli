@@ -39,6 +39,17 @@ val graph_of_instance : Reference.egj_instance -> Dstress_runtime.Graph.t
 (** Edge (issuer -> holder) for every cross-holding: discounts flow from
     the issuer to its shareholders. *)
 
+val encode :
+  Reference.egj_instance ->
+  graph:Dstress_runtime.Graph.t ->
+  l:int ->
+  frac:int ->
+  degree:int ->
+  scale:float ->
+  (Dstress_util.Bitvec.t array, string) result
+(** Initial vertex states at [frac] fraction bits, or [Error] naming the
+    first scaled value that does not fit in [l] bits. *)
+
 val encode_instance :
   Reference.egj_instance ->
   graph:Dstress_runtime.Graph.t ->
@@ -47,5 +58,6 @@ val encode_instance :
   degree:int ->
   scale:float ->
   Dstress_util.Bitvec.t array
+(** {!encode}, raising [Invalid_argument] on its [Error]. *)
 
 val decode_output : scale:float -> frac:int -> int -> float

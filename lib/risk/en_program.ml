@@ -85,34 +85,44 @@ let graph_of_instance inst =
   in
   Graph.create ~n:inst.Reference.en_n ~edges
 
-let encode_instance inst ~graph ~l ~degree ~scale =
+let encode inst ~graph ~l ~degree ~scale =
   Reference.en_validate inst;
   let n = inst.Reference.en_n in
   let cap = (1 lsl l) - 1 in
+  let exception Unfit of string in
   let to_units what v =
     let u = int_of_float (Float.round (v /. scale)) in
     if u < 0 || u > cap then
-      invalid_arg (Printf.sprintf "En_program.encode_instance: %s = %g does not fit %d bits" what v l);
+      raise (Unfit (Printf.sprintf "%s = %g does not fit %d bits" what v l));
     u
   in
   let total_debt = Reference.en_total_debt inst in
   let debt_amount = Hashtbl.create 64 in
   List.iter (fun (i, j, a) -> Hashtbl.replace debt_amount (i, j) a) inst.Reference.debts;
-  Array.init n (fun i ->
-      let words = Array.make (state_words ~degree) 0 in
-      words.(off_cash) <- to_units "cash" inst.Reference.cash.(i);
-      words.(off_total) <- to_units "total debt" total_debt.(i);
-      words.(off_deficit) <- 0;
-      List.iteri
-        (fun s j ->
-          words.(off_debt ~s) <-
-            to_units "debt" (Option.value ~default:0.0 (Hashtbl.find_opt debt_amount (i, j))))
-        (Graph.out_neighbors graph i);
-      List.iteri
-        (fun s j ->
-          words.(off_credit ~degree ~s) <-
-            to_units "credit" (Option.value ~default:0.0 (Hashtbl.find_opt debt_amount (j, i))))
-        (Graph.in_neighbors graph i);
-      Bitvec.concat (Array.to_list (Array.map (fun w -> Bitvec.of_int ~bits:l w) words)))
+  match
+    Array.init n (fun i ->
+        let words = Array.make (state_words ~degree) 0 in
+        words.(off_cash) <- to_units "cash" inst.Reference.cash.(i);
+        words.(off_total) <- to_units "total debt" total_debt.(i);
+        words.(off_deficit) <- 0;
+        List.iteri
+          (fun s j ->
+            words.(off_debt ~s) <-
+              to_units "debt" (Option.value ~default:0.0 (Hashtbl.find_opt debt_amount (i, j))))
+          (Graph.out_neighbors graph i);
+        List.iteri
+          (fun s j ->
+            words.(off_credit ~degree ~s) <-
+              to_units "credit" (Option.value ~default:0.0 (Hashtbl.find_opt debt_amount (j, i))))
+          (Graph.in_neighbors graph i);
+        Bitvec.concat (Array.to_list (Array.map (fun w -> Bitvec.of_int ~bits:l w) words)))
+  with
+  | states -> Ok states
+  | exception Unfit m -> Error m
+
+let encode_instance inst ~graph ~l ~degree ~scale =
+  match encode inst ~graph ~l ~degree ~scale with
+  | Ok states -> states
+  | Error m -> invalid_arg ("En_program.encode_instance: " ^ m)
 
 let decode_output ~scale units = float_of_int units *. scale

@@ -38,6 +38,16 @@ val agg_bits : l:int -> int
 val graph_of_instance : Reference.en_instance -> Dstress_runtime.Graph.t
 (** Edge (debtor -> creditor) for every debt. *)
 
+val encode :
+  Reference.en_instance ->
+  graph:Dstress_runtime.Graph.t ->
+  l:int ->
+  degree:int ->
+  scale:float ->
+  (Dstress_util.Bitvec.t array, string) result
+(** Initial vertex states, or [Error] naming the first scaled value
+    (including a bank's total debt) that does not fit in [l] bits. *)
+
 val encode_instance :
   Reference.en_instance ->
   graph:Dstress_runtime.Graph.t ->
@@ -45,8 +55,7 @@ val encode_instance :
   degree:int ->
   scale:float ->
   Dstress_util.Bitvec.t array
-(** Initial vertex states. Raises [Invalid_argument] if any scaled value
-    (including a bank's total debt) does not fit in [l] bits. *)
+(** {!encode}, raising [Invalid_argument] on its [Error]. *)
 
 val decode_output : scale:float -> int -> float
 (** Noised aggregate units back to dollars. *)

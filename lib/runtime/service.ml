@@ -192,6 +192,9 @@ let validate_request r =
   else if r.iterations < 1 || r.iterations > 1024 then
     err "iterations must be in [1, 1024] (got %d)" r.iterations
   else if r.k < 1 || r.k > 64 then err "k must be in [1, 64] (got %d)" r.k
+  else if r.k + 1 > r.core + r.periphery then
+    err "blocks of k + 1 = %d members need as many banks (core + periphery = %d)" (r.k + 1)
+      (r.core + r.periphery)
   else if r.slice_width < 1 || r.slice_width > 64 then
     err "slice_width must be in [1, 64] (got %d)" r.slice_width
   else if String.length r.executor > max_executor_len then
@@ -267,11 +270,13 @@ let all_abandoned p =
   Array.for_all (fun s -> s.Supervisor.abandoned) (Supervisor.slots p.sup)
 
 (* Inside a worker: decode the request, run the handler, encode the
-   response. A handler exception fails only that request. *)
+   response. A handler's [Error] rejects the request with its message; a
+   handler exception fails only that request. *)
 let serve_request handler payload =
   match decode_request payload with
   | Error e -> Error e
-  | Ok req -> Ok (encode_response (Completed (handler req)))
+  | Ok req ->
+      Ok (encode_response (match handler req with Ok s -> Completed s | Error m -> Rejected m))
 
 let create_pool ?(opts = default_pool_opts) ?(log = Log.nop)
     ?(fork_fds = fun () -> []) ~handler () =

@@ -86,7 +86,8 @@ val encode_response : response -> bytes
 val decode_response : bytes -> (response, string) result
 
 val validate_request : request -> (unit, string) result
-(** Field-level checks: positive sizes, the reserved [slice_width] in
+(** Field-level checks: positive sizes, blocks no larger than the
+    network (k + 1 <= core + periphery), the reserved [slice_width] in
     [1, 64] (it is outside input, so it is still bounded), a parseable
     [executor] spec, sane payload lengths. *)
 
@@ -123,16 +124,17 @@ val create_pool :
   ?opts:pool_opts ->
   ?log:Dstress_obs.Log.t ->
   ?fork_fds:(unit -> Unix.file_descr list) ->
-  handler:(request -> summary) ->
+  handler:(request -> (summary, string) result) ->
   unit ->
   pool
 (** Fork [opts.workers] persistent workers over anonymous socketpairs.
     Must run before any [Domain.spawn] in this process. Each worker
     inherits [handler] via fork and serves requests one at a time:
-    heartbeating from a side thread, replying [Completed] (or a typed
-    error that surfaces as [Degraded]) in a result frame.
-    A handler exception inside a worker fails only that request, never
-    the worker. [fork_fds] (consulted at every fork, including respawns)
+    heartbeating from a side thread, replying [Completed], or
+    [Rejected] with the message of the handler's [Error] (a request the
+    handler refuses before any work), in a result frame.
+    A handler exception inside a worker fails only that request, as
+    [Degraded], never the worker. [fork_fds] (consulted at every fork, including respawns)
     names descriptors the embedding process holds — listener, client
     connections — that children must close; SIGPIPE is set to ignore so
     a write racing a worker death stays a typed [Closed] error.
@@ -264,7 +266,7 @@ val serve :
   ?pool_opts:pool_opts ->
   ?log:Dstress_obs.Log.t ->
   ?ready:(addr:string -> unit) ->
-  handler:(request -> summary) ->
+  handler:(request -> (summary, string) result) ->
   listener:Unix.file_descr ->
   addr:string ->
   unit ->

@@ -179,7 +179,7 @@ let test_query_outputs () =
       let report =
         Query.run ~grp ~obs_level:Dstress_obs.Obs.Off ~fault_plan:Dstress_faults.Fault.empty
           ~max_retries:2 ~backoff:0.05 req
-          (Query.build ~epsilon:1.0 ~shock:Banking.Cascade req)
+          (Result.get_ok (Query.build ~epsilon:1.0 ~shock:Banking.Cascade req))
       in
       Alcotest.(check int) (Printf.sprintf "seed %d" seed) want report.Engine.output;
       Alcotest.(check int) "no transfer failures" 0 report.Engine.transfer_failures)

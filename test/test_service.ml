@@ -192,6 +192,18 @@ let test_validate_request () =
   Alcotest.(check bool) "empty executor means sequential" true
     (ok { golden_request with Service.executor = "" })
 
+(* Blocks of k + 1 members need that many banks: the daemon refuses the
+   shape before dispatch, where Setup.run would raise inside a worker. *)
+let test_validate_block_size () =
+  let r = { golden_request with Service.core = 3; periphery = 5; k = 8 } in
+  match Service.validate_request r with
+  | Ok () -> Alcotest.fail "k + 1 > core + periphery must be rejected"
+  | Error m ->
+      Alcotest.(check bool) ("names the sizes: " ^ m) true
+        (contains_substring ~sub:"k + 1 = 9" m && contains_substring ~sub:"= 8" m);
+      Alcotest.(check bool) "k + 1 = n accepted" true
+        (Service.validate_request { r with Service.k = 7 } = Ok ())
+
 (* ------------------------------------------------------------------ *)
 (* DSTRESS-REQ/1: qcheck round trips                                   *)
 (* ------------------------------------------------------------------ *)
@@ -278,7 +290,7 @@ let base_request =
 (* The solo oracle: the same request run sequentially in this process.
    Tick-domain exports are executor-invariant, so this is the expected
    answer for every in-worker executor spec. *)
-let oracle req = handler { req with Service.executor = "" }
+let oracle req = Result.get_ok (handler { req with Service.executor = "" })
 
 let check_summary_equal label (want : Service.summary) (got : Service.summary) =
   Alcotest.(check int) (label ^ ": output") want.Service.output got.Service.output;
@@ -369,6 +381,29 @@ let test_pool_queue_backpressure () =
   let m = Service.pool_metrics pool in
   Alcotest.(check int) "rejection counted" 1 (Metrics.counter m "service.requests_rejected");
   run_pool_until pool ~pending ~deadline:120.0;
+  Service.shutdown_pool pool
+
+(* A network whose values do not fit the protocol's words (40 core banks
+   at EN's 12 bits) is refused by the worker's handler before any MPC,
+   with a typed message, and the pool counts it as rejected. *)
+let test_pool_unfit_network_rejected () =
+  let pool =
+    Service.create_pool ~opts:{ quick_opts with Service.workers = 1 } ~handler ()
+  in
+  let outcome = ref None and pending = ref 1 in
+  let req = { base_request with Service.core = 40; periphery = 2; iterations = 1 } in
+  ignore
+    (Service.submit pool req (fun r ->
+         outcome := Some r;
+         decr pending));
+  run_pool_until pool ~pending ~deadline:60.0;
+  (match !outcome with
+  | Some (Service.Rejected m) ->
+      Alcotest.(check string) "message" "total debt = 1109.9 does not fit 12 bits" m
+  | _ -> Alcotest.fail "an unfit network must be rejected");
+  let counter name = List.assoc_opt name (Service.pool_stats pool).Service.counters in
+  Alcotest.(check (option int)) "counted as rejected" (Some 1)
+    (counter "service.requests_rejected");
   Service.shutdown_pool pool
 
 let test_pool_handler_failure_is_typed () =
@@ -862,6 +897,7 @@ let () =
           Alcotest.test_case "malformed request" `Quick test_malformed_request;
           Alcotest.test_case "malformed response" `Quick test_malformed_response;
           Alcotest.test_case "validate request" `Quick test_validate_request;
+          Alcotest.test_case "validate block size" `Quick test_validate_block_size;
         ]
         @ qsuite );
       ( "pool",
@@ -869,6 +905,7 @@ let () =
           Alcotest.test_case "differential vs solo" `Slow test_pool_differential;
           Alcotest.test_case "queue backpressure" `Quick test_pool_queue_backpressure;
           Alcotest.test_case "handler failure typed" `Slow test_pool_handler_failure_is_typed;
+          Alcotest.test_case "unfit network rejected" `Slow test_pool_unfit_network_rejected;
           Alcotest.test_case "lost worker is killed" `Slow test_pool_lost_worker_killed;
           Alcotest.test_case "disconnect recovered" `Slow test_pool_disconnect_recovered;
           Alcotest.test_case "every slot partitioned" `Slow test_pool_every_slot_partitioned;

@@ -373,7 +373,7 @@ let submit_n pool n =
 
 let test_pool_stats_end_to_end () =
   let log, events = collecting_log () in
-  let pool = Service.create_pool ~opts:pool_opts ~log ~handler:(fun _ -> tiny_summary) () in
+  let pool = Service.create_pool ~opts:pool_opts ~log ~handler:(fun _ -> Ok tiny_summary) () in
   submit_n pool 3;
   let st = Service.pool_stats pool in
   Alcotest.(check bool) "uptime advanced" true (st.Service.uptime_s > 0.0);
@@ -425,7 +425,7 @@ let test_pool_stats_end_to_end () =
 let test_pool_slow_request_logged () =
   let log, events = collecting_log ~level:Log.Warn () in
   let opts = { pool_opts with Service.slow_request_s = 0.0 } in
-  let pool = Service.create_pool ~opts ~log ~handler:(fun _ -> tiny_summary) () in
+  let pool = Service.create_pool ~opts ~log ~handler:(fun _ -> Ok tiny_summary) () in
   submit_n pool 1;
   let slow =
     List.filter
@@ -479,7 +479,7 @@ let check_exports_equal label (want : Service.summary) (got : Service.summary) =
   Alcotest.(check string) (label ^ ": metrics bytes") want.Service.metrics got.Service.metrics
 
 let test_differential_logging () =
-  let seq = handler tiny_request in
+  let seq = Result.get_ok (handler tiny_request) in
   (* The pool forks, so it runs before the parallel case spawns domains.
      Its worker serves the request's Full-level exports while the pool
      logs at Debug. *)
@@ -498,7 +498,7 @@ let test_differential_logging () =
   | Some (Service.Completed got) -> check_exports_equal "pool, logging on at debug" seq got
   | _ -> Alcotest.fail "the pool request did not complete");
   Alcotest.(check bool) "the logger actually saw pool events" true (events () <> []);
-  let par = handler { tiny_request with Service.executor = "parallel:3" } in
+  let par = Result.get_ok (handler { tiny_request with Service.executor = "parallel:3" }) in
   check_exports_equal "parallel" seq par
 
 (* ------------------------------------------------------------------ *)
