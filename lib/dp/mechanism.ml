@@ -41,15 +41,6 @@ let transfer_noise prng ~alpha ~delta =
 let alpha_of_epsilon ~epsilon = exp (-.epsilon)
 let epsilon_of_alpha ~alpha = -.log alpha
 
-let cdf_two_sided ~alpha k =
-  if k < 0 then 0.0
-  else begin
-    (* P(|Y| <= k) = (1-a)/(1+a) * (1 + 2 * sum_{j=1..k} a^j)
-                   = (1-a)/(1+a) + 2a(1 - a^k)/(1+a). *)
-    let base = (1.0 -. alpha) /. (1.0 +. alpha) in
-    base +. (2.0 *. alpha *. (1.0 -. (alpha ** float_of_int k)) /. (1.0 +. alpha))
-  end
-
 let failure_probability ~alpha ~table_entries =
   let half = float_of_int table_entries /. 2.0 in
   let p = ((2.0 *. (alpha ** half)) +. alpha -. 1.0) /. (1.0 +. alpha) in

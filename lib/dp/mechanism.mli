@@ -49,10 +49,6 @@ val alpha_of_epsilon : epsilon:float -> float
 
 val epsilon_of_alpha : alpha:float -> float
 
-val cdf_two_sided : alpha:float -> int -> float
-(** [cdf_two_sided ~alpha k] is [P(|Y| <= k)] for the two-sided geometric
-    (used to build lookup thresholds and failure probabilities). *)
-
 val failure_probability : alpha:float -> table_entries:int -> float
 (** Appendix B: probability that a single transfer's noise falls outside a
     decryption lookup table with [table_entries] entries (range

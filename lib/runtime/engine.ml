@@ -116,9 +116,9 @@ let merge_session_traffic traffic session members =
 (* Input shares for the noise section of a noised circuit: every member
    contributes uniform bits; the XOR (the cleartext nobody knows) is
    uniform as long as one member is honest. *)
-let noise_input_shares prg ~kp1 =
-  let ubits = Noise_circuit.default_uniform_bits in
-  Array.init kp1 (fun _ -> Prg.bits prg (ubits + 1))
+let noise_input_shares prg ~kp1 p =
+  let bits = Noise_circuit.input_bits ~max_magnitude:p.Vertex_program.noise_max_magnitude in
+  Array.init kp1 (fun _ -> Prg.bits prg bits)
 
 let run cfg p ~graph ~initial_states =
   validate_config cfg;
@@ -433,7 +433,7 @@ let run cfg p ~graph ~initial_states =
     let reshared =
       Block.reshare ~obs ~prg ~kp1 ~ebytes ~traffic:global ~src_blocks ~dst_members values
     in
-    let noise = noise_input_shares (Block.derive_prg ~seed "agg:noise") ~kp1 in
+    let noise = noise_input_shares (Block.derive_prg ~seed "agg:noise") ~kp1 p in
     let session, out = eval_in_block ~label:"root" dst_members circuit
         (concat_inputs reshared noise)
     in
@@ -585,7 +585,10 @@ let run_plaintext p ~degree_bound ~graph ~initial_states =
   done;
   compute ();
   let agg = Vertex_program.aggregate_circuit p ~count:n in
-  let noise_zeros = Array.make (Noise_circuit.default_uniform_bits + 1) false in
+  let noise_zeros =
+    Array.make (Noise_circuit.input_bits ~max_magnitude:p.Vertex_program.noise_max_magnitude)
+      false
+  in
   let inputs = Array.concat (Array.to_list states @ [ noise_zeros ]) in
   let out = Circuit.eval agg inputs in
   Bitvec.to_int_signed (Bitvec.of_bool_array out)

@@ -42,11 +42,10 @@ let partial_aggregate_circuit p ~count =
 
 let noised_sum p b terms =
   let sum = Word.sum b ~bits:p.agg_bits terms in
-  let uniform = Word.inputs b ~bits:Noise_circuit.default_uniform_bits in
-  let sign = Builder.input b in
+  let max_magnitude = p.noise_max_magnitude in
+  let uniform = Word.inputs b ~bits:(Noise_circuit.input_bits ~max_magnitude) in
   let alpha = Mechanism.alpha_of_epsilon ~epsilon:(p.epsilon /. float_of_int p.sensitivity) in
-  Noise_circuit.add_noise b ~alpha ~max_magnitude:p.noise_max_magnitude
-    ~value:sum ~uniform ~sign
+  Noise_circuit.add_noise b ~alpha ~max_magnitude ~value:sum ~uniform
 
 let combine_circuit p ~count ~noised =
   let b = Builder.create () in

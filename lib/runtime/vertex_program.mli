@@ -50,11 +50,11 @@ val partial_aggregate_circuit : t -> count:int -> Dstress_circuit.Circuit.t
 
 val combine_circuit : t -> count:int -> noised:bool -> Dstress_circuit.Circuit.t
 (** Sums [count] partial aggregates (inputs: [count * agg_bits], plus — if
-    [noised] — 32 uniform bits and one sign bit appended). The noised
-    variant adds two-sided geometric noise with
-    [alpha = exp(-epsilon / sensitivity)], which is the final DStress
-    noising step. *)
+    [noised] — [Noise_circuit.input_bits ~max_magnitude:noise_max_magnitude]
+    uniform bits appended). The noised variant adds two-sided geometric
+    noise with [alpha = exp(-epsilon / sensitivity)], which is the final
+    DStress noising step. *)
 
 val aggregate_circuit : t -> count:int -> Dstress_circuit.Circuit.t
 (** Single-level aggregation: [count] vertex states in, noised aggregate
-    out (inputs: [count * state_bits + 32 + 1]). *)
+    out (inputs: [count * state_bits] plus the same uniform bits). *)

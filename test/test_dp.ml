@@ -124,14 +124,6 @@ let test_alpha_epsilon_inverse () =
     (Mechanism.alpha_of_epsilon
        ~epsilon:(Mechanism.epsilon_of_alpha ~alpha:0.37))
 
-let test_cdf_two_sided () =
-  let alpha = 0.5 in
-  (* F(0) = (1-a)/(1+a) = 1/3 for a = 0.5. *)
-  Alcotest.(check (float 1e-9)) "F(0)" (1.0 /. 3.0) (Mechanism.cdf_two_sided ~alpha 0);
-  Alcotest.(check (float 1e-9)) "F(-1)" 0.0 (Mechanism.cdf_two_sided ~alpha (-1));
-  (* F(k) -> 1. *)
-  Alcotest.(check bool) "limit" true (Mechanism.cdf_two_sided ~alpha 60 > 0.999999)
-
 let test_failure_probability () =
   (* For alpha -> 0 the noise is almost surely 0 and P_fail -> 0; for a
      1-entry table, P_fail should be substantial. *)
@@ -190,41 +182,31 @@ let test_budget_bad_params () =
 (* Noise circuit                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let eval_noise_circuit ~alpha ~max_magnitude ~bits uniform_val sign_val =
-  let ubits = Noise_circuit.default_uniform_bits in
-  let b = Builder.create () in
-  let uniform = Word.inputs b ~bits:ubits in
-  let sign = Builder.input b in
-  let noise = Noise_circuit.signed_noise b ~alpha ~max_magnitude ~bits ~uniform ~sign in
-  let c = Builder.finish b ~outputs:noise in
-  let inputs =
-    Array.append
-      (Array.init ubits (fun i -> (uniform_val lsr i) land 1 = 1))
-      [| sign_val |]
-  in
-  let out = Circuit.eval c inputs in
-  let v = ref 0 in
-  for i = bits - 1 downto 0 do
-    v := (!v lsl 1) lor (if out.(i) then 1 else 0)
-  done;
-  (* interpret as signed *)
-  if !v >= 1 lsl (bits - 1) then !v - (1 lsl bits) else !v
+(* A one-input vertex program whose combine circuit is the aggregation
+   block's noising step: the exact aggregate in, the released value out. *)
+let agg_bits = 16
 
-let test_noise_circuit_thresholds_monotone () =
-  let ts = Noise_circuit.thresholds ~alpha:0.7 ~max_magnitude:20 ~uniform_bits:32 in
-  for i = 1 to 19 do
-    Alcotest.(check bool) "monotone" true (ts.(i) >= ts.(i - 1))
-  done
+let noise_program ~epsilon ~sensitivity ~noise_max_magnitude =
+  {
+    Dstress_runtime.Vertex_program.name = "noise-gate";
+    state_bits = agg_bits;
+    message_bits = 1;
+    iterations = 1;
+    sensitivity;
+    epsilon;
+    noise_max_magnitude;
+    agg_bits;
+    build_update = (fun _ ~state ~incoming -> (state, incoming));
+    build_aggregand = (fun _ ~state -> state);
+  }
 
-let test_noise_circuit_extremes () =
-  (* uniform = 0: below every threshold, magnitude 0 regardless of sign. *)
-  Alcotest.(check int) "u=0 -> 0" 0 (eval_noise_circuit ~alpha:0.5 ~max_magnitude:7 ~bits:8 0 false);
-  (* uniform = all ones: above every threshold, saturates at max. *)
-  let all_ones = (1 lsl 32) - 1 in
-  Alcotest.(check int) "u=max -> saturate" 7
-    (eval_noise_circuit ~alpha:0.5 ~max_magnitude:7 ~bits:8 all_ones false);
-  Alcotest.(check int) "sign negates" (-7)
-    (eval_noise_circuit ~alpha:0.5 ~max_magnitude:7 ~bits:8 all_ones true)
+let noised_combine ?(noised = true) ~epsilon ~sensitivity ~noise_max_magnitude () =
+  Dstress_runtime.Vertex_program.combine_circuit
+    (noise_program ~epsilon ~sensitivity ~noise_max_magnitude)
+    ~count:1 ~noised
+
+let eval_word c inputs = Bitvec.to_int (Bitvec.of_bool_array (Circuit.eval c inputs))
+let bits_of ~bits v = Array.init bits (fun i -> (v lsr i) land 1 = 1)
 
 (* The distribution gate: released minus exact, through the noised
    combine circuit the aggregation block evaluates, against the
@@ -238,22 +220,7 @@ let test_noise_circuit_extremes () =
 let distribution_draws = 10_000
 
 let chi_square_noise ~epsilon ~sensitivity ~noise_max_magnitude =
-  let agg_bits = 16 in
-  let p =
-    {
-      Dstress_runtime.Vertex_program.name = "noise-gate";
-      state_bits = agg_bits;
-      message_bits = 1;
-      iterations = 1;
-      sensitivity;
-      epsilon;
-      noise_max_magnitude;
-      agg_bits;
-      build_update = (fun _ ~state ~incoming -> (state, incoming));
-      build_aggregand = (fun _ ~state -> state);
-    }
-  in
-  let c = Dstress_runtime.Vertex_program.combine_circuit p ~count:1 ~noised:true in
+  let c = noised_combine ~epsilon ~sensitivity ~noise_max_magnitude () in
   let noise_bits = c.Circuit.num_inputs - agg_bits in
   let alpha = Mechanism.alpha_of_epsilon ~epsilon:(epsilon /. float_of_int sensitivity) in
   let n = distribution_draws in
@@ -303,47 +270,142 @@ let test_noise_circuit_distribution () =
   check_distribution ~epsilon:1.0 ~sensitivity:20 ~noise_max_magnitude:600 ~kmax:78 ();
   check_distribution ~epsilon:(log 2.0) ~sensitivity:1 ~noise_max_magnitude:15 ~kmax:9 ()
 
-let test_noise_circuit_add_noise () =
-  let b = Builder.create () in
-  let ubits = Noise_circuit.default_uniform_bits in
-  let value = Word.inputs b ~bits:10 in
-  let uniform = Word.inputs b ~bits:ubits in
-  let sign = Builder.input b in
-  let noised = Noise_circuit.add_noise b ~alpha:0.5 ~max_magnitude:7 ~value ~uniform ~sign in
-  let c = Builder.finish b ~outputs:noised in
-  (* uniform = 0 -> zero noise: output equals input. *)
-  let inputs =
-    Array.concat
-      [
-        Array.init 10 (fun i -> (300 lsr i) land 1 = 1);
-        Array.make ubits false;
-        [| false |];
-      ]
+(* The pmf the rounded coin constants imply, convolved exactly: digit j
+   of each G is 1 with probability T_j / 2^32. At serve-en's release
+   (epsilon 1, s = 20, bound 600, so m = 9) it must sit within L1 1e-9
+   of (1-a)/(1+a) a^|k|: the rounding of 18 constants plus the
+   conditioned-away tail a^512 = 7.6e-12. *)
+let test_noise_circuit_coin_pmf_exact () =
+  let alpha = Mechanism.alpha_of_epsilon ~epsilon:(1.0 /. 20.0) in
+  let ts = Noise_circuit.coin_thresholds ~alpha ~max_magnitude:600 in
+  Alcotest.(check int) "m = 9 digits" 9 (Array.length ts);
+  let size = 1 lsl Array.length ts in
+  let p_g =
+    Array.init size (fun g ->
+        let pr = ref 1.0 in
+        Array.iteri
+          (fun j t ->
+            let p1 = float_of_int t /. (2.0 ** 32.0) in
+            pr := !pr *. if (g lsr j) land 1 = 1 then p1 else 1.0 -. p1)
+          ts;
+        !pr)
   in
-  let out = Circuit.eval c inputs in
-  let v = ref 0 in
-  for i = 9 downto 0 do
-    v := (!v lsl 1) lor (if out.(i) then 1 else 0)
+  let target k = (1.0 -. alpha) /. (1.0 +. alpha) *. (alpha ** float_of_int (abs k)) in
+  let l1 = ref 0.0 and covered = ref 0.0 in
+  for k = -(size - 1) to size - 1 do
+    let pk = ref 0.0 in
+    for g = max 0 k to min (size - 1) (size - 1 + k) do
+      pk := !pk +. (p_g.(g) *. p_g.(g - k))
+    done;
+    l1 := !l1 +. abs_float (!pk -. target k);
+    covered := !covered +. target k
   done;
-  Alcotest.(check int) "zero noise passthrough" 300 !v
+  let l1 = !l1 +. (1.0 -. !covered) in
+  if not (l1 < 1e-9) then Alcotest.failf "L1 distance %g >= 1e-9" l1
+
+(* The noised combine circuit at serve-en's release parameters, pinned:
+   18 coins of at most 31 ANDs, a 10-bit subtraction and the add into
+   the 16-bit aggregate. *)
+let test_noise_circuit_and_pin () =
+  let c = noised_combine ~epsilon:1.0 ~sensitivity:20 ~noise_max_magnitude:600 () in
+  Alcotest.(check int) "noise inputs" (18 * 32) (c.Circuit.num_inputs - agg_bits);
+  Alcotest.(check int) "ANDs" 566 (Circuit.and_count c);
+  Alcotest.(check int) "AND depth" 46 (Circuit.and_depth c)
+
+(* The sampler costs 2m comparisons for m = log2(bound + 1) digits: the
+   AND count grows with the number of digits, not with the bound. *)
+let test_noise_circuit_gate_count_logarithmic () =
+  let ands m =
+    let b = Builder.create () in
+    let max_magnitude = (1 lsl m) - 1 in
+    let value = Word.inputs b ~bits:24 in
+    let uniform = Word.inputs b ~bits:(Noise_circuit.input_bits ~max_magnitude) in
+    let out = Noise_circuit.add_noise b ~alpha:0.999999 ~max_magnitude ~value ~uniform in
+    Circuit.and_count (Builder.finish b ~outputs:out)
+  in
+  let a4 = ands 4 and a8 = ands 8 and a16 = ands 16 in
+  List.iter
+    (fun (m, a) ->
+      if a > (2 * m * 32) + (2 * 24) then
+        Alcotest.failf "bound 2^%d - 1: %d ANDs exceed 2m comparisons and two adds" m a)
+    [ (4, a4); (8, a8); (16, a16) ];
+  Alcotest.(check bool) "grows with the digits" true (a4 < a8 && a8 < a16);
+  Alcotest.(check bool) "4096x the bound, at most 5x the ANDs" true (a16 <= 5 * a4)
+
+(* All-zero noise inputs make every coin pair equal (each word is below
+   its threshold or each is not), so G1 = G2 and the release is exact.
+   Engine.run_plaintext feeds exactly that, and the plaintext oracles
+   rely on it. *)
+let test_noise_circuit_zero_input () =
+  let t = Prng.of_int 0x2E0 in
+  List.iter
+    (fun (epsilon, sensitivity, noise_max_magnitude) ->
+      let c = noised_combine ~epsilon ~sensitivity ~noise_max_magnitude () in
+      for _ = 1 to 20 do
+        let exact = Prng.int t (1 lsl agg_bits) in
+        let zeros = Array.make (c.Circuit.num_inputs - agg_bits) false in
+        Alcotest.(check int) "released = exact" exact
+          (eval_word c (Array.append (bits_of ~bits:agg_bits exact) zeros))
+      done)
+    [ (1.0, 20, 600); (0.23, 20, 600); (log 2.0, 1, 15); (50.0, 1, 30) ];
+  let module Engine = Dstress_runtime.Engine in
+  let module Graph = Dstress_runtime.Graph in
+  let graph = Graph.create ~n:3 ~edges:[ (0, 1); (1, 2) ] in
+  let p = noise_program ~epsilon:1.0 ~sensitivity:20 ~noise_max_magnitude:600 in
+  let states = Array.map (Bitvec.of_int ~bits:agg_bits) [| 300; 5; 7000 |] in
+  Alcotest.(check int) "run_plaintext releases the exact sum" 7305
+    (Engine.run_plaintext p ~degree_bound:(Graph.max_degree graph) ~graph ~initial_states:states)
+
+(* At epsilon 50 and s = 1 every coin probability rounds to 0, so every
+   coin folds to constant 0 and the noising step adds no gate: the engine
+   tests that compare MPC outputs with plaintext sums rely on it. *)
+let test_noise_circuit_epsilon_50_folds () =
+  let alpha = Mechanism.alpha_of_epsilon ~epsilon:50.0 in
+  List.iter
+    (fun max_magnitude ->
+      Alcotest.(check (list int)) "coin constants" []
+        (List.filter (( <> ) 0)
+           (Array.to_list (Noise_circuit.coin_thresholds ~alpha ~max_magnitude)));
+      let noised = noised_combine ~epsilon:50.0 ~sensitivity:1 ~noise_max_magnitude:max_magnitude () in
+      let plain =
+        noised_combine ~noised:false ~epsilon:50.0 ~sensitivity:1
+          ~noise_max_magnitude:max_magnitude ()
+      in
+      Alcotest.(check int) "no AND added" (Circuit.and_count plain) (Circuit.and_count noised);
+      let t = Prng.of_int max_magnitude in
+      for _ = 1 to 20 do
+        let exact = Prng.int t (1 lsl agg_bits) in
+        let noise = Array.init (noised.Circuit.num_inputs - agg_bits) (fun _ -> Prng.bool t) in
+        Alcotest.(check int) "released = exact" exact
+          (eval_word noised (Array.append (bits_of ~bits:agg_bits exact) noise))
+      done)
+    [ 2; 4; 30; 600 ]
+
+let test_noise_circuit_add_noise () =
+  (* A value passes through unchanged on all-zero noise inputs. *)
+  let b = Builder.create () in
+  let max_magnitude = 7 in
+  let value = Word.inputs b ~bits:10 in
+  let uniform = Word.inputs b ~bits:(Noise_circuit.input_bits ~max_magnitude) in
+  let noised = Noise_circuit.add_noise b ~alpha:0.5 ~max_magnitude ~value ~uniform in
+  let c = Builder.finish b ~outputs:noised in
+  let inputs =
+    Array.append (bits_of ~bits:10 300) (Array.make (Noise_circuit.input_bits ~max_magnitude) false)
+  in
+  Alcotest.(check int) "zero noise passthrough" 300 (eval_word c inputs)
 
 let test_noise_circuit_bad_params () =
-  let b = Builder.create () in
-  let uniform = Word.inputs b ~bits:32 in
   Alcotest.check_raises "bad alpha" (Invalid_argument "Noise_circuit: alpha out of (0,1)")
-    (fun () -> ignore (Noise_circuit.magnitude b ~alpha:1.5 ~max_magnitude:4 ~uniform))
-
-let test_noise_circuit_gate_count_scales () =
-  (* The noising circuit is linear in max_magnitude — this is why the
-     paper's noising MPC is its largest circuit. *)
-  let build m =
-    let b = Builder.create () in
-    let uniform = Word.inputs b ~bits:32 in
-    let w = Noise_circuit.magnitude b ~alpha:0.9 ~max_magnitude:m ~uniform in
-    Circuit.and_count (Builder.finish b ~outputs:w)
-  in
-  let a = build 8 and b = build 64 in
-  Alcotest.(check bool) "scales with magnitude" true (b > 4 * a)
+    (fun () -> ignore (Noise_circuit.coin_thresholds ~alpha:1.5 ~max_magnitude:4));
+  Alcotest.check_raises "bad bound" (Invalid_argument "Noise_circuit: max_magnitude < 1")
+    (fun () -> ignore (Noise_circuit.coin_thresholds ~alpha:0.5 ~max_magnitude:0));
+  let b = Builder.create () in
+  let value = Word.inputs b ~bits:4 in
+  Alcotest.check_raises "narrow value"
+    (Invalid_argument "Noise_circuit.add_noise: value too narrow for max_magnitude") (fun () ->
+      ignore
+        (Noise_circuit.add_noise b ~alpha:0.5 ~max_magnitude:15 ~value
+           ~uniform:(Word.inputs b ~bits:(Noise_circuit.input_bits ~max_magnitude:15))))
 
 let () =
   Alcotest.run "dp"
@@ -362,7 +424,6 @@ let () =
           Alcotest.test_case "transfer noise even" `Quick test_transfer_noise_is_even;
           Alcotest.test_case "dp ratio" `Slow test_geometric_mechanism_dp_ratio;
           Alcotest.test_case "alpha/epsilon inverse" `Quick test_alpha_epsilon_inverse;
-          Alcotest.test_case "cdf" `Quick test_cdf_two_sided;
           Alcotest.test_case "failure probability" `Quick test_failure_probability;
           Alcotest.test_case "max alpha bisection" `Quick test_max_alpha_bisection;
         ] );
@@ -375,11 +436,14 @@ let () =
         ] );
       ( "noise-circuit",
         [
-          Alcotest.test_case "thresholds monotone" `Quick test_noise_circuit_thresholds_monotone;
-          Alcotest.test_case "extremes" `Quick test_noise_circuit_extremes;
+          Alcotest.test_case "coin pmf exact" `Quick test_noise_circuit_coin_pmf_exact;
+          Alcotest.test_case "zero input releases 0" `Quick test_noise_circuit_zero_input;
           Alcotest.test_case "distribution" `Quick test_noise_circuit_distribution;
           Alcotest.test_case "add noise" `Quick test_noise_circuit_add_noise;
           Alcotest.test_case "bad params" `Quick test_noise_circuit_bad_params;
-          Alcotest.test_case "gate count scales" `Quick test_noise_circuit_gate_count_scales;
+          Alcotest.test_case "gate count logarithmic" `Quick
+            test_noise_circuit_gate_count_logarithmic;
+          Alcotest.test_case "AND pin" `Quick test_noise_circuit_and_pin;
+          Alcotest.test_case "epsilon 50 folds" `Quick test_noise_circuit_epsilon_50_folds;
         ] );
     ]

@@ -100,7 +100,7 @@ let test_aggregate_circuit_zero_noise_is_sum () =
         Array.init 8 (fun i -> (10 lsr i) land 1 = 1);
         Array.init 8 (fun i -> (20 lsr i) land 1 = 1);
         Array.init 8 (fun i -> (30 lsr i) land 1 = 1);
-        Array.make 33 false;
+        Array.make (c.Circuit.num_inputs - 24) false;
       ]
   in
   let out = Circuit.eval c inputs in
@@ -114,11 +114,9 @@ let test_partial_and_combine_match_single () =
   in
   let bits_of v n = List.init n (fun i -> (v lsr i) land 1 = 1) in
   (* direct: all five states + zero noise *)
-  let direct =
-    eval
-      (Vertex_program.aggregate_circuit p ~count:5)
-      (List.concat_map (fun v -> bits_of v 8) states @ bits_of 0 33)
-  in
+  let single = Vertex_program.aggregate_circuit p ~count:5 in
+  let zero_noise = bits_of 0 (single.Circuit.num_inputs - 40) in
+  let direct = eval single (List.concat_map (fun v -> bits_of v 8) states @ zero_noise) in
   (* two-level: groups of 3 and 2, then combine with zero noise *)
   let part1 =
     eval
@@ -133,7 +131,7 @@ let test_partial_and_combine_match_single () =
   let combined =
     eval
       (Vertex_program.combine_circuit p ~count:2 ~noised:true)
-      (bits_of part1 14 @ bits_of part2 14 @ bits_of 0 33)
+      (bits_of part1 14 @ bits_of part2 14 @ zero_noise)
   in
   Alcotest.(check int) "two-level equals single" direct combined
 

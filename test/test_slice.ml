@@ -152,13 +152,20 @@ let test_crypto_mode () =
 (* The evaluator keeps wire and mask words unboxed, so what a one-slot
    evaluation still allocates on the minor heap is the SHA-CTR mask draws
    and the output shares, not per-gate boxes. Measured on the EN
-   aggregation circuit (3 parties, 19,732 ANDs, x86-64, OCaml 5.1): 136.0
-   minor words per AND gate with boxed int64 array wires and a
-   Simulation OT carrier batch per pair and level; 20.7 with unboxed
-   words and the ideal OT computed inline. The first evaluation sets up
-   the OT sessions, so only the second is measured. *)
+   aggregation circuit when its noise ladder made it 19,732 ANDs (3
+   parties, x86-64, OCaml 5.1): 136.0 minor words per AND gate with boxed
+   int64 array wires and a Simulation OT carrier batch per pair and
+   level; 20.7 with unboxed words and the ideal OT computed inline. The
+   bitwise noise sampler cut that circuit to 597 ANDs, so the guard now
+   runs on the largest circuit the engine evaluates per vertex, the EN
+   update step at l = 16 and D = 10 (6,361 ANDs): per-run buffers stay
+   per-run, and only per-gate allocation moves the ratio. The first
+   evaluation sets up the OT sessions, so only the second is measured. *)
 let minor_words_per_and ~prefetch =
-  let c = en_aggregation_circuit () in
+  let degree = 10 in
+  let c =
+    Vertex_program.update_circuit (En_program.make ~l:16 ~degree ~iterations:1 ()) ~degree
+  in
   let plan = Plan.compile c in
   let s = Gmw.create_session ~mode:Ot_ext.Simulation grp ~parties:3 ~seed:"alloc-guard" in
   let shares = Gmw.share_input s (Bitvec.create c.Circuit.num_inputs false) in
@@ -177,8 +184,10 @@ let test_eval_allocation () =
 (* With the keystream prefetched, the mask draws hash nothing and are
    written into one scratch buffer, so an evaluation allocates only its
    per-run buffers and output shares: 0.78 minor words per AND gate when
-   each draw returned a fresh byte string (EN aggregation circuit, 3
-   parties, x86-64, OCaml 5.1). *)
+   each draw returned a fresh byte string (the 19,732-AND EN aggregation
+   circuit, 3 parties, x86-64, OCaml 5.1). Today: ~260 words per
+   evaluation of the EN update step, 0.04 per AND; the 597-AND
+   aggregation circuit allocates ~170 words, 0.29 per AND. *)
 let test_prefetched_eval_allocation () =
   let per_and = minor_words_per_and ~prefetch:true in
   Alcotest.(check bool)
