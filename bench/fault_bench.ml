@@ -3,11 +3,11 @@
    For each fault rate the same EN fixture runs with a random fault plan
    (drops, delays, corruptions and forced decryption misses on edge
    transfers, plus a node handoff at the higher rates). The run uses a huge
-   epsilon so the release noise is negligible and the output must equal
-   the plaintext reference exactly whenever every failure was recovered —
-   which is what the "ok" column checks. The table reports the recovery
-   machinery's cost: retries, the extra edge-privacy budget they consume,
-   and the simulated backoff delay. *)
+   epsilon at sensitivity 1 (alpha = e^-50), so every noise coin folds to
+   0 and the output must equal the plaintext reference exactly whenever
+   every failure was recovered — which is what the "ok" column checks.
+   The table reports the recovery machinery's cost: retries, the extra
+   edge-privacy budget they consume, and the simulated backoff delay. *)
 
 open Bench_util
 module Engine = Dstress_runtime.Engine
@@ -32,7 +32,7 @@ let fixture ~quick =
   in
   let graph = En_program.graph_of_instance inst in
   let d = max 1 (Graph.max_degree graph) in
-  let p = En_program.make ~epsilon:exact_epsilon ~l:10 ~degree:d ~iterations () in
+  let p = En_program.make ~epsilon:exact_epsilon ~sensitivity:1 ~l:10 ~degree:d ~iterations () in
   let states = En_program.encode_instance inst ~graph ~l:10 ~degree:d ~scale:0.25 in
   (graph, d, p, states)
 
