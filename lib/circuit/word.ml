@@ -54,8 +54,6 @@ let sub_with_borrow b x y =
 
 let sub b x y = fst (sub_with_borrow b x y)
 
-let negate b w = sub b (Array.map (fun _ -> Builder.const b false) w) w
-
 let mux b sel x y =
   check_widths "mux" x y;
   Array.init (Array.length x) (fun i -> Builder.mux b sel x.(i) y.(i))
@@ -80,8 +78,6 @@ let lt b x y =
   let carry = ref (Builder.const b true) in
   Array.iter2 (fun xi yi -> carry := Builder.maj b xi (Builder.bnot b yi) !carry) x y;
   Builder.bnot b !carry
-
-let ge b x y = Builder.bnot b (lt b x y)
 
 let min b x y = mux b (lt b x y) x y
 

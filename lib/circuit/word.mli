@@ -48,9 +48,6 @@ val saturating_sub : Builder.t -> t -> t -> t
 (** [max (a - b) 0] — the "shortfall" primitive of the risk circuits.
     [2n] ANDs. *)
 
-val negate : Builder.t -> t -> t
-(** Two's-complement negation. [n - 2] ANDs ([n >= 2]). *)
-
 val eq : Builder.t -> t -> t -> Builder.wire
 (** [n - 1] ANDs. *)
 
@@ -59,9 +56,7 @@ val is_zero : Builder.t -> t -> Builder.wire
 
 val lt : Builder.t -> t -> t -> Builder.wire
 (** Unsigned comparison: the borrow of [a - b], built without the
-    difference bits. [n] ANDs, and so is [ge]. *)
-
-val ge : Builder.t -> t -> t -> Builder.wire
+    difference bits. [n] ANDs. *)
 
 val mux : Builder.t -> Builder.wire -> t -> t -> t
 (** [mux b sel a c] selects [a] when [sel] is 1. [n] ANDs. *)

@@ -3,10 +3,6 @@ module Word = Dstress_circuit.Word
 
 let coin_bits = 32
 
-let check_params ~alpha ~max_magnitude =
-  if alpha <= 0.0 || alpha >= 1.0 then invalid_arg "Noise_circuit: alpha out of (0,1)";
-  if max_magnitude < 1 then invalid_arg "Noise_circuit: max_magnitude < 1"
-
 (* m = floor(log2(max_magnitude + 1)): the most binary digits whose
    largest value 2^m - 1 stays within the bound. *)
 let digits ~max_magnitude =
@@ -19,7 +15,8 @@ let input_bits ~max_magnitude = 2 * digits ~max_magnitude * coin_bits
    alpha^g = prod_j (alpha^(2^j))^(g_j), so its digits g_j are
    independent with P(g_j = 1) = alpha^(2^j) / (1 + alpha^(2^j)). *)
 let coin_thresholds ~alpha ~max_magnitude =
-  check_params ~alpha ~max_magnitude;
+  if alpha <= 0.0 || alpha >= 1.0 then invalid_arg "Noise_circuit: alpha out of (0,1)";
+  if max_magnitude < 1 then invalid_arg "Noise_circuit: max_magnitude < 1";
   let scale = 2.0 ** float_of_int coin_bits in
   Array.init (digits ~max_magnitude) (fun j ->
       let a = alpha ** float_of_int (1 lsl j) in

@@ -213,7 +213,6 @@ let test_word_comparisons () =
   List.iter
     (fun (a, b) ->
       check_cmp "lt" Word.lt (a < b) a b;
-      check_cmp "ge" Word.ge (a >= b) a b;
       check_cmp "eq" Word.eq (a = b) a b)
     [ (0, 0); (1, 0); (0, 1); (255, 255); (254, 255); (100, 100); (7, 200) ]
 
@@ -266,10 +265,6 @@ let test_word_sum () =
   let got = run ~bits ~arity:4 f [ 200; 200; 200; 100 ] in
   Alcotest.(check int) "sum widened" 700 got
 
-let test_word_negate () =
-  Alcotest.(check int) "negate" ((-5) land mask)
-    (run ~bits ~arity:1 (fun b ws -> Word.negate b ws.(0)) [ 5 ])
-
 (* Build [f] once over an [xbits]-bit and a [ybits]-bit input word, then
    evaluate it through [Circuit.eval] on every operand pair and compare
    its outputs, read as one little-endian integer, with [expected]. *)
@@ -308,9 +303,7 @@ let test_word_exhaustive () =
         let d, w = Word.sub_with_borrow b x y in
         Array.append d [| w |])
       (fun u v -> ((u - v) land mask) lor (ind (u < v) lsl n));
-    check "lt/ge"
-      (fun b x y -> [| Word.lt b x y; Word.ge b x y |])
-      (fun u v -> ind (u < v) lor (ind (u >= v) lsl 1));
+    check "lt" (fun b x y -> [| Word.lt b x y |]) (fun u v -> ind (u < v));
     check "saturating_sub" Word.saturating_sub (fun u v -> Stdlib.max (u - v) 0);
     check "min" Word.min Stdlib.min
   done
@@ -421,7 +414,6 @@ let () =
           Alcotest.test_case "div by zero" `Quick test_word_div_by_zero_all_ones;
           Alcotest.test_case "shifts" `Quick test_word_shifts;
           Alcotest.test_case "sum" `Quick test_word_sum;
-          Alcotest.test_case "negate" `Quick test_word_negate;
           Alcotest.test_case "exhaustive widths 1-8" `Quick test_word_exhaustive;
           Alcotest.test_case "divmod exhaustive widths 1-6" `Quick test_word_divmod_exhaustive;
           Alcotest.test_case "AND counts" `Quick test_word_and_counts;

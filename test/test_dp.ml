@@ -314,7 +314,7 @@ let test_noise_circuit_and_pin () =
 
 (* The sampler costs 2m comparisons for m = log2(bound + 1) digits: the
    AND count grows with the number of digits, not with the bound. *)
-let test_noise_circuit_gate_count_logarithmic () =
+let test_noise_circuit_gate_count_scales () =
   let ands m =
     let b = Builder.create () in
     let max_magnitude = (1 lsl m) - 1 in
@@ -332,20 +332,20 @@ let test_noise_circuit_gate_count_logarithmic () =
   Alcotest.(check bool) "grows with the digits" true (a4 < a8 && a8 < a16);
   Alcotest.(check bool) "4096x the bound, at most 5x the ANDs" true (a16 <= 5 * a4)
 
-(* All-zero noise inputs make every coin pair equal (each word is below
-   its threshold or each is not), so G1 = G2 and the release is exact.
-   Engine.run_plaintext feeds exactly that, and the plaintext oracles
-   rely on it. *)
-let test_noise_circuit_zero_input () =
+(* Constant noise inputs make every coin pair equal: all-zero words are
+   below every nonzero threshold, all-ones words below none. So G1 = G2
+   and the release is exact. Engine.run_plaintext feeds all zeros, and
+   the plaintext oracles rely on it. *)
+let test_noise_circuit_extremes () =
   let t = Prng.of_int 0x2E0 in
   List.iter
     (fun (epsilon, sensitivity, noise_max_magnitude) ->
       let c = noised_combine ~epsilon ~sensitivity ~noise_max_magnitude () in
-      for _ = 1 to 20 do
+      for i = 1 to 20 do
         let exact = Prng.int t (1 lsl agg_bits) in
-        let zeros = Array.make (c.Circuit.num_inputs - agg_bits) false in
+        let noise = Array.make (c.Circuit.num_inputs - agg_bits) (i mod 2 = 0) in
         Alcotest.(check int) "released = exact" exact
-          (eval_word c (Array.append (bits_of ~bits:agg_bits exact) zeros))
+          (eval_word c (Array.append (bits_of ~bits:agg_bits exact) noise))
       done)
     [ (1.0, 20, 600); (0.23, 20, 600); (log 2.0, 1, 15); (50.0, 1, 30) ];
   let module Engine = Dstress_runtime.Engine in
@@ -437,12 +437,11 @@ let () =
       ( "noise-circuit",
         [
           Alcotest.test_case "coin pmf exact" `Quick test_noise_circuit_coin_pmf_exact;
-          Alcotest.test_case "zero input releases 0" `Quick test_noise_circuit_zero_input;
+          Alcotest.test_case "extremes" `Quick test_noise_circuit_extremes;
           Alcotest.test_case "distribution" `Quick test_noise_circuit_distribution;
           Alcotest.test_case "add noise" `Quick test_noise_circuit_add_noise;
           Alcotest.test_case "bad params" `Quick test_noise_circuit_bad_params;
-          Alcotest.test_case "gate count logarithmic" `Quick
-            test_noise_circuit_gate_count_logarithmic;
+          Alcotest.test_case "gate count scales" `Quick test_noise_circuit_gate_count_scales;
           Alcotest.test_case "AND pin" `Quick test_noise_circuit_and_pin;
           Alcotest.test_case "epsilon 50 folds" `Quick test_noise_circuit_epsilon_50_folds;
         ] );
